@@ -41,7 +41,7 @@ from .metrics import (
     structure_scores,
     unit_diag_scale,
 )
-from .sampler import SAMPLER_KINDS, ChainConfig, run_chain
+from .sampler import SAMPLER_KINDS, ChainConfig, ViolationAudit, run_chain
 
 REPLICATION_COLUMNS = [
     "design", "p", "n", "sampler", "replication", "stein", "frobenius",
@@ -189,14 +189,7 @@ def run_replication(scenario, rep):
         "sensitivity": sc.sensitivity,
         "mcc": sc.mcc,
     }
-    audit = {
-        "replication": rep,
-        "updates_total": out.audit.updates_total,
-        "violations": out.audit.violations,
-        "violation_ratio_percent": out.audit.ratio_percent,
-        "by_stage": dict(out.audit.by_column_stage),
-    }
-    return row, audit, out.elapsed_seconds
+    return row, {"replication": rep, **_audit_summary(out.audit)}, out.elapsed_seconds
 
 
 def _replication_task(scenario, rep):
@@ -297,20 +290,24 @@ def _aggregate(scenario, rows, failures):
     return agg
 
 
-def _pool_audits(audits):
-    total = sum(a["updates_total"] for a in audits)
-    violations = sum(a["violations"] for a in audits)
-    by_stage = {"after_beta": 0, "after_gamma": 0}
-    for a in audits:
-        for k, v in a["by_stage"].items():
-            by_stage[k] = by_stage.get(k, 0) + v
+def _audit_summary(audit):
+    """The audit.json form of a ViolationAudit."""
     return {
-        "updates_total": total,
-        "violations": violations,
-        "violation_ratio_percent": 100.0 * violations / total if total else 0.0,
-        "by_stage": by_stage,
-        "per_replication": audits,
+        "updates_total": audit.updates_total,
+        "violations": audit.violations,
+        "violation_ratio_percent": audit.ratio_percent,
+        "by_stage": dict(audit.by_column_stage),
     }
+
+
+def _pool_audits(audits):
+    pooled = ViolationAudit()
+    for a in audits:
+        pooled.updates_total += a["updates_total"]
+        pooled.violations += a["violations"]
+        for k, v in a["by_stage"].items():
+            pooled.by_column_stage[k] += v
+    return {**_audit_summary(pooled), "per_replication": audits}
 
 
 def cmd_fit(data_path, sampler, out_dir, *, burn_in=5000, draws=10000, seed=0,
@@ -348,12 +345,7 @@ def cmd_fit(data_path, sampler, out_dir, *, burn_in=5000, draws=10000, seed=0,
     save_matrix_csv(result.omega_mean, out / "posterior_mean.csv")
     save_matrix_csv(unit_diag_scale(result.omega_mean),
                     out / "posterior_mean_unit_diag.csv")
-    _write_json(out / "audit.json", {
-        "updates_total": result.audit.updates_total,
-        "violations": result.audit.violations,
-        "violation_ratio_percent": result.audit.ratio_percent,
-        "by_stage": dict(result.audit.by_column_stage),
-    })
+    _write_json(out / "audit.json", _audit_summary(result.audit))
     _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
     return 0
 
@@ -372,12 +364,7 @@ def cmd_audit(scenario, out_dir):
     rng = RngStream(scenario.seed, stream_id=0)
     Y = simulate_data(model, scenario.n, rng)
     result = run_chain(scatter_matrix(Y), scenario.n, scenario.chain_config(), rng)
-    _write_json(out / "audit.json", {
-        "updates_total": result.audit.updates_total,
-        "violations": result.audit.violations,
-        "violation_ratio_percent": result.audit.ratio_percent,
-        "by_stage": dict(result.audit.by_column_stage),
-    })
+    _write_json(out / "audit.json", _audit_summary(result.audit))
     _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
     return 0
 

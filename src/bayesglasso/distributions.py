@@ -79,6 +79,10 @@ def sample_inverse_gaussian(mean, shape, rng):
 # floating point resolution, so tail intervals switch to rejection.
 _TAIL_Z = 4.0
 _TAIL_REJECTION_TRIES = 64
+# Draws landing outside (lo, hi) after rounding are retried this often.  A
+# usable interval needs about one try; running out means the interval is
+# too narrow for the draw to resolve, which raises instead of looping.
+_TRUNCNORM_TRIES = 100
 
 
 def sample_truncated_normal(mu, sigma, lo, hi, rng):
@@ -88,32 +92,37 @@ def sample_truncated_normal(mu, sigma, lo, hi, rng):
     sampling; intervals lying more than _TAIL_Z standard deviations into a
     tail use an exponential-proposal rejection sampler that stays exact
     arbitrarily far out.  The returned value is strictly inside (lo, hi).
+    ValueError is raised when no float lies strictly inside the interval,
+    or when _TRUNCNORM_TRIES draws in a row round to outside it.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if not lo < hi:
         raise ValueError("empty truncation interval")
+    if not math.nextafter(lo, hi) < hi:
+        raise ValueError(f"no float lies strictly inside ({lo!r}, {hi!r})")
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
     gen = rng.gen
-    while True:
-        z = _standard_truncnorm(a, b, gen)
-        x = mu + sigma * z
+    for _ in range(_TRUNCNORM_TRIES):
+        x = mu + sigma * _standard_truncnorm(a, b, gen)
         if lo < x < hi:
             return x
+    raise ValueError(
+        f"no draw of N({mu!r}, {sigma!r}**2) landed strictly inside ({lo!r}, {hi!r}) "
+        f"in {_TRUNCNORM_TRIES} tries")
 
 
 def _standard_truncnorm(a, b, gen):
+    # May return a value on or just outside [a, b] when rounding defeats
+    # the inverse CDF; the caller rejects and retries.
     if b < -_TAIL_Z:
         return -_upper_tail(-b, -a, gen)
     if a > _TAIL_Z:
         return _upper_tail(a, b, gen)
     pa = float(ndtr(a))
     pb = float(ndtr(b))
-    while True:
-        z = float(ndtri(pa + (pb - pa) * gen.random()))
-        if a < z < b:
-            return z
+    return float(ndtri(pa + (pb - pa) * gen.random()))
 
 
 def _upper_tail(a, b, gen):

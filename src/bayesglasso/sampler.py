@@ -3,9 +3,9 @@
 Two samplers share every update except the off-diagonal step:
 
 * ``"bgs"`` draws each off-diagonal column from its unconstrained normal
-  full conditional.  That draw can push the precision matrix out of the
-  positive definite cone, which is exactly what the violation audit
-  counts.
+  full conditional.  That draw can push the partially updated precision
+  matrix out of the positive definite cone, which is exactly what the
+  violation audit counts.
 * ``"hrs"`` draws the same column by a hit-and-run move restricted to the
   set where the partially updated matrix stays positive definite, so a
   chain started at a positive definite matrix never leaves the cone.
@@ -13,13 +13,31 @@ Two samplers share every update except the off-diagonal step:
 A sweep visits every column once.  For column i the matrices are viewed
 through the symmetric permutation that moves i last, giving the blocks
 
-    omega = [[Omega11, w12], [w12.T, w22]]
+    omega = [[Omega11, beta], [beta', w22]]
 
-with ``beta = w12`` and the Schur complement
-``gamma = w22 - beta' Omega11^{-1} beta``.  gamma > 0 together with a
-positive definite Omega11 is equivalent to the whole matrix being
-positive definite, which is what makes the hit-and-run feasibility
-interval a simple quadratic in the step size.
+and the Schur complement ``gamma = w22 - beta' Omega11^{-1} beta``.
+gamma > 0 together with a positive definite Omega11 is equivalent to the
+whole matrix being positive definite.  Following Wang (2012), a column
+update draws beta, then gamma, and rebuilds ``w22 = gamma + beta'
+Omega11^{-1} beta``; gamma > 0, so omega is positive definite again at
+every column boundary whatever beta was drawn.  The only moment bgs can
+leave the cone is between the off-diagonal write and the diagonal write,
+and that is the moment the audit checks.
+
+The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
+bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
+and asserts the column-boundary invariant; then, per column,
+
+* the partition reads ``Omega11^{-1} = Sigma11 - sigma12 sigma12' / sigma22``;
+* the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
+  on the matrix holding the new beta and the old w22;
+* after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
+  ``Sigma11 = Omega11^{-1} + v v' / gamma``, ``sigma12 = -v / gamma``,
+  ``sigma22 = 1 / gamma``.
+
+All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
+factorisation of the inverse conditional covariance that the beta draw
+needs.
 """
 
 import math
@@ -27,16 +45,15 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .distributions import (
     sample_gamma,
     sample_inverse_gaussian,
-    sample_mvn,
     sample_truncated_normal,
     sample_unit_sphere,
 )
-from .matrixcore import check_symmetric, invert_from_factor, pd_check, quad_form, symmetrize
+from .matrixcore import PD_TOL, check_symmetric, invert_from_factor, pd_check
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -80,6 +97,9 @@ class GibbsState:
     omega, tau and lam are p x p symmetric; tau has a structurally zero
     diagonal while lam's diagonal carries the shrinkage rates of the
     diagonal entries of omega.  scatter is S = Y'Y for the observed data.
+    sigma is omega's inverse as :func:`sweep` carries it: recomputed from
+    a Cholesky factor of omega when a sweep starts and kept current after
+    every column; None before the first sweep.
     """
 
     omega: np.ndarray
@@ -89,6 +109,7 @@ class GibbsState:
     n: int
     r: float
     s: float
+    sigma: np.ndarray | None = None
 
 
 @dataclass(slots=True)
@@ -107,20 +128,22 @@ class ColumnPartition:
 
 @dataclass
 class ViolationAudit:
-    """Positive-definiteness bookkeeping across column updates."""
+    """Positive-definiteness bookkeeping across column updates.
+
+    A column update is a violation when the matrix holding its new
+    off-diagonal column and its old diagonal entry is not positive
+    definite.  That is the only stage counted: the diagonal write restores
+    positive definiteness by construction (see the module docstring).
+    """
 
     updates_total: int = 0
     violations: int = 0
-    by_column_stage: dict = field(
-        default_factory=lambda: {"after_beta": 0, "after_gamma": 0})
+    by_column_stage: dict = field(default_factory=lambda: {"after_beta": 0})
 
-    def record(self, beta_failed, gamma_failed):
+    def record(self, beta_failed):
         self.updates_total += 1
         if beta_failed:
             self.by_column_stage["after_beta"] += 1
-        if gamma_failed:
-            self.by_column_stage["after_gamma"] += 1
-        if beta_failed or gamma_failed:
             self.violations += 1
 
     @property
@@ -128,12 +151,6 @@ class ViolationAudit:
         if self.updates_total == 0:
             return 0.0
         return 100.0 * self.violations / self.updates_total
-
-    def merge(self, other):
-        self.updates_total += other.updates_total
-        self.violations += other.violations
-        for k, v in other.by_column_stage.items():
-            self.by_column_stage[k] = self.by_column_stage.get(k, 0) + v
 
 
 @dataclass
@@ -179,32 +196,43 @@ def _column_order(p, i):
     return order
 
 
-def make_partition(state, i, require_pd=True):
+def _put_block(sigma, block, i, rest):
+    # sigma[np.ix_(rest, rest)] = block at a fraction of the cost of 2-D
+    # fancy indexing: rest is the leading index range with p - 1 in slot i,
+    # so the block lands on the leading submatrix, except that its row and
+    # column i belong to row and column p - 1.  Row and column i of sigma
+    # are left holding stale values for the caller to overwrite.
+    sigma[:-1, :-1] = block
+    if i < sigma.shape[0] - 1:
+        sigma[-1, rest] = block[i]
+        sigma[rest, -1] = block[:, i]
+
+
+def make_partition(state, i, sigma=None):
     """Partition the state around column i (0-based).
 
-    With require_pd (the hit-and-run path) a leading block that fails the
-    Cholesky test is an error.  The unconstrained path instead falls back
-    to a generic inverse so the chain can keep running through transient
-    violations, which is how the baseline sampler was always used.
+    sigma is Omega^{-1}; :func:`sweep` passes the one it carries, and the
+    partition reads ``Omega11^{-1} = Sigma11 - sigma12 sigma12' / sigma22``
+    from it in O(p^2).  Without sigma the inverse comes from a Cholesky
+    factorisation of omega, an O(p^3) step meant for one-off use, and a
+    state that is not positive definite is an error.
     """
     p = state.omega.shape[0]
     if not 0 <= i < p:
         raise IndexError(f"column {i} out of range for dimension {p}")
-    order = _column_order(p, i)
-    om = state.omega.take(order, axis=0).take(order, axis=1)
-    omega11 = om[:-1, :-1]
-    beta = om[:-1, -1]
-    omega22 = float(om[-1, -1])
-
-    L = pd_check(omega11)
-    if L is not None:
-        omega11_inv = invert_from_factor(L)
-    elif require_pd:
-        raise ValueError("leading block not positive definite")
-    else:
-        omega11_inv = symmetrize(np.linalg.inv(omega11))
-
-    rest = order[:-1]
+    if sigma is None:
+        L = pd_check(state.omega)
+        if L is None:
+            raise ValueError(
+                "state not positive definite (leading block or Schur complement)")
+        sigma = invert_from_factor(L)
+    rest = _column_order(p, i)[:-1]
+    # Scaling sigma12 by 1/sqrt(sigma22) keeps the outer product, and so the
+    # block, exactly symmetric.
+    u = sigma[rest, i] * (1.0 / math.sqrt(sigma[i, i]))
+    omega11_inv = sigma.take(rest, axis=0).take(rest, axis=1)
+    omega11_inv -= np.outer(u, u)
+    beta = state.omega[rest, i]
     return ColumnPartition(
         omega11_inv=omega11_inv,
         s12=state.scatter[rest, i],
@@ -213,36 +241,47 @@ def make_partition(state, i, require_pd=True):
         lambda12=state.lam[rest, i],
         lambda22=float(state.lam[i, i]),
         beta=beta,
-        gamma=omega22 - quad_form(beta, omega11_inv),
+        gamma=float(state.omega[i, i] - beta @ (omega11_inv @ beta)),
     )
 
 
-def _c_inverse(part):
-    # (s22 + 2*lambda22) * Omega11^{-1} + diag(1/tau12), the inverse of the
-    # conditional covariance C.  Fresh array; never mutates the partition.
+def _factor_c_inverse(part):
+    """C^{-1} = (s22 + 2*lambda22) Omega11^{-1} + diag(1/tau12) and its lower
+    Cholesky factor.  C^{-1} is a fresh array; the partition is not mutated."""
     cinv = (part.s22 + 2.0 * part.lambda22) * part.omega11_inv
     cinv.flat[:: cinv.shape[0] + 1] += 1.0 / part.tau12
-    return cinv
+    L = pd_check(cinv)
+    if L is None:
+        raise ValueError("conditional covariance not positive definite")
+    return cinv, L
 
 
 def compute_c_matrix(part):
-    """Conditional covariance C = ((s22 + 2*lam22) Omega11^{-1} + D_tau^{-1})^{-1}."""
+    """Conditional covariance C = ((s22 + 2*lam22) Omega11^{-1} + D_tau^{-1})^{-1}.
+
+    A reference for checking the beta draws; the samplers themselves only
+    ever factor C^{-1} and never form C.
+    """
     if np.any(part.tau12 <= 0.0):
         raise ValueError("tau12 entries must be positive")
-    L = pd_check(_c_inverse(part))
-    if L is None:
-        raise ValueError("conditional covariance not positive definite")
-    return invert_from_factor(L)
+    return invert_from_factor(_factor_c_inverse(part)[1])
 
 
 def bgs_update_beta(part, rng):
     """Unconstrained draw of the off-diagonal column: N(-C s12, C).
 
-    Nothing keeps this draw inside the positive definite cone; that is the
-    baseline behaviour the audit measures.
+    One Cholesky factor L L' = C^{-1} gives both moments: with z standard
+    normal, ``L^{-T} (z - L^{-1} s12) = -C s12 + L^{-T} z`` has mean
+    -C s12 and covariance L^{-T} L^{-1} = C, at the cost of two triangular
+    solves.  Nothing keeps this draw inside the positive definite cone;
+    that is the baseline behaviour the audit measures.
     """
-    C = compute_c_matrix(part)
-    return sample_mvn(-C @ part.s12, C, rng)
+    _, L = _factor_c_inverse(part)
+    y, _ = lapack.dtrtrs(L, part.s12, lower=1)
+    z = rng.gen.standard_normal(y.shape[0])
+    z -= y
+    beta, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    return beta
 
 
 def hit_and_run_interval(alpha, beta, omega11_inv, gamma):
@@ -285,13 +324,10 @@ def hrs_update_beta(part, rng):
     returned column always satisfies the Schur condition.
     """
     alpha = sample_unit_sphere(part.beta.shape[0], rng)
-    cinv = _c_inverse(part)
-    L = pd_check(cinv)
-    if L is None:
-        raise ValueError("conditional covariance not positive definite")
+    cinv, L = _factor_c_inverse(part)
     # L^{-T} alpha has covariance (L L')^{-1} = C up to scale; the scale
     # cancels in every formula below once the direction is normalized.
-    d = solve_triangular(L, alpha, lower=True, trans="T")
+    d, _ = lapack.dtrtrs(L, alpha, lower=1, trans=1)
     d /= math.sqrt(float(d @ d))
     w = cinv @ d
     denom = float(d @ w)
@@ -336,11 +372,19 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
           lambda_bounds=LAMBDA_BOUNDS, tau_bounds=TAU_BOUNDS, eps_omega=EPS_OMEGA):
     """One full pass over all p columns, mutating state in place.
 
-    After the off-diagonal write-back and again after the diagonal
-    write-back the whole matrix goes through the Cholesky test and the
-    audit advances; a column update counts as one audited update.  The
-    hit-and-run path keeps the matrix positive definite at both stages;
-    the unconstrained path records violations and keeps going.
+    The sweep starts with the one Cholesky factorisation of omega it
+    needs.  A state that fails it is an error for both samplers: a chain
+    only reaches a sweep start through column boundaries, where omega is
+    positive definite by construction.  The factor gives Sigma =
+    Omega^{-1}, which ``state.sigma`` carries through the columns with the
+    O(p^2) updates of the module docstring.
+
+    Each column update advances the audit by one.  It counts a violation
+    when the Schur test fails on the matrix holding the new off-diagonal
+    column and the old diagonal entry; the hit-and-run path never fails
+    it, the unconstrained path records the failure and keeps going.  A
+    non-positive gamma draw would break the column-boundary invariant, so
+    it is an error rather than a count.
 
     skip_first_beta reproduces the guard both samplers apply on the very
     first pass, before column 1 has been informed by any update: that one
@@ -348,35 +392,43 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
-    require_pd = kind == "hrs"
-    if require_pd and pd_check(state.omega) is None:
-        raise ValueError("hrs requires a positive definite state")
+    L = pd_check(state.omega)
+    if L is None:
+        raise ValueError("omega is not positive definite at the start of the sweep")
+    sigma = state.sigma = invert_from_factor(L)
+    update_beta = hrs_update_beta if kind == "hrs" else bgs_update_beta
     p = state.omega.shape[0]
     omega, tau, lam = state.omega, state.tau, state.lam
+    schur_floor = PD_TOL * PD_TOL
 
     for i in range(p):
         stage = "partition"
         try:
-            part = make_partition(state, i, require_pd=require_pd)
+            part = make_partition(state, i, sigma)
             rest = _column_order(p, i)[:-1]
 
             beta = part.beta
-            beta_failed = False
             if not (skip_first_beta and i == 0):
                 stage = "beta"
-                if kind == "hrs":
-                    beta = hrs_update_beta(part, rng)
-                else:
-                    beta = bgs_update_beta(part, rng)
+                beta = update_beta(part, rng)
                 omega[rest, i] = beta
                 omega[i, rest] = beta
-                beta_failed = pd_check(omega) is None
+            v = part.omega11_inv @ beta
+            q = float(beta @ v)
+            beta_failed = not omega[i, i] - q > schur_floor
 
             stage = "gamma"
             gam = update_gamma(part, state.n, rng)
-            omega22 = gam + quad_form(beta, part.omega11_inv)
+            if not gam > 0.0:
+                raise RuntimeError(f"gamma draw {gam!r} is not positive")
+            omega22 = gam + q
             omega[i, i] = omega22
-            gamma_failed = pd_check(omega) is None
+            w = v * (1.0 / math.sqrt(gam))
+            _put_block(sigma, part.omega11_inv + np.outer(w, w), i, rest)
+            sigma12 = v * (-1.0 / gam)
+            sigma[rest, i] = sigma12
+            sigma[i, rest] = sigma12
+            sigma[i, i] = 1.0 / gam
 
             stage = "lambda"
             lam12, lam22 = update_lambda_column(
@@ -393,7 +445,7 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
             raise RuntimeError(
                 f"column {i} failed at stage {stage}: {exc}") from exc
 
-        audit.record(beta_failed, gamma_failed)
+        audit.record(beta_failed)
 
     return state
 

@@ -137,7 +137,7 @@ def test_simulate_audit_content(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["violations"] == 0
     assert audit["updates_total"] == 2 * 4 * (3 + 6)  # reps * p * sweeps
-    assert set(audit["by_stage"]) == {"after_beta", "after_gamma"}
+    assert set(audit["by_stage"]) == {"after_beta"}
     assert len(audit["per_replication"]) == 2
 
 

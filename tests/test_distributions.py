@@ -147,6 +147,26 @@ def test_truncnorm_errors():
         sample_truncated_normal(0.0, 0.0, -1.0, 1.0, rng)
 
 
+def test_truncnorm_unresolvable_interval_returns():
+    # No float lies strictly inside (1, nextafter(1, 2)); the sampler used
+    # to retry forever on this interval.
+    rng = RngStream(13)
+    with pytest.raises(ValueError, match="no float"):
+        sample_truncated_normal(0.0, 1.0, 1.0, math.nextafter(1.0, 2.0), rng)
+    # One float inside: the retries are bounded, so either that float comes
+    # back or the call raises.
+    hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    try:
+        x = sample_truncated_normal(0.0, 1.0, 1.0, hi, rng)
+    except ValueError as exc:
+        assert "tries" in str(exc)
+    else:
+        assert 1.0 < x < hi
+    # A narrow interval the draw can resolve still gives a value inside it.
+    x = sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 1e-9, rng)
+    assert 1.0 < x < 1.0 + 1e-9
+
+
 def test_unit_sphere_dim1():
     rng = RngStream(14)
     vals = {float(sample_unit_sphere(1, rng)[0]) for _ in range(100)}

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from bayesglasso import sampler
 from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_unit_sphere
-from bayesglasso.matrixcore import pd_check, quad_form, symmetrize
+from bayesglasso.matrixcore import pd_check, quad_form, spd_inverse, symmetrize
 from bayesglasso.sampler import (
+    SAMPLER_KINDS,
     ChainConfig,
     ColumnPartition,
     ViolationAudit,
@@ -103,10 +105,7 @@ def test_partition_requires_pd_leading_block():
     omega = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     st = state_with_omega(omega)
     with pytest.raises(ValueError, match="leading block"):
-        make_partition(st, 2, require_pd=True)
-    # the unconstrained path falls back to a generic inverse
-    part = make_partition(st, 2, require_pd=False)
-    assert np.allclose(part.omega11_inv @ omega[:2, :2], np.eye(2), atol=1e-12)
+        make_partition(st, 2)
 
 
 def test_partition_index_out_of_range():
@@ -183,6 +182,25 @@ def test_bgs_beta_mean_matches_formula():
     draws = np.array([bgs_update_beta(part, rng) for _ in range(100_000)])
     se = np.sqrt(np.diag(C) / 100_000)
     assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
+
+
+def test_bgs_single_factor_draw_moments():
+    # The draw comes from one Cholesky factor of C^{-1}; its first two
+    # moments must still be -C s12 and C, with C formed independently.
+    rng = np.random.default_rng(40)
+    A = rng.standard_normal((3, 3))
+    omega11 = symmetrize(A @ A.T + 3 * np.eye(3))
+    part = simple_partition(spd_inverse(omega11), [0.9, -0.4, 0.2], 2.5,
+                            [0.3, 1.5, 0.8], 0.6, np.zeros(3), 1.0)
+    C = compute_c_matrix(part)
+    n = 40_000
+    stream = RngStream(41)
+    draws = np.array([bgs_update_beta(part, stream) for _ in range(n)])
+    se_mean = np.sqrt(np.diag(C) / n)
+    assert np.all(np.abs(draws.mean(axis=0) + C @ part.s12) < 4 * se_mean)
+    # Var of a sample covariance entry: (C_ii C_jj + C_ij^2) / n.
+    se_cov = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C * C) / n)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - C) < 4 * se_cov)
 
 
 def test_hit_and_run_interval_unit_case():
@@ -347,7 +365,7 @@ def test_bgs_sweep_records_violations_and_continues():
         sweep(st, "bgs", audit, rng, skip_first_beta=(k == 0))
     assert audit.violations > 0
     assert audit.violations <= audit.updates_total
-    assert audit.by_column_stage["after_beta"] >= audit.violations - audit.by_column_stage["after_gamma"]
+    assert audit.by_column_stage == {"after_beta": audit.violations}
     # the chain kept going and the state stayed finite
     assert np.all(np.isfinite(st.omega))
 
@@ -360,6 +378,68 @@ def test_sweep_rejects_bad_kind_and_bad_state():
                          [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
         sweep(st, "hrs", ViolationAudit(), rng)
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
+    st, rng = make_sim_state(p=8, n=30)
+    errors = []
+    original = sampler.update_lambda_column
+
+    def checked(*args, **kwargs):
+        # Called after the column's diagonal write and Sigma update.
+        inv = np.linalg.inv(st.omega)
+        errors.append(np.max(np.abs(st.sigma - inv)) / np.max(np.abs(inv)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "update_lambda_column", checked)
+    for k in range(5):
+        sweep(st, kind, ViolationAudit(), rng, skip_first_beta=(k == 0))
+    assert len(errors) == 5 * 8
+    assert max(errors) < 1e-9
+
+
+def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
+    st, rng = make_sim_state(kind="circle", p=20, n=30)
+    full = []
+    original = sampler.update_gamma
+
+    def audited(part, n, rng_):
+        # omega now holds the new off-diagonal column and the old diagonal.
+        full.append(pd_check(st.omega) is None)
+        return original(part, n, rng_)
+
+    monkeypatch.setattr(sampler, "update_gamma", audited)
+    audit = ViolationAudit()
+    for k in range(40):
+        sweep(st, "bgs", audit, rng, skip_first_beta=(k == 0))
+    assert len(full) == audit.updates_total == 40 * 20
+    assert audit.violations == sum(full)
+    assert audit.violations > 100
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_sweep_factorisation_budget(kind, monkeypatch):
+    # One Cholesky of omega per sweep plus one of C^{-1} per column, and the
+    # one inverse that gives Sigma: no other O(p^3) step in the column loop.
+    p = 12
+    st, rng = make_sim_state(p=p, n=30)
+    sweep(st, kind, ViolationAudit(), rng, skip_first_beta=True)
+    calls = {"pd_check": 0, "invert_from_factor": 0}
+
+    def counted(name):
+        original = getattr(sampler, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sampler, name, counted(name))
+    sweep(st, kind, ViolationAudit(), rng)
+    assert calls["pd_check"] <= p + 1
+    assert calls["invert_from_factor"] == 1
 
 
 def test_first_sweep_guard_changes_draw_sequence():
