@@ -38,6 +38,14 @@ def sample_gamma(shape, rate, rng):
     the classic way to silently break them.  Scalars give a float;
     broadcastable arrays give an array of draws.
     """
+    if isinstance(shape, float) and _float_vector(rate):
+        # The sampler's batched call.  One reduction validates the rates:
+        # fmin skips NaN, so it rejects exactly what (rate <= 0).any() does.
+        # standard_gamma times 1 / rate is gen.gamma(shape, 1 / rate) bit for
+        # bit without numpy's per-call constraint scans.
+        if shape <= 0.0 or np.fmin.reduce(rate) <= 0.0:
+            raise ValueError("gamma shape and rate must be positive")
+        return rng.gen.standard_gamma(shape, rate.shape) * (1.0 / rate)
     if np.ndim(shape) == 0 and np.ndim(rate) == 0:
         shape = float(shape)
         rate = float(rate)
@@ -57,22 +65,41 @@ def sample_inverse_gaussian(mean, shape, rng):
     Mean of the distribution is ``mean``; variance is ``mean**3 / shape``.
     Scalars give a float; broadcastable arrays give an array of draws.
     """
+    if _float_vector(mean) and _float_vector(shape) and mean.shape == shape.shape:
+        # The sampler's batched call: validated as in sample_gamma.
+        if np.fmin.reduce(mean) <= 0.0 or np.fmin.reduce(shape) <= 0.0:
+            raise ValueError("inverse Gaussian mean and shape must be positive")
+        return _michael_schucany_haas(mean, shape, mean.shape, rng)
     scalar = np.ndim(mean) == 0 and np.ndim(shape) == 0
     mean = np.asarray(mean, dtype=float)
     shape = np.asarray(shape, dtype=float)
     if (mean <= 0.0).any() or (shape <= 0.0).any():
         raise ValueError("inverse Gaussian mean and shape must be positive")
     size = np.broadcast_shapes(mean.shape, shape.shape)
+    out = _michael_schucany_haas(mean, shape, size, rng)
+    return float(out) if scalar else out
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float_vector(x):
+    # Non-empty 1-D float64 array: the argument form the sampler's batched
+    # draws use, which needs no conversion or broadcasting.
+    return type(x) is np.ndarray and x.dtype == _FLOAT64 and x.ndim == 1 and x.size > 0
+
+
+def _michael_schucany_haas(mean, shape, size, rng):
     nu = rng.gen.standard_normal(size=size)
     my = mean * nu * nu
     x = mean + mean * (my - np.sqrt(my * (4.0 * shape + my))) / (2.0 * shape)
     # The smaller root can round to <= 0 under extreme parameters.  Floor it
     # far below any achievable draw, high enough that both this branch and
     # the mean**2/x branch stay finite.
-    x = np.fmax(x, 1e-300 * np.fmax(mean * mean, 1.0))
+    mean2 = mean * mean
+    x = np.fmax(x, 1e-300 * np.fmax(mean2, 1.0))
     u = rng.gen.random(size=size)
-    out = np.where(u * (mean + x) <= mean, x, mean * mean / x)
-    return float(out) if scalar else out
+    return np.where(u * (mean + x) <= mean, x, mean2 / x)
 
 
 # Beyond this many standard deviations the inverse-CDF route runs out of
@@ -91,7 +118,8 @@ def sample_truncated_normal(mu, sigma, lo, hi, rng):
     lo may be -inf and hi may be +inf.  Central intervals use inverse-CDF
     sampling; intervals lying more than _TAIL_Z standard deviations into a
     tail use an exponential-proposal rejection sampler that stays exact
-    arbitrarily far out.  The returned value is strictly inside (lo, hi).
+    arbitrarily far out.  The returned value is strictly inside (lo, hi);
+    when exactly one float lies there it is returned without a draw.
     ValueError is raised when no float lies strictly inside the interval,
     or when _TRUNCNORM_TRIES draws in a row round to outside it.
     """
@@ -99,8 +127,13 @@ def sample_truncated_normal(mu, sigma, lo, hi, rng):
         raise ValueError("sigma must be positive")
     if not lo < hi:
         raise ValueError("empty truncation interval")
-    if not math.nextafter(lo, hi) < hi:
+    inside = math.nextafter(lo, hi)
+    if not inside < hi:
         raise ValueError(f"no float lies strictly inside ({lo!r}, {hi!r})")
+    if not math.nextafter(inside, hi) < hi:
+        # Exactly one float inside: the only possible draw, and one the
+        # inverse CDF cannot be relied on to land on.
+        return inside
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
     gen = rng.gen

@@ -38,6 +38,10 @@ and asserts the column-boundary invariant; then, per column,
 All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
 factorisation of the inverse conditional covariance that the beta draw
 needs.
+
+The hot-path helpers keep their random-stream calls and their arithmetic
+fixed, operation for operation, so a change made only for speed leaves
+every seeded artifact byte-identical.
 """
 
 import math
@@ -190,22 +194,48 @@ def initial_state(scatter, n, r=1e-2, s=1e-6):
     )
 
 
-def _column_order(p, i):
-    order = np.arange(p)
-    order[i], order[p - 1] = p - 1, i
-    return order
+# Column i is partitioned in move-to-last order: the other variables are
+# rest = (0, ..., i-1, p-1, i+1, ..., p-2), the leading index range with p - 1
+# in slot i.  The helpers below read and write M[rest, i] and
+# M[np.ix_(rest, rest)] with slices and a patch of slot i, which costs a
+# fraction of indexing with a rest array and moves exactly the same values.
+
+def _column(M, i):
+    # A copy of M[rest, i].
+    col = M[:-1, i].copy()
+    if i < M.shape[0] - 1:
+        col[i] = M[-1, i]
+    return col
 
 
-def _put_block(sigma, block, i, rest):
-    # sigma[np.ix_(rest, rest)] = block at a fraction of the cost of 2-D
-    # fancy indexing: rest is the leading index range with p - 1 in slot i,
-    # so the block lands on the leading submatrix, except that its row and
-    # column i belong to row and column p - 1.  Row and column i of sigma
-    # are left holding stale values for the caller to overwrite.
-    sigma[:-1, :-1] = block
-    if i < sigma.shape[0] - 1:
-        sigma[-1, rest] = block[i]
-        sigma[rest, -1] = block[:, i]
+def _put_column(M, i, col):
+    # M[rest, i] = M[i, rest] = col; M[i, i] keeps its value.
+    mii = M[i, i]
+    M[:-1, i] = col
+    M[i, :-1] = col
+    if i < M.shape[0] - 1:
+        M[-1, i] = M[i, -1] = col[i]
+    M[i, i] = mii
+
+
+def _take_block(M, i):
+    # A copy of M[np.ix_(rest, rest)].
+    block = M[:-1, :-1].copy()
+    if i < M.shape[0] - 1:
+        block[i] = M[-1, :-1]
+        block[:, i] = M[:-1, -1]
+        block[i, i] = M[-1, -1]
+    return block
+
+
+def _put_block(M, i, block):
+    # M[np.ix_(rest, rest)] = block, except that row and column i of M are
+    # left holding stale values for the caller to overwrite.
+    M[:-1, :-1] = block
+    if i < M.shape[0] - 1:
+        M[-1, :-1] = block[i]
+        M[:-1, -1] = block[:, i]
+        M[-1, -1] = block[i, i]
 
 
 def make_partition(state, i, sigma=None):
@@ -226,19 +256,18 @@ def make_partition(state, i, sigma=None):
             raise ValueError(
                 "state not positive definite (leading block or Schur complement)")
         sigma = invert_from_factor(L)
-    rest = _column_order(p, i)[:-1]
     # Scaling sigma12 by 1/sqrt(sigma22) keeps the outer product, and so the
     # block, exactly symmetric.
-    u = sigma[rest, i] * (1.0 / math.sqrt(sigma[i, i]))
-    omega11_inv = sigma.take(rest, axis=0).take(rest, axis=1)
-    omega11_inv -= np.outer(u, u)
-    beta = state.omega[rest, i]
+    u = _column(sigma, i) * (1.0 / math.sqrt(sigma[i, i]))
+    omega11_inv = _take_block(sigma, i)
+    omega11_inv -= u[:, None] * u
+    beta = _column(state.omega, i)
     return ColumnPartition(
         omega11_inv=omega11_inv,
-        s12=state.scatter[rest, i],
+        s12=_column(state.scatter, i),
         s22=float(state.scatter[i, i]),
-        tau12=state.tau[rest, i],
-        lambda12=state.lam[rest, i],
+        tau12=_column(state.tau, i),
+        lambda12=_column(state.lam, i),
         lambda22=float(state.lam[i, i]),
         beta=beta,
         gamma=float(state.omega[i, i] - beta @ (omega11_inv @ beta)),
@@ -249,7 +278,8 @@ def _factor_c_inverse(part):
     """C^{-1} = (s22 + 2*lambda22) Omega11^{-1} + diag(1/tau12) and its lower
     Cholesky factor.  C^{-1} is a fresh array; the partition is not mutated."""
     cinv = (part.s22 + 2.0 * part.lambda22) * part.omega11_inv
-    cinv.flat[:: cinv.shape[0] + 1] += 1.0 / part.tau12
+    diag = cinv.reshape(-1)[:: cinv.shape[0] + 1]
+    diag += 1.0 / part.tau12
     L = pd_check(cinv)
     if L is None:
         raise ValueError("conditional covariance not positive definite")
@@ -353,7 +383,7 @@ def update_lambda_column(beta, omega22, r, s, rng, bounds=LAMBDA_BOUNDS):
     np.abs(beta, out=rates[:-1])
     rates[:-1] += s
     rates[-1] = s + omega22
-    draws = np.clip(sample_gamma(r + 1.0, rates, rng), *bounds)
+    draws = _clamp(sample_gamma(r + 1.0, rates, rng), bounds)
     return draws[:-1], float(draws[-1])
 
 
@@ -365,7 +395,12 @@ def update_tau_column(lambda12, beta, rng, eps_omega=EPS_OMEGA, bounds=TAU_BOUND
     """
     denom = np.maximum(np.abs(beta), eps_omega)
     upsilon = sample_inverse_gaussian(lambda12 / denom, lambda12 * lambda12, rng)
-    return np.clip(1.0 / np.fmax(upsilon, 1e-300), *bounds)
+    return _clamp(1.0 / np.fmax(upsilon, 1e-300), bounds)
+
+
+def _clamp(x, bounds):
+    # np.clip(x, *bounds), NaN included, without its dispatch overhead.
+    return np.minimum(np.maximum(x, bounds[0]), bounds[1])
 
 
 def sweep(state, kind, audit, rng, *, skip_first_beta=False,
@@ -405,14 +440,12 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
         stage = "partition"
         try:
             part = make_partition(state, i, sigma)
-            rest = _column_order(p, i)[:-1]
 
             beta = part.beta
             if not (skip_first_beta and i == 0):
                 stage = "beta"
                 beta = update_beta(part, rng)
-                omega[rest, i] = beta
-                omega[i, rest] = beta
+                _put_column(omega, i, beta)
             v = part.omega11_inv @ beta
             q = float(beta @ v)
             beta_failed = not omega[i, i] - q > schur_floor
@@ -424,23 +457,19 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
             omega22 = gam + q
             omega[i, i] = omega22
             w = v * (1.0 / math.sqrt(gam))
-            _put_block(sigma, part.omega11_inv + np.outer(w, w), i, rest)
-            sigma12 = v * (-1.0 / gam)
-            sigma[rest, i] = sigma12
-            sigma[i, rest] = sigma12
+            _put_block(sigma, i, part.omega11_inv + w[:, None] * w)
+            _put_column(sigma, i, v * (-1.0 / gam))
             sigma[i, i] = 1.0 / gam
 
             stage = "lambda"
             lam12, lam22 = update_lambda_column(
                 beta, omega22, state.r, state.s, rng, lambda_bounds)
-            lam[rest, i] = lam12
-            lam[i, rest] = lam12
+            _put_column(lam, i, lam12)
             lam[i, i] = lam22
 
             stage = "tau"
             tau12 = update_tau_column(lam12, beta, rng, eps_omega, tau_bounds)
-            tau[rest, i] = tau12
-            tau[i, rest] = tau12
+            _put_column(tau, i, tau12)
         except Exception as exc:
             raise RuntimeError(
                 f"column {i} failed at stage {stage}: {exc}") from exc

@@ -65,6 +65,34 @@ def test_gamma_support_and_errors():
         sample_gamma(np.array([1.0, -1.0]), 1.0, rng)
 
 
+def test_gamma_rate_vector_validation():
+    # The sampler's batched call: scalar shape, float vector of rates.
+    rng = RngStream(4)
+    for rate in ([1.0, 0.0], [1.0, -1.0], [np.nan, -1.0], [-0.0, 1.0]):
+        with pytest.raises(ValueError):
+            sample_gamma(1.01, np.array(rate), rng)
+    with pytest.raises(ValueError):
+        sample_gamma(0.0, np.array([1.0, 2.0]), rng)
+    # NaN alone passes the check, as it always has, and gives a NaN draw.
+    draws = sample_gamma(1.01, np.array([np.nan, 1.0]), rng)
+    assert np.isnan(draws[0]) and draws[1] > 0
+
+
+def test_gamma_rate_vector_matches_numpy_gamma_bitwise():
+    rates = np.array([1e-6, 0.5, 3.0, 1e6, 17.25])
+    for shape in (1.01, 0.3, 26.0):
+        rng, fresh = RngStream(22), RngStream(22)
+        draws = sample_gamma(shape, rates, rng)
+        assert np.array_equal(draws, fresh.gen.gamma(shape, 1.0 / rates))
+        assert rng.gen.random() == fresh.gen.random()
+    # Scalars and other argument forms still give the same numbers.
+    rng, fresh = RngStream(23), RngStream(23)
+    assert sample_gamma(2.0, 3.0, rng) == fresh.gen.gamma(2.0, 1.0 / 3.0)
+    assert sample_gamma(2, 3, rng) == fresh.gen.gamma(2.0, 1.0 / 3.0)
+    assert np.array_equal(sample_gamma(np.array([2.0, 3.0]), 3.0, rng),
+                          fresh.gen.gamma(np.array([2.0, 3.0]), 1.0 / 3.0))
+
+
 def test_inverse_gaussian_moments():
     # IG(2, 1): mean 2, variance mean^3/shape = 8
     rng = RngStream(5)
@@ -84,6 +112,12 @@ def test_inverse_gaussian_support_and_errors():
         sample_inverse_gaussian(-1.0, 1.0, rng)
     with pytest.raises(ValueError):
         sample_inverse_gaussian(1.0, 0.0, rng)
+    ones = np.ones(3)
+    for mean in ([1.0, 0.0, 2.0], [1.0, -2.0, 2.0], [np.nan, -1.0, 1.0]):
+        with pytest.raises(ValueError):
+            sample_inverse_gaussian(np.array(mean), ones, rng)
+    with pytest.raises(ValueError):
+        sample_inverse_gaussian(ones, np.array([1.0, 0.0, 1.0]), rng)
 
 
 def test_inverse_gaussian_extreme_parameters_stay_finite():
@@ -153,15 +187,14 @@ def test_truncnorm_unresolvable_interval_returns():
     rng = RngStream(13)
     with pytest.raises(ValueError, match="no float"):
         sample_truncated_normal(0.0, 1.0, 1.0, math.nextafter(1.0, 2.0), rng)
-    # One float inside: the retries are bounded, so either that float comes
-    # back or the call raises.
-    hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
-    try:
-        x = sample_truncated_normal(0.0, 1.0, 1.0, hi, rng)
-    except ValueError as exc:
-        assert "tries" in str(exc)
-    else:
-        assert 1.0 < x < hi
+    # Exactly one float inside: it comes back at once, without a draw.
+    only = math.nextafter(1.0, 2.0)
+    hi = math.nextafter(only, 2.0)
+    for seed in range(3):
+        rng_one, fresh = RngStream(seed), RngStream(seed)
+        assert sample_truncated_normal(0.0, 1.0, 1.0, hi, rng_one) == only
+        assert rng_one.gen.random() == fresh.gen.random()
+    assert sample_truncated_normal(0.0, 1.0, -hi, -1.0, rng) == -only
     # A narrow interval the draw can resolve still gives a value inside it.
     x = sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 1e-9, rng)
     assert 1.0 < x < 1.0 + 1e-9

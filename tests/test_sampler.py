@@ -2,13 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from bayesglasso import sampler
 from bayesglasso.designs import scatter_matrix, simulate_data, true_model
-from bayesglasso.distributions import RngStream, sample_unit_sphere
-from bayesglasso.matrixcore import pd_check, quad_form, spd_inverse, symmetrize
+from bayesglasso.distributions import RngStream, sample_truncated_normal, sample_unit_sphere
+from bayesglasso.matrixcore import (
+    PD_TOL,
+    invert_from_factor,
+    pd_check,
+    quad_form,
+    spd_inverse,
+    symmetrize,
+)
 from bayesglasso.sampler import (
+    EPS_OMEGA,
+    LAMBDA_BOUNDS,
     SAMPLER_KINDS,
+    TAU_BOUNDS,
     ChainConfig,
     ColumnPartition,
     ViolationAudit,
@@ -112,6 +123,31 @@ def test_partition_index_out_of_range():
     st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
         make_partition(st, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_move_to_last_helpers_match_index_arrays(p):
+    gen = np.random.default_rng(p)
+    M = gen.standard_normal((p, p))
+    for i in range(p):
+        rest = np.array([p - 1 if j == i else j for j in range(p - 1)])
+        assert np.array_equal(sampler._column(M, i), M[rest, i])
+        assert np.array_equal(sampler._take_block(M, i), M[np.ix_(rest, rest)])
+
+        col = gen.standard_normal(p - 1)
+        got, want = M.copy(), M.copy()
+        sampler._put_column(got, i, col)
+        want[rest, i] = col
+        want[i, rest] = col
+        assert np.array_equal(got, want)
+
+        block = gen.standard_normal((p - 1, p - 1))
+        got, want = M.copy(), M.copy()
+        sampler._put_block(got, i, block)
+        want[np.ix_(rest, rest)] = block
+        # row and column i are the caller's to overwrite
+        keep = np.arange(p) != i
+        assert np.array_equal(got[np.ix_(keep, keep)], want[np.ix_(keep, keep)])
 
 
 # ---------------------------------------------------------------- C matrix
@@ -449,6 +485,104 @@ def test_first_sweep_guard_changes_draw_sequence():
     sweep(st1, "hrs", ViolationAudit(), r1, skip_first_beta=True)
     sweep(st2, "hrs", ViolationAudit(), r2, skip_first_beta=False)
     assert not np.array_equal(st1.omega, st2.omega)
+
+
+# ---------------------------------------------------------------- reference kernel
+
+def reference_sweep(st, kind, rng, skip_first_beta):
+    """The column kernel written plainly: take/take partition, np.outer,
+    gen.gamma with a scale, np.clip and the Michael-Schucany-Haas transform.
+
+    sweep() is tuned for speed but must reproduce this bit for bit: same
+    random draws in the same order, same floating-point operations.
+    Returns the audit counts (updates, violations).
+    """
+    gen = rng.gen
+    p = st.omega.shape[0]
+    omega, tau, lam = st.omega, st.tau, st.lam
+    sigma = st.sigma = invert_from_factor(pd_check(omega))
+    violations = 0
+    for i in range(p):
+        rest = np.array([p - 1 if j == i else j for j in range(p - 1)])
+        u = sigma[rest, i] * (1.0 / math.sqrt(sigma[i, i]))
+        o11 = sigma.take(rest, axis=0).take(rest, axis=1) - np.outer(u, u)
+        s12, s22 = st.scatter[rest, i], float(st.scatter[i, i])
+        beta = omega[rest, i]
+        if not (skip_first_beta and i == 0):
+            cinv = (s22 + 2.0 * lam[i, i]) * o11
+            cinv.flat[::p] += 1.0 / tau[rest, i]
+            L, info = lapack.dpotrf(cinv, lower=1, clean=1)
+            assert info == 0
+            if kind == "bgs":
+                y = lapack.dtrtrs(L, s12, lower=1)[0]
+                z = gen.standard_normal(p - 1) - y
+                beta = lapack.dtrtrs(L, z, lower=1, trans=1)[0]
+            else:
+                gam_old = float(omega[i, i] - beta @ (o11 @ beta))
+                alpha = sample_unit_sphere(p - 1, rng)
+                d = lapack.dtrtrs(L, alpha, lower=1, trans=1)[0]
+                d = d / math.sqrt(float(d @ d))
+                w = cinv @ d
+                denom = float(d @ w)
+                mu = -(float(s12 @ d) + float(beta @ w)) / denom
+                v = o11 @ d
+                a, b = float(d @ v), float(beta @ v)
+                disc = math.sqrt(b * b + a * gam_old)
+                kappa = sample_truncated_normal(
+                    mu, math.sqrt(1.0 / denom), (-b - disc) / a, (-b + disc) / a, rng)
+                beta = beta + kappa * d
+            omega[rest, i] = beta
+            omega[i, rest] = beta
+        v = o11 @ beta
+        q = float(beta @ v)
+        violations += not omega[i, i] - q > PD_TOL * PD_TOL
+
+        gam = float(gen.gamma(st.n / 2.0 + 1.0, 1.0 / (s22 / 2.0 + float(lam[i, i]))))
+        omega22 = gam + q
+        omega[i, i] = omega22
+        w = v * (1.0 / math.sqrt(gam))
+        sigma[np.ix_(rest, rest)] = o11 + np.outer(w, w)
+        sigma[rest, i] = sigma[i, rest] = v * (-1.0 / gam)
+        sigma[i, i] = 1.0 / gam
+
+        rates = np.append(np.abs(beta) + st.s, st.s + omega22)
+        draws = np.clip(gen.gamma(st.r + 1.0, 1.0 / rates), *LAMBDA_BOUNDS)
+        lam12 = draws[:-1]
+        lam[rest, i] = lam[i, rest] = lam12
+        lam[i, i] = draws[-1]
+
+        mean = lam12 / np.maximum(np.abs(beta), EPS_OMEGA)
+        shape = lam12 * lam12
+        nu = gen.standard_normal(size=mean.shape)
+        my = mean * nu * nu
+        x = mean + mean * (my - np.sqrt(my * (4.0 * shape + my))) / (2.0 * shape)
+        x = np.fmax(x, 1e-300 * np.fmax(mean * mean, 1.0))
+        u = gen.random(size=mean.shape)
+        upsilon = np.where(u * (mean + x) <= mean, x, mean * mean / x)
+        tau[rest, i] = tau[i, rest] = np.clip(1.0 / np.fmax(upsilon, 1e-300), *TAU_BOUNDS)
+    return p, violations
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("design,p,n", [("circle", 30, 50), ("star", 8, 5), ("ar1", 2, 5)])
+def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
+    st, _ = make_sim_state(kind=design, p=p, n=n, seed=40)
+    ref = initial_state(st.scatter, n)
+    rng, ref_rng = RngStream(41), RngStream(41)
+    audit = ViolationAudit()
+    updates = violations = 0
+    for k in range(40):
+        sweep(st, kind, audit, rng, skip_first_beta=(k == 0))
+        du, dv = reference_sweep(ref, kind, ref_rng, skip_first_beta=(k == 0))
+        updates += du
+        violations += dv
+    for name in ("omega", "tau", "lam", "sigma"):
+        assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+    assert (audit.updates_total, audit.violations) == (updates, violations)
+    # both streams sit at the same position afterwards
+    assert rng.gen.random() == ref_rng.gen.random()
+    if kind == "bgs" and design == "circle":
+        assert violations > 0  # the audit branch is exercised, not just zero
 
 
 # ---------------------------------------------------------------- chains
