@@ -27,11 +27,9 @@ from .matrixcore import (
     symmetrize,
 )
 from .metrics import (
-    EstimateSummary,
     StructureScores,
     adjacency_from_estimate,
     frobenius_loss,
-    posterior_mean,
     scores_from_counts,
     stein_loss,
     structure_scores,
@@ -63,7 +61,6 @@ __all__ = [
     "ChainConfig",
     "ChainOutput",
     "ColumnPartition",
-    "EstimateSummary",
     "GibbsState",
     "GraphDesign",
     "RngStream",
@@ -82,7 +79,6 @@ __all__ = [
     "make_partition",
     "pd_check",
     "permute_to_last",
-    "posterior_mean",
     "quad_form",
     "run_chain",
     "sample_gamma",

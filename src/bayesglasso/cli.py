@@ -70,7 +70,6 @@ class ScenarioConfig:
     s: float = 1e-6
     threshold: float = 1e-3
     seed: int = 0
-    thin: int = 1
     mcc_as_printed: bool = False
     jobs: int = 1
 
@@ -83,14 +82,14 @@ class ScenarioConfig:
             raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}")
         if self.n < 1 or self.replications < 1 or self.draws < 1:
             raise ConfigError("n, replications and draws must be positive")
-        if self.burn_in < 0 or self.thin < 1 or self.jobs < 1:
-            raise ConfigError("need burn_in >= 0, thin >= 1, jobs >= 1")
+        if self.burn_in < 0 or self.jobs < 1:
+            raise ConfigError("need burn_in >= 0, jobs >= 1")
         if self.r <= 0.0 or self.s <= 0.0 or self.threshold <= 0.0:
             raise ConfigError("r, s and threshold must be positive")
 
     def chain_config(self):
         return ChainConfig(kind=self.sampler, burn_in=self.burn_in,
-                           draws=self.draws, r=self.r, s=self.s, thin=self.thin)
+                           draws=self.draws, r=self.r, s=self.s)
 
 
 @dataclass
@@ -297,6 +296,7 @@ def _audit_summary(audit):
         "violations": audit.violations,
         "violation_ratio_percent": audit.ratio_percent,
         "by_stage": dict(audit.by_column_stage),
+        "sigma_drift_max": audit.sigma_drift_max,
     }
 
 
@@ -307,14 +307,15 @@ def _pool_audits(audits):
         pooled.violations += a["violations"]
         for k, v in a["by_stage"].items():
             pooled.by_column_stage[k] += v
+        pooled.sigma_drift_max = max(pooled.sigma_drift_max, a["sigma_drift_max"])
     return {**_audit_summary(pooled), "per_replication": audits}
 
 
 def cmd_fit(data_path, sampler, out_dir, *, burn_in=5000, draws=10000, seed=0,
-            r=1e-2, s=1e-6, thin=1, standardize=False):
+            r=1e-2, s=1e-6, standardize=False):
     if sampler not in SAMPLER_KINDS:
         raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}")
-    cfg = ChainConfig(kind=sampler, burn_in=burn_in, draws=draws, r=r, s=s, thin=thin)
+    cfg = ChainConfig(kind=sampler, burn_in=burn_in, draws=draws, r=r, s=s)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -335,7 +336,7 @@ def cmd_fit(data_path, sampler, out_dir, *, burn_in=5000, draws=10000, seed=0,
         "config": {
             "data_path": str(data_path), "sampler": sampler,
             "burn_in": burn_in, "draws": draws, "seed": seed,
-            "r": r, "s": s, "thin": thin, "standardize": standardize,
+            "r": r, "s": s, "standardize": standardize,
             "n": int(n), "p": int(p),
         },
     })
@@ -412,7 +413,6 @@ def build_parser():
     common_scenario_flags(sim, 5000, 10000)
     sim.add_argument("--reps", type=int, default=50)
     sim.add_argument("--threshold", type=float, default=1e-3)
-    sim.add_argument("--thin", type=int, default=1)
     sim.add_argument("--mcc-as-printed", action="store_true",
                      help="use the misprinted MCC denominator")
     sim.add_argument("--jobs", type=int, default=1,
@@ -426,7 +426,6 @@ def build_parser():
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--r", type=float, default=1e-2)
     fit.add_argument("--s", type=float, default=1e-6)
-    fit.add_argument("--thin", type=int, default=1)
     fit.add_argument("--standardize", action="store_true",
                      help="center and scale each column before fitting")
     fit.add_argument("--out", required=True)
@@ -444,7 +443,7 @@ def _scenario_from_args(args, replications=1):
         replications=getattr(args, "reps", replications),
         r=args.r, s=args.s,
         threshold=getattr(args, "threshold", 1e-3),
-        seed=args.seed, thin=getattr(args, "thin", 1),
+        seed=args.seed,
         mcc_as_printed=getattr(args, "mcc_as_printed", False),
         jobs=getattr(args, "jobs", 1),
     )
@@ -460,7 +459,7 @@ def main(argv=None):
         return cmd_fit(
             args.data, args.sampler, args.out,
             burn_in=args.burnin, draws=args.draws, seed=args.seed,
-            r=args.r, s=args.s, thin=args.thin, standardize=args.standardize)
+            r=args.r, s=args.s, standardize=args.standardize)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

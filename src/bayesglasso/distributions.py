@@ -38,14 +38,6 @@ def sample_gamma(shape, rate, rng):
     the classic way to silently break them.  Scalars give a float;
     broadcastable arrays give an array of draws.
     """
-    if isinstance(shape, float) and _float_vector(rate):
-        # The sampler's batched call.  One reduction validates the rates:
-        # fmin skips NaN, so it rejects exactly what (rate <= 0).any() does.
-        # standard_gamma times 1 / rate is gen.gamma(shape, 1 / rate) bit for
-        # bit without numpy's per-call constraint scans.
-        if shape <= 0.0 or np.fmin.reduce(rate) <= 0.0:
-            raise ValueError("gamma shape and rate must be positive")
-        return rng.gen.standard_gamma(shape, rate.shape) * (1.0 / rate)
     if np.ndim(shape) == 0 and np.ndim(rate) == 0:
         shape = float(shape)
         rate = float(rate)
@@ -63,34 +55,29 @@ def sample_inverse_gaussian(mean, shape, rng):
     """Inverse Gaussian IG(mean, shape) via the Michael-Schucany-Haas transform.
 
     Mean of the distribution is ``mean``; variance is ``mean**3 / shape``.
-    Scalars give a float; broadcastable arrays give an array of draws.
+    Scalars give a float; broadcastable arrays give an array of draws.  The
+    draw is :func:`michael_schucany_haas` of one standard normal and one
+    uniform per element, drawn in that order.
     """
-    if _float_vector(mean) and _float_vector(shape) and mean.shape == shape.shape:
-        # The sampler's batched call: validated as in sample_gamma.
-        if np.fmin.reduce(mean) <= 0.0 or np.fmin.reduce(shape) <= 0.0:
-            raise ValueError("inverse Gaussian mean and shape must be positive")
-        return _michael_schucany_haas(mean, shape, mean.shape, rng)
     scalar = np.ndim(mean) == 0 and np.ndim(shape) == 0
     mean = np.asarray(mean, dtype=float)
     shape = np.asarray(shape, dtype=float)
     if (mean <= 0.0).any() or (shape <= 0.0).any():
         raise ValueError("inverse Gaussian mean and shape must be positive")
     size = np.broadcast_shapes(mean.shape, shape.shape)
-    out = _michael_schucany_haas(mean, shape, size, rng)
+    nu = rng.gen.standard_normal(size=size)
+    u = rng.gen.random(size=size)
+    out = michael_schucany_haas(mean, shape, nu, u)
     return float(out) if scalar else out
 
 
-_FLOAT64 = np.dtype(np.float64)
+def michael_schucany_haas(mean, shape, nu, u):
+    """IG(mean, shape) as a pure function of a standard normal nu and a
+    uniform u on [0, 1) (Michael, Schucany & Haas 1976).
 
-
-def _float_vector(x):
-    # Non-empty 1-D float64 array: the argument form the sampler's batched
-    # draws use, which needs no conversion or broadcasting.
-    return type(x) is np.ndarray and x.dtype == _FLOAT64 and x.ndim == 1 and x.size > 0
-
-
-def _michael_schucany_haas(mean, shape, size, rng):
-    nu = rng.gen.standard_normal(size=size)
+    Parameters are not checked; they must be positive.  The result is
+    positive and finite for every finite positive mean and shape.
+    """
     my = mean * nu * nu
     x = mean + mean * (my - np.sqrt(my * (4.0 * shape + my))) / (2.0 * shape)
     # The smaller root can round to <= 0 under extreme parameters.  Floor it
@@ -98,7 +85,6 @@ def _michael_schucany_haas(mean, shape, size, rng):
     # the mean**2/x branch stay finite.
     mean2 = mean * mean
     x = np.fmax(x, 1e-300 * np.fmax(mean2, 1.0))
-    u = rng.gen.random(size=size)
     return np.where(u * (mean + x) <= mean, x, mean2 / x)
 
 

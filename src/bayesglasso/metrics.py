@@ -9,12 +9,6 @@ from .matrixcore import invert_from_factor, pd_check
 
 
 @dataclass
-class EstimateSummary:
-    omega_hat: np.ndarray
-    draws_used: int
-
-
-@dataclass
 class StructureScores:
     tp: int
     tn: int
@@ -23,20 +17,6 @@ class StructureScores:
     specificity: float  # percent; nan when TN+FP == 0
     sensitivity: float  # percent; nan when TP+FN == 0
     mcc: float          # percent; 0 when any denominator factor is 0
-
-
-def posterior_mean(draws):
-    """Streaming elementwise mean of an iterable of matrices."""
-    it = iter(draws)
-    try:
-        acc = np.array(next(it), dtype=float)
-    except StopIteration:
-        raise ValueError("no draws to average") from None
-    count = 1
-    for d in it:
-        acc += d
-        count += 1
-    return EstimateSummary(omega_hat=acc / count, draws_used=count)
 
 
 def stein_loss(omega_hat, omega_true):

@@ -39,9 +39,27 @@ All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
 factorisation of the inverse conditional covariance that the beta draw
 needs.
 
-The hot-path helpers keep their random-stream calls and their arithmetic
-fixed, operation for operation, so a change made only for speed leaves
-every seeded artifact byte-identical.
+Randomness comes in one bank per sweep.  Right after the sweep-start
+factorisation, :func:`sweep` makes five bulk calls on the generator, in
+this order and with these shapes whatever the state:
+
+1. ``standard_normal((p, p - 1))``: row i is the bgs normal vector of
+   column i, or the unnormalised hrs direction;
+2. ``standard_gamma(n/2 + 1, p)``: entry i is the gamma draw of column i
+   before its rate is applied;
+3. ``standard_gamma(r + 1, (p, p))``: row i holds the p - 1 off-diagonal
+   and then the diagonal shrinkage-rate draws of column i;
+4. ``standard_normal((p, p - 1))`` and
+5. ``random((p, p - 1))``: row i feeds the inverse-Gaussian transform of
+   column i's latent scales.
+
+Every column update is then a pure transform of row i of the bank and the
+state.  The only draws made on the live stream are hrs's truncated-normal
+steps, whose count varies (retries, the tail sampler); bgs consumes
+exactly the bank.  The very first column of a chain skips its beta draw
+but its bank row is drawn all the same.  A change made only for speed
+keeps the bank and the arithmetic fixed, so it leaves every seeded
+artifact byte-identical.
 """
 
 import math
@@ -51,12 +69,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import (
-    sample_gamma,
-    sample_inverse_gaussian,
-    sample_truncated_normal,
-    sample_unit_sphere,
-)
+from .distributions import michael_schucany_haas, sample_truncated_normal
 from .matrixcore import PD_TOL, check_symmetric, invert_from_factor, pd_check
 
 SAMPLER_KINDS = ("bgs", "hrs")
@@ -92,15 +105,20 @@ class ChainConfig:
             raise ValueError("need burn_in >= 0, draws >= 1, thin >= 1")
         if self.r <= 0.0 or self.s <= 0.0:
             raise ValueError("hyperparameters r and s must be positive")
+        if not (0.0 < self.lambda_bounds[0] <= self.lambda_bounds[1]
+                and 0.0 < self.tau_bounds[0] <= self.tau_bounds[1]
+                and self.eps_omega > 0.0):
+            raise ValueError("draw clamps and eps_omega must be positive, lower <= upper")
 
 
 @dataclass
 class GibbsState:
     """Mutable state of one chain.
 
-    omega, tau and lam are p x p symmetric; tau has a structurally zero
-    diagonal while lam's diagonal carries the shrinkage rates of the
-    diagonal entries of omega.  scatter is S = Y'Y for the observed data.
+    omega and tau are p x p symmetric and tau has a structurally zero
+    diagonal.  lam holds the p shrinkage rates of the diagonal entries of
+    omega; the off-diagonal rates are drawn and used within one column
+    update and never stored.  scatter is S = Y'Y for the observed data.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.
@@ -124,7 +142,6 @@ class ColumnPartition:
     s12: np.ndarray
     s22: float
     tau12: np.ndarray
-    lambda12: np.ndarray
     lambda22: float
     beta: np.ndarray
     gamma: float
@@ -138,11 +155,17 @@ class ViolationAudit:
     off-diagonal column and its old diagonal entry is not positive
     definite.  That is the only stage counted: the diagonal write restores
     positive definiteness by construction (see the module docstring).
+
+    sigma_drift_max is the largest relative gap max|Sigma_carried -
+    Sigma_fresh| / max|Sigma_fresh| seen at a sweep start, between the
+    inverse carried through the previous sweep and the one recomputed from
+    the new Cholesky factor; 0 until a second sweep starts.
     """
 
     updates_total: int = 0
     violations: int = 0
     by_column_stage: dict = field(default_factory=lambda: {"after_beta": 0})
+    sigma_drift_max: float = 0.0
 
     def record(self, beta_failed):
         self.updates_total += 1
@@ -186,7 +209,7 @@ def initial_state(scatter, n, r=1e-2, s=1e-6):
     return GibbsState(
         omega=np.eye(p),
         tau=tau,
-        lam=np.ones((p, p)),
+        lam=np.ones(p),
         scatter=scatter,
         n=int(n),
         r=float(r),
@@ -267,8 +290,7 @@ def make_partition(state, i, sigma=None):
         s12=_column(state.scatter, i),
         s22=float(state.scatter[i, i]),
         tau12=_column(state.tau, i),
-        lambda12=_column(state.lam, i),
-        lambda22=float(state.lam[i, i]),
+        lambda22=float(state.lam[i]),
         beta=beta,
         gamma=float(state.omega[i, i] - beta @ (omega11_inv @ beta)),
     )
@@ -297,20 +319,20 @@ def compute_c_matrix(part):
     return invert_from_factor(_factor_c_inverse(part)[1])
 
 
-def bgs_update_beta(part, rng):
+def bgs_update_beta(part, z):
     """Unconstrained draw of the off-diagonal column: N(-C s12, C).
 
-    One Cholesky factor L L' = C^{-1} gives both moments: with z standard
-    normal, ``L^{-T} (z - L^{-1} s12) = -C s12 + L^{-T} z`` has mean
-    -C s12 and covariance L^{-T} L^{-1} = C, at the cost of two triangular
-    solves.  Nothing keeps this draw inside the positive definite cone;
-    that is the baseline behaviour the audit measures.
+    z is a vector of p - 1 standard normals.  One Cholesky factor
+    L L' = C^{-1} gives both moments: ``L^{-T} (z - L^{-1} s12) =
+    -C s12 + L^{-T} z`` has mean -C s12 and covariance L^{-T} L^{-1} = C,
+    at the cost of two triangular solves.  Nothing keeps this draw inside
+    the positive definite cone; that is the baseline behaviour the audit
+    measures.
     """
     _, L = _factor_c_inverse(part)
     y, _ = lapack.dtrtrs(L, part.s12, lower=1)
-    z = rng.gen.standard_normal(y.shape[0])
-    z -= y
-    beta, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    np.subtract(z, y, out=y)
+    beta, _ = lapack.dtrtrs(L, y, lower=1, trans=1)
     return beta
 
 
@@ -335,12 +357,13 @@ def hit_and_run_interval(alpha, beta, omega11_inv, gamma):
     return (-b - disc) / a, (-b + disc) / a
 
 
-def hrs_update_beta(part, rng):
+def hrs_update_beta(part, z, rng):
     """Hit-and-run draw of the off-diagonal column inside the PD region.
 
-    The move happens in the whitened coordinates of the conditional
-    covariance C: a uniform sphere direction there maps to
-    d = C^{1/2} alpha here, and the exact conditional of the step size
+    z is a vector of p - 1 standard normals; rng feeds the truncated-normal
+    step.  The move happens in the whitened coordinates of the conditional
+    covariance C: the direction of z there is uniform on the sphere and
+    maps to d = L^{-T} z here, and the exact conditional of the step size
     kappa along d is a univariate normal with
 
         mu     = -(s12'd + beta' Cinv d) / (d' Cinv d)
@@ -351,14 +374,17 @@ def hrs_update_beta(part, rng):
     would make every step as small as the most-shrunk coordinate allows,
     stalling the whole chain.  Cinv is factored directly (it is the
     readily available inner matrix), so C itself is never formed.  The
-    returned column always satisfies the Schur condition.
+    returned column always satisfies the Schur condition.  A zero z gives
+    no direction and raises ValueError.
     """
-    alpha = sample_unit_sphere(part.beta.shape[0], rng)
     cinv, L = _factor_c_inverse(part)
-    # L^{-T} alpha has covariance (L L')^{-1} = C up to scale; the scale
+    # L^{-T} z has covariance (L L')^{-1} = C; the length of z and of d
     # cancels in every formula below once the direction is normalized.
-    d, _ = lapack.dtrtrs(L, alpha, lower=1, trans=1)
-    d /= math.sqrt(float(d @ d))
+    d, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    dd = float(d @ d)
+    if not dd > 0.0:
+        raise ValueError("hit-and-run direction has zero length")
+    d /= math.sqrt(dd)
     w = cinv @ d
     denom = float(d @ w)
     mu_k = -(float(part.s12 @ d) + float(part.beta @ w)) / denom
@@ -368,39 +394,49 @@ def hrs_update_beta(part, rng):
     return part.beta + kappa * d
 
 
-def update_gamma(part, n, rng):
-    """Schur complement draw: Ga(n/2 + 1, s22/2 + lambda22), always positive."""
-    return sample_gamma(n / 2.0 + 1.0, part.s22 / 2.0 + part.lambda22, rng)
+def update_gamma(part, g):
+    """Schur complement draw Ga(n/2 + 1, s22/2 + lambda22), always positive.
+
+    g is a Ga(n/2 + 1, 1) draw (or an array of them); dividing by the rate
+    gives the conditional draw.
+    """
+    return g * (1.0 / (part.s22 / 2.0 + part.lambda22))
 
 
-def update_lambda_column(beta, omega22, r, s, rng, bounds=LAMBDA_BOUNDS):
+def update_lambda_column(beta, omega22, s, g, bounds=LAMBDA_BOUNDS):
     """Shrinkage rates for one column: Ga(r + 1, s + |omega_ij|), clamped.
 
-    The off-diagonal rates use |beta| and the diagonal rate uses the new
-    omega22; all p draws come from one batched gamma call.
+    g holds len(beta) + 1 draws of Ga(r + 1, 1).  The off-diagonal rates
+    use |beta| and the last, diagonal one the new omega22.  Returns the
+    off-diagonal rates and the diagonal rate.
     """
-    rates = np.empty(beta.shape[0] + 1)
-    np.abs(beta, out=rates[:-1])
-    rates[:-1] += s
-    rates[-1] = s + omega22
-    draws = _clamp(sample_gamma(r + 1.0, rates, rng), bounds)
+    draws = np.empty(beta.shape[0] + 1)
+    np.abs(beta, out=draws[:-1])
+    draws[:-1] += s
+    draws[-1] = s + omega22
+    np.divide(1.0, draws, out=draws)
+    draws *= g
+    _clamp(draws, bounds)
     return draws[:-1], float(draws[-1])
 
 
-def update_tau_column(lambda12, beta, rng, eps_omega=EPS_OMEGA, bounds=TAU_BOUNDS):
+def update_tau_column(lambda12, beta, nu, u, eps_omega=EPS_OMEGA, bounds=TAU_BOUNDS):
     """Latent scales for one column: 1/tau ~ IG(lambda/|omega|, lambda**2).
 
-    |omega| is floored at eps_omega so exact zeros cannot produce infinite
+    nu (standard normals) and u (uniforms on [0, 1)) feed the
+    Michael-Schucany-Haas transform, one of each per entry.  |omega| is
+    floored at eps_omega so exact zeros cannot produce infinite
     parameters; the reciprocal draws are clamped to the configured range.
     """
     denom = np.maximum(np.abs(beta), eps_omega)
-    upsilon = sample_inverse_gaussian(lambda12 / denom, lambda12 * lambda12, rng)
+    upsilon = michael_schucany_haas(lambda12 / denom, lambda12 * lambda12, nu, u)
     return _clamp(1.0 / np.fmax(upsilon, 1e-300), bounds)
 
 
 def _clamp(x, bounds):
-    # np.clip(x, *bounds), NaN included, without its dispatch overhead.
-    return np.minimum(np.maximum(x, bounds[0]), bounds[1])
+    # np.clip(x, *bounds) in place, NaN included, without its dispatch overhead.
+    np.maximum(x, bounds[0], out=x)
+    return np.minimum(x, bounds[1], out=x)
 
 
 def sweep(state, kind, audit, rng, *, skip_first_beta=False,
@@ -412,7 +448,10 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
     only reaches a sweep start through column boundaries, where omega is
     positive definite by construction.  The factor gives Sigma =
     Omega^{-1}, which ``state.sigma`` carries through the columns with the
-    O(p^2) updates of the module docstring.
+    O(p^2) updates of the module docstring; the gap between the Sigma
+    carried through the previous sweep and the fresh one goes into
+    ``audit.sigma_drift_max``.  Then the sweep draws its random bank (see
+    the module docstring).
 
     Each column update advances the audit by one.  It counts a violation
     when the Schur test fails on the matrix holding the new off-diagonal
@@ -430,11 +469,22 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
     L = pd_check(state.omega)
     if L is None:
         raise ValueError("omega is not positive definite at the start of the sweep")
-    sigma = state.sigma = invert_from_factor(L)
-    update_beta = hrs_update_beta if kind == "hrs" else bgs_update_beta
+    sigma = invert_from_factor(L)
+    if state.sigma is not None:
+        drift = float(abs(state.sigma - sigma).max() / abs(sigma).max())
+        audit.sigma_drift_max = max(audit.sigma_drift_max, drift)
+    state.sigma = sigma
+    hrs = kind == "hrs"
     p = state.omega.shape[0]
     omega, tau, lam = state.omega, state.tau, state.lam
     schur_floor = PD_TOL * PD_TOL
+
+    gen = rng.gen
+    z_bank = gen.standard_normal((p, p - 1))
+    gamma_bank = gen.standard_gamma(state.n / 2.0 + 1.0, p).tolist()
+    lambda_bank = gen.standard_gamma(state.r + 1.0, (p, p))
+    nu_bank = gen.standard_normal((p, p - 1))
+    u_bank = gen.random((p, p - 1))
 
     for i in range(p):
         stage = "partition"
@@ -444,14 +494,17 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
             beta = part.beta
             if not (skip_first_beta and i == 0):
                 stage = "beta"
-                beta = update_beta(part, rng)
+                if hrs:
+                    beta = hrs_update_beta(part, z_bank[i], rng)
+                else:
+                    beta = bgs_update_beta(part, z_bank[i])
                 _put_column(omega, i, beta)
             v = part.omega11_inv @ beta
             q = float(beta @ v)
             beta_failed = not omega[i, i] - q > schur_floor
 
             stage = "gamma"
-            gam = update_gamma(part, state.n, rng)
+            gam = update_gamma(part, gamma_bank[i])
             if not gam > 0.0:
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega22 = gam + q
@@ -462,13 +515,12 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
             sigma[i, i] = 1.0 / gam
 
             stage = "lambda"
-            lam12, lam22 = update_lambda_column(
-                beta, omega22, state.r, state.s, rng, lambda_bounds)
-            _put_column(lam, i, lam12)
-            lam[i, i] = lam22
+            lam12, lam[i] = update_lambda_column(
+                beta, omega22, state.s, lambda_bank[i], lambda_bounds)
 
             stage = "tau"
-            tau12 = update_tau_column(lam12, beta, rng, eps_omega, tau_bounds)
+            tau12 = update_tau_column(lam12, beta, nu_bank[i], u_bank[i],
+                                      eps_omega, tau_bounds)
             _put_column(tau, i, tau12)
         except Exception as exc:
             raise RuntimeError(

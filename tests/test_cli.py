@@ -141,6 +141,17 @@ def test_simulate_audit_content(tmp_path):
     assert len(audit["per_replication"]) == 2
 
 
+def test_simulate_audit_reports_sigma_drift(tmp_path):
+    out = tmp_path / "run"
+    cmd_simulate(small_scenario(sampler="bgs", design="circle", p=8,
+                                replications=3), out)
+    audit = json.loads((out / "audit.json").read_text())
+    per_rep = [a["sigma_drift_max"] for a in audit["per_replication"]]
+    assert len(per_rep) == 3
+    assert all(0.0 < d < 1e-9 for d in per_rep)
+    assert audit["sigma_drift_max"] == max(per_rep)
+
+
 def test_simulate_csv_schema(tmp_path):
     out = tmp_path / "run"
     cmd_simulate(small_scenario(), out)

@@ -5,6 +5,7 @@ import pytest
 
 from bayesglasso.distributions import (
     RngStream,
+    michael_schucany_haas,
     sample_gamma,
     sample_inverse_gaussian,
     sample_mvn,
@@ -66,7 +67,7 @@ def test_gamma_support_and_errors():
 
 
 def test_gamma_rate_vector_validation():
-    # The sampler's batched call: scalar shape, float vector of rates.
+    # A scalar shape with a float vector of rates.
     rng = RngStream(4)
     for rate in ([1.0, 0.0], [1.0, -1.0], [np.nan, -1.0], [-0.0, 1.0]):
         with pytest.raises(ValueError):
@@ -85,7 +86,7 @@ def test_gamma_rate_vector_matches_numpy_gamma_bitwise():
         draws = sample_gamma(shape, rates, rng)
         assert np.array_equal(draws, fresh.gen.gamma(shape, 1.0 / rates))
         assert rng.gen.random() == fresh.gen.random()
-    # Scalars and other argument forms still give the same numbers.
+    # Scalars and array shapes give the same numbers as numpy's gamma too.
     rng, fresh = RngStream(23), RngStream(23)
     assert sample_gamma(2.0, 3.0, rng) == fresh.gen.gamma(2.0, 1.0 / 3.0)
     assert sample_gamma(2, 3, rng) == fresh.gen.gamma(2.0, 1.0 / 3.0)
@@ -118,6 +119,23 @@ def test_inverse_gaussian_support_and_errors():
             sample_inverse_gaussian(np.array(mean), ones, rng)
     with pytest.raises(ValueError):
         sample_inverse_gaussian(ones, np.array([1.0, 0.0, 1.0]), rng)
+
+
+def test_inverse_gaussian_is_the_shared_transform_bitwise():
+    # The sampler feeds its banked normals and uniforms to the same
+    # transform; the sampling helper draws one normal per entry, then one
+    # uniform per entry.
+    mean = np.array([1e-6, 0.3, 2.0, 5e3, 1e16])
+    shape = np.array([1e-12, 0.2, 1.0, 7.5, 1e-12])
+    rng, fresh = RngStream(24), RngStream(24)
+    draws = sample_inverse_gaussian(mean, shape, rng)
+    nu = fresh.gen.standard_normal(mean.shape)
+    u = fresh.gen.random(mean.shape)
+    assert np.array_equal(draws, michael_schucany_haas(mean, shape, nu, u))
+    assert rng.gen.random() == fresh.gen.random()
+    rng, fresh = RngStream(25), RngStream(25)
+    nu, u = fresh.gen.standard_normal(), fresh.gen.random()
+    assert sample_inverse_gaussian(2.0, 3.0, rng) == michael_schucany_haas(2.0, 3.0, nu, u)
 
 
 def test_inverse_gaussian_extreme_parameters_stay_finite():

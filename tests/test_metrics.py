@@ -7,7 +7,6 @@ from bayesglasso.matrixcore import permute_to_last, symmetrize
 from bayesglasso.metrics import (
     adjacency_from_estimate,
     frobenius_loss,
-    posterior_mean,
     scores_from_counts,
     stein_loss,
     structure_scores,
@@ -18,28 +17,6 @@ from bayesglasso.metrics import (
 def random_spd(p, rng):
     A = rng.standard_normal((p, p))
     return symmetrize(A @ A.T + p * np.eye(p))
-
-
-def test_posterior_mean_constant_and_two_point():
-    M = np.array([[2.0, 0.5], [0.5, 1.0]])
-    est = posterior_mean([M, M, M])
-    assert np.array_equal(est.omega_hat, M)
-    assert est.draws_used == 3
-    est2 = posterior_mean([np.eye(2), 3 * np.eye(2)])
-    assert np.array_equal(est2.omega_hat, 2 * np.eye(2))
-
-
-def test_posterior_mean_streaming_symmetry():
-    rng = np.random.default_rng(0)
-    draws = (random_spd(4, rng) for _ in range(100))
-    est = posterior_mean(draws)
-    assert est.draws_used == 100
-    assert np.max(np.abs(est.omega_hat - est.omega_hat.T)) == 0.0
-
-
-def test_posterior_mean_empty_errors():
-    with pytest.raises(ValueError, match="no draws"):
-        posterior_mean([])
 
 
 def test_stein_loss_zero_at_truth():

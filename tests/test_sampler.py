@@ -44,15 +44,12 @@ def state_with_omega(omega, scatter=None, n=10, r=1e-2, s=1e-6):
     return st
 
 
-def simple_partition(omega11_inv, s12, s22, tau12, lambda22, beta, gamma,
-                     lambda12=None):
-    s12 = np.asarray(s12, dtype=float)
+def simple_partition(omega11_inv, s12, s22, tau12, lambda22, beta, gamma):
     return ColumnPartition(
         omega11_inv=np.asarray(omega11_inv, dtype=float),
-        s12=s12,
+        s12=np.asarray(s12, dtype=float),
         s22=float(s22),
         tau12=np.asarray(tau12, dtype=float),
-        lambda12=np.ones_like(s12) if lambda12 is None else np.asarray(lambda12),
         lambda22=float(lambda22),
         beta=np.asarray(beta, dtype=float),
         gamma=float(gamma),
@@ -95,7 +92,7 @@ def test_partition_blocks_follow_permutation():
     assert part.s22 == S[i, i]
     assert np.array_equal(part.tau12, st.tau[rest, i])
     assert np.array_equal(part.beta, st.omega[rest, i])
-    assert part.lambda22 == st.lam[i, i]
+    assert part.lambda22 == st.lam[i]
 
 
 def test_partition_gamma_roundtrip():
@@ -202,8 +199,8 @@ def test_bgs_beta_centered_case():
     # s12 = 0 makes the conditional mean zero
     part = simple_partition(np.eye(3), np.zeros(3), 1.0, np.ones(3), 0.5,
                             np.zeros(3), 1.0)
-    rng = RngStream(1)
-    draws = np.array([bgs_update_beta(part, rng) for _ in range(10_000)])
+    gen = RngStream(1).gen
+    draws = np.array([bgs_update_beta(part, gen.standard_normal(3)) for _ in range(10_000)])
     C = compute_c_matrix(part)
     se = math.sqrt(C[0, 0] / 10_000)
     assert np.max(np.abs(draws.mean(axis=0))) < 4 * se
@@ -214,8 +211,8 @@ def test_bgs_beta_mean_matches_formula():
                             [0.0, 0.0], 1.0)
     C = compute_c_matrix(part)
     expect = -C @ part.s12
-    rng = RngStream(2)
-    draws = np.array([bgs_update_beta(part, rng) for _ in range(100_000)])
+    gen = RngStream(2).gen
+    draws = np.array([bgs_update_beta(part, gen.standard_normal(2)) for _ in range(100_000)])
     se = np.sqrt(np.diag(C) / 100_000)
     assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
 
@@ -230,8 +227,8 @@ def test_bgs_single_factor_draw_moments():
                             [0.3, 1.5, 0.8], 0.6, np.zeros(3), 1.0)
     C = compute_c_matrix(part)
     n = 40_000
-    stream = RngStream(41)
-    draws = np.array([bgs_update_beta(part, stream) for _ in range(n)])
+    gen = RngStream(41).gen
+    draws = np.array([bgs_update_beta(part, gen.standard_normal(3)) for _ in range(n)])
     se_mean = np.sqrt(np.diag(C) / n)
     assert np.all(np.abs(draws.mean(axis=0) + C @ part.s12) < 4 * se_mean)
     # Var of a sample covariance entry: (C_ii C_jj + C_ij^2) / n.
@@ -293,7 +290,7 @@ def test_hrs_beta_always_feasible():
                                 np.abs(rng.standard_normal(p1)) + 0.05,
                                 float(np.abs(rng.standard_normal()) + 0.05),
                                 beta, gamma)
-        new_beta = hrs_update_beta(part, stream)
+        new_beta = hrs_update_beta(part, stream.gen.standard_normal(p1), stream)
         assert quad_form(new_beta, inv) < omega22
 
 
@@ -309,8 +306,10 @@ def test_hrs_unbounded_matches_bgs_distribution():
     n = 40_000
     h = RngStream(8)
     b = RngStream(9)
-    hrs_draws = np.array([hrs_update_beta(part, h)[0] for _ in range(n)])
-    bgs_draws = np.array([bgs_update_beta(part, b)[0] for _ in range(n)])
+    hrs_draws = np.array([hrs_update_beta(part, h.gen.standard_normal(1), h)[0]
+                          for _ in range(n)])
+    bgs_draws = np.array([bgs_update_beta(part, b.gen.standard_normal(1))[0]
+                          for _ in range(n)])
     C = compute_c_matrix(part)[0, 0]
     se_mean = math.sqrt(C / n)
     assert abs(hrs_draws.mean() - bgs_draws.mean()) < 4 * math.sqrt(2) * se_mean
@@ -321,8 +320,8 @@ def test_hrs_unbounded_matches_bgs_distribution():
 
 def test_update_gamma_moments_and_support():
     part = simple_partition(np.eye(1), [0.0], 1.0, [1.0], 0.5, [0.0], 1.0)
-    rng = RngStream(10)
-    draws = np.array([update_gamma(part, 50, rng) for _ in range(100_000)])
+    g = RngStream(10).gen.standard_gamma(50 / 2 + 1, 100_000)
+    draws = update_gamma(part, g)
     assert np.all(draws > 0)
     # Ga(26, 1): mean 26
     assert abs(draws.mean() - 26.0) < 0.2
@@ -330,16 +329,16 @@ def test_update_gamma_moments_and_support():
 
 def test_update_lambda_moments():
     # r=1, s=1, |omega|=1: Ga(2, 2) has mean 1
-    rng = RngStream(11)
-    lam12, lam22 = update_lambda_column(np.ones(100_000), 1.0, 1.0, 1.0, rng)
+    g = RngStream(11).gen.standard_gamma(1.0 + 1.0, 100_001)
+    lam12, lam22 = update_lambda_column(np.ones(100_000), 1.0, 1.0, g)
     assert abs(lam12.mean() - 1.0) < 0.02
     assert lam22 > 0
 
 
 def test_update_lambda_clamped():
     # r=0.01, s=1e-6, omega=0: unclamped mean would be 1.01e6
-    rng = RngStream(12)
-    lam12, lam22 = update_lambda_column(np.zeros(10_000), 0.0 + 1.0, 0.01, 1e-6, rng)
+    g = RngStream(12).gen.standard_gamma(0.01 + 1.0, 10_001)
+    lam12, lam22 = update_lambda_column(np.zeros(10_000), 0.0 + 1.0, 1e-6, g)
     assert np.all(lam12 >= 1e-6)
     assert np.all(lam12 <= 1e6)
     assert np.any(lam12 == 1e6)  # the clamp actually engages
@@ -348,14 +347,16 @@ def test_update_lambda_clamped():
 
 def test_update_tau_ig_mean_oracle():
     # lambda=1, |omega|=1: 1/tau ~ IG(1, 1) has mean 1
-    rng = RngStream(13)
-    tau = update_tau_column(np.ones(100_000), np.ones(100_000), rng)
+    gen = RngStream(13).gen
+    nu, u = gen.standard_normal(100_000), gen.random(100_000)
+    tau = update_tau_column(np.ones(100_000), np.ones(100_000), nu, u)
     assert abs((1.0 / tau).mean() - 1.0) < 0.02
 
 
 def test_update_tau_zero_omega_floored():
-    rng = RngStream(14)
-    tau = update_tau_column(np.ones(1000), np.zeros(1000), rng)
+    gen = RngStream(14).gen
+    nu, u = gen.standard_normal(1000), gen.random(1000)
+    tau = update_tau_column(np.ones(1000), np.zeros(1000), nu, u)
     assert np.all(np.isfinite(tau))
     assert np.all(tau > 0)
     assert np.all(tau >= 1e-10)
@@ -379,7 +380,6 @@ def test_sweep_keeps_exact_symmetry_and_audit_counts():
     assert audit.updates_total == p
     assert np.max(np.abs(st.omega - st.omega.T)) == 0.0
     assert np.max(np.abs(st.tau - st.tau.T)) == 0.0
-    assert np.max(np.abs(st.lam - st.lam.T)) == 0.0
     assert np.all(np.diagonal(st.tau) == 0.0)
     assert np.all(st.lam > 0)
 
@@ -440,10 +440,10 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
     full = []
     original = sampler.update_gamma
 
-    def audited(part, n, rng_):
+    def audited(part, g):
         # omega now holds the new off-diagonal column and the old diagonal.
         full.append(pd_check(st.omega) is None)
-        return original(part, n, rng_)
+        return original(part, g)
 
     monkeypatch.setattr(sampler, "update_gamma", audited)
     audit = ViolationAudit()
@@ -489,9 +489,19 @@ def test_first_sweep_guard_changes_draw_sequence():
 
 # ---------------------------------------------------------------- reference kernel
 
+def draw_bank(gen, p, n, r):
+    """The per-sweep random bank, in the documented order and shapes."""
+    return (gen.standard_normal((p, p - 1)),
+            gen.standard_gamma(n / 2.0 + 1.0, p),
+            gen.standard_gamma(r + 1.0, (p, p)),
+            gen.standard_normal((p, p - 1)),
+            gen.random((p, p - 1)))
+
+
 def reference_sweep(st, kind, rng, skip_first_beta):
-    """The column kernel written plainly: take/take partition, np.outer,
-    gen.gamma with a scale, np.clip and the Michael-Schucany-Haas transform.
+    """The column kernel written plainly: the bank drawn up front, a
+    take/take partition, np.outer, np.ix_ writes, gamma draws scaled by
+    1/rate, np.clip and the Michael-Schucany-Haas transform inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -501,6 +511,7 @@ def reference_sweep(st, kind, rng, skip_first_beta):
     p = st.omega.shape[0]
     omega, tau, lam = st.omega, st.tau, st.lam
     sigma = st.sigma = invert_from_factor(pd_check(omega))
+    Z, G_gamma, G_lambda, NU, U = draw_bank(gen, p, st.n, st.r)
     violations = 0
     for i in range(p):
         rest = np.array([p - 1 if j == i else j for j in range(p - 1)])
@@ -509,18 +520,16 @@ def reference_sweep(st, kind, rng, skip_first_beta):
         s12, s22 = st.scatter[rest, i], float(st.scatter[i, i])
         beta = omega[rest, i]
         if not (skip_first_beta and i == 0):
-            cinv = (s22 + 2.0 * lam[i, i]) * o11
+            cinv = (s22 + 2.0 * lam[i]) * o11
             cinv.flat[::p] += 1.0 / tau[rest, i]
             L, info = lapack.dpotrf(cinv, lower=1, clean=1)
             assert info == 0
             if kind == "bgs":
                 y = lapack.dtrtrs(L, s12, lower=1)[0]
-                z = gen.standard_normal(p - 1) - y
-                beta = lapack.dtrtrs(L, z, lower=1, trans=1)[0]
+                beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
             else:
                 gam_old = float(omega[i, i] - beta @ (o11 @ beta))
-                alpha = sample_unit_sphere(p - 1, rng)
-                d = lapack.dtrtrs(L, alpha, lower=1, trans=1)[0]
+                d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
                 d = d / math.sqrt(float(d @ d))
                 w = cinv @ d
                 denom = float(d @ w)
@@ -537,7 +546,7 @@ def reference_sweep(st, kind, rng, skip_first_beta):
         q = float(beta @ v)
         violations += not omega[i, i] - q > PD_TOL * PD_TOL
 
-        gam = float(gen.gamma(st.n / 2.0 + 1.0, 1.0 / (s22 / 2.0 + float(lam[i, i]))))
+        gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lam[i])))
         omega22 = gam + q
         omega[i, i] = omega22
         w = v * (1.0 / math.sqrt(gam))
@@ -546,19 +555,16 @@ def reference_sweep(st, kind, rng, skip_first_beta):
         sigma[i, i] = 1.0 / gam
 
         rates = np.append(np.abs(beta) + st.s, st.s + omega22)
-        draws = np.clip(gen.gamma(st.r + 1.0, 1.0 / rates), *LAMBDA_BOUNDS)
+        draws = np.clip(G_lambda[i] * (1.0 / rates), *LAMBDA_BOUNDS)
         lam12 = draws[:-1]
-        lam[rest, i] = lam[i, rest] = lam12
-        lam[i, i] = draws[-1]
+        lam[i] = draws[-1]
 
         mean = lam12 / np.maximum(np.abs(beta), EPS_OMEGA)
         shape = lam12 * lam12
-        nu = gen.standard_normal(size=mean.shape)
-        my = mean * nu * nu
+        my = mean * NU[i] * NU[i]
         x = mean + mean * (my - np.sqrt(my * (4.0 * shape + my))) / (2.0 * shape)
         x = np.fmax(x, 1e-300 * np.fmax(mean * mean, 1.0))
-        u = gen.random(size=mean.shape)
-        upsilon = np.where(u * (mean + x) <= mean, x, mean * mean / x)
+        upsilon = np.where(U[i] * (mean + x) <= mean, x, mean * mean / x)
         tau[rest, i] = tau[i, rest] = np.clip(1.0 / np.fmax(upsilon, 1e-300), *TAU_BOUNDS)
     return p, violations
 
@@ -583,6 +589,42 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
     assert rng.gen.random() == ref_rng.gen.random()
     if kind == "bgs" and design == "circle":
         assert violations > 0  # the audit branch is exercised, not just zero
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_sweep_stream_is_fixed_shape(kind, monkeypatch):
+    # Two different states with equal n and r consume the same draws from
+    # equal streams: the bank and, for hrs, only the truncated-normal steps
+    # besides it, which are sent to a side stream here.
+    side = RngStream(0)
+    original = sampler.sample_truncated_normal
+
+    def on_side_stream(mu, sigma, lo, hi, rng):
+        return original(mu, sigma, lo, hi, side)
+
+    monkeypatch.setattr(sampler, "sample_truncated_normal", on_side_stream)
+    p = 9
+    st1, _ = make_sim_state(kind="circle", p=p, n=30, seed=50)
+    st2, _ = make_sim_state(kind="star", p=p, n=30, seed=51)
+    for k in range(3):
+        sweep(st2, kind, ViolationAudit(), RngStream(52), skip_first_beta=(k == 0))
+    fresh = RngStream(53)
+    draw_bank(fresh.gen, p, 30, st1.r)
+    rng1, rng2 = RngStream(53), RngStream(53)
+    sweep(st1, kind, ViolationAudit(), rng1, skip_first_beta=True)
+    sweep(st2, kind, ViolationAudit(), rng2)
+    assert not np.array_equal(st1.omega, st2.omega)
+    assert rng1.gen.random() == rng2.gen.random() == fresh.gen.random()
+
+
+def test_sigma_drift_is_recorded_and_small():
+    st, rng = make_sim_state(kind="circle", p=20, n=30)
+    audit = ViolationAudit()
+    sweep(st, "bgs", audit, rng, skip_first_beta=True)
+    assert audit.sigma_drift_max == 0.0  # nothing carried into the first sweep
+    for _ in range(30):
+        sweep(st, "bgs", audit, rng)
+    assert 0.0 < audit.sigma_drift_max < 1e-9
 
 
 # ---------------------------------------------------------------- chains
@@ -634,3 +676,7 @@ def test_run_chain_validates_config():
         run_chain(np.eye(3), 10, ChainConfig(draws=0), RngStream(1))
     with pytest.raises(ValueError):
         run_chain(np.eye(1), 10, ChainConfig(), RngStream(1))
+    for bad in (dict(lambda_bounds=(0.0, 1e6)), dict(lambda_bounds=(-2.0, -1.0)),
+                dict(tau_bounds=(1.0, 0.5)), dict(eps_omega=0.0)):
+        with pytest.raises(ValueError, match="draw clamps"):
+            run_chain(np.eye(3), 10, ChainConfig(**bad), RngStream(1))
