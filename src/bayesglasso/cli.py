@@ -295,7 +295,6 @@ def _audit_summary(audit):
         "updates_total": audit.updates_total,
         "violations": audit.violations,
         "violation_ratio_percent": audit.ratio_percent,
-        "by_stage": dict(audit.by_column_stage),
         "sigma_drift_max": audit.sigma_drift_max,
     }
 
@@ -305,8 +304,6 @@ def _pool_audits(audits):
     for a in audits:
         pooled.updates_total += a["updates_total"]
         pooled.violations += a["violations"]
-        for k, v in a["by_stage"].items():
-            pooled.by_column_stage[k] += v
         pooled.sigma_drift_max = max(pooled.sigma_drift_max, a["sigma_drift_max"])
     return {**_audit_summary(pooled), "per_replication": audits}
 

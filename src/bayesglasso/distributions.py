@@ -12,8 +12,6 @@ import math
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .matrixcore import pd_check
-
 
 class RngStream:
     """One deterministic random stream, owned by a single worker at a time."""
@@ -28,47 +26,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def sample_gamma(shape, rate, rng):
-    """Gamma draw with density proportional to x**(shape-1) * exp(-rate*x).
-
-    The second parameter is a RATE, not a scale; the full conditionals in
-    the sampler are all written in rate form and passing a scale here is
-    the classic way to silently break them.  Scalars give a float;
-    broadcastable arrays give an array of draws.
-    """
-    if np.ndim(shape) == 0 and np.ndim(rate) == 0:
-        shape = float(shape)
-        rate = float(rate)
-        if shape <= 0.0 or rate <= 0.0:
-            raise ValueError("gamma shape and rate must be positive")
-        return float(rng.gen.gamma(shape, 1.0 / rate))
-    shape = np.asarray(shape, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    if (shape <= 0.0).any() or (rate <= 0.0).any():
-        raise ValueError("gamma shape and rate must be positive")
-    return rng.gen.gamma(shape, 1.0 / rate)
-
-
-def sample_inverse_gaussian(mean, shape, rng):
-    """Inverse Gaussian IG(mean, shape) via the Michael-Schucany-Haas transform.
-
-    Mean of the distribution is ``mean``; variance is ``mean**3 / shape``.
-    Scalars give a float; broadcastable arrays give an array of draws.  The
-    draw is :func:`michael_schucany_haas` of one standard normal and one
-    uniform per element, drawn in that order.
-    """
-    scalar = np.ndim(mean) == 0 and np.ndim(shape) == 0
-    mean = np.asarray(mean, dtype=float)
-    shape = np.asarray(shape, dtype=float)
-    if (mean <= 0.0).any() or (shape <= 0.0).any():
-        raise ValueError("inverse Gaussian mean and shape must be positive")
-    size = np.broadcast_shapes(mean.shape, shape.shape)
-    nu = rng.gen.standard_normal(size=size)
-    u = rng.gen.random(size=size)
-    out = michael_schucany_haas(mean, shape, nu, u)
-    return float(out) if scalar else out
 
 
 def michael_schucany_haas(mean, shape, nu, u):
@@ -163,26 +120,3 @@ def _upper_tail(a, b, gen):
     log_u = la + math.log(v + (1.0 - v) * math.exp(lb - la)) if lb > -math.inf \
         else la + math.log(v)
     return -float(ndtri_exp(log_u))
-
-
-def sample_unit_sphere(dim, rng):
-    """Uniform direction on the unit sphere: normalized standard normal."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    while True:
-        z = rng.gen.standard_normal(dim)
-        nrm = math.sqrt(float(z @ z))
-        if nrm > 0.0:
-            return z / nrm
-
-
-def sample_mvn(mean, cov, rng):
-    """Multivariate normal draw via the Cholesky factor of cov."""
-    mean = np.asarray(mean, dtype=float)
-    L = pd_check(cov)
-    if L is None:
-        raise ValueError("matrix not positive definite")
-    if mean.shape != (cov.shape[0],):
-        raise ValueError(
-            f"dimension mismatch: mean {mean.shape}, cov {cov.shape}")
-    return mean + L @ rng.gen.standard_normal(mean.shape[0])

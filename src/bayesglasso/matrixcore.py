@@ -72,24 +72,6 @@ def spd_inverse(M):
     return invert_from_factor(L)
 
 
-def permute_to_last(M, i):
-    """Swap row/column i with the last row/column (symmetric, self-inverse)."""
-    p = M.shape[0]
-    if not 0 <= i < p:
-        raise IndexError(f"index {i} out of range for dimension {p}")
-    order = np.arange(p)
-    order[i], order[p - 1] = p - 1, i
-    return M.take(order, axis=0).take(order, axis=1)
-
-
-def quad_form(x, M):
-    """x.T @ M @ x as a float."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (M.shape[0],):
-        raise ValueError(f"dimension mismatch: vector {x.shape}, matrix {M.shape}")
-    return float(x @ M @ x)
-
-
 def save_matrix_csv(M, path):
     """Write a matrix as full (not triangular) CSV with round-trip precision."""
     np.savetxt(path, np.asarray(M, dtype=float), delimiter=",", fmt="%.17g")

@@ -48,16 +48,11 @@ def frobenius_loss(omega_hat, omega_true):
     return float(np.sqrt(np.sum((omega_hat - omega_true) ** 2)))
 
 
-def adjacency_from_estimate(omega_hat, threshold=1e-3, use_absolute=True):
-    """Edges where |estimate| meets the threshold (>=), diagonal excluded.
-
-    use_absolute=False reproduces the signed-threshold variant in which any
-    negative entry, however large, counts as no edge.
-    """
+def adjacency_from_estimate(omega_hat, threshold=1e-3):
+    """Edges where |estimate| meets the threshold (>=), diagonal excluded."""
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    vals = np.abs(omega_hat) if use_absolute else np.asarray(omega_hat, dtype=float)
-    adj = vals >= threshold
+    adj = np.abs(omega_hat) >= threshold
     np.fill_diagonal(adj, False)
     return adj
 

@@ -64,7 +64,7 @@ artifact byte-identical.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -76,8 +76,7 @@ SAMPLER_KINDS = ("bgs", "hrs")
 
 # Draw clamps: Wang's disclosed code cut the ranges of the lambda and tau
 # draws and the unconstrained sampler breaks down without some cut; the
-# exact bounds were never published, so wide symmetric ones are used and
-# exposed on ChainConfig.
+# exact bounds were never published, so wide symmetric ones are used.
 LAMBDA_BOUNDS = (1e-6, 1e6)
 TAU_BOUNDS = (1e-10, 1e10)
 EPS_OMEGA = 1e-10
@@ -92,23 +91,15 @@ class ChainConfig:
     draws: int = 10000
     r: float = 1e-2
     s: float = 1e-6
-    thin: int = 1
     store_draws: bool = False
-    lambda_bounds: tuple = LAMBDA_BOUNDS
-    tau_bounds: tuple = TAU_BOUNDS
-    eps_omega: float = EPS_OMEGA
 
     def validate(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
-        if self.burn_in < 0 or self.draws < 1 or self.thin < 1:
-            raise ValueError("need burn_in >= 0, draws >= 1, thin >= 1")
+        if self.burn_in < 0 or self.draws < 1:
+            raise ValueError("need burn_in >= 0, draws >= 1")
         if self.r <= 0.0 or self.s <= 0.0:
             raise ValueError("hyperparameters r and s must be positive")
-        if not (0.0 < self.lambda_bounds[0] <= self.lambda_bounds[1]
-                and 0.0 < self.tau_bounds[0] <= self.tau_bounds[1]
-                and self.eps_omega > 0.0):
-            raise ValueError("draw clamps and eps_omega must be positive, lower <= upper")
 
 
 @dataclass
@@ -144,7 +135,7 @@ class ColumnPartition:
     tau12: np.ndarray
     lambda22: float
     beta: np.ndarray
-    gamma: float
+    omega22: float
 
 
 @dataclass
@@ -164,14 +155,11 @@ class ViolationAudit:
 
     updates_total: int = 0
     violations: int = 0
-    by_column_stage: dict = field(default_factory=lambda: {"after_beta": 0})
     sigma_drift_max: float = 0.0
 
     def record(self, beta_failed):
         self.updates_total += 1
-        if beta_failed:
-            self.by_column_stage["after_beta"] += 1
-            self.violations += 1
+        self.violations += beta_failed
 
     @property
     def ratio_percent(self):
@@ -261,38 +249,29 @@ def _put_block(M, i, block):
         M[-1, -1] = block[i, i]
 
 
-def make_partition(state, i, sigma=None):
+def make_partition(state, i, sigma):
     """Partition the state around column i (0-based).
 
-    sigma is Omega^{-1}; :func:`sweep` passes the one it carries, and the
-    partition reads ``Omega11^{-1} = Sigma11 - sigma12 sigma12' / sigma22``
-    from it in O(p^2).  Without sigma the inverse comes from a Cholesky
-    factorisation of omega, an O(p^3) step meant for one-off use, and a
-    state that is not positive definite is an error.
+    sigma is Omega^{-1}, the one :func:`sweep` carries; the partition reads
+    ``Omega11^{-1} = Sigma11 - sigma12 sigma12' / sigma22`` from it in
+    O(p^2).
     """
     p = state.omega.shape[0]
     if not 0 <= i < p:
         raise IndexError(f"column {i} out of range for dimension {p}")
-    if sigma is None:
-        L = pd_check(state.omega)
-        if L is None:
-            raise ValueError(
-                "state not positive definite (leading block or Schur complement)")
-        sigma = invert_from_factor(L)
     # Scaling sigma12 by 1/sqrt(sigma22) keeps the outer product, and so the
     # block, exactly symmetric.
     u = _column(sigma, i) * (1.0 / math.sqrt(sigma[i, i]))
     omega11_inv = _take_block(sigma, i)
     omega11_inv -= u[:, None] * u
-    beta = _column(state.omega, i)
     return ColumnPartition(
         omega11_inv=omega11_inv,
         s12=_column(state.scatter, i),
         s22=float(state.scatter[i, i]),
         tau12=_column(state.tau, i),
         lambda22=float(state.lam[i]),
-        beta=beta,
-        gamma=float(state.omega[i, i] - beta @ (omega11_inv @ beta)),
+        beta=_column(state.omega, i),
+        omega22=float(state.omega[i, i]),
     )
 
 
@@ -389,7 +368,8 @@ def hrs_update_beta(part, z, rng):
     denom = float(d @ w)
     mu_k = -(float(part.s12 @ d) + float(part.beta @ w)) / denom
     sigma_k = math.sqrt(1.0 / denom)
-    lo, hi = hit_and_run_interval(d, part.beta, part.omega11_inv, part.gamma)
+    gamma = float(part.omega22 - part.beta @ (part.omega11_inv @ part.beta))
+    lo, hi = hit_and_run_interval(d, part.beta, part.omega11_inv, gamma)
     kappa = sample_truncated_normal(mu_k, sigma_k, lo, hi, rng)
     return part.beta + kappa * d
 
@@ -403,7 +383,7 @@ def update_gamma(part, g):
     return g * (1.0 / (part.s22 / 2.0 + part.lambda22))
 
 
-def update_lambda_column(beta, omega22, s, g, bounds=LAMBDA_BOUNDS):
+def update_lambda_column(beta, omega22, s, g):
     """Shrinkage rates for one column: Ga(r + 1, s + |omega_ij|), clamped.
 
     g holds len(beta) + 1 draws of Ga(r + 1, 1).  The off-diagonal rates
@@ -416,21 +396,21 @@ def update_lambda_column(beta, omega22, s, g, bounds=LAMBDA_BOUNDS):
     draws[-1] = s + omega22
     np.divide(1.0, draws, out=draws)
     draws *= g
-    _clamp(draws, bounds)
+    _clamp(draws, LAMBDA_BOUNDS)
     return draws[:-1], float(draws[-1])
 
 
-def update_tau_column(lambda12, beta, nu, u, eps_omega=EPS_OMEGA, bounds=TAU_BOUNDS):
+def update_tau_column(lambda12, beta, nu, u):
     """Latent scales for one column: 1/tau ~ IG(lambda/|omega|, lambda**2).
 
     nu (standard normals) and u (uniforms on [0, 1)) feed the
     Michael-Schucany-Haas transform, one of each per entry.  |omega| is
-    floored at eps_omega so exact zeros cannot produce infinite
-    parameters; the reciprocal draws are clamped to the configured range.
+    floored at EPS_OMEGA so exact zeros cannot produce infinite
+    parameters; the reciprocal draws are clamped to TAU_BOUNDS.
     """
-    denom = np.maximum(np.abs(beta), eps_omega)
+    denom = np.maximum(np.abs(beta), EPS_OMEGA)
     upsilon = michael_schucany_haas(lambda12 / denom, lambda12 * lambda12, nu, u)
-    return _clamp(1.0 / np.fmax(upsilon, 1e-300), bounds)
+    return _clamp(1.0 / np.fmax(upsilon, 1e-300), TAU_BOUNDS)
 
 
 def _clamp(x, bounds):
@@ -439,8 +419,7 @@ def _clamp(x, bounds):
     return np.minimum(x, bounds[1], out=x)
 
 
-def sweep(state, kind, audit, rng, *, skip_first_beta=False,
-          lambda_bounds=LAMBDA_BOUNDS, tau_bounds=TAU_BOUNDS, eps_omega=EPS_OMEGA):
+def sweep(state, kind, audit, rng, *, skip_first_beta=False):
     """One full pass over all p columns, mutating state in place.
 
     The sweep starts with the one Cholesky factorisation of omega it
@@ -515,12 +494,10 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False,
             sigma[i, i] = 1.0 / gam
 
             stage = "lambda"
-            lam12, lam[i] = update_lambda_column(
-                beta, omega22, state.s, lambda_bank[i], lambda_bounds)
+            lam12, lam[i] = update_lambda_column(beta, omega22, state.s, lambda_bank[i])
 
             stage = "tau"
-            tau12 = update_tau_column(lam12, beta, nu_bank[i], u_bank[i],
-                                      eps_omega, tau_bounds)
+            tau12 = update_tau_column(lam12, beta, nu_bank[i], u_bank[i])
             _put_column(tau, i, tau12)
         except Exception as exc:
             raise RuntimeError(
@@ -535,8 +512,9 @@ def run_chain(data_scatter, n, config, rng):
     """Run one chain on scatter matrix S = Y'Y with sample size n.
 
     Burn-in sweeps are discarded; the retained sweeps feed a streaming
-    elementwise mean (and optionally a thinned list of draws).  The audit
-    covers every sweep the chain performs, burn-in included.
+    elementwise mean (and, with store_draws, a list of every retained
+    draw).  The audit covers every sweep the chain performs, burn-in
+    included.
     """
     config.validate()
     state = initial_state(data_scatter, n, config.r, config.s)
@@ -548,14 +526,10 @@ def run_chain(data_scatter, n, config, rng):
 
     t0 = time.perf_counter()
     for k in range(total):
-        sweep(state, config.kind, audit, rng,
-              skip_first_beta=(k == 0),
-              lambda_bounds=config.lambda_bounds,
-              tau_bounds=config.tau_bounds,
-              eps_omega=config.eps_omega)
+        sweep(state, config.kind, audit, rng, skip_first_beta=(k == 0))
         if k >= config.burn_in:
             mean_acc += state.omega
-            if draws is not None and (k - config.burn_in) % config.thin == 0:
+            if draws is not None:
                 draws.append(state.omega.copy())
     elapsed = time.perf_counter() - t0
 

@@ -5,8 +5,6 @@ from bayesglasso.matrixcore import (
     check_symmetric,
     load_matrix_csv,
     pd_check,
-    permute_to_last,
-    quad_form,
     save_matrix_csv,
     spd_inverse,
     symmetrize,
@@ -105,33 +103,6 @@ def test_spd_inverse_output_exactly_symmetric():
     assert np.max(np.abs(inv - inv.T)) == 0.0
 
 
-def test_permute_last_index_is_identity():
-    rng = np.random.default_rng(6)
-    M = random_spd(4, rng)
-    assert np.array_equal(permute_to_last(M, 3), M)
-
-
-def test_permute_symbolic_oracle():
-    # hand-enumerated swap of first and last row/column of a 3x3
-    a, b, c, d, e, f = 1.0, 2.0, 3.0, 4.0, 5.0, 6.0
-    M = np.array([[a, b, c], [b, d, e], [c, e, f]])
-    expect = np.array([[f, e, c], [e, d, b], [c, b, a]])
-    assert np.array_equal(permute_to_last(M, 0), expect)
-
-
-def test_permute_is_involution():
-    rng = np.random.default_rng(7)
-    M = symmetrize(rng.standard_normal((4, 4)))
-    assert np.array_equal(permute_to_last(permute_to_last(M, 1), 1), M)
-
-
-def test_permute_out_of_range():
-    with pytest.raises(IndexError):
-        permute_to_last(np.eye(3), 3)
-    with pytest.raises(IndexError):
-        permute_to_last(np.eye(3), -1)
-
-
 def test_permute_preserves_pd_verdict():
     # symmetric permutation is a congruence, so the PD verdict is invariant
     rng = np.random.default_rng(8)
@@ -140,34 +111,9 @@ def test_permute_preserves_pd_verdict():
         if k % 2 == 0:
             M = M + 5 * np.eye(5)  # mix in PD cases
         i = int(rng.integers(5))
-        assert (pd_check(M) is None) == (pd_check(permute_to_last(M, i)) is None)
-
-
-def test_quad_form_zero_vector():
-    assert quad_form(np.zeros(3), np.eye(3)) == 0.0
-
-
-def test_quad_form_identity():
-    assert quad_form(np.ones(2), np.eye(2)) == 2.0
-
-
-def test_quad_form_oracle():
-    # (1,0) on inv([[2,1],[1,2]]): direct multiplication gives 2/3
-    Minv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-    assert abs(quad_form(np.array([1.0, 0.0]), Minv) - 2.0 / 3.0) < 1e-15
-
-
-def test_quad_form_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        quad_form(np.ones(3), np.eye(2))
-
-
-def test_quad_form_positive_for_pd():
-    rng = np.random.default_rng(9)
-    M = random_spd(4, rng)
-    for _ in range(20):
-        x = rng.standard_normal(4)
-        assert quad_form(x, M) > 0.0
+        order = np.arange(5)
+        order[i], order[-1] = 4, i
+        assert (pd_check(M) is None) == (pd_check(M[np.ix_(order, order)]) is None)
 
 
 def test_check_symmetric_rejects():

@@ -1,0 +1,42 @@
+"""The README's library example and the package's public names."""
+
+import re
+from pathlib import Path
+
+import bayesglasso
+from bayesglasso.matrixcore import pd_check
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The example at desk scale: p=6, burn_in=5, draws=10.
+DESK_SCALE = {
+    'true_model("ar1", 30)': 'true_model("ar1", 6)',
+    "burn_in=5000": "burn_in=5",
+    "draws=10000": "draws=10",
+}
+
+
+def library_example():
+    text = README.read_text()
+    section = text.split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_every_public_name_resolves():
+    for name in bayesglasso.__all__:
+        assert getattr(bayesglasso, name) is not None, name
+
+
+def test_readme_library_example_runs():
+    code = library_example()
+    assert "from bayesglasso import" in code
+    for old, new in DESK_SCALE.items():
+        assert code.count(old) == 1, old
+        code = code.replace(old, new)
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    out = namespace["out"]
+    assert out.omega_mean.shape == (6, 6)
+    assert out.sweeps_run == 15
+    assert pd_check(out.omega_mean) is not None
+    assert out.audit.violations == 0  # the example runs hrs
