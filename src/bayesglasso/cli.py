@@ -7,11 +7,14 @@ Three commands:
   audit.
 * ``fit`` ingests a CSV data matrix, runs one chain and writes the
   posterior mean (raw and unit-diagonal scaled) plus the audit.
-* ``audit`` runs one chain purely for the violation counters.
+* ``audit`` runs replication 0 of the ``simulate`` scenario (same design,
+  data stream and chain) and writes only its violation audit.
 
-Every output directory gets a manifest echoing the full configuration and
-seed.  Wall-clock numbers go to a separate timing file so that everything
-else is byte-identical across reruns with the same seed.
+The chain settings and their defaults are those of
+:class:`~bayesglasso.sampler.ChainConfig`.  Every output directory gets a
+manifest echoing the full configuration and seed.  Wall-clock numbers go
+to a separate timing file so that everything else is byte-identical
+across reruns with the same seed.
 
 Exit codes: 0 success, 1 any replication/data failure, 2 configuration
 error.
@@ -63,14 +66,13 @@ class ScenarioConfig:
     p: int
     n: int
     sampler: str
-    burn_in: int = 5000
-    draws: int = 10000
+    burn_in: int = ChainConfig.burn_in
+    draws: int = ChainConfig.draws
     replications: int = 50
-    r: float = 1e-2
-    s: float = 1e-6
+    r: float = ChainConfig.r
+    s: float = ChainConfig.s
     threshold: float = 1e-3
     seed: int = 0
-    mcc_as_printed: bool = False
     jobs: int = 1
 
     def validate(self):
@@ -78,31 +80,31 @@ class ScenarioConfig:
             GraphDesign(kind=self.design, p=self.p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.sampler not in SAMPLER_KINDS:
-            raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}")
-        if self.n < 1 or self.replications < 1 or self.draws < 1:
-            raise ConfigError("n, replications and draws must be positive")
-        if self.burn_in < 0 or self.jobs < 1:
-            raise ConfigError("need burn_in >= 0, jobs >= 1")
-        if self.r <= 0.0 or self.s <= 0.0 or self.threshold <= 0.0:
-            raise ConfigError("r, s and threshold must be positive")
+        _check_chain(self.chain_config())
+        if self.n < 1 or self.replications < 1 or self.jobs < 1:
+            raise ConfigError("n, replications and jobs must be positive")
+        if self.threshold <= 0.0:
+            raise ConfigError("threshold must be positive")
 
     def chain_config(self):
         return ChainConfig(kind=self.sampler, burn_in=self.burn_in,
                            draws=self.draws, r=self.r, s=self.s)
 
 
-@dataclass
-class Dataset:
-    values: np.ndarray
-    column_labels: list | None = None
+def _check_chain(config):
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def ingest_csv(path, standardize=False):
-    """Read an n x p numeric CSV, auto-detecting a single header row.
+    """Read an n x p numeric CSV into an array, skipping a single header row.
 
-    All values must be finite; standardization centers each column and
-    scales it to unit sample standard deviation (n-1 denominator).
+    A first row that is not all numeric is a header; it must have one label
+    per column.  All values must be finite; standardization centers each
+    column and scales it to unit sample standard deviation (n-1
+    denominator).
     """
     with open(path, newline="") as fh:
         raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
@@ -110,10 +112,9 @@ def ingest_csv(path, standardize=False):
     if not raw:
         raise ValueError(f"{path}: empty file")
 
-    labels = None
-    first_line, first_row = raw[0]
-    if not all(_is_number(c) for c in first_row):
-        labels = [c.strip() for c in first_row]
+    header_width = None
+    if not all(_is_number(c) for c in raw[0][1]):
+        header_width = len(raw[0][1])
         raw = raw[1:]
         if not raw:
             raise ValueError(f"{path}: header row but no data")
@@ -136,8 +137,8 @@ def ingest_csv(path, standardize=False):
                     f"{path}: row {lineno}, column {j + 1}: non-finite value {cell!r}")
             values[k, j] = v
 
-    if labels is not None and len(labels) != width:
-        raise ValueError(f"{path}: header has {len(labels)} labels for {width} columns")
+    if header_width is not None and header_width != width:
+        raise ValueError(f"{path}: header has {header_width} labels for {width} columns")
 
     if standardize:
         if values.shape[0] < 2:
@@ -148,7 +149,7 @@ def ingest_csv(path, standardize=False):
             raise ValueError(f"column {zero[0] + 1} has zero variance")
         values = (values - values.mean(axis=0)) / sd
 
-    return Dataset(values=values, column_labels=labels)
+    return values
 
 
 def _is_number(cell):
@@ -159,22 +160,25 @@ def _is_number(cell):
     return True
 
 
-def run_replication(scenario, rep):
-    """One simulate replication: data, chain, losses, structure scores.
+def _scenario_chain(scenario, rep):
+    """The true model and the chain of replication rep of a scenario.
 
-    The replication owns RngStream(seed, stream_id=rep), so results do not
-    depend on execution order or worker count.
+    The replication owns RngStream(seed, stream_id=rep): it simulates the
+    data and then drives the chain, so results do not depend on execution
+    order or worker count.
     """
     model = build_design(GraphDesign(kind=scenario.design, p=scenario.p))
     rng = RngStream(scenario.seed, stream_id=rep)
     Y = simulate_data(model, scenario.n, rng)
-    S = scatter_matrix(Y)
-    out = run_chain(S, scenario.n, scenario.chain_config(), rng)
+    return model, run_chain(scatter_matrix(Y), scenario.n, scenario.chain_config(), rng)
 
+
+def run_replication(scenario, rep):
+    """One simulate replication: data, chain, losses, structure scores."""
+    model, out = _scenario_chain(scenario, rep)
     est = out.omega_mean
     adj = adjacency_from_estimate(est, scenario.threshold)
-    sc = structure_scores(adj, model.adjacency_true,
-                          mcc_as_printed=scenario.mcc_as_printed)
+    sc = structure_scores(adj, model.adjacency_true)
     row = {
         "design": scenario.design,
         "p": scenario.p,
@@ -209,15 +213,24 @@ def _bootstrap_se_of_median(values, seed, resamples=1000):
     return float(np.std(meds, ddof=1))
 
 
-def cmd_simulate(scenario, out_dir):
-    scenario.validate()
+def _open_run(out_dir, command, config):
+    """Make the output directory and write its manifest; returns its Path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {
-        "command": "simulate",
-        "version": __version__,
-        "config": asdict(scenario),
-    })
+    _write_json(out / "manifest.json",
+                {"command": command, "version": __version__, "config": config})
+    return out
+
+
+def _write_chain_audit(out, result):
+    """audit.json and timing.json of a one-chain command."""
+    _write_json(out / "audit.json", _audit_summary(result.audit))
+    _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
+
+
+def cmd_simulate(scenario, out_dir):
+    scenario.validate()
+    out = _open_run(out_dir, "simulate", asdict(scenario))
 
     t0 = time.perf_counter()
     reps = range(scenario.replications)
@@ -278,8 +291,7 @@ def _aggregate(scenario, rows, failures):
             }
         pooled = scores_from_counts(
             sum(r["tp"] for r in rows), sum(r["tn"] for r in rows),
-            sum(r["fp"] for r in rows), sum(r["fn"] for r in rows),
-            mcc_as_printed=scenario.mcc_as_printed)
+            sum(r["fp"] for r in rows), sum(r["fn"] for r in rows))
         agg["structure"] = {
             "tp": pooled.tp, "tn": pooled.tn, "fp": pooled.fp, "fn": pooled.fn,
             "specificity": pooled.specificity,
@@ -308,62 +320,34 @@ def _pool_audits(audits):
     return {**_audit_summary(pooled), "per_replication": audits}
 
 
-def cmd_fit(data_path, sampler, out_dir, *, burn_in=5000, draws=10000, seed=0,
-            r=1e-2, s=1e-6, standardize=False):
-    if sampler not in SAMPLER_KINDS:
-        raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}")
-    cfg = ChainConfig(kind=sampler, burn_in=burn_in, draws=draws, r=r, s=s)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    ds = ingest_csv(data_path, standardize=standardize)
-    n, p = ds.values.shape
+def cmd_fit(data_path, config, out_dir, *, seed=0, standardize=False):
+    """One chain with ChainConfig config on the data of a CSV file."""
+    _check_chain(config)
+    values = ingest_csv(data_path, standardize=standardize)
+    n, p = values.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows of data, found {n}")
     if p < 2:
         raise ValueError(f"need at least 2 columns of data, found {p}")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {
-        "command": "fit",
-        "version": __version__,
-        "config": {
-            "data_path": str(data_path), "sampler": sampler,
-            "burn_in": burn_in, "draws": draws, "seed": seed,
-            "r": r, "s": s, "standardize": standardize,
-            "n": int(n), "p": int(p),
-        },
+    out = _open_run(out_dir, "fit", {
+        "data_path": str(data_path), "sampler": config.kind,
+        "burn_in": config.burn_in, "draws": config.draws, "seed": seed,
+        "r": config.r, "s": config.s, "standardize": standardize,
+        "n": int(n), "p": int(p),
     })
-
-    S = scatter_matrix(ds.values)
-    result = run_chain(S, n, cfg, RngStream(seed))
+    result = run_chain(scatter_matrix(values), n, config, RngStream(seed))
     save_matrix_csv(result.omega_mean, out / "posterior_mean.csv")
     save_matrix_csv(unit_diag_scale(result.omega_mean),
                     out / "posterior_mean_unit_diag.csv")
-    _write_json(out / "audit.json", _audit_summary(result.audit))
-    _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
+    _write_chain_audit(out, result)
     return 0
 
 
 def cmd_audit(scenario, out_dir):
     scenario.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {
-        "command": "audit",
-        "version": __version__,
-        "config": asdict(scenario),
-    })
-
-    model = build_design(GraphDesign(kind=scenario.design, p=scenario.p))
-    rng = RngStream(scenario.seed, stream_id=0)
-    Y = simulate_data(model, scenario.n, rng)
-    result = run_chain(scatter_matrix(Y), scenario.n, scenario.chain_config(), rng)
-    _write_json(out / "audit.json", _audit_summary(result.audit))
-    _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
+    out = _open_run(out_dir, "audit", asdict(scenario))
+    _write_chain_audit(out, _scenario_chain(scenario, 0)[1])
     return 0
 
 
@@ -394,69 +378,55 @@ def build_parser():
                     "LASSO with positive-definiteness auditing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_scenario_flags(sp, burnin_default, draws_default):
+    def chain_flags(sp, burn_in=ChainConfig.burn_in, draws=ChainConfig.draws):
+        sp.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
+        sp.add_argument("--burnin", type=int, default=burn_in)
+        sp.add_argument("--draws", type=int, default=draws)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--r", type=float, default=ChainConfig.r)
+        sp.add_argument("--s", type=float, default=ChainConfig.s)
+        sp.add_argument("--out", required=True, help="output directory")
+
+    def scenario_flags(sp):
         sp.add_argument("--design", required=True, choices=DESIGN_KINDS)
         sp.add_argument("--p", required=True, type=int, help="number of variables")
         sp.add_argument("--n", required=True, type=int, help="sample size")
-        sp.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
-        sp.add_argument("--burnin", type=int, default=burnin_default)
-        sp.add_argument("--draws", type=int, default=draws_default)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--r", type=float, default=1e-2)
-        sp.add_argument("--s", type=float, default=1e-6)
-        sp.add_argument("--out", required=True, help="output directory")
 
     sim = sub.add_parser("simulate", help="replicated simulation campaign")
-    common_scenario_flags(sim, 5000, 10000)
-    sim.add_argument("--reps", type=int, default=50)
-    sim.add_argument("--threshold", type=float, default=1e-3)
-    sim.add_argument("--mcc-as-printed", action="store_true",
-                     help="use the misprinted MCC denominator")
-    sim.add_argument("--jobs", type=int, default=1,
+    scenario_flags(sim)
+    chain_flags(sim)
+    sim.add_argument("--reps", type=int, default=ScenarioConfig.replications)
+    sim.add_argument("--threshold", type=float, default=ScenarioConfig.threshold)
+    sim.add_argument("--jobs", type=int, default=ScenarioConfig.jobs,
                      help="replication worker processes")
 
     fit = sub.add_parser("fit", help="fit a user-supplied CSV data matrix")
     fit.add_argument("data", help="CSV file, rows = observations")
-    fit.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
-    fit.add_argument("--burnin", type=int, default=5000)
-    fit.add_argument("--draws", type=int, default=10000)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--r", type=float, default=1e-2)
-    fit.add_argument("--s", type=float, default=1e-6)
+    chain_flags(fit)
     fit.add_argument("--standardize", action="store_true",
                      help="center and scale each column before fitting")
-    fit.add_argument("--out", required=True)
 
-    aud = sub.add_parser("audit", help="violation counting only")
-    common_scenario_flags(aud, 0, 1000)
+    aud = sub.add_parser("audit", help="violation counts of replication 0 of a scenario")
+    scenario_flags(aud)
+    chain_flags(aud, burn_in=0, draws=1000)
 
     return parser
 
 
-def _scenario_from_args(args, replications=1):
-    return ScenarioConfig(
-        design=args.design, p=args.p, n=args.n, sampler=args.sampler,
-        burn_in=args.burnin, draws=args.draws,
-        replications=getattr(args, "reps", replications),
-        r=args.r, s=args.s,
-        threshold=getattr(args, "threshold", 1e-3),
-        seed=args.seed,
-        mcc_as_printed=getattr(args, "mcc_as_printed", False),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    chain = {"burn_in": args.burnin, "draws": args.draws, "r": args.r, "s": args.s}
     try:
-        if args.command == "simulate":
-            return cmd_simulate(_scenario_from_args(args), args.out)
+        if args.command == "fit":
+            return cmd_fit(args.data, ChainConfig(kind=args.sampler, **chain), args.out,
+                           seed=args.seed, standardize=args.standardize)
+        scenario = {"design": args.design, "p": args.p, "n": args.n,
+                    "sampler": args.sampler, "seed": args.seed, **chain}
         if args.command == "audit":
-            return cmd_audit(_scenario_from_args(args), args.out)
-        return cmd_fit(
-            args.data, args.sampler, args.out,
-            burn_in=args.burnin, draws=args.draws, seed=args.seed,
-            r=args.r, s=args.s, standardize=args.standardize)
+            return cmd_audit(ScenarioConfig(**scenario, replications=1), args.out)
+        return cmd_simulate(ScenarioConfig(**scenario, replications=args.reps,
+                                           threshold=args.threshold, jobs=args.jobs),
+                            args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

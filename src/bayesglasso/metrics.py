@@ -78,7 +78,7 @@ def scores_from_counts(tp, tn, fp, fn, mcc_as_printed=False):
                            mcc=mcc)
 
 
-def structure_scores(adj_hat, adj_true, mcc_as_printed=False):
+def structure_scores(adj_hat, adj_true):
     """Confusion counts over unordered off-diagonal pairs, plus criteria."""
     adj_hat = np.asarray(adj_hat, dtype=bool)
     adj_true = np.asarray(adj_true, dtype=bool)
@@ -91,7 +91,7 @@ def structure_scores(adj_hat, adj_true, mcc_as_printed=False):
     tn = int(np.sum(~h & ~t))
     fp = int(np.sum(h & ~t))
     fn = int(np.sum(~h & t))
-    return scores_from_counts(tp, tn, fp, fn, mcc_as_printed=mcc_as_printed)
+    return scores_from_counts(tp, tn, fp, fn)
 
 
 def unit_diag_scale(omega):

@@ -64,7 +64,7 @@ artifact byte-identical.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -84,7 +84,7 @@ EPS_OMEGA = 1e-10
 
 @dataclass
 class ChainConfig:
-    """Settings for one chain run."""
+    """Settings for one chain run; its defaults are the CLI's defaults too."""
 
     kind: str = "hrs"
     burn_in: int = 5000
@@ -174,24 +174,23 @@ class ChainOutput:
 
     omega_mean: np.ndarray
     audit: ViolationAudit
-    config: ChainConfig
-    seed: int
-    stream_id: int
     sweeps_run: int
     elapsed_seconds: float
     draws: list | None = None
 
 
-def initial_state(scatter, n, r=1e-2, s=1e-6):
-    """Identity precision, unit latent scales, unit shrinkage rates."""
+def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
+    """Identity precision, unit latent scales, unit shrinkage rates.
+
+    r and s are taken as valid: :func:`run_chain` validates its ChainConfig
+    before calling this.
+    """
     scatter = check_symmetric(scatter, "scatter")
     p = scatter.shape[0]
     if p < 2:
         raise ValueError("need at least two variables")
     if n < 1:
         raise ValueError("sample size must be positive")
-    if r <= 0.0 or s <= 0.0:
-        raise ValueError("hyperparameters r and s must be positive")
     tau = np.ones((p, p))
     np.fill_diagonal(tau, 0.0)
     return GibbsState(
@@ -536,9 +535,6 @@ def run_chain(data_scatter, n, config, rng):
     return ChainOutput(
         omega_mean=mean_acc / config.draws,
         audit=audit,
-        config=replace(config),
-        seed=rng.seed,
-        stream_id=rng.stream_id,
         sweeps_run=total,
         elapsed_seconds=elapsed,
         draws=draws,

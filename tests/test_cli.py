@@ -15,6 +15,7 @@ from bayesglasso.cli import (
 )
 from bayesglasso.matrixcore import load_matrix_csv, pd_check
 from bayesglasso.metrics import scores_from_counts
+from bayesglasso.sampler import SAMPLER_KINDS, ChainConfig
 
 
 # ---------------------------------------------------------------- ingestion
@@ -22,17 +23,16 @@ from bayesglasso.metrics import scores_from_counts
 def test_ingest_basic(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2\n3,4\n")
-    ds = ingest_csv(path)
-    assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
-    assert ds.column_labels is None
+    assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_ingest_header_detected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n3,4\n")
-    ds = ingest_csv(path)
-    assert ds.column_labels == ["a", "b"]
-    assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("a,b,c\n1,2\n3,4\n")
+    with pytest.raises(ValueError, match="header has 3 labels for 2 columns"):
+        ingest_csv(path)
 
 
 def test_ingest_ragged_row_reports_location(tmp_path):
@@ -73,12 +73,12 @@ def test_ingest_standardize_hand_oracle(tmp_path):
     # column (1, 3): mean 2, sample sd sqrt(2) -> (-0.7071..., +0.7071...)
     path = tmp_path / "d.csv"
     path.write_text("1,5\n3,9\n")
-    ds = ingest_csv(path, standardize=True)
+    values = ingest_csv(path, standardize=True)
     expect = 0.7071067811865475
-    assert abs(ds.values[0, 0] + expect) < 1e-12
-    assert abs(ds.values[1, 0] - expect) < 1e-12
-    assert np.allclose(ds.values.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(ds.values.std(axis=0, ddof=1), 1.0, atol=1e-12)
+    assert abs(values[0, 0] + expect) < 1e-12
+    assert abs(values[1, 0] - expect) < 1e-12
+    assert np.allclose(values.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(values.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
 
 def test_ingest_standardize_zero_variance(tmp_path):
@@ -194,7 +194,7 @@ def test_fit_smoke_posterior_mean_pd(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=50, p=3)
     out = tmp_path / "fit"
-    rc = cmd_fit(data, "hrs", out, burn_in=10, draws=30, seed=1)
+    rc = cmd_fit(data, ChainConfig(kind="hrs", burn_in=10, draws=30), out, seed=1)
     assert rc == 0
     mean = load_matrix_csv(out / "posterior_mean.csv")
     assert mean.shape == (3, 3)
@@ -209,7 +209,7 @@ def test_fit_n_less_than_p_completes_clean(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=5, p=10)
     out = tmp_path / "fit"
-    rc = cmd_fit(data, "hrs", out, burn_in=5, draws=15, seed=2)
+    rc = cmd_fit(data, ChainConfig(kind="hrs", burn_in=5, draws=15), out, seed=2)
     assert rc == 0
     audit = json.loads((out / "audit.json").read_text())
     assert audit["violations"] == 0
@@ -221,8 +221,9 @@ def test_fit_deterministic(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=20, p=4)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    cmd_fit(data, "bgs", out1, burn_in=4, draws=10, seed=9)
-    cmd_fit(data, "bgs", out2, burn_in=4, draws=10, seed=9)
+    cfg = ChainConfig(kind="bgs", burn_in=4, draws=10)
+    cmd_fit(data, cfg, out1, seed=9)
+    cmd_fit(data, cfg, out2, seed=9)
     assert (out1 / "posterior_mean.csv").read_bytes() == \
         (out2 / "posterior_mean.csv").read_bytes()
 
@@ -231,7 +232,7 @@ def test_fit_rejects_single_row(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("1,2,3\n")
     with pytest.raises(ValueError, match="at least 2 rows"):
-        cmd_fit(data, "hrs", tmp_path / "out", burn_in=1, draws=2)
+        cmd_fit(data, ChainConfig(kind="hrs", burn_in=1, draws=2), tmp_path / "out")
 
 
 # ---------------------------------------------------------------- audit cmd
@@ -245,6 +246,39 @@ def test_audit_command(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["updates_total"] == 8 * 40
     assert audit["violations"] >= 0
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_audit_is_replication_zero_of_simulate(kind, tmp_path):
+    scenario = small_scenario(sampler=kind, design="star", p=6, n=5,
+                              replications=1)
+    cmd_audit(scenario, tmp_path / "audit")
+    cmd_simulate(scenario, tmp_path / "sim")
+    audit = json.loads((tmp_path / "audit" / "audit.json").read_text())
+    rep0 = json.loads((tmp_path / "sim" / "audit.json").read_text())["per_replication"][0]
+    assert rep0.pop("replication") == 0
+    assert audit == rep0
+
+
+# ---------------------------------------------------------------- manifests
+
+SCENARIO_KEYS = {"design", "p", "n", "sampler", "burn_in", "draws", "replications",
+                 "r", "s", "threshold", "seed", "jobs"}
+FIT_KEYS = {"data_path", "sampler", "burn_in", "draws", "seed", "r", "s",
+            "standardize", "n", "p"}
+
+
+def test_manifest_config_keys_are_pinned(tmp_path):
+    data = tmp_path / "data.csv"
+    write_synthetic(data, n=6, p=3)
+    cmd_simulate(small_scenario(replications=1), tmp_path / "simulate")
+    cmd_audit(small_scenario(replications=1), tmp_path / "audit")
+    cmd_fit(data, ChainConfig(kind="bgs", burn_in=1, draws=2), tmp_path / "fit")
+    for command, keys in (("simulate", SCENARIO_KEYS), ("audit", SCENARIO_KEYS),
+                          ("fit", FIT_KEYS)):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == keys, command
 
 
 # ---------------------------------------------------------------- main/exits

@@ -1,9 +1,11 @@
-"""The README's library example and the package's public names."""
+"""The README's CLI and library examples and the package's public names."""
 
 import re
+import shlex
 from pathlib import Path
 
 import bayesglasso
+from bayesglasso.cli import build_parser
 from bayesglasso.matrixcore import pd_check
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +42,17 @@ def test_readme_library_example_runs():
     assert out.sweeps_run == 15
     assert pd_check(out.omega_mean) is not None
     assert out.audit.violations == 0  # the example runs hrs
+
+
+def cli_examples():
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\n(.*?)```", section, re.S)
+    return [shlex.split(b.replace("\\\n", " ")) for b in blocks
+            if b.startswith("bayesglasso ")]
+
+
+def test_readme_cli_examples_parse():
+    sim, aud, fit = (build_parser().parse_args(argv[1:]) for argv in cli_examples())
+    assert (sim.command, sim.p, sim.reps) == ("simulate", 30, 50)
+    assert (aud.command, aud.sampler, aud.burnin) == ("audit", "bgs", 0)
+    assert (fit.command, fit.data, fit.standardize) == ("fit", "returns.csv", True)

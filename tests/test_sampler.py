@@ -650,7 +650,6 @@ def test_run_chain_deterministic_bitwise():
     assert np.array_equal(out1.omega_mean, out2.omega_mean)
     assert out1.audit.violations == out2.audit.violations
     assert out1.audit.updates_total == out2.audit.updates_total
-    assert out1.seed == 77 and out1.stream_id == 3
 
 
 def test_run_chain_stores_every_retained_draw():
