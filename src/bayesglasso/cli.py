@@ -206,8 +206,7 @@ def _replication_task(scenario, rep):
 def _bootstrap_se_of_median(values, seed, resamples=1000):
     """SE of the median via bootstrap over replications."""
     vals = np.asarray(values, dtype=float)
-    gen = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
+    gen = RngStream(seed, _BOOTSTRAP_STREAM).gen
     idx = gen.integers(0, vals.size, size=(resamples, vals.size))
     meds = np.median(vals[idx], axis=1)
     return float(np.std(meds, ddof=1))
@@ -239,7 +238,6 @@ def cmd_simulate(scenario, out_dir):
             results = list(pool.map(_replication_task, [scenario] * scenario.replications, reps))
     else:
         results = [_replication_task(scenario, rep) for rep in reps]
-    results.sort(key=lambda t: t[0])
 
     rows = [row for _, row, _, _, err in results if err is None]
     audits = [a for _, _, a, _, err in results if err is None]

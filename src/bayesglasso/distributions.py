@@ -10,7 +10,7 @@ when they run in parallel.
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtri_exp
 
 
 class RngStream:
@@ -45,26 +45,24 @@ def michael_schucany_haas(mean, shape, nu, u):
     return np.where(u * (mean + x) <= mean, x, mean2 / x)
 
 
-# Beyond this many standard deviations the inverse-CDF route runs out of
-# floating point resolution, so tail intervals switch to rejection.
-_TAIL_Z = 4.0
-_TAIL_REJECTION_TRIES = 64
-# Draws landing outside (lo, hi) after rounding are retried this often.  A
-# usable interval needs about one try; running out means the interval is
-# too narrow for the draw to resolve, which raises instead of looping.
-_TRUNCNORM_TRIES = 100
+def sample_truncated_normal(mu, sigma, lo, hi, u):
+    """N(mu, sigma**2) conditioned on the open interval (lo, hi), as a pure
+    function of one uniform u on [0, 1).
 
+    lo may be -inf and hi may be +inf.  The draw is the exact inverse CDF,
+    taken on the upper-tail probability Q in log space so that it keeps
+    full relative precision arbitrarily far into either tail: with a and b
+    the standardized endpoints,
 
-def sample_truncated_normal(mu, sigma, lo, hi, rng):
-    """Draw from N(mu, sigma**2) conditioned on the open interval (lo, hi).
+        log Q(z) = log Q(a) + log1p(t * expm1(log Q(b) - log Q(a)))
 
-    lo may be -inf and hi may be +inf.  Central intervals use inverse-CDF
-    sampling; intervals lying more than _TAIL_Z standard deviations into a
-    tail use an exponential-proposal rejection sampler that stays exact
-    arbitrarily far out.  The returned value is strictly inside (lo, hi);
-    when exactly one float lies there it is returned without a draw.
-    ValueError is raised when no float lies strictly inside the interval,
-    or when _TRUNCNORM_TRIES draws in a row round to outside it.
+    where t is u mapped affinely onto [2**-50, 1 - 2**-50], so z = ppf(t,
+    a, b) of the truncated standard normal.  An interval with a + b < 0 is
+    mirrored first, so that log Q(a) never rounds to 0; there the draw is
+    ppf(1 - t, a, b).  When exactly one float lies strictly inside (lo, hi)
+    it is returned whatever u is.  ValueError is raised when no float lies
+    strictly inside the interval, and when the draw rounds onto or outside
+    an endpoint, which an interval a few ulps wide can make it do.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -79,44 +77,19 @@ def sample_truncated_normal(mu, sigma, lo, hi, rng):
         return inside
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
-    gen = rng.gen
-    for _ in range(_TRUNCNORM_TRIES):
-        x = mu + sigma * _standard_truncnorm(a, b, gen)
-        if lo < x < hi:
-            return x
-    raise ValueError(
-        f"no draw of N({mu!r}, {sigma!r}**2) landed strictly inside ({lo!r}, {hi!r}) "
-        f"in {_TRUNCNORM_TRIES} tries")
-
-
-def _standard_truncnorm(a, b, gen):
-    # May return a value on or just outside [a, b] when rounding defeats
-    # the inverse CDF; the caller rejects and retries.
-    if b < -_TAIL_Z:
-        return -_upper_tail(-b, -a, gen)
-    if a > _TAIL_Z:
-        return _upper_tail(a, b, gen)
-    pa = float(ndtr(a))
-    pb = float(ndtr(b))
-    return float(ndtri(pa + (pb - pa) * gen.random()))
-
-
-def _upper_tail(a, b, gen):
-    # Robert (1995): translated exponential proposal on [a, inf) with the
-    # acceptance-optimal rate, rejecting proposals past b.
-    rate = 0.5 * (a + math.sqrt(a * a + 4.0))
-    for _ in range(_TAIL_REJECTION_TRIES):
-        z = a + gen.exponential(1.0 / rate)
-        if z >= b:
-            continue
-        d = z - rate
-        if gen.random() <= math.exp(-0.5 * d * d):
-            return z
-    # Extremely narrow far-tail interval: fall back to inverse-CDF on the
-    # survival function in log space, which keeps full relative precision.
+    mirrored = a + b < 0.0
+    if mirrored:
+        a, b = -b, -a
+    # t keeps 2**-50, eight steps of the 2**-53 grid that uniforms come on,
+    # away from 0 and 1.  u + 2**-54 would round the largest uniform up to
+    # 1.0, and the log-space inverse CDF resolves a quantile level only to a
+    # few grid steps next to an endpoint such as those of (-1, 1).
+    t = 2.0 ** -50 + u * (1.0 - 2.0 ** -49)
     la = float(log_ndtr(-a))
-    lb = float(log_ndtr(-b)) if b != math.inf else -math.inf
-    v = gen.random()
-    log_u = la + math.log(v + (1.0 - v) * math.exp(lb - la)) if lb > -math.inf \
-        else la + math.log(v)
-    return -float(ndtri_exp(log_u))
+    lb = float(log_ndtr(-b))
+    z = float(ndtri_exp(la + math.log1p(t * math.expm1(lb - la))))
+    x = mu + sigma * z if mirrored else mu - sigma * z
+    if not lo < x < hi:
+        raise ValueError(
+            f"draw {x!r} of N({mu!r}, {sigma!r}**2) rounded outside ({lo!r}, {hi!r})")
+    return x

@@ -51,15 +51,15 @@ this order and with these shapes whatever the state:
    and then the diagonal shrinkage-rate draws of column i;
 4. ``standard_normal((p, p - 1))`` and
 5. ``random((p, p - 1))``: row i feeds the inverse-Gaussian transform of
-   column i's latent scales.
+   column i's latent scales;
+6. for hrs only, ``random(p)``: entry i is the uniform that the exact
+   inverse CDF turns into column i's truncated-normal step.
 
 Every column update is then a pure transform of row i of the bank and the
-state.  The only draws made on the live stream are hrs's truncated-normal
-steps, whose count varies (retries, the tail sampler); bgs consumes
-exactly the bank.  The very first column of a chain skips its beta draw
-but its bank row is drawn all the same.  A change made only for speed
-keeps the bank and the arithmetic fixed, so it leaves every seeded
-artifact byte-identical.
+state, so a sweep consumes exactly the bank.  The very first column of a
+chain skips its beta draw but its bank row is drawn all the same.  A
+change made only for speed keeps the bank and the arithmetic fixed, so it
+leaves every seeded artifact byte-identical.
 """
 
 import math
@@ -335,11 +335,12 @@ def hit_and_run_interval(alpha, beta, omega11_inv, gamma):
     return (-b - disc) / a, (-b + disc) / a
 
 
-def hrs_update_beta(part, z, rng):
+def hrs_update_beta(part, z, u):
     """Hit-and-run draw of the off-diagonal column inside the PD region.
 
-    z is a vector of p - 1 standard normals; rng feeds the truncated-normal
-    step.  The move happens in the whitened coordinates of the conditional
+    z is a vector of p - 1 standard normals and u a uniform on [0, 1),
+    which the exact inverse CDF turns into the truncated-normal step.  The
+    move happens in the whitened coordinates of the conditional
     covariance C: the direction of z there is uniform on the sphere and
     maps to d = L^{-T} z here, and the exact conditional of the step size
     kappa along d is a univariate normal with
@@ -369,7 +370,7 @@ def hrs_update_beta(part, z, rng):
     sigma_k = math.sqrt(1.0 / denom)
     gamma = float(part.omega22 - part.beta @ (part.omega11_inv @ part.beta))
     lo, hi = hit_and_run_interval(d, part.beta, part.omega11_inv, gamma)
-    kappa = sample_truncated_normal(mu_k, sigma_k, lo, hi, rng)
+    kappa = sample_truncated_normal(mu_k, sigma_k, lo, hi, u)
     return part.beta + kappa * d
 
 
@@ -418,7 +419,7 @@ def _clamp(x, bounds):
     return np.minimum(x, bounds[1], out=x)
 
 
-def sweep(state, kind, audit, rng, *, skip_first_beta=False):
+def sweep(state, kind, audit, rng):
     """One full pass over all p columns, mutating state in place.
 
     The sweep starts with the one Cholesky factorisation of omega it
@@ -438,9 +439,10 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False):
     non-positive gamma draw would break the column-boundary invariant, so
     it is an error rather than a count.
 
-    skip_first_beta reproduces the guard both samplers apply on the very
-    first pass, before column 1 has been informed by any update: that one
-    column keeps its initial off-diagonals and only the diagonal moves.
+    A chain's first sweep, the one that finds ``state.sigma`` still None,
+    applies the guard of both samplers: column 1 has not been informed by
+    any update yet, so it keeps its initial off-diagonals and only its
+    diagonal moves.
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
@@ -448,7 +450,8 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False):
     if L is None:
         raise ValueError("omega is not positive definite at the start of the sweep")
     sigma = invert_from_factor(L)
-    if state.sigma is not None:
+    first_sweep = state.sigma is None
+    if not first_sweep:
         drift = float(abs(state.sigma - sigma).max() / abs(sigma).max())
         audit.sigma_drift_max = max(audit.sigma_drift_max, drift)
     state.sigma = sigma
@@ -463,6 +466,8 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False):
     lambda_bank = gen.standard_gamma(state.r + 1.0, (p, p))
     nu_bank = gen.standard_normal((p, p - 1))
     u_bank = gen.random((p, p - 1))
+    if hrs:
+        kappa_bank = gen.random(p).tolist()
 
     for i in range(p):
         stage = "partition"
@@ -470,10 +475,10 @@ def sweep(state, kind, audit, rng, *, skip_first_beta=False):
             part = make_partition(state, i, sigma)
 
             beta = part.beta
-            if not (skip_first_beta and i == 0):
+            if not (first_sweep and i == 0):
                 stage = "beta"
                 if hrs:
-                    beta = hrs_update_beta(part, z_bank[i], rng)
+                    beta = hrs_update_beta(part, z_bank[i], kappa_bank[i])
                 else:
                     beta = bgs_update_beta(part, z_bank[i])
                 _put_column(omega, i, beta)
@@ -525,7 +530,7 @@ def run_chain(data_scatter, n, config, rng):
 
     t0 = time.perf_counter()
     for k in range(total):
-        sweep(state, config.kind, audit, rng, skip_first_beta=(k == 0))
+        sweep(state, config.kind, audit, rng)
         if k >= config.burn_in:
             mean_acc += state.omega
             if draws is not None:

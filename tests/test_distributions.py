@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from bayesglasso.distributions import RngStream, michael_schucany_haas, sample_truncated_normal
 from bayesglasso.sampler import EPS_OMEGA, TAU_BOUNDS, update_tau_column
@@ -77,73 +78,86 @@ def test_inverse_gaussian_extreme_parameters_stay_finite():
     assert np.all(draws > 0)
 
 
+def truncnorm_draws(mu, sigma, lo, hi, seed, n):
+    """n draws of the truncated normal, one banked-style uniform each."""
+    return np.array([sample_truncated_normal(mu, sigma, lo, hi, u)
+                     for u in RngStream(seed).gen.random(n).tolist()])
+
+
 def test_truncnorm_symmetric_interval():
-    rng = RngStream(8)
-    draws = np.array([sample_truncated_normal(0.0, 1.0, -1.0, 1.0, rng)
-                      for _ in range(N_DRAWS)])
+    draws = truncnorm_draws(0.0, 1.0, -1.0, 1.0, 8, N_DRAWS)
     assert np.all((draws > -1.0) & (draws < 1.0))
     assert abs(draws.mean()) < 0.01
+    # The smallest and largest uniforms the generator can return are moved
+    # inside (0, 1) before the inverse CDF, so neither lands on an endpoint.
+    for u in (0.0, 1.0 - 2.0 ** -53):
+        assert -1.0 < sample_truncated_normal(0.0, 1.0, -1.0, 1.0, u) < 1.0
 
 
 def test_truncnorm_far_tail_oracle():
     # quadrature oracle: E[Z | 5 < Z < 6] = 5.183147090477174
-    rng = RngStream(9)
-    draws = np.array([sample_truncated_normal(0.0, 1.0, 5.0, 6.0, rng)
-                      for _ in range(N_DRAWS)])
+    draws = truncnorm_draws(0.0, 1.0, 5.0, 6.0, 9, N_DRAWS)
     assert np.all((draws > 5.0) & (draws < 6.0))
     assert abs(draws.mean() - 5.183147090477174) < 0.01
 
 
 def test_truncnorm_mirrored_tail_oracle():
     # quadrature oracle: E[Z | -30 < Z < -29] = -29.034403502535711
-    rng = RngStream(10)
-    draws = np.array([sample_truncated_normal(0.0, 1.0, -30.0, -29.0, rng)
-                      for _ in range(20_000)])
+    draws = truncnorm_draws(0.0, 1.0, -30.0, -29.0, 10, 20_000)
     assert np.all((draws > -30.0) & (draws < -29.0))
     assert abs(draws.mean() + 29.034403502535711) < 0.002
 
 
 def test_truncnorm_unbounded_reduces_to_normal():
-    rng = RngStream(11)
-    draws = np.array([sample_truncated_normal(3.0, 2.0, -np.inf, np.inf, rng)
-                      for _ in range(N_DRAWS)])
+    draws = truncnorm_draws(3.0, 2.0, -np.inf, np.inf, 11, N_DRAWS)
     assert abs(draws.mean() - 3.0) < 0.02
 
 
 def test_truncnorm_shifted_scaled():
     # interval 5 sigma into the tail of a non-standard normal
-    rng = RngStream(12)
-    draws = np.array([sample_truncated_normal(-2.0, 3.0, 13.0, 16.0, rng)
-                      for _ in range(20_000)])
+    draws = truncnorm_draws(-2.0, 3.0, 13.0, 16.0, 12, 20_000)
     assert np.all((draws > 13.0) & (draws < 16.0))
     # standardized interval is (5, 6): mean = -2 + 3 * 5.183147090477174
     assert abs(draws.mean() - (-2.0 + 3.0 * 5.183147090477174)) < 0.03
 
 
+@pytest.mark.parametrize("lo,hi", [
+    (-1.0, 1.0), (-2.0, 0.1), (5.0, 6.0), (-30.0, -29.0), (-3.0, 50.0),
+    (0.5, math.inf), (-math.inf, -40.0), (-math.inf, math.inf)])
+def test_truncnorm_is_the_exact_inverse_cdf(lo, hi):
+    # The draw is scipy's truncnorm.ppf(u, a, b), and ppf(1 - u, a, b) on an
+    # interval mirrored because a + b < 0.  The atol covers ppf values near
+    # 0, where no relative agreement is possible.
+    u = np.linspace(0.01, 0.99, 99)
+    got = [sample_truncated_normal(0.0, 1.0, lo, hi, v) for v in u.tolist()]
+    want = truncnorm.ppf(1.0 - u if lo + hi < 0.0 else u, lo, hi)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 def test_truncnorm_errors():
-    rng = RngStream(13)
     with pytest.raises(ValueError, match="empty truncation interval"):
-        sample_truncated_normal(0.0, 1.0, 1.0, 1.0, rng)
+        sample_truncated_normal(0.0, 1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="empty truncation interval"):
-        sample_truncated_normal(0.0, 1.0, 2.0, -2.0, rng)
+        sample_truncated_normal(0.0, 1.0, 2.0, -2.0, 0.5)
     with pytest.raises(ValueError, match="sigma"):
-        sample_truncated_normal(0.0, 0.0, -1.0, 1.0, rng)
+        sample_truncated_normal(0.0, 0.0, -1.0, 1.0, 0.5)
+    # Four ulps wide: the inverse CDF rounds onto an endpoint, which raises
+    # instead of returning a value outside the open interval.
+    with pytest.raises(ValueError, match="rounded outside"):
+        sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 4 * 2.0 ** -52, 0.5)
 
 
 def test_truncnorm_unresolvable_interval_returns():
     # No float lies strictly inside (1, nextafter(1, 2)); the sampler used
     # to retry forever on this interval.
-    rng = RngStream(13)
     with pytest.raises(ValueError, match="no float"):
-        sample_truncated_normal(0.0, 1.0, 1.0, math.nextafter(1.0, 2.0), rng)
-    # Exactly one float inside: it comes back at once, without a draw.
+        sample_truncated_normal(0.0, 1.0, 1.0, math.nextafter(1.0, 2.0), 0.5)
+    # Exactly one float inside: it comes back whatever the uniform is.
     only = math.nextafter(1.0, 2.0)
     hi = math.nextafter(only, 2.0)
-    for seed in range(3):
-        rng_one, fresh = RngStream(seed), RngStream(seed)
-        assert sample_truncated_normal(0.0, 1.0, 1.0, hi, rng_one) == only
-        assert rng_one.gen.random() == fresh.gen.random()
-    assert sample_truncated_normal(0.0, 1.0, -hi, -1.0, rng) == -only
+    for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
+        assert sample_truncated_normal(0.0, 1.0, 1.0, hi, u) == only
+    assert sample_truncated_normal(0.0, 1.0, -hi, -1.0, 0.5) == -only
     # A narrow interval the draw can resolve still gives a value inside it.
-    x = sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 1e-9, rng)
+    x = sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 1e-9, 0.5)
     assert 1.0 < x < 1.0 + 1e-9

@@ -289,7 +289,7 @@ def test_hrs_beta_always_feasible():
                                 np.abs(rng.standard_normal(p1)) + 0.05,
                                 float(np.abs(rng.standard_normal()) + 0.05),
                                 beta, omega22)
-        new_beta = hrs_update_beta(part, stream.gen.standard_normal(p1), stream)
+        new_beta = hrs_update_beta(part, stream.gen.standard_normal(p1), stream.gen.random())
         assert new_beta @ inv @ new_beta < omega22
 
 
@@ -304,7 +304,7 @@ def test_hrs_unbounded_matches_bgs_distribution():
     n = 40_000
     h = RngStream(8)
     b = RngStream(9)
-    hrs_draws = np.array([hrs_update_beta(part, h.gen.standard_normal(1), h)[0]
+    hrs_draws = np.array([hrs_update_beta(part, h.gen.standard_normal(1), h.gen.random())[0]
                           for _ in range(n)])
     bgs_draws = np.array([bgs_update_beta(part, b.gen.standard_normal(1))[0]
                           for _ in range(n)])
@@ -373,7 +373,7 @@ def make_sim_state(kind="circle", p=10, n=30, seed=20):
 def test_sweep_keeps_exact_symmetry_and_audit_counts():
     st, rng = make_sim_state()
     audit = ViolationAudit()
-    sweep(st, "hrs", audit, rng, skip_first_beta=True)
+    sweep(st, "hrs", audit, rng)
     p = st.omega.shape[0]
     assert audit.updates_total == p
     assert np.max(np.abs(st.omega - st.omega.T)) == 0.0
@@ -385,8 +385,8 @@ def test_sweep_keeps_exact_symmetry_and_audit_counts():
 def test_hrs_sweep_never_violates():
     st, rng = make_sim_state(p=8, n=5)  # n < p on purpose
     audit = ViolationAudit()
-    for k in range(50):
-        sweep(st, "hrs", audit, rng, skip_first_beta=(k == 0))
+    for _ in range(50):
+        sweep(st, "hrs", audit, rng)
         assert pd_check(st.omega) is not None
     assert audit.violations == 0
     assert audit.updates_total == 50 * 8
@@ -395,8 +395,8 @@ def test_hrs_sweep_never_violates():
 def test_bgs_sweep_records_violations_and_continues():
     st, rng = make_sim_state(kind="circle", p=20, n=30)
     audit = ViolationAudit()
-    for k in range(60):
-        sweep(st, "bgs", audit, rng, skip_first_beta=(k == 0))
+    for _ in range(60):
+        sweep(st, "bgs", audit, rng)
     assert audit.violations > 0
     assert audit.violations <= audit.updates_total
     # the chain kept going and the state stayed finite
@@ -426,8 +426,8 @@ def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampler, "update_lambda_column", checked)
-    for k in range(5):
-        sweep(st, kind, ViolationAudit(), rng, skip_first_beta=(k == 0))
+    for _ in range(5):
+        sweep(st, kind, ViolationAudit(), rng)
     assert len(errors) == 5 * 8
     assert max(errors) < 1e-9
 
@@ -444,8 +444,8 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
 
     monkeypatch.setattr(sampler, "update_gamma", audited)
     audit = ViolationAudit()
-    for k in range(40):
-        sweep(st, "bgs", audit, rng, skip_first_beta=(k == 0))
+    for _ in range(40):
+        sweep(st, "bgs", audit, rng)
     assert len(full) == audit.updates_total == 40 * 20
     assert audit.violations == sum(full)
     assert audit.violations > 100
@@ -457,7 +457,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # one inverse that gives Sigma: no other O(p^3) step in the column loop.
     p = 12
     st, rng = make_sim_state(p=p, n=30)
-    sweep(st, kind, ViolationAudit(), rng, skip_first_beta=True)
+    sweep(st, kind, ViolationAudit(), rng)
     calls = {"pd_check": 0, "invert_from_factor": 0}
 
     def counted(name):
@@ -475,13 +475,25 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     assert calls["invert_from_factor"] == 1
 
 
-def test_first_sweep_guard_changes_draw_sequence():
-    st1, _ = make_sim_state(seed=21)
-    st2, _ = make_sim_state(seed=21)
-    r1, r2 = RngStream(99), RngStream(99)
-    sweep(st1, "hrs", ViolationAudit(), r1, skip_first_beta=True)
-    sweep(st2, "hrs", ViolationAudit(), r2, skip_first_beta=False)
-    assert not np.array_equal(st1.omega, st2.omega)
+def test_first_sweep_guard_changes_draw_sequence(monkeypatch):
+    # The sweep that finds state.sigma still None, a chain's first, keeps
+    # column 0's initial off-diagonals: one beta step fewer than later ones.
+    calls = []
+    for name in ("bgs_update_beta", "hrs_update_beta"):
+        def counted(*args, name=name, original=getattr(sampler, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(sampler, name, counted)
+    p = 10
+    for kind in SAMPLER_KINDS:
+        st, rng = make_sim_state(p=p, seed=21)
+        per_sweep = []
+        for _ in range(2):
+            before = len(calls)
+            sweep(st, kind, ViolationAudit(), rng)
+            per_sweep.append(len(calls) - before)
+        assert per_sweep == [p - 1, p]
+        assert calls[-1] == f"{kind}_update_beta"
 
 
 # ---------------------------------------------------------------- reference kernel
@@ -509,6 +521,8 @@ def reference_sweep(st, kind, rng, skip_first_beta):
     omega, tau, lam = st.omega, st.tau, st.lam
     sigma = st.sigma = invert_from_factor(pd_check(omega))
     Z, G_gamma, G_lambda, NU, U = draw_bank(gen, p, st.n, st.r)
+    if kind == "hrs":
+        K = gen.random(p)
     violations = 0
     for i in range(p):
         rest = np.array([p - 1 if j == i else j for j in range(p - 1)])
@@ -535,7 +549,7 @@ def reference_sweep(st, kind, rng, skip_first_beta):
                 a, b = float(d @ v), float(beta @ v)
                 disc = math.sqrt(b * b + a * gam_old)
                 kappa = sample_truncated_normal(
-                    mu, math.sqrt(1.0 / denom), (-b - disc) / a, (-b + disc) / a, rng)
+                    mu, math.sqrt(1.0 / denom), (-b - disc) / a, (-b + disc) / a, K[i])
                 beta = beta + kappa * d
             omega[rest, i] = beta
             omega[i, rest] = beta
@@ -575,7 +589,7 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
     audit = ViolationAudit()
     updates = violations = 0
     for k in range(40):
-        sweep(st, kind, audit, rng, skip_first_beta=(k == 0))
+        sweep(st, kind, audit, rng)
         du, dv = reference_sweep(ref, kind, ref_rng, skip_first_beta=(k == 0))
         updates += du
         violations += dv
@@ -589,26 +603,20 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_sweep_stream_is_fixed_shape(kind, monkeypatch):
+def test_sweep_stream_is_fixed_shape(kind):
     # Two different states with equal n and r consume the same draws from
-    # equal streams: the bank and, for hrs, only the truncated-normal steps
-    # besides it, which are sent to a side stream here.
-    side = RngStream(0)
-    original = sampler.sample_truncated_normal
-
-    def on_side_stream(mu, sigma, lo, hi, rng):
-        return original(mu, sigma, lo, hi, side)
-
-    monkeypatch.setattr(sampler, "sample_truncated_normal", on_side_stream)
+    # equal streams: exactly the bank, plus the step uniforms for hrs.
     p = 9
     st1, _ = make_sim_state(kind="circle", p=p, n=30, seed=50)
     st2, _ = make_sim_state(kind="star", p=p, n=30, seed=51)
-    for k in range(3):
-        sweep(st2, kind, ViolationAudit(), RngStream(52), skip_first_beta=(k == 0))
+    for _ in range(3):
+        sweep(st2, kind, ViolationAudit(), RngStream(52))
     fresh = RngStream(53)
     draw_bank(fresh.gen, p, 30, st1.r)
+    if kind == "hrs":
+        fresh.gen.random(p)
     rng1, rng2 = RngStream(53), RngStream(53)
-    sweep(st1, kind, ViolationAudit(), rng1, skip_first_beta=True)
+    sweep(st1, kind, ViolationAudit(), rng1)
     sweep(st2, kind, ViolationAudit(), rng2)
     assert not np.array_equal(st1.omega, st2.omega)
     assert rng1.gen.random() == rng2.gen.random() == fresh.gen.random()
@@ -617,7 +625,7 @@ def test_sweep_stream_is_fixed_shape(kind, monkeypatch):
 def test_sigma_drift_is_recorded_and_small():
     st, rng = make_sim_state(kind="circle", p=20, n=30)
     audit = ViolationAudit()
-    sweep(st, "bgs", audit, rng, skip_first_beta=True)
+    sweep(st, "bgs", audit, rng)
     assert audit.sigma_drift_max == 0.0  # nothing carried into the first sweep
     for _ in range(30):
         sweep(st, "bgs", audit, rng)
