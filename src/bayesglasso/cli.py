@@ -102,7 +102,9 @@ def ingest_csv(path, standardize=False):
     """Read an n x p numeric CSV into an array, skipping a single header row.
 
     A first row that is not all numeric is a header; it must have one label
-    per column.  All values must be finite; standardization centers each
+    per column.  A first row with an empty cell has a missing label or a
+    missing value, so it is read as data and rejected like any other row
+    with a blank.  All values must be finite; standardization centers each
     column and scales it to unit sample standard deviation (n-1
     denominator).
     """
@@ -113,7 +115,8 @@ def ingest_csv(path, standardize=False):
         raise ValueError(f"{path}: empty file")
 
     header_width = None
-    if not all(_is_number(c) for c in raw[0][1]):
+    first = raw[0][1]
+    if all(c.strip() for c in first) and not all(_is_number(c) for c in first):
         header_width = len(raw[0][1])
         raw = raw[1:]
         if not raw:

@@ -28,23 +28,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def michael_schucany_haas(mean, shape, nu, u):
-    """IG(mean, shape) as a pure function of a standard normal nu and a
-    uniform u on [0, 1) (Michael, Schucany & Haas 1976).
-
-    Parameters are not checked; they must be positive.  The result is
-    positive and finite for every finite positive mean and shape.
-    """
-    my = mean * nu * nu
-    x = mean + mean * (my - np.sqrt(my * (4.0 * shape + my))) / (2.0 * shape)
-    # The smaller root can round to <= 0 under extreme parameters.  Floor it
-    # far below any achievable draw, high enough that both this branch and
-    # the mean**2/x branch stay finite.
-    mean2 = mean * mean
-    x = np.fmax(x, 1e-300 * np.fmax(mean2, 1.0))
-    return np.where(u * (mean + x) <= mean, x, mean2 / x)
-
-
 def sample_truncated_normal(mu, sigma, lo, hi, u):
     """N(mu, sigma**2) conditioned on the open interval (lo, hi), as a pure
     function of one uniform u on [0, 1).

@@ -10,8 +10,8 @@ Two samplers share every update except the off-diagonal step:
   set where the partially updated matrix stays positive definite, so a
   chain started at a positive definite matrix never leaves the cone.
 
-A sweep visits every column once.  For column i the matrices are viewed
-through the symmetric permutation that moves i last, giving the blocks
+A sweep visits every column once.  For column i the other variables form
+the blocks
 
     omega = [[Omega11, beta], [beta', w22]]
 
@@ -24,42 +24,54 @@ every column boundary whatever beta was drawn.  The only moment bgs can
 leave the cone is between the off-diagonal write and the diagonal write,
 and that is the moment the audit checks.
 
+The blocks are masked, not permuted: column i is row i of the full p x p
+matrices, in natural order, with slot i decoupled.  Slot i is zero in
+Omega11^{-1}, s12 and beta and one in tau12, so the inverse conditional
+covariance ``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)``
+has a unit (i, i) entry and a zero row and column i, and the beta draw
+comes out exactly 0 in slot i.  Omega, Sigma and tau are then updated in
+place with one row write and one column write each.
+
 The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
 and asserts the column-boundary invariant; then, per column,
 
-* the partition reads ``Omega11^{-1} = Sigma11 - sigma12 sigma12' / sigma22``;
+* the partition reads ``Omega11^{-1} = Sigma - u u'`` with ``u = sigma_i /
+  sqrt(sigma_ii)``, row and column i set to zero;
 * the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
   on the matrix holding the new beta and the old w22;
 * after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
-  ``Sigma11 = Omega11^{-1} + v v' / gamma``, ``sigma12 = -v / gamma``,
-  ``sigma22 = 1 / gamma``.
+  ``Omega11^{-1} + v v' / gamma`` with row and column i set to ``-v /
+  gamma`` and ``sigma_ii = 1 / gamma``.
 
 All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
-factorisation of the inverse conditional covariance that the beta draw
-needs.
+factorisation of C^{-1} that the beta draw needs.  Outer products are
+taken as exact elementwise products, so every carried matrix stays exactly
+symmetric.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator, in
 this order and with these shapes whatever the state:
 
-1. ``standard_normal((p, p - 1))``: row i is the bgs normal vector of
-   column i, or the unnormalised hrs direction;
+1. ``standard_normal((p, p))``, diagonal set to zero: row i is the bgs
+   normal vector of column i, or the unnormalised hrs direction;
 2. ``standard_gamma(n/2 + 1, p)``: entry i is the gamma draw of column i
    before its rate is applied;
-3. ``standard_gamma(r + 1, (p, p))``: row i holds the p - 1 off-diagonal
-   and then the diagonal shrinkage-rate draws of column i;
-4. ``standard_normal((p, p - 1))`` and
-5. ``random((p, p - 1))``: row i feeds the inverse-Gaussian transform of
-   column i's latent scales;
+3. ``standard_gamma(r + 1, (p, p))``: row i holds the shrinkage-rate draws
+   of row i of omega, entry i the diagonal one;
+4. ``standard_normal((p, p))`` and
+5. ``random((p, p))``: entry (i, j) feeds the inverse-Gaussian draw of
+   tau_ij, held as nu**2 / 2 and u / (1 - u);
 6. for hrs only, ``random(p)``: entry i is the uniform that the exact
    inverse CDF turns into column i's truncated-normal step.
 
-Every column update is then a pure transform of row i of the bank and the
-state, so a sweep consumes exactly the bank.  The very first column of a
-chain skips its beta draw but its bank row is drawn all the same.  A
-change made only for speed keeps the bank and the arithmetic fixed, so it
-leaves every seeded artifact byte-identical.
+Row i of every bank is in natural order.  Every column update is then a
+pure transform of row i of the bank and the state, so a sweep consumes
+exactly the bank.  tau has no diagonal, but the diagonals of banks 4 and 5
+are drawn and transformed all the same and the result is set to 0.  The
+very first column of a chain skips its beta draw but its bank row is drawn
+all the same.  A change made only for speed keeps the bank and the arithmetic
+fixed, so it leaves every seeded artifact byte-identical.
 """
 
 import math
@@ -67,9 +79,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
-from .distributions import michael_schucany_haas, sample_truncated_normal
+from .distributions import sample_truncated_normal
 from .matrixcore import PD_TOL, check_symmetric, invert_from_factor, pd_check
 
 SAMPLER_KINDS = ("bgs", "hrs")
@@ -127,7 +139,11 @@ class GibbsState:
 
 @dataclass(slots=True)
 class ColumnPartition:
-    """Blocks of the state for one column, in move-to-last coordinates."""
+    """Blocks of the state for one column, masked in natural order.
+
+    The vectors have length p and omega11_inv is p x p; slot i of column i
+    is decoupled (see :func:`make_partition`).
+    """
 
     omega11_inv: np.ndarray
     s12: np.ndarray
@@ -204,72 +220,48 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     )
 
 
-# Column i is partitioned in move-to-last order: the other variables are
-# rest = (0, ..., i-1, p-1, i+1, ..., p-2), the leading index range with p - 1
-# in slot i.  The helpers below read and write M[rest, i] and
-# M[np.ix_(rest, rest)] with slices and a patch of slot i, which costs a
-# fraction of indexing with a rest array and moves exactly the same values.
-
-def _column(M, i):
-    # A copy of M[rest, i].
-    col = M[:-1, i].copy()
-    if i < M.shape[0] - 1:
-        col[i] = M[-1, i]
-    return col
-
-
-def _put_column(M, i, col):
-    # M[rest, i] = M[i, rest] = col; M[i, i] keeps its value.
-    mii = M[i, i]
-    M[:-1, i] = col
-    M[i, :-1] = col
-    if i < M.shape[0] - 1:
-        M[-1, i] = M[i, -1] = col[i]
-    M[i, i] = mii
-
-
-def _take_block(M, i):
-    # A copy of M[np.ix_(rest, rest)].
-    block = M[:-1, :-1].copy()
-    if i < M.shape[0] - 1:
-        block[i] = M[-1, :-1]
-        block[:, i] = M[:-1, -1]
-        block[i, i] = M[-1, -1]
-    return block
-
-
-def _put_block(M, i, block):
-    # M[np.ix_(rest, rest)] = block, except that row and column i of M are
-    # left holding stale values for the caller to overwrite.
-    M[:-1, :-1] = block
-    if i < M.shape[0] - 1:
-        M[-1, :-1] = block[i]
-        M[:-1, -1] = block[:, i]
-        M[-1, -1] = block[i, i]
+def _outer(x):
+    # x x' as exact elementwise products, bitwise equal to x[:, None] * x and
+    # so exactly symmetric, at a fraction of the broadcast's cost.  A fused
+    # A - x x' update would round differently and can break that symmetry.
+    out = np.zeros((x.shape[0], x.shape[0]))
+    blas.dger(1.0, x, x, a=out.T, overwrite_a=1)
+    return out
 
 
 def make_partition(state, i, sigma):
-    """Partition the state around column i (0-based).
+    """Partition the state around column i (0-based), masked in natural order.
 
-    sigma is Omega^{-1}, the one :func:`sweep` carries; the partition reads
-    ``Omega11^{-1} = Sigma11 - sigma12 sigma12' / sigma22`` from it in
-    O(p^2).
+    Every block keeps length p and slot i is decoupled: it is zero in
+    omega11_inv, s12 and beta and one in tau12.  sigma is Omega^{-1}, the
+    one :func:`sweep` carries; the partition reads ``Omega11^{-1} = Sigma -
+    sigma_i sigma_i' / sigma_ii`` from it in O(p^2), with row and column i
+    set to zero.
     """
     p = state.omega.shape[0]
     if not 0 <= i < p:
         raise IndexError(f"column {i} out of range for dimension {p}")
     # Scaling sigma12 by 1/sqrt(sigma22) keeps the outer product, and so the
-    # block, exactly symmetric.
-    u = _column(sigma, i) * (1.0 / math.sqrt(sigma[i, i]))
-    omega11_inv = _take_block(sigma, i)
-    omega11_inv -= u[:, None] * u
+    # block, exactly symmetric.  Row i of the exactly symmetric sigma is its
+    # column i.
+    u = sigma[i] * (1.0 / math.sqrt(sigma[i, i]))
+    omega11_inv = _outer(u)
+    np.subtract(sigma, omega11_inv, out=omega11_inv)
+    omega11_inv[i] = 0.0
+    omega11_inv[:, i] = 0.0
+    s12 = state.scatter[i].copy()
+    s12[i] = 0.0
+    tau12 = state.tau[i].copy()
+    tau12[i] = 1.0
+    beta = state.omega[i].copy()
+    beta[i] = 0.0
     return ColumnPartition(
         omega11_inv=omega11_inv,
-        s12=_column(state.scatter, i),
+        s12=s12,
         s22=float(state.scatter[i, i]),
-        tau12=_column(state.tau, i),
+        tau12=tau12,
         lambda22=float(state.lam[i]),
-        beta=_column(state.omega, i),
+        beta=beta,
         omega22=float(state.omega[i, i]),
     )
 
@@ -300,7 +292,9 @@ def compute_c_matrix(part):
 def bgs_update_beta(part, z):
     """Unconstrained draw of the off-diagonal column: N(-C s12, C).
 
-    z is a vector of p - 1 standard normals.  One Cholesky factor
+    z is a vector of standard normals, zero in a decoupled slot of the
+    partition, where C^{-1} has a unit diagonal and zero off-diagonal
+    entries; beta comes out exactly zero there.  One Cholesky factor
     L L' = C^{-1} gives both moments: ``L^{-T} (z - L^{-1} s12) =
     -C s12 + L^{-T} z`` has mean -C s12 and covariance L^{-T} L^{-1} = C,
     at the cost of two triangular solves.  Nothing keeps this draw inside
@@ -338,7 +332,8 @@ def hit_and_run_interval(alpha, beta, omega11_inv, gamma):
 def hrs_update_beta(part, z, u):
     """Hit-and-run draw of the off-diagonal column inside the PD region.
 
-    z is a vector of p - 1 standard normals and u a uniform on [0, 1),
+    z is a vector of standard normals, zero in a decoupled slot of the
+    partition as for :func:`bgs_update_beta`, and u a uniform on [0, 1),
     which the exact inverse CDF turns into the truncated-normal step.  The
     move happens in the whitened coordinates of the conditional
     covariance C: the direction of z there is uniform on the sphere and
@@ -383,34 +378,43 @@ def update_gamma(part, g):
     return g * (1.0 / (part.s22 / 2.0 + part.lambda22))
 
 
-def update_lambda_column(beta, omega22, s, g):
-    """Shrinkage rates for one column: Ga(r + 1, s + |omega_ij|), clamped.
+def update_lambda_column(abs_omega, s, g):
+    """Shrinkage rates for one row of omega: Ga(r + 1, s + |omega_ij|), clamped.
 
-    g holds len(beta) + 1 draws of Ga(r + 1, 1).  The off-diagonal rates
-    use |beta| and the last, diagonal one the new omega22.  Returns the
-    off-diagonal rates and the diagonal rate.
+    abs_omega is |omega_i.|, the whole row i, and g holds as many draws of
+    Ga(r + 1, 1).  Entry i of the result is the diagonal rate, the others
+    the off-diagonal rates of column i.
     """
-    draws = np.empty(beta.shape[0] + 1)
-    np.abs(beta, out=draws[:-1])
-    draws[:-1] += s
-    draws[-1] = s + omega22
-    np.divide(1.0, draws, out=draws)
-    draws *= g
-    _clamp(draws, LAMBDA_BOUNDS)
-    return draws[:-1], float(draws[-1])
+    rates = np.add(abs_omega, s)
+    np.divide(g, rates, out=rates)
+    return _clamp(rates, LAMBDA_BOUNDS)
 
 
-def update_tau_column(lambda12, beta, nu, u):
-    """Latent scales for one column: 1/tau ~ IG(lambda/|omega|, lambda**2).
+def update_tau_column(lam, abs_omega, half_nu2, odds):
+    """Latent scales for one row: 1/tau ~ IG(lambda/a, lambda**2), clamped.
 
-    nu (standard normals) and u (uniforms on [0, 1)) feed the
-    Michael-Schucany-Haas transform, one of each per entry.  |omega| is
-    floored at EPS_OMEGA so exact zeros cannot produce infinite
-    parameters; the reciprocal draws are clamped to TAU_BOUNDS.
+    a = max(|omega|, EPS_OMEGA), so exact zeros cannot produce infinite
+    parameters.  The draw is the Michael-Schucany-Haas (1976) transform of
+    a standard normal nu and a uniform u on [0, 1), in closed form: with
+    k = nu**2 / (2 a lambda) and r = 1 + k + sqrt(k (k + 2)), the smaller
+    root of the transform's quadratic is (lambda/a) / r, and
+
+        tau = (a/lambda) * (r if u (r + 1) <= r else 1/r).
+
+    This form has no cancellation, so it needs no floor.  half_nu2 holds
+    nu**2 / 2 and odds holds u / (1 - u), one per entry: u (r + 1) <= r is
+    odds <= r.  The draws are clamped to TAU_BOUNDS.
     """
-    denom = np.maximum(np.abs(beta), EPS_OMEGA)
-    upsilon = michael_schucany_haas(lambda12 / denom, lambda12 * lambda12, nu, u)
-    return _clamp(1.0 / np.fmax(upsilon, 1e-300), TAU_BOUNDS)
+    a = np.maximum(abs_omega, EPS_OMEGA)
+    scale = a / lam
+    k = half_nu2 / (a * lam)
+    r = k + 2.0
+    r *= k
+    np.sqrt(r, out=r)
+    r += k + 1.0
+    np.divide(1.0, r, out=r, where=odds > r)
+    r *= scale
+    return _clamp(r, TAU_BOUNDS)
 
 
 def _clamp(x, bounds):
@@ -461,11 +465,16 @@ def sweep(state, kind, audit, rng):
     schur_floor = PD_TOL * PD_TOL
 
     gen = rng.gen
-    z_bank = gen.standard_normal((p, p - 1))
+    z_bank = gen.standard_normal((p, p))
+    z_bank.flat[:: p + 1] = 0.0
     gamma_bank = gen.standard_gamma(state.n / 2.0 + 1.0, p).tolist()
     lambda_bank = gen.standard_gamma(state.r + 1.0, (p, p))
-    nu_bank = gen.standard_normal((p, p - 1))
-    u_bank = gen.random((p, p - 1))
+    half_nu2_bank = gen.standard_normal((p, p))
+    half_nu2_bank *= half_nu2_bank
+    half_nu2_bank *= 0.5
+    u_bank = gen.random((p, p))
+    odds_bank = np.subtract(1.0, u_bank)
+    np.divide(u_bank, odds_bank, out=odds_bank)
     if hrs:
         kappa_bank = gen.random(p).tolist()
 
@@ -481,28 +490,34 @@ def sweep(state, kind, audit, rng):
                     beta = hrs_update_beta(part, z_bank[i], kappa_bank[i])
                 else:
                     beta = bgs_update_beta(part, z_bank[i])
-                _put_column(omega, i, beta)
+                omega[i] = beta
+                omega[:, i] = beta
+                omega[i, i] = part.omega22
             v = part.omega11_inv @ beta
             q = float(beta @ v)
-            beta_failed = not omega[i, i] - q > schur_floor
+            beta_failed = not part.omega22 - q > schur_floor
 
             stage = "gamma"
             gam = update_gamma(part, gamma_bank[i])
             if not gam > 0.0:
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
-            omega22 = gam + q
-            omega[i, i] = omega22
-            w = v * (1.0 / math.sqrt(gam))
-            _put_block(sigma, i, part.omega11_inv + w[:, None] * w)
-            _put_column(sigma, i, v * (-1.0 / gam))
+            omega[i, i] = gam + q
+            np.add(part.omega11_inv, _outer(v * (1.0 / math.sqrt(gam))), out=sigma)
+            v *= -1.0 / gam
+            sigma[i] = v
+            sigma[:, i] = v
             sigma[i, i] = 1.0 / gam
 
             stage = "lambda"
-            lam12, lam[i] = update_lambda_column(beta, omega22, state.s, lambda_bank[i])
+            abs_omega = np.abs(omega[i])
+            lam_row = update_lambda_column(abs_omega, state.s, lambda_bank[i])
+            lam[i] = lam_row[i]
 
             stage = "tau"
-            tau12 = update_tau_column(lam12, beta, nu_bank[i], u_bank[i])
-            _put_column(tau, i, tau12)
+            tau_row = update_tau_column(lam_row, abs_omega, half_nu2_bank[i], odds_bank[i])
+            tau[i] = tau_row
+            tau[:, i] = tau_row
+            tau[i, i] = 0.0
         except Exception as exc:
             raise RuntimeError(
                 f"column {i} failed at stage {stage}: {exc}") from exc

@@ -49,6 +49,17 @@ def test_ingest_non_numeric_reports_location(tmp_path):
         ingest_csv(path)
 
 
+def test_ingest_blank_first_row_is_data_not_header(tmp_path):
+    # A blank cell in row 1 raises exactly as it does in row 2; it used to
+    # make row 1 a header and drop it without a word.
+    path = tmp_path / "d.csv"
+    for text, row in (("1.0,,3.0\n4,5,6\n7,8,9\n", 1), ("1,2,3\n4.0,,6.0\n7,8,9\n", 2),
+                      ("a,,c\n1,2,3\n", 1), (" ,2,3\n4,5,6\n", 1)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"row {row}, column [12]: not numeric"):
+            ingest_csv(path)
+
+
 def test_ingest_non_finite_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2\nnan,4\n")

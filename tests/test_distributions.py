@@ -1,22 +1,26 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from bayesglasso.distributions import RngStream, michael_schucany_haas, sample_truncated_normal
+from bayesglasso.distributions import RngStream, sample_truncated_normal
 from bayesglasso.sampler import EPS_OMEGA, TAU_BOUNDS, update_tau_column
 
 N_DRAWS = 100_000
 
 
 def inverse_gaussian(mean, shape, gen):
-    """IG(mean, shape) draws: one standard normal per entry, then one uniform
-    per entry, fed to the Michael-Schucany-Haas transform."""
+    """IG(mean, shape) draws as the reciprocal of the sampler's latent-scale
+    update, 1/tau ~ IG(lambda/a, lambda**2) with lambda = sqrt(shape) and
+    a = lambda/mean: one standard normal per entry, then one uniform per
+    entry, transformed the way the sweep transforms its bank."""
     size = np.broadcast_shapes(np.shape(mean), np.shape(shape))
+    lam = np.broadcast_to(np.sqrt(shape), size)
     nu = gen.standard_normal(size)
     u = gen.random(size)
-    return michael_schucany_haas(mean, shape, nu, u)
+    return 1.0 / update_tau_column(lam, lam / mean, nu * nu * 0.5, u / (1.0 - u))
 
 
 def test_streams_deterministic():
@@ -50,32 +54,74 @@ def test_inverse_gaussian_support_and_errors():
     gen = RngStream(6).gen
     draws = inverse_gaussian(np.full(5000, 0.3), 0.2, gen)
     assert np.all(draws > 0)
-    assert float(inverse_gaussian(1.0, 1.0, gen)) > 0
-    # The transform checks nothing; u = 0 and nu = 0 are still inside its
-    # domain and give positive draws.
-    assert michael_schucany_haas(1.0, 1.0, 0.0, 0.0) > 0
-    assert michael_schucany_haas(1.0, 1.0, 0.0, np.nextafter(1.0, 0.0)) > 0
+    assert inverse_gaussian(np.ones(1), 1.0, gen)[0] > 0
+    # The transform checks nothing; nu = 0 and the smallest and largest
+    # uniforms are still inside its domain and give positive draws.
+    for u in (0.0, 1.0 - 2.0 ** -53):
+        tau = update_tau_column(np.ones(1), np.ones(1), np.zeros(1), np.array([u / (1.0 - u)]))
+        assert tau[0] > 0
 
 
-def test_inverse_gaussian_is_the_shared_transform_bitwise():
-    # The sampler's latent-scale update is the reciprocal of the transform
-    # applied to its banked normals and uniforms, clamped, bit for bit.
-    lam = np.array([1e-6, 0.3, 2.0, 5e3, 1e6])
-    beta = np.array([0.0, -0.2, 1.0, -7.5, 1e-12])
-    gen = RngStream(24).gen
+def msh_tau(lam, a, nu, u):
+    """tau = 1/IG(lam/a, lam**2) by the Michael-Schucany-Haas (1976)
+    transform as published, evaluated in 60-digit decimal arithmetic so
+    that its cancellation cannot blur the comparison.  Returns the draw
+    before clamping and whether the smaller root was taken."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, a, nu, u = Decimal(lam), Decimal(a), Decimal(nu), Decimal(u)
+        mean, shape = lam / a, lam * lam
+        my = mean * nu * nu
+        x = mean + mean * (my - (my * (4 * shape + my)).sqrt()) / (2 * shape)
+        small = u * (mean + x) <= mean
+        return float(1 / x if small else x / (mean * mean)), small
+
+
+def test_update_tau_closed_form_matches_msh_oracle():
+    gen = RngStream(25).gen
+    grid = np.logspace(-3.0, 3.0, 13)
+    lam, a = (v.ravel().repeat(8) for v in np.meshgrid(grid, grid))
     nu, u = gen.standard_normal(lam.shape), gen.random(lam.shape)
-    mean = lam / np.maximum(np.abs(beta), EPS_OMEGA)
-    upsilon = michael_schucany_haas(mean, lam * lam, nu, u)
-    expect = np.clip(1.0 / np.fmax(upsilon, 1e-300), *TAU_BOUNDS)
-    assert np.array_equal(update_tau_column(lam, beta, nu, u), expect)
+    k = nu * nu * 0.5 / (a * lam)
+    keep = k <= 1e4
+    lam, a, nu, u, k = lam[keep], a[keep], nu[keep], u[keep], k[keep]
+    assert keep.sum() > 1000 and k.max() > 1e3
+    got = update_tau_column(lam, a, nu * nu * 0.5, u / (1.0 - u))
+    oracle = [msh_tau(*args) for args in zip(lam.tolist(), a.tolist(), nu.tolist(), u.tolist())]
+    want = np.clip([t for t, _ in oracle], *TAU_BOUNDS)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # The same branch: with r = 1 + k + sqrt(k (k + 2)) the smaller root
+    # gives tau = (a/lam) r >= a/lam, the other tau = (a/lam)/r <= a/lam.
+    small = np.array([b for _, b in oracle])
+    assert 0 < small.sum() < small.size
+    assert np.array_equal(got >= a / lam, small)
+
+
+def test_update_tau_huge_k_stays_finite():
+    # |omega| = 1e-10 and lam = 1e-6 put k = nu**2 / (2 a lam) beyond 1e12.
+    # There the published transform, in floating point, cancels its smaller
+    # root to zero or below on about 40% of these draws.
+    gen = RngStream(26).gen
+    nu, u = gen.standard_normal(10_000), gen.random(10_000)
+    nu[np.abs(nu) < 0.015] = 0.015
+    lam, a = np.full(10_000, 1e-6), np.full(10_000, 1e-10)
+    assert (nu * nu * 0.5 / (a * lam)).min() >= 1e12
+    tau = update_tau_column(lam, a, nu * nu * 0.5, u / (1.0 - u))
+    assert np.all(np.isfinite(tau))
+    assert np.all((tau >= TAU_BOUNDS[0]) & (tau <= TAU_BOUNDS[1]))
+    # r > 2k >= 2e12 and the other root has probability 1/(r + 1), so every
+    # draw is the smaller root, tau = r a/lam > 2e8
+    assert np.all(tau > 2e8)
 
 
 def test_inverse_gaussian_extreme_parameters_stay_finite():
+    # Both ends of the clamped parameter range: lam and |omega| at their
+    # floors, and lam at its ceiling with a large |omega|.
     gen = RngStream(7).gen
-    means = np.full(1000, 1e16)
-    draws = inverse_gaussian(means, 1e-12, gen)
-    assert np.all(np.isfinite(draws))
-    assert np.all(draws > 0)
+    for lam, abs_omega in ((1e-6, 0.0), (1e-6, EPS_OMEGA), (1e6, 1e3), (1e6, 0.0)):
+        tau = inverse_gaussian(np.full(1000, lam / max(abs_omega, EPS_OMEGA)), lam * lam, gen)
+        assert np.all(np.isfinite(tau))
+        assert np.all(tau > 0)
 
 
 def truncnorm_draws(mu, sigma, lo, hi, seed, n):

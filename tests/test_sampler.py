@@ -63,19 +63,21 @@ def simple_partition(omega11_inv, s12, s22, tau12, lambda22, beta, omega22):
 def test_partition_identity_p2():
     st = state_with_omega(np.eye(2))
     part = partition(st, 0)
-    assert np.allclose(part.beta, [0.0])
+    # slot 0 is decoupled: zero in beta and omega11_inv, one in tau12
+    assert np.array_equal(part.beta, [0.0, 0.0])
+    assert np.array_equal(part.tau12, [1.0, 1.0])
     assert schur_gamma(part) == pytest.approx(1.0)
-    assert np.allclose(part.omega11_inv, [[1.0]])
+    assert np.allclose(part.omega11_inv, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_partition_schur_oracle_p2():
     # omega = [[2,1],[1,2]], last column: beta = 1, gamma = 2 - 1*(1/2)*1
     st = state_with_omega(np.array([[2.0, 1.0], [1.0, 2.0]]))
     part = partition(st, 1)
-    assert np.allclose(part.beta, [1.0])
+    assert np.array_equal(part.beta, [1.0, 0.0])
     assert part.omega22 == 2.0
     assert schur_gamma(part) == pytest.approx(1.5)
-    assert np.allclose(part.omega11_inv, [[0.5]])
+    assert np.allclose(part.omega11_inv, [[0.5, 0.0], [0.0, 0.0]])
 
 
 def test_partition_blocks_follow_permutation():
@@ -89,13 +91,21 @@ def test_partition_blocks_follow_permutation():
     np.fill_diagonal(st.tau, 0.0)
     i = 2
     part = partition(st, i)
-    # swap permutation: index 2 moves last, index 4 takes its place
-    rest = [0, 1, 4, 3]
-    assert np.array_equal(part.s12, S[rest, i])
+    # natural order with slot 2 decoupled: zero in s12, beta and omega11_inv,
+    # one in tau12, and every other entry read in place
+    rest = [0, 1, 3, 4]
+    for vec, full, slot in ((part.s12, S[:, i], 0.0), (part.tau12, st.tau[:, i], 1.0),
+                            (part.beta, st.omega[:, i], 0.0)):
+        assert np.array_equal(vec[rest], full[rest])
+        assert vec[i] == slot
     assert part.s22 == S[i, i]
-    assert np.array_equal(part.tau12, st.tau[rest, i])
-    assert np.array_equal(part.beta, st.omega[rest, i])
     assert part.lambda22 == st.lam[i]
+    assert part.omega22 == st.omega[i, i]
+    assert np.all(part.omega11_inv[i] == 0.0)
+    assert np.all(part.omega11_inv[:, i] == 0.0)
+    assert np.array_equal(part.omega11_inv, part.omega11_inv.T)
+    expect = np.linalg.inv(st.omega[np.ix_(rest, rest)])
+    assert np.allclose(part.omega11_inv[np.ix_(rest, rest)], expect, rtol=1e-12, atol=1e-14)
 
 
 def test_partition_gamma_roundtrip():
@@ -108,8 +118,10 @@ def test_partition_gamma_roundtrip():
     for i in range(p):
         part = partition(st, i)
         gamma = schur_gamma(part)
-        rest = [p - 1 if j == i else j for j in range(p - 1)]
-        rebuilt = gamma + part.beta @ np.linalg.solve(omega[np.ix_(rest, rest)], part.beta)
+        rest = np.arange(p) != i
+        assert part.beta[i] == 0.0
+        beta = part.beta[rest]
+        rebuilt = gamma + beta @ np.linalg.solve(omega[np.ix_(rest, rest)], beta)
         assert abs(rebuilt - omega[i, i]) < 1e-10 * abs(omega[i, i])
         assert gamma > 0
 
@@ -120,29 +132,51 @@ def test_partition_index_out_of_range():
         make_partition(st, 3, np.eye(3))
 
 
-@pytest.mark.parametrize("p", [2, 3, 6])
-def test_move_to_last_helpers_match_index_arrays(p):
-    gen = np.random.default_rng(p)
-    M = gen.standard_normal((p, p))
+def test_outer_is_the_exact_broadcast_product():
+    # Odd sizes run the BLAS tail code; the product must still be exact,
+    # so the blocks built from it stay exactly symmetric.
+    gen = np.random.default_rng(8)
+    for p in (1, 2, 7, 13, 30, 101):
+        u = gen.standard_normal(p)
+        got = sampler._outer(u)
+        assert np.array_equal(got, u[:, None] * u)
+        assert np.array_equal(got, got.T)
+        assert got.flags.c_contiguous
+
+
+def test_masked_partition_draws_match_the_compressed_blocks():
+    # Slot i of the masked partition is decoupled: both beta draws return
+    # exactly 0 there, C has a unit (i, i) entry and a zero row and column
+    # i, and the other entries are the draw from the (p-1)-dimensional
+    # blocks that leave slot i out.
+    gen = np.random.default_rng(9)
+    p = 7
+    S = scatter_matrix(gen.standard_normal((12, p)))
+    st = initial_state(S, 12)
+    A = gen.standard_normal((p, p))
+    st.omega = symmetrize(A @ A.T + p * np.eye(p))
+    st.tau = symmetrize(np.abs(gen.standard_normal((p, p))) + 0.1)
+    np.fill_diagonal(st.tau, 0.0)
+    st.lam = np.abs(gen.standard_normal(p)) + 0.1
     for i in range(p):
-        rest = np.array([p - 1 if j == i else j for j in range(p - 1)])
-        assert np.array_equal(sampler._column(M, i), M[rest, i])
-        assert np.array_equal(sampler._take_block(M, i), M[np.ix_(rest, rest)])
-
-        col = gen.standard_normal(p - 1)
-        got, want = M.copy(), M.copy()
-        sampler._put_column(got, i, col)
-        want[rest, i] = col
-        want[i, rest] = col
-        assert np.array_equal(got, want)
-
-        block = gen.standard_normal((p - 1, p - 1))
-        got, want = M.copy(), M.copy()
-        sampler._put_block(got, i, block)
-        want[np.ix_(rest, rest)] = block
-        # row and column i are the caller's to overwrite
-        keep = np.arange(p) != i
-        assert np.array_equal(got[np.ix_(keep, keep)], want[np.ix_(keep, keep)])
+        part = partition(st, i)
+        rest = np.arange(p) != i
+        small = simple_partition(part.omega11_inv[np.ix_(rest, rest)], part.s12[rest],
+                                 part.s22, part.tau12[rest], part.lambda22,
+                                 part.beta[rest], part.omega22)
+        C = compute_c_matrix(part)
+        assert C[i, i] == 1.0
+        assert np.all(C[i, rest] == 0.0) and np.all(C[rest, i] == 0.0)
+        np.testing.assert_allclose(C[np.ix_(rest, rest)], compute_c_matrix(small),
+                                   rtol=1e-12, atol=1e-15)
+        z = gen.standard_normal(p)
+        z[i] = 0.0
+        u = float(gen.random())
+        for draw, args in ((bgs_update_beta, ()), (hrs_update_beta, (u,))):
+            beta = draw(part, z, *args)
+            assert beta[i] == 0.0
+            np.testing.assert_allclose(beta[rest], draw(small, z[rest], *args),
+                                       rtol=1e-10, atol=1e-13)
 
 
 # ---------------------------------------------------------------- C matrix
@@ -328,33 +362,45 @@ def test_update_gamma_moments_and_support():
 def test_update_lambda_moments():
     # r=1, s=1, |omega|=1: Ga(2, 2) has mean 1
     g = RngStream(11).gen.standard_gamma(1.0 + 1.0, 100_001)
-    lam12, lam22 = update_lambda_column(np.ones(100_000), 1.0, 1.0, g)
-    assert abs(lam12.mean() - 1.0) < 0.02
-    assert lam22 > 0
+    rates = update_lambda_column(np.ones(100_001), 1.0, g)
+    assert abs(rates.mean() - 1.0) < 0.02
+    assert np.all(rates > 0)
 
 
 def test_update_lambda_clamped():
     # r=0.01, s=1e-6, omega=0: unclamped mean would be 1.01e6
     g = RngStream(12).gen.standard_gamma(0.01 + 1.0, 10_001)
-    lam12, lam22 = update_lambda_column(np.zeros(10_000), 0.0 + 1.0, 1e-6, g)
+    rates = update_lambda_column(np.append(np.zeros(10_000), 1.0), 1e-6, g)
+    lam12 = rates[:-1]
+    assert rates[-1] > 0
     assert np.all(lam12 >= 1e-6)
     assert np.all(lam12 <= 1e6)
     assert np.any(lam12 == 1e6)  # the clamp actually engages
     assert lam12.min() > 0
 
 
+def tau_draws(lam, abs_omega, gen):
+    """update_tau_column fed one standard normal and then one uniform per
+    entry, transformed the way the sweep transforms its bank."""
+    nu, u = gen.standard_normal(np.shape(lam)), gen.random(np.shape(lam))
+    return update_tau_column(lam, abs_omega, nu * nu * 0.5, u / (1.0 - u))
+
+
 def test_update_tau_ig_mean_oracle():
-    # lambda=1, |omega|=1: 1/tau ~ IG(1, 1) has mean 1
+    # 1/tau ~ IG(mean lam/a, shape lam**2): variance mean**3/shape = lam/a**3,
+    # excess kurtosis 15 mean/shape.
+    n = 200_000
     gen = RngStream(13).gen
-    nu, u = gen.standard_normal(100_000), gen.random(100_000)
-    tau = update_tau_column(np.ones(100_000), np.ones(100_000), nu, u)
-    assert abs((1.0 / tau).mean() - 1.0) < 0.02
+    for lam, a in ((1.0, 1.0), (3.0, 0.5)):
+        x = 1.0 / tau_draws(np.full(n, lam), np.full(n, a), gen)
+        mean, var = lam / a, lam / a ** 3
+        kurt = 3.0 + 15.0 * mean / lam ** 2
+        assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / n)
+        assert abs(x.var(ddof=1) - var) < 4.0 * var * math.sqrt((kurt - 1.0) / n)
 
 
 def test_update_tau_zero_omega_floored():
-    gen = RngStream(14).gen
-    nu, u = gen.standard_normal(1000), gen.random(1000)
-    tau = update_tau_column(np.ones(1000), np.zeros(1000), nu, u)
+    tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14).gen)
     assert np.all(np.isfinite(tau))
     assert np.all(tau > 0)
     assert np.all(tau >= 1e-10)
@@ -371,15 +417,20 @@ def make_sim_state(kind="circle", p=10, n=30, seed=20):
 
 
 def test_sweep_keeps_exact_symmetry_and_audit_counts():
-    st, rng = make_sim_state()
-    audit = ViolationAudit()
-    sweep(st, "hrs", audit, rng)
-    p = st.omega.shape[0]
-    assert audit.updates_total == p
-    assert np.max(np.abs(st.omega - st.omega.T)) == 0.0
-    assert np.max(np.abs(st.tau - st.tau.T)) == 0.0
-    assert np.all(np.diagonal(st.tau) == 0.0)
-    assert np.all(st.lam > 0)
+    # An odd p runs the BLAS tail code of the outer products and the
+    # in-place row and column writes.
+    p = 13
+    for kind in SAMPLER_KINDS:
+        st, rng = make_sim_state(p=p)
+        audit = ViolationAudit()
+        for k in range(5):
+            sweep(st, kind, audit, rng)
+            assert audit.updates_total == (k + 1) * p
+            for name in ("omega", "sigma", "tau"):
+                M = getattr(st, name)
+                assert np.array_equal(M, M.T), (kind, name)
+            assert np.all(np.diagonal(st.tau) == 0.0)
+            assert np.all(st.lam > 0)
 
 
 def test_hrs_sweep_never_violates():
@@ -500,17 +551,18 @@ def test_first_sweep_guard_changes_draw_sequence(monkeypatch):
 
 def draw_bank(gen, p, n, r):
     """The per-sweep random bank, in the documented order and shapes."""
-    return (gen.standard_normal((p, p - 1)),
+    return (gen.standard_normal((p, p)),
             gen.standard_gamma(n / 2.0 + 1.0, p),
             gen.standard_gamma(r + 1.0, (p, p)),
-            gen.standard_normal((p, p - 1)),
-            gen.random((p, p - 1)))
+            gen.standard_normal((p, p)),
+            gen.random((p, p)))
 
 
 def reference_sweep(st, kind, rng, skip_first_beta):
-    """The column kernel written plainly: the bank drawn up front, a
-    take/take partition, np.outer, np.ix_ writes, gamma draws scaled by
-    1/rate, np.clip and the Michael-Schucany-Haas transform inline.
+    """The masked column kernel written plainly: the bank drawn up front,
+    np.outer, a full-matrix subtract with row and column i zeroed by hand,
+    gamma draws scaled by 1/rate, np.clip and the closed-form
+    Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -521,25 +573,32 @@ def reference_sweep(st, kind, rng, skip_first_beta):
     omega, tau, lam = st.omega, st.tau, st.lam
     sigma = st.sigma = invert_from_factor(pd_check(omega))
     Z, G_gamma, G_lambda, NU, U = draw_bank(gen, p, st.n, st.r)
+    np.fill_diagonal(Z, 0.0)
     if kind == "hrs":
         K = gen.random(p)
     violations = 0
     for i in range(p):
-        rest = np.array([p - 1 if j == i else j for j in range(p - 1)])
-        u = sigma[rest, i] * (1.0 / math.sqrt(sigma[i, i]))
-        o11 = sigma.take(rest, axis=0).take(rest, axis=1) - np.outer(u, u)
-        s12, s22 = st.scatter[rest, i], float(st.scatter[i, i])
-        beta = omega[rest, i]
+        u = sigma[:, i] * (1.0 / math.sqrt(sigma[i, i]))
+        o11 = sigma - np.outer(u, u)
+        o11[i, :] = 0.0
+        o11[:, i] = 0.0
+        s12, s22 = st.scatter[:, i].copy(), float(st.scatter[i, i])
+        s12[i] = 0.0
+        tau12 = tau[:, i].copy()
+        tau12[i] = 1.0
+        beta = omega[:, i].copy()
+        beta[i] = 0.0
+        omega22_old = omega[i, i]
         if not (skip_first_beta and i == 0):
             cinv = (s22 + 2.0 * lam[i]) * o11
-            cinv.flat[::p] += 1.0 / tau[rest, i]
+            cinv.flat[:: p + 1] += 1.0 / tau12
             L, info = lapack.dpotrf(cinv, lower=1, clean=1)
             assert info == 0
             if kind == "bgs":
                 y = lapack.dtrtrs(L, s12, lower=1)[0]
                 beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
             else:
-                gam_old = float(omega[i, i] - beta @ (o11 @ beta))
+                gam_old = float(omega22_old - beta @ (o11 @ beta))
                 d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
                 d = d / math.sqrt(float(d @ d))
                 w = cinv @ d
@@ -551,32 +610,32 @@ def reference_sweep(st, kind, rng, skip_first_beta):
                 kappa = sample_truncated_normal(
                     mu, math.sqrt(1.0 / denom), (-b - disc) / a, (-b + disc) / a, K[i])
                 beta = beta + kappa * d
-            omega[rest, i] = beta
-            omega[i, rest] = beta
+            assert beta[i] == 0.0
+            omega[i, :] = omega[:, i] = beta
+            omega[i, i] = omega22_old
         v = o11 @ beta
         q = float(beta @ v)
-        violations += not omega[i, i] - q > PD_TOL * PD_TOL
+        violations += not omega22_old - q > PD_TOL * PD_TOL
 
         gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lam[i])))
         omega22 = gam + q
         omega[i, i] = omega22
         w = v * (1.0 / math.sqrt(gam))
-        sigma[np.ix_(rest, rest)] = o11 + np.outer(w, w)
-        sigma[rest, i] = sigma[i, rest] = v * (-1.0 / gam)
+        sigma[:] = o11 + np.outer(w, w)
+        sigma[i, :] = sigma[:, i] = v * (-1.0 / gam)
         sigma[i, i] = 1.0 / gam
 
-        rates = np.append(np.abs(beta) + st.s, st.s + omega22)
-        draws = np.clip(G_lambda[i] * (1.0 / rates), *LAMBDA_BOUNDS)
-        lam12 = draws[:-1]
-        lam[i] = draws[-1]
+        abs_omega = np.abs(omega[i])
+        rates = np.clip(G_lambda[i] / (abs_omega + st.s), *LAMBDA_BOUNDS)
+        lam[i] = rates[i]
 
-        mean = lam12 / np.maximum(np.abs(beta), EPS_OMEGA)
-        shape = lam12 * lam12
-        my = mean * NU[i] * NU[i]
-        x = mean + mean * (my - np.sqrt(my * (4.0 * shape + my))) / (2.0 * shape)
-        x = np.fmax(x, 1e-300 * np.fmax(mean * mean, 1.0))
-        upsilon = np.where(U[i] * (mean + x) <= mean, x, mean * mean / x)
-        tau[rest, i] = tau[i, rest] = np.clip(1.0 / np.fmax(upsilon, 1e-300), *TAU_BOUNDS)
+        # 1/tau ~ IG(rates/a, rates**2); u (r + 1) <= r is u / (1 - u) <= r.
+        a = np.maximum(abs_omega, EPS_OMEGA)
+        k = NU[i] * NU[i] * 0.5 / (a * rates)
+        r = 1.0 + k + np.sqrt(k * (k + 2.0))
+        draw = np.where(U[i] / (1.0 - U[i]) <= r, r, 1.0 / r) * (a / rates)
+        tau[i, :] = tau[:, i] = np.clip(draw, *TAU_BOUNDS)
+        tau[i, i] = 0.0
     return p, violations
 
 
