@@ -236,8 +236,10 @@ def cmd_simulate(scenario, out_dir):
 
     t0 = time.perf_counter()
     reps = range(scenario.replications)
-    if scenario.jobs > 1:
-        with ProcessPoolExecutor(max_workers=scenario.jobs) as pool:
+    # The pool starts every worker up front; extra ones would sit idle.
+    workers = min(scenario.jobs, scenario.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_task, [scenario] * scenario.replications, reps))
     else:
         results = [_replication_task(scenario, rep) for rep in reps]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import check_symmetric, pd_check, spd_inverse
+from .matrixcore import pd_check, spd_inverse
 
 DESIGN_KINDS = ("ar1", "ar2", "block", "star", "circle", "full")
 

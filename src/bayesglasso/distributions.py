@@ -28,14 +28,14 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def sample_truncated_normal(mu, sigma, lo, hi, u):
-    """N(mu, sigma**2) conditioned on the open interval (lo, hi), as a pure
+def sample_truncated_normal(mu, lo, hi, u):
+    """N(mu, 1) conditioned on the open interval (lo, hi), as a pure
     function of one uniform u on [0, 1).
 
     lo may be -inf and hi may be +inf.  The draw is the exact inverse CDF,
     taken on the upper-tail probability Q in log space so that it keeps
-    full relative precision arbitrarily far into either tail: with a and b
-    the standardized endpoints,
+    full relative precision arbitrarily far into either tail: with
+    a = lo - mu and b = hi - mu,
 
         log Q(z) = log Q(a) + log1p(t * expm1(log Q(b) - log Q(a)))
 
@@ -45,10 +45,11 @@ def sample_truncated_normal(mu, sigma, lo, hi, u):
     ppf(1 - t, a, b).  When exactly one float lies strictly inside (lo, hi)
     it is returned whatever u is.  ValueError is raised when no float lies
     strictly inside the interval, and when the draw rounds onto or outside
-    an endpoint, which an interval a few ulps wide can make it do.
+    an endpoint.  Besides intervals a few ulps wide, that happens on
+    ordinary ones when u is within about 2**-45 of 0 or 1: the draw then
+    lies at most about 2**-45 * mass / density from an endpoint, which can
+    be less than the few-ulp error of the log_ndtr / ndtri_exp round trip.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     if not lo < hi:
         raise ValueError("empty truncation interval")
     inside = math.nextafter(lo, hi)
@@ -58,8 +59,8 @@ def sample_truncated_normal(mu, sigma, lo, hi, u):
         # Exactly one float inside: the only possible draw, and one the
         # inverse CDF cannot be relied on to land on.
         return inside
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
+    a = lo - mu
+    b = hi - mu
     mirrored = a + b < 0.0
     if mirrored:
         a, b = -b, -a
@@ -71,8 +72,8 @@ def sample_truncated_normal(mu, sigma, lo, hi, u):
     la = float(log_ndtr(-a))
     lb = float(log_ndtr(-b))
     z = float(ndtri_exp(la + math.log1p(t * math.expm1(lb - la))))
-    x = mu + sigma * z if mirrored else mu - sigma * z
+    x = mu + z if mirrored else mu - z
     if not lo < x < hi:
         raise ValueError(
-            f"draw {x!r} of N({mu!r}, {sigma!r}**2) rounded outside ({lo!r}, {hi!r})")
+            f"draw {x!r} of N({mu!r}, 1) rounded outside ({lo!r}, {hi!r})")
     return x

@@ -8,7 +8,8 @@ Two samplers share every update except the off-diagonal step:
   violation audit counts.
 * ``"hrs"`` draws the same column by a hit-and-run move restricted to the
   set where the partially updated matrix stays positive definite, so a
-  chain started at a positive definite matrix never leaves the cone.
+  chain started at a positive definite matrix never leaves the cone.  It
+  moves in whitened coordinates, where the step has unit variance.
 
 A sweep visits every column once.  For column i the other variables form
 the blocks
@@ -50,11 +51,11 @@ taken as exact elementwise products, so every carried matrix stays exactly
 symmetric.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
-factorisation, :func:`sweep` makes five bulk calls on the generator, in
-this order and with these shapes whatever the state:
+factorisation, :func:`sweep` makes five bulk calls on the generator (six
+for hrs), in this order and with these shapes whatever the state:
 
 1. ``standard_normal((p, p))``, diagonal set to zero: row i is the bgs
-   normal vector of column i, or the unnormalised hrs direction;
+   normal vector of column i, or hrs's direction z;
 2. ``standard_gamma(n/2 + 1, p)``: entry i is the gamma draw of column i
    before its rate is applied;
 3. ``standard_gamma(r + 1, (p, p))``: row i holds the shrinkage-rate draws
@@ -267,15 +268,15 @@ def make_partition(state, i, sigma):
 
 
 def _factor_c_inverse(part):
-    """C^{-1} = (s22 + 2*lambda22) Omega11^{-1} + diag(1/tau12) and its lower
-    Cholesky factor.  C^{-1} is a fresh array; the partition is not mutated."""
+    """Lower Cholesky factor of C^{-1} = (s22 + 2*lambda22) Omega11^{-1} +
+    diag(1/tau12), formed in a fresh array; the partition is not mutated."""
     cinv = (part.s22 + 2.0 * part.lambda22) * part.omega11_inv
     diag = cinv.reshape(-1)[:: cinv.shape[0] + 1]
     diag += 1.0 / part.tau12
     L = pd_check(cinv)
     if L is None:
         raise ValueError("conditional covariance not positive definite")
-    return cinv, L
+    return L
 
 
 def compute_c_matrix(part):
@@ -286,7 +287,7 @@ def compute_c_matrix(part):
     """
     if np.any(part.tau12 <= 0.0):
         raise ValueError("tau12 entries must be positive")
-    return invert_from_factor(_factor_c_inverse(part)[1])
+    return invert_from_factor(_factor_c_inverse(part))
 
 
 def bgs_update_beta(part, z):
@@ -301,32 +302,31 @@ def bgs_update_beta(part, z):
     the positive definite cone; that is the baseline behaviour the audit
     measures.
     """
-    _, L = _factor_c_inverse(part)
+    L = _factor_c_inverse(part)
     y, _ = lapack.dtrtrs(L, part.s12, lower=1)
     np.subtract(z, y, out=y)
     beta, _ = lapack.dtrtrs(L, y, lower=1, trans=1)
     return beta
 
 
-def hit_and_run_interval(alpha, beta, omega11_inv, gamma):
-    """Feasible step-size interval along direction alpha.
+def hit_and_run_interval(a, b, gamma):
+    """Feasible step-size interval (lo, hi) along a direction d.
 
-    The column beta + kappa*alpha keeps the updated matrix positive
-    definite iff a*kappa**2 + 2*b*kappa + c < 0 with
-
-        a = alpha' Omega11^{-1} alpha,  b = beta' Omega11^{-1} alpha,
-        c = -gamma.
-
-    a > 0 and c < 0 whenever the current state is positive definite, so
-    both roots are real and the interval strictly brackets kappa = 0.
+    The column beta + kappa*d keeps the updated matrix positive definite
+    iff a*kappa**2 + 2*b*kappa - gamma < 0, with a = d' Omega11^{-1} d,
+    b = beta' Omega11^{-1} d and gamma the Schur complement.  a > 0 and
+    gamma > 0 in a positive definite state, so the interval strictly
+    brackets kappa = 0.  The root near 0 comes from the product of the
+    roots, -gamma/a, so it does not cancel however large |b| is.
     """
     if gamma <= 0.0:
         raise ValueError("state not positive definite")
-    v = omega11_inv @ alpha
-    a = float(alpha @ v)
-    b = float(beta @ v)
     disc = math.sqrt(b * b + a * gamma)
-    return (-b - disc) / a, (-b + disc) / a
+    if b >= 0.0:
+        q = b + disc
+        return -q / a, gamma / q
+    q = disc - b
+    return -gamma / q, q / a
 
 
 def hrs_update_beta(part, z, u):
@@ -334,39 +334,35 @@ def hrs_update_beta(part, z, u):
 
     z is a vector of standard normals, zero in a decoupled slot of the
     partition as for :func:`bgs_update_beta`, and u a uniform on [0, 1),
-    which the exact inverse CDF turns into the truncated-normal step.  The
-    move happens in the whitened coordinates of the conditional
-    covariance C: the direction of z there is uniform on the sphere and
-    maps to d = L^{-T} z here, and the exact conditional of the step size
-    kappa along d is a univariate normal with
+    which the exact inverse CDF turns into the step.  The move happens in
+    the whitened coordinates x = L' beta, L L' = C^{-1}, where the column's
+    conditional is N(-L^{-1} s12, I): x moves along e = z / |z|, uniform on
+    the sphere.  In beta coordinates that is d = L^{-T} e, and d' C^{-1} d
+    = 1, so the step size kappa is a unit-variance normal with mean
 
-        mu     = -(s12'd + beta' Cinv d) / (d' Cinv d)
-        sigma2 = 1 / (d' Cinv d)
+        mu = -(s12'd + (s22 + 2 lambda22) b + (beta/tau12)'d),
+        b  = beta' Omega11^{-1} d,
 
-    truncated to the feasibility interval.  Whitening matters: the latent
-    scales tau span many orders of magnitude, and an isotropic direction
-    would make every step as small as the most-shrunk coordinate allows,
-    stalling the whole chain.  Cinv is factored directly (it is the
-    readily available inner matrix), so C itself is never formed.  The
-    returned column always satisfies the Schur condition.  A zero z gives
-    no direction and raises ValueError.
+    truncated to the feasibility interval, which needs b anyway.
+    Whitening matters: the latent scales tau span many orders of
+    magnitude, and an isotropic direction in beta would make every step
+    as small as the most-shrunk coordinate allows.  The returned column
+    always satisfies the Schur condition.  A zero z raises ValueError.
     """
-    cinv, L = _factor_c_inverse(part)
-    # L^{-T} z has covariance (L L')^{-1} = C; the length of z and of d
-    # cancels in every formula below once the direction is normalized.
-    d, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
-    dd = float(d @ d)
-    if not dd > 0.0:
+    zz = float(z @ z)
+    if not zz > 0.0:
         raise ValueError("hit-and-run direction has zero length")
-    d /= math.sqrt(dd)
-    w = cinv @ d
-    denom = float(d @ w)
-    mu_k = -(float(part.s12 @ d) + float(part.beta @ w)) / denom
-    sigma_k = math.sqrt(1.0 / denom)
-    gamma = float(part.omega22 - part.beta @ (part.omega11_inv @ part.beta))
-    lo, hi = hit_and_run_interval(d, part.beta, part.omega11_inv, gamma)
-    kappa = sample_truncated_normal(mu_k, sigma_k, lo, hi, u)
-    return part.beta + kappa * d
+    L = _factor_c_inverse(part)
+    d, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    d *= 1.0 / math.sqrt(zz)
+    beta = part.beta
+    v = part.omega11_inv @ d
+    b = float(beta @ v)
+    mu = -(float(part.s12 @ d) + (part.s22 + 2.0 * part.lambda22) * b
+           + float((beta / part.tau12) @ d))
+    gamma = part.omega22 - float(beta @ (part.omega11_inv @ beta))
+    lo, hi = hit_and_run_interval(float(d @ v), b, gamma)
+    return beta + sample_truncated_normal(mu, lo, hi, u) * d
 
 
 def update_gamma(part, g):

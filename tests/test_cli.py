@@ -1,10 +1,10 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
 
+from bayesglasso import cli
 from bayesglasso.cli import (
     ScenarioConfig,
     cmd_audit,
@@ -180,6 +180,31 @@ def test_simulate_parallel_jobs_match_serial(tmp_path):
     cmd_simulate(small_scenario(replications=3, jobs=2), parallel)
     assert (serial / "replications.csv").read_bytes() == \
         (parallel / "replications.csv").read_bytes()
+
+
+def test_simulate_pool_has_no_idle_workers(tmp_path, monkeypatch):
+    # A stand-in pool that records its size and maps serially, so no
+    # worker process is started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "run"
+    cmd_simulate(small_scenario(replications=2, jobs=64), out)
+    assert sizes == [2]
+    assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == 64
 
 
 def test_scenario_validation():

@@ -124,47 +124,48 @@ def test_inverse_gaussian_extreme_parameters_stay_finite():
         assert np.all(tau > 0)
 
 
-def truncnorm_draws(mu, sigma, lo, hi, seed, n):
+def truncnorm_draws(mu, lo, hi, seed, n):
     """n draws of the truncated normal, one banked-style uniform each."""
-    return np.array([sample_truncated_normal(mu, sigma, lo, hi, u)
+    return np.array([sample_truncated_normal(mu, lo, hi, u)
                      for u in RngStream(seed).gen.random(n).tolist()])
 
 
 def test_truncnorm_symmetric_interval():
-    draws = truncnorm_draws(0.0, 1.0, -1.0, 1.0, 8, N_DRAWS)
+    draws = truncnorm_draws(0.0, -1.0, 1.0, 8, N_DRAWS)
     assert np.all((draws > -1.0) & (draws < 1.0))
     assert abs(draws.mean()) < 0.01
     # The smallest and largest uniforms the generator can return are moved
     # inside (0, 1) before the inverse CDF, so neither lands on an endpoint.
     for u in (0.0, 1.0 - 2.0 ** -53):
-        assert -1.0 < sample_truncated_normal(0.0, 1.0, -1.0, 1.0, u) < 1.0
+        assert -1.0 < sample_truncated_normal(0.0, -1.0, 1.0, u) < 1.0
 
 
 def test_truncnorm_far_tail_oracle():
     # quadrature oracle: E[Z | 5 < Z < 6] = 5.183147090477174
-    draws = truncnorm_draws(0.0, 1.0, 5.0, 6.0, 9, N_DRAWS)
+    draws = truncnorm_draws(0.0, 5.0, 6.0, 9, N_DRAWS)
     assert np.all((draws > 5.0) & (draws < 6.0))
     assert abs(draws.mean() - 5.183147090477174) < 0.01
 
 
 def test_truncnorm_mirrored_tail_oracle():
     # quadrature oracle: E[Z | -30 < Z < -29] = -29.034403502535711
-    draws = truncnorm_draws(0.0, 1.0, -30.0, -29.0, 10, 20_000)
+    draws = truncnorm_draws(0.0, -30.0, -29.0, 10, 20_000)
     assert np.all((draws > -30.0) & (draws < -29.0))
     assert abs(draws.mean() + 29.034403502535711) < 0.002
 
 
 def test_truncnorm_unbounded_reduces_to_normal():
-    draws = truncnorm_draws(3.0, 2.0, -np.inf, np.inf, 11, N_DRAWS)
+    draws = truncnorm_draws(3.0, -np.inf, np.inf, 11, N_DRAWS)
     assert abs(draws.mean() - 3.0) < 0.02
+    assert abs(draws.var(ddof=1) - 1.0) < 0.02
 
 
 def test_truncnorm_shifted_scaled():
-    # interval 5 sigma into the tail of a non-standard normal
-    draws = truncnorm_draws(-2.0, 3.0, 13.0, 16.0, 12, 20_000)
-    assert np.all((draws > 13.0) & (draws < 16.0))
-    # standardized interval is (5, 6): mean = -2 + 3 * 5.183147090477174
-    assert abs(draws.mean() - (-2.0 + 3.0 * 5.183147090477174)) < 0.03
+    # interval 5 units into the tail of a shifted unit-variance normal
+    draws = truncnorm_draws(-2.0, 3.0, 4.0, 12, 20_000)
+    assert np.all((draws > 3.0) & (draws < 4.0))
+    # shifted interval is (5, 6): mean = -2 + 5.183147090477174
+    assert abs(draws.mean() - (-2.0 + 5.183147090477174)) < 0.01
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -175,35 +176,33 @@ def test_truncnorm_is_the_exact_inverse_cdf(lo, hi):
     # interval mirrored because a + b < 0.  The atol covers ppf values near
     # 0, where no relative agreement is possible.
     u = np.linspace(0.01, 0.99, 99)
-    got = [sample_truncated_normal(0.0, 1.0, lo, hi, v) for v in u.tolist()]
+    got = [sample_truncated_normal(0.0, lo, hi, v) for v in u.tolist()]
     want = truncnorm.ppf(1.0 - u if lo + hi < 0.0 else u, lo, hi)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_truncnorm_errors():
     with pytest.raises(ValueError, match="empty truncation interval"):
-        sample_truncated_normal(0.0, 1.0, 1.0, 1.0, 0.5)
+        sample_truncated_normal(0.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="empty truncation interval"):
-        sample_truncated_normal(0.0, 1.0, 2.0, -2.0, 0.5)
-    with pytest.raises(ValueError, match="sigma"):
-        sample_truncated_normal(0.0, 0.0, -1.0, 1.0, 0.5)
+        sample_truncated_normal(0.0, 2.0, -2.0, 0.5)
     # Four ulps wide: the inverse CDF rounds onto an endpoint, which raises
     # instead of returning a value outside the open interval.
     with pytest.raises(ValueError, match="rounded outside"):
-        sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 4 * 2.0 ** -52, 0.5)
+        sample_truncated_normal(0.0, 1.0, 1.0 + 4 * 2.0 ** -52, 0.5)
 
 
 def test_truncnorm_unresolvable_interval_returns():
     # No float lies strictly inside (1, nextafter(1, 2)); the sampler used
     # to retry forever on this interval.
     with pytest.raises(ValueError, match="no float"):
-        sample_truncated_normal(0.0, 1.0, 1.0, math.nextafter(1.0, 2.0), 0.5)
+        sample_truncated_normal(0.0, 1.0, math.nextafter(1.0, 2.0), 0.5)
     # Exactly one float inside: it comes back whatever the uniform is.
     only = math.nextafter(1.0, 2.0)
     hi = math.nextafter(only, 2.0)
     for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
-        assert sample_truncated_normal(0.0, 1.0, 1.0, hi, u) == only
-    assert sample_truncated_normal(0.0, 1.0, -hi, -1.0, 0.5) == -only
+        assert sample_truncated_normal(0.0, 1.0, hi, u) == only
+    assert sample_truncated_normal(0.0, -hi, -1.0, 0.5) == -only
     # A narrow interval the draw can resolve still gives a value inside it.
-    x = sample_truncated_normal(0.0, 1.0, 1.0, 1.0 + 1e-9, 0.5)
+    x = sample_truncated_normal(0.0, 1.0, 1.0 + 1e-9, 0.5)
     assert 1.0 < x < 1.0 + 1e-9

@@ -144,13 +144,8 @@ def test_outer_is_the_exact_broadcast_product():
         assert got.flags.c_contiguous
 
 
-def test_masked_partition_draws_match_the_compressed_blocks():
-    # Slot i of the masked partition is decoupled: both beta draws return
-    # exactly 0 there, C has a unit (i, i) entry and a zero row and column
-    # i, and the other entries are the draw from the (p-1)-dimensional
-    # blocks that leave slot i out.
-    gen = np.random.default_rng(9)
-    p = 7
+def random_state(gen, p=7):
+    """A state with random S, omega, tau and lam, for column-level checks."""
     S = scatter_matrix(gen.standard_normal((12, p)))
     st = initial_state(S, 12)
     A = gen.standard_normal((p, p))
@@ -158,6 +153,17 @@ def test_masked_partition_draws_match_the_compressed_blocks():
     st.tau = symmetrize(np.abs(gen.standard_normal((p, p))) + 0.1)
     np.fill_diagonal(st.tau, 0.0)
     st.lam = np.abs(gen.standard_normal(p)) + 0.1
+    return st
+
+
+def test_masked_partition_draws_match_the_compressed_blocks():
+    # Slot i of the masked partition is decoupled: both beta draws return
+    # exactly 0 there, C has a unit (i, i) entry and a zero row and column
+    # i, and the other entries are the draw from the (p-1)-dimensional
+    # blocks that leave slot i out.
+    gen = np.random.default_rng(9)
+    p = 7
+    st = random_state(gen, p)
     for i in range(p):
         part = partition(st, i)
         rest = np.arange(p) != i
@@ -269,16 +275,14 @@ def test_bgs_single_factor_draw_moments():
 
 
 def test_hit_and_run_interval_unit_case():
-    lo, hi = hit_and_run_interval(np.array([1.0]), np.array([0.0]),
-                                  np.array([[1.0]]), 1.0)
+    lo, hi = hit_and_run_interval(1.0, 0.0, 1.0)
     assert lo == pytest.approx(-1.0)
     assert hi == pytest.approx(1.0)
 
 
 def test_hit_and_run_interval_quadratic_oracle():
-    # a=1, b=0.5, c=-1 gives roots -0.5 +- sqrt(1.25)
-    lo, hi = hit_and_run_interval(np.array([1.0, 0.0]), np.array([0.5, 0.0]),
-                                  np.eye(2), 1.0)
+    # a=1, b=0.5, gamma=1 gives roots -0.5 +- sqrt(1.25)
+    lo, hi = hit_and_run_interval(1.0, 0.5, 1.0)
     assert lo == pytest.approx(-0.5 - math.sqrt(1.25))
     assert hi == pytest.approx(-0.5 + math.sqrt(1.25))
 
@@ -296,14 +300,28 @@ def test_hit_and_run_interval_brackets_zero():
         gamma = float(np.abs(rng.standard_normal()) + 1e-6)
         alpha = stream.gen.standard_normal(p1)
         alpha /= math.sqrt(float(alpha @ alpha))
-        lo, hi = hit_and_run_interval(alpha, beta, inv, gamma)
+        v = inv @ alpha
+        lo, hi = hit_and_run_interval(float(alpha @ v), float(beta @ v), gamma)
         assert lo < 0.0 < hi
+
+
+@pytest.mark.parametrize("b", [1e8, -1e8, 1e6, -1e6])
+def test_hit_and_run_interval_roots_do_not_cancel(b):
+    # (-b + disc)/a cancels when |b| dwarfs a*gamma: at b = 1e8 it gives an
+    # exact 0, which no longer brackets 0.  The near root, from the product
+    # of the roots, is gamma / (|b| + disc) to 1e-15 relative.
+    a = gamma = 1.0
+    lo, hi = hit_and_run_interval(a, b, gamma)
+    assert lo < 0.0 < hi
+    disc = math.sqrt(b * b + a * gamma)
+    near, far = (hi, lo) if b > 0 else (-lo, -hi)
+    np.testing.assert_allclose(near, gamma / (abs(b) + disc), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(far, -(abs(b) + disc) / a, rtol=1e-15, atol=0.0)
 
 
 def test_hit_and_run_interval_rejects_non_pd_state():
     with pytest.raises(ValueError, match="state not positive definite"):
-        hit_and_run_interval(np.array([1.0]), np.array([0.0]),
-                             np.array([[1.0]]), 0.0)
+        hit_and_run_interval(1.0, 0.0, 0.0)
 
 
 def test_hrs_beta_always_feasible():
@@ -325,6 +343,55 @@ def test_hrs_beta_always_feasible():
                                 beta, omega22)
         new_beta = hrs_update_beta(part, stream.gen.standard_normal(p1), stream.gen.random())
         assert new_beta @ inv @ new_beta < omega22
+
+
+def beta_coordinates_hrs_step(part, z, u):
+    """The hrs step taken in beta coordinates: d = L^{-T} z scaled to unit
+    Euclidean length, C^{-1} formed explicitly, a step of mean -(s12'd +
+    beta' C^{-1} d) / (d' C^{-1} d) and variance 1 / (d' C^{-1} d), and the
+    interval's roots (-b -+ disc) / a taken directly."""
+    cinv = (part.s22 + 2.0 * part.lambda22) * part.omega11_inv + np.diag(1.0 / part.tau12)
+    L = np.linalg.cholesky(cinv)
+    d = lapack.dtrtrs(L, z, lower=1, trans=1)[0]
+    d /= np.linalg.norm(d)
+    w = cinv @ d
+    denom = float(d @ w)
+    mu = -(float(part.s12 @ d) + float(part.beta @ w)) / denom
+    sigma = math.sqrt(1.0 / denom)
+    v = part.omega11_inv @ d
+    a, b = float(d @ v), float(part.beta @ v)
+    gamma = part.omega22 - float(part.beta @ part.omega11_inv @ part.beta)
+    disc = math.sqrt(b * b + a * gamma)
+    lo, hi = (-b - disc) / a, (-b + disc) / a
+    # N(mu, sigma**2) on (lo, hi) is mu + sigma * N(0, 1) on the
+    # standardized interval.
+    z_step = sample_truncated_normal(0.0, (lo - mu) / sigma, (hi - mu) / sigma, u)
+    return part.beta + (mu + sigma * z_step) * d
+
+
+def test_whitened_hrs_step_matches_the_beta_coordinates_step():
+    # Moving x = L' beta along e = z/|z| with a unit-variance step is the
+    # same move as the beta-coordinates step along L^{-T} z: same line, same
+    # truncated normal, so the same column for the same (z, u).
+    gen = np.random.default_rng(9)
+    p = 7
+    st = random_state(gen, p)
+    for i in range(p):
+        part = partition(st, i)
+        for _ in range(6):
+            z = gen.standard_normal(p)
+            z[i] = 0.0
+            u = float(gen.random())
+            got = hrs_update_beta(part, z, u)
+            assert got[i] == 0.0
+            np.testing.assert_allclose(got, beta_coordinates_hrs_step(part, z, u),
+                                       rtol=1e-10, atol=0.0)
+
+
+def test_hrs_zero_direction_raises():
+    st = random_state(np.random.default_rng(10))
+    with pytest.raises(ValueError, match="zero length"):
+        hrs_update_beta(partition(st, 3), np.zeros(7), 0.5)
 
 
 def test_hrs_unbounded_matches_bgs_distribution():
@@ -561,8 +628,8 @@ def draw_bank(gen, p, n, r):
 def reference_sweep(st, kind, rng, skip_first_beta):
     """The masked column kernel written plainly: the bank drawn up front,
     np.outer, a full-matrix subtract with row and column i zeroed by hand,
-    gamma draws scaled by 1/rate, np.clip and the closed-form
-    Michael-Schucany-Haas draw inline.
+    the whitened hrs step, gamma draws scaled by 1/rate, np.clip and the
+    closed-form Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -598,18 +665,19 @@ def reference_sweep(st, kind, rng, skip_first_beta):
                 y = lapack.dtrtrs(L, s12, lower=1)[0]
                 beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
             else:
+                # Whitened step: x = L' beta moves along e = Z[i] / |Z[i]|,
+                # d = L^{-T} e has d' C^{-1} d = 1, so the step has unit
+                # variance; the roots come from their product, -gamma / a.
                 gam_old = float(omega22_old - beta @ (o11 @ beta))
                 d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
-                d = d / math.sqrt(float(d @ d))
-                w = cinv @ d
-                denom = float(d @ w)
-                mu = -(float(s12 @ d) + float(beta @ w)) / denom
+                d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
                 v = o11 @ d
                 a, b = float(d @ v), float(beta @ v)
+                mu = -(float(s12 @ d) + (s22 + 2.0 * lam[i]) * b + float((beta / tau12) @ d))
                 disc = math.sqrt(b * b + a * gam_old)
-                kappa = sample_truncated_normal(
-                    mu, math.sqrt(1.0 / denom), (-b - disc) / a, (-b + disc) / a, K[i])
-                beta = beta + kappa * d
+                q = abs(b) + disc
+                lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
+                beta = beta + sample_truncated_normal(mu, lo, hi, K[i]) * d
             assert beta[i] == 0.0
             omega[i, :] = omega[:, i] = beta
             omega[i, i] = omega22_old
