@@ -25,22 +25,16 @@ def check_symmetric(M, name="matrix"):
     return M
 
 
-def symmetrize(M):
-    """(A + A.T) / 2, the canonical repair for floating-point asymmetry."""
-    return (M + M.T) / 2.0
+def cholesky_in_place(A):
+    """Lower Cholesky factor of the symmetric A, computed in A's memory.
 
-
-def pd_check(M):
-    """Cholesky-based positive definiteness test.
-
-    Returns the lower Cholesky factor if every factor diagonal entry
-    exceeds PD_TOL, otherwise None.  Never mutates M; a None result means
-    "not positive definite", not an error.
+    Only the lower triangle of A is read; A should be Fortran-ordered (such
+    as the transpose of a C-ordered array), or LAPACK works on a copy.  The
+    factor overwrites that triangle and the strict upper triangle is left
+    as it was.  Returns the factor if every diagonal entry exceeds PD_TOL,
+    otherwise None: "not positive definite", not an error.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    L, info = lapack.dpotrf(M, lower=1, clean=1)
+    L, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         return None
     if info < 0:
@@ -51,16 +45,33 @@ def pd_check(M):
     return L
 
 
+def pd_check(M):
+    """Cholesky-based positive definiteness test.
+
+    Returns the lower Cholesky factor, with a zero upper triangle, if every
+    factor diagonal entry exceeds PD_TOL, otherwise None.  Never mutates M;
+    a None result means "not positive definite", not an error.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    # A Fortran-ordered copy of M's lower triangle with a zero strict upper
+    # triangle, so the factor comes out clean.
+    return cholesky_in_place(np.triu(M.T).T)
+
+
 def invert_from_factor(L):
-    """Inverse of L @ L.T given its lower Cholesky factor, exactly symmetric."""
+    """Inverse of L @ L.T given its lower Cholesky factor, exactly symmetric.
+
+    Only the lower triangle of L is read.
+    """
     inv, info = lapack.dpotri(L, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    # dpotri fills the lower triangle and leaves the factor's zero upper
-    # triangle untouched, so mirroring costs one add plus halving the
-    # doubled diagonal.
-    inv = inv + inv.T
-    inv.flat[:: inv.shape[0] + 1] /= 2.0
+    # dpotri fills the lower triangle and leaves L's strict upper triangle
+    # as it was, so that is dropped before the lower one is mirrored.
+    inv = np.tril(inv)
+    inv += np.tril(inv, -1).T
     return inv
 
 

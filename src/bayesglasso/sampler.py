@@ -37,18 +37,28 @@ The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
 and asserts the column-boundary invariant; then, per column,
 
-* the partition reads ``Omega11^{-1} = Sigma - u u'`` with ``u = sigma_i /
-  sqrt(sigma_ii)``, row and column i set to zero;
+* the partition downdates Sigma in place to ``Omega11^{-1} = Sigma - u u'``
+  with ``u = sigma_i / sqrt(sigma_ii)``, row and column i set to zero;
 * the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
   on the matrix holding the new beta and the old w22;
 * after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
-  ``Omega11^{-1} + v v' / gamma`` with row and column i set to ``-v /
-  gamma`` and ``sigma_ii = 1 / gamma``.
+  ``Omega11^{-1} + v v' / gamma`` in place, with row and column i set to
+  ``-v / gamma`` and ``sigma_ii = 1 / gamma``.
 
 All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
-factorisation of C^{-1} that the beta draw needs.  Outer products are
-taken as exact elementwise products, so every carried matrix stays exactly
-symmetric.
+factorisation of C^{-1} that the beta draw needs.  C^{-1} is formed in one
+p x p workspace per sweep and factored there in place.
+
+Within a sweep Sigma is carried as one triangle: the lower triangle of
+``sigma.T`` as BLAS sees it, which is the upper triangle of ``sigma`` in
+numpy's indexing.  The rank-1 updates are BLAS ``dsyr`` on that triangle,
+every Omega11^{-1} product is ``dsymv`` reading it, and C^{-1} and its
+factor are read from the same triangle.  The other triangle goes stale and
+is mirrored from the current one once, when the sweep ends, so Sigma is
+exactly symmetric between sweeps.  A full-matrix ``A - u u'`` (BLAS
+``dger``) is not used: depending on the OpenBLAS kernel it rounds entry
+(j, k) and entry (k, j) differently, which leaves Sigma slightly
+asymmetric, while one stored triangle is symmetric by construction.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator (six
@@ -83,7 +93,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .distributions import sample_truncated_normal
-from .matrixcore import PD_TOL, check_symmetric, invert_from_factor, pd_check
+from .matrixcore import PD_TOL, check_symmetric, cholesky_in_place, invert_from_factor, pd_check
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -125,7 +135,11 @@ class GibbsState:
     update and never stored.  scatter is S = Y'Y for the observed data.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
-    every column; None before the first sweep.
+    every column; None before the first sweep.  Between sweeps it is the
+    full, exactly symmetric Sigma.  In the middle of a sweep only its upper
+    triangle (numpy indexing) is current, and during column i's update
+    that triangle holds Omega11^{-1} (see the module docstring); after a
+    sweep that raised, it means nothing.
     """
 
     omega: np.ndarray
@@ -143,7 +157,11 @@ class ColumnPartition:
     """Blocks of the state for one column, masked in natural order.
 
     The vectors have length p and omega11_inv is p x p; slot i of column i
-    is decoupled (see :func:`make_partition`).
+    is decoupled (see :func:`make_partition`).  omega11_inv is read from
+    its upper triangle (numpy indexing) only: in a sweep it is the carried
+    sigma itself, downdated in place, and its lower triangle is stale.
+    work is a p x p scratch array that the beta draw overwrites with
+    C^{-1} and its Cholesky factor.
     """
 
     omega11_inv: np.ndarray
@@ -153,6 +171,7 @@ class ColumnPartition:
     lambda22: float
     beta: np.ndarray
     omega22: float
+    work: np.ndarray
 
 
 @dataclass
@@ -221,35 +240,43 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     )
 
 
-def _outer(x):
-    # x x' as exact elementwise products, bitwise equal to x[:, None] * x and
-    # so exactly symmetric, at a fraction of the broadcast's cost.  A fused
-    # A - x x' update would round differently and can break that symmetry.
-    out = np.zeros((x.shape[0], x.shape[0]))
-    blas.dger(1.0, x, x, a=out.T, overwrite_a=1)
-    return out
+def _symv(a, x):
+    # a @ x for a symmetric a, read from its upper triangle (numpy indexing).
+    return blas.dsymv(1.0, a.T, x, lower=1)
 
 
-def make_partition(state, i, sigma):
+def _syr(alpha, x, a):
+    # a += alpha x x' in place, on a's upper triangle (numpy indexing) only.
+    blas.dsyr(alpha, x, a=a.T, lower=1, overwrite_a=1)
+
+
+def _mirror(a):
+    # Copy a's upper triangle (numpy indexing) onto its lower one.
+    np.copyto(a, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
+
+
+def make_partition(state, i, sigma, work):
     """Partition the state around column i (0-based), masked in natural order.
 
     Every block keeps length p and slot i is decoupled: it is zero in
     omega11_inv, s12 and beta and one in tau12.  sigma is Omega^{-1}, the
-    one :func:`sweep` carries; the partition reads ``Omega11^{-1} = Sigma -
-    sigma_i sigma_i' / sigma_ii`` from it in O(p^2), with row and column i
-    set to zero.
+    one :func:`sweep` carries, read from its upper triangle (numpy
+    indexing).  It is downdated in place, in O(p^2), to ``Omega11^{-1} =
+    Sigma - sigma_i sigma_i' / sigma_ii`` with row and column i set to
+    zero, and becomes the partition's omega11_inv.  work is the p x p
+    scratch array the beta draw factors C^{-1} in.
     """
     p = state.omega.shape[0]
     if not 0 <= i < p:
         raise IndexError(f"column {i} out of range for dimension {p}")
-    # Scaling sigma12 by 1/sqrt(sigma22) keeps the outer product, and so the
-    # block, exactly symmetric.  Row i of the exactly symmetric sigma is its
-    # column i.
-    u = sigma[i] * (1.0 / math.sqrt(sigma[i, i]))
-    omega11_inv = _outer(u)
-    np.subtract(sigma, omega11_inv, out=omega11_inv)
-    omega11_inv[i] = 0.0
-    omega11_inv[:, i] = 0.0
+    # Row i of the represented sigma: its upper-triangle part is row i, the
+    # rest is column i above the diagonal.
+    scale = 1.0 / math.sqrt(sigma[i, i])
+    u = sigma[i] * scale
+    np.multiply(sigma[:i, i], scale, out=u[:i])
+    _syr(-1.0, u, sigma)
+    sigma[i] = 0.0
+    sigma[:, i] = 0.0
     s12 = state.scatter[i].copy()
     s12[i] = 0.0
     tau12 = state.tau[i].copy()
@@ -257,37 +284,33 @@ def make_partition(state, i, sigma):
     beta = state.omega[i].copy()
     beta[i] = 0.0
     return ColumnPartition(
-        omega11_inv=omega11_inv,
+        omega11_inv=sigma,
         s12=s12,
         s22=float(state.scatter[i, i]),
         tau12=tau12,
         lambda22=float(state.lam[i]),
         beta=beta,
         omega22=float(state.omega[i, i]),
+        work=work,
     )
 
 
 def _factor_c_inverse(part):
     """Lower Cholesky factor of C^{-1} = (s22 + 2*lambda22) Omega11^{-1} +
-    diag(1/tau12), formed in a fresh array; the partition is not mutated."""
-    cinv = (part.s22 + 2.0 * part.lambda22) * part.omega11_inv
+    diag(1/tau12), formed and factored in place in part.work.
+
+    C^{-1} is read from the upper triangle of omega11_inv (numpy indexing).
+    The factor is the lower triangle of part.work.T; above its diagonal
+    part.work.T keeps stale C^{-1} entries, which the triangular solves
+    never read.
+    """
+    cinv = np.multiply(part.omega11_inv, part.s22 + 2.0 * part.lambda22, out=part.work)
     diag = cinv.reshape(-1)[:: cinv.shape[0] + 1]
     diag += 1.0 / part.tau12
-    L = pd_check(cinv)
+    L = cholesky_in_place(cinv.T)
     if L is None:
         raise ValueError("conditional covariance not positive definite")
     return L
-
-
-def compute_c_matrix(part):
-    """Conditional covariance C = ((s22 + 2*lam22) Omega11^{-1} + D_tau^{-1})^{-1}.
-
-    A reference for checking the beta draws; the samplers themselves only
-    ever factor C^{-1} and never form C.
-    """
-    if np.any(part.tau12 <= 0.0):
-        raise ValueError("tau12 entries must be positive")
-    return invert_from_factor(_factor_c_inverse(part))
 
 
 def bgs_update_beta(part, z):
@@ -356,11 +379,11 @@ def hrs_update_beta(part, z, u):
     d, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
     d *= 1.0 / math.sqrt(zz)
     beta = part.beta
-    v = part.omega11_inv @ d
+    v = _symv(part.omega11_inv, d)
     b = float(beta @ v)
     mu = -(float(part.s12 @ d) + (part.s22 + 2.0 * part.lambda22) * b
            + float((beta / part.tau12) @ d))
-    gamma = part.omega22 - float(beta @ (part.omega11_inv @ beta))
+    gamma = part.omega22 - float(beta @ _symv(part.omega11_inv, beta))
     lo, hi = hit_and_run_interval(float(d @ v), b, gamma)
     return beta + sample_truncated_normal(mu, lo, hi, u) * d
 
@@ -427,7 +450,8 @@ def sweep(state, kind, audit, rng):
     only reaches a sweep start through column boundaries, where omega is
     positive definite by construction.  The factor gives Sigma =
     Omega^{-1}, which ``state.sigma`` carries through the columns with the
-    O(p^2) updates of the module docstring; the gap between the Sigma
+    O(p^2) updates of the module docstring, on its upper triangle only, and
+    mirrors that triangle when the sweep ends; the gap between the Sigma
     carried through the previous sweep and the fresh one goes into
     ``audit.sigma_drift_max``.  Then the sweep draws its random bank (see
     the module docstring).
@@ -459,6 +483,7 @@ def sweep(state, kind, audit, rng):
     p = state.omega.shape[0]
     omega, tau, lam = state.omega, state.tau, state.lam
     schur_floor = PD_TOL * PD_TOL
+    work = np.empty((p, p))
 
     gen = rng.gen
     z_bank = gen.standard_normal((p, p))
@@ -477,7 +502,7 @@ def sweep(state, kind, audit, rng):
     for i in range(p):
         stage = "partition"
         try:
-            part = make_partition(state, i, sigma)
+            part = make_partition(state, i, sigma, work)
 
             beta = part.beta
             if not (first_sweep and i == 0):
@@ -489,7 +514,7 @@ def sweep(state, kind, audit, rng):
                 omega[i] = beta
                 omega[:, i] = beta
                 omega[i, i] = part.omega22
-            v = part.omega11_inv @ beta
+            v = _symv(sigma, beta)
             q = float(beta @ v)
             beta_failed = not part.omega22 - q > schur_floor
 
@@ -498,7 +523,7 @@ def sweep(state, kind, audit, rng):
             if not gam > 0.0:
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega[i, i] = gam + q
-            np.add(part.omega11_inv, _outer(v * (1.0 / math.sqrt(gam))), out=sigma)
+            _syr(1.0, v * (1.0 / math.sqrt(gam)), sigma)
             v *= -1.0 / gam
             sigma[i] = v
             sigma[:, i] = v
@@ -520,6 +545,7 @@ def sweep(state, kind, audit, rng):
 
         audit.record(beta_failed)
 
+    _mirror(sigma)
     return state
 
 

@@ -3,12 +3,16 @@ import pytest
 
 from bayesglasso.matrixcore import (
     check_symmetric,
+    invert_from_factor,
     load_matrix_csv,
     pd_check,
     save_matrix_csv,
     spd_inverse,
-    symmetrize,
 )
+
+
+def symmetrize(M):
+    return (M + M.T) / 2.0
 
 
 def random_spd(p, rng, jitter=0.5):
@@ -60,6 +64,16 @@ def test_pd_check_factor_roundtrip():
         got = pd_check(symmetrize(M))
         assert got is not None
         assert np.max(np.abs(got @ got.T - M)) < 1e-10 * 5 * np.max(np.abs(M))
+
+
+def test_invert_from_factor_reads_only_the_lower_triangle():
+    # A factor computed in place keeps stale entries above its diagonal;
+    # the inverse must not see them.
+    rng = np.random.default_rng(6)
+    for p in (1, 2, 7, 30):
+        L = pd_check(random_spd(p, rng))
+        dirty = L + np.triu(rng.standard_normal((p, p)), 1)
+        assert np.array_equal(invert_from_factor(dirty), invert_from_factor(L))
 
 
 def test_spd_inverse_identity():

@@ -1,13 +1,18 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from bayesglasso import sampler
 from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_truncated_normal
-from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pd_check, spd_inverse, symmetrize
+from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pd_check, spd_inverse
 from bayesglasso.sampler import (
     EPS_OMEGA,
     LAMBDA_BOUNDS,
@@ -17,7 +22,6 @@ from bayesglasso.sampler import (
     ColumnPartition,
     ViolationAudit,
     bgs_update_beta,
-    compute_c_matrix,
     hit_and_run_interval,
     hrs_update_beta,
     initial_state,
@@ -30,6 +34,17 @@ from bayesglasso.sampler import (
 )
 
 
+def symmetrize(M):
+    return (M + M.T) / 2.0
+
+
+def represented(M):
+    """The full symmetric matrix that M's upper triangle (numpy indexing)
+    stands for: the one current triangle of the carried sigma and of a
+    partition's omega11_inv."""
+    return np.triu(M) + np.triu(M, 1).T
+
+
 def state_with_omega(omega, scatter=None, n=10, r=1e-2, s=1e-6):
     p = omega.shape[0]
     st = initial_state(scatter if scatter is not None else np.eye(p), n, r, s)
@@ -38,15 +53,27 @@ def state_with_omega(omega, scatter=None, n=10, r=1e-2, s=1e-6):
 
 
 def partition(st, i):
-    return make_partition(st, i, spd_inverse(st.omega))
+    p = st.omega.shape[0]
+    return make_partition(st, i, spd_inverse(st.omega), np.empty((p, p)))
 
 
 def schur_gamma(part):
-    # The Schur complement exactly as hrs_update_beta computes it.
-    return float(part.omega22 - part.beta @ (part.omega11_inv @ part.beta))
+    return float(part.omega22 - part.beta @ (represented(part.omega11_inv) @ part.beta))
+
+
+def compute_c_matrix(part):
+    """C = ((s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12))^{-1}, formed
+    explicitly and inverted from a clean Cholesky factor; the samplers only
+    ever factor C^{-1} in place."""
+    cinv = ((part.s22 + 2.0 * part.lambda22) * represented(part.omega11_inv)
+            + np.diag(1.0 / part.tau12))
+    L = pd_check(cinv)
+    assert L is not None
+    return invert_from_factor(L)
 
 
 def simple_partition(omega11_inv, s12, s22, tau12, lambda22, beta, omega22):
+    p = len(s12)
     return ColumnPartition(
         omega11_inv=np.asarray(omega11_inv, dtype=float),
         s12=np.asarray(s12, dtype=float),
@@ -55,6 +82,7 @@ def simple_partition(omega11_inv, s12, s22, tau12, lambda22, beta, omega22):
         lambda22=float(lambda22),
         beta=np.asarray(beta, dtype=float),
         omega22=float(omega22),
+        work=np.empty((p, p)),
     )
 
 
@@ -67,7 +95,7 @@ def test_partition_identity_p2():
     assert np.array_equal(part.beta, [0.0, 0.0])
     assert np.array_equal(part.tau12, [1.0, 1.0])
     assert schur_gamma(part) == pytest.approx(1.0)
-    assert np.allclose(part.omega11_inv, [[0.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(represented(part.omega11_inv), [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_partition_schur_oracle_p2():
@@ -77,7 +105,7 @@ def test_partition_schur_oracle_p2():
     assert np.array_equal(part.beta, [1.0, 0.0])
     assert part.omega22 == 2.0
     assert schur_gamma(part) == pytest.approx(1.5)
-    assert np.allclose(part.omega11_inv, [[0.5, 0.0], [0.0, 0.0]])
+    assert np.allclose(represented(part.omega11_inv), [[0.5, 0.0], [0.0, 0.0]])
 
 
 def test_partition_blocks_follow_permutation():
@@ -90,7 +118,8 @@ def test_partition_blocks_follow_permutation():
     st.tau = symmetrize(np.abs(rng.standard_normal((p, p))) + 0.1)
     np.fill_diagonal(st.tau, 0.0)
     i = 2
-    part = partition(st, i)
+    sigma = spd_inverse(st.omega)
+    part = make_partition(st, i, sigma, np.empty((p, p)))
     # natural order with slot 2 decoupled: zero in s12, beta and omega11_inv,
     # one in tau12, and every other entry read in place
     rest = [0, 1, 3, 4]
@@ -101,11 +130,12 @@ def test_partition_blocks_follow_permutation():
     assert part.s22 == S[i, i]
     assert part.lambda22 == st.lam[i]
     assert part.omega22 == st.omega[i, i]
-    assert np.all(part.omega11_inv[i] == 0.0)
-    assert np.all(part.omega11_inv[:, i] == 0.0)
-    assert np.array_equal(part.omega11_inv, part.omega11_inv.T)
+    assert part.omega11_inv is sigma  # downdated in place
+    omega11_inv = represented(part.omega11_inv)
+    assert np.all(omega11_inv[i] == 0.0)
+    assert np.all(omega11_inv[:, i] == 0.0)
     expect = np.linalg.inv(st.omega[np.ix_(rest, rest)])
-    assert np.allclose(part.omega11_inv[np.ix_(rest, rest)], expect, rtol=1e-12, atol=1e-14)
+    assert np.allclose(omega11_inv[np.ix_(rest, rest)], expect, rtol=1e-12, atol=1e-14)
 
 
 def test_partition_gamma_roundtrip():
@@ -129,19 +159,7 @@ def test_partition_gamma_roundtrip():
 def test_partition_index_out_of_range():
     st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
-        make_partition(st, 3, np.eye(3))
-
-
-def test_outer_is_the_exact_broadcast_product():
-    # Odd sizes run the BLAS tail code; the product must still be exact,
-    # so the blocks built from it stay exactly symmetric.
-    gen = np.random.default_rng(8)
-    for p in (1, 2, 7, 13, 30, 101):
-        u = gen.standard_normal(p)
-        got = sampler._outer(u)
-        assert np.array_equal(got, u[:, None] * u)
-        assert np.array_equal(got, got.T)
-        assert got.flags.c_contiguous
+        make_partition(st, 3, np.eye(3), np.empty((3, 3)))
 
 
 def random_state(gen, p=7):
@@ -167,9 +185,9 @@ def test_masked_partition_draws_match_the_compressed_blocks():
     for i in range(p):
         part = partition(st, i)
         rest = np.arange(p) != i
-        small = simple_partition(part.omega11_inv[np.ix_(rest, rest)], part.s12[rest],
-                                 part.s22, part.tau12[rest], part.lambda22,
-                                 part.beta[rest], part.omega22)
+        small = simple_partition(represented(part.omega11_inv)[np.ix_(rest, rest)],
+                                 part.s12[rest], part.s22, part.tau12[rest],
+                                 part.lambda22, part.beta[rest], part.omega22)
         C = compute_c_matrix(part)
         assert C[i, i] == 1.0
         assert np.all(C[i, rest] == 0.0) and np.all(C[rest, i] == 0.0)
@@ -225,10 +243,13 @@ def test_c_matrix_always_pd():
 
 
 def test_c_matrix_rejects_bad_tau():
-    part = simple_partition(np.eye(2), [0.0, 0.0], 1.0, [1.0, -1.0], 0.5,
+    # A negative tau12 entry can make C^{-1} indefinite: diag(2 + 1/tau12)
+    # has -8 in slot 1.  Both beta draws must refuse to factor it.
+    part = simple_partition(np.eye(2), [0.0, 0.0], 1.0, [1.0, -0.1], 0.5,
                             [0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        compute_c_matrix(part)
+    for draw, args in ((bgs_update_beta, ()), (hrs_update_beta, (0.5,))):
+        with pytest.raises(ValueError, match="conditional covariance not positive definite"):
+            draw(part, np.ones(2), *args)
 
 
 # ---------------------------------------------------------------- beta draws
@@ -350,7 +371,8 @@ def beta_coordinates_hrs_step(part, z, u):
     Euclidean length, C^{-1} formed explicitly, a step of mean -(s12'd +
     beta' C^{-1} d) / (d' C^{-1} d) and variance 1 / (d' C^{-1} d), and the
     interval's roots (-b -+ disc) / a taken directly."""
-    cinv = (part.s22 + 2.0 * part.lambda22) * part.omega11_inv + np.diag(1.0 / part.tau12)
+    omega11_inv = represented(part.omega11_inv)
+    cinv = (part.s22 + 2.0 * part.lambda22) * omega11_inv + np.diag(1.0 / part.tau12)
     L = np.linalg.cholesky(cinv)
     d = lapack.dtrtrs(L, z, lower=1, trans=1)[0]
     d /= np.linalg.norm(d)
@@ -358,9 +380,9 @@ def beta_coordinates_hrs_step(part, z, u):
     denom = float(d @ w)
     mu = -(float(part.s12 @ d) + float(part.beta @ w)) / denom
     sigma = math.sqrt(1.0 / denom)
-    v = part.omega11_inv @ d
+    v = omega11_inv @ d
     a, b = float(d @ v), float(part.beta @ v)
-    gamma = part.omega22 - float(part.beta @ part.omega11_inv @ part.beta)
+    gamma = part.omega22 - float(part.beta @ omega11_inv @ part.beta)
     disc = math.sqrt(b * b + a * gamma)
     lo, hi = (-b - disc) / a, (-b + disc) / a
     # N(mu, sigma**2) on (lo, hi) is mu + sigma * N(0, 1) on the
@@ -484,10 +506,9 @@ def make_sim_state(kind="circle", p=10, n=30, seed=20):
 
 
 def test_sweep_keeps_exact_symmetry_and_audit_counts():
-    # An odd p runs the BLAS tail code of the outer products and the
-    # in-place row and column writes.
-    p = 13
-    for kind in SAMPLER_KINDS:
+    # Odd p run the BLAS tail code of the rank-1 updates and the in-place
+    # row and column writes.
+    for p, kind in ((p, kind) for p in (13, 31) for kind in SAMPLER_KINDS):
         st, rng = make_sim_state(p=p)
         audit = ViolationAudit()
         for k in range(5):
@@ -495,9 +516,30 @@ def test_sweep_keeps_exact_symmetry_and_audit_counts():
             assert audit.updates_total == (k + 1) * p
             for name in ("omega", "sigma", "tau"):
                 M = getattr(st, name)
-                assert np.array_equal(M, M.T), (kind, name)
+                assert np.array_equal(M, M.T), (kind, p, name)
             assert np.all(np.diagonal(st.tau) == 0.0)
             assert np.all(st.lam > 0)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_sweep_symmetry_under_openblas_core(core):
+    # The test above, rerun in a subprocess on another OpenBLAS kernel.  A
+    # full-matrix A - u u' (dger) comes out asymmetric on the Haswell
+    # kernel, which AVX2 and AMD machines get by default; the one carried
+    # triangle must stay exactly symmetric on every kernel.
+    if platform.machine() != "x86_64":
+        pytest.skip("OpenBLAS core types are x86_64 names")
+    test = "test_sweep_keeps_exact_symmetry_and_audit_counts"
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2"}
+    # -s leaves OpenBLAS's "Core: <name>" line on the subprocess's stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         f"{Path(__file__).name}::{test}"],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300)
+    if f"Core: {core}" not in proc.stderr:
+        pytest.skip(f"OpenBLAS did not report core {core}")
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "1 passed" in proc.stdout
 
 
 def test_hrs_sweep_never_violates():
@@ -538,9 +580,10 @@ def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
     original = sampler.update_lambda_column
 
     def checked(*args, **kwargs):
-        # Called after the column's diagonal write and Sigma update.
+        # Called after the column's diagonal write and Sigma update, when
+        # only the carried triangle of Sigma is current.
         inv = np.linalg.inv(st.omega)
-        errors.append(np.max(np.abs(st.sigma - inv)) / np.max(np.abs(inv)))
+        errors.append(np.max(np.abs(represented(st.sigma) - inv)) / np.max(np.abs(inv)))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampler, "update_lambda_column", checked)
@@ -571,12 +614,11 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_sweep_factorisation_budget(kind, monkeypatch):
-    # One Cholesky of omega per sweep plus one of C^{-1} per column, and the
-    # one inverse that gives Sigma: no other O(p^3) step in the column loop.
+    # One Cholesky of omega per sweep, one in-place factor of C^{-1} per
+    # beta draw, and the one inverse that gives Sigma: no other O(p^3) step.
     p = 12
     st, rng = make_sim_state(p=p, n=30)
-    sweep(st, kind, ViolationAudit(), rng)
-    calls = {"pd_check": 0, "invert_from_factor": 0}
+    calls = {"pd_check": 0, "cholesky_in_place": 0, "invert_from_factor": 0}
 
     def counted(name):
         original = getattr(sampler, name)
@@ -588,9 +630,15 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(sampler, name, counted(name))
-    sweep(st, kind, ViolationAudit(), rng)
-    assert calls["pd_check"] <= p + 1
-    assert calls["invert_from_factor"] == 1
+    per_sweep = []
+    for _ in range(3):
+        before = dict(calls)
+        sweep(st, kind, ViolationAudit(), rng)
+        per_sweep.append({name: calls[name] - before[name] for name in calls})
+    # A chain's first sweep skips column 0's beta draw.
+    expect = [{"pd_check": 1, "cholesky_in_place": c, "invert_from_factor": 1}
+              for c in (p - 1, p, p)]
+    assert per_sweep == expect
 
 
 def test_first_sweep_guard_changes_draw_sequence(monkeypatch):
@@ -627,18 +675,29 @@ def draw_bank(gen, p, n, r):
 
 def reference_sweep(st, kind, rng, skip_first_beta):
     """The masked column kernel written plainly: the bank drawn up front,
-    np.outer, a full-matrix subtract with row and column i zeroed by hand,
-    the whitened hrs step, gamma draws scaled by 1/rate, np.clip and the
-    closed-form Michael-Schucany-Haas draw inline.
+    Sigma kept full and symmetric after every column, BLAS dsyr and dsymv
+    on its upper triangle (numpy indexing) for the rank-1 updates and the
+    products, row and column i zeroed by hand, the whitened hrs step, gamma
+    draws scaled by 1/rate, np.clip and the closed-form
+    Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
     Returns the audit counts (updates, violations).
     """
+    def symv(a, x):
+        return blas.dsymv(1.0, a.T, x, lower=1)
+
+    def syr(alpha, x, a):
+        # a + alpha x x' on the upper triangle, then mirrored.
+        a = a.copy()
+        blas.dsyr(alpha, x, a=a.T, lower=1, overwrite_a=1)
+        return represented(a)
+
     gen = rng.gen
     p = st.omega.shape[0]
     omega, tau, lam = st.omega, st.tau, st.lam
-    sigma = st.sigma = invert_from_factor(pd_check(omega))
+    sigma = invert_from_factor(pd_check(omega))
     Z, G_gamma, G_lambda, NU, U = draw_bank(gen, p, st.n, st.r)
     np.fill_diagonal(Z, 0.0)
     if kind == "hrs":
@@ -646,7 +705,7 @@ def reference_sweep(st, kind, rng, skip_first_beta):
     violations = 0
     for i in range(p):
         u = sigma[:, i] * (1.0 / math.sqrt(sigma[i, i]))
-        o11 = sigma - np.outer(u, u)
+        o11 = syr(-1.0, u, sigma)
         o11[i, :] = 0.0
         o11[:, i] = 0.0
         s12, s22 = st.scatter[:, i].copy(), float(st.scatter[i, i])
@@ -668,10 +727,10 @@ def reference_sweep(st, kind, rng, skip_first_beta):
                 # Whitened step: x = L' beta moves along e = Z[i] / |Z[i]|,
                 # d = L^{-T} e has d' C^{-1} d = 1, so the step has unit
                 # variance; the roots come from their product, -gamma / a.
-                gam_old = float(omega22_old - beta @ (o11 @ beta))
+                gam_old = float(omega22_old - beta @ symv(o11, beta))
                 d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
                 d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
-                v = o11 @ d
+                v = symv(o11, d)
                 a, b = float(d @ v), float(beta @ v)
                 mu = -(float(s12 @ d) + (s22 + 2.0 * lam[i]) * b + float((beta / tau12) @ d))
                 disc = math.sqrt(b * b + a * gam_old)
@@ -681,15 +740,14 @@ def reference_sweep(st, kind, rng, skip_first_beta):
             assert beta[i] == 0.0
             omega[i, :] = omega[:, i] = beta
             omega[i, i] = omega22_old
-        v = o11 @ beta
+        v = symv(o11, beta)
         q = float(beta @ v)
         violations += not omega22_old - q > PD_TOL * PD_TOL
 
         gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lam[i])))
         omega22 = gam + q
         omega[i, i] = omega22
-        w = v * (1.0 / math.sqrt(gam))
-        sigma[:] = o11 + np.outer(w, w)
+        sigma = syr(1.0, v * (1.0 / math.sqrt(gam)), o11)
         sigma[i, :] = sigma[:, i] = v * (-1.0 / gam)
         sigma[i, i] = 1.0 / gam
 
@@ -704,6 +762,7 @@ def reference_sweep(st, kind, rng, skip_first_beta):
         draw = np.where(U[i] / (1.0 - U[i]) <= r, r, 1.0 / r) * (a / rates)
         tau[i, :] = tau[:, i] = np.clip(draw, *TAU_BOUNDS)
         tau[i, i] = 0.0
+    st.sigma = sigma
     return p, violations
 
 
