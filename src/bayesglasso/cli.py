@@ -81,6 +81,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         _check_chain(self.chain_config())
+        _check_seed(self.seed)
         if self.n < 1 or self.replications < 1 or self.jobs < 1:
             raise ConfigError("n, replications and jobs must be positive")
         if self.threshold <= 0.0:
@@ -96,6 +97,13 @@ def _check_chain(config):
         config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _check_seed(seed):
+    # numpy's SeedSequence takes only non-negative integers; checked here so
+    # that a bad seed fails before any output is written.
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
 def ingest_csv(path, standardize=False):
@@ -326,6 +334,7 @@ def _pool_audits(audits):
 def cmd_fit(data_path, config, out_dir, *, seed=0, standardize=False):
     """One chain with ChainConfig config on the data of a CSV file."""
     _check_chain(config)
+    _check_seed(seed)
     values = ingest_csv(data_path, standardize=standardize)
     n, p = values.shape
     if n < 2:

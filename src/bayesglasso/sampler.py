@@ -33,6 +33,17 @@ has a unit (i, i) entry and a zero row and column i, and the beta draw
 comes out exactly 0 in slot i.  Omega, Sigma and tau are then updated in
 place with one row write and one column write each.
 
+The partition copies only what it must.  S is fixed for the chain, so each
+sweep makes one copy of it with a zero diagonal, and s12 is a row view of
+that copy.  tau12 is a row view of tau itself: the partition sets tau's
+(i, i) entry to 1, the masked slot's value, and the column's tau write puts
+the structural 0 back, so tau has a zero diagonal at every column boundary.
+beta is the one row copied, because omega keeps its diagonal.  Besides the
+bank, a sweep allocates two buffers and reuses them in every column: the
+p x p workspace in which C^{-1} is formed and factored, and a length-p
+buffer for |omega_i.|.  The tau update works in place in that buffer and in
+its row of bank 4 below, which no later column reads.
+
 The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
 and asserts the column-boundary invariant; then, per column,
@@ -59,6 +70,9 @@ exactly symmetric between sweeps.  A full-matrix ``A - u u'`` (BLAS
 ``dger``) is not used: depending on the OpenBLAS kernel it rounds entry
 (j, k) and entry (k, j) differently, which leaves Sigma slightly
 asymmetric, while one stored triangle is symmetric by construction.
+Products of two vectors are BLAS ``ddot``, several times cheaper per call
+than numpy's ``@`` at these sizes; the bitwise reference test, which uses
+``@``, checks that the two agree on each OpenBLAS kernel it runs on.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator (six
@@ -104,6 +118,13 @@ LAMBDA_BOUNDS = (1e-6, 1e6)
 TAU_BOUNDS = (1e-10, 1e10)
 EPS_OMEGA = 1e-10
 
+# The same constants as 0-d arrays: numpy ufuncs take a 0-d array operand
+# faster than a Python float.
+_LAMBDA_CLAMP = tuple(np.array(b) for b in LAMBDA_BOUNDS)
+_TAU_CLAMP = tuple(np.array(b) for b in TAU_BOUNDS)
+_EPS_OMEGA = np.array(EPS_OMEGA)
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+
 
 @dataclass
 class ChainConfig:
@@ -121,8 +142,9 @@ class ChainConfig:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
         if self.burn_in < 0 or self.draws < 1:
             raise ValueError("need burn_in >= 0, draws >= 1")
-        if self.r <= 0.0 or self.s <= 0.0:
-            raise ValueError("hyperparameters r and s must be positive")
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
+            raise ValueError("hyperparameters r and s must be finite and positive")
 
 
 @dataclass
@@ -130,9 +152,10 @@ class GibbsState:
     """Mutable state of one chain.
 
     omega and tau are p x p symmetric and tau has a structurally zero
-    diagonal.  lam holds the p shrinkage rates of the diagonal entries of
-    omega; the off-diagonal rates are drawn and used within one column
-    update and never stored.  scatter is S = Y'Y for the observed data.
+    diagonal, except that its (i, i) entry holds 1 while column i is
+    updated (see the module docstring).  lam holds the p shrinkage rates
+    of the diagonal entries of omega; the off-diagonal rates are drawn and
+    used within one column update and never stored.  scatter is S = Y'Y for the observed data.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.  Between sweeps it is the
@@ -160,8 +183,9 @@ class ColumnPartition:
     is decoupled (see :func:`make_partition`).  omega11_inv is read from
     its upper triangle (numpy indexing) only: in a sweep it is the carried
     sigma itself, downdated in place, and its lower triangle is stale.
-    work is a p x p scratch array that the beta draw overwrites with
-    C^{-1} and its Cholesky factor.
+    In a sweep s12 and tau12 are row views of arrays the sweep owns, so
+    the draws only read them.  work is a p x p scratch array that the beta
+    draw overwrites with C^{-1} and its Cholesky factor.
     """
 
     omega11_inv: np.ndarray
@@ -255,7 +279,7 @@ def _mirror(a):
     np.copyto(a, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
 
 
-def make_partition(state, i, sigma, work):
+def make_partition(state, i, sigma, work, scatter_off):
     """Partition the state around column i (0-based), masked in natural order.
 
     Every block keeps length p and slot i is decoupled: it is zero in
@@ -265,34 +289,31 @@ def make_partition(state, i, sigma, work):
     Sigma - sigma_i sigma_i' / sigma_ii`` with row and column i set to
     zero, and becomes the partition's omega11_inv.  work is the p x p
     scratch array the beta draw factors C^{-1} in.
+
+    s12 and tau12 are views, not copies: s12 is row i of scatter_off, which
+    is S with a zero diagonal, and tau12 is row i of ``state.tau``, whose
+    (i, i) entry is set to 1 here; the sweep puts tau's structural 0 back
+    when it writes row i.  beta is a copy of row i of omega with slot i set
+    to zero, because omega keeps its diagonal.
     """
-    p = state.omega.shape[0]
+    omega, tau = state.omega, state.tau
+    p = omega.shape[0]
     if not 0 <= i < p:
         raise IndexError(f"column {i} out of range for dimension {p}")
-    # Row i of the represented sigma: its upper-triangle part is row i, the
-    # rest is column i above the diagonal.
-    scale = 1.0 / math.sqrt(sigma[i, i])
-    u = sigma[i] * scale
-    np.multiply(sigma[:i, i], scale, out=u[:i])
+    # Complete row i of sigma from the current triangle (its part left of
+    # the diagonal is column i above it), then scale it.
+    sigma[i, :i] = sigma[:i, i]
+    u = sigma[i] * (1.0 / math.sqrt(sigma[i, i]))
     _syr(-1.0, u, sigma)
     sigma[i] = 0.0
     sigma[:, i] = 0.0
-    s12 = state.scatter[i].copy()
-    s12[i] = 0.0
-    tau12 = state.tau[i].copy()
-    tau12[i] = 1.0
-    beta = state.omega[i].copy()
+    tau[i, i] = 1.0
+    beta = omega[i].copy()
     beta[i] = 0.0
-    return ColumnPartition(
-        omega11_inv=sigma,
-        s12=s12,
-        s22=float(state.scatter[i, i]),
-        tau12=tau12,
-        lambda22=float(state.lam[i]),
-        beta=beta,
-        omega22=float(state.omega[i, i]),
-        work=work,
-    )
+    # Positional, in field order: keyword construction costs a microsecond
+    # per column.
+    return ColumnPartition(sigma, scatter_off[i], state.scatter.item(i, i), tau[i],
+                           state.lam.item(i), beta, omega.item(i, i), work)
 
 
 def _factor_c_inverse(part):
@@ -306,7 +327,7 @@ def _factor_c_inverse(part):
     """
     cinv = np.multiply(part.omega11_inv, part.s22 + 2.0 * part.lambda22, out=part.work)
     diag = cinv.reshape(-1)[:: cinv.shape[0] + 1]
-    diag += 1.0 / part.tau12
+    diag += np.reciprocal(part.tau12)
     L = cholesky_in_place(cinv.T)
     if L is None:
         raise ValueError("conditional covariance not positive definite")
@@ -328,7 +349,7 @@ def bgs_update_beta(part, z):
     L = _factor_c_inverse(part)
     y, _ = lapack.dtrtrs(L, part.s12, lower=1)
     np.subtract(z, y, out=y)
-    beta, _ = lapack.dtrtrs(L, y, lower=1, trans=1)
+    beta, _ = lapack.dtrtrs(L, y, lower=1, trans=1, overwrite_b=1)
     return beta
 
 
@@ -372,7 +393,7 @@ def hrs_update_beta(part, z, u):
     as small as the most-shrunk coordinate allows.  The returned column
     always satisfies the Schur condition.  A zero z raises ValueError.
     """
-    zz = float(z @ z)
+    zz = blas.ddot(z, z)
     if not zz > 0.0:
         raise ValueError("hit-and-run direction has zero length")
     L = _factor_c_inverse(part)
@@ -380,11 +401,11 @@ def hrs_update_beta(part, z, u):
     d *= 1.0 / math.sqrt(zz)
     beta = part.beta
     v = _symv(part.omega11_inv, d)
-    b = float(beta @ v)
-    mu = -(float(part.s12 @ d) + (part.s22 + 2.0 * part.lambda22) * b
-           + float((beta / part.tau12) @ d))
-    gamma = part.omega22 - float(beta @ _symv(part.omega11_inv, beta))
-    lo, hi = hit_and_run_interval(float(d @ v), b, gamma)
+    b = blas.ddot(beta, v)
+    mu = -(blas.ddot(part.s12, d) + (part.s22 + 2.0 * part.lambda22) * b
+           + blas.ddot(beta / part.tau12, d))
+    gamma = part.omega22 - blas.ddot(beta, _symv(part.omega11_inv, beta))
+    lo, hi = hit_and_run_interval(blas.ddot(d, v), b, gamma)
     return beta + sample_truncated_normal(mu, lo, hi, u) * d
 
 
@@ -406,7 +427,7 @@ def update_lambda_column(abs_omega, s, g):
     """
     rates = np.add(abs_omega, s)
     np.divide(g, rates, out=rates)
-    return _clamp(rates, LAMBDA_BOUNDS)
+    return _clamp(rates, _LAMBDA_CLAMP)
 
 
 def update_tau_column(lam, abs_omega, half_nu2, odds):
@@ -422,18 +443,23 @@ def update_tau_column(lam, abs_omega, half_nu2, odds):
 
     This form has no cancellation, so it needs no floor.  half_nu2 holds
     nu**2 / 2 and odds holds u / (1 - u), one per entry: u (r + 1) <= r is
-    odds <= r.  The draws are clamped to TAU_BOUNDS.
+    odds <= r.  The draws are clamped to TAU_BOUNDS.  abs_omega is
+    overwritten with a, and half_nu2 is used as scratch; lam and odds are
+    only read.
     """
-    a = np.maximum(abs_omega, EPS_OMEGA)
-    scale = a / lam
-    k = half_nu2 / (a * lam)
-    r = k + 2.0
+    a = np.maximum(abs_omega, _EPS_OMEGA, out=abs_omega)
+    r = np.multiply(a, lam)
+    k = np.divide(half_nu2, r, out=half_nu2)
+    np.add(k, _TWO, out=r)
     r *= k
     np.sqrt(r, out=r)
-    r += k + 1.0
-    np.divide(1.0, r, out=r, where=odds > r)
-    r *= scale
-    return _clamp(r, TAU_BOUNDS)
+    k += _ONE
+    r += k
+    small = np.greater(odds, r)
+    np.reciprocal(r, out=k)
+    np.copyto(r, k, where=small)
+    r *= np.divide(a, lam, out=k)
+    return _clamp(r, _TAU_CLAMP)
 
 
 def _clamp(x, bounds):
@@ -476,14 +502,20 @@ def sweep(state, kind, audit, rng):
     sigma = invert_from_factor(L)
     first_sweep = state.sigma is None
     if not first_sweep:
-        drift = float(abs(state.sigma - sigma).max() / abs(sigma).max())
+        # The carried Sigma is replaced, so its memory takes the difference.
+        gap = np.subtract(state.sigma, sigma, out=state.sigma)
+        drift = float(np.abs(gap, out=gap).max() / abs(sigma).max())
         audit.sigma_drift_max = max(audit.sigma_drift_max, drift)
     state.sigma = sigma
     hrs = kind == "hrs"
     p = state.omega.shape[0]
     omega, tau, lam = state.omega, state.tau, state.lam
     schur_floor = PD_TOL * PD_TOL
+    scatter_off = state.scatter.copy()
+    scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
+    abs_omega = np.empty(p)
+    s = np.array(state.s)  # a ufunc takes a 0-d array faster than a float
 
     gen = rng.gen
     z_bank = gen.standard_normal((p, p))
@@ -502,7 +534,7 @@ def sweep(state, kind, audit, rng):
     for i in range(p):
         stage = "partition"
         try:
-            part = make_partition(state, i, sigma, work)
+            part = make_partition(state, i, sigma, work, scatter_off)
 
             beta = part.beta
             if not (first_sweep and i == 0):
@@ -515,7 +547,7 @@ def sweep(state, kind, audit, rng):
                 omega[:, i] = beta
                 omega[i, i] = part.omega22
             v = _symv(sigma, beta)
-            q = float(beta @ v)
+            q = blas.ddot(beta, v)
             beta_failed = not part.omega22 - q > schur_floor
 
             stage = "gamma"
@@ -530,8 +562,8 @@ def sweep(state, kind, audit, rng):
             sigma[i, i] = 1.0 / gam
 
             stage = "lambda"
-            abs_omega = np.abs(omega[i])
-            lam_row = update_lambda_column(abs_omega, state.s, lambda_bank[i])
+            np.abs(omega[i], out=abs_omega)
+            lam_row = update_lambda_column(abs_omega, s, lambda_bank[i])
             lam[i] = lam_row[i]
 
             stage = "tau"

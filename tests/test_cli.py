@@ -337,6 +337,26 @@ def test_main_config_error_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--r", "inf"), ("--s", "inf"), ("--r", "nan"),
+                                        ("--s", "nan"), ("--seed", "-1")])
+@pytest.mark.parametrize("command", ["simulate", "audit", "fit"])
+def test_main_bad_chain_flag_is_config_error_before_output(command, flag, value, tmp_path):
+    # A non-finite r or s used to run with every draw clamped or fail
+    # mid-chain, and a negative seed failed every replication with exit 1
+    # after the manifest was written.
+    out = tmp_path / "out"
+    if command == "fit":
+        data = tmp_path / "data.csv"
+        write_synthetic(data)
+        args = ["fit", str(data)]
+    else:
+        args = [command, "--design", "ar1", "--p", "4", "--n", "10"]
+    rc = main(args + ["--sampler", "bgs", "--burnin", "1", "--draws", "2",
+                      flag, value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_main_data_error_exit_1(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,oops\n")

@@ -52,9 +52,18 @@ def state_with_omega(omega, scatter=None, n=10, r=1e-2, s=1e-6):
     return st
 
 
+def off_diagonal(M):
+    """M with a zero diagonal, as the sweep passes the scatter matrix to
+    make_partition."""
+    M = M.copy()
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
 def partition(st, i):
     p = st.omega.shape[0]
-    return make_partition(st, i, spd_inverse(st.omega), np.empty((p, p)))
+    return make_partition(st, i, spd_inverse(st.omega), np.empty((p, p)),
+                          off_diagonal(st.scatter))
 
 
 def schur_gamma(part):
@@ -119,7 +128,7 @@ def test_partition_blocks_follow_permutation():
     np.fill_diagonal(st.tau, 0.0)
     i = 2
     sigma = spd_inverse(st.omega)
-    part = make_partition(st, i, sigma, np.empty((p, p)))
+    part = make_partition(st, i, sigma, np.empty((p, p)), off_diagonal(S))
     # natural order with slot 2 decoupled: zero in s12, beta and omega11_inv,
     # one in tau12, and every other entry read in place
     rest = [0, 1, 3, 4]
@@ -159,7 +168,7 @@ def test_partition_gamma_roundtrip():
 def test_partition_index_out_of_range():
     st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
-        make_partition(st, 3, np.eye(3), np.empty((3, 3)))
+        make_partition(st, 3, np.eye(3), np.empty((3, 3)), np.zeros((3, 3)))
 
 
 def random_state(gen, p=7):
@@ -767,14 +776,17 @@ def reference_sweep(st, kind, rng, skip_first_beta):
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-@pytest.mark.parametrize("design,p,n", [("circle", 30, 50), ("star", 8, 5), ("ar1", 2, 5)])
+@pytest.mark.parametrize("design,p,n", [("circle", 30, 50), ("star", 8, 5), ("ar1", 2, 5),
+                                        ("ar2", 100, 50)])
 def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
     st, _ = make_sim_state(kind=design, p=p, n=n, seed=40)
     ref = initial_state(st.scatter, n)
     rng, ref_rng = RngStream(41), RngStream(41)
     audit = ViolationAudit()
     updates = violations = 0
-    for k in range(40):
+    # p = 100, n < p at the size of a fit, runs OpenBLAS's blocked
+    # factorisations; the plain reference is slow there, so a few sweeps.
+    for k in range(40 if p < 100 else 4):
         sweep(st, kind, audit, rng)
         du, dv = reference_sweep(ref, kind, ref_rng, skip_first_beta=(k == 0))
         updates += du
@@ -786,6 +798,17 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
     assert rng.gen.random() == ref_rng.gen.random()
     if kind == "bgs" and design == "circle":
         assert violations > 0  # the audit branch is exercised, not just zero
+
+
+def test_sweeps_leave_scatter_unchanged():
+    # The partition's s12 is a row view of a zero-diagonal copy of S, not of
+    # S itself; S must come out of every sweep bit for bit as it went in.
+    for kind in SAMPLER_KINDS:
+        st, rng = make_sim_state(kind="ar2", p=12, n=8, seed=60)
+        before = st.scatter.copy()
+        for _ in range(5):
+            sweep(st, kind, ViolationAudit(), rng)
+        assert st.scatter.tobytes() == before.tobytes(), kind
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -858,6 +881,14 @@ def test_run_chain_stores_every_retained_draw():
     assert not np.array_equal(out.draws[0], out.draws[1])
     # the mean is the sum of the stored draws over their count, bit for bit
     assert np.array_equal(out.omega_mean, sum(out.draws) / 10)
+
+
+@pytest.mark.parametrize("r,s", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                 (1.0, math.nan), (-math.inf, 1.0), (0.0, 1.0)])
+def test_chain_config_rejects_non_finite_hyperparameters(r, s):
+    # NaN passes a "<= 0" test, and an infinite r or s clamps every draw.
+    with pytest.raises(ValueError, match="finite and positive"):
+        ChainConfig(r=r, s=s).validate()
 
 
 def test_run_chain_validates_config():
