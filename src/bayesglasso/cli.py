@@ -84,8 +84,9 @@ class ScenarioConfig:
         _check_seed(self.seed)
         if self.n < 1 or self.replications < 1 or self.jobs < 1:
             raise ConfigError("n, replications and jobs must be positive")
-        if self.threshold <= 0.0:
-            raise ConfigError("threshold must be positive")
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not 0.0 < self.threshold < math.inf:
+            raise ConfigError("threshold must be finite and positive")
 
     def chain_config(self):
         return ChainConfig(kind=self.sampler, burn_in=self.burn_in,

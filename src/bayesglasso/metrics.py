@@ -50,8 +50,8 @@ def frobenius_loss(omega_hat, omega_true):
 
 def adjacency_from_estimate(omega_hat, threshold=1e-3):
     """Edges where |estimate| meets the threshold (>=), diagonal excluded."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:  # NaN fails this too
+        raise ValueError("threshold must be finite and positive")
     adj = np.abs(omega_hat) >= threshold
     np.fill_diagonal(adj, False)
     return adj

@@ -30,19 +30,31 @@ matrices, in natural order, with slot i decoupled.  Slot i is zero in
 Omega11^{-1}, s12 and beta and one in tau12, so the inverse conditional
 covariance ``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)``
 has a unit (i, i) entry and a zero row and column i, and the beta draw
-comes out exactly 0 in slot i.  Omega, Sigma and tau are then updated in
-place with one row write and one column write each.
+comes out exactly 0 in slot i.  Omega and Sigma are then updated in place
+with one row write and one column write each.
+
+The shrinkage variables are not chain state: each column draws the ones it
+reads just before it reads them.  Given everything else, the rate lambda_ij
+and the latent scale tau_ij depend on omega_ij alone.  In Wang's order
+tau_ij is drawn at the end of column i or column j and read only at the
+other one, through tau12, and lambda_ii is drawn at the end of column i and
+read only at column i of the next sweep, through lambda22.  Neither omega_ij
+nor omega_ii changes between a draw and its read, and nothing else reads the
+draw, so moving the draw to just before its read leaves the chain's law as
+it was.  Column i therefore begins by drawing the rates of row i of omega,
+``Ga(r + 1, s + |omega_ij|)``, and the latent scales of that row from them;
+entry i of the rates is lambda22 and the scales, slot i set to 1, are
+tau12.  A chain's first sweep is the one exception: there, Wang's order has
+not yet drawn row i's entries j > i or lambda_ii when column i reads them,
+so they keep their initial value 1.
 
 The partition copies only what it must.  S is fixed for the chain, so each
 sweep makes one copy of it with a zero diagonal, and s12 is a row view of
-that copy.  tau12 is a row view of tau itself: the partition sets tau's
-(i, i) entry to 1, the masked slot's value, and the column's tau write puts
-the structural 0 back, so tau has a zero diagonal at every column boundary.
-beta is the one row copied, because omega keeps its diagonal.  Besides the
-bank, a sweep allocates two buffers and reuses them in every column: the
-p x p workspace in which C^{-1} is formed and factored, and a length-p
-buffer for |omega_i.|.  The tau update works in place in that buffer and in
-its row of bank 4 below, which no later column reads.
+that copy.  beta is the one row copied, because omega keeps its diagonal.
+Besides the bank, a sweep allocates two buffers and reuses them in every
+column: the p x p workspace in which C^{-1} is formed and factored, and a
+length-p buffer for |omega_i.|.  The tau draw works in place in that buffer
+and in its row of bank 4 below, which no later column reads.
 
 The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
@@ -83,7 +95,8 @@ for hrs), in this order and with these shapes whatever the state:
 2. ``standard_gamma(n/2 + 1, p)``: entry i is the gamma draw of column i
    before its rate is applied;
 3. ``standard_gamma(r + 1, (p, p))``: row i holds the shrinkage-rate draws
-   of row i of omega, entry i the diagonal one;
+   of row i of omega as it stands when column i begins, entry i the
+   diagonal one;
 4. ``standard_normal((p, p))`` and
 5. ``random((p, p))``: entry (i, j) feeds the inverse-Gaussian draw of
    tau_ij, held as nu**2 / 2 and u / (1 - u);
@@ -92,11 +105,14 @@ for hrs), in this order and with these shapes whatever the state:
 
 Row i of every bank is in natural order.  Every column update is then a
 pure transform of row i of the bank and the state, so a sweep consumes
-exactly the bank.  tau has no diagonal, but the diagonals of banks 4 and 5
-are drawn and transformed all the same and the result is set to 0.  The
-very first column of a chain skips its beta draw but its bank row is drawn
-all the same.  A change made only for speed keeps the bank and the arithmetic
-fixed, so it leaves every seeded artifact byte-identical.
+exactly the bank.  Banks 3-5 meet row i of omega as it stands before
+column i, not after it.  Some of their entries feed draws that are never
+read, and they are drawn all the same: slot i, which the partition sets
+to 1 because tau has no diagonal, and in a chain's first sweep the
+entries that the first-sweep rule sets to 1.  The very first column of a
+chain skips its beta draw but its bank row is drawn all the same.  A
+change made only for speed keeps the bank and the arithmetic fixed, so it
+leaves every seeded artifact byte-identical.
 """
 
 import math
@@ -151,11 +167,12 @@ class ChainConfig:
 class GibbsState:
     """Mutable state of one chain.
 
-    omega and tau are p x p symmetric and tau has a structurally zero
-    diagonal, except that its (i, i) entry holds 1 while column i is
-    updated (see the module docstring).  lam holds the p shrinkage rates
-    of the diagonal entries of omega; the off-diagonal rates are drawn and
-    used within one column update and never stored.  scatter is S = Y'Y for the observed data.
+    omega is the p x p symmetric precision matrix and scatter is S = Y'Y
+    for the observed data.  The shrinkage rates lambda and latent scales
+    tau are not stored: every draw of them has exactly one reader, and the
+    omega entry it is drawn from does not change before that read, so each
+    column draws its row of them just before its partition (see the module
+    docstring).  Until a chain's first sweep has drawn them, they read 1.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.  Between sweeps it is the
@@ -166,8 +183,6 @@ class GibbsState:
     """
 
     omega: np.ndarray
-    tau: np.ndarray
-    lam: np.ndarray
     scatter: np.ndarray
     n: int
     r: float
@@ -183,9 +198,10 @@ class ColumnPartition:
     is decoupled (see :func:`make_partition`).  omega11_inv is read from
     its upper triangle (numpy indexing) only: in a sweep it is the carried
     sigma itself, downdated in place, and its lower triangle is stale.
-    In a sweep s12 and tau12 are row views of arrays the sweep owns, so
-    the draws only read them.  work is a p x p scratch array that the beta
-    draw overwrites with C^{-1} and its Cholesky factor.
+    In a sweep s12 is a row view of the sweep's zero-diagonal copy of S,
+    so the draws only read it, and tau12 is the column's own row of latent
+    scales.  work is a p x p scratch array that the beta draw overwrites
+    with C^{-1} and its Cholesky factor.
     """
 
     omega11_inv: np.ndarray
@@ -240,7 +256,8 @@ class ChainOutput:
 
 
 def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
-    """Identity precision, unit latent scales, unit shrinkage rates.
+    """Identity precision; the first sweep reads unit latent scales and
+    unit shrinkage rates where it has not drawn them yet.
 
     r and s are taken as valid: :func:`run_chain` validates its ChainConfig
     before calling this.
@@ -251,12 +268,8 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
         raise ValueError("need at least two variables")
     if n < 1:
         raise ValueError("sample size must be positive")
-    tau = np.ones((p, p))
-    np.fill_diagonal(tau, 0.0)
     return GibbsState(
         omega=np.eye(p),
-        tau=tau,
-        lam=np.ones(p),
         scatter=scatter,
         n=int(n),
         r=float(r),
@@ -279,7 +292,7 @@ def _mirror(a):
     np.copyto(a, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
 
 
-def make_partition(state, i, sigma, work, scatter_off):
+def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
     """Partition the state around column i (0-based), masked in natural order.
 
     Every block keeps length p and slot i is decoupled: it is zero in
@@ -290,13 +303,13 @@ def make_partition(state, i, sigma, work, scatter_off):
     zero, and becomes the partition's omega11_inv.  work is the p x p
     scratch array the beta draw factors C^{-1} in.
 
-    s12 and tau12 are views, not copies: s12 is row i of scatter_off, which
-    is S with a zero diagonal, and tau12 is row i of ``state.tau``, whose
-    (i, i) entry is set to 1 here; the sweep puts tau's structural 0 back
-    when it writes row i.  beta is a copy of row i of omega with slot i set
-    to zero, because omega keeps its diagonal.
+    s12 is a view, not a copy: row i of scatter_off, which is S with a zero
+    diagonal.  tau12 and lambda22 are the column's latent scales and
+    diagonal rate, which the sweep draws just before this call; tau12's
+    slot i is set to 1 here.  beta is a copy of row i of omega with slot i
+    set to zero, because omega keeps its diagonal.
     """
-    omega, tau = state.omega, state.tau
+    omega = state.omega
     p = omega.shape[0]
     if not 0 <= i < p:
         raise IndexError(f"column {i} out of range for dimension {p}")
@@ -307,13 +320,13 @@ def make_partition(state, i, sigma, work, scatter_off):
     _syr(-1.0, u, sigma)
     sigma[i] = 0.0
     sigma[:, i] = 0.0
-    tau[i, i] = 1.0
+    tau12[i] = 1.0
     beta = omega[i].copy()
     beta[i] = 0.0
     # Positional, in field order: keyword construction costs a microsecond
     # per column.
-    return ColumnPartition(sigma, scatter_off[i], state.scatter.item(i, i), tau[i],
-                           state.lam.item(i), beta, omega.item(i, i), work)
+    return ColumnPartition(sigma, scatter_off[i], state.scatter.item(i, i), tau12,
+                           lambda22, beta, omega.item(i, i), work)
 
 
 def _factor_c_inverse(part):
@@ -489,10 +502,15 @@ def sweep(state, kind, audit, rng):
     non-positive gamma draw would break the column-boundary invariant, so
     it is an error rather than a count.
 
+    Each column first draws its row of shrinkage rates and latent scales
+    from row i of omega as it stands then, and hands them to its partition.
+
     A chain's first sweep, the one that finds ``state.sigma`` still None,
     applies the guard of both samplers: column 1 has not been informed by
     any update yet, so it keeps its initial off-diagonals and only its
-    diagonal moves.
+    diagonal moves.  In the same sweep, column i reads 1 for lambda_ii and
+    for the latent scales of row i beyond slot i, which have not been drawn
+    yet (see the module docstring).
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
@@ -509,7 +527,7 @@ def sweep(state, kind, audit, rng):
     state.sigma = sigma
     hrs = kind == "hrs"
     p = state.omega.shape[0]
-    omega, tau, lam = state.omega, state.tau, state.lam
+    omega = state.omega
     schur_floor = PD_TOL * PD_TOL
     scatter_off = state.scatter.copy()
     scatter_off.flat[:: p + 1] = 0.0
@@ -532,9 +550,20 @@ def sweep(state, kind, audit, rng):
         kappa_bank = gen.random(p).tolist()
 
     for i in range(p):
-        stage = "partition"
+        stage = "lambda"
         try:
-            part = make_partition(state, i, sigma, work, scatter_off)
+            np.abs(omega[i], out=abs_omega)
+            lam_row = update_lambda_column(abs_omega, s, lambda_bank[i])
+
+            stage = "tau"
+            tau12 = update_tau_column(lam_row, abs_omega, half_nu2_bank[i], odds_bank[i])
+            if first_sweep:
+                # Not drawn yet in Wang's order, so still at their initial 1.
+                tau12[i + 1:] = 1.0
+                lam_row[i] = 1.0
+
+            stage = "partition"
+            part = make_partition(state, i, sigma, work, scatter_off, tau12, lam_row.item(i))
 
             beta = part.beta
             if not (first_sweep and i == 0):
@@ -545,7 +574,6 @@ def sweep(state, kind, audit, rng):
                     beta = bgs_update_beta(part, z_bank[i])
                 omega[i] = beta
                 omega[:, i] = beta
-                omega[i, i] = part.omega22
             v = _symv(sigma, beta)
             q = blas.ddot(beta, v)
             beta_failed = not part.omega22 - q > schur_floor
@@ -560,17 +588,6 @@ def sweep(state, kind, audit, rng):
             sigma[i] = v
             sigma[:, i] = v
             sigma[i, i] = 1.0 / gam
-
-            stage = "lambda"
-            np.abs(omega[i], out=abs_omega)
-            lam_row = update_lambda_column(abs_omega, s, lambda_bank[i])
-            lam[i] = lam_row[i]
-
-            stage = "tau"
-            tau_row = update_tau_column(lam_row, abs_omega, half_nu2_bank[i], odds_bank[i])
-            tau[i] = tau_row
-            tau[:, i] = tau_row
-            tau[i, i] = 0.0
         except Exception as exc:
             raise RuntimeError(
                 f"column {i} failed at stage {stage}: {exc}") from exc

@@ -332,9 +332,17 @@ def test_main_simulate_roundtrip(tmp_path):
 
 
 def test_main_config_error_exit_2(tmp_path):
-    rc = main(["simulate", "--design", "block", "--p", "5", "--n", "10",
-               "--sampler", "hrs", "--out", str(tmp_path / "x")])
-    assert rc == 2
+    small = ["--design", "ar1", "--p", "4", "--n", "10", "--sampler", "bgs",
+             "--burnin", "1", "--draws", "3", "--reps", "1"]
+    # A NaN threshold passed a "<= 0" test and scored an empty graph, and an
+    # infinite one did the same; both must stop before any output.
+    for k, args in enumerate([["--design", "block", "--p", "5", "--n", "10", "--sampler", "hrs"],
+                              small + ["--threshold", "nan"],
+                              small + ["--threshold", "inf"]]):
+        out = tmp_path / f"x{k}"
+        rc = main(["simulate"] + args + ["--out", str(out)])
+        assert rc == 2, args
+        assert not out.exists(), args
 
 
 @pytest.mark.parametrize("flag,value", [("--r", "inf"), ("--s", "inf"), ("--r", "nan"),

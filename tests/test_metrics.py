@@ -106,8 +106,9 @@ def test_adjacency_monotone_in_threshold():
 
 
 def test_adjacency_rejects_bad_threshold():
-    with pytest.raises(ValueError):
-        adjacency_from_estimate(np.eye(2), threshold=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            adjacency_from_estimate(np.eye(2), threshold=bad)
 
 
 def test_structure_scores_perfect():

@@ -60,10 +60,15 @@ def off_diagonal(M):
     return M
 
 
-def partition(st, i):
+def partition(st, i, tau=None, lam=None):
+    """make_partition on a fresh inverse, with row i of tau and lam as the
+    column's shrinkage draws; unit ones, as in a chain's first column, when
+    they are not given."""
     p = st.omega.shape[0]
+    tau12 = np.ones(p) if tau is None else tau[i].copy()
+    lambda22 = 1.0 if lam is None else float(lam[i])
     return make_partition(st, i, spd_inverse(st.omega), np.empty((p, p)),
-                          off_diagonal(st.scatter))
+                          off_diagonal(st.scatter), tau12, lambda22)
 
 
 def schur_gamma(part):
@@ -124,22 +129,24 @@ def test_partition_blocks_follow_permutation():
     st = initial_state(S, 20)
     A = rng.standard_normal((p, p))
     st.omega = symmetrize(A @ A.T + p * np.eye(p))
-    st.tau = symmetrize(np.abs(rng.standard_normal((p, p))) + 0.1)
-    np.fill_diagonal(st.tau, 0.0)
+    omega_before = st.omega.copy()
+    tau_row = np.abs(rng.standard_normal(p)) + 0.1
     i = 2
     sigma = spd_inverse(st.omega)
-    part = make_partition(st, i, sigma, np.empty((p, p)), off_diagonal(S))
+    part = make_partition(st, i, sigma, np.empty((p, p)), off_diagonal(S), tau_row.copy(), 0.7)
     # natural order with slot 2 decoupled: zero in s12, beta and omega11_inv,
     # one in tau12, and every other entry read in place
     rest = [0, 1, 3, 4]
-    for vec, full, slot in ((part.s12, S[:, i], 0.0), (part.tau12, st.tau[:, i], 1.0),
+    for vec, full, slot in ((part.s12, S[:, i], 0.0), (part.tau12, tau_row, 1.0),
                             (part.beta, st.omega[:, i], 0.0)):
         assert np.array_equal(vec[rest], full[rest])
         assert vec[i] == slot
     assert part.s22 == S[i, i]
-    assert part.lambda22 == st.lam[i]
+    assert part.lambda22 == 0.7
     assert part.omega22 == st.omega[i, i]
     assert part.omega11_inv is sigma  # downdated in place
+    # sigma is the only state array the partition writes
+    assert np.array_equal(st.omega, omega_before) and np.array_equal(st.scatter, S)
     omega11_inv = represented(part.omega11_inv)
     assert np.all(omega11_inv[i] == 0.0)
     assert np.all(omega11_inv[:, i] == 0.0)
@@ -168,19 +175,20 @@ def test_partition_gamma_roundtrip():
 def test_partition_index_out_of_range():
     st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
-        make_partition(st, 3, np.eye(3), np.empty((3, 3)), np.zeros((3, 3)))
+        make_partition(st, 3, np.eye(3), np.empty((3, 3)), np.zeros((3, 3)),
+                       np.ones(3), 1.0)
 
 
 def random_state(gen, p=7):
-    """A state with random S, omega, tau and lam, for column-level checks."""
+    """A state with random S and omega, and random tau and lam to partition
+    it with, for column-level checks."""
     S = scatter_matrix(gen.standard_normal((12, p)))
     st = initial_state(S, 12)
     A = gen.standard_normal((p, p))
     st.omega = symmetrize(A @ A.T + p * np.eye(p))
-    st.tau = symmetrize(np.abs(gen.standard_normal((p, p))) + 0.1)
-    np.fill_diagonal(st.tau, 0.0)
-    st.lam = np.abs(gen.standard_normal(p)) + 0.1
-    return st
+    tau = symmetrize(np.abs(gen.standard_normal((p, p))) + 0.1)
+    lam = np.abs(gen.standard_normal(p)) + 0.1
+    return st, tau, lam
 
 
 def test_masked_partition_draws_match_the_compressed_blocks():
@@ -190,9 +198,9 @@ def test_masked_partition_draws_match_the_compressed_blocks():
     # blocks that leave slot i out.
     gen = np.random.default_rng(9)
     p = 7
-    st = random_state(gen, p)
+    st, tau, lam = random_state(gen, p)
     for i in range(p):
-        part = partition(st, i)
+        part = partition(st, i, tau, lam)
         rest = np.arange(p) != i
         small = simple_partition(represented(part.omega11_inv)[np.ix_(rest, rest)],
                                  part.s12[rest], part.s22, part.tau12[rest],
@@ -406,9 +414,9 @@ def test_whitened_hrs_step_matches_the_beta_coordinates_step():
     # truncated normal, so the same column for the same (z, u).
     gen = np.random.default_rng(9)
     p = 7
-    st = random_state(gen, p)
+    st, tau, lam = random_state(gen, p)
     for i in range(p):
-        part = partition(st, i)
+        part = partition(st, i, tau, lam)
         for _ in range(6):
             z = gen.standard_normal(p)
             z[i] = 0.0
@@ -420,9 +428,9 @@ def test_whitened_hrs_step_matches_the_beta_coordinates_step():
 
 
 def test_hrs_zero_direction_raises():
-    st = random_state(np.random.default_rng(10))
+    st, tau, lam = random_state(np.random.default_rng(10))
     with pytest.raises(ValueError, match="zero length"):
-        hrs_update_beta(partition(st, 3), np.zeros(7), 0.5)
+        hrs_update_beta(partition(st, 3, tau, lam), np.zeros(7), 0.5)
 
 
 def test_hrs_unbounded_matches_bgs_distribution():
@@ -523,11 +531,9 @@ def test_sweep_keeps_exact_symmetry_and_audit_counts():
         for k in range(5):
             sweep(st, kind, audit, rng)
             assert audit.updates_total == (k + 1) * p
-            for name in ("omega", "sigma", "tau"):
+            for name in ("omega", "sigma"):
                 M = getattr(st, name)
                 assert np.array_equal(M, M.T), (kind, p, name)
-            assert np.all(np.diagonal(st.tau) == 0.0)
-            assert np.all(st.lam > 0)
 
 
 @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
@@ -588,35 +594,44 @@ def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
     errors = []
     original = sampler.update_lambda_column
 
-    def checked(*args, **kwargs):
-        # Called after the column's diagonal write and Sigma update, when
-        # only the carried triangle of Sigma is current.
+    def check():
         inv = np.linalg.inv(st.omega)
         errors.append(np.max(np.abs(represented(st.sigma) - inv)) / np.max(np.abs(inv)))
+
+    def checked(*args, **kwargs):
+        # Called as column i begins, after column i - 1's diagonal write and
+        # Sigma update, when only the carried triangle of Sigma is current.
+        check()
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampler, "update_lambda_column", checked)
     for _ in range(5):
         sweep(st, kind, ViolationAudit(), rng)
-    assert len(errors) == 5 * 8
+        check()  # after the sweep's last column
+    assert len(errors) == 5 * (8 + 1)
     assert max(errors) < 1e-9
 
 
 def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
-    st, rng = make_sim_state(kind="circle", p=20, n=30)
+    p = 20
+    st, rng = make_sim_state(kind="circle", p=p, n=30)
     full = []
     original = sampler.update_gamma
 
     def audited(part, g):
-        # omega now holds the new off-diagonal column and the old diagonal.
-        full.append(pd_check(st.omega) is None)
+        # omega now holds the new off-diagonal column; with the old diagonal
+        # entry put back it is the matrix the audit tests.
+        i = len(full) % p
+        tested = st.omega.copy()
+        tested[i, i] = part.omega22
+        full.append(pd_check(tested) is None)
         return original(part, g)
 
     monkeypatch.setattr(sampler, "update_gamma", audited)
     audit = ViolationAudit()
     for _ in range(40):
         sweep(st, "bgs", audit, rng)
-    assert len(full) == audit.updates_total == 40 * 20
+    assert len(full) == audit.updates_total == 40 * p
     assert audit.violations == sum(full)
     assert audit.violations > 100
 
@@ -682,12 +697,27 @@ def draw_bank(gen, p, n, r):
             gen.random((p, p)))
 
 
-def reference_sweep(st, kind, rng, skip_first_beta):
+def shrinkage_row(g, nu, u, abs_omega, s):
+    """The rates Ga(r + 1, s + |omega_ij|), from bank 3's row g, and the
+    latent scales 1/tau ~ IG(rates/a, rates**2) by the closed-form
+    Michael-Schucany-Haas draw, from bank rows nu and u, for one row of
+    |omega|, both clamped with np.clip.  u (r + 1) <= r is u / (1 - u) <= r."""
+    rates = np.clip(g / (abs_omega + s), *LAMBDA_BOUNDS)
+    a = np.maximum(abs_omega, EPS_OMEGA)
+    k = nu * nu * 0.5 / (a * rates)
+    r = 1.0 + k + np.sqrt(k * (k + 2.0))
+    tau = np.clip(np.where(u / (1.0 - u) <= r, r, 1.0 / r) * (a / rates), *TAU_BOUNDS)
+    return rates, tau
+
+
+def reference_sweep(st, kind, rng, first_sweep):
     """The masked column kernel written plainly: the bank drawn up front,
-    Sigma kept full and symmetric after every column, BLAS dsyr and dsymv
-    on its upper triangle (numpy indexing) for the rank-1 updates and the
-    products, row and column i zeroed by hand, the whitened hrs step, gamma
-    draws scaled by 1/rate, np.clip and the closed-form
+    each column's shrinkage row drawn from row i of omega as the column
+    begins (unit entries beyond slot i and a unit lambda22 in the first
+    sweep), Sigma kept full and symmetric after every column, BLAS dsyr and
+    dsymv on its upper triangle (numpy indexing) for the rank-1 updates and
+    the products, row and column i zeroed by hand, the whitened hrs step,
+    gamma draws scaled by 1/rate, np.clip and the closed-form
     Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
@@ -705,7 +735,7 @@ def reference_sweep(st, kind, rng, skip_first_beta):
 
     gen = rng.gen
     p = st.omega.shape[0]
-    omega, tau, lam = st.omega, st.tau, st.lam
+    omega = st.omega
     sigma = invert_from_factor(pd_check(omega))
     Z, G_gamma, G_lambda, NU, U = draw_bank(gen, p, st.n, st.r)
     np.fill_diagonal(Z, 0.0)
@@ -713,19 +743,24 @@ def reference_sweep(st, kind, rng, skip_first_beta):
         K = gen.random(p)
     violations = 0
     for i in range(p):
+        rates, tau12 = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(omega[i]), st.s)
+        lambda22 = rates[i]
+        if first_sweep:
+            tau12[i + 1:] = 1.0
+            lambda22 = 1.0
+        tau12[i] = 1.0
+
         u = sigma[:, i] * (1.0 / math.sqrt(sigma[i, i]))
         o11 = syr(-1.0, u, sigma)
         o11[i, :] = 0.0
         o11[:, i] = 0.0
         s12, s22 = st.scatter[:, i].copy(), float(st.scatter[i, i])
         s12[i] = 0.0
-        tau12 = tau[:, i].copy()
-        tau12[i] = 1.0
         beta = omega[:, i].copy()
         beta[i] = 0.0
         omega22_old = omega[i, i]
-        if not (skip_first_beta and i == 0):
-            cinv = (s22 + 2.0 * lam[i]) * o11
+        if not (first_sweep and i == 0):
+            cinv = (s22 + 2.0 * lambda22) * o11
             cinv.flat[:: p + 1] += 1.0 / tau12
             L, info = lapack.dpotrf(cinv, lower=1, clean=1)
             assert info == 0
@@ -741,36 +776,22 @@ def reference_sweep(st, kind, rng, skip_first_beta):
                 d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
                 v = symv(o11, d)
                 a, b = float(d @ v), float(beta @ v)
-                mu = -(float(s12 @ d) + (s22 + 2.0 * lam[i]) * b + float((beta / tau12) @ d))
+                mu = -(float(s12 @ d) + (s22 + 2.0 * lambda22) * b + float((beta / tau12) @ d))
                 disc = math.sqrt(b * b + a * gam_old)
                 q = abs(b) + disc
                 lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
                 beta = beta + sample_truncated_normal(mu, lo, hi, K[i]) * d
             assert beta[i] == 0.0
             omega[i, :] = omega[:, i] = beta
-            omega[i, i] = omega22_old
         v = symv(o11, beta)
         q = float(beta @ v)
         violations += not omega22_old - q > PD_TOL * PD_TOL
 
-        gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lam[i])))
-        omega22 = gam + q
-        omega[i, i] = omega22
+        gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lambda22)))
+        omega[i, i] = gam + q
         sigma = syr(1.0, v * (1.0 / math.sqrt(gam)), o11)
         sigma[i, :] = sigma[:, i] = v * (-1.0 / gam)
         sigma[i, i] = 1.0 / gam
-
-        abs_omega = np.abs(omega[i])
-        rates = np.clip(G_lambda[i] / (abs_omega + st.s), *LAMBDA_BOUNDS)
-        lam[i] = rates[i]
-
-        # 1/tau ~ IG(rates/a, rates**2); u (r + 1) <= r is u / (1 - u) <= r.
-        a = np.maximum(abs_omega, EPS_OMEGA)
-        k = NU[i] * NU[i] * 0.5 / (a * rates)
-        r = 1.0 + k + np.sqrt(k * (k + 2.0))
-        draw = np.where(U[i] / (1.0 - U[i]) <= r, r, 1.0 / r) * (a / rates)
-        tau[i, :] = tau[:, i] = np.clip(draw, *TAU_BOUNDS)
-        tau[i, i] = 0.0
     st.sigma = sigma
     return p, violations
 
@@ -788,16 +809,54 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
     # factorisations; the plain reference is slow there, so a few sweeps.
     for k in range(40 if p < 100 else 4):
         sweep(st, kind, audit, rng)
-        du, dv = reference_sweep(ref, kind, ref_rng, skip_first_beta=(k == 0))
+        du, dv = reference_sweep(ref, kind, ref_rng, first_sweep=(k == 0))
         updates += du
         violations += dv
-    for name in ("omega", "tau", "lam", "sigma"):
+    for name in ("omega", "sigma"):
         assert np.array_equal(getattr(st, name), getattr(ref, name)), name
     assert (audit.updates_total, audit.violations) == (updates, violations)
     # both streams sit at the same position afterwards
     assert rng.gen.random() == ref_rng.gen.random()
     if kind == "bgs" and design == "circle":
         assert violations > 0  # the audit branch is exercised, not just zero
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_partition_gets_shrinkage_drawn_as_the_column_begins(kind, monkeypatch):
+    # Column i draws its tau12 and lambda22 from row i of omega as it stands
+    # when the column begins, from bank rows 3-5.  In a chain's first sweep
+    # the entries not yet drawn in Wang's order, tau12 beyond slot i and
+    # lambda22, read their initial 1.
+    p, n = 9, 30
+    st, _ = make_sim_state(kind="circle", p=p, n=n, seed=70)
+    rng, twin = RngStream(71), RngStream(71)
+    seen = []
+    original = sampler.make_partition
+
+    def hooked(state, i, *args):
+        row = state.omega[i].copy()
+        part = original(state, i, *args)
+        seen.append((i, row, part.tau12.copy(), part.lambda22))
+        return part
+
+    monkeypatch.setattr(sampler, "make_partition", hooked)
+    for k in range(3):
+        del seen[:]
+        sweep(st, kind, ViolationAudit(), rng)
+        _, _, G_lambda, NU, U = draw_bank(twin.gen, p, n, st.r)
+        if kind == "hrs":
+            twin.gen.random(p)
+        assert [i for i, *_ in seen] == list(range(p))
+        for i, row, tau12, lambda22 in seen:
+            rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(row), st.s)
+            assert tau12[i] == 1.0
+            np.testing.assert_array_equal(tau12[:i], tau[:i])
+            if k == 0:
+                assert np.all(tau12[i + 1:] == 1.0) and lambda22 == 1.0
+            else:
+                np.testing.assert_array_equal(tau12[i + 1:], tau[i + 1:])
+                assert lambda22 == rates[i]
+    assert rng.gen.random() == twin.gen.random()
 
 
 def test_sweeps_leave_scatter_unchanged():
