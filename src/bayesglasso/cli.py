@@ -54,6 +54,7 @@ REPLICATION_COLUMNS = [
 # Stream id offset for the bootstrap resampler so it never collides with a
 # replication stream.
 _BOOTSTRAP_STREAM = 2 ** 32
+_BOOTSTRAP_RESAMPLES = 1000
 
 
 class ConfigError(ValueError):
@@ -215,11 +216,11 @@ def _replication_task(scenario, rep):
         return rep, None, None, 0.0, f"{type(exc).__name__}: {exc}"
 
 
-def _bootstrap_se_of_median(values, seed, resamples=1000):
+def _bootstrap_se_of_median(values, seed):
     """SE of the median via bootstrap over replications."""
     vals = np.asarray(values, dtype=float)
     gen = RngStream(seed, _BOOTSTRAP_STREAM).gen
-    idx = gen.integers(0, vals.size, size=(resamples, vals.size))
+    idx = gen.integers(0, vals.size, size=(_BOOTSTRAP_RESAMPLES, vals.size))
     meds = np.median(vals[idx], axis=1)
     return float(np.std(meds, ddof=1))
 

@@ -42,23 +42,15 @@ def sample_truncated_normal(mu, lo, hi, u):
     where t is u mapped affinely onto [2**-50, 1 - 2**-50], so z = ppf(t,
     a, b) of the truncated standard normal.  An interval with a + b < 0 is
     mirrored first, so that log Q(a) never rounds to 0; there the draw is
-    ppf(1 - t, a, b).  When exactly one float lies strictly inside (lo, hi)
-    it is returned whatever u is.  ValueError is raised when no float lies
-    strictly inside the interval, and when the draw rounds onto or outside
-    an endpoint.  Besides intervals a few ulps wide, that happens on
-    ordinary ones when u is within about 2**-45 of 0 or 1: the draw then
-    lies at most about 2**-45 * mass / density from an endpoint, which can
-    be less than the few-ulp error of the log_ndtr / ndtri_exp round trip.
+    ppf(1 - t, a, b).  ValueError is raised when the draw rounds onto or
+    outside an endpoint, so on every interval with no float strictly
+    inside it, an empty one included; the one caller, the hrs step, passes
+    an interval that brackets 0.  Besides intervals a few ulps wide, that
+    happens on ordinary ones when u is within about 2**-45 of 0 or 1: the
+    draw then lies at most about 2**-45 * mass / density from an endpoint,
+    which can be less than the few-ulp error of the log_ndtr / ndtri_exp
+    round trip.
     """
-    if not lo < hi:
-        raise ValueError("empty truncation interval")
-    inside = math.nextafter(lo, hi)
-    if not inside < hi:
-        raise ValueError(f"no float lies strictly inside ({lo!r}, {hi!r})")
-    if not math.nextafter(inside, hi) < hi:
-        # Exactly one float inside: the only possible draw, and one the
-        # inverse CDF cannot be relied on to land on.
-        return inside
     a = lo - mu
     b = hi - mu
     mirrored = a + b < 0.0

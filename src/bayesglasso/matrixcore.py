@@ -18,8 +18,6 @@ def check_symmetric(M, name="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if M.shape[0] < 1:
-        raise ValueError(f"{name} must have dimension >= 1")
     if not np.array_equal(M, M.T):
         raise ValueError(f"{name} is not symmetric")
     return M
@@ -39,7 +37,9 @@ def cholesky_in_place(A):
         return None
     if info < 0:
         raise ValueError(f"invalid matrix passed to dpotrf (info={info})")
-    # A NaN minimum fails the comparison, so non-finite input is rejected.
+    # The only NaN guard: OpenBLAS dpotrf returns info = 0 on input holding
+    # a NaN, on or off the diagonal, and a NaN reaches the factor's
+    # diagonal, whose NaN minimum fails the comparison.
     if not L.diagonal().min() > PD_TOL:
         return None
     return L
@@ -63,7 +63,9 @@ def pd_check(M):
 def invert_from_factor(L):
     """Inverse of L @ L.T given its lower Cholesky factor, exactly symmetric.
 
-    Only the lower triangle of L is read.
+    Only the lower triangle of L is read.  The result is a C-ordered array,
+    whatever L's order: the sampler updates the Sigma it returns in place
+    through its transpose, which BLAS can do only on a C-ordered array.
     """
     inv, info = lapack.dpotri(L, lower=1)
     if info != 0:

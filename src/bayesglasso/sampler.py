@@ -284,7 +284,11 @@ def _symv(a, x):
 
 def _syr(alpha, x, a):
     # a += alpha x x' in place, on a's upper triangle (numpy indexing) only.
-    blas.dsyr(alpha, x, a=a.T, lower=1, overwrite_a=1)
+    # a must be a C-ordered float64 array, so that a.T is one BLAS can write
+    # in place; on any other, f2py updates and returns a copy.
+    at = a.T
+    if blas.dsyr(alpha, x, a=at, lower=1, overwrite_a=1) is not at:
+        raise ValueError("the rank-1 update needs a C-ordered float64 array")
 
 
 def _mirror(a):
@@ -300,8 +304,10 @@ def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
     one :func:`sweep` carries, read from its upper triangle (numpy
     indexing).  It is downdated in place, in O(p^2), to ``Omega11^{-1} =
     Sigma - sigma_i sigma_i' / sigma_ii`` with row and column i set to
-    zero, and becomes the partition's omega11_inv.  work is the p x p
-    scratch array the beta draw factors C^{-1} in.
+    zero, and becomes the partition's omega11_inv.  sigma must be C-ordered,
+    as :func:`invert_from_factor` returns it, or the downdate raises
+    ValueError.  work is the p x p scratch array the beta draw factors
+    C^{-1} in.
 
     s12 is a view, not a copy: row i of scatter_off, which is S with a zero
     diagonal.  tau12 and lambda22 are the column's latent scales and

