@@ -98,8 +98,8 @@ def unit_diag_scale(omega):
     """Rescale to unit diagonal: D^{-1/2} omega D^{-1/2}, D = diag(omega)."""
     omega = np.asarray(omega, dtype=float)
     d = np.diagonal(omega)
-    if np.any(d <= 0.0):
-        raise ValueError("diagonal entries must be positive")
+    if not np.all((d > 0.0) & (d < math.inf)):  # NaN fails both
+        raise ValueError("diagonal entries must be finite and positive")
     inv_sqrt = 1.0 / np.sqrt(d)
     out = omega * np.outer(inv_sqrt, inv_sqrt)
     np.fill_diagonal(out, 1.0)

@@ -195,3 +195,8 @@ def test_unit_diag_scale_random_pd():
 def test_unit_diag_scale_rejects_nonpositive_diagonal():
     with pytest.raises(ValueError):
         unit_diag_scale(np.array([[1.0, 0.0], [0.0, -2.0]]))
+    # NaN fails every comparison, so a "<= 0" test lets it through; an
+    # infinite entry would scale its row and column to 0.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            unit_diag_scale(np.array([[bad, 0.1], [0.1, 1.0]]))

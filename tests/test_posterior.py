@@ -19,6 +19,7 @@ p=2 model is too well determined to show that bias.
 import numpy as np
 import pytest
 
+from bayesglasso import sampler
 from bayesglasso.distributions import RngStream
 from bayesglasso.sampler import ChainConfig, run_chain
 
@@ -134,14 +135,19 @@ def p4_oracle():
     return wishart_is_posterior(P4_S, P4_N, R, S_HYPER)
 
 
-@pytest.mark.parametrize("kind", [
-    "bgs",
-    pytest.param("hrs", marks=pytest.mark.xfail(
+@pytest.mark.parametrize("kind,block", [
+    pytest.param("bgs", None, id="bgs"),
+    # At p = 4 the default shrinkage block spans the whole sweep; blocks of
+    # 2 also run pairs that cross a block boundary and pairs inside one.
+    pytest.param("bgs", 2, id="bgs-block2"),
+    pytest.param("hrs", None, id="hrs", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="hrs holds omega22 fixed, so its beta step targets the "
                "conditional given gamma, not given omega22 (ROADMAP item 1)")),
 ])
-def test_chain_matches_importance_sampling_posterior_p4(kind, p4_oracle):
+def test_chain_matches_importance_sampling_posterior_p4(kind, block, p4_oracle, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(sampler, "SHRINKAGE_BLOCK", block)
     exact, exact_se, ess = p4_oracle
     assert ess > 20_000  # one adaptation round makes the weights usable
     cfg = ChainConfig(kind=kind, burn_in=500, draws=12_000, r=R, s=S_HYPER,

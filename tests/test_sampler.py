@@ -607,19 +607,20 @@ def test_sweep_rejects_bad_kind_and_bad_state():
 def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
     st, rng = make_sim_state(p=8, n=30)
     errors = []
-    original = sampler.update_lambda_column
+    original = sampler.make_partition
 
     def check():
         inv = np.linalg.inv(st.omega)
         errors.append(np.max(np.abs(represented(st.sigma) - inv)) / np.max(np.abs(inv)))
 
-    def checked(*args, **kwargs):
+    def checked(*args):
         # Called as column i begins, after column i - 1's diagonal write and
-        # Sigma update, when only the carried triangle of Sigma is current.
+        # Sigma update and before column i's downdate, when only the carried
+        # triangle of Sigma is current.
         check()
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(sampler, "update_lambda_column", checked)
+    monkeypatch.setattr(sampler, "make_partition", checked)
     for _ in range(5):
         sweep(st, kind, ViolationAudit(), rng)
         check()  # after the sweep's last column
@@ -725,15 +726,31 @@ def shrinkage_row(g, nu, u, abs_omega, s):
     return rates, tau
 
 
+def shrinkage_block(G_lambda, NU, U, omega, s, start, end):
+    """The shrinkage rows of columns start..end-1, each drawn by
+    shrinkage_row from its row of omega as it stands now, with each pair
+    inside the block given the draw of its first column: tau[a, start + b]
+    for b < a is the draw of row start + b."""
+    rows = [shrinkage_row(G_lambda[j], NU[j], U[j], np.abs(omega[j]), s)
+            for j in range(start, end)]
+    rates = np.array([r for r, _ in rows])
+    tau = np.array([t for _, t in rows])
+    for a in range(end - start):
+        for b in range(a):
+            tau[a, start + b] = tau[b, start + a]
+    return rates, tau
+
+
 def reference_sweep(st, kind, rng, first_sweep):
     """The masked column kernel written plainly: the bank drawn up front,
-    each column's shrinkage row drawn from row i of omega as the column
-    begins (unit entries beyond slot i and a unit lambda22 in the first
-    sweep), Sigma kept full and symmetric after every column, BLAS dsyr and
-    dsymv on its upper triangle (numpy indexing) for the rank-1 updates and
-    the products, row and column i zeroed by hand, the whitened hrs step,
-    gamma draws scaled by 1/rate, np.clip and the closed-form
-    Michael-Schucany-Haas draw inline.
+    the shrinkage rows of each block of SHRINKAGE_BLOCK columns drawn from
+    their rows of omega as the block begins, each pair inside a block
+    reading one draw (blocks of one column, unit entries beyond slot i and
+    a unit lambda22 in the first sweep), Sigma kept full and symmetric
+    after every column, BLAS dsyr and dsymv on its upper triangle (numpy
+    indexing) for the rank-1 updates and the products, row and column i
+    zeroed by hand, the whitened hrs step, gamma draws scaled by 1/rate,
+    np.clip and the closed-form Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -757,9 +774,13 @@ def reference_sweep(st, kind, rng, first_sweep):
     if kind == "hrs":
         K = gen.random(p)
     violations = 0
+    block = 1 if first_sweep else sampler.SHRINKAGE_BLOCK
     for i in range(p):
-        rates, tau12 = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(omega[i]), st.s)
-        lambda22 = rates[i]
+        if i % block == 0:
+            start = i
+            rates, tau = shrinkage_block(G_lambda, NU, U, omega, st.s, i, min(i + block, p))
+        tau12 = tau[i - start].copy()
+        lambda22 = rates[i - start, i]
         if first_sweep:
             tau12[i + 1:] = 1.0
             lambda22 = 1.0
@@ -837,21 +858,24 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_partition_gets_shrinkage_drawn_as_the_column_begins(kind, monkeypatch):
-    # Column i draws its tau12 and lambda22 from row i of omega as it stands
-    # when the column begins, from bank rows 3-5.  In a chain's first sweep
-    # the entries not yet drawn in Wang's order, tau12 beyond slot i and
-    # lambda22, read their initial 1.
-    p, n = 9, 30
+def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
+    # From a chain's second sweep on, the columns of block [t, e) draw their
+    # tau12 and lambda22 rows at once as column t begins, from rows t..e-1 of
+    # omega as they stand then and from bank rows 3-5; at p = 20 the blocks
+    # are 16 and 4 columns.  A pair of columns inside a block reads one
+    # draw, the one from its first column's row.  A chain's first sweep has
+    # blocks of one column, and the entries not yet drawn in Wang's order,
+    # tau12 beyond slot i and lambda22, read their initial 1.
+    p, n = 20, 30
     st, _ = make_sim_state(kind="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
     seen = []
     original = sampler.make_partition
 
     def hooked(state, i, *args):
-        row = state.omega[i].copy()
+        omega = state.omega.copy()
         part = original(state, i, *args)
-        seen.append((i, row, part.tau12.copy(), part.lambda22))
+        seen.append((i, omega, part.tau12.copy(), part.lambda22))
         return part
 
     monkeypatch.setattr(sampler, "make_partition", hooked)
@@ -862,15 +886,23 @@ def test_partition_gets_shrinkage_drawn_as_the_column_begins(kind, monkeypatch):
         if kind == "hrs":
             twin.gen.random(p)
         assert [i for i, *_ in seen] == list(range(p))
-        for i, row, tau12, lambda22 in seen:
-            rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(row), st.s)
+        block = 1 if k == 0 else sampler.SHRINKAGE_BLOCK
+        for i, _, tau12, lambda22 in seen:
+            start = i - i % block
+            end = min(start + block, p)
+            block_omega = seen[start][1]
+            rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(block_omega[i]), st.s)
             assert tau12[i] == 1.0
-            np.testing.assert_array_equal(tau12[:i], tau[:i])
             if k == 0:
+                np.testing.assert_array_equal(tau12[:i], tau[:i])
                 assert np.all(tau12[i + 1:] == 1.0) and lambda22 == 1.0
-            else:
-                np.testing.assert_array_equal(tau12[i + 1:], tau[i + 1:])
-                assert lambda22 == rates[i]
+                continue
+            assert lambda22 == rates[i]
+            np.testing.assert_array_equal(tau12[:start], tau[:start])
+            np.testing.assert_array_equal(tau12[end:], tau[end:])
+            for j in range(i + 1, end):
+                assert tau12[j] == tau[j]
+                assert seen[j][2][i] == tau12[j], (i, j)
     assert rng.gen.random() == twin.gen.random()
 
 
