@@ -217,8 +217,11 @@ def _replication_task(scenario, rep):
 
 
 def _bootstrap_se_of_median(values, seed):
-    """SE of the median via bootstrap over replications."""
+    """SE of the median via bootstrap over replications; NaN, written as
+    null, for fewer than two, where resampling has no spread to measure."""
     vals = np.asarray(values, dtype=float)
+    if vals.size < 2:
+        return math.nan
     gen = RngStream(seed, _BOOTSTRAP_STREAM).gen
     idx = gen.integers(0, vals.size, size=(_BOOTSTRAP_RESAMPLES, vals.size))
     meds = np.median(vals[idx], axis=1)

@@ -135,11 +135,12 @@ from .matrixcore import PD_TOL, check_symmetric, cholesky_in_place, invert_from_
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
-# Draw clamps: Wang's disclosed code cut the ranges of the lambda and tau
-# draws and the unconstrained sampler breaks down without some cut; the
-# exact bounds were never published, so wide symmetric ones are used.
-LAMBDA_BOUNDS = (1e-6, 1e6)
-TAU_BOUNDS = (1e-10, 1e10)
+# Floor on |omega_ij| in the latent-scale draw, the one bound on any draw.
+# Exact zeros are reachable: a chain's first column skips its first beta
+# draw, so omega_0j = 0 when later rows read it, and with a = 0 the closed
+# form computes 0 * inf = NaN.  At the default s = 1e-6 about 1e-5 of the
+# posterior of a weakly correlated p = 2 model lies below the floor (the
+# D2 model of tests/test_posterior.py puts 8.6e-6 there).
 EPS_OMEGA = 1e-10
 
 # Columns per shrinkage block: a sweep draws the lambda/tau rows of this
@@ -152,8 +153,6 @@ SHRINKAGE_BLOCK = 16
 
 # The same constants as 0-d arrays: numpy ufuncs take a 0-d array operand
 # faster than a Python float.
-_LAMBDA_CLAMP = tuple(np.array(b) for b in LAMBDA_BOUNDS)
-_TAU_CLAMP = tuple(np.array(b) for b in TAU_BOUNDS)
 _EPS_OMEGA = np.array(EPS_OMEGA)
 _ONE, _TWO = np.array(1.0), np.array(2.0)
 
@@ -455,7 +454,7 @@ def update_gamma(part, g):
 
 
 def update_lambda_column(abs_omega, s, g):
-    """Shrinkage rates for rows of omega: Ga(r + 1, s + |omega_ij|), clamped.
+    """Shrinkage rates for rows of omega: Ga(r + 1, s + |omega_ij|).
 
     abs_omega is |omega| for the rows t..e-1 of a block, an (e - t) x p
     array of whole rows (or one row), and g holds as many draws of
@@ -463,12 +462,11 @@ def update_lambda_column(abs_omega, s, g):
     rate, the others of row i - t its off-diagonal rates.
     """
     rates = np.add(abs_omega, s)
-    np.divide(g, rates, out=rates)
-    return _clamp(rates, _LAMBDA_CLAMP)
+    return np.divide(g, rates, out=rates)
 
 
 def update_tau_column(lam, abs_omega, half_nu2, odds):
-    """Latent scales for rows: 1/tau ~ IG(lambda/a, lambda**2), clamped.
+    """Latent scales for rows: 1/tau ~ IG(lambda/a, lambda**2).
 
     a = max(|omega|, EPS_OMEGA), so exact zeros cannot produce infinite
     parameters.  The draw is the Michael-Schucany-Haas (1976) transform of
@@ -481,9 +479,8 @@ def update_tau_column(lam, abs_omega, half_nu2, odds):
     This form has no cancellation, so it needs no floor.  The arguments
     are arrays of one shape, the block's rows in :func:`sweep`.  half_nu2
     holds nu**2 / 2 and odds holds u / (1 - u), one per entry: u (r + 1) <=
-    r is odds <= r.  The draws are clamped to TAU_BOUNDS.  abs_omega is
-    overwritten with a, and half_nu2 is used as scratch; lam and odds are
-    only read.
+    r is odds <= r.  abs_omega is overwritten with a, and half_nu2 is used
+    as scratch; lam and odds are only read.
     """
     a = np.maximum(abs_omega, _EPS_OMEGA, out=abs_omega)
     r = np.multiply(a, lam)
@@ -497,13 +494,7 @@ def update_tau_column(lam, abs_omega, half_nu2, odds):
     np.reciprocal(r, out=k)
     np.copyto(r, k, where=small)
     r *= np.divide(a, lam, out=k)
-    return _clamp(r, _TAU_CLAMP)
-
-
-def _clamp(x, bounds):
-    # np.clip(x, *bounds) in place, NaN included, without its dispatch overhead.
-    np.maximum(x, bounds[0], out=x)
-    return np.minimum(x, bounds[1], out=x)
+    return r
 
 
 def sweep(state, kind, audit, rng):

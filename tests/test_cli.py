@@ -122,24 +122,30 @@ def test_simulate_writes_artifacts_and_is_deterministic(tmp_path):
 
 
 def test_simulate_aggregate_recomputable_from_csv(tmp_path):
-    out = tmp_path / "run"
-    cmd_simulate(small_scenario(replications=3), out)
-    with open(out / "replications.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    agg = json.loads((out / "aggregate.json").read_text())
+    for reps in (3, 1):
+        out = tmp_path / f"run{reps}"
+        cmd_simulate(small_scenario(replications=reps), out)
+        with open(out / "replications.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == reps
+        agg = json.loads((out / "aggregate.json").read_text())
 
-    for key in ("stein", "frobenius"):
-        med = float(np.median([float(r[key]) for r in rows]))
-        assert med == agg[key]["median"]
+        for key in ("stein", "frobenius"):
+            med = float(np.median([float(r[key]) for r in rows]))
+            assert med == agg[key]["median"]
+            # One replication has no spread to resample: its SE is unknown.
+            if reps == 1:
+                assert agg[key]["se"] is None
+            else:
+                assert agg[key]["se"] > 0.0
 
-    pooled = scores_from_counts(
-        sum(int(r["tp"]) for r in rows), sum(int(r["tn"]) for r in rows),
-        sum(int(r["fp"]) for r in rows), sum(int(r["fn"]) for r in rows))
-    assert agg["structure"]["tp"] == pooled.tp
-    assert agg["structure"]["specificity"] == pooled.specificity
-    assert agg["structure"]["sensitivity"] == pooled.sensitivity
-    assert agg["structure"]["mcc"] == pooled.mcc
+        pooled = scores_from_counts(
+            sum(int(r["tp"]) for r in rows), sum(int(r["tn"]) for r in rows),
+            sum(int(r["fp"]) for r in rows), sum(int(r["fn"]) for r in rows))
+        assert agg["structure"]["tp"] == pooled.tp
+        assert agg["structure"]["specificity"] == pooled.specificity
+        assert agg["structure"]["sensitivity"] == pooled.sensitivity
+        assert agg["structure"]["mcc"] == pooled.mcc
 
 
 def test_simulate_audit_content(tmp_path):

@@ -27,6 +27,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "digests.json"
 SRC = HERE.parent / "src"
@@ -44,9 +48,6 @@ RUNS = {
 
 def build_key():
     """numpy, scipy and their OpenBLAS versions, and the forced core type."""
-    import numpy as np
-    import scipy
-
     def openblas(config):
         return config["Build Dependencies"]["blas"]["version"]
 
@@ -58,8 +59,6 @@ def build_key():
 def artifact_digests():
     """Run every command of RUNS in a scratch directory; sha256 of each
     artifact but timing.json, keyed "<run>/<file>"."""
-    import numpy as np
-
     from bayesglasso.cli import main
     from bayesglasso.designs import simulate_data, true_model
     from bayesglasso.distributions import RngStream
@@ -103,6 +102,21 @@ def write_golden():
     print(f"wrote {len(golden)} keys to {GOLDEN}")
 
 
+@pytest.mark.parametrize("core", CORES)
+def test_seeded_artifacts_match_golden_digests(core):
+    if platform.machine() != "x86_64":
+        pytest.skip("OpenBLAS core types are x86_64 names")
+    key, digests, stderr = run_child(core)
+    if f"Core: {core}" not in stderr:
+        pytest.skip(f"OpenBLAS did not report core {core}")
+    golden = json.loads(GOLDEN.read_text())
+    if key not in golden:
+        pytest.skip(f"no golden digests for {key}")
+    changed = sorted(name for name in golden[key].keys() | digests.keys()
+                     if golden[key].get(name) != digests.get(name))
+    assert not changed, f"artifacts differ from the golden digests: {changed}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:
         sys.path.insert(0, str(SRC))
@@ -111,19 +125,3 @@ if __name__ == "__main__":
         write_golden()
     else:
         raise SystemExit("usage: python tests/test_digests.py --write")
-else:
-    import pytest
-
-    @pytest.mark.parametrize("core", CORES)
-    def test_seeded_artifacts_match_golden_digests(core):
-        if platform.machine() != "x86_64":
-            pytest.skip("OpenBLAS core types are x86_64 names")
-        key, digests, stderr = run_child(core)
-        if f"Core: {core}" not in stderr:
-            pytest.skip(f"OpenBLAS did not report core {core}")
-        golden = json.loads(GOLDEN.read_text())
-        if key not in golden:
-            pytest.skip(f"no golden digests for {key}")
-        changed = sorted(name for name in golden[key].keys() | digests.keys()
-                         if golden[key].get(name) != digests.get(name))
-        assert not changed, f"artifacts differ from the golden digests: {changed}"

@@ -1,4 +1,4 @@
-"""Samplers against the exact posterior of a p=2 and a p=4 model.
+"""Samplers against the exact posterior of two p=2 models and a p=4 model.
 
 For p = 2 the marginal posterior of omega (shrinkage rates integrated out)
 is, on the positive definite cone,
@@ -13,7 +13,9 @@ same posterior is integrated by importance sampling (see
 wishart_is_posterior), and chain means are compared in units of the
 chain's and the oracle's standard errors combined.  hrs is expected to
 fail at p=4: its step holds omega22 fixed (ROADMAP item 1).  This file's
-p=2 model is too well determined to show that bias.
+first p=2 model is too well determined to show that bias.  The second,
+D2, runs at the default r and s, where the posterior has a spike at
+w12 = 0; a log grid in |w12| integrates it.
 """
 
 import numpy as np
@@ -68,6 +70,56 @@ def test_bgs_matches_exact_posterior_p2():
     out = run_chain(S, N_OBS, cfg, RngStream(2))
     draws = np.array(out.draws)
     for k, x in enumerate((draws[:, 0, 0], draws[:, 1, 1], draws[:, 0, 1])):
+        mean, se = batch_means(x)
+        assert abs(mean - exact[k]) < 4.5 * se, (k, mean, exact[k], se)
+
+
+# ---------------------------------------------------------------- D2
+
+# D2: a weakly correlated p = 2 model at the default r and s.  There the
+# prior (s + |w12|)^{-(r+1)} puts about 6% of the posterior within 1e-6 of
+# w12 = 0, so a sampler that bounds its shrinkage draws misses it.
+D2_S = 20.0 * np.array([[1.0, 0.05], [0.05, 1.0]])
+D2_N = 20
+
+
+def spike_grid_posterior(scatter, n, m, per_decade, r=ChainConfig.r, s=ChainConfig.s):
+    """P(|w12| < 1e-6) and E|w12| of a p = 2 posterior by a 3-D midpoint grid.
+
+    w11 and w22 take m midpoints each on (0, 3]; |w12| takes per_decade
+    midpoints per decade of t = log|w12| from 1e-16 to 10, each with both
+    signs and the Jacobian |w12| as weight.  The log grid resolves the
+    prior's spike at w12 = 0, which no linear grid does at s = 1e-6, and
+    1e-6 is a cell edge, so the probability is a sum of whole cells.
+    """
+    d = (np.arange(m) + 0.5) * (3.0 / m)
+    w11, w22 = d[:, None, None], d[None, :, None]
+    x = 10.0 ** (-16.0 + (np.arange(17 * per_decade) + 0.5) / per_decade)
+    det = w11 * w22 - x * x
+    with np.errstate(divide="ignore"):
+        logf = (0.5 * n * np.log(np.maximum(det, 0.0))
+                - 0.5 * (scatter[0, 0] * w11 + scatter[1, 1] * w22)
+                - (r + 1.0) * (np.log(s + w11) + np.log(s + w22)))
+    wts = np.exp(logf - logf.max()).sum(axis=(0, 1))
+    # exp(-tr(S Omega)/2) holds exp(-s12 w12), which tells the signs apart.
+    wts *= x * (s + x) ** -(r + 1.0) * np.cosh(scatter[0, 1] * x)
+    wts /= wts.sum()
+    return wts[x < 1e-6].sum(), wts @ x
+
+
+def test_spike_grid_oracle_is_converged():
+    coarse = spike_grid_posterior(D2_S, D2_N, m=40, per_decade=10)
+    fine = spike_grid_posterior(D2_S, D2_N, m=80, per_decade=20)
+    assert abs(coarse[0] - fine[0]) < 2e-4
+    assert abs(coarse[1] - fine[1]) < 1e-6
+
+
+def test_bgs_matches_exact_posterior_d2():
+    exact = spike_grid_posterior(D2_S, D2_N, m=80, per_decade=20)
+    cfg = ChainConfig(kind="bgs", burn_in=1000, draws=20_000, store_draws=True)
+    out = run_chain(D2_S, D2_N, cfg, RngStream(2))
+    w12 = np.abs(np.array(out.draws)[:, 0, 1])
+    for k, x in enumerate(((w12 < 1e-6).astype(float), w12)):
         mean, se = batch_means(x)
         assert abs(mean - exact[k]) < 4.5 * se, (k, mean, exact[k], se)
 

@@ -15,9 +15,7 @@ from bayesglasso.distributions import RngStream, sample_truncated_normal
 from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pd_check, spd_inverse
 from bayesglasso.sampler import (
     EPS_OMEGA,
-    LAMBDA_BOUNDS,
     SAMPLER_KINDS,
-    TAU_BOUNDS,
     ChainConfig,
     ColumnPartition,
     ViolationAudit,
@@ -488,15 +486,15 @@ def test_update_lambda_moments():
     assert np.all(rates > 0)
 
 
-def test_update_lambda_clamped():
-    # r=0.01, s=1e-6, omega=0: unclamped mean would be 1.01e6
+def test_update_lambda_is_not_clamped():
+    # r=0.01, s=1e-6, omega=0: the rates are Ga(1.01, 1e-6), mean 1.01e6
     g = RngStream(12).gen.standard_gamma(0.01 + 1.0, 10_001)
     rates = update_lambda_column(np.append(np.zeros(10_000), 1.0), 1e-6, g)
     lam12 = rates[:-1]
     assert rates[-1] > 0
-    assert np.all(lam12 >= 1e-6)
-    assert np.all(lam12 <= 1e6)
-    assert np.any(lam12 == 1e6)  # the clamp actually engages
+    assert np.array_equal(lam12, g[:-1] / 1e-6)
+    assert np.any(lam12 > 1e6)  # no upper bound cuts the draws
+    assert abs(lam12.mean() - 1.01e6) < 4.0 * math.sqrt(1.01e12 / lam12.size)
     assert lam12.min() > 0
 
 
@@ -524,8 +522,9 @@ def test_update_tau_zero_omega_floored():
     tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14).gen)
     assert np.all(np.isfinite(tau))
     assert np.all(tau > 0)
-    assert np.all(tau >= 1e-10)
-    assert np.all(tau <= 1e10)
+    # |omega| = 0 draws exactly as |omega| = EPS_OMEGA, its floor.
+    floor = tau_draws(np.ones(1000), np.full(1000, EPS_OMEGA), RngStream(14).gen)
+    assert np.array_equal(tau, floor)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -717,12 +716,12 @@ def shrinkage_row(g, nu, u, abs_omega, s):
     """The rates Ga(r + 1, s + |omega_ij|), from bank 3's row g, and the
     latent scales 1/tau ~ IG(rates/a, rates**2) by the closed-form
     Michael-Schucany-Haas draw, from bank rows nu and u, for one row of
-    |omega|, both clamped with np.clip.  u (r + 1) <= r is u / (1 - u) <= r."""
-    rates = np.clip(g / (abs_omega + s), *LAMBDA_BOUNDS)
+    |omega|.  u (r + 1) <= r is u / (1 - u) <= r."""
+    rates = g / (abs_omega + s)
     a = np.maximum(abs_omega, EPS_OMEGA)
     k = nu * nu * 0.5 / (a * rates)
     r = 1.0 + k + np.sqrt(k * (k + 2.0))
-    tau = np.clip(np.where(u / (1.0 - u) <= r, r, 1.0 / r) * (a / rates), *TAU_BOUNDS)
+    tau = np.where(u / (1.0 - u) <= r, r, 1.0 / r) * (a / rates)
     return rates, tau
 
 
@@ -750,7 +749,7 @@ def reference_sweep(st, kind, rng, first_sweep):
     after every column, BLAS dsyr and dsymv on its upper triangle (numpy
     indexing) for the rank-1 updates and the products, row and column i
     zeroed by hand, the whitened hrs step, gamma draws scaled by 1/rate,
-    np.clip and the closed-form Michael-Schucany-Haas draw inline.
+    and the closed-form Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -989,10 +988,44 @@ def test_run_chain_stores_every_retained_draw():
     assert np.array_equal(out.omega_mean, sum(out.draws) / 10)
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind, monkeypatch):
+    # At p = 60 and n = 5 the default s = 1e-6 lets the rates exceed 1e6 and
+    # the latent scales fall below 1e-10.  Nothing cuts those draws, and the
+    # chain stays finite, positive definite and accurate in its carried Sigma.
+    extremes = {"update_lambda_column": [], "update_tau_column": []}
+
+    def hook(name, extreme):
+        original = getattr(sampler, name)
+
+        def hooked(*args):
+            out = original(*args)
+            extremes[name].append(extreme(out))
+            return out
+        monkeypatch.setattr(sampler, name, hooked)
+
+    hook("update_lambda_column", np.max)
+    hook("update_tau_column", np.min)
+    model = true_model("star", 60)
+    rng = RngStream(50)
+    Y = simulate_data(model, 5, rng)
+    cfg = ChainConfig(kind=kind, burn_in=20, draws=80, store_draws=True)
+    out = run_chain(scatter_matrix(Y), 5, cfg, rng)
+    assert max(extremes["update_lambda_column"]) > 1e6
+    assert min(extremes["update_tau_column"]) < 1e-10
+    for omega in out.draws:
+        assert np.all(np.isfinite(omega))
+        assert pd_check(omega) is not None
+    assert out.audit.sigma_drift_max < 1e-8
+    if kind == "hrs":
+        assert out.audit.violations == 0
+
+
 @pytest.mark.parametrize("r,s", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
                                  (1.0, math.nan), (-math.inf, 1.0), (0.0, 1.0)])
 def test_chain_config_rejects_non_finite_hyperparameters(r, s):
-    # NaN passes a "<= 0" test, and an infinite r or s clamps every draw.
+    # NaN passes a "<= 0" test, and an infinite r or s makes the rate
+    # draws infinite or zero.
     with pytest.raises(ValueError, match="finite and positive"):
         ChainConfig(r=r, s=s).validate()
 
