@@ -12,6 +12,14 @@ from scipy.linalg import lapack
 # as positive definite.
 PD_TOL = 1e-12
 
+# LAPACK routines bound once and called positionally, as the sampler's
+# BLAS ones are (see its module docstring): f2py parses keyword arguments
+# much more slowly.  Above each, the f2py signature its calls follow.
+# c,info = dpotrf(a,[lower,clean,overwrite_a])
+_dpotrf = lapack.dpotrf
+# inv_a,info = dpotri(c,[lower,overwrite_c])
+_dpotri = lapack.dpotri
+
 
 def check_symmetric(M, name="matrix"):
     """Validate and return a square, exactly symmetric float array."""
@@ -23,16 +31,17 @@ def check_symmetric(M, name="matrix"):
     return M
 
 
-def cholesky_in_place(A):
+def cholesky_in_place(A, clean=0):
     """Lower Cholesky factor of the symmetric A, computed in A's memory.
 
     Only the lower triangle of A is read; A should be Fortran-ordered (such
     as the transpose of a C-ordered array), or LAPACK works on a copy.  The
-    factor overwrites that triangle and the strict upper triangle is left
-    as it was.  Returns the factor if every diagonal entry exceeds PD_TOL,
-    otherwise None: "not positive definite", not an error.
+    factor overwrites that triangle; the strict upper triangle is left as
+    it was, or zeroed if clean is 1.  Returns the factor if every diagonal
+    entry exceeds PD_TOL, otherwise None: "not positive definite", not an
+    error.
     """
-    L, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
+    L, info = _dpotrf(A, 1, clean, 1)
     if info > 0:
         return None
     if info < 0:
@@ -55,9 +64,9 @@ def pd_check(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    # A Fortran-ordered copy of M's lower triangle with a zero strict upper
-    # triangle, so the factor comes out clean.
-    return cholesky_in_place(np.triu(M.T).T)
+    # Factored in a Fortran-ordered copy of M, never a view of it, with the
+    # factor's upper triangle zeroed by dpotrf's clean.
+    return cholesky_in_place(np.array(M, order="F"), 1)
 
 
 def invert_from_factor(L):
@@ -67,14 +76,16 @@ def invert_from_factor(L):
     whatever L's order: the sampler updates the Sigma it returns in place
     through its transpose, which BLAS can do only on a C-ordered array.
     """
-    inv, info = lapack.dpotri(L, lower=1)
+    inv, info = _dpotri(L, 1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    # dpotri fills the lower triangle and leaves L's strict upper triangle
-    # as it was, so that is dropped before the lower one is mirrored.
-    inv = np.tril(inv)
-    inv += np.tril(inv, -1).T
-    return inv
+    # dpotri fills the lower triangle of a Fortran-ordered array and leaves
+    # L's strict upper triangle there as it was.  Its transpose is
+    # C-ordered, and the lower triangle of that transpose, which is the
+    # stale one, is overwritten with the lower triangle of the inverse.
+    sym = inv.T
+    np.copyto(sym, inv, where=np.tri(inv.shape[0], k=-1, dtype=bool))
+    return sym
 
 
 def spd_inverse(M):

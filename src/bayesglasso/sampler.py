@@ -92,6 +92,19 @@ Products of two vectors are BLAS ``ddot``, several times cheaper per call
 than numpy's ``@`` at these sizes; the bitwise reference test, which uses
 ``@``, checks that the two agree on each OpenBLAS kernel it runs on.
 
+Every BLAS and LAPACK routine of the column update (``dsyr``, ``dsymv``,
+``ddot`` and ``dtrtrs`` here, ``dpotrf`` and ``dpotri`` in
+:mod:`bayesglasso.matrixcore`) is bound once, at module level, and called
+with positional arguments only: f2py parses keyword arguments much more
+slowly.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25 timings per
+call went from 1.3 to 0.6 us for ``dsyr``, 1.3 to 0.7 for ``dsymv`` and
+1.6 to 1.4 for ``dtrtrs``, and a column makes six such calls.  The comment
+above each binding quotes the f2py signature its positional calls follow,
+and a test pins that line, so a scipy that reordered the optional
+arguments fails the suite instead of binding a flag to the wrong
+parameter.  The bitwise reference test keeps keyword calls, so it checks
+the positional ones too.
+
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator (six
 for hrs), in this order and with these shapes whatever the state:
@@ -151,10 +164,33 @@ EPS_OMEGA = 1e-10
 # with 16 and 0.239 with 100.
 SHRINKAGE_BLOCK = 16
 
+# Smallest s a chain accepts.  Where omega_ij = 0, as in a chain's first
+# sweep, the rate draw is about g/s and the latent scale about
+# EPS_OMEGA * s / g; below s = 1e-298 or so that scale is subnormal and the
+# beta draw's 1/tau overflows.  s = 1e-250 leaves a margin of some fifty
+# orders of magnitude and still runs clean.
+S_FLOOR = 1e-250
+
 # The same constants as 0-d arrays: numpy ufuncs take a 0-d array operand
 # faster than a Python float.
 _EPS_OMEGA = np.array(EPS_OMEGA)
 _ONE, _TWO = np.array(1.0), np.array(2.0)
+
+# The BLAS and LAPACK routines of the column update, bound once and called
+# positionally (see the module docstring).  Above each, the f2py signature
+# its calls follow; tests/test_sampler.py pins these lines.
+# a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])
+_dsyr = blas.dsyr
+# y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])
+_dsymv = blas.dsymv
+# xy = ddot(x,y,[n,offx,incx,offy,incy])
+_ddot = blas.ddot
+# x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
+_dtrtrs = lapack.dtrtrs
+
+# dsyr updates its a in place only when a.T is a C-ordered float64 array;
+# on any other, f2py updates and returns a copy.
+_NOT_IN_PLACE = "the rank-1 update needs a C-ordered float64 array"
 
 
 @dataclass
@@ -176,6 +212,8 @@ class ChainConfig:
         # Written so that NaN, which fails every comparison, is rejected.
         if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
             raise ValueError("hyperparameters r and s must be finite and positive")
+        if self.s < S_FLOOR:
+            raise ValueError(f"hyperparameter s must be at least {S_FLOOR:g}")
 
 
 @dataclass
@@ -292,25 +330,6 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     )
 
 
-def _symv(a, x):
-    # a @ x for a symmetric a, read from its upper triangle (numpy indexing).
-    return blas.dsymv(1.0, a.T, x, lower=1)
-
-
-def _syr(alpha, x, a):
-    # a += alpha x x' in place, on a's upper triangle (numpy indexing) only.
-    # a must be a C-ordered float64 array, so that a.T is one BLAS can write
-    # in place; on any other, f2py updates and returns a copy.
-    at = a.T
-    if blas.dsyr(alpha, x, a=at, lower=1, overwrite_a=1) is not at:
-        raise ValueError("the rank-1 update needs a C-ordered float64 array")
-
-
-def _mirror(a):
-    # Copy a's upper triangle (numpy indexing) onto its lower one.
-    np.copyto(a, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
-
-
 def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
     """Partition the state around column i (0-based), masked in natural order.
 
@@ -339,7 +358,10 @@ def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
     # the diagonal is column i above it), then scale it.
     sigma[i, :i] = sigma[:i, i]
     u = sigma[i] * (1.0 / math.sqrt(sigma[i, i]))
-    _syr(-1.0, u, sigma)
+    # sigma -= u u' on the lower triangle of sigma.T, BLAS's view of it.
+    sigma_t = sigma.T
+    if _dsyr(-1.0, u, 1, 1, 0, p, sigma_t, 1) is not sigma_t:
+        raise ValueError(_NOT_IN_PLACE)
     sigma[i] = 0.0
     sigma[:, i] = 0.0
     tau12[i] = 1.0
@@ -382,10 +404,9 @@ def bgs_update_beta(part, z):
     measures.
     """
     L = _factor_c_inverse(part)
-    y, _ = lapack.dtrtrs(L, part.s12, lower=1)
+    y = _dtrtrs(L, part.s12, 1)[0]
     np.subtract(z, y, out=y)
-    beta, _ = lapack.dtrtrs(L, y, lower=1, trans=1, overwrite_b=1)
-    return beta
+    return _dtrtrs(L, y, 1, 1, 0, None, 1)[0]
 
 
 def hit_and_run_interval(a, b, gamma):
@@ -428,19 +449,22 @@ def hrs_update_beta(part, z, u):
     as small as the most-shrunk coordinate allows.  The returned column
     always satisfies the Schur condition.  A zero z raises ValueError.
     """
-    zz = blas.ddot(z, z)
+    zz = _ddot(z, z)
     if not zz > 0.0:
         raise ValueError("hit-and-run direction has zero length")
     L = _factor_c_inverse(part)
-    d, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    d = _dtrtrs(L, z, 1, 1)[0]
     d *= 1.0 / math.sqrt(zz)
     beta = part.beta
-    v = _symv(part.omega11_inv, d)
-    b = blas.ddot(beta, v)
-    mu = -(blas.ddot(part.s12, d) + (part.s22 + 2.0 * part.lambda22) * b
-           + blas.ddot(beta / part.tau12, d))
-    gamma = part.omega22 - blas.ddot(beta, _symv(part.omega11_inv, beta))
-    lo, hi = hit_and_run_interval(blas.ddot(d, v), b, gamma)
+    # Omega11^{-1} products read its upper triangle, the lower one of its
+    # transpose as BLAS sees it.
+    o11_t = part.omega11_inv.T
+    v = _dsymv(1.0, o11_t, d, 0.0, None, 0, 1, 0, 1, 1)
+    b = _ddot(beta, v)
+    mu = -(_ddot(part.s12, d) + (part.s22 + 2.0 * part.lambda22) * b
+           + _ddot(beta / part.tau12, d))
+    gamma = part.omega22 - _ddot(beta, _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1))
+    lo, hi = hit_and_run_interval(_ddot(d, v), b, gamma)
     return beta + sample_truncated_normal(mu, lo, hi, u) * d
 
 
@@ -536,6 +560,7 @@ def sweep(state, kind, audit, rng):
     if L is None:
         raise ValueError("omega is not positive definite at the start of the sweep")
     sigma = invert_from_factor(L)
+    sigma_t = sigma.T  # BLAS's view: its lower triangle is sigma's upper one
     first_sweep = state.sigma is None
     if not first_sweep:
         # The carried Sigma is replaced, so its memory takes the difference.
@@ -551,7 +576,9 @@ def sweep(state, kind, audit, rng):
     scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
     block = 1 if first_sweep else SHRINKAGE_BLOCK
-    lower = np.tri(block, k=-1, dtype=bool)
+    # The strict lower triangle: sliced, the mask of a block's pairs; whole,
+    # the one of the mirror that ends the sweep.
+    lower = np.tri(p, k=-1, dtype=bool)
     end = 0
     s = np.array(state.s)  # a ufunc takes a 0-d array faster than a float
 
@@ -603,8 +630,8 @@ def sweep(state, kind, audit, rng):
                     beta = bgs_update_beta(part, z_bank[i])
                 omega[i] = beta
                 omega[:, i] = beta
-            v = _symv(sigma, beta)
-            q = blas.ddot(beta, v)
+            v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
+            q = _ddot(beta, v)
             beta_failed = not part.omega22 - q > schur_floor
 
             stage = "gamma"
@@ -612,7 +639,8 @@ def sweep(state, kind, audit, rng):
             if not gam > 0.0:
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega[i, i] = gam + q
-            _syr(1.0, v * (1.0 / math.sqrt(gam)), sigma)
+            if _dsyr(1.0, v * (1.0 / math.sqrt(gam)), 1, 1, 0, p, sigma_t, 1) is not sigma_t:
+                raise ValueError(_NOT_IN_PLACE)
             v *= -1.0 / gam
             sigma[i] = v
             sigma[:, i] = v
@@ -623,7 +651,8 @@ def sweep(state, kind, audit, rng):
 
         audit.record(beta_failed)
 
-    _mirror(sigma)
+    # Copy the carried upper triangle (numpy indexing) onto the lower one.
+    np.copyto(sigma, sigma_t, where=lower)
     return state
 
 

@@ -352,12 +352,13 @@ def test_main_config_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--r", "inf"), ("--s", "inf"), ("--r", "nan"),
-                                        ("--s", "nan"), ("--seed", "-1")])
+                                        ("--s", "nan"), ("--seed", "-1"), ("--s", "1e-300")])
 @pytest.mark.parametrize("command", ["simulate", "audit", "fit"])
 def test_main_bad_chain_flag_is_config_error_before_output(command, flag, value, tmp_path):
     # A non-finite r or s used to run with every draw clamped or fail
     # mid-chain, and a negative seed failed every replication with exit 1
-    # after the manifest was written.
+    # after the manifest was written.  An s below S_FLOOR overflowed in the
+    # beta draw, with only a warning.
     out = tmp_path / "out"
     if command == "fit":
         data = tmp_path / "data.csv"

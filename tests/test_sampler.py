@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 from scipy.linalg import blas, lapack
 
-from bayesglasso import sampler
+from bayesglasso import matrixcore, sampler
 from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_truncated_normal
 from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pd_check, spd_inverse
 from bayesglasso.sampler import (
     EPS_OMEGA,
+    S_FLOOR,
     SAMPLER_KINDS,
+    SHRINKAGE_BLOCK,
     ChainConfig,
     ColumnPartition,
     ViolationAudit,
@@ -655,9 +657,15 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
 def test_sweep_factorisation_budget(kind, monkeypatch):
     # One Cholesky of omega per sweep, one in-place factor of C^{-1} per
     # beta draw, and the one inverse that gives Sigma: no other O(p^3) step.
-    p = 12
+    # Every helper the benchmark traces is counted through the module
+    # attribute it replaces, so a sweep that bound one locally would show
+    # zero calls here, as it would zero its traced time.
+    p = 20  # blocks of 16 and 4 columns after the first sweep
     st, rng = make_sim_state(p=p, n=30)
-    calls = {"pd_check": 0, "cholesky_in_place": 0, "invert_from_factor": 0}
+    beta = f"{kind}_update_beta"
+    names = ("pd_check", "cholesky_in_place", "invert_from_factor", "make_partition",
+             beta, "update_gamma", "update_lambda_column", "update_tau_column")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(sampler, name)
@@ -674,9 +682,14 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
         before = dict(calls)
         sweep(st, kind, ViolationAudit(), rng)
         per_sweep.append({name: calls[name] - before[name] for name in calls})
-    # A chain's first sweep skips column 0's beta draw.
-    expect = [{"pd_check": 1, "cholesky_in_place": c, "invert_from_factor": 1}
-              for c in (p - 1, p, p)]
+    # A chain's first sweep skips column 0's beta draw and has blocks of
+    # one column.
+    blocks = -(-p // SHRINKAGE_BLOCK)
+    expect = [{"pd_check": 1, "cholesky_in_place": c, "invert_from_factor": 1,
+               "make_partition": p, beta: c, "update_gamma": p,
+               "update_lambda_column": b, "update_tau_column": b}
+              for c, b in ((p - 1, p), (p, blocks), (p, blocks))]
+    assert blocks == 2
     assert per_sweep == expect
 
 
@@ -699,6 +712,30 @@ def test_first_sweep_guard_changes_draw_sequence(monkeypatch):
             per_sweep.append(len(calls) - before)
         assert per_sweep == [p - 1, p]
         assert calls[-1] == f"{kind}_update_beta"
+
+
+# The f2py signature line of every routine the kernel calls positionally,
+# as the comment above its binding quotes it.  A scipy that reordered a
+# routine's optional arguments would bind a flag to the wrong parameter
+# without a word; this fails instead.
+POSITIONAL_SIGNATURES = {
+    (sampler, "dsyr"): "a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])",
+    (sampler, "dsymv"): "y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])",
+    (sampler, "ddot"): "xy = ddot(x,y,[n,offx,incx,offy,incy])",
+    (sampler, "dtrtrs"): "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
+    (matrixcore, "dpotrf"): "c,info = dpotrf(a,[lower,clean,overwrite_a])",
+    (matrixcore, "dpotri"): "inv_a,info = dpotri(c,[lower,overwrite_c])",
+}
+
+
+@pytest.mark.parametrize("module,name", POSITIONAL_SIGNATURES,
+                         ids=[name for _, name in POSITIONAL_SIGNATURES])
+def test_positional_call_signatures_are_pinned(module, name):
+    line = POSITIONAL_SIGNATURES[module, name]
+    routine = getattr(module, f"_{name}")
+    assert routine is getattr(blas, name, None) or routine is getattr(lapack, name)
+    assert routine.__doc__.splitlines()[0] == line
+    assert f"# {line}\n_{name} = " in Path(module.__file__).read_text()
 
 
 # ---------------------------------------------------------------- reference kernel
@@ -1028,6 +1065,14 @@ def test_chain_config_rejects_non_finite_hyperparameters(r, s):
     # draws infinite or zero.
     with pytest.raises(ValueError, match="finite and positive"):
         ChainConfig(r=r, s=s).validate()
+
+
+def test_chain_config_rejects_an_s_below_the_floor():
+    # Below about 1e-298 a first-sweep latent scale is subnormal and the
+    # beta draw's 1/tau overflows.
+    ChainConfig(s=S_FLOOR).validate()
+    with pytest.raises(ValueError, match="at least"):
+        ChainConfig(s=1e-300).validate()
 
 
 def test_run_chain_validates_config():
