@@ -1,14 +1,12 @@
-"""Command-line front end: simulation campaigns, real-data fits, audits.
+"""Command-line front end: simulation campaigns and real-data fits.
 
-Three commands:
+Two commands:
 
 * ``simulate`` runs a replicated scenario (design, p, n, sampler) and
   writes per-replication scores, pooled aggregates and the violation
-  audit.
+  audit, pooled and per replication.
 * ``fit`` ingests a CSV data matrix, runs one chain and writes the
   posterior mean (raw and unit-diagonal scaled) plus the audit.
-* ``audit`` runs replication 0 of the ``simulate`` scenario (same design,
-  data stream and chain) and writes only its violation audit.
 
 The chain settings and their defaults are those of
 :class:`~bayesglasso.sampler.ChainConfig`.  Every output directory gets a
@@ -116,9 +114,10 @@ def ingest_csv(path, standardize=False):
     missing value, so it is read as data and rejected like any other row
     with a blank.  All values must be finite; standardization centers each
     column and scales it to unit sample standard deviation (n-1
-    denominator).
+    denominator).  A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
+    exports write, is dropped before the first cell is read.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
                if len(row) > 0]
     if not raw:
@@ -173,8 +172,8 @@ def _is_number(cell):
     return True
 
 
-def _scenario_chain(scenario, rep):
-    """The true model and the chain of replication rep of a scenario.
+def run_replication(scenario, rep):
+    """One simulate replication: data, chain, losses, structure scores.
 
     The replication owns RngStream(seed, stream_id=rep): it simulates the
     data and then drives the chain, so results do not depend on execution
@@ -183,12 +182,7 @@ def _scenario_chain(scenario, rep):
     model = build_design(GraphDesign(kind=scenario.design, p=scenario.p))
     rng = RngStream(scenario.seed, stream_id=rep)
     Y = simulate_data(model, scenario.n, rng)
-    return model, run_chain(scatter_matrix(Y), scenario.n, scenario.chain_config(), rng)
-
-
-def run_replication(scenario, rep):
-    """One simulate replication: data, chain, losses, structure scores."""
-    model, out = _scenario_chain(scenario, rep)
+    out = run_chain(scatter_matrix(Y), scenario.n, scenario.chain_config(), rng)
     est = out.omega_mean
     adj = adjacency_from_estimate(est, scenario.threshold)
     sc = structure_scores(adj, model.adjacency_true)
@@ -235,12 +229,6 @@ def _open_run(out_dir, command, config):
     _write_json(out / "manifest.json",
                 {"command": command, "version": __version__, "config": config})
     return out
-
-
-def _write_chain_audit(out, result):
-    """audit.json and timing.json of a one-chain command."""
-    _write_json(out / "audit.json", _audit_summary(result.audit))
-    _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
 
 
 def cmd_simulate(scenario, out_dir):
@@ -357,14 +345,8 @@ def cmd_fit(data_path, config, out_dir, *, seed=0, standardize=False):
     save_matrix_csv(result.omega_mean, out / "posterior_mean.csv")
     save_matrix_csv(unit_diag_scale(result.omega_mean),
                     out / "posterior_mean_unit_diag.csv")
-    _write_chain_audit(out, result)
-    return 0
-
-
-def cmd_audit(scenario, out_dir):
-    scenario.validate()
-    out = _open_run(out_dir, "audit", asdict(scenario))
-    _write_chain_audit(out, _scenario_chain(scenario, 0)[1])
+    _write_json(out / "audit.json", _audit_summary(result.audit))
+    _write_json(out / "timing.json", {"total_seconds": result.elapsed_seconds})
     return 0
 
 
@@ -395,22 +377,19 @@ def build_parser():
                     "LASSO with positive-definiteness auditing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def chain_flags(sp, burn_in=ChainConfig.burn_in, draws=ChainConfig.draws):
+    def chain_flags(sp):
         sp.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
-        sp.add_argument("--burnin", type=int, default=burn_in)
-        sp.add_argument("--draws", type=int, default=draws)
+        sp.add_argument("--burnin", type=int, default=ChainConfig.burn_in)
+        sp.add_argument("--draws", type=int, default=ChainConfig.draws)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--r", type=float, default=ChainConfig.r)
         sp.add_argument("--s", type=float, default=ChainConfig.s)
         sp.add_argument("--out", required=True, help="output directory")
 
-    def scenario_flags(sp):
-        sp.add_argument("--design", required=True, choices=DESIGN_KINDS)
-        sp.add_argument("--p", required=True, type=int, help="number of variables")
-        sp.add_argument("--n", required=True, type=int, help="sample size")
-
     sim = sub.add_parser("simulate", help="replicated simulation campaign")
-    scenario_flags(sim)
+    sim.add_argument("--design", required=True, choices=DESIGN_KINDS)
+    sim.add_argument("--p", required=True, type=int, help="number of variables")
+    sim.add_argument("--n", required=True, type=int, help="sample size")
     chain_flags(sim)
     sim.add_argument("--reps", type=int, default=ScenarioConfig.replications)
     sim.add_argument("--threshold", type=float, default=ScenarioConfig.threshold)
@@ -423,10 +402,6 @@ def build_parser():
     fit.add_argument("--standardize", action="store_true",
                      help="center and scale each column before fitting")
 
-    aud = sub.add_parser("audit", help="violation counts of replication 0 of a scenario")
-    scenario_flags(aud)
-    chain_flags(aud, burn_in=0, draws=1000)
-
     return parser
 
 
@@ -437,13 +412,11 @@ def main(argv=None):
         if args.command == "fit":
             return cmd_fit(args.data, ChainConfig(kind=args.sampler, **chain), args.out,
                            seed=args.seed, standardize=args.standardize)
-        scenario = {"design": args.design, "p": args.p, "n": args.n,
-                    "sampler": args.sampler, "seed": args.seed, **chain}
-        if args.command == "audit":
-            return cmd_audit(ScenarioConfig(**scenario, replications=1), args.out)
-        return cmd_simulate(ScenarioConfig(**scenario, replications=args.reps,
-                                           threshold=args.threshold, jobs=args.jobs),
-                            args.out)
+        scenario = ScenarioConfig(design=args.design, p=args.p, n=args.n,
+                                  sampler=args.sampler, seed=args.seed, **chain,
+                                  replications=args.reps, threshold=args.threshold,
+                                  jobs=args.jobs)
+        return cmd_simulate(scenario, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -352,8 +352,6 @@ def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
     """
     omega = state.omega
     p = omega.shape[0]
-    if not 0 <= i < p:
-        raise IndexError(f"column {i} out of range for dimension {p}")
     # Complete row i of sigma from the current triangle (its part left of
     # the diagonal is column i above it), then scale it.
     sigma[i, :i] = sigma[:i, i]
@@ -448,6 +446,11 @@ def hrs_update_beta(part, z, u):
     magnitude, and an isotropic direction in beta would make every step
     as small as the most-shrunk coordinate allows.  The returned column
     always satisfies the Schur condition.  A zero z raises ValueError.
+
+    The step holds omega22 fixed but moves along N(-C s12, C), which is
+    beta's law given gamma = omega22 - beta' Omega11^{-1} beta, not given
+    omega22.  So hrs does not target the stated posterior; that is why its
+    p = 4 case in ``tests/test_posterior.py`` is a strict expected failure.
     """
     zz = _ddot(z, z)
     if not zz > 0.0:
@@ -554,6 +557,8 @@ def sweep(state, kind, audit, rng):
     reads 1 for lambda_ii and for the latent scales of row i beyond slot i,
     which have not been drawn yet (see the module docstring).
     """
+    # run_chain has validated its config, but sweep is importable on its
+    # own, and a misspelt kind would otherwise run bgs without a word.
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
     L = pd_check(state.omega)

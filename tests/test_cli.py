@@ -7,7 +7,6 @@ import pytest
 from bayesglasso import cli
 from bayesglasso.cli import (
     ScenarioConfig,
-    cmd_audit,
     cmd_fit,
     cmd_simulate,
     ingest_csv,
@@ -24,11 +23,18 @@ def test_ingest_basic(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2\n3,4\n")
     assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    # A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, once
+    # made the first cell non-numeric, so the first observation was taken as
+    # a header and dropped.
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.5\n5.0,6.0\n")
+    assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]])
 
 
 def test_ingest_header_detected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n3,4\n")
+    assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
     assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
     path.write_text("a,b,c\n1,2\n3,4\n")
     with pytest.raises(ValueError, match="header has 3 labels for 2 columns"):
@@ -277,29 +283,24 @@ def test_fit_rejects_single_row(tmp_path):
         cmd_fit(data, ChainConfig(kind="hrs", burn_in=1, draws=2), tmp_path / "out")
 
 
-# ---------------------------------------------------------------- audit cmd
-
-def test_audit_command(tmp_path):
-    out = tmp_path / "audit"
-    scenario = small_scenario(sampler="bgs", design="circle", p=8, n=12,
-                              burn_in=0, draws=40, replications=1)
-    rc = cmd_audit(scenario, out)
-    assert rc == 0
-    audit = json.loads((out / "audit.json").read_text())
-    assert audit["updates_total"] == 8 * 40
-    assert audit["violations"] >= 0
-
+# ---------------------------------------------------------------- audit.json
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_audit_is_replication_zero_of_simulate(kind, tmp_path):
-    scenario = small_scenario(sampler=kind, design="star", p=6, n=5,
-                              replications=1)
-    cmd_audit(scenario, tmp_path / "audit")
-    cmd_simulate(scenario, tmp_path / "sim")
-    audit = json.loads((tmp_path / "audit" / "audit.json").read_text())
-    rep0 = json.loads((tmp_path / "sim" / "audit.json").read_text())["per_replication"][0]
+def test_one_replication_audit_is_that_replications_audit(kind, tmp_path):
+    # The README's recipe for one chain's violation counts: simulate --reps 1
+    # --burnin 0, read at the top level of audit.json.
+    out = tmp_path / "run"
+    rc = main(["simulate", "--design", "star", "--p", "6", "--n", "5", "--sampler", kind,
+               "--reps", "1", "--burnin", "0", "--draws", "40", "--seed", "4",
+               "--out", str(out)])
+    assert rc == 0
+    audit = json.loads((out / "audit.json").read_text())
+    (rep0,) = audit.pop("per_replication")
     assert rep0.pop("replication") == 0
     assert audit == rep0
+    assert set(audit) == {"updates_total", "violations", "violation_ratio_percent",
+                          "sigma_drift_max"}
+    assert audit["updates_total"] == 6 * 40
 
 
 # ---------------------------------------------------------------- manifests
@@ -314,10 +315,8 @@ def test_manifest_config_keys_are_pinned(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=6, p=3)
     cmd_simulate(small_scenario(replications=1), tmp_path / "simulate")
-    cmd_audit(small_scenario(replications=1), tmp_path / "audit")
     cmd_fit(data, ChainConfig(kind="bgs", burn_in=1, draws=2), tmp_path / "fit")
-    for command, keys in (("simulate", SCENARIO_KEYS), ("audit", SCENARIO_KEYS),
-                          ("fit", FIT_KEYS)):
+    for command, keys in (("simulate", SCENARIO_KEYS), ("fit", FIT_KEYS)):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["command"] == command
         assert set(manifest["config"]) == keys, command
@@ -353,7 +352,7 @@ def test_main_config_error_exit_2(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--r", "inf"), ("--s", "inf"), ("--r", "nan"),
                                         ("--s", "nan"), ("--seed", "-1"), ("--s", "1e-300")])
-@pytest.mark.parametrize("command", ["simulate", "audit", "fit"])
+@pytest.mark.parametrize("command", ["simulate", "fit"])
 def test_main_bad_chain_flag_is_config_error_before_output(command, flag, value, tmp_path):
     # A non-finite r or s used to run with every draw clamped or fail
     # mid-chain, and a negative seed failed every replication with exit 1
@@ -393,11 +392,12 @@ def test_main_bad_flag_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
-def test_main_audit_command(tmp_path):
+def test_main_audit_is_not_a_command(tmp_path):
+    # simulate --reps 1 --burnin 0 writes the counts audit used to.
     out = tmp_path / "aud"
-    rc = main(["audit", "--design", "circle", "--p", "6", "--n", "12",
-               "--sampler", "hrs", "--draws", "20", "--seed", "4",
-               "--out", str(out)])
-    assert rc == 0
-    audit = json.loads((out / "audit.json").read_text())
-    assert audit["violations"] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--design", "circle", "--p", "6", "--n", "12",
+              "--sampler", "hrs", "--draws", "20", "--seed", "4",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()

@@ -52,7 +52,8 @@ def cli_examples():
 
 
 def test_readme_cli_examples_parse():
-    sim, aud, fit = (build_parser().parse_args(argv[1:]) for argv in cli_examples())
+    sim, one, fit = (build_parser().parse_args(argv[1:]) for argv in cli_examples())
     assert (sim.command, sim.p, sim.reps) == ("simulate", 30, 50)
-    assert (aud.command, aud.sampler, aud.burnin) == ("audit", "bgs", 0)
+    assert (one.command, one.sampler, one.reps, one.burnin, one.draws) == \
+        ("simulate", "bgs", 1, 0, 1000)
     assert (fit.command, fit.data, fit.standardize) == ("fit", "returns.csv", True)
