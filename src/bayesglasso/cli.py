@@ -353,12 +353,8 @@ def cmd_fit(data_path, config, out_dir, *, seed=0, standardize=False):
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
