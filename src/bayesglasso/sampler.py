@@ -130,10 +130,9 @@ when column i's block begins.  Some of their entries feed draws that are
 never read, and they are drawn all the same: slot i, which the partition
 sets to 1 because tau has no diagonal, the later row's entry of each pair
 inside a block, and in a chain's first sweep the entries that the
-first-sweep rule sets to 1.  The very first column of a chain skips its
-beta draw but its bank row is drawn all the same.  A change made only for
-speed keeps the bank and the arithmetic fixed, so it leaves every seeded
-artifact byte-identical.
+first-sweep rule sets to 1.  A change made only for speed keeps the bank
+and the arithmetic fixed, so it leaves every seeded artifact
+byte-identical.
 """
 
 import math
@@ -149,11 +148,12 @@ from .matrixcore import PD_TOL, check_symmetric, cholesky_in_place, invert_from_
 SAMPLER_KINDS = ("bgs", "hrs")
 
 # Floor on |omega_ij| in the latent-scale draw, the one bound on any draw.
-# Exact zeros are reachable: a chain's first column skips its first beta
-# draw, so omega_0j = 0 when later rows read it, and with a = 0 the closed
-# form computes 0 * inf = NaN.  At the default s = 1e-6 about 1e-5 of the
-# posterior of a weakly correlated p = 2 model lies below the floor (the
-# D2 model of tests/test_posterior.py puts 8.6e-6 there).
+# Exact zeros are reachable: in a chain's first sweep row i is drawn while
+# its entries beyond slot i are still the identity's zeros, and those draws
+# are then discarded for 1 (see the module docstring).  With a = 0 the
+# closed form computes 0 * inf = NaN there.  At the default s = 1e-6 about
+# 1e-5 of the posterior of a weakly correlated p = 2 model lies below the
+# floor (the D2 model of tests/test_posterior.py puts 8.6e-6 there).
 EPS_OMEGA = 1e-10
 
 # Columns per shrinkage block: a sweep draws the lambda/tau rows of this
@@ -164,11 +164,12 @@ EPS_OMEGA = 1e-10
 # with 16 and 0.239 with 100.
 SHRINKAGE_BLOCK = 16
 
-# Smallest s a chain accepts.  Where omega_ij = 0, as in a chain's first
-# sweep, the rate draw is about g/s and the latent scale about
-# EPS_OMEGA * s / g; below s = 1e-298 or so that scale is subnormal and the
-# beta draw's 1/tau overflows.  s = 1e-250 leaves a margin of some fifty
-# orders of magnitude and still runs clean.
+# Smallest s a chain accepts.  A rate is at most g/s and the floored
+# |omega_ij| at least EPS_OMEGA, so whatever the state every latent scale
+# is at least about EPS_OMEGA * s / g.  Below s = 1e-298 or so that bound
+# is subnormal, and the beta draw's 1/tau could overflow.  At s = 1e-250
+# it is still a normal float: on star data at p = 60, n = 5 the smallest
+# scale drawn read 1.24e-261 for both samplers.
 S_FLOOR = 1e-250
 
 # The same constants as 0-d arrays: numpy ufuncs take a 0-d array operand
@@ -550,12 +551,11 @@ def sweep(state, kind, audit, rng):
     of omega as they stand then, in one call each, and gives each pair
     inside the block one draw; each column hands its rows to its partition.
 
-    A chain's first sweep, the one that finds ``state.sigma`` still None,
-    applies the guard of both samplers: column 1 has not been informed by
-    any update yet, so it keeps its initial off-diagonals and only its
-    diagonal moves.  The same sweep has blocks of one column, and column i
-    reads 1 for lambda_ii and for the latent scales of row i beyond slot i,
-    which have not been drawn yet (see the module docstring).
+    Every column of every sweep draws beta.  A chain's first sweep, the one
+    that finds ``state.sigma`` still None, has blocks of one column, and
+    column i reads 1 for lambda_ii and for the latent scales of row i
+    beyond slot i, which have not been drawn yet (see the module
+    docstring).
     """
     # run_chain has validated its config, but sweep is importable on its
     # own, and a misspelt kind would otherwise run bgs without a word.
@@ -626,15 +626,13 @@ def sweep(state, kind, audit, rng):
             stage = "partition"
             part = make_partition(state, i, sigma, work, scatter_off, tau12, lambda22)
 
-            beta = part.beta
-            if not (first_sweep and i == 0):
-                stage = "beta"
-                if hrs:
-                    beta = hrs_update_beta(part, z_bank[i], kappa_bank[i])
-                else:
-                    beta = bgs_update_beta(part, z_bank[i])
-                omega[i] = beta
-                omega[:, i] = beta
+            stage = "beta"
+            if hrs:
+                beta = hrs_update_beta(part, z_bank[i], kappa_bank[i])
+            else:
+                beta = bgs_update_beta(part, z_bank[i])
+            omega[i] = beta
+            omega[:, i] = beta
             v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
             q = _ddot(beta, v)
             beta_failed = not part.omega22 - q > schur_floor

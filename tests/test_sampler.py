@@ -682,36 +682,15 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
         before = dict(calls)
         sweep(st, kind, ViolationAudit(), rng)
         per_sweep.append({name: calls[name] - before[name] for name in calls})
-    # A chain's first sweep skips column 0's beta draw and has blocks of
-    # one column.
+    # Every sweep draws beta for all p columns; a chain's first sweep has
+    # blocks of one column.
     blocks = -(-p // SHRINKAGE_BLOCK)
-    expect = [{"pd_check": 1, "cholesky_in_place": c, "invert_from_factor": 1,
-               "make_partition": p, beta: c, "update_gamma": p,
+    expect = [{"pd_check": 1, "cholesky_in_place": p, "invert_from_factor": 1,
+               "make_partition": p, beta: p, "update_gamma": p,
                "update_lambda_column": b, "update_tau_column": b}
-              for c, b in ((p - 1, p), (p, blocks), (p, blocks))]
+              for b in (p, blocks, blocks)]
     assert blocks == 2
     assert per_sweep == expect
-
-
-def test_first_sweep_guard_changes_draw_sequence(monkeypatch):
-    # The sweep that finds state.sigma still None, a chain's first, keeps
-    # column 0's initial off-diagonals: one beta step fewer than later ones.
-    calls = []
-    for name in ("bgs_update_beta", "hrs_update_beta"):
-        def counted(*args, name=name, original=getattr(sampler, name)):
-            calls.append(name)
-            return original(*args)
-        monkeypatch.setattr(sampler, name, counted)
-    p = 10
-    for kind in SAMPLER_KINDS:
-        st, rng = make_sim_state(p=p, seed=21)
-        per_sweep = []
-        for _ in range(2):
-            before = len(calls)
-            sweep(st, kind, ViolationAudit(), rng)
-            per_sweep.append(len(calls) - before)
-        assert per_sweep == [p - 1, p]
-        assert calls[-1] == f"{kind}_update_beta"
 
 
 # The f2py signature line of every routine the kernel calls positionally,
@@ -831,30 +810,29 @@ def reference_sweep(st, kind, rng, first_sweep):
         beta = omega[:, i].copy()
         beta[i] = 0.0
         omega22_old = omega[i, i]
-        if not (first_sweep and i == 0):
-            cinv = (s22 + 2.0 * lambda22) * o11
-            cinv.flat[:: p + 1] += 1.0 / tau12
-            L, info = lapack.dpotrf(cinv, lower=1, clean=1)
-            assert info == 0
-            if kind == "bgs":
-                y = lapack.dtrtrs(L, s12, lower=1)[0]
-                beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
-            else:
-                # Whitened step: x = L' beta moves along e = Z[i] / |Z[i]|,
-                # d = L^{-T} e has d' C^{-1} d = 1, so the step has unit
-                # variance; the roots come from their product, -gamma / a.
-                gam_old = float(omega22_old - beta @ symv(o11, beta))
-                d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
-                d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
-                v = symv(o11, d)
-                a, b = float(d @ v), float(beta @ v)
-                mu = -(float(s12 @ d) + (s22 + 2.0 * lambda22) * b + float((beta / tau12) @ d))
-                disc = math.sqrt(b * b + a * gam_old)
-                q = abs(b) + disc
-                lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
-                beta = beta + sample_truncated_normal(mu, lo, hi, K[i]) * d
-            assert beta[i] == 0.0
-            omega[i, :] = omega[:, i] = beta
+        cinv = (s22 + 2.0 * lambda22) * o11
+        cinv.flat[:: p + 1] += 1.0 / tau12
+        L, info = lapack.dpotrf(cinv, lower=1, clean=1)
+        assert info == 0
+        if kind == "bgs":
+            y = lapack.dtrtrs(L, s12, lower=1)[0]
+            beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
+        else:
+            # Whitened step: x = L' beta moves along e = Z[i] / |Z[i]|,
+            # d = L^{-T} e has d' C^{-1} d = 1, so the step has unit
+            # variance; the roots come from their product, -gamma / a.
+            gam_old = float(omega22_old - beta @ symv(o11, beta))
+            d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
+            d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
+            v = symv(o11, d)
+            a, b = float(d @ v), float(beta @ v)
+            mu = -(float(s12 @ d) + (s22 + 2.0 * lambda22) * b + float((beta / tau12) @ d))
+            disc = math.sqrt(b * b + a * gam_old)
+            q = abs(b) + disc
+            lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
+            beta = beta + sample_truncated_normal(mu, lo, hi, K[i]) * d
+        assert beta[i] == 0.0
+        omega[i, :] = omega[:, i] = beta
         v = symv(o11, beta)
         q = float(beta @ v)
         violations += not omega22_old - q > PD_TOL * PD_TOL
@@ -901,7 +879,9 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     # are 16 and 4 columns.  A pair of columns inside a block reads one
     # draw, the one from its first column's row.  A chain's first sweep has
     # blocks of one column, and the entries not yet drawn in Wang's order,
-    # tau12 beyond slot i and lambda22, read their initial 1.
+    # tau12 beyond slot i and lambda22, read their initial 1; the entries
+    # before slot i are drawn from omega[i, :i], which columns 0..i-1 have
+    # already drawn, so none of them is the identity's zero.
     p, n = 20, 30
     st, _ = make_sim_state(kind="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
@@ -930,6 +910,7 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
             rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(block_omega[i]), st.s)
             assert tau12[i] == 1.0
             if k == 0:
+                assert np.all(block_omega[i, :i] != 0.0), i
                 np.testing.assert_array_equal(tau12[:i], tau[:i])
                 assert np.all(tau12[i + 1:] == 1.0) and lambda22 == 1.0
                 continue
@@ -1025,11 +1006,14 @@ def test_run_chain_stores_every_retained_draw():
     assert np.array_equal(out.omega_mean, sum(out.draws) / 10)
 
 
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind, monkeypatch):
+@pytest.mark.parametrize("kind,s", [(kind, ChainConfig.s) for kind in SAMPLER_KINDS]
+                         + [(kind, S_FLOOR) for kind in SAMPLER_KINDS],
+                         ids=list(SAMPLER_KINDS) + [f"{kind}-floor" for kind in SAMPLER_KINDS])
+def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind, s, monkeypatch):
     # At p = 60 and n = 5 the default s = 1e-6 lets the rates exceed 1e6 and
     # the latent scales fall below 1e-10.  Nothing cuts those draws, and the
     # chain stays finite, positive definite and accurate in its carried Sigma.
+    # At s = S_FLOOR every latent scale is still a normal float.
     extremes = {"update_lambda_column": [], "update_tau_column": []}
 
     def hook(name, extreme):
@@ -1046,10 +1030,12 @@ def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind,
     model = true_model("star", 60)
     rng = RngStream(50)
     Y = simulate_data(model, 5, rng)
-    cfg = ChainConfig(kind=kind, burn_in=20, draws=80, store_draws=True)
+    cfg = ChainConfig(kind=kind, burn_in=20, draws=80, s=s, store_draws=True)
     out = run_chain(scatter_matrix(Y), 5, cfg, rng)
     assert max(extremes["update_lambda_column"]) > 1e6
     assert min(extremes["update_tau_column"]) < 1e-10
+    if s == S_FLOOR:
+        assert min(extremes["update_tau_column"]) >= np.finfo(float).tiny
     for omega in out.draws:
         assert np.all(np.isfinite(omega))
         assert pd_check(omega) is not None
@@ -1068,8 +1054,9 @@ def test_chain_config_rejects_non_finite_hyperparameters(r, s):
 
 
 def test_chain_config_rejects_an_s_below_the_floor():
-    # Below about 1e-298 a first-sweep latent scale is subnormal and the
-    # beta draw's 1/tau overflows.
+    # Below about 1e-298 the smallest latent scale a rate allows,
+    # EPS_OMEGA * s / g, is subnormal, and the beta draw's 1/tau could
+    # overflow.
     ChainConfig(s=S_FLOOR).validate()
     with pytest.raises(ValueError, match="at least"):
         ChainConfig(s=1e-300).validate()
