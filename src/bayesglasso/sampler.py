@@ -54,20 +54,25 @@ has blocks of one column and follows Wang's order, which has not yet drawn
 row i's entries j > i or lambda_ii when column i reads them, so they keep
 their initial value 1.
 
-The partition copies only what it must.  S is fixed for the chain, so each
-sweep makes one copy of it with a zero diagonal, and s12 is a row view of
-that copy.  beta is the one row copied, because omega keeps its diagonal.
-Besides the bank and each block's rows of |omega|, rates and scales, a
-sweep allocates one p x p workspace, in which every column forms and
-factors C^{-1}.  The tau draw works in place in the block's rows of |omega|
-and of bank 4 below, which nothing reads afterwards.
+A column copies only what it must, and :func:`sweep` hands each column
+step exactly the arrays and scalars it reads.  S is fixed for the chain,
+so each sweep makes one copy of it with a zero diagonal, and s12 is a row
+view of that copy.  beta is the one row copied, because omega keeps its
+diagonal.  The sweep reads omega22 before the column's writes and computes
+``c = s22 + 2 lambda22`` once, for the C^{-1} factor, the hrs step and the
+gamma rate.  Besides the bank and each block's rows of |omega|, rates and
+scales, a sweep allocates one p x p workspace and its diagonal view, in
+which every column forms and factors C^{-1}, once for either sampler.  The
+tau draw works in place in the block's rows of |omega| and of bank 4
+below, which nothing reads afterwards.
 
 The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
 and asserts the column-boundary invariant; then, per column,
 
-* the partition downdates Sigma in place to ``Omega11^{-1} = Sigma - u u'``
-  with ``u = sigma_i / sqrt(sigma_ii)``, row and column i set to zero;
+* :func:`make_partition` downdates Sigma in place to ``Omega11^{-1} =
+  Sigma - u u'`` with ``u = sigma_i / sqrt(sigma_ii)``, row and column i
+  set to zero;
 * the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
   on the matrix holding the new beta and the old w22;
 * after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
@@ -76,7 +81,8 @@ and asserts the column-boundary invariant; then, per column,
 
 All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
 factorisation of C^{-1} that the beta draw needs.  C^{-1} is formed in one
-p x p workspace per sweep and factored there in place.
+p x p workspace per sweep and factored there in place, before either
+sampler's beta draw, which both read the factor.
 
 Within a sweep Sigma is carried as one triangle: the lower triangle of
 ``sigma.T`` as BLAS sees it, which is the upper triangle of ``sigma`` in
@@ -127,12 +133,12 @@ pure transform of row i of the bank and the state, and every block's
 shrinkage draw one of rows t..e-1 of banks 3-5 and the state, so a sweep
 consumes exactly the bank.  Banks 3-5 meet row i of omega as it stands
 when column i's block begins.  Some of their entries feed draws that are
-never read, and they are drawn all the same: slot i, which the partition
-sets to 1 because tau has no diagonal, the later row's entry of each pair
-inside a block, and in a chain's first sweep the entries that the
-first-sweep rule sets to 1.  A change made only for speed keeps the bank
-and the arithmetic fixed, so it leaves every seeded artifact
-byte-identical.
+never read, and they are drawn all the same: slot i, which
+:func:`make_partition` sets to 1 because tau has no diagonal, the later
+row's entry of each pair inside a block, and in a chain's first sweep the
+entries that the first-sweep rule sets to 1.  A change made only for speed
+keeps the bank and the arithmetic fixed, so it leaves every seeded
+artifact byte-identical.
 """
 
 import math
@@ -232,8 +238,9 @@ class GibbsState:
     every column; None before the first sweep.  Between sweeps it is the
     full, exactly symmetric Sigma.  In the middle of a sweep only its upper
     triangle (numpy indexing) is current, and during column i's update
-    that triangle holds Omega11^{-1} (see the module docstring); after a
-    sweep that raised, it means nothing.
+    that triangle holds Omega11^{-1}, which the sweep hands the column
+    steps as omega11_inv (see the module docstring); after a sweep that
+    raised, it means nothing.
     """
 
     omega: np.ndarray
@@ -242,30 +249,6 @@ class GibbsState:
     r: float
     s: float
     sigma: np.ndarray | None = None
-
-
-@dataclass(slots=True)
-class ColumnPartition:
-    """Blocks of the state for one column, masked in natural order.
-
-    The vectors have length p and omega11_inv is p x p; slot i of column i
-    is decoupled (see :func:`make_partition`).  omega11_inv is read from
-    its upper triangle (numpy indexing) only: in a sweep it is the carried
-    sigma itself, downdated in place, and its lower triangle is stale.
-    In a sweep s12 is a row view of the sweep's zero-diagonal copy of S,
-    so the draws only read it, and tau12 is the column's own row of latent
-    scales.  work is a p x p scratch array that the beta draw overwrites
-    with C^{-1} and its Cholesky factor.
-    """
-
-    omega11_inv: np.ndarray
-    s12: np.ndarray
-    s22: float
-    tau12: np.ndarray
-    lambda22: float
-    beta: np.ndarray
-    omega22: float
-    work: np.ndarray
 
 
 @dataclass
@@ -331,25 +314,19 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     )
 
 
-def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
-    """Partition the state around column i (0-based), masked in natural order.
+def make_partition(state, i, sigma, tau12):
+    """Partition the state around column i (0-based), masked in natural order,
+    and return beta.
 
     Every block keeps length p and slot i is decoupled: it is zero in
-    omega11_inv, s12 and beta and one in tau12.  sigma is Omega^{-1}, the
+    Omega11^{-1}, s12 and beta and one in tau12.  sigma is Omega^{-1}, the
     one :func:`sweep` carries, read from its upper triangle (numpy
     indexing).  It is downdated in place, in O(p^2), to ``Omega11^{-1} =
     Sigma - sigma_i sigma_i' / sigma_ii`` with row and column i set to
-    zero, and becomes the partition's omega11_inv.  sigma must be C-ordered,
-    as :func:`invert_from_factor` returns it, or the downdate raises
-    ValueError.  work is the p x p scratch array the beta draw factors
-    C^{-1} in.
-
-    s12 is a view, not a copy: row i of scatter_off, which is S with a zero
-    diagonal.  tau12 and lambda22 are the column's latent scales and
-    diagonal rate, which the sweep draws as the column's block begins;
-    tau12 is the column's row of the block's scales, and its slot i is set
-    to 1 here.  beta is a copy of row i of omega with slot i set to zero,
-    because omega keeps its diagonal.
+    zero.  sigma must be C-ordered, as :func:`invert_from_factor` returns
+    it, or the downdate raises ValueError.  tau12 is the column's row of
+    latent scales, and its slot i is set to 1 here.  beta is a copy of row
+    i of omega with slot i set to zero, because omega keeps its diagonal.
     """
     omega = state.omega
     p = omega.shape[0]
@@ -366,44 +343,39 @@ def make_partition(state, i, sigma, work, scatter_off, tau12, lambda22):
     tau12[i] = 1.0
     beta = omega[i].copy()
     beta[i] = 0.0
-    # Positional, in field order: keyword construction costs a microsecond
-    # per column.
-    return ColumnPartition(sigma, scatter_off[i], state.scatter.item(i, i), tau12,
-                           lambda22, beta, omega.item(i, i), work)
+    return beta
 
 
-def _factor_c_inverse(part):
-    """Lower Cholesky factor of C^{-1} = (s22 + 2*lambda22) Omega11^{-1} +
-    diag(1/tau12), formed and factored in place in part.work.
+def _factor_c_inverse(omega11_inv, c, tau12, work, diag):
+    """Lower Cholesky factor of C^{-1} = c Omega11^{-1} + diag(1/tau12),
+    with c = s22 + 2 lambda22, formed and factored in place in work.
 
     C^{-1} is read from the upper triangle of omega11_inv (numpy indexing).
-    The factor is the lower triangle of part.work.T; above its diagonal
-    part.work.T keeps stale C^{-1} entries, which the triangular solves
-    never read.
+    diag is the diagonal view of work.  The factor is the lower triangle of
+    work.T; above its diagonal work.T keeps stale C^{-1} entries, which the
+    triangular solves never read.
     """
-    cinv = np.multiply(part.omega11_inv, part.s22 + 2.0 * part.lambda22, out=part.work)
-    diag = cinv.reshape(-1)[:: cinv.shape[0] + 1]
-    diag += np.reciprocal(part.tau12)
+    cinv = np.multiply(omega11_inv, c, out=work)
+    diag += np.reciprocal(tau12)
     L = cholesky_in_place(cinv.T)
     if L is None:
         raise ValueError("conditional covariance not positive definite")
     return L
 
 
-def bgs_update_beta(part, z):
+def bgs_update_beta(L, s12, z):
     """Unconstrained draw of the off-diagonal column: N(-C s12, C).
 
-    z is a vector of standard normals, zero in a decoupled slot of the
-    partition, where C^{-1} has a unit diagonal and zero off-diagonal
-    entries; beta comes out exactly zero there.  One Cholesky factor
-    L L' = C^{-1} gives both moments: ``L^{-T} (z - L^{-1} s12) =
-    -C s12 + L^{-T} z`` has mean -C s12 and covariance L^{-T} L^{-1} = C,
-    at the cost of two triangular solves.  Nothing keeps this draw inside
-    the positive definite cone; that is the baseline behaviour the audit
-    measures.
+    L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`.
+    z is a vector of standard normals, zero in a decoupled slot, where
+    C^{-1} has a unit diagonal and zero off-diagonal entries; beta comes out
+    exactly zero there.  The one factor L L' = C^{-1} gives both moments:
+    ``L^{-T} (z - L^{-1} s12) = -C s12 + L^{-T} z`` has mean -C s12 and
+    covariance L^{-T} L^{-1} = C, at the cost of two triangular solves.
+    Nothing keeps this draw inside the positive definite cone; that is the
+    baseline behaviour the audit measures.
     """
-    L = _factor_c_inverse(part)
-    y = _dtrtrs(L, part.s12, 1)[0]
+    y = _dtrtrs(L, s12, 1)[0]
     np.subtract(z, y, out=y)
     return _dtrtrs(L, y, 1, 1, 0, None, 1)[0]
 
@@ -418,7 +390,8 @@ def hit_and_run_interval(a, b, gamma):
     brackets kappa = 0.  The root near 0 comes from the product of the
     roots, -gamma/a, so it does not cancel however large |b| is.
     """
-    if gamma <= 0.0:
+    # Written so that NaN, which fails every comparison, is rejected.
+    if not (a > 0.0 and gamma > 0.0):
         raise ValueError("state not positive definite")
     disc = math.sqrt(b * b + a * gamma)
     if b >= 0.0:
@@ -428,18 +401,19 @@ def hit_and_run_interval(a, b, gamma):
     return -gamma / q, q / a
 
 
-def hrs_update_beta(part, z, u):
+def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     """Hit-and-run draw of the off-diagonal column inside the PD region.
 
-    z is a vector of standard normals, zero in a decoupled slot of the
-    partition as for :func:`bgs_update_beta`, and u a uniform on [0, 1),
-    which the exact inverse CDF turns into the step.  The move happens in
-    the whitened coordinates x = L' beta, L L' = C^{-1}, where the column's
+    L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`
+    and c = s22 + 2 lambda22.  z is a vector of standard normals, zero in a
+    decoupled slot as for :func:`bgs_update_beta`, and u a uniform on
+    [0, 1), which the exact inverse CDF turns into the step.  The move
+    happens in the whitened coordinates x = L' beta, where the column's
     conditional is N(-L^{-1} s12, I): x moves along e = z / |z|, uniform on
     the sphere.  In beta coordinates that is d = L^{-T} e, and d' C^{-1} d
     = 1, so the step size kappa is a unit-variance normal with mean
 
-        mu = -(s12'd + (s22 + 2 lambda22) b + (beta/tau12)'d),
+        mu = -(s12'd + c b + (beta/tau12)'d),
         b  = beta' Omega11^{-1} d,
 
     truncated to the feasibility interval, which needs b anyway.
@@ -456,29 +430,27 @@ def hrs_update_beta(part, z, u):
     zz = _ddot(z, z)
     if not zz > 0.0:
         raise ValueError("hit-and-run direction has zero length")
-    L = _factor_c_inverse(part)
     d = _dtrtrs(L, z, 1, 1)[0]
     d *= 1.0 / math.sqrt(zz)
-    beta = part.beta
     # Omega11^{-1} products read its upper triangle, the lower one of its
     # transpose as BLAS sees it.
-    o11_t = part.omega11_inv.T
+    o11_t = omega11_inv.T
     v = _dsymv(1.0, o11_t, d, 0.0, None, 0, 1, 0, 1, 1)
     b = _ddot(beta, v)
-    mu = -(_ddot(part.s12, d) + (part.s22 + 2.0 * part.lambda22) * b
-           + _ddot(beta / part.tau12, d))
-    gamma = part.omega22 - _ddot(beta, _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1))
+    mu = -(_ddot(s12, d) + c * b + _ddot(beta / tau12, d))
+    gamma = omega22 - _ddot(beta, _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1))
     lo, hi = hit_and_run_interval(_ddot(d, v), b, gamma)
     return beta + sample_truncated_normal(mu, lo, hi, u) * d
 
 
-def update_gamma(part, g):
-    """Schur complement draw Ga(n/2 + 1, s22/2 + lambda22), always positive.
+def update_gamma(c, g):
+    """Schur complement draw Ga(n/2 + 1, c/2), always positive.
 
-    g is a Ga(n/2 + 1, 1) draw (or an array of them); dividing by the rate
-    gives the conditional draw.
+    c = s22 + 2 lambda22, so the rate c/2 is s22/2 + lambda22.  g is a
+    Ga(n/2 + 1, 1) draw (or an array of them); dividing by the rate gives
+    the conditional draw.
     """
-    return g * (1.0 / (part.s22 / 2.0 + part.lambda22))
+    return g * (2.0 / c)
 
 
 def update_lambda_column(abs_omega, s, g):
@@ -549,7 +521,7 @@ def sweep(state, kind, audit, rng):
     As each block of ``SHRINKAGE_BLOCK`` columns begins, the sweep draws
     the block's rows of shrinkage rates and latent scales from those rows
     of omega as they stand then, in one call each, and gives each pair
-    inside the block one draw; each column hands its rows to its partition.
+    inside the block one draw; each column reads its rows from there.
 
     Every column of every sweep draws beta.  A chain's first sweep, the one
     that finds ``state.sigma`` still None, has blocks of one column, and
@@ -580,6 +552,7 @@ def sweep(state, kind, audit, rng):
     scatter_off = state.scatter.copy()
     scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
+    diag = work.reshape(-1)[:: p + 1]
     block = 1 if first_sweep else SHRINKAGE_BLOCK
     # The strict lower triangle: sliced, the mask of a block's pairs; whole,
     # the one of the mirror that ends the sweep.
@@ -624,21 +597,26 @@ def sweep(state, kind, audit, rng):
                 lambda22 = 1.0
 
             stage = "partition"
-            part = make_partition(state, i, sigma, work, scatter_off, tau12, lambda22)
+            omega22 = omega.item(i, i)
+            beta = make_partition(state, i, sigma, tau12)
+            s12 = scatter_off[i]
+            c = state.scatter.item(i, i) + 2.0 * lambda22
 
             stage = "beta"
+            L = _factor_c_inverse(sigma, c, tau12, work, diag)
             if hrs:
-                beta = hrs_update_beta(part, z_bank[i], kappa_bank[i])
+                beta = hrs_update_beta(L, sigma, s12, c, tau12, beta, omega22,
+                                       z_bank[i], kappa_bank[i])
             else:
-                beta = bgs_update_beta(part, z_bank[i])
+                beta = bgs_update_beta(L, s12, z_bank[i])
             omega[i] = beta
             omega[:, i] = beta
             v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
             q = _ddot(beta, v)
-            beta_failed = not part.omega22 - q > schur_floor
+            beta_failed = not omega22 - q > schur_floor
 
             stage = "gamma"
-            gam = update_gamma(part, gamma_bank[i])
+            gam = update_gamma(c, gamma_bank[i])
             if not gam > 0.0:
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega[i, i] = gam + q

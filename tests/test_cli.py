@@ -185,13 +185,15 @@ def test_simulate_csv_schema(tmp_path):
                       "sensitivity", "mcc"]
 
 
-def test_simulate_parallel_jobs_match_serial(tmp_path):
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_simulate_parallel_jobs_match_serial(tmp_path, kind):
+    # Only timing.json and the manifest's jobs may differ between the two.
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    cmd_simulate(small_scenario(replications=3), serial)
-    cmd_simulate(small_scenario(replications=3, jobs=2), parallel)
-    assert (serial / "replications.csv").read_bytes() == \
-        (parallel / "replications.csv").read_bytes()
+    cmd_simulate(small_scenario(sampler=kind, replications=3), serial)
+    cmd_simulate(small_scenario(sampler=kind, replications=3, jobs=2), parallel)
+    for name in ("replications.csv", "aggregate.json", "audit.json"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_simulate_pool_has_no_idle_workers(tmp_path, monkeypatch):

@@ -19,8 +19,8 @@ from bayesglasso.sampler import (
     SAMPLER_KINDS,
     SHRINKAGE_BLOCK,
     ChainConfig,
-    ColumnPartition,
     ViolationAudit,
+    _factor_c_inverse,
     bgs_update_beta,
     hit_and_run_interval,
     hrs_update_beta,
@@ -53,76 +53,76 @@ def state_with_omega(omega, scatter=None, n=10, r=1e-2, s=1e-6):
 
 
 def off_diagonal(M):
-    """M with a zero diagonal, as the sweep passes the scatter matrix to
-    make_partition."""
+    """M with a zero diagonal, as the sweep hands the scatter matrix's rows
+    to the column steps."""
     M = M.copy()
     np.fill_diagonal(M, 0.0)
     return M
 
 
-def partition(st, i, tau=None, lam=None):
-    """make_partition on a fresh inverse, with row i of tau and lam as the
-    column's shrinkage draws; unit ones, as in a chain's first column, when
-    they are not given."""
+def column(st, i, tau=None, lam=None):
+    """What sweep hands column i's steps, from make_partition on a fresh
+    inverse, with row i of tau and lam as the column's shrinkage draws; unit
+    ones, as in a chain's first column, when they are not given.  Returns
+    (omega11_inv, s12, c, tau12, beta, omega22)."""
     p = st.omega.shape[0]
     tau12 = np.ones(p) if tau is None else tau[i].copy()
     lambda22 = 1.0 if lam is None else float(lam[i])
-    return make_partition(st, i, spd_inverse(st.omega), np.empty((p, p)),
-                          off_diagonal(st.scatter), tau12, lambda22)
+    omega22 = st.omega.item(i, i)
+    omega11_inv = spd_inverse(st.omega)
+    beta = make_partition(st, i, omega11_inv, tau12)
+    c = st.scatter.item(i, i) + 2.0 * lambda22
+    return omega11_inv, off_diagonal(st.scatter)[i], c, tau12, beta, omega22
 
 
-def schur_gamma(part):
-    return float(part.omega22 - part.beta @ (represented(part.omega11_inv) @ part.beta))
+def c_factor(omega11_inv, c, tau12):
+    """_factor_c_inverse in a fresh workspace, with its diagonal view made
+    as sweep makes it."""
+    p = len(tau12)
+    work = np.empty((p, p))
+    return _factor_c_inverse(np.asarray(omega11_inv, dtype=float), c,
+                             np.asarray(tau12, dtype=float), work, work.reshape(-1)[:: p + 1])
 
 
-def compute_c_matrix(part):
-    """C = ((s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12))^{-1}, formed
-    explicitly and inverted from a clean Cholesky factor; the samplers only
-    ever factor C^{-1} in place."""
-    cinv = ((part.s22 + 2.0 * part.lambda22) * represented(part.omega11_inv)
-            + np.diag(1.0 / part.tau12))
+def schur_gamma(omega11_inv, beta, omega22):
+    return float(omega22 - beta @ (represented(omega11_inv) @ beta))
+
+
+def compute_c_matrix(omega11_inv, c, tau12):
+    """C = (c Omega11^{-1} + diag(1/tau12))^{-1}, formed explicitly and
+    inverted from a clean Cholesky factor; the samplers only ever factor
+    C^{-1} in place."""
+    cinv = c * represented(np.asarray(omega11_inv, dtype=float)) + np.diag(1.0 / np.asarray(tau12))
     L = pd_check(cinv)
     assert L is not None
     return invert_from_factor(L)
-
-
-def simple_partition(omega11_inv, s12, s22, tau12, lambda22, beta, omega22):
-    p = len(s12)
-    return ColumnPartition(
-        omega11_inv=np.asarray(omega11_inv, dtype=float),
-        s12=np.asarray(s12, dtype=float),
-        s22=float(s22),
-        tau12=np.asarray(tau12, dtype=float),
-        lambda22=float(lambda22),
-        beta=np.asarray(beta, dtype=float),
-        omega22=float(omega22),
-        work=np.empty((p, p)),
-    )
 
 
 # ---------------------------------------------------------------- partition
 
 def test_partition_identity_p2():
     st = state_with_omega(np.eye(2))
-    part = partition(st, 0)
+    omega11_inv, _, _, tau12, beta, omega22 = column(st, 0)
     # slot 0 is decoupled: zero in beta and omega11_inv, one in tau12
-    assert np.array_equal(part.beta, [0.0, 0.0])
-    assert np.array_equal(part.tau12, [1.0, 1.0])
-    assert schur_gamma(part) == pytest.approx(1.0)
-    assert np.allclose(represented(part.omega11_inv), [[0.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(beta, [0.0, 0.0])
+    assert np.array_equal(tau12, [1.0, 1.0])
+    assert schur_gamma(omega11_inv, beta, omega22) == pytest.approx(1.0)
+    assert np.allclose(represented(omega11_inv), [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_partition_schur_oracle_p2():
     # omega = [[2,1],[1,2]], last column: beta = 1, gamma = 2 - 1*(1/2)*1
     st = state_with_omega(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    part = partition(st, 1)
-    assert np.array_equal(part.beta, [1.0, 0.0])
-    assert part.omega22 == 2.0
-    assert schur_gamma(part) == pytest.approx(1.5)
-    assert np.allclose(represented(part.omega11_inv), [[0.5, 0.0], [0.0, 0.0]])
+    omega11_inv, _, _, _, beta, omega22 = column(st, 1)
+    assert np.array_equal(beta, [1.0, 0.0])
+    assert omega22 == 2.0
+    assert schur_gamma(omega11_inv, beta, omega22) == pytest.approx(1.5)
+    assert np.allclose(represented(omega11_inv), [[0.5, 0.0], [0.0, 0.0]])
 
 
 def test_partition_blocks_follow_permutation():
+    # s12, s22, lambda22 and omega22 are read by sweep itself, not by
+    # make_partition; the block test checks what a sweep hands its columns.
     rng = np.random.default_rng(0)
     p = 5
     S = scatter_matrix(rng.standard_normal((20, p)))
@@ -133,21 +133,18 @@ def test_partition_blocks_follow_permutation():
     tau_row = np.abs(rng.standard_normal(p)) + 0.1
     i = 2
     sigma = spd_inverse(st.omega)
-    part = make_partition(st, i, sigma, np.empty((p, p)), off_diagonal(S), tau_row.copy(), 0.7)
-    # natural order with slot 2 decoupled: zero in s12, beta and omega11_inv,
-    # one in tau12, and every other entry read in place
+    tau12 = tau_row.copy()
+    beta = make_partition(st, i, sigma, tau12)
+    # natural order with slot 2 decoupled: zero in beta and omega11_inv, one
+    # in tau12, and every other entry read in place
     rest = [0, 1, 3, 4]
-    for vec, full, slot in ((part.s12, S[:, i], 0.0), (part.tau12, tau_row, 1.0),
-                            (part.beta, st.omega[:, i], 0.0)):
+    for vec, full, slot in ((tau12, tau_row, 1.0), (beta, st.omega[:, i], 0.0)):
         assert np.array_equal(vec[rest], full[rest])
         assert vec[i] == slot
-    assert part.s22 == S[i, i]
-    assert part.lambda22 == 0.7
-    assert part.omega22 == st.omega[i, i]
-    assert part.omega11_inv is sigma  # downdated in place
-    # sigma is the only state array the partition writes
+    # sigma is the only state array the partition writes: it is downdated in
+    # place to omega11_inv
     assert np.array_equal(st.omega, omega_before) and np.array_equal(st.scatter, S)
-    omega11_inv = represented(part.omega11_inv)
+    omega11_inv = represented(sigma)
     assert np.all(omega11_inv[i] == 0.0)
     assert np.all(omega11_inv[:, i] == 0.0)
     expect = np.linalg.inv(st.omega[np.ix_(rest, rest)])
@@ -162,11 +159,11 @@ def test_partition_gamma_roundtrip():
     omega = symmetrize(A @ A.T + p * np.eye(p))
     st = state_with_omega(omega)
     for i in range(p):
-        part = partition(st, i)
-        gamma = schur_gamma(part)
+        omega11_inv, _, _, _, beta, omega22 = column(st, i)
+        gamma = schur_gamma(omega11_inv, beta, omega22)
         rest = np.arange(p) != i
-        assert part.beta[i] == 0.0
-        beta = part.beta[rest]
+        assert beta[i] == 0.0
+        beta = beta[rest]
         rebuilt = gamma + beta @ np.linalg.solve(omega[np.ix_(rest, rest)], beta)
         assert abs(rebuilt - omega[i, i]) < 1e-10 * abs(omega[i, i])
         assert gamma > 0
@@ -175,8 +172,7 @@ def test_partition_gamma_roundtrip():
 def test_partition_index_out_of_range():
     st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
-        make_partition(st, 3, np.eye(3), np.empty((3, 3)), np.zeros((3, 3)),
-                       np.ones(3), 1.0)
+        make_partition(st, 3, np.eye(3), np.ones(3))
 
 
 def random_state(gen, p=7):
@@ -202,8 +198,7 @@ def test_partition_needs_a_c_ordered_sigma():
         assert invert_from_factor(factor).flags.c_contiguous
     sigma = np.asfortranarray(spd_inverse(st.omega))
     with pytest.raises(ValueError, match="C-ordered"):
-        make_partition(st, 2, sigma, np.empty((5, 5)), off_diagonal(st.scatter),
-                       np.ones(5), 1.0)
+        make_partition(st, 2, sigma, np.ones(5))
 
 
 def test_masked_partition_draws_match_the_compressed_blocks():
@@ -215,24 +210,26 @@ def test_masked_partition_draws_match_the_compressed_blocks():
     p = 7
     st, tau, lam = random_state(gen, p)
     for i in range(p):
-        part = partition(st, i, tau, lam)
+        omega11_inv, s12, c, tau12, beta, omega22 = column(st, i, tau, lam)
         rest = np.arange(p) != i
-        small = simple_partition(represented(part.omega11_inv)[np.ix_(rest, rest)],
-                                 part.s12[rest], part.s22, part.tau12[rest],
-                                 part.lambda22, part.beta[rest], part.omega22)
-        C = compute_c_matrix(part)
+        small_inv = represented(omega11_inv)[np.ix_(rest, rest)]
+        C = compute_c_matrix(omega11_inv, c, tau12)
         assert C[i, i] == 1.0
         assert np.all(C[i, rest] == 0.0) and np.all(C[rest, i] == 0.0)
-        np.testing.assert_allclose(C[np.ix_(rest, rest)], compute_c_matrix(small),
+        np.testing.assert_allclose(C[np.ix_(rest, rest)],
+                                   compute_c_matrix(small_inv, c, tau12[rest]),
                                    rtol=1e-12, atol=1e-15)
         z = gen.standard_normal(p)
         z[i] = 0.0
         u = float(gen.random())
-        for draw, args in ((bgs_update_beta, ()), (hrs_update_beta, (u,))):
-            beta = draw(part, z, *args)
-            assert beta[i] == 0.0
-            np.testing.assert_allclose(beta[rest], draw(small, z[rest], *args),
-                                       rtol=1e-10, atol=1e-13)
+        L, small_L = c_factor(omega11_inv, c, tau12), c_factor(small_inv, c, tau12[rest])
+        for got, small in (
+                (bgs_update_beta(L, s12, z), bgs_update_beta(small_L, s12[rest], z[rest])),
+                (hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u),
+                 hrs_update_beta(small_L, small_inv, s12[rest], c, tau12[rest], beta[rest],
+                                 omega22, z[rest], u))):
+            assert got[i] == 0.0
+            np.testing.assert_allclose(got[rest], small, rtol=1e-10, atol=1e-13)
 
 
 # ---------------------------------------------------------------- C matrix
@@ -240,9 +237,8 @@ def test_masked_partition_draws_match_the_compressed_blocks():
 def test_c_matrix_oracle():
     # Omega11 = I2, s22 = 1, lam22 = 0.5, tau12 = (1,1):
     # C = inv(2 I + I) = I/3
-    part = simple_partition(np.eye(2), [0.0, 0.0], 1.0, [1.0, 1.0], 0.5,
-                            [0.0, 0.0], 1.0)
-    assert np.allclose(compute_c_matrix(part), np.eye(2) / 3.0, atol=1e-14)
+    C = compute_c_matrix(np.eye(2), 1.0 + 2.0 * 0.5, [1.0, 1.0])
+    assert np.allclose(C, np.eye(2) / 3.0, atol=1e-14)
 
 
 def test_c_matrix_large_tau_limit():
@@ -250,60 +246,54 @@ def test_c_matrix_large_tau_limit():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3))
     omega11 = symmetrize(A @ A.T + 3 * np.eye(3))
-    from bayesglasso.matrixcore import spd_inverse
-    part = simple_partition(spd_inverse(omega11), np.zeros(3), 1.0,
-                            np.full(3, 1e12), 0.5, np.zeros(3), 1.0)
-    C = compute_c_matrix(part)
+    C = compute_c_matrix(spd_inverse(omega11), 1.0 + 2.0 * 0.5, np.full(3, 1e12))
     expect = omega11 / 2.0
     assert np.max(np.abs(C - expect)) < 1e-6 * np.max(np.abs(expect))
 
 
 def test_c_matrix_always_pd():
     rng = np.random.default_rng(3)
-    from bayesglasso.matrixcore import spd_inverse
     for _ in range(50):
         p1 = int(rng.integers(1, 6))
         A = rng.standard_normal((p1, p1))
         omega11 = symmetrize(A @ A.T + p1 * np.eye(p1))
-        part = simple_partition(
-            spd_inverse(omega11), rng.standard_normal(p1),
-            float(np.abs(rng.standard_normal()) + 0.1),
-            np.abs(rng.standard_normal(p1)) + 0.05,
-            float(np.abs(rng.standard_normal()) + 0.05),
-            rng.standard_normal(p1), 1.0)
-        assert pd_check(compute_c_matrix(part)) is not None
+        inv = spd_inverse(omega11)
+        rng.standard_normal(p1)  # s12, which C does not read
+        s22 = float(np.abs(rng.standard_normal()) + 0.1)
+        tau12 = np.abs(rng.standard_normal(p1)) + 0.05
+        lambda22 = float(np.abs(rng.standard_normal()) + 0.05)
+        rng.standard_normal(p1)  # beta, which C does not read
+        assert pd_check(compute_c_matrix(inv, s22 + 2.0 * lambda22, tau12)) is not None
 
 
 def test_c_matrix_rejects_bad_tau():
     # A negative tau12 entry can make C^{-1} indefinite: diag(2 + 1/tau12)
-    # has -8 in slot 1.  Both beta draws must refuse to factor it.
-    part = simple_partition(np.eye(2), [0.0, 0.0], 1.0, [1.0, -0.1], 0.5,
-                            [0.0, 0.0], 1.0)
-    for draw, args in ((bgs_update_beta, ()), (hrs_update_beta, (0.5,))):
-        with pytest.raises(ValueError, match="conditional covariance not positive definite"):
-            draw(part, np.ones(2), *args)
+    # has -8 in slot 1.  The one factor both beta draws use must refuse it.
+    with pytest.raises(ValueError, match="conditional covariance not positive definite"):
+        c_factor(np.eye(2), 1.0 + 2.0 * 0.5, [1.0, -0.1])
 
 
 # ---------------------------------------------------------------- beta draws
 
 def test_bgs_beta_centered_case():
     # s12 = 0 makes the conditional mean zero
-    part = simple_partition(np.eye(3), np.zeros(3), 1.0, np.ones(3), 0.5,
-                            np.zeros(3), 1.0)
+    c = 1.0 + 2.0 * 0.5
+    L = c_factor(np.eye(3), c, np.ones(3))
     gen = RngStream(1).gen
-    draws = np.array([bgs_update_beta(part, gen.standard_normal(3)) for _ in range(10_000)])
-    C = compute_c_matrix(part)
+    draws = np.array([bgs_update_beta(L, np.zeros(3), gen.standard_normal(3))
+                      for _ in range(10_000)])
+    C = compute_c_matrix(np.eye(3), c, np.ones(3))
     se = math.sqrt(C[0, 0] / 10_000)
     assert np.max(np.abs(draws.mean(axis=0))) < 4 * se
 
 
 def test_bgs_beta_mean_matches_formula():
-    part = simple_partition(np.eye(2), [0.7, -0.3], 2.0, [0.5, 2.0], 0.25,
-                            [0.0, 0.0], 1.0)
-    C = compute_c_matrix(part)
-    expect = -C @ part.s12
+    s12, c, tau12 = np.array([0.7, -0.3]), 2.0 + 2.0 * 0.25, [0.5, 2.0]
+    C = compute_c_matrix(np.eye(2), c, tau12)
+    expect = -C @ s12
+    L = c_factor(np.eye(2), c, tau12)
     gen = RngStream(2).gen
-    draws = np.array([bgs_update_beta(part, gen.standard_normal(2)) for _ in range(100_000)])
+    draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(2)) for _ in range(100_000)])
     se = np.sqrt(np.diag(C) / 100_000)
     assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
 
@@ -314,14 +304,15 @@ def test_bgs_single_factor_draw_moments():
     rng = np.random.default_rng(40)
     A = rng.standard_normal((3, 3))
     omega11 = symmetrize(A @ A.T + 3 * np.eye(3))
-    part = simple_partition(spd_inverse(omega11), [0.9, -0.4, 0.2], 2.5,
-                            [0.3, 1.5, 0.8], 0.6, np.zeros(3), 1.0)
-    C = compute_c_matrix(part)
+    inv, s12 = spd_inverse(omega11), np.array([0.9, -0.4, 0.2])
+    c, tau12 = 2.5 + 2.0 * 0.6, [0.3, 1.5, 0.8]
+    C = compute_c_matrix(inv, c, tau12)
+    L = c_factor(inv, c, tau12)
     n = 40_000
     gen = RngStream(41).gen
-    draws = np.array([bgs_update_beta(part, gen.standard_normal(3)) for _ in range(n)])
+    draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(3)) for _ in range(n)])
     se_mean = np.sqrt(np.diag(C) / n)
-    assert np.all(np.abs(draws.mean(axis=0) + C @ part.s12) < 4 * se_mean)
+    assert np.all(np.abs(draws.mean(axis=0) + C @ s12) < 4 * se_mean)
     # Var of a sample covariance entry: (C_ii C_jj + C_ij^2) / n.
     se_cov = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C * C) / n)
     assert np.all(np.abs(np.cov(draws, rowvar=False) - C) < 4 * se_cov)
@@ -375,12 +366,16 @@ def test_hit_and_run_interval_roots_do_not_cancel(b):
 def test_hit_and_run_interval_rejects_non_pd_state():
     with pytest.raises(ValueError, match="state not positive definite"):
         hit_and_run_interval(1.0, 0.0, 0.0)
+    # NaN fails every comparison, so it must not slip through as (nan, nan);
+    # a = 0 must not divide by zero, nor a < 0 reach a negative square root.
+    for a, gamma in ((1.0, math.nan), (math.nan, 1.0), (0.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="state not positive definite"):
+            hit_and_run_interval(a, 0.5, gamma)
 
 
 def test_hrs_beta_always_feasible():
     rng = np.random.default_rng(6)
     stream = RngStream(7)
-    from bayesglasso.matrixcore import spd_inverse
     for _ in range(300):
         p1 = int(rng.integers(1, 6))
         A = rng.standard_normal((p1, p1))
@@ -389,38 +384,38 @@ def test_hrs_beta_always_feasible():
         beta = rng.standard_normal(p1) * 0.3
         gamma = float(np.abs(rng.standard_normal()) + 0.01)
         omega22 = gamma + beta @ inv @ beta
-        part = simple_partition(inv, rng.standard_normal(p1),
-                                float(np.abs(rng.standard_normal()) + 0.1),
-                                np.abs(rng.standard_normal(p1)) + 0.05,
-                                float(np.abs(rng.standard_normal()) + 0.05),
-                                beta, omega22)
-        new_beta = hrs_update_beta(part, stream.gen.standard_normal(p1), stream.gen.random())
+        s12 = rng.standard_normal(p1)
+        s22 = float(np.abs(rng.standard_normal()) + 0.1)
+        tau12 = np.abs(rng.standard_normal(p1)) + 0.05
+        c = s22 + 2.0 * float(np.abs(rng.standard_normal()) + 0.05)
+        new_beta = hrs_update_beta(c_factor(inv, c, tau12), inv, s12, c, tau12, beta, omega22,
+                                   stream.gen.standard_normal(p1), stream.gen.random())
         assert new_beta @ inv @ new_beta < omega22
 
 
-def beta_coordinates_hrs_step(part, z, u):
+def beta_coordinates_hrs_step(omega11_inv, s12, c, tau12, beta, omega22, z, u):
     """The hrs step taken in beta coordinates: d = L^{-T} z scaled to unit
     Euclidean length, C^{-1} formed explicitly, a step of mean -(s12'd +
     beta' C^{-1} d) / (d' C^{-1} d) and variance 1 / (d' C^{-1} d), and the
     interval's roots (-b -+ disc) / a taken directly."""
-    omega11_inv = represented(part.omega11_inv)
-    cinv = (part.s22 + 2.0 * part.lambda22) * omega11_inv + np.diag(1.0 / part.tau12)
+    omega11_inv = represented(omega11_inv)
+    cinv = c * omega11_inv + np.diag(1.0 / tau12)
     L = np.linalg.cholesky(cinv)
     d = lapack.dtrtrs(L, z, lower=1, trans=1)[0]
     d /= np.linalg.norm(d)
     w = cinv @ d
     denom = float(d @ w)
-    mu = -(float(part.s12 @ d) + float(part.beta @ w)) / denom
+    mu = -(float(s12 @ d) + float(beta @ w)) / denom
     sigma = math.sqrt(1.0 / denom)
     v = omega11_inv @ d
-    a, b = float(d @ v), float(part.beta @ v)
-    gamma = part.omega22 - float(part.beta @ omega11_inv @ part.beta)
+    a, b = float(d @ v), float(beta @ v)
+    gamma = omega22 - float(beta @ omega11_inv @ beta)
     disc = math.sqrt(b * b + a * gamma)
     lo, hi = (-b - disc) / a, (-b + disc) / a
     # N(mu, sigma**2) on (lo, hi) is mu + sigma * N(0, 1) on the
     # standardized interval.
     z_step = sample_truncated_normal(0.0, (lo - mu) / sigma, (hi - mu) / sigma, u)
-    return part.beta + (mu + sigma * z_step) * d
+    return beta + (mu + sigma * z_step) * d
 
 
 def test_whitened_hrs_step_matches_the_beta_coordinates_step():
@@ -431,21 +426,25 @@ def test_whitened_hrs_step_matches_the_beta_coordinates_step():
     p = 7
     st, tau, lam = random_state(gen, p)
     for i in range(p):
-        part = partition(st, i, tau, lam)
+        blocks = column(st, i, tau, lam)
+        omega11_inv, _, c, tau12 = blocks[:4]
+        L = c_factor(omega11_inv, c, tau12)
         for _ in range(6):
             z = gen.standard_normal(p)
             z[i] = 0.0
             u = float(gen.random())
-            got = hrs_update_beta(part, z, u)
+            got = hrs_update_beta(L, *blocks, z, u)
             assert got[i] == 0.0
-            np.testing.assert_allclose(got, beta_coordinates_hrs_step(part, z, u),
+            np.testing.assert_allclose(got, beta_coordinates_hrs_step(*blocks, z, u),
                                        rtol=1e-10, atol=0.0)
 
 
 def test_hrs_zero_direction_raises():
     st, tau, lam = random_state(np.random.default_rng(10))
+    blocks = column(st, 3, tau, lam)
+    omega11_inv, _, c, tau12 = blocks[:4]
     with pytest.raises(ValueError, match="zero length"):
-        hrs_update_beta(partition(st, 3, tau, lam), np.zeros(7), 0.5)
+        hrs_update_beta(c_factor(omega11_inv, c, tau12), *blocks, np.zeros(7), 0.5)
 
 
 def test_hrs_unbounded_matches_bgs_distribution():
@@ -453,17 +452,19 @@ def test_hrs_unbounded_matches_bgs_distribution():
     # line and, in one dimension, a hit-and-run update is an exact draw
     # from the unconstrained conditional, so HRS and BGS must agree.
     inv = np.array([[0.5]])  # Omega11 = [[2]]
+    s12, c, tau12 = np.array([0.8]), 1.5 + 2.0 * 0.4, np.array([0.7])
     beta0 = np.array([0.3])
     omega22 = 1e12
-    part = simple_partition(inv, [0.8], 1.5, [0.7], 0.4, beta0, omega22)
+    L = c_factor(inv, c, tau12)
     n = 40_000
     h = RngStream(8)
     b = RngStream(9)
-    hrs_draws = np.array([hrs_update_beta(part, h.gen.standard_normal(1), h.gen.random())[0]
+    hrs_draws = np.array([hrs_update_beta(L, inv, s12, c, tau12, beta0, omega22,
+                                          h.gen.standard_normal(1), h.gen.random())[0]
                           for _ in range(n)])
-    bgs_draws = np.array([bgs_update_beta(part, b.gen.standard_normal(1))[0]
+    bgs_draws = np.array([bgs_update_beta(L, s12, b.gen.standard_normal(1))[0]
                           for _ in range(n)])
-    C = compute_c_matrix(part)[0, 0]
+    C = compute_c_matrix(inv, c, tau12)[0, 0]
     se_mean = math.sqrt(C / n)
     assert abs(hrs_draws.mean() - bgs_draws.mean()) < 4 * math.sqrt(2) * se_mean
     assert abs(hrs_draws.var(ddof=1) - bgs_draws.var(ddof=1)) < 4 * C * math.sqrt(2.0 / n) * math.sqrt(2)
@@ -472,9 +473,9 @@ def test_hrs_unbounded_matches_bgs_distribution():
 # ---------------------------------------------------------------- scalars
 
 def test_update_gamma_moments_and_support():
-    part = simple_partition(np.eye(1), [0.0], 1.0, [1.0], 0.5, [0.0], 1.0)
+    # s22 = 1, lambda22 = 0.5: the rate c/2 is 1
     g = RngStream(10).gen.standard_gamma(50 / 2 + 1, 100_000)
-    draws = update_gamma(part, g)
+    draws = update_gamma(1.0 + 2.0 * 0.5, g)
     assert np.all(draws > 0)
     # Ga(26, 1): mean 26
     assert abs(draws.mean() - 26.0) < 0.2
@@ -633,17 +634,24 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
     p = 20
     st, rng = make_sim_state(kind="circle", p=p, n=30)
     full = []
+    old_diagonal = []
+    original_partition = sampler.make_partition
     original = sampler.update_gamma
 
-    def audited(part, g):
+    def partitioned(state, i, *args):
+        old_diagonal.append(state.omega.item(i, i))
+        return original_partition(state, i, *args)
+
+    def audited(c, g):
         # omega now holds the new off-diagonal column; with the old diagonal
         # entry put back it is the matrix the audit tests.
         i = len(full) % p
         tested = st.omega.copy()
-        tested[i, i] = part.omega22
+        tested[i, i] = old_diagonal[-1]
         full.append(pd_check(tested) is None)
-        return original(part, g)
+        return original(c, g)
 
+    monkeypatch.setattr(sampler, "make_partition", partitioned)
     monkeypatch.setattr(sampler, "update_gamma", audited)
     audit = ViolationAudit()
     for _ in range(40):
@@ -656,7 +664,8 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_sweep_factorisation_budget(kind, monkeypatch):
     # One Cholesky of omega per sweep, one in-place factor of C^{-1} per
-    # beta draw, and the one inverse that gives Sigma: no other O(p^3) step.
+    # column, which both samplers' beta draws share, and the one inverse
+    # that gives Sigma: no other O(p^3) step.
     # Every helper the benchmark traces is counted through the module
     # attribute it replaces, so a sweep that bound one locally would show
     # zero calls here, as it would zero its traced time.
@@ -664,7 +673,8 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     st, rng = make_sim_state(p=p, n=30)
     beta = f"{kind}_update_beta"
     names = ("pd_check", "cholesky_in_place", "invert_from_factor", "make_partition",
-             beta, "update_gamma", "update_lambda_column", "update_tau_column")
+             "_factor_c_inverse", beta, "update_gamma", "update_lambda_column",
+             "update_tau_column")
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
@@ -686,7 +696,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # blocks of one column.
     blocks = -(-p // SHRINKAGE_BLOCK)
     expect = [{"pd_check": 1, "cholesky_in_place": p, "invert_from_factor": 1,
-               "make_partition": p, beta: p, "update_gamma": p,
+               "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": p,
                "update_lambda_column": b, "update_tau_column": b}
               for b in (p, blocks, blocks)]
     assert blocks == 2
@@ -881,29 +891,48 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     # blocks of one column, and the entries not yet drawn in Wang's order,
     # tau12 beyond slot i and lambda22, read their initial 1; the entries
     # before slot i are drawn from omega[i, :i], which columns 0..i-1 have
-    # already drawn, so none of them is the identity's zero.
+    # already drawn, so none of them is the identity's zero.  lambda22 is
+    # seen through c = s22 + 2 lambda22, which the gamma draw reads, and s12
+    # must be row i of S with slot i zeroed.
     p, n = 20, 30
     st, _ = make_sim_state(kind="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
-    seen = []
+    seen, cs, s12s = [], [], []
     original = sampler.make_partition
+    original_gamma = sampler.update_gamma
+    beta_name = f"{kind}_update_beta"
+    original_beta = getattr(sampler, beta_name)
 
-    def hooked(state, i, *args):
+    def hooked(state, i, sigma, tau12):
         omega = state.omega.copy()
-        part = original(state, i, *args)
-        seen.append((i, omega, part.tau12.copy(), part.lambda22))
-        return part
+        beta = original(state, i, sigma, tau12)
+        seen.append((i, omega, tau12.copy()))
+        return beta
+
+    def gamma_hooked(c, g):
+        cs.append(c)
+        return original_gamma(c, g)
+
+    def beta_hooked(*args):
+        # s12 follows L, and for hrs omega11_inv too
+        s12s.append(args[1 if kind == "bgs" else 2].copy())
+        return original_beta(*args)
 
     monkeypatch.setattr(sampler, "make_partition", hooked)
+    monkeypatch.setattr(sampler, "update_gamma", gamma_hooked)
+    monkeypatch.setattr(sampler, beta_name, beta_hooked)
+    s12_expect = off_diagonal(st.scatter)
     for k in range(3):
-        del seen[:]
+        del seen[:], cs[:], s12s[:]
         sweep(st, kind, ViolationAudit(), rng)
         _, _, G_lambda, NU, U = draw_bank(twin.gen, p, n, st.r)
         if kind == "hrs":
             twin.gen.random(p)
         assert [i for i, *_ in seen] == list(range(p))
+        np.testing.assert_array_equal(s12s, s12_expect)
         block = 1 if k == 0 else sampler.SHRINKAGE_BLOCK
-        for i, _, tau12, lambda22 in seen:
+        for (i, _, tau12), c in zip(seen, cs, strict=True):
+            s22 = st.scatter.item(i, i)
             start = i - i % block
             end = min(start + block, p)
             block_omega = seen[start][1]
@@ -912,9 +941,9 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
             if k == 0:
                 assert np.all(block_omega[i, :i] != 0.0), i
                 np.testing.assert_array_equal(tau12[:i], tau[:i])
-                assert np.all(tau12[i + 1:] == 1.0) and lambda22 == 1.0
+                assert np.all(tau12[i + 1:] == 1.0) and c == s22 + 2.0
                 continue
-            assert lambda22 == rates[i]
+            assert c == s22 + 2.0 * rates[i]
             np.testing.assert_array_equal(tau12[:start], tau[:start])
             np.testing.assert_array_equal(tau12[end:], tau[end:])
             for j in range(i + 1, end):
@@ -924,7 +953,7 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
 
 
 def test_sweeps_leave_scatter_unchanged():
-    # The partition's s12 is a row view of a zero-diagonal copy of S, not of
+    # A column's s12 is a row view of a zero-diagonal copy of S, not of
     # S itself; S must come out of every sweep bit for bit as it went in.
     for kind in SAMPLER_KINDS:
         st, rng = make_sim_state(kind="ar2", p=12, n=8, seed=60)
