@@ -5,6 +5,8 @@ are symmetric by contract; every operation that returns a matrix builds it
 exactly symmetric so asymmetry cannot accumulate over long Gibbs runs.
 """
 
+import functools
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -31,26 +33,34 @@ def check_symmetric(M, name="matrix"):
     return M
 
 
+@functools.lru_cache
+def strict_lower(p):
+    """Read-only boolean mask of the strict lower triangle of a p x p
+    matrix, built once per p and shared by every caller."""
+    mask = np.tri(p, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def cholesky_in_place(A, clean=0):
     """Lower Cholesky factor of the symmetric A, computed in A's memory.
 
     Only the lower triangle of A is read; A should be Fortran-ordered (such
     as the transpose of a C-ordered array), or LAPACK works on a copy.  The
     factor overwrites that triangle; the strict upper triangle is left as
-    it was, or zeroed if clean is 1.  Returns the factor if every diagonal
-    entry exceeds PD_TOL, otherwise None: "not positive definite", not an
-    error.
+    it was, or zeroed if clean is 1.  Returns the factor if dpotrf succeeds,
+    otherwise None: "not positive definite", not an error.
     """
     L, info = _dpotrf(A, 1, clean, 1)
     if info > 0:
         return None
     if info < 0:
         raise ValueError(f"invalid matrix passed to dpotrf (info={info})")
-    # The only NaN guard: OpenBLAS dpotrf returns info = 0 on input holding
-    # a NaN, on or off the diagonal, and a NaN reaches the factor's
-    # diagonal, whose NaN minimum fails the comparison.
-    if not L.diagonal().min() > PD_TOL:
-        return None
+    # No diagonal scan here: OpenBLAS dpotrf returns info = 0 on input
+    # holding a NaN, so a NaN survives into the factor.  pd_check scans the
+    # factor's diagonal; the sampler's per-column factor of C^{-1} is
+    # guarded by a finiteness test on the column's result instead (see the
+    # sampler module docstring).
     return L
 
 
@@ -66,7 +76,13 @@ def pd_check(M):
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     # Factored in a Fortran-ordered copy of M, never a view of it, with the
     # factor's upper triangle zeroed by dpotrf's clean.
-    return cholesky_in_place(np.array(M, order="F"), 1)
+    L = cholesky_in_place(np.array(M, order="F"), 1)
+    # The NaN guard: OpenBLAS dpotrf returns info = 0 on input holding a
+    # NaN, on or off the diagonal, and a NaN reaches the factor's diagonal,
+    # whose NaN minimum fails the comparison.
+    if L is None or not L.diagonal().min() > PD_TOL:
+        return None
+    return L
 
 
 def invert_from_factor(L):
@@ -84,7 +100,7 @@ def invert_from_factor(L):
     # C-ordered, and the lower triangle of that transpose, which is the
     # stale one, is overwritten with the lower triangle of the inverse.
     sym = inv.T
-    np.copyto(sym, inv, where=np.tri(inv.shape[0], k=-1, dtype=bool))
+    np.copyto(sym, inv, where=strict_lower(inv.shape[0]))
     return sym
 
 

@@ -99,7 +99,7 @@ than numpy's ``@`` at these sizes; the bitwise reference test, which uses
 ``@``, checks that the two agree on each OpenBLAS kernel it runs on.
 
 Every BLAS and LAPACK routine of the column update (``dsyr``, ``dsymv``,
-``ddot`` and ``dtrtrs`` here, ``dpotrf`` and ``dpotri`` in
+``ddot``, ``dscal`` and ``dtrtrs`` here, ``dpotrf`` and ``dpotri`` in
 :mod:`bayesglasso.matrixcore`) is bound once, at module level, and called
 with positional arguments only: f2py parses keyword arguments much more
 slowly.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25 timings per
@@ -110,6 +110,27 @@ and a test pins that line, so a scipy that reordered the optional
 arguments fails the suite instead of binding a flag to the wrong
 parameter.  The bitwise reference test keeps keyword calls, so it checks
 the positional ones too.
+
+Every vector scaled by a scalar is scaled with BLAS ``dscal``: u in
+:func:`make_partition`, v / sqrt(gamma) and -v / gamma in :func:`sweep`,
+and the direction and the step in :func:`hrs_update_beta`.  On the same
+guest, numpy's array-times-float costs 0.7-1.4 us per call and f2py's
+``dscal`` 0.14-0.25 us, and both make the same one IEEE multiply per
+entry, so the bits do not change.  ``dscal`` scales in place only a
+contiguous float64 array and returns a scaled copy of any other, so its
+return value is always the one used.
+
+A NaN in C^{-1} is caught once per column, on the column's result, not in
+the factor.  ``dpotrf`` returns success on input holding a NaN, but it
+carries the NaN to the pivot of that row, the triangular solves carry it
+into beta, and ``dsymv`` into q = beta' Omega11^{-1} beta; so the sweep
+tests q for finiteness (0.04 us), and hit-and-run's interval already
+rejects the NaN a = d' Omega11^{-1} d that such a factor gives.  Scanning
+each factor's diagonal cost 2.7 us per column at p = 30.  Its PD_TOL floor
+could only reject a C^{-1} that is positive definite: lambda_min(C^{-1})
+>= min_j 1/tau_j > 0, and a pivot at or below PD_TOL needs lambda_min <=
+PD_TOL**2 = 1e-24.  An indefinite C^{-1} still fails ``dpotrf``.
+:func:`pd_check`, which factors omega at each sweep start, keeps the scan.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator (six
@@ -149,7 +170,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .distributions import sample_truncated_normal
-from .matrixcore import PD_TOL, check_symmetric, cholesky_in_place, invert_from_factor, pd_check
+from .matrixcore import (PD_TOL, check_symmetric, cholesky_in_place, invert_from_factor,
+                         pd_check, strict_lower)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -192,6 +214,8 @@ _dsyr = blas.dsyr
 _dsymv = blas.dsymv
 # xy = ddot(x,y,[n,offx,incx,offy,incy])
 _ddot = blas.ddot
+# x = dscal(a,x,[n,offx,incx])
+_dscal = blas.dscal
 # x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
 _dtrtrs = lapack.dtrtrs
 
@@ -202,9 +226,13 @@ _NOT_IN_PLACE = "the rank-1 update needs a C-ordered float64 array"
 
 @dataclass
 class ChainConfig:
-    """Settings for one chain run; its defaults are the CLI's defaults too."""
+    """Settings for one chain run; its defaults are the CLI's defaults too.
 
-    kind: str = "hrs"
+    kind defaults to ``"bgs"``, which targets the stated posterior; the
+    CLI has no default and requires ``--sampler``.
+    """
+
+    kind: str = "bgs"
     burn_in: int = 5000
     draws: int = 10000
     r: float = 1e-2
@@ -333,7 +361,7 @@ def make_partition(state, i, sigma, tau12):
     # Complete row i of sigma from the current triangle (its part left of
     # the diagonal is column i above it), then scale it.
     sigma[i, :i] = sigma[:i, i]
-    u = sigma[i] * (1.0 / math.sqrt(sigma[i, i]))
+    u = _dscal(1.0 / math.sqrt(sigma[i, i]), sigma[i].copy())
     # sigma -= u u' on the lower triangle of sigma.T, BLAS's view of it.
     sigma_t = sigma.T
     if _dsyr(-1.0, u, 1, 1, 0, p, sigma_t, 1) is not sigma_t:
@@ -388,11 +416,16 @@ def hit_and_run_interval(a, b, gamma):
     b = beta' Omega11^{-1} d and gamma the Schur complement.  a > 0 and
     gamma > 0 in a positive definite state, so the interval strictly
     brackets kappa = 0.  The root near 0 comes from the product of the
-    roots, -gamma/a, so it does not cancel however large |b| is.
+    roots, -gamma/a, so it does not cancel however large |b| is.  A
+    non-finite a, b or gamma raises ValueError: it would give a NaN root,
+    or an interval that no longer brackets 0 strictly.
     """
     # Written so that NaN, which fails every comparison, is rejected.
     if not (a > 0.0 and gamma > 0.0):
         raise ValueError("state not positive definite")
+    if not (a < math.inf and gamma < math.inf and math.isfinite(b)):
+        raise ValueError(f"hit-and-run interval needs finite a, b and gamma, got "
+                         f"{a!r}, {b!r}, {gamma!r}")
     disc = math.sqrt(b * b + a * gamma)
     if b >= 0.0:
         q = b + disc
@@ -421,6 +454,7 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     magnitude, and an isotropic direction in beta would make every step
     as small as the most-shrunk coordinate allows.  The returned column
     always satisfies the Schur condition.  A zero z raises ValueError.
+    beta is only read; the column returned is a new array.
 
     The step holds omega22 fixed but moves along N(-C s12, C), which is
     beta's law given gamma = omega22 - beta' Omega11^{-1} beta, not given
@@ -430,8 +464,7 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     zz = _ddot(z, z)
     if not zz > 0.0:
         raise ValueError("hit-and-run direction has zero length")
-    d = _dtrtrs(L, z, 1, 1)[0]
-    d *= 1.0 / math.sqrt(zz)
+    d = _dscal(1.0 / math.sqrt(zz), _dtrtrs(L, z, 1, 1)[0])
     # Omega11^{-1} products read its upper triangle, the lower one of its
     # transpose as BLAS sees it.
     o11_t = omega11_inv.T
@@ -440,7 +473,9 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     mu = -(_ddot(s12, d) + c * b + _ddot(beta / tau12, d))
     gamma = omega22 - _ddot(beta, _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1))
     lo, hi = hit_and_run_interval(_ddot(d, v), b, gamma)
-    return beta + sample_truncated_normal(mu, lo, hi, u) * d
+    # beta + kappa d, with the step scaled into d's own memory.
+    d = _dscal(sample_truncated_normal(mu, lo, hi, u), d)
+    return np.add(beta, d, out=d)
 
 
 def update_gamma(c, g):
@@ -516,7 +551,8 @@ def sweep(state, kind, audit, rng):
     column and the old diagonal entry; the hit-and-run path never fails
     it, the unconstrained path records the failure and keeps going.  A
     non-positive gamma draw would break the column-boundary invariant, so
-    it is an error rather than a count.
+    it is an error rather than a count, and so is a non-finite beta'
+    Omega11^{-1} beta, which a NaN reaching C^{-1} gives.
 
     As each block of ``SHRINKAGE_BLOCK`` columns begins, the sweep draws
     the block's rows of shrinkage rates and latent scales from those rows
@@ -556,7 +592,7 @@ def sweep(state, kind, audit, rng):
     block = 1 if first_sweep else SHRINKAGE_BLOCK
     # The strict lower triangle: sliced, the mask of a block's pairs; whole,
     # the one of the mirror that ends the sweep.
-    lower = np.tri(p, k=-1, dtype=bool)
+    lower = strict_lower(p)
     end = 0
     s = np.array(state.s)  # a ufunc takes a 0-d array faster than a float
 
@@ -613,6 +649,11 @@ def sweep(state, kind, audit, rng):
             omega[:, i] = beta
             v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
             q = _ddot(beta, v)
+            # The one NaN guard of the column: a NaN that reaches C^{-1}
+            # reaches beta through the factor and the solves, and q
+            # through dsymv (see the module docstring).
+            if not math.isfinite(q):
+                raise ValueError(f"beta' Omega11^{{-1}} beta is {q!r}")
             beta_failed = not omega22 - q > schur_floor
 
             stage = "gamma"
@@ -620,9 +661,10 @@ def sweep(state, kind, audit, rng):
             if not gam > 0.0:
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega[i, i] = gam + q
-            if _dsyr(1.0, v * (1.0 / math.sqrt(gam)), 1, 1, 0, p, sigma_t, 1) is not sigma_t:
+            w = _dscal(1.0 / math.sqrt(gam), v.copy())
+            if _dsyr(1.0, w, 1, 1, 0, p, sigma_t, 1) is not sigma_t:
                 raise ValueError(_NOT_IN_PLACE)
-            v *= -1.0 / gam
+            v = _dscal(-1.0 / gam, v)
             sigma[i] = v
             sigma[:, i] = v
             sigma[i, i] = 1.0 / gam

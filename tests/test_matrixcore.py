@@ -9,6 +9,7 @@ from bayesglasso.matrixcore import (
     pd_check,
     save_matrix_csv,
     spd_inverse,
+    strict_lower,
 )
 
 
@@ -53,14 +54,20 @@ def test_pd_check_does_not_mutate():
 def test_pd_check_nan_rejected():
     M = np.array([[1.0, np.nan], [np.nan, 1.0]])
     assert pd_check(M) is None
-    # OpenBLAS dpotrf returns info = 0 on these, so the factor's diagonal
-    # scan is what rejects them, for the sweep-start factor and the
-    # per-column C^{-1} factor alike.  One NaN on the diagonal, one off it.
+    # OpenBLAS dpotrf returns info = 0 on these, so pd_check's diagonal scan
+    # is what rejects them.  One NaN on the diagonal, one off it.
+    # cholesky_in_place, which factors the sampler's per-column C^{-1},
+    # does not scan: its factor carries the NaN to the pivot of the NaN's
+    # row, and the sweep's finiteness test on the column's result rejects
+    # it there (tests/test_sampler.py).  A LAPACK that reports failure on
+    # NaN instead returns None.
     rng = np.random.default_rng(12)
     for i, j in ((13, 13), (29, 4)):
         M = random_spd(30, rng)
         M[i, j] = M[j, i] = np.nan
-        assert cholesky_in_place(M.T) is None, (i, j)
+        assert pd_check(M) is None, (i, j)
+        L = cholesky_in_place(M.T)
+        assert L is None or np.isnan(L[i, i]), (i, j)
 
 
 def test_pd_check_factor_roundtrip():
@@ -73,6 +80,14 @@ def test_pd_check_factor_roundtrip():
         got = pd_check(symmetrize(M))
         assert got is not None
         assert np.max(np.abs(got @ got.T - M)) < 1e-10 * 5 * np.max(np.abs(M))
+
+
+def test_strict_lower_is_built_once_per_p_and_read_only():
+    for p in (1, 2, 7):
+        mask = strict_lower(p)
+        assert mask is strict_lower(p)
+        assert np.array_equal(mask, np.tri(p, k=-1, dtype=bool))
+        assert not mask.flags.writeable
 
 
 def test_invert_from_factor_reads_only_the_lower_triangle():

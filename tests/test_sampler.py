@@ -373,6 +373,17 @@ def test_hit_and_run_interval_rejects_non_pd_state():
             hit_and_run_interval(a, 0.5, gamma)
 
 
+@pytest.mark.parametrize("a,b,gamma", [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                                         (1.0, -math.inf, 1.0), (math.inf, 0.5, 1.0),
+                                         (1.0, 0.5, math.inf)])
+def test_hit_and_run_interval_rejects_non_finite_input(a, b, gamma):
+    # A NaN b would give (nan, nan); an infinite b an interval such as
+    # (-inf, 0.0) that no longer brackets 0 strictly; an infinite a or gamma
+    # a NaN root.
+    with pytest.raises(ValueError, match="needs finite a, b and gamma"):
+        hit_and_run_interval(a, b, gamma)
+
+
 def test_hrs_beta_always_feasible():
     rng = np.random.default_rng(6)
     stream = RngStream(7)
@@ -606,6 +617,28 @@ def test_sweep_rejects_bad_kind_and_bad_state():
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
+    # The per-column C^{-1} factor is not scanned for NaN; the sweep's
+    # finiteness test on beta' Omega11^{-1} beta (bgs) or the hit-and-run
+    # interval (hrs) must stop the column a NaN latent scale reaches.  In a
+    # chain's first sweep, call k of update_tau_column draws row k alone.
+    st, rng = make_sim_state(p=8, n=30)
+    original = sampler.update_tau_column
+    calls = []
+
+    def poisoned(*args):
+        tau = original(*args)
+        if len(calls) == 5:
+            tau[0, 2] = math.nan
+        calls.append(None)
+        return tau
+
+    monkeypatch.setattr(sampler, "update_tau_column", poisoned)
+    with pytest.raises(RuntimeError, match="column 5 failed at stage beta"):
+        sweep(st, kind, ViolationAudit(), rng)
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
     st, rng = make_sim_state(p=8, n=30)
     errors = []
@@ -711,6 +744,7 @@ POSITIONAL_SIGNATURES = {
     (sampler, "dsyr"): "a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])",
     (sampler, "dsymv"): "y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])",
     (sampler, "ddot"): "xy = ddot(x,y,[n,offx,incx,offy,incy])",
+    (sampler, "dscal"): "x = dscal(a,x,[n,offx,incx])",
     (sampler, "dtrtrs"): "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
     (matrixcore, "dpotrf"): "c,info = dpotrf(a,[lower,clean,overwrite_a])",
     (matrixcore, "dpotri"): "inv_a,info = dpotri(c,[lower,overwrite_c])",
