@@ -8,11 +8,15 @@ Two commands:
 * ``fit`` ingests a CSV data matrix, runs one chain and writes the
   posterior mean (raw and unit-diagonal scaled) plus the audit.
 
-The chain settings and their defaults are those of
-:class:`~bayesglasso.sampler.ChainConfig`.  Every output directory gets a
-manifest echoing the full configuration and seed.  Wall-clock numbers go
-to a separate timing file so that everything else is byte-identical
-across reruns with the same seed.
+Each command's settings are one dataclass, :class:`ScenarioConfig` or
+:class:`FitConfig`.  Both extend :class:`RunConfig`, which declares the
+settings they share (sampler, burn_in, draws, r, s, seed) with
+:class:`~bayesglasso.sampler.ChainConfig`'s defaults and validates them.
+Each flag's argparse ``dest`` is its field name, so :func:`main` builds a
+config from the parsed flags as they are, and each output directory's
+manifest is that config as a dict (fit adds the data's n and p).
+Wall-clock numbers go to a separate timing file so that everything else
+is byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 any replication/data failure, 2 configuration
 error.
@@ -59,19 +63,39 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ScenarioConfig:
-    design: str
-    p: int
-    n: int
+@dataclass(kw_only=True)
+class RunConfig:
+    """The settings both commands share: the chain's settings and its seed."""
+
     sampler: str
     burn_in: int = ChainConfig.burn_in
     draws: int = ChainConfig.draws
-    replications: int = 50
     r: float = ChainConfig.r
     s: float = ChainConfig.s
-    threshold: float = 1e-3
     seed: int = 0
+
+    def chain_config(self):
+        return ChainConfig(kind=self.sampler, burn_in=self.burn_in,
+                           draws=self.draws, r=self.r, s=self.s)
+
+    def validate(self):
+        try:
+            self.chain_config().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        # numpy's SeedSequence takes only non-negative integers; checked here
+        # so that a bad seed fails before any output is written.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+
+
+@dataclass(kw_only=True)
+class ScenarioConfig(RunConfig):
+    design: str
+    p: int
+    n: int
+    replications: int = 50
+    threshold: float = 1e-3
     jobs: int = 1
 
     def validate(self):
@@ -79,31 +103,22 @@ class ScenarioConfig:
             GraphDesign(kind=self.design, p=self.p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        _check_chain(self.chain_config())
-        _check_seed(self.seed)
+        super().validate()
         if self.n < 1 or self.replications < 1 or self.jobs < 1:
             raise ConfigError("n, replications and jobs must be positive")
         # Written so that NaN, which fails every comparison, is rejected.
         if not 0.0 < self.threshold < math.inf:
             raise ConfigError("threshold must be finite and positive")
 
-    def chain_config(self):
-        return ChainConfig(kind=self.sampler, burn_in=self.burn_in,
-                           draws=self.draws, r=self.r, s=self.s)
 
+@dataclass(kw_only=True)
+class FitConfig(RunConfig):
+    data_path: str
+    standardize: bool = False
 
-def _check_chain(config):
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _check_seed(seed):
-    # numpy's SeedSequence takes only non-negative integers; checked here so
-    # that a bad seed fails before any output is written.
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    def __post_init__(self):
+        # The manifest records the path as given; JSON needs it as a str.
+        self.data_path = str(self.data_path)
 
 
 def ingest_csv(path, standardize=False):
@@ -194,10 +209,7 @@ def run_replication(scenario, rep):
         "replication": rep,
         "stein": stein_loss(est, model.omega_true),
         "frobenius": frobenius_loss(est, model.omega_true),
-        "tp": sc.tp, "tn": sc.tn, "fp": sc.fp, "fn": sc.fn,
-        "specificity": sc.specificity,
-        "sensitivity": sc.sensitivity,
-        "mcc": sc.mcc,
+        **asdict(sc),
     }
     return row, {"replication": rep, **_audit_summary(out.audit)}, out.elapsed_seconds
 
@@ -245,11 +257,16 @@ def cmd_simulate(scenario, out_dir):
     else:
         results = [_replication_task(scenario, rep) for rep in reps]
 
-    rows = [row for _, row, _, _, err in results if err is None]
-    audits = [a for _, _, a, _, err in results if err is None]
-    failures = [{"replication": rep, "seed": scenario.seed, "stream_id": rep,
-                 "error": err} for rep, _, _, _, err in results if err is not None]
-    rep_seconds = {str(rep): elapsed for rep, _, _, elapsed, err in results if err is None}
+    rows, audits, failures, rep_seconds = [], [], [], {}
+    for rep, row, audit, elapsed, err in results:
+        if err is None:
+            rows.append(row)
+            audits.append(audit)
+            rep_seconds[str(rep)] = elapsed
+        else:
+            failures.append({"replication": rep, "seed": scenario.seed,
+                             "stream_id": rep, "error": err})
+            print(f"replication {rep} failed: {err}", file=sys.stderr)
 
     _write_replication_csv(out / "replications.csv", rows)
     _write_json(out / "aggregate.json", _aggregate(scenario, rows, failures))
@@ -258,11 +275,7 @@ def cmd_simulate(scenario, out_dir):
         "total_seconds": time.perf_counter() - t0,
         "replication_seconds": rep_seconds,
     })
-    if failures:
-        for f in failures:
-            print(f"replication {f['replication']} failed: {f['error']}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failures else 0
 
 
 def _write_replication_csv(path, rows):
@@ -296,12 +309,7 @@ def _aggregate(scenario, rows, failures):
         pooled = scores_from_counts(
             sum(r["tp"] for r in rows), sum(r["tn"] for r in rows),
             sum(r["fp"] for r in rows), sum(r["fn"] for r in rows))
-        agg["structure"] = {
-            "tp": pooled.tp, "tn": pooled.tn, "fp": pooled.fp, "fn": pooled.fn,
-            "specificity": pooled.specificity,
-            "sensitivity": pooled.sensitivity,
-            "mcc": pooled.mcc,
-        }
+        agg["structure"] = asdict(pooled)
     return agg
 
 
@@ -316,32 +324,25 @@ def _audit_summary(audit):
 
 
 def _pool_audits(audits):
-    pooled = ViolationAudit()
-    for a in audits:
-        pooled.updates_total += a["updates_total"]
-        pooled.violations += a["violations"]
-        pooled.sigma_drift_max = max(pooled.sigma_drift_max, a["sigma_drift_max"])
+    pooled = ViolationAudit(
+        updates_total=sum(a["updates_total"] for a in audits),
+        violations=sum(a["violations"] for a in audits),
+        sigma_drift_max=max([0.0, *(a["sigma_drift_max"] for a in audits)]))
     return {**_audit_summary(pooled), "per_replication": audits}
 
 
-def cmd_fit(data_path, config, out_dir, *, seed=0, standardize=False):
-    """One chain with ChainConfig config on the data of a CSV file."""
-    _check_chain(config)
-    _check_seed(seed)
-    values = ingest_csv(data_path, standardize=standardize)
+def cmd_fit(config, out_dir):
+    """One chain on the data of the CSV file at config.data_path."""
+    config.validate()
+    values = ingest_csv(config.data_path, standardize=config.standardize)
     n, p = values.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows of data, found {n}")
     if p < 2:
         raise ValueError(f"need at least 2 columns of data, found {p}")
 
-    out = _open_run(out_dir, "fit", {
-        "data_path": str(data_path), "sampler": config.kind,
-        "burn_in": config.burn_in, "draws": config.draws, "seed": seed,
-        "r": config.r, "s": config.s, "standardize": standardize,
-        "n": int(n), "p": int(p),
-    })
-    result = run_chain(scatter_matrix(values), n, config, RngStream(seed))
+    out = _open_run(out_dir, "fit", {**asdict(config), "n": n, "p": p})
+    result = run_chain(scatter_matrix(values), n, config.chain_config(), RngStream(config.seed))
     save_matrix_csv(result.omega_mean, out / "posterior_mean.csv")
     save_matrix_csv(unit_diag_scale(result.omega_mean),
                     out / "posterior_mean_unit_diag.csv")
@@ -375,11 +376,12 @@ def build_parser():
 
     def chain_flags(sp):
         sp.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
-        sp.add_argument("--burnin", type=int, default=ChainConfig.burn_in)
-        sp.add_argument("--draws", type=int, default=ChainConfig.draws)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--r", type=float, default=ChainConfig.r)
-        sp.add_argument("--s", type=float, default=ChainConfig.s)
+        sp.add_argument("--burnin", dest="burn_in", metavar="BURNIN", type=int,
+                        default=RunConfig.burn_in)
+        sp.add_argument("--draws", type=int, default=RunConfig.draws)
+        sp.add_argument("--seed", type=int, default=RunConfig.seed)
+        sp.add_argument("--r", type=float, default=RunConfig.r)
+        sp.add_argument("--s", type=float, default=RunConfig.s)
         sp.add_argument("--out", required=True, help="output directory")
 
     sim = sub.add_parser("simulate", help="replicated simulation campaign")
@@ -387,13 +389,14 @@ def build_parser():
     sim.add_argument("--p", required=True, type=int, help="number of variables")
     sim.add_argument("--n", required=True, type=int, help="sample size")
     chain_flags(sim)
-    sim.add_argument("--reps", type=int, default=ScenarioConfig.replications)
+    sim.add_argument("--reps", dest="replications", metavar="REPS", type=int,
+                     default=ScenarioConfig.replications)
     sim.add_argument("--threshold", type=float, default=ScenarioConfig.threshold)
     sim.add_argument("--jobs", type=int, default=ScenarioConfig.jobs,
                      help="replication worker processes")
 
     fit = sub.add_parser("fit", help="fit a user-supplied CSV data matrix")
-    fit.add_argument("data", help="CSV file, rows = observations")
+    fit.add_argument("data_path", metavar="data", help="CSV file, rows = observations")
     chain_flags(fit)
     fit.add_argument("--standardize", action="store_true",
                      help="center and scale each column before fitting")
@@ -402,17 +405,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    chain = {"burn_in": args.burnin, "draws": args.draws, "r": args.r, "s": args.s}
+    args = vars(build_parser().parse_args(argv))
+    command, out_dir = args.pop("command"), args.pop("out")
     try:
-        if args.command == "fit":
-            return cmd_fit(args.data, ChainConfig(kind=args.sampler, **chain), args.out,
-                           seed=args.seed, standardize=args.standardize)
-        scenario = ScenarioConfig(design=args.design, p=args.p, n=args.n,
-                                  sampler=args.sampler, seed=args.seed, **chain,
-                                  replications=args.reps, threshold=args.threshold,
-                                  jobs=args.jobs)
-        return cmd_simulate(scenario, args.out)
+        if command == "fit":
+            return cmd_fit(FitConfig(**args), out_dir)
+        return cmd_simulate(ScenarioConfig(**args), out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ import pytest
 
 from bayesglasso import cli
 from bayesglasso.cli import (
+    FitConfig,
     ScenarioConfig,
     cmd_fit,
     cmd_simulate,
@@ -14,7 +15,7 @@ from bayesglasso.cli import (
 )
 from bayesglasso.matrixcore import load_matrix_csv, pd_check
 from bayesglasso.metrics import scores_from_counts
-from bayesglasso.sampler import SAMPLER_KINDS, ChainConfig
+from bayesglasso.sampler import SAMPLER_KINDS
 
 
 # ---------------------------------------------------------------- ingestion
@@ -196,9 +197,10 @@ def test_simulate_parallel_jobs_match_serial(tmp_path, kind):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
-def test_simulate_pool_has_no_idle_workers(tmp_path, monkeypatch):
-    # A stand-in pool that records its size and maps serially, so no
-    # worker process is started.
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A stand-in pool that records its size and maps serially, so no
+    worker process is started; returns the sizes it was opened with."""
     sizes = []
 
     class SerialPool:
@@ -215,10 +217,41 @@ def test_simulate_pool_has_no_idle_workers(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_simulate_pool_has_no_idle_workers(tmp_path, serial_pool):
     out = tmp_path / "run"
     cmd_simulate(small_scenario(replications=2, jobs=64), out)
-    assert sizes == [2]
+    assert serial_pool == [2]
     assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == 64
+
+
+def test_simulate_records_a_failed_replication_and_scores_the_rest(tmp_path, monkeypatch,
+                                                                    capsys):
+    run_chain = cli.run_chain
+    calls = []
+
+    def fail_second_chain(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("column 3 failed at stage beta")
+        return run_chain(*args)
+
+    monkeypatch.setattr(cli, "run_chain", fail_second_chain)
+    out = tmp_path / "run"
+    assert cmd_simulate(small_scenario(replications=3), out) == 1
+    error = "RuntimeError: column 3 failed at stage beta"
+    assert f"replication 1 failed: {error}" in capsys.readouterr().err
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert agg["replications_completed"] == 2
+    assert agg["failures"] == [{"replication": 1, "seed": 123, "stream_id": 1, "error": error}]
+    with open(out / "replications.csv", newline="") as fh:
+        assert [row["replication"] for row in csv.DictReader(fh)] == ["0", "2"]
+    audit = json.loads((out / "audit.json").read_text())
+    assert [a["replication"] for a in audit["per_replication"]] == [0, 2]
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing["replication_seconds"]) == {"0", "2"}
 
 
 def test_scenario_validation():
@@ -244,7 +277,7 @@ def test_fit_smoke_posterior_mean_pd(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=50, p=3)
     out = tmp_path / "fit"
-    rc = cmd_fit(data, ChainConfig(kind="hrs", burn_in=10, draws=30), out, seed=1)
+    rc = cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=10, draws=30, seed=1), out)
     assert rc == 0
     mean = load_matrix_csv(out / "posterior_mean.csv")
     assert mean.shape == (3, 3)
@@ -259,7 +292,7 @@ def test_fit_n_less_than_p_completes_clean(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=5, p=10)
     out = tmp_path / "fit"
-    rc = cmd_fit(data, ChainConfig(kind="hrs", burn_in=5, draws=15), out, seed=2)
+    rc = cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=5, draws=15, seed=2), out)
     assert rc == 0
     audit = json.loads((out / "audit.json").read_text())
     assert audit["violations"] == 0
@@ -271,9 +304,9 @@ def test_fit_deterministic(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=20, p=4)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    cfg = ChainConfig(kind="bgs", burn_in=4, draws=10)
-    cmd_fit(data, cfg, out1, seed=9)
-    cmd_fit(data, cfg, out2, seed=9)
+    cfg = FitConfig(data_path=data, sampler="bgs", burn_in=4, draws=10, seed=9)
+    cmd_fit(cfg, out1)
+    cmd_fit(cfg, out2)
     assert (out1 / "posterior_mean.csv").read_bytes() == \
         (out2 / "posterior_mean.csv").read_bytes()
 
@@ -282,7 +315,20 @@ def test_fit_rejects_single_row(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("1,2,3\n")
     with pytest.raises(ValueError, match="at least 2 rows"):
-        cmd_fit(data, ChainConfig(kind="hrs", burn_in=1, draws=2), tmp_path / "out")
+        cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=1, draws=2),
+                tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_fit_rejects_single_column(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n3\n")
+    out = tmp_path / "out"
+    rc = main(["fit", str(data), "--sampler", "bgs", "--burnin", "1", "--draws", "2",
+               "--out", str(out)])
+    assert rc == 1
+    assert "at least 2 columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- audit.json
@@ -317,11 +363,38 @@ def test_manifest_config_keys_are_pinned(tmp_path):
     data = tmp_path / "data.csv"
     write_synthetic(data, n=6, p=3)
     cmd_simulate(small_scenario(replications=1), tmp_path / "simulate")
-    cmd_fit(data, ChainConfig(kind="bgs", burn_in=1, draws=2), tmp_path / "fit")
+    cmd_fit(FitConfig(data_path=data, sampler="bgs", burn_in=1, draws=2), tmp_path / "fit")
     for command, keys in (("simulate", SCENARIO_KEYS), ("fit", FIT_KEYS)):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["command"] == command
         assert set(manifest["config"]) == keys, command
+
+
+def test_main_manifest_config_echoes_every_flag(tmp_path, serial_pool):
+    # Every flag at a value other than its default, read back from the
+    # manifest under its config name.  --jobs 2 maps on the serial stand-in
+    # pool, so no worker process starts.
+    chain = {"burn_in": 2, "draws": 3, "r": 0.5, "s": 0.25, "seed": 7}
+    chain_argv = ["--burnin", "2", "--draws", "3", "--r", "0.5", "--s", "0.25", "--seed", "7"]
+    out = tmp_path / "simulate"
+    rc = main(["simulate", "--design", "circle", "--p", "5", "--n", "9", "--sampler", "hrs",
+               *chain_argv, "--reps", "2", "--threshold", "0.05", "--jobs", "2",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"design": "circle", "p": 5, "n": 9, "sampler": "hrs",
+                                  **chain, "replications": 2, "threshold": 0.05, "jobs": 2}
+    assert serial_pool == [2]
+
+    data = tmp_path / "data.csv"
+    write_synthetic(data, n=6, p=4)
+    out = tmp_path / "fit"
+    rc = main(["fit", str(data), "--sampler", "bgs", *chain_argv, "--standardize",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"data_path": str(data), "sampler": "bgs", **chain,
+                                  "standardize": True, "n": 6, "p": 4}
 
 
 # ---------------------------------------------------------------- main/exits

@@ -53,7 +53,7 @@ def cli_examples():
 
 def test_readme_cli_examples_parse():
     sim, one, fit = (build_parser().parse_args(argv[1:]) for argv in cli_examples())
-    assert (sim.command, sim.p, sim.reps) == ("simulate", 30, 50)
-    assert (one.command, one.sampler, one.reps, one.burnin, one.draws) == \
+    assert (sim.command, sim.p, sim.replications) == ("simulate", 30, 50)
+    assert (one.command, one.sampler, one.replications, one.burn_in, one.draws) == \
         ("simulate", "bgs", 1, 0, 1000)
-    assert (fit.command, fit.data, fit.standardize) == ("fit", "returns.csv", True)
+    assert (fit.command, fit.data_path, fit.standardize) == ("fit", "returns.csv", True)
