@@ -228,7 +228,7 @@ def _bootstrap_se_of_median(values, seed):
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         return math.nan
-    gen = RngStream(seed, _BOOTSTRAP_STREAM).gen
+    gen = RngStream(seed, _BOOTSTRAP_STREAM)
     idx = gen.integers(0, vals.size, size=(_BOOTSTRAP_RESAMPLES, vals.size))
     meds = np.median(vals[idx], axis=1)
     return float(np.std(meds, ddof=1))
@@ -332,7 +332,11 @@ def _pool_audits(audits):
 
 
 def cmd_fit(config, out_dir):
-    """One chain on the data of the CSV file at config.data_path."""
+    """One chain on the data of the CSV file at config.data_path.
+
+    The output directory is made once the chain has run, so data that the
+    chain rejects, or a chain that fails, writes nothing.
+    """
     config.validate()
     values = ingest_csv(config.data_path, standardize=config.standardize)
     n, p = values.shape
@@ -341,8 +345,8 @@ def cmd_fit(config, out_dir):
     if p < 2:
         raise ValueError(f"need at least 2 columns of data, found {p}")
 
-    out = _open_run(out_dir, "fit", {**asdict(config), "n": n, "p": p})
     result = run_chain(scatter_matrix(values), n, config.chain_config(), RngStream(config.seed))
+    out = _open_run(out_dir, "fit", {**asdict(config), "n": n, "p": p})
     save_matrix_csv(result.omega_mean, out / "posterior_mean.csv")
     save_matrix_csv(unit_diag_scale(result.omega_mean),
                     out / "posterior_mean_unit_diag.csv")

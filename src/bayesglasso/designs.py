@@ -97,7 +97,7 @@ def simulate_data(model, n, rng):
     if L is None:
         raise ValueError("true covariance not positive definite")
     p = model.sigma_true.shape[0]
-    return rng.gen.standard_normal((n, p)) @ L.T
+    return rng.standard_normal((n, p)) @ L.T
 
 
 def scatter_matrix(Y):

@@ -1,7 +1,7 @@
 """Seeded random variate generation for the Gibbs samplers.
 
-All randomness flows through :class:`RngStream`, a thin wrapper over
-numpy's Philox counter-based bit generator keyed by ``(seed, stream_id)``.
+All randomness flows through :class:`RngStream`, a numpy ``Generator`` on
+the Philox counter-based bit generator keyed by ``(seed, stream_id)``.
 Equal keys give bitwise-identical draw sequences; distinct stream ids give
 statistically independent streams, which is how replications are seeded
 when they run in parallel.
@@ -13,19 +13,12 @@ import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
 
-class RngStream:
+class RngStream(np.random.Generator):
     """One deterministic random stream, owned by a single worker at a time."""
 
-    __slots__ = ("seed", "stream_id", "gen")
-
     def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self.gen = np.random.Generator(np.random.Philox(key))
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        key = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+        super().__init__(np.random.Philox(key))
 
 
 def sample_truncated_normal(mu, lo, hi, u):

@@ -60,11 +60,15 @@ so each sweep makes one copy of it with a zero diagonal, and s12 is a row
 view of that copy.  beta is the one row copied, because omega keeps its
 diagonal.  The sweep reads omega22 before the column's writes and computes
 ``c = s22 + 2 lambda22`` once, for the C^{-1} factor, the hrs step and the
-gamma rate.  Besides the bank and each block's rows of |omega|, rates and
-scales, a sweep allocates one p x p workspace and its diagonal view, in
-which every column forms and factors C^{-1}, once for either sampler.  The
-tau draw works in place in the block's rows of |omega| and of bank 4
-below, which nothing reads afterwards.
+gamma rate.  Besides the bank and each block's shrinkage arrays, a sweep
+allocates one p x p workspace and its diagonal view, in which every column
+forms and factors C^{-1}, once for either sampler.
+
+Code that runs once per column keeps its speed idioms: scalars read with
+``.item()``, banks as lists, the workspace, and positional f2py calls and
+``dscal``, measured below.  Code that runs once per sweep or once per
+shrinkage block, the bank transforms and the lambda/tau draws, is written
+as its formula, and its helpers only read their arguments.
 
 The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
@@ -200,11 +204,6 @@ SHRINKAGE_BLOCK = 16
 # scale drawn read 1.24e-261 for both samplers.
 S_FLOOR = 1e-250
 
-# The same constants as 0-d arrays: numpy ufuncs take a 0-d array operand
-# faster than a Python float.
-_EPS_OMEGA = np.array(EPS_OMEGA)
-_ONE, _TWO = np.array(1.0), np.array(2.0)
-
 # The BLAS and LAPACK routines of the column update, bound once and called
 # positionally (see the module docstring).  Above each, the f2py signature
 # its calls follow; tests/test_sampler.py pins these lines.
@@ -325,12 +324,20 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     unit shrinkage rates where it has not drawn them yet.
 
     r and s are taken as valid: :func:`run_chain` validates its ChainConfig
-    before calling this.
+    before calling this.  Every S_jj must be positive: with S_jj = 0, as an
+    all-zero data column gives, the marginal posterior of column j's Schur
+    complement gamma behaves like gamma**(n/2) (gamma + s)**-(r + 1), which
+    does not integrate.
     """
     scatter = check_symmetric(scatter, "scatter")
     p = scatter.shape[0]
     if p < 2:
         raise ValueError("need at least two variables")
+    # Written so that NaN, which fails every comparison, is rejected.
+    for j, s_jj in enumerate(scatter.diagonal().tolist()):
+        if not s_jj > 0.0:
+            raise ValueError(f"variable {j} has S_jj = {s_jj!r}, not > 0, so the posterior "
+                             "is improper (is its data column all zeros?)")
     if n < 1:
         raise ValueError("sample size must be positive")
     return GibbsState(
@@ -496,8 +503,7 @@ def update_lambda_column(abs_omega, s, g):
     Ga(r + 1, 1).  Entry (i - t, i) of the result is column i's diagonal
     rate, the others of row i - t its off-diagonal rates.
     """
-    rates = np.add(abs_omega, s)
-    return np.divide(g, rates, out=rates)
+    return g / (abs_omega + s)
 
 
 def update_tau_column(lam, abs_omega, half_nu2, odds):
@@ -514,22 +520,13 @@ def update_tau_column(lam, abs_omega, half_nu2, odds):
     This form has no cancellation, so it needs no floor.  The arguments
     are arrays of one shape, the block's rows in :func:`sweep`.  half_nu2
     holds nu**2 / 2 and odds holds u / (1 - u), one per entry: u (r + 1) <=
-    r is odds <= r.  abs_omega is overwritten with a, and half_nu2 is used
-    as scratch; lam and odds are only read.
+    r is odds <= r.  The draw is pure: it reads its arguments, abs_omega
+    included, and returns a new array.
     """
-    a = np.maximum(abs_omega, _EPS_OMEGA, out=abs_omega)
-    r = np.multiply(a, lam)
-    k = np.divide(half_nu2, r, out=half_nu2)
-    np.add(k, _TWO, out=r)
-    r *= k
-    np.sqrt(r, out=r)
-    k += _ONE
-    r += k
-    small = np.greater(odds, r)
-    np.reciprocal(r, out=k)
-    np.copyto(r, k, where=small)
-    r *= np.divide(a, lam, out=k)
-    return r
+    a = np.maximum(abs_omega, EPS_OMEGA)
+    k = half_nu2 / (a * lam)
+    r = 1.0 + k + np.sqrt(k * (k + 2.0))
+    return np.where(odds <= r, r, 1.0 / r) * (a / lam)
 
 
 def sweep(state, kind, audit, rng):
@@ -576,9 +573,7 @@ def sweep(state, kind, audit, rng):
     sigma_t = sigma.T  # BLAS's view: its lower triangle is sigma's upper one
     first_sweep = state.sigma is None
     if not first_sweep:
-        # The carried Sigma is replaced, so its memory takes the difference.
-        gap = np.subtract(state.sigma, sigma, out=state.sigma)
-        drift = float(np.abs(gap, out=gap).max() / abs(sigma).max())
+        drift = float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())
         audit.sigma_drift_max = max(audit.sigma_drift_max, drift)
     state.sigma = sigma
     hrs = kind == "hrs"
@@ -594,21 +589,16 @@ def sweep(state, kind, audit, rng):
     # the one of the mirror that ends the sweep.
     lower = strict_lower(p)
     end = 0
-    s = np.array(state.s)  # a ufunc takes a 0-d array faster than a float
 
-    gen = rng.gen
-    z_bank = gen.standard_normal((p, p))
+    z_bank = rng.standard_normal((p, p))
     z_bank.flat[:: p + 1] = 0.0
-    gamma_bank = gen.standard_gamma(state.n / 2.0 + 1.0, p).tolist()
-    lambda_bank = gen.standard_gamma(state.r + 1.0, (p, p))
-    half_nu2_bank = gen.standard_normal((p, p))
-    half_nu2_bank *= half_nu2_bank
-    half_nu2_bank *= 0.5
-    u_bank = gen.random((p, p))
-    odds_bank = np.subtract(1.0, u_bank)
-    np.divide(u_bank, odds_bank, out=odds_bank)
+    gamma_bank = rng.standard_gamma(state.n / 2.0 + 1.0, p).tolist()
+    lambda_bank = rng.standard_gamma(state.r + 1.0, (p, p))
+    half_nu2_bank = rng.standard_normal((p, p)) ** 2 / 2.0
+    u_bank = rng.random((p, p))
+    odds_bank = u_bank / (1.0 - u_bank)
     if hrs:
-        kappa_bank = gen.random(p).tolist()
+        kappa_bank = rng.random(p).tolist()
 
     for i in range(p):
         stage = "lambda"
@@ -616,7 +606,7 @@ def sweep(state, kind, audit, rng):
             if i == end:
                 start, end = i, min(i + block, p)
                 abs_omega = np.abs(omega[start:end])
-                lam = update_lambda_column(abs_omega, s, lambda_bank[start:end])
+                lam = update_lambda_column(abs_omega, state.s, lambda_bank[start:end])
 
                 stage = "tau"
                 tau = update_tau_column(lam, abs_omega, half_nu2_bank[start:end],

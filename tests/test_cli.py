@@ -331,6 +331,22 @@ def test_main_fit_rejects_single_column(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_main_fit_rejects_an_all_zero_column(kind, tmp_path, capsys):
+    # Its S_jj = 0 makes the posterior improper: the chain must refuse it
+    # before drawing, and fit must leave no output directory behind.
+    values = np.random.default_rng(1).standard_normal((8, 4))
+    values[:, 3] = 0.0
+    data = tmp_path / "data.csv"
+    np.savetxt(data, values, delimiter=",")
+    out = tmp_path / "out"
+    rc = main(["fit", str(data), "--sampler", kind, "--burnin", "10", "--draws", "50",
+               "--seed", "2", "--out", str(out)])
+    assert rc == 1
+    assert "variable 3 has S_jj = 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- audit.json
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)

@@ -26,23 +26,33 @@ def inverse_gaussian(mean, shape, gen):
 def test_streams_deterministic():
     a = RngStream(123, 5)
     b = RngStream(123, 5)
-    assert np.array_equal(a.gen.random(64), b.gen.random(64))
+    assert np.array_equal(a.random(64), b.random(64))
     a2 = RngStream(123, 5)
     b2 = RngStream(123, 5)
-    draws_a = [a2.gen.standard_gamma(2.0) for _ in range(10)]
-    draws_b = [b2.gen.standard_gamma(2.0) for _ in range(10)]
+    draws_a = [a2.standard_gamma(2.0) for _ in range(10)]
+    draws_b = [b2.standard_gamma(2.0) for _ in range(10)]
     assert draws_a == draws_b
+
+
+@pytest.mark.parametrize("seed,stream_id", [(0, 0), (123, 5), (2**40, 3)])
+def test_stream_is_a_philox_generator_keyed_by_seed_and_stream(seed, stream_id):
+    rng = RngStream(seed, stream_id)
+    assert isinstance(rng, np.random.Generator)
+    key = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    plain = np.random.Generator(np.random.Philox(key))
+    assert np.array_equal(rng.random(32), plain.random(32))
+    assert np.array_equal(rng.standard_gamma(1.5, 16), plain.standard_gamma(1.5, 16))
 
 
 def test_distinct_streams_differ():
     a = RngStream(123, 0)
     b = RngStream(123, 1)
-    assert not np.array_equal(a.gen.random(16), b.gen.random(16))
+    assert not np.array_equal(a.random(16), b.random(16))
 
 
 def test_inverse_gaussian_moments():
     # IG(2, 1): mean 2, variance mean^3/shape = 8
-    gen = RngStream(5).gen
+    gen = RngStream(5)
     draws = inverse_gaussian(np.full(N_DRAWS, 2.0), 1.0, gen)
     se_mean = math.sqrt(8.0 / N_DRAWS)
     assert abs(draws.mean() - 2.0) < 4 * se_mean
@@ -51,7 +61,7 @@ def test_inverse_gaussian_moments():
 
 
 def test_inverse_gaussian_support_and_errors():
-    gen = RngStream(6).gen
+    gen = RngStream(6)
     draws = inverse_gaussian(np.full(5000, 0.3), 0.2, gen)
     assert np.all(draws > 0)
     assert inverse_gaussian(np.ones(1), 1.0, gen)[0] > 0
@@ -78,7 +88,7 @@ def msh_tau(lam, a, nu, u):
 
 
 def test_update_tau_closed_form_matches_msh_oracle():
-    gen = RngStream(25).gen
+    gen = RngStream(25)
     grid = np.logspace(-3.0, 3.0, 13)
     lam, a = (v.ravel().repeat(8) for v in np.meshgrid(grid, grid))
     nu, u = gen.standard_normal(lam.shape), gen.random(lam.shape)
@@ -101,7 +111,7 @@ def test_update_tau_huge_k_stays_finite():
     # |omega| = 1e-10 and lam = 1e-6 put k = nu**2 / (2 a lam) beyond 1e12.
     # There the published transform, in floating point, cancels its smaller
     # root to zero or below on about 40% of these draws.
-    gen = RngStream(26).gen
+    gen = RngStream(26)
     nu, u = gen.standard_normal(10_000), gen.random(10_000)
     nu[np.abs(nu) < 0.015] = 0.015
     lam, a = np.full(10_000, 1e-6), np.full(10_000, 1e-10)
@@ -117,7 +127,7 @@ def test_inverse_gaussian_extreme_parameters_stay_finite():
     # Extreme rates a chain draws at the default r and s: a small rate with
     # |omega| at or below its EPS_OMEGA floor, and a rate near the mean of
     # Ga(1.01, 1e-6), 1e6, with a large or a zero |omega|.
-    gen = RngStream(7).gen
+    gen = RngStream(7)
     for lam, abs_omega in ((1e-6, 0.0), (1e-6, EPS_OMEGA), (1e6, 1e3), (1e6, 0.0)):
         tau = inverse_gaussian(np.full(1000, lam / max(abs_omega, EPS_OMEGA)), lam * lam, gen)
         assert np.all(np.isfinite(tau))
@@ -127,7 +137,7 @@ def test_inverse_gaussian_extreme_parameters_stay_finite():
 def truncnorm_draws(mu, lo, hi, seed, n):
     """n draws of the truncated normal, one banked-style uniform each."""
     return np.array([sample_truncated_normal(mu, lo, hi, u)
-                     for u in RngStream(seed).gen.random(n).tolist()])
+                     for u in RngStream(seed).random(n).tolist()])
 
 
 def test_truncnorm_symmetric_interval():

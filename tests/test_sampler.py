@@ -279,7 +279,7 @@ def test_bgs_beta_centered_case():
     # s12 = 0 makes the conditional mean zero
     c = 1.0 + 2.0 * 0.5
     L = c_factor(np.eye(3), c, np.ones(3))
-    gen = RngStream(1).gen
+    gen = RngStream(1)
     draws = np.array([bgs_update_beta(L, np.zeros(3), gen.standard_normal(3))
                       for _ in range(10_000)])
     C = compute_c_matrix(np.eye(3), c, np.ones(3))
@@ -292,7 +292,7 @@ def test_bgs_beta_mean_matches_formula():
     C = compute_c_matrix(np.eye(2), c, tau12)
     expect = -C @ s12
     L = c_factor(np.eye(2), c, tau12)
-    gen = RngStream(2).gen
+    gen = RngStream(2)
     draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(2)) for _ in range(100_000)])
     se = np.sqrt(np.diag(C) / 100_000)
     assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
@@ -309,7 +309,7 @@ def test_bgs_single_factor_draw_moments():
     C = compute_c_matrix(inv, c, tau12)
     L = c_factor(inv, c, tau12)
     n = 40_000
-    gen = RngStream(41).gen
+    gen = RngStream(41)
     draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(3)) for _ in range(n)])
     se_mean = np.sqrt(np.diag(C) / n)
     assert np.all(np.abs(draws.mean(axis=0) + C @ s12) < 4 * se_mean)
@@ -342,7 +342,7 @@ def test_hit_and_run_interval_brackets_zero():
         inv = spd_inverse(omega11)
         beta = rng.standard_normal(p1)
         gamma = float(np.abs(rng.standard_normal()) + 1e-6)
-        alpha = stream.gen.standard_normal(p1)
+        alpha = stream.standard_normal(p1)
         alpha /= math.sqrt(float(alpha @ alpha))
         v = inv @ alpha
         lo, hi = hit_and_run_interval(float(alpha @ v), float(beta @ v), gamma)
@@ -400,7 +400,7 @@ def test_hrs_beta_always_feasible():
         tau12 = np.abs(rng.standard_normal(p1)) + 0.05
         c = s22 + 2.0 * float(np.abs(rng.standard_normal()) + 0.05)
         new_beta = hrs_update_beta(c_factor(inv, c, tau12), inv, s12, c, tau12, beta, omega22,
-                                   stream.gen.standard_normal(p1), stream.gen.random())
+                                   stream.standard_normal(p1), stream.random())
         assert new_beta @ inv @ new_beta < omega22
 
 
@@ -471,9 +471,9 @@ def test_hrs_unbounded_matches_bgs_distribution():
     h = RngStream(8)
     b = RngStream(9)
     hrs_draws = np.array([hrs_update_beta(L, inv, s12, c, tau12, beta0, omega22,
-                                          h.gen.standard_normal(1), h.gen.random())[0]
+                                          h.standard_normal(1), h.random())[0]
                           for _ in range(n)])
-    bgs_draws = np.array([bgs_update_beta(L, s12, b.gen.standard_normal(1))[0]
+    bgs_draws = np.array([bgs_update_beta(L, s12, b.standard_normal(1))[0]
                           for _ in range(n)])
     C = compute_c_matrix(inv, c, tau12)[0, 0]
     se_mean = math.sqrt(C / n)
@@ -485,7 +485,7 @@ def test_hrs_unbounded_matches_bgs_distribution():
 
 def test_update_gamma_moments_and_support():
     # s22 = 1, lambda22 = 0.5: the rate c/2 is 1
-    g = RngStream(10).gen.standard_gamma(50 / 2 + 1, 100_000)
+    g = RngStream(10).standard_gamma(50 / 2 + 1, 100_000)
     draws = update_gamma(1.0 + 2.0 * 0.5, g)
     assert np.all(draws > 0)
     # Ga(26, 1): mean 26
@@ -494,7 +494,7 @@ def test_update_gamma_moments_and_support():
 
 def test_update_lambda_moments():
     # r=1, s=1, |omega|=1: Ga(2, 2) has mean 1
-    g = RngStream(11).gen.standard_gamma(1.0 + 1.0, 100_001)
+    g = RngStream(11).standard_gamma(1.0 + 1.0, 100_001)
     rates = update_lambda_column(np.ones(100_001), 1.0, g)
     assert abs(rates.mean() - 1.0) < 0.02
     assert np.all(rates > 0)
@@ -502,7 +502,7 @@ def test_update_lambda_moments():
 
 def test_update_lambda_is_not_clamped():
     # r=0.01, s=1e-6, omega=0: the rates are Ga(1.01, 1e-6), mean 1.01e6
-    g = RngStream(12).gen.standard_gamma(0.01 + 1.0, 10_001)
+    g = RngStream(12).standard_gamma(0.01 + 1.0, 10_001)
     rates = update_lambda_column(np.append(np.zeros(10_000), 1.0), 1e-6, g)
     lam12 = rates[:-1]
     assert rates[-1] > 0
@@ -523,7 +523,7 @@ def test_update_tau_ig_mean_oracle():
     # 1/tau ~ IG(mean lam/a, shape lam**2): variance mean**3/shape = lam/a**3,
     # excess kurtosis 15 mean/shape.
     n = 200_000
-    gen = RngStream(13).gen
+    gen = RngStream(13)
     for lam, a in ((1.0, 1.0), (3.0, 0.5)):
         x = 1.0 / tau_draws(np.full(n, lam), np.full(n, a), gen)
         mean, var = lam / a, lam / a ** 3
@@ -533,12 +533,32 @@ def test_update_tau_ig_mean_oracle():
 
 
 def test_update_tau_zero_omega_floored():
-    tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14).gen)
+    tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14))
     assert np.all(np.isfinite(tau))
     assert np.all(tau > 0)
     # |omega| = 0 draws exactly as |omega| = EPS_OMEGA, its floor.
-    floor = tau_draws(np.ones(1000), np.full(1000, EPS_OMEGA), RngStream(14).gen)
+    floor = tau_draws(np.ones(1000), np.full(1000, EPS_OMEGA), RngStream(14))
     assert np.array_equal(tau, floor)
+
+
+def test_shrinkage_draws_leave_their_arguments_unchanged():
+    # Both helpers only read: |omega| keeps its exact 0.0, below the floor
+    # EPS_OMEGA that the tau draw applies, and the bank rows stay as drawn.
+    gen = RngStream(15)
+    abs_omega = np.abs(gen.standard_normal((3, 6)))
+    abs_omega[0, 2] = 0.0
+    g = gen.standard_gamma(1.01, (3, 6))
+    nu, u = gen.standard_normal((3, 6)), gen.random((3, 6))
+    half_nu2, odds = nu * nu * 0.5, u / (1.0 - u)
+    args = (abs_omega, g, half_nu2, odds)
+    before = [a.copy() for a in args]
+    lam = update_lambda_column(abs_omega, 1e-6, g)
+    lam_before = lam.copy()
+    tau = update_tau_column(lam, abs_omega, half_nu2, odds)
+    for name, a, b in zip(("abs_omega", "g", "half_nu2", "odds"), args, before, strict=True):
+        assert a.tobytes() == b.tobytes(), name
+    assert lam.tobytes() == lam_before.tobytes()
+    assert np.all(tau > 0.0)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -824,14 +844,13 @@ def reference_sweep(st, kind, rng, first_sweep):
         blas.dsyr(alpha, x, a=a.T, lower=1, overwrite_a=1)
         return represented(a)
 
-    gen = rng.gen
     p = st.omega.shape[0]
     omega = st.omega
     sigma = invert_from_factor(pd_check(omega))
-    Z, G_gamma, G_lambda, NU, U = draw_bank(gen, p, st.n, st.r)
+    Z, G_gamma, G_lambda, NU, U = draw_bank(rng, p, st.n, st.r)
     np.fill_diagonal(Z, 0.0)
     if kind == "hrs":
-        K = gen.random(p)
+        K = rng.random(p)
     violations = 0
     block = 1 if first_sweep else sampler.SHRINKAGE_BLOCK
     for i in range(p):
@@ -910,7 +929,7 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
         assert np.array_equal(getattr(st, name), getattr(ref, name)), name
     assert (audit.updates_total, audit.violations) == (updates, violations)
     # both streams sit at the same position afterwards
-    assert rng.gen.random() == ref_rng.gen.random()
+    assert rng.random() == ref_rng.random()
     if kind == "bgs" and design == "circle":
         assert violations > 0  # the audit branch is exercised, not just zero
 
@@ -959,9 +978,9 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     for k in range(3):
         del seen[:], cs[:], s12s[:]
         sweep(st, kind, ViolationAudit(), rng)
-        _, _, G_lambda, NU, U = draw_bank(twin.gen, p, n, st.r)
+        _, _, G_lambda, NU, U = draw_bank(twin, p, n, st.r)
         if kind == "hrs":
-            twin.gen.random(p)
+            twin.random(p)
         assert [i for i, *_ in seen] == list(range(p))
         np.testing.assert_array_equal(s12s, s12_expect)
         block = 1 if k == 0 else sampler.SHRINKAGE_BLOCK
@@ -983,7 +1002,7 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
             for j in range(i + 1, end):
                 assert tau12[j] == tau[j]
                 assert seen[j][2][i] == tau12[j], (i, j)
-    assert rng.gen.random() == twin.gen.random()
+    assert rng.random() == twin.random()
 
 
 def test_sweeps_leave_scatter_unchanged():
@@ -1007,14 +1026,14 @@ def test_sweep_stream_is_fixed_shape(kind):
     for _ in range(3):
         sweep(st2, kind, ViolationAudit(), RngStream(52))
     fresh = RngStream(53)
-    draw_bank(fresh.gen, p, 30, st1.r)
+    draw_bank(fresh, p, 30, st1.r)
     if kind == "hrs":
-        fresh.gen.random(p)
+        fresh.random(p)
     rng1, rng2 = RngStream(53), RngStream(53)
     sweep(st1, kind, ViolationAudit(), rng1)
     sweep(st2, kind, ViolationAudit(), rng2)
     assert not np.array_equal(st1.omega, st2.omega)
-    assert rng1.gen.random() == rng2.gen.random() == fresh.gen.random()
+    assert rng1.random() == rng2.random() == fresh.random()
 
 
 def test_sigma_drift_is_recorded_and_small():
@@ -1123,6 +1142,17 @@ def test_chain_config_rejects_an_s_below_the_floor():
     ChainConfig(s=S_FLOOR).validate()
     with pytest.raises(ValueError, match="at least"):
         ChainConfig(s=1e-300).validate()
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_run_chain_rejects_a_scatter_diagonal_not_positive(kind, bad):
+    # S_jj = 0, an all-zero data column, leaves omega_jj's posterior
+    # improper.  (A NaN S_jj already fails the symmetry check.)
+    S = np.eye(4)
+    S[2, 2] = bad
+    with pytest.raises(ValueError, match="variable 2 has S_jj"):
+        run_chain(S, 8, ChainConfig(kind=kind, burn_in=1, draws=2), RngStream(1))
 
 
 def test_run_chain_validates_config():
