@@ -12,9 +12,13 @@ Each command's settings are one dataclass, :class:`ScenarioConfig` or
 :class:`FitConfig`.  Both extend :class:`RunConfig`, which declares the
 settings they share (sampler, burn_in, draws, r, s, seed) with
 :class:`~bayesglasso.sampler.ChainConfig`'s defaults and validates them.
-Each flag's argparse ``dest`` is its field name, so :func:`main` builds a
-config from the parsed flags as they are, and each output directory's
-manifest is that config as a dict (fit adds the data's n and p).
+Each flag's argparse ``dest`` is its field name, and the parser states no
+defaults: a flag left out is absent from the parsed namespace, so
+:func:`main` builds a config from the parsed flags as they are and the
+config's own defaults fill in the rest.  Each output directory's manifest
+is that config as a dict (fit adds the data's n and p), replications.csv
+has the columns of its rows and audit.json the fields of
+:class:`~bayesglasso.sampler.ViolationAudit`.
 Wall-clock numbers go to a separate timing file so that everything else
 is byte-identical across reruns with the same seed.
 
@@ -29,7 +33,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +42,13 @@ from . import __version__
 from .designs import DESIGN_KINDS, GraphDesign, build_design, scatter_matrix, simulate_data
 from .distributions import RngStream
 from .matrixcore import save_matrix_csv
-from .metrics import (
-    adjacency_from_estimate,
-    frobenius_loss,
-    scores_from_counts,
-    stein_loss,
-    structure_scores,
-    unit_diag_scale,
-)
+from .metrics import (StructureScores, adjacency_from_estimate, frobenius_loss,
+                      scores_from_counts, stein_loss, structure_scores, unit_diag_scale)
 from .sampler import SAMPLER_KINDS, ChainConfig, ViolationAudit, run_chain
 
 REPLICATION_COLUMNS = [
     "design", "p", "n", "sampler", "replication", "stein", "frobenius",
-    "tp", "tn", "fp", "fn", "specificity", "sensitivity", "mcc",
+    *(f.name for f in fields(StructureScores)),
 ]
 
 # Stream id offset for the bootstrap resampler so it never collides with a
@@ -138,15 +136,16 @@ def ingest_csv(path, standardize=False):
     if not raw:
         raise ValueError(f"{path}: empty file")
 
-    header_width = None
     first = raw[0][1]
-    if all(c.strip() for c in first) and not all(_is_number(c) for c in first):
-        header_width = len(raw[0][1])
+    header = all(c.strip() for c in first) and not all(_is_number(c) for c in first)
+    if header:
         raw = raw[1:]
         if not raw:
             raise ValueError(f"{path}: header row but no data")
 
     width = len(raw[0][1])
+    if header and len(first) != width:
+        raise ValueError(f"{path}: header has {len(first)} labels for {width} columns")
     values = np.empty((len(raw), width))
     for k, (lineno, row) in enumerate(raw):
         if len(row) != width:
@@ -163,9 +162,6 @@ def ingest_csv(path, standardize=False):
                 raise ValueError(
                     f"{path}: row {lineno}, column {j + 1}: non-finite value {cell!r}")
             values[k, j] = v
-
-    if header_width is not None and header_width != width:
-        raise ValueError(f"{path}: header has {header_width} labels for {width} columns")
 
     if standardize:
         if values.shape[0] < 2:
@@ -280,15 +276,9 @@ def cmd_simulate(scenario, out_dir):
 
 def _write_replication_csv(path, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPLICATION_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in REPLICATION_COLUMNS])
-
-
-def _csv_cell(v):
-    # repr keeps the full round-trip precision of floats.
-    return repr(float(v)) if isinstance(v, float) else str(v)
+        writer = csv.DictWriter(fh, REPLICATION_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _aggregate(scenario, rows, failures):
@@ -314,13 +304,8 @@ def _aggregate(scenario, rows, failures):
 
 
 def _audit_summary(audit):
-    """The audit.json form of a ViolationAudit."""
-    return {
-        "updates_total": audit.updates_total,
-        "violations": audit.violations,
-        "violation_ratio_percent": audit.ratio_percent,
-        "sigma_drift_max": audit.sigma_drift_max,
-    }
+    """The audit.json form of a ViolationAudit: its fields and its ratio."""
+    return {**asdict(audit), "violation_ratio_percent": audit.ratio_percent}
 
 
 def _pool_audits(audits):
@@ -380,26 +365,27 @@ def build_parser():
 
     def chain_flags(sp):
         sp.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
-        sp.add_argument("--burnin", dest="burn_in", metavar="BURNIN", type=int,
-                        default=RunConfig.burn_in)
-        sp.add_argument("--draws", type=int, default=RunConfig.draws)
-        sp.add_argument("--seed", type=int, default=RunConfig.seed)
-        sp.add_argument("--r", type=float, default=RunConfig.r)
-        sp.add_argument("--s", type=float, default=RunConfig.s)
+        sp.add_argument("--burnin", dest="burn_in", metavar="BURNIN", type=int)
+        sp.add_argument("--draws", type=int)
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--r", type=float)
+        sp.add_argument("--s", type=float)
         sp.add_argument("--out", required=True, help="output directory")
 
-    sim = sub.add_parser("simulate", help="replicated simulation campaign")
+    # A flag left out stays out of the namespace, so the config's default
+    # applies.
+    sim = sub.add_parser("simulate", help="replicated simulation campaign",
+                         argument_default=argparse.SUPPRESS)
     sim.add_argument("--design", required=True, choices=DESIGN_KINDS)
     sim.add_argument("--p", required=True, type=int, help="number of variables")
     sim.add_argument("--n", required=True, type=int, help="sample size")
     chain_flags(sim)
-    sim.add_argument("--reps", dest="replications", metavar="REPS", type=int,
-                     default=ScenarioConfig.replications)
-    sim.add_argument("--threshold", type=float, default=ScenarioConfig.threshold)
-    sim.add_argument("--jobs", type=int, default=ScenarioConfig.jobs,
-                     help="replication worker processes")
+    sim.add_argument("--reps", dest="replications", metavar="REPS", type=int)
+    sim.add_argument("--threshold", type=float)
+    sim.add_argument("--jobs", type=int, help="replication worker processes")
 
-    fit = sub.add_parser("fit", help="fit a user-supplied CSV data matrix")
+    fit = sub.add_parser("fit", help="fit a user-supplied CSV data matrix",
+                         argument_default=argparse.SUPPRESS)
     fit.add_argument("data_path", metavar="data", help="CSV file, rows = observations")
     chain_flags(fit)
     fit.add_argument("--standardize", action="store_true",

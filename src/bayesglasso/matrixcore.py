@@ -24,10 +24,17 @@ _dpotri = lapack.dpotri
 
 
 def check_symmetric(M, name="matrix"):
-    """Validate and return a square, exactly symmetric float array."""
+    """Validate and return a square, finite, exactly symmetric float array.
+
+    A non-finite entry is named before symmetry is tested: NaN is unequal
+    to itself, so it would otherwise read as asymmetry.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        raise ValueError(f"{name} has a non-finite entry at {tuple(bad[0].tolist())}")
     if not np.array_equal(M, M.T):
         raise ValueError(f"{name} is not symmetric")
     return M

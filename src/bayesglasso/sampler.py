@@ -218,10 +218,6 @@ _dscal = blas.dscal
 # x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
 _dtrtrs = lapack.dtrtrs
 
-# dsyr updates its a in place only when a.T is a C-ordered float64 array;
-# on any other, f2py updates and returns a copy.
-_NOT_IN_PLACE = "the rank-1 update needs a C-ordered float64 array"
-
 
 @dataclass
 class ChainConfig:
@@ -336,8 +332,8 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     # Written so that NaN, which fails every comparison, is rejected.
     for j, s_jj in enumerate(scatter.diagonal().tolist()):
         if not s_jj > 0.0:
-            raise ValueError(f"variable {j} has S_jj = {s_jj!r}, not > 0, so the posterior "
-                             "is improper (is its data column all zeros?)")
+            raise ValueError(f"variable {j} (0-based) has S_jj = {s_jj!r}, not > 0, so the "
+                             "posterior is improper (is its data column all zeros?)")
     if n < 1:
         raise ValueError("sample size must be positive")
     return GibbsState(
@@ -370,9 +366,13 @@ def make_partition(state, i, sigma, tau12):
     sigma[i, :i] = sigma[:i, i]
     u = _dscal(1.0 / math.sqrt(sigma[i, i]), sigma[i].copy())
     # sigma -= u u' on the lower triangle of sigma.T, BLAS's view of it.
+    # dsyr updates its a in place only when a.T is a C-ordered float64
+    # array; on any other, f2py updates and returns a copy.  This check
+    # covers the column's second rank-1 update too, which :func:`sweep`
+    # makes on the same sigma.
     sigma_t = sigma.T
     if _dsyr(-1.0, u, 1, 1, 0, p, sigma_t, 1) is not sigma_t:
-        raise ValueError(_NOT_IN_PLACE)
+        raise ValueError("the rank-1 update needs a C-ordered float64 array")
     sigma[i] = 0.0
     sigma[:, i] = 0.0
     tau12[i] = 1.0
@@ -584,6 +584,16 @@ def sweep(state, kind, audit, rng):
     scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
     diag = work.reshape(-1)[:: p + 1]
+    # The first-sweep rule (blocks of one column in Wang's order, unit
+    # lambda22 and unit tau beyond slot i) is kept for mixing, measured with
+    # OPENBLAS_NUM_THREADS=1 as benchmarks/ess.py's diagonal_ess per sweep
+    # run, over seeds 1-24 at the benchmark's shapes.  First-sweep blocks of
+    # 16 columns, with unit tau from the block start, took bgs on a
+    # standardized 50 x 100 ar2 fit (10 + 40 sweeps) from 0.294 (IQR
+    # 0.267-0.311) to 0.265 (0.246-0.284); hrs read 0.549 against 0.543,
+    # and on circle p = 30, n = 50 (50 + 200 sweeps) neither moved.  A ridge
+    # start Omega0 = n (S + diag S)^{-1} with no first-sweep rule cut hrs by
+    # 32% (circle) and 37% (ar2).
     block = 1 if first_sweep else SHRINKAGE_BLOCK
     # The strict lower triangle: sliced, the mask of a block's pairs; whole,
     # the one of the mirror that ends the sweep.
@@ -652,15 +662,15 @@ def sweep(state, kind, audit, rng):
                 raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega[i, i] = gam + q
             w = _dscal(1.0 / math.sqrt(gam), v.copy())
-            if _dsyr(1.0, w, 1, 1, 0, p, sigma_t, 1) is not sigma_t:
-                raise ValueError(_NOT_IN_PLACE)
+            # In place: make_partition has checked it on this same sigma.
+            _dsyr(1.0, w, 1, 1, 0, p, sigma_t, 1)
             v = _dscal(-1.0 / gam, v)
             sigma[i] = v
             sigma[:, i] = v
             sigma[i, i] = 1.0 / gam
         except Exception as exc:
             raise RuntimeError(
-                f"column {i} failed at stage {stage}: {exc}") from exc
+                f"column {i} (0-based) failed at stage {stage}: {exc}") from exc
 
         audit.record(beta_failed)
 

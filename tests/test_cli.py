@@ -1,13 +1,16 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bayesglasso import cli
 from bayesglasso.cli import (
+    REPLICATION_COLUMNS,
     FitConfig,
     ScenarioConfig,
+    build_parser,
     cmd_fit,
     cmd_simulate,
     ingest_csv,
@@ -15,7 +18,7 @@ from bayesglasso.cli import (
 )
 from bayesglasso.matrixcore import load_matrix_csv, pd_check
 from bayesglasso.metrics import scores_from_counts
-from bayesglasso.sampler import SAMPLER_KINDS
+from bayesglasso.sampler import SAMPLER_KINDS, ViolationAudit
 
 
 # ---------------------------------------------------------------- ingestion
@@ -38,6 +41,11 @@ def test_ingest_header_detected(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
     assert np.array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
     path.write_text("a,b,c\n1,2\n3,4\n")
+    with pytest.raises(ValueError, match="header has 3 labels for 2 columns"):
+        ingest_csv(path)
+    # The header is checked as soon as the data's width is known, before
+    # any cell is read.
+    path.write_text("a,b,c\n1,oops\n3,4\n")
     with pytest.raises(ValueError, match="header has 3 labels for 2 columns"):
         ingest_csv(path)
 
@@ -184,6 +192,15 @@ def test_simulate_csv_schema(tmp_path):
     assert header == ["design", "p", "n", "sampler", "replication", "stein",
                       "frobenius", "tp", "tn", "fp", "fn", "specificity",
                       "sensitivity", "mcc"]
+
+
+def test_replication_csv_rejects_a_key_outside_its_columns(tmp_path):
+    # The rows are written as they are, so a score added to a row but not
+    # to REPLICATION_COLUMNS must fail, not be dropped.
+    row = dict.fromkeys(REPLICATION_COLUMNS, 0)
+    cli._write_replication_csv(tmp_path / "ok.csv", [row])
+    with pytest.raises(ValueError, match="not in fieldnames: 'auc'"):
+        cli._write_replication_csv(tmp_path / "bad.csv", [{**row, "auc": 0.5}])
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -343,7 +360,7 @@ def test_main_fit_rejects_an_all_zero_column(kind, tmp_path, capsys):
     rc = main(["fit", str(data), "--sampler", kind, "--burnin", "10", "--draws", "50",
                "--seed", "2", "--out", str(out)])
     assert rc == 1
-    assert "variable 3 has S_jj = 0.0" in capsys.readouterr().err
+    assert "variable 3 (0-based) has S_jj = 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -365,6 +382,17 @@ def test_one_replication_audit_is_that_replications_audit(kind, tmp_path):
     assert set(audit) == {"updates_total", "violations", "violation_ratio_percent",
                           "sigma_drift_max"}
     assert audit["updates_total"] == 6 * 40
+
+
+def test_audit_json_holds_every_violation_audit_field(tmp_path):
+    keys = {f.name for f in fields(ViolationAudit)} | {"violation_ratio_percent"}
+    data = tmp_path / "data.csv"
+    write_synthetic(data, n=6, p=3)
+    cmd_fit(FitConfig(data_path=data, sampler="bgs", burn_in=1, draws=2), tmp_path / "fit")
+    assert set(json.loads((tmp_path / "fit" / "audit.json").read_text())) == keys
+    cmd_simulate(small_scenario(replications=1), tmp_path / "simulate")
+    audit = json.loads((tmp_path / "simulate" / "audit.json").read_text())
+    assert set(audit) == keys | {"per_replication"}
 
 
 # ---------------------------------------------------------------- manifests
@@ -414,6 +442,23 @@ def test_main_manifest_config_echoes_every_flag(tmp_path, serial_pool):
 
 
 # ---------------------------------------------------------------- main/exits
+
+def test_parser_leaves_every_default_to_the_config():
+    # Only the flags given reach the namespace; every other setting takes
+    # its config's default.
+    parser = build_parser()
+    args = vars(parser.parse_args(["simulate", "--design", "ar1", "--p", "4", "--n", "10",
+                                   "--sampler", "bgs", "--out", "o"]))
+    assert args == {"command": "simulate", "out": "o", "design": "ar1", "p": 4, "n": 10,
+                    "sampler": "bgs"}
+    del args["command"], args["out"]
+    assert ScenarioConfig(**args) == ScenarioConfig(design="ar1", p=4, n=10, sampler="bgs")
+
+    args = vars(parser.parse_args(["fit", "data.csv", "--sampler", "hrs", "--out", "o"]))
+    assert args == {"command": "fit", "out": "o", "data_path": "data.csv", "sampler": "hrs"}
+    del args["command"], args["out"]
+    assert FitConfig(**args) == FitConfig(data_path="data.csv", sampler="hrs")
+
 
 def test_main_simulate_roundtrip(tmp_path):
     out = tmp_path / "run"

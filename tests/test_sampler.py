@@ -654,7 +654,7 @@ def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
         return tau
 
     monkeypatch.setattr(sampler, "update_tau_column", poisoned)
-    with pytest.raises(RuntimeError, match="column 5 failed at stage beta"):
+    with pytest.raises(RuntimeError, match=r"column 5 \(0-based\) failed at stage beta"):
         sweep(st, kind, ViolationAudit(), rng)
 
 
@@ -1148,10 +1148,25 @@ def test_chain_config_rejects_an_s_below_the_floor():
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_run_chain_rejects_a_scatter_diagonal_not_positive(kind, bad):
     # S_jj = 0, an all-zero data column, leaves omega_jj's posterior
-    # improper.  (A NaN S_jj already fails the symmetry check.)
+    # improper.  (A non-finite S_jj fails the finiteness check first.)
     S = np.eye(4)
     S[2, 2] = bad
-    with pytest.raises(ValueError, match="variable 2 has S_jj"):
+    with pytest.raises(ValueError, match=r"variable 2 \(0-based\) has S_jj"):
+        run_chain(S, 8, ChainConfig(kind=kind, burn_in=1, draws=2), RngStream(1))
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_chain_names_a_non_finite_scatter_entry(kind, bad):
+    # NaN is unequal to itself, so a symmetry test alone would read a NaN
+    # S_jj as asymmetry.
+    S = np.eye(4)
+    S[2, 2] = bad
+    with pytest.raises(ValueError, match=r"scatter has a non-finite entry at \(2, 2\)"):
+        run_chain(S, 8, ChainConfig(kind=kind, burn_in=1, draws=2), RngStream(1))
+    S = np.eye(4)
+    S[1, 3] = S[3, 1] = bad
+    with pytest.raises(ValueError, match=r"scatter has a non-finite entry at \(1, 3\)"):
         run_chain(S, 8, ChainConfig(kind=kind, burn_in=1, draws=2), RngStream(1))
 
 
