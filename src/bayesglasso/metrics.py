@@ -48,8 +48,11 @@ def frobenius_loss(omega_hat, omega_true):
     return float(np.sqrt(np.sum((omega_hat - omega_true) ** 2)))
 
 
-def adjacency_from_estimate(omega_hat, threshold=1e-3):
-    """Edges where |estimate| meets the threshold (>=), diagonal excluded."""
+def adjacency_from_estimate(omega_hat, threshold):
+    """Edges where |estimate| meets the threshold (>=), diagonal excluded.
+
+    threshold has no default here: the CLI's is ``ScenarioConfig.threshold``.
+    """
     if not 0.0 < threshold < math.inf:  # NaN fails this too
         raise ValueError("threshold must be finite and positive")
     adj = np.abs(omega_hat) >= threshold

@@ -137,8 +137,9 @@ PD_TOL**2 = 1e-24.  An indefinite C^{-1} still fails ``dpotrf``.
 :func:`pd_check`, which factors omega at each sweep start, keeps the scan.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
-factorisation, :func:`sweep` makes five bulk calls on the generator (six
-for hrs), in this order and with these shapes whatever the state:
+factorisation, :func:`sweep` makes five bulk calls on the generator, in
+this order and with these shapes whatever the state and whichever the
+sampler:
 
 1. ``standard_normal((p, p))``, diagonal set to zero: row i is the bgs
    normal vector of column i, or hrs's direction z;
@@ -148,19 +149,24 @@ for hrs), in this order and with these shapes whatever the state:
    of row i of omega as it stands when column i's block begins, entry i the
    diagonal one;
 4. ``standard_normal((p, p))`` and
-5. ``random((p, p))``: entry (i, j) feeds the inverse-Gaussian draw of
-   tau_ij, held as nu**2 / 2 and u / (1 - u);
-6. for hrs only, ``random(p)``: entry i is the uniform that the exact
-   inverse CDF turns into column i's truncated-normal step.
+5. ``random((p, p))``: entry (i, j), j != i, feeds the inverse-Gaussian
+   draw of tau_ij, held as nu**2 / 2 and u / (1 - u).  Entry (i, i) is the
+   uniform that the exact inverse CDF turns into hrs's truncated-normal
+   step in column i.
+
+Entry (i, i) of bank 5 is free for the step because tau has no diagonal:
+the block's draw makes a tau_ii from it all the same, but
+:func:`make_partition` overwrites that with 1 before column i reads its
+row, and no other column reads row i's slot i.  So the step reads a fresh
+uniform that nothing else reads, and bgs draws it and leaves it unread.
 
 Row i of every bank is in natural order.  Every column update is then a
 pure transform of row i of the bank and the state, and every block's
 shrinkage draw one of rows t..e-1 of banks 3-5 and the state, so a sweep
 consumes exactly the bank.  Banks 3-5 meet row i of omega as it stands
 when column i's block begins.  Some of their entries feed draws that are
-never read, and they are drawn all the same: slot i, which
-:func:`make_partition` sets to 1 because tau has no diagonal, the later
-row's entry of each pair inside a block, and in a chain's first sweep the
+never read, and they are drawn all the same: slot i, the later row's
+entry of each pair inside a block, and in a chain's first sweep the
 entries that the first-sweep rule sets to 1.  A change made only for speed
 keeps the bank and the arithmetic fixed, so it leaves every seeded
 artifact byte-identical.
@@ -447,11 +453,13 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`
     and c = s22 + 2 lambda22.  z is a vector of standard normals, zero in a
     decoupled slot as for :func:`bgs_update_beta`, and u a uniform on
-    [0, 1), which the exact inverse CDF turns into the step.  The move
-    happens in the whitened coordinates x = L' beta, where the column's
-    conditional is N(-L^{-1} s12, I): x moves along e = z / |z|, uniform on
-    the sphere.  In beta coordinates that is d = L^{-T} e, and d' C^{-1} d
-    = 1, so the step size kappa is a unit-variance normal with mean
+    [0, 1), which the exact inverse CDF turns into the step; :func:`sweep`
+    passes entry (i, i) of its bank 5, whose tau_ii draw nothing reads.
+    The move happens in the whitened coordinates x = L' beta, where the
+    column's conditional is N(-L^{-1} s12, I): x moves along e = z / |z|,
+    uniform on the sphere.  In beta coordinates that is d = L^{-T} e, and
+    d' C^{-1} d = 1, so the step size kappa is a unit-variance normal with
+    mean
 
         mu = -(s12'd + c b + (beta/tau12)'d),
         b  = beta' Omega11^{-1} d,
@@ -540,8 +548,9 @@ def sweep(state, kind, audit, rng):
     O(p^2) updates of the module docstring, on its upper triangle only, and
     mirrors that triangle when the sweep ends; the gap between the Sigma
     carried through the previous sweep and the fresh one goes into
-    ``audit.sigma_drift_max``.  Then the sweep draws its random bank (see
-    the module docstring).
+    ``audit.sigma_drift_max``.  Then the sweep draws its random bank, the
+    same five calls for either kind (see the module docstring); the beta
+    step is the only code that differs between them.
 
     Each column update advances the audit by one.  It counts a violation
     when the Schur test fails on the matrix holding the new off-diagonal
@@ -576,7 +585,6 @@ def sweep(state, kind, audit, rng):
         drift = float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())
         audit.sigma_drift_max = max(audit.sigma_drift_max, drift)
     state.sigma = sigma
-    hrs = kind == "hrs"
     p = state.omega.shape[0]
     omega = state.omega
     schur_floor = PD_TOL * PD_TOL
@@ -607,8 +615,6 @@ def sweep(state, kind, audit, rng):
     half_nu2_bank = rng.standard_normal((p, p)) ** 2 / 2.0
     u_bank = rng.random((p, p))
     odds_bank = u_bank / (1.0 - u_bank)
-    if hrs:
-        kappa_bank = rng.random(p).tolist()
 
     for i in range(p):
         stage = "lambda"
@@ -640,9 +646,9 @@ def sweep(state, kind, audit, rng):
 
             stage = "beta"
             L = _factor_c_inverse(sigma, c, tau12, work, diag)
-            if hrs:
+            if kind == "hrs":
                 beta = hrs_update_beta(L, sigma, s12, c, tau12, beta, omega22,
-                                       z_bank[i], kappa_bank[i])
+                                       z_bank[i], u_bank.item(i, i))
             else:
                 beta = bgs_update_beta(L, s12, z_bank[i])
             omega[i] = beta

@@ -80,20 +80,20 @@ def test_frobenius_permutation_invariant():
 
 def test_adjacency_threshold_boundary():
     om = np.array([[5.0, 1e-3], [1e-3, 5.0]])
-    assert adjacency_from_estimate(om)[0, 1]  # exactly at threshold counts
+    assert adjacency_from_estimate(om, 1e-3)[0, 1]  # exactly at threshold counts
     om2 = np.array([[5.0, 0.0], [0.0, 5.0]])
-    assert not adjacency_from_estimate(om2)[0, 1]
+    assert not adjacency_from_estimate(om2, 1e-3)[0, 1]
 
 
 def test_adjacency_absolute_value_and_signed_variant():
     om = np.array([[5.0, -0.5], [-0.5, 5.0]])
-    assert adjacency_from_estimate(om)[0, 1]
+    assert adjacency_from_estimate(om, 1e-3)[0, 1]
     # the sign of an entry never matters, only its magnitude
-    assert np.array_equal(adjacency_from_estimate(om), adjacency_from_estimate(-om))
+    assert np.array_equal(adjacency_from_estimate(om, 1e-3), adjacency_from_estimate(-om, 1e-3))
 
 
 def test_adjacency_diagonal_never_marked():
-    adj = adjacency_from_estimate(np.eye(3) * 10)
+    adj = adjacency_from_estimate(np.eye(3) * 10, 1e-3)
     assert not np.diagonal(adj).any()
 
 

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -828,8 +829,9 @@ def reference_sweep(st, kind, rng, first_sweep):
     a unit lambda22 in the first sweep), Sigma kept full and symmetric
     after every column, BLAS dsyr and dsymv on its upper triangle (numpy
     indexing) for the rank-1 updates and the products, row and column i
-    zeroed by hand, the whitened hrs step, gamma draws scaled by 1/rate,
-    and the closed-form Michael-Schucany-Haas draw inline.
+    zeroed by hand, the whitened hrs step with bank 5's entry (i, i) as its
+    uniform, gamma draws scaled by 1/rate, and the closed-form
+    Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -849,8 +851,6 @@ def reference_sweep(st, kind, rng, first_sweep):
     sigma = invert_from_factor(pd_check(omega))
     Z, G_gamma, G_lambda, NU, U = draw_bank(rng, p, st.n, st.r)
     np.fill_diagonal(Z, 0.0)
-    if kind == "hrs":
-        K = rng.random(p)
     violations = 0
     block = 1 if first_sweep else sampler.SHRINKAGE_BLOCK
     for i in range(p):
@@ -893,7 +893,8 @@ def reference_sweep(st, kind, rng, first_sweep):
             disc = math.sqrt(b * b + a * gam_old)
             q = abs(b) + disc
             lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
-            beta = beta + sample_truncated_normal(mu, lo, hi, K[i]) * d
+            # The step's uniform is U[i, i], whose tau_ii draw is never read.
+            beta = beta + sample_truncated_normal(mu, lo, hi, U[i, i]) * d
         assert beta[i] == 0.0
         omega[i, :] = omega[:, i] = beta
         v = symv(o11, beta)
@@ -979,8 +980,6 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
         del seen[:], cs[:], s12s[:]
         sweep(st, kind, ViolationAudit(), rng)
         _, _, G_lambda, NU, U = draw_bank(twin, p, n, st.r)
-        if kind == "hrs":
-            twin.random(p)
         assert [i for i, *_ in seen] == list(range(p))
         np.testing.assert_array_equal(s12s, s12_expect)
         block = 1 if k == 0 else sampler.SHRINKAGE_BLOCK
@@ -1019,7 +1018,8 @@ def test_sweeps_leave_scatter_unchanged():
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_sweep_stream_is_fixed_shape(kind):
     # Two different states with equal n and r consume the same draws from
-    # equal streams: exactly the bank, plus the step uniforms for hrs.
+    # equal streams: exactly the bank.  Every kind draws that one bank, so a
+    # sweep of each kind leaves an equal stream at the same position too.
     p = 9
     st1, _ = make_sim_state(kind="circle", p=p, n=30, seed=50)
     st2, _ = make_sim_state(kind="star", p=p, n=30, seed=51)
@@ -1027,13 +1027,45 @@ def test_sweep_stream_is_fixed_shape(kind):
         sweep(st2, kind, ViolationAudit(), RngStream(52))
     fresh = RngStream(53)
     draw_bank(fresh, p, 30, st1.r)
-    if kind == "hrs":
-        fresh.random(p)
+    position = fresh.random()
+    kind_positions = []
+    for other in SAMPLER_KINDS:
+        rng = RngStream(53)
+        sweep(replace(st2, omega=st2.omega.copy()), other, ViolationAudit(), rng)
+        kind_positions.append(rng.random())
     rng1, rng2 = RngStream(53), RngStream(53)
     sweep(st1, kind, ViolationAudit(), rng1)
     sweep(st2, kind, ViolationAudit(), rng2)
     assert not np.array_equal(st1.omega, st2.omega)
-    assert rng1.random() == rng2.random() == fresh.random()
+    assert rng1.random() == rng2.random() == position
+    assert kind_positions == [position] * len(SAMPLER_KINDS)
+
+
+class HalvedDiagonalStream(RngStream):
+    """An RngStream whose (p, p) uniform draws, bank 5 in a sweep, come
+    with their diagonal halved."""
+
+    def random(self, *args, **kwargs):
+        u = super().random(*args, **kwargs)
+        if np.ndim(u) == 2:
+            u.flat[:: u.shape[0] + 1] *= 0.5
+        return u
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
+    # Entry (i, i) of bank 5 feeds tau_ii, which make_partition overwrites
+    # with 1, and hrs's step uniform; nothing else reads it.  So halving it
+    # moves an hrs chain and leaves a bgs chain bit for bit as it was.
+    plain, _ = make_sim_state(kind="circle", p=9, n=30, seed=80)
+    halved = initial_state(plain.scatter, plain.n)
+    rng, halved_rng = RngStream(81), HalvedDiagonalStream(81)
+    for _ in range(5):
+        sweep(plain, kind, ViolationAudit(), rng)
+        sweep(halved, kind, ViolationAudit(), halved_rng)
+    same = [np.array_equal(getattr(plain, name), getattr(halved, name))
+            for name in ("omega", "sigma")]
+    assert same == [kind == "bgs"] * 2
 
 
 def test_sigma_drift_is_recorded_and_small():
