@@ -23,6 +23,8 @@ class GraphDesign:
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise ValueError(f"design must be one of {DESIGN_KINDS}, got {self.kind!r}")
+        if not isinstance(self.p, (int, np.integer)):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.kind in ("ar2", "circle") and self.p < 3:
             raise ValueError(f"{self.kind} needs p >= 3")
         if self.kind == "block" and (self.p < 2 or self.p % 2 != 0):

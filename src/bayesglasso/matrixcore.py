@@ -3,6 +3,10 @@
 Everything operates on plain float64 numpy arrays.  Matrices handled here
 are symmetric by contract; every operation that returns a matrix builds it
 exactly symmetric so asymmetry cannot accumulate over long Gibbs runs.
+
+:func:`pd_check` is the one Cholesky helper: it factors a copy and tests
+the factor's diagonal.  The sampler factors each column's C^{-1} with its
+own ``dpotrf`` binding, in place, beside the column update's BLAS routines.
 """
 
 import functools
@@ -14,9 +18,10 @@ from scipy.linalg import lapack
 # as positive definite.
 PD_TOL = 1e-12
 
-# LAPACK routines bound once and called positionally, as the sampler's
-# BLAS ones are (see its module docstring): f2py parses keyword arguments
-# much more slowly.  Above each, the f2py signature its calls follow.
+# LAPACK routines of pd_check and invert_from_factor, bound once and called
+# positionally, as the sampler's column routines are (see its module
+# docstring): f2py parses keyword arguments much more slowly.  Above each,
+# the f2py signature its calls follow.
 # c,info = dpotrf(a,[lower,clean,overwrite_a])
 _dpotrf = lapack.dpotrf
 # inv_a,info = dpotri(c,[lower,overwrite_c])
@@ -49,28 +54,6 @@ def strict_lower(p):
     return mask
 
 
-def cholesky_in_place(A, clean=0):
-    """Lower Cholesky factor of the symmetric A, computed in A's memory.
-
-    Only the lower triangle of A is read; A should be Fortran-ordered (such
-    as the transpose of a C-ordered array), or LAPACK works on a copy.  The
-    factor overwrites that triangle; the strict upper triangle is left as
-    it was, or zeroed if clean is 1.  Returns the factor if dpotrf succeeds,
-    otherwise None: "not positive definite", not an error.
-    """
-    L, info = _dpotrf(A, 1, clean, 1)
-    if info > 0:
-        return None
-    if info < 0:
-        raise ValueError(f"invalid matrix passed to dpotrf (info={info})")
-    # No diagonal scan here: OpenBLAS dpotrf returns info = 0 on input
-    # holding a NaN, so a NaN survives into the factor.  pd_check scans the
-    # factor's diagonal; the sampler's per-column factor of C^{-1} is
-    # guarded by a finiteness test on the column's result instead (see the
-    # sampler module docstring).
-    return L
-
-
 def pd_check(M):
     """Cholesky-based positive definiteness test.
 
@@ -83,11 +66,13 @@ def pd_check(M):
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     # Factored in a Fortran-ordered copy of M, never a view of it, with the
     # factor's upper triangle zeroed by dpotrf's clean.
-    L = cholesky_in_place(np.array(M, order="F"), 1)
+    L, info = _dpotrf(np.array(M, order="F"), 1, 1, 1)
     # The NaN guard: OpenBLAS dpotrf returns info = 0 on input holding a
     # NaN, on or off the diagonal, and a NaN reaches the factor's diagonal,
-    # whose NaN minimum fails the comparison.
-    if L is None or not L.diagonal().min() > PD_TOL:
+    # whose NaN minimum fails the comparison.  The sampler's per-column
+    # factor of C^{-1} has no such scan; a finiteness test on the column's
+    # result guards it instead (see the sampler module docstring).
+    if info != 0 or not L.diagonal().min() > PD_TOL:
         return None
     return L
 

@@ -103,17 +103,18 @@ than numpy's ``@`` at these sizes; the bitwise reference test, which uses
 ``@``, checks that the two agree on each OpenBLAS kernel it runs on.
 
 Every BLAS and LAPACK routine of the column update (``dsyr``, ``dsymv``,
-``ddot``, ``dscal`` and ``dtrtrs`` here, ``dpotrf`` and ``dpotri`` in
-:mod:`bayesglasso.matrixcore`) is bound once, at module level, and called
-with positional arguments only: f2py parses keyword arguments much more
-slowly.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25 timings per
-call went from 1.3 to 0.6 us for ``dsyr``, 1.3 to 0.7 for ``dsymv`` and
-1.6 to 1.4 for ``dtrtrs``, and a column makes six such calls.  The comment
-above each binding quotes the f2py signature its positional calls follow,
-and a test pins that line, so a scipy that reordered the optional
-arguments fails the suite instead of binding a flag to the wrong
-parameter.  The bitwise reference test keeps keyword calls, so it checks
-the positional ones too.
+``ddot``, ``dscal``, ``dtrtrs`` and ``dpotrf``) is bound once, here at
+module level, and called with positional arguments only: f2py parses
+keyword arguments much more slowly.  :mod:`bayesglasso.matrixcore` binds
+the ``dpotrf`` of :func:`pd_check` and the ``dpotri`` of the sweep-start
+inverse the same way.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25
+timings per call went from 1.3 to 0.6 us for ``dsyr``, 1.3 to 0.7 for
+``dsymv`` and 1.6 to 1.4 for ``dtrtrs``, and a column makes six such
+calls.  The comment above each binding quotes the f2py signature its
+positional calls follow, and a test pins that line, so a scipy that
+reordered the optional arguments fails the suite instead of binding a flag
+to the wrong parameter.  The bitwise reference test keeps keyword calls,
+so it checks the positional ones too.
 
 Every vector scaled by a scalar is scaled with BLAS ``dscal``: u in
 :func:`make_partition`, v / sqrt(gamma) and -v / gamma in :func:`sweep`,
@@ -180,8 +181,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .distributions import sample_truncated_normal
-from .matrixcore import (PD_TOL, check_symmetric, cholesky_in_place, invert_from_factor,
-                         pd_check, strict_lower)
+from .matrixcore import PD_TOL, check_symmetric, invert_from_factor, pd_check, strict_lower
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -223,6 +223,8 @@ _ddot = blas.ddot
 _dscal = blas.dscal
 # x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
 _dtrtrs = lapack.dtrtrs
+# c,info = dpotrf(a,[lower,clean,overwrite_a])
+_dpotrf = lapack.dpotrf
 
 
 @dataclass
@@ -243,8 +245,10 @@ class ChainConfig:
     def validate(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
-        if self.burn_in < 0 or self.draws < 1:
-            raise ValueError("need burn_in >= 0, draws >= 1")
+        for name, least in (("burn_in", 0), ("draws", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         # Written so that NaN, which fails every comparison, is rejected.
         if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
             raise ValueError("hyperparameters r and s must be finite and positive")
@@ -340,8 +344,8 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
         if not s_jj > 0.0:
             raise ValueError(f"variable {j} (0-based) has S_jj = {s_jj!r}, not > 0, so the "
                              "posterior is improper (is its data column all zeros?)")
-    if n < 1:
-        raise ValueError("sample size must be positive")
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"sample size must be a positive integer, got {n!r}")
     return GibbsState(
         omega=np.eye(p),
         scatter=scatter,
@@ -398,8 +402,8 @@ def _factor_c_inverse(omega11_inv, c, tau12, work, diag):
     """
     cinv = np.multiply(omega11_inv, c, out=work)
     diag += np.reciprocal(tau12)
-    L = cholesky_in_place(cinv.T)
-    if L is None:
+    L, info = _dpotrf(cinv.T, 1, 0, 1)
+    if info != 0:
         raise ValueError("conditional covariance not positive definite")
     return L
 

@@ -106,6 +106,14 @@ def test_design_validation():
         GraphDesign("ar1", 1)
 
 
+def test_design_size_must_be_an_integer():
+    # np.arange(5.5) has six entries, so a float p would build a 6 x 6 model.
+    for kind, p in (("ar1", 5.5), ("circle", 6.0)):
+        with pytest.raises(ValueError, match=f"p must be an integer, got {p}"):
+            GraphDesign(kind, p)
+    assert true_model("circle", np.int64(6)).omega_true.shape == (6, 6)
+
+
 def test_simulate_data_shape_and_determinism():
     model = true_model("ar1", 4)
     a = simulate_data(model, 11, RngStream(5))

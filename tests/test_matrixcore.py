@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from bayesglasso.matrixcore import (
     check_symmetric,
-    cholesky_in_place,
     invert_from_factor,
     load_matrix_csv,
     pd_check,
@@ -56,18 +56,18 @@ def test_pd_check_nan_rejected():
     assert pd_check(M) is None
     # OpenBLAS dpotrf returns info = 0 on these, so pd_check's diagonal scan
     # is what rejects them.  One NaN on the diagonal, one off it.
-    # cholesky_in_place, which factors the sampler's per-column C^{-1},
-    # does not scan: its factor carries the NaN to the pivot of the NaN's
-    # row, and the sweep's finiteness test on the column's result rejects
-    # it there (tests/test_sampler.py).  A LAPACK that reports failure on
-    # NaN instead returns None.
+    # The sampler's per-column dpotrf of C^{-1}, called as below, does not
+    # scan: its factor carries the NaN to the pivot of the NaN's row, and
+    # the sweep's finiteness test on the column's result rejects it there
+    # (tests/test_sampler.py).  A LAPACK that reports failure on NaN
+    # instead returns a nonzero info.
     rng = np.random.default_rng(12)
     for i, j in ((13, 13), (29, 4)):
         M = random_spd(30, rng)
         M[i, j] = M[j, i] = np.nan
         assert pd_check(M) is None, (i, j)
-        L = cholesky_in_place(M.T)
-        assert L is None or np.isnan(L[i, i]), (i, j)
+        L, info = lapack.dpotrf(M.T, 1, 0, 1)
+        assert info != 0 or np.isnan(L[i, i]), (i, j)
 
 
 def test_pd_check_factor_roundtrip():

@@ -1,4 +1,5 @@
-"""Samplers against the exact posterior of two p=2 models and a p=4 model.
+"""Samplers against the exact posterior of two p=2 models, a p=4 model and
+a p=5 model with n=3 < p.
 
 For p = 2 the marginal posterior of omega (shrinkage rates integrated out)
 is, on the positive definite cone,
@@ -11,17 +12,19 @@ Monte Carlo error of a desk-scale chain.  Chain means are compared with
 the grid means in units of their batch-means standard error.  At p=4 the
 same posterior is integrated by importance sampling (see
 wishart_is_posterior), and chain means are compared in units of the
-chain's and the oracle's standard errors combined.  hrs is expected to
-fail at p=4: its step holds omega22 fixed (ROADMAP item 1).  This file's
-first p=2 model is too well determined to show that bias.  The second,
-D2, runs at the default r and s, where the posterior has a spike at
-w12 = 0; a log grid in |w12| integrates it.
+chain's and the oracle's standard errors combined; so is it at p=5, n=3,
+where S is singular.  hrs is expected to fail at p=4 and at p=5: its step
+holds omega22 fixed (ROADMAP item 1).  This file's first p=2 model is too
+well determined to show that bias.  The second, D2, runs at the default r
+and s, where the posterior has a spike at w12 = 0; a log grid in |w12|
+integrates it.
 """
 
 import numpy as np
 import pytest
 
 from bayesglasso import sampler
+from bayesglasso.designs import scatter_matrix
 from bayesglasso.distributions import RngStream
 from bayesglasso.sampler import ChainConfig, run_chain
 
@@ -134,14 +137,15 @@ P4_S = 8.0 * P4_SIGMA
 P4_N = 8
 
 
-def p4_statistics(omega):
-    """(w11, w12, w14, log det) of one precision matrix or a stack of them."""
-    return np.stack([omega[..., 0, 0], omega[..., 0, 1], omega[..., 0, 3],
+def corner_statistics(omega):
+    """(w11, w12, w1p, log det) of one p x p precision matrix or a stack of
+    them."""
+    return np.stack([omega[..., 0, 0], omega[..., 0, 1], omega[..., 0, -1],
                      np.linalg.slogdet(omega)[1]], axis=-1)
 
 
-def wishart_is_posterior(scatter, n, r, s, draws=100_000, seed=3):
-    """Posterior means of p4_statistics and their standard errors by
+def wishart_is_posterior(scatter, n, r, s, scale, rounds, draws, seed=3):
+    """Posterior means of corner_statistics and their standard errors by
     self-normalised importance sampling.
 
     With the rates and scales integrated out, the posterior of omega is
@@ -151,16 +155,17 @@ def wishart_is_posterior(scatter, n, r, s, draws=100_000, seed=3):
     on the positive definite cone.  The proposal is Wishart(nu, V) with
     nu = n + p + 1, drawn by the Bartlett decomposition, whose density is
     proportional to |W|^{(nu-p-1)/2} exp(-tr(V^{-1} W)/2).  Round 0 takes
-    V = S^{-1}, so that its weight is the prior product alone; one
-    adaptation round then sets V to the round-0 weighted mean over nu.  The
-    standard errors are the delta-method ones of a self-normalised ratio.
+    V = scale, which is S^{-1} where S is invertible, so that the weight is
+    the prior product alone; each of the rounds - 1 adaptation rounds then
+    sets V to the previous round's weighted mean over nu, and the last
+    round's draws give the estimate.  The standard errors are the
+    delta-method ones of a self-normalised ratio.
     """
     p = scatter.shape[0]
     nu = n + p + 1
     gen = np.random.default_rng(seed)
-    scale = np.linalg.inv(scatter)
     upper = np.triu_indices(p)
-    for _ in range(2):
+    for _ in range(rounds):
         bartlett = np.tril(gen.standard_normal((draws, p, p)), -1)
         bartlett[:, np.arange(p), np.arange(p)] = np.sqrt(
             gen.chisquare(nu - np.arange(p), (draws, p)))
@@ -175,7 +180,7 @@ def wishart_is_posterior(scatter, n, r, s, draws=100_000, seed=3):
         w = np.exp(logw - logw.max())
         w /= w.sum()
         scale = np.einsum("k,kij->ij", w, W) / nu
-    f = p4_statistics(W)
+    f = corner_statistics(W)
     mean = w @ f
     se = np.sqrt((w[:, None] ** 2 * (f - mean) ** 2).sum(axis=0))
     return mean, se, 1.0 / (w @ w)
@@ -184,7 +189,29 @@ def wishart_is_posterior(scatter, n, r, s, draws=100_000, seed=3):
 @pytest.fixture(scope="module")
 def p4_oracle():
     """The importance-sampling oracle at P4, computed once for both samplers."""
-    return wishart_is_posterior(P4_S, P4_N, R, S_HYPER)
+    return wishart_is_posterior(P4_S, P4_N, R, S_HYPER, np.linalg.inv(P4_S), rounds=2,
+                                draws=100_000)
+
+
+HRS_XFAIL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="hrs holds omega22 fixed, so its beta step targets the "
+           "conditional given gamma, not given omega22 (ROADMAP item 1)")
+
+
+def assert_chain_matches(scatter, n, kind, oracle):
+    """Run a 500 + 12k-sweep chain at seed 2 and compare its means of
+    corner_statistics with the oracle's, within 4.5 combined standard
+    errors."""
+    exact, exact_se, _ = oracle
+    cfg = ChainConfig(kind=kind, burn_in=500, draws=12_000, r=R, s=S_HYPER,
+                      store_draws=True)
+    out = run_chain(scatter, n, cfg, RngStream(2))
+    stats = corner_statistics(np.array(out.draws))
+    for k in range(4):
+        mean, se = batch_means(stats[:, k])
+        tol = 4.5 * np.hypot(se, exact_se[k])
+        assert abs(mean - exact[k]) < tol, (k, mean, exact[k], se, exact_se[k])
 
 
 @pytest.mark.parametrize("kind,block", [
@@ -192,21 +219,53 @@ def p4_oracle():
     # At p = 4 the default shrinkage block spans the whole sweep; blocks of
     # 2 also run pairs that cross a block boundary and pairs inside one.
     pytest.param("bgs", 2, id="bgs-block2"),
-    pytest.param("hrs", None, id="hrs", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="hrs holds omega22 fixed, so its beta step targets the "
-               "conditional given gamma, not given omega22 (ROADMAP item 1)")),
+    pytest.param("hrs", None, id="hrs", marks=HRS_XFAIL),
 ])
 def test_chain_matches_importance_sampling_posterior_p4(kind, block, p4_oracle, monkeypatch):
     if block is not None:
         monkeypatch.setattr(sampler, "SHRINKAGE_BLOCK", block)
-    exact, exact_se, ess = p4_oracle
-    assert ess > 20_000  # one adaptation round makes the weights usable
-    cfg = ChainConfig(kind=kind, burn_in=500, draws=12_000, r=R, s=S_HYPER,
-                      store_draws=True)
-    out = run_chain(P4_S, P4_N, cfg, RngStream(2))
-    stats = p4_statistics(np.array(out.draws))
-    for k in range(4):
-        mean, se = batch_means(stats[:, k])
-        tol = 4.5 * np.hypot(se, exact_se[k])
-        assert abs(mean - exact[k]) < tol, (k, mean, exact[k], se, exact_se[k])
+    assert p4_oracle[2] > 20_000  # one adaptation round makes the weights usable
+    assert_chain_matches(P4_S, P4_N, kind, p4_oracle)
+
+
+# ---------------------------------------------------------------- p > n
+
+# P5n3: p = 5 variables and n = 3 observations from an AR(1) covariance, so
+# S has rank 3 and no inverse.  This is where the paper places the Gibbs
+# sampler's failures; bgs counts about 17% of its column updates here as
+# violations and still matches the oracle.
+P5N3_SIGMA = 0.7 ** np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
+P5N3_S = scatter_matrix(np.random.default_rng(11).multivariate_normal(
+    np.zeros(5), P5N3_SIGMA, 3))
+P5N3_N = 3
+
+
+def p5n3_oracle_at(seed):
+    """The importance-sampling oracle at P5n3.  S^{-1} does not exist, so
+    round 0 proposes around (S + I)^{-1}.  At seed 3 two adaptation rounds
+    take the IS ESS from 1.2k to 3.4k to 8.6k, and a third cuts it to
+    1.2k."""
+    return wishart_is_posterior(P5N3_S, P5N3_N, R, S_HYPER,
+                                np.linalg.inv(P5N3_S + np.eye(5)), rounds=3,
+                                draws=200_000, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def p5n3_oracle():
+    return p5n3_oracle_at(3)
+
+
+def test_p5n3_oracle_is_converged(p5n3_oracle):
+    mean, se, ess = p5n3_oracle
+    other, other_se, _ = p5n3_oracle_at(4)
+    assert np.linalg.matrix_rank(P5N3_S) == 3
+    assert ess > 5_000
+    assert np.all(np.abs(mean - other) < 3.0 * np.hypot(se, other_se)), (mean, other)
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param("bgs", id="bgs"),
+    pytest.param("hrs", id="hrs", marks=HRS_XFAIL),
+])
+def test_chain_matches_importance_sampling_posterior_p5n3(kind, p5n3_oracle):
+    assert_chain_matches(P5N3_S, P5N3_N, kind, p5n3_oracle)

@@ -726,7 +726,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     p = 20  # blocks of 16 and 4 columns after the first sweep
     st, rng = make_sim_state(p=p, n=30)
     beta = f"{kind}_update_beta"
-    names = ("pd_check", "cholesky_in_place", "invert_from_factor", "make_partition",
+    names = ("pd_check", "_dpotrf", "invert_from_factor", "make_partition",
              "_factor_c_inverse", beta, "update_gamma", "update_lambda_column",
              "update_tau_column")
     calls = dict.fromkeys(names, 0)
@@ -749,7 +749,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # Every sweep draws beta for all p columns; a chain's first sweep has
     # blocks of one column.
     blocks = -(-p // SHRINKAGE_BLOCK)
-    expect = [{"pd_check": 1, "cholesky_in_place": p, "invert_from_factor": 1,
+    expect = [{"pd_check": 1, "_dpotrf": p, "invert_from_factor": 1,
                "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": p,
                "update_lambda_column": b, "update_tau_column": b}
               for b in (p, blocks, blocks)]
@@ -767,13 +767,17 @@ POSITIONAL_SIGNATURES = {
     (sampler, "ddot"): "xy = ddot(x,y,[n,offx,incx,offy,incy])",
     (sampler, "dscal"): "x = dscal(a,x,[n,offx,incx])",
     (sampler, "dtrtrs"): "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
+    (sampler, "dpotrf"): "c,info = dpotrf(a,[lower,clean,overwrite_a])",
     (matrixcore, "dpotrf"): "c,info = dpotrf(a,[lower,clean,overwrite_a])",
     (matrixcore, "dpotri"): "inv_a,info = dpotri(c,[lower,overwrite_c])",
 }
 
 
+# Each case is named by its routine; dpotrf, bound in both modules, is
+# named by module for the sampler's binding, the column update's factor.
 @pytest.mark.parametrize("module,name", POSITIONAL_SIGNATURES,
-                         ids=[name for _, name in POSITIONAL_SIGNATURES])
+                         ids=["sampler-dpotrf" if key == (sampler, "dpotrf") else key[1]
+                              for key in POSITIONAL_SIGNATURES])
 def test_positional_call_signatures_are_pinned(module, name):
     line = POSITIONAL_SIGNATURES[module, name]
     routine = getattr(module, f"_{name}")
@@ -1165,6 +1169,21 @@ def test_chain_config_rejects_non_finite_hyperparameters(r, s):
     # draws infinite or zero.
     with pytest.raises(ValueError, match="finite and positive"):
         ChainConfig(r=r, s=s).validate()
+
+
+def test_chain_config_needs_integer_sweep_counts():
+    # A float burn_in would otherwise pass and fail later inside range().
+    for burn_in, draws, bad in ((1.5, 2, "burn_in"), (1, 2.0, "draws")):
+        with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+            ChainConfig(burn_in=burn_in, draws=draws).validate()
+    ChainConfig(burn_in=np.int64(1), draws=np.int32(2)).validate()
+
+
+def test_initial_state_needs_an_integer_sample_size():
+    # int(7.9) is 7, so a float n would silently sample the n = 7 posterior.
+    with pytest.raises(ValueError, match="sample size must be a positive integer, got 7.9"):
+        initial_state(np.eye(3), 7.9)
+    assert initial_state(np.eye(3), np.int64(7)).n == 7
 
 
 def test_chain_config_rejects_an_s_below_the_floor():
