@@ -75,8 +75,7 @@ bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
 and asserts the column-boundary invariant; then, per column,
 
 * :func:`make_partition` downdates Sigma in place to ``Omega11^{-1} =
-  Sigma - u u'`` with ``u = sigma_i / sqrt(sigma_ii)``, row and column i
-  set to zero;
+  Sigma - sigma_i sigma_i' / sigma_ii``, row and column i set to zero;
 * the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
   on the matrix holding the new beta and the old w22;
 * after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
@@ -90,8 +89,9 @@ sampler's beta draw, which both read the factor.
 
 Within a sweep Sigma is carried as one triangle: the lower triangle of
 ``sigma.T`` as BLAS sees it, which is the upper triangle of ``sigma`` in
-numpy's indexing.  The rank-1 updates are BLAS ``dsyr`` on that triangle,
-every Omega11^{-1} product is ``dsymv`` reading it, and C^{-1} and its
+numpy's indexing.  Each rank-1 update is one BLAS ``dsyr`` on that
+triangle, with its formula's scalar, -1/sigma_ii or 1/gamma, as alpha;
+every Omega11^{-1} product is ``dsymv`` reading it; and C^{-1} and its
 factor are read from the same triangle.  The other triangle goes stale and
 is mirrored from the current one once, when the sweep ends, so Sigma is
 exactly symmetric between sweeps.  A full-matrix ``A - u u'`` (BLAS
@@ -116,14 +116,13 @@ reordered the optional arguments fails the suite instead of binding a flag
 to the wrong parameter.  The bitwise reference test keeps keyword calls,
 so it checks the positional ones too.
 
-Every vector scaled by a scalar is scaled with BLAS ``dscal``: u in
-:func:`make_partition`, v / sqrt(gamma) and -v / gamma in :func:`sweep`,
-and the direction and the step in :func:`hrs_update_beta`.  On the same
-guest, numpy's array-times-float costs 0.7-1.4 us per call and f2py's
-``dscal`` 0.14-0.25 us, and both make the same one IEEE multiply per
-entry, so the bits do not change.  ``dscal`` scales in place only a
-contiguous float64 array and returns a scaled copy of any other, so its
-return value is always the one used.
+Every vector scaled by a scalar is scaled with BLAS ``dscal``: -v / gamma
+in :func:`sweep`, and the direction and the step in
+:func:`hrs_update_beta`.  On the same guest, numpy's array-times-float
+costs 0.7-1.4 us per call and f2py's ``dscal`` 0.14-0.25 us, and both make
+the same one IEEE multiply per entry, so the bits do not change.
+``dscal`` scales in place only a contiguous float64 array and returns a
+scaled copy of any other, so its return value is always the one used.
 
 A NaN in C^{-1} is caught once per column, on the column's result, not in
 the factor.  ``dpotrf`` returns success on input holding a NaN, but it
@@ -303,10 +302,6 @@ class ViolationAudit:
     violations: int = 0
     sigma_drift_max: float = 0.0
 
-    def record(self, beta_failed):
-        self.updates_total += 1
-        self.violations += beta_failed
-
     @property
     def ratio_percent(self):
         if self.updates_total == 0:
@@ -372,16 +367,16 @@ def make_partition(state, i, sigma, tau12):
     omega = state.omega
     p = omega.shape[0]
     # Complete row i of sigma from the current triangle (its part left of
-    # the diagonal is column i above it), then scale it.
+    # the diagonal is column i above it).
     sigma[i, :i] = sigma[:i, i]
-    u = _dscal(1.0 / math.sqrt(sigma[i, i]), sigma[i].copy())
-    # sigma -= u u' on the lower triangle of sigma.T, BLAS's view of it.
+    # sigma -= sigma_i sigma_i' / sigma_ii on the lower triangle of sigma.T,
+    # BLAS's view of it, from a copy of row i, which the downdate rewrites.
     # dsyr updates its a in place only when a.T is a C-ordered float64
     # array; on any other, f2py updates and returns a copy.  This check
     # covers the column's second rank-1 update too, which :func:`sweep`
     # makes on the same sigma.
     sigma_t = sigma.T
-    if _dsyr(-1.0, u, 1, 1, 0, p, sigma_t, 1) is not sigma_t:
+    if _dsyr(-1.0 / sigma.item(i, i), sigma[i].copy(), 1, 1, 0, p, sigma_t, 1) is not sigma_t:
         raise ValueError("the rank-1 update needs a C-ordered float64 array")
     sigma[i] = 0.0
     sigma[:, i] = 0.0
@@ -556,13 +551,17 @@ def sweep(state, kind, audit, rng):
     same five calls for either kind (see the module docstring); the beta
     step is the only code that differs between them.
 
-    Each column update advances the audit by one.  It counts a violation
-    when the Schur test fails on the matrix holding the new off-diagonal
-    column and the old diagonal entry; the hit-and-run path never fails
-    it, the unconstrained path records the failure and keeps going.  A
-    non-positive gamma draw would break the column-boundary invariant, so
-    it is an error rather than a count, and so is a non-finite beta'
-    Omega11^{-1} beta, which a NaN reaching C^{-1} gives.
+    A column update is a violation when the Schur test fails on the matrix
+    holding the new off-diagonal column and the old diagonal entry; the
+    hit-and-run path never fails it, the unconstrained path counts the
+    failure and keeps going.  After its last column the sweep adds its p
+    updates and its violations to the audit, so a sweep that raises adds
+    nothing.  A non-finite beta' Omega11^{-1} beta, which a NaN reaching
+    C^{-1} gives, is an error rather than a count.  The gamma draw needs no
+    check: gamma = g * 2/c with g > 0 from numpy's Ga(n/2 + 1) sampler and
+    c = s22 + 2 lambda22 finite and positive, because S is validated
+    finite with S_jj > 0 and lambda22 = g'/(|omega_ii| + s) is finite.  A
+    gamma of 0 would still raise, in 1/gamma at stage gamma.
 
     As each block of ``SHRINKAGE_BLOCK`` columns begins, the sweep draws
     the block's rows of shrinkage rates and latent scales from those rows
@@ -611,6 +610,7 @@ def sweep(state, kind, audit, rng):
     # the one of the mirror that ends the sweep.
     lower = strict_lower(p)
     end = 0
+    violations = 0
 
     z_bank = rng.standard_normal((p, p))
     z_bank.flat[:: p + 1] = 0.0
@@ -664,16 +664,13 @@ def sweep(state, kind, audit, rng):
             # through dsymv (see the module docstring).
             if not math.isfinite(q):
                 raise ValueError(f"beta' Omega11^{{-1}} beta is {q!r}")
-            beta_failed = not omega22 - q > schur_floor
+            violations += not omega22 - q > schur_floor
 
             stage = "gamma"
             gam = update_gamma(c, gamma_bank[i])
-            if not gam > 0.0:
-                raise RuntimeError(f"gamma draw {gam!r} is not positive")
             omega[i, i] = gam + q
-            w = _dscal(1.0 / math.sqrt(gam), v.copy())
             # In place: make_partition has checked it on this same sigma.
-            _dsyr(1.0, w, 1, 1, 0, p, sigma_t, 1)
+            _dsyr(1.0 / gam, v, 1, 1, 0, p, sigma_t, 1)
             v = _dscal(-1.0 / gam, v)
             sigma[i] = v
             sigma[:, i] = v
@@ -682,7 +679,8 @@ def sweep(state, kind, audit, rng):
             raise RuntimeError(
                 f"column {i} (0-based) failed at stage {stage}: {exc}") from exc
 
-        audit.record(beta_failed)
+    audit.updates_total += p
+    audit.violations += violations
 
     # Copy the carried upper triangle (numpy indexing) onto the lower one.
     np.copyto(sigma, sigma_t, where=lower)

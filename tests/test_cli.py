@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -326,6 +327,26 @@ def test_fit_deterministic(tmp_path):
     cmd_fit(cfg, out2)
     assert (out1 / "posterior_mean.csv").read_bytes() == \
         (out2 / "posterior_mean.csv").read_bytes()
+
+
+def test_fit_timing_covers_the_command_and_the_chain(tmp_path, monkeypatch):
+    # total_seconds times the whole command, as simulate's does, so a slow
+    # ingest shows there and not in chain_seconds.
+    data = tmp_path / "data.csv"
+    write_synthetic(data, n=20, p=4)
+    ingest = cli.ingest_csv
+
+    def slow_ingest(*args, **kwargs):
+        time.sleep(0.05)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest_csv", slow_ingest)
+    out = tmp_path / "fit"
+    cmd_fit(FitConfig(data_path=data, sampler="bgs", burn_in=2, draws=5, seed=3), out)
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing) == {"total_seconds", "chain_seconds"}
+    assert 0.0 < timing["chain_seconds"] <= timing["total_seconds"]
+    assert timing["total_seconds"] >= timing["chain_seconds"] + 0.05
 
 
 def test_fit_rejects_single_row(tmp_path):

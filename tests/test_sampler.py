@@ -719,7 +719,10 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
 def test_sweep_factorisation_budget(kind, monkeypatch):
     # One Cholesky of omega per sweep, one in-place factor of C^{-1} per
     # column, which both samplers' beta draws share, and the one inverse
-    # that gives Sigma: no other O(p^3) step.
+    # that gives Sigma: no other O(p^3) step.  Each of a column's two rank-1
+    # updates is one dsyr with its formula's scalar as alpha, and no vector
+    # is scaled for it: dscal scales only -v / gamma, and for hrs the
+    # direction and the step.
     # Every helper the benchmark traces is counted through the module
     # attribute it replaces, so a sweep that bound one locally would show
     # zero calls here, as it would zero its traced time.
@@ -728,7 +731,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     beta = f"{kind}_update_beta"
     names = ("pd_check", "_dpotrf", "invert_from_factor", "make_partition",
              "_factor_c_inverse", beta, "update_gamma", "update_lambda_column",
-             "update_tau_column")
+             "update_tau_column", "_dsyr", "_dscal")
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
@@ -751,7 +754,8 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     blocks = -(-p // SHRINKAGE_BLOCK)
     expect = [{"pd_check": 1, "_dpotrf": p, "invert_from_factor": 1,
                "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": p,
-               "update_lambda_column": b, "update_tau_column": b}
+               "update_lambda_column": b, "update_tau_column": b,
+               "_dsyr": 2 * p, "_dscal": p if kind == "bgs" else 3 * p}
               for b in (p, blocks, blocks)]
     assert blocks == 2
     assert per_sweep == expect
@@ -868,8 +872,7 @@ def reference_sweep(st, kind, rng, first_sweep):
             lambda22 = 1.0
         tau12[i] = 1.0
 
-        u = sigma[:, i] * (1.0 / math.sqrt(sigma[i, i]))
-        o11 = syr(-1.0, u, sigma)
+        o11 = syr(-1.0 / sigma[i, i], sigma[:, i].copy(), sigma)
         o11[i, :] = 0.0
         o11[:, i] = 0.0
         s12, s22 = st.scatter[:, i].copy(), float(st.scatter[i, i])
@@ -907,7 +910,7 @@ def reference_sweep(st, kind, rng, first_sweep):
 
         gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lambda22)))
         omega[i, i] = gam + q
-        sigma = syr(1.0, v * (1.0 / math.sqrt(gam)), o11)
+        sigma = syr(1.0 / gam, v, o11)
         sigma[i, :] = sigma[:, i] = v * (-1.0 / gam)
         sigma[i, i] = 1.0 / gam
     st.sigma = sigma
