@@ -39,30 +39,33 @@ everything else, the rate lambda_ij and the latent scale tau_ij depend on
 omega_ij alone, so drawing them from omega_ij as it stands is an exact
 conditional update whenever it happens.  As block [t, e) begins, one call
 draws the rates ``Ga(r + 1, s + |omega_ij|)`` of rows t..e-1 of omega and
-one more the latent scales of those rows from them.  Column i reads entry
-i of its row of rates as lambda22 and its row of scales, slot i set to 1,
-as tau12.  No earlier column of the block writes omega_ii or omega_ij for
-j outside the block, so those draws are read as if drawn as column i
-begins.  A pair j < k inside the block gets one draw, the one from row j,
-copied onto row k: column j reads it before it rewrites omega_jk, and
-column k reads it after.  Column k's beta draw is still exact, given the
-tau_jk that column j's was made with, so the scan is a valid
-deterministic-scan Gibbs sampler for the same posterior.  From a chain's
-second sweep on it is not the chain of a per-column draw, in which column
-k would draw tau_jk afresh from the new omega_jk.  A chain's first sweep
-has blocks of one column and follows Wang's order, which has not yet drawn
-row i's entries j > i or lambda_ii when column i reads them, so they keep
-their initial value 1.
+one more the latent scales of those rows from them.  tau has no diagonal,
+so the block's draw then sets each row's slot i to 1, which decouples it.
+Column i reads entry i of its row of rates as lambda22 and its row of
+scales as tau12.  No earlier column of the block writes omega_ii or
+omega_ij for j outside the block, so those draws are read as if drawn as
+column i begins.  A pair j < k inside the block gets one draw, the one
+from row j, copied onto row k: column j reads it before it rewrites
+omega_jk, and column k reads it after.  Column k's beta draw is still
+exact, given the tau_jk that column j's was made with, so the scan is a
+valid deterministic-scan Gibbs sampler for the same posterior.  From a
+chain's second sweep on it is not the chain of a per-column draw, in which
+column k would draw tau_jk afresh from the new omega_jk.  A chain's first
+sweep has blocks of one column and follows Wang's order, which has not yet
+drawn row i's entries j > i or lambda_ii when column i reads them, so the
+block's draw sets them to their initial value 1.
 
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
 so each sweep makes one copy of it with a zero diagonal, and s12 is a row
-view of that copy.  beta is the one row copied, because omega keeps its
-diagonal.  The sweep reads omega22 before the column's writes and computes
-``c = s22 + 2 lambda22`` once, for the C^{-1} factor, the hrs step and the
-gamma rate.  Besides the bank and each block's shrinkage arrays, a sweep
-allocates one p x p workspace and its diagonal view, in which every column
-forms and factors C^{-1}, once for either sampler.
+view of that copy.  Only hrs reads the old column: it copies row i of
+omega as beta, slot i set to zero, because omega keeps its diagonal; bgs
+copies no row of omega.  The sweep reads omega22 before the column's
+writes and computes ``c = s22 + 2 lambda22`` once, for the C^{-1} factor,
+the hrs step and the gamma rate.  Besides the bank and each block's
+shrinkage arrays, a sweep allocates one p x p workspace and its diagonal
+view, in which every column forms and factors C^{-1}, once for either
+sampler.
 
 Code that runs once per column keeps its speed idioms: scalars read with
 ``.item()``, banks as lists, the workspace, and positional f2py calls and
@@ -155,10 +158,10 @@ sampler:
    step in column i.
 
 Entry (i, i) of bank 5 is free for the step because tau has no diagonal:
-the block's draw makes a tau_ii from it all the same, but
-:func:`make_partition` overwrites that with 1 before column i reads its
-row, and no other column reads row i's slot i.  So the step reads a fresh
-uniform that nothing else reads, and bgs draws it and leaves it unread.
+the block's draw makes a tau_ii from it all the same, but overwrites that
+with 1 before column i reads its row, and no other column reads row i's
+slot i.  So the step reads a fresh uniform that nothing else reads, and
+bgs draws it and leaves it unread.
 
 Row i of every bank is in natural order.  Every column update is then a
 pure transform of row i of the bank and the state, and every block's
@@ -246,7 +249,9 @@ class ChainConfig:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
         for name, least in (("burn_in", 0), ("draws", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least):
+            # bool subclasses int, but True is no count of sweeps.
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                               and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         # Written so that NaN, which fails every comparison, is rejected.
         if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
@@ -263,8 +268,9 @@ class GibbsState:
     for the observed data.  The shrinkage rates lambda and latent scales
     tau are not stored: :func:`sweep` draws the rows of each block of
     ``SHRINKAGE_BLOCK`` columns as the block begins, and every draw is read
-    within its block (see the module docstring).  Until a chain's first
-    sweep has drawn them, they read 1.
+    within its block (see the module docstring).  Where a chain's first
+    sweep has not drawn them yet, and in each row's unused slot tau_ii, the
+    block's draw sets them to 1.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.  Between sweeps it is the
@@ -339,7 +345,8 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
         if not s_jj > 0.0:
             raise ValueError(f"variable {j} (0-based) has S_jj = {s_jj!r}, not > 0, so the "
                              "posterior is improper (is its data column all zeros?)")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    # bool subclasses int, but True is no sample size.
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
     return GibbsState(
         omega=np.eye(p),
@@ -350,22 +357,18 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     )
 
 
-def make_partition(state, i, sigma, tau12):
-    """Partition the state around column i (0-based), masked in natural order,
-    and return beta.
+def make_partition(sigma, i):
+    """Partition Sigma around column i (0-based), masked in natural order:
+    downdate it in place to Omega11^{-1}.
 
-    Every block keeps length p and slot i is decoupled: it is zero in
-    Omega11^{-1}, s12 and beta and one in tau12.  sigma is Omega^{-1}, the
-    one :func:`sweep` carries, read from its upper triangle (numpy
-    indexing).  It is downdated in place, in O(p^2), to ``Omega11^{-1} =
-    Sigma - sigma_i sigma_i' / sigma_ii`` with row and column i set to
-    zero.  sigma must be C-ordered, as :func:`invert_from_factor` returns
-    it, or the downdate raises ValueError.  tau12 is the column's row of
-    latent scales, and its slot i is set to 1 here.  beta is a copy of row
-    i of omega with slot i set to zero, because omega keeps its diagonal.
+    sigma is Omega^{-1}, the one :func:`sweep` carries, read from its upper
+    triangle (numpy indexing).  It is downdated in place, in O(p^2), to
+    ``Omega11^{-1} = Sigma - sigma_i sigma_i' / sigma_ii`` with row and
+    column i set to zero, so slot i is decoupled.  sigma must be
+    C-ordered, as :func:`invert_from_factor` returns it, or the downdate
+    raises ValueError.
     """
-    omega = state.omega
-    p = omega.shape[0]
+    p = sigma.shape[0]
     # Complete row i of sigma from the current triangle (its part left of
     # the diagonal is column i above it).
     sigma[i, :i] = sigma[:i, i]
@@ -380,10 +383,6 @@ def make_partition(state, i, sigma, tau12):
         raise ValueError("the rank-1 update needs a C-ordered float64 array")
     sigma[i] = 0.0
     sigma[:, i] = 0.0
-    tau12[i] = 1.0
-    beta = omega[i].copy()
-    beta[i] = 0.0
-    return beta
 
 
 def _factor_c_inverse(omega11_inv, c, tau12, work, diag):
@@ -565,14 +564,14 @@ def sweep(state, kind, audit, rng):
 
     As each block of ``SHRINKAGE_BLOCK`` columns begins, the sweep draws
     the block's rows of shrinkage rates and latent scales from those rows
-    of omega as they stand then, in one call each, and gives each pair
-    inside the block one draw; each column reads its rows from there.
+    of omega as they stand then, in one call each, gives each pair inside
+    the block one draw and sets each row's slot i to 1; each column reads
+    its rows from there.
 
     Every column of every sweep draws beta.  A chain's first sweep, the one
     that finds ``state.sigma`` still None, has blocks of one column, and
-    column i reads 1 for lambda_ii and for the latent scales of row i
-    beyond slot i, which have not been drawn yet (see the module
-    docstring).
+    its block draw sets lambda_ii and the latent scales of row i beyond
+    slot i, which have not been drawn yet, to 1 (see the module docstring).
     """
     # run_chain has validated its config, but sweep is importable on its
     # own, and a misspelt kind would otherwise run bgs without a word.
@@ -635,22 +634,26 @@ def sweep(state, kind, audit, rng):
                 # of its first column, which both columns read.
                 pairs = tau[:, start:end]
                 np.copyto(pairs, pairs.T, where=lower[:end - start, :end - start])
+                # tau has no diagonal: each row's own slot is decoupled.
+                np.fill_diagonal(pairs, 1.0)
+                if first_sweep:
+                    # Not drawn yet in Wang's order, so still at their
+                    # initial 1.
+                    tau[0, i:] = 1.0
+                    lam[0, i] = 1.0
             tau12 = tau[i - start]
-            lambda22 = lam.item(i - start, i)
-            if first_sweep:
-                # Not drawn yet in Wang's order, so still at their initial 1.
-                tau12[i + 1:] = 1.0
-                lambda22 = 1.0
 
             stage = "partition"
             omega22 = omega.item(i, i)
-            beta = make_partition(state, i, sigma, tau12)
+            make_partition(sigma, i)
             s12 = scatter_off[i]
-            c = state.scatter.item(i, i) + 2.0 * lambda22
+            c = state.scatter.item(i, i) + 2.0 * lam.item(i - start, i)
 
             stage = "beta"
             L = _factor_c_inverse(sigma, c, tau12, work, diag)
             if kind == "hrs":
+                beta = omega[i].copy()
+                beta[i] = 0.0
                 beta = hrs_update_beta(L, sigma, s12, c, tau12, beta, omega22,
                                        z_bank[i], u_bank.item(i, i))
             else:

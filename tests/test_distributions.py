@@ -203,6 +203,19 @@ def test_truncnorm_errors():
         sample_truncated_normal(0.0, 1.0, 1.0 + 4 * 2.0 ** -52, 0.5)
 
 
+@pytest.mark.xfail(raises=ValueError, strict=True, reason=(
+    "the log_ndtr -> ndtri_exp round trip is off by a few ulps at a small endpoint, more "
+    "than the 2**-50 margin on t moves the draw: u = 0 on (-0.1, 0.1) computes "
+    "-0.10000000000000002"))
+def test_truncnorm_extreme_uniforms_stay_inside_a_narrow_central_interval():
+    # Both extreme uniforms stay strictly inside (-1, 1), and u = 1 - 2**-53
+    # inside (-0.1, 0.1); u = 0 on (-0.1, 0.1) rounds onto the endpoint's
+    # far side and raises.
+    for lo, hi, u in ((-1.0, 1.0, 0.0), (-1.0, 1.0, 1.0 - 2.0 ** -53),
+                      (-0.1, 0.1, 1.0 - 2.0 ** -53), (-0.1, 0.1, 0.0)):
+        assert lo < sample_truncated_normal(0.0, lo, hi, u) < hi
+
+
 def test_truncnorm_unresolvable_interval_returns():
     # No float lies strictly inside (1, nextafter(1, 2)); a sampler that
     # retries can loop forever on this interval.

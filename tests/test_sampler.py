@@ -64,14 +64,18 @@ def off_diagonal(M):
 def column(st, i, tau=None, lam=None):
     """What sweep hands column i's steps, from make_partition on a fresh
     inverse, with row i of tau and lam as the column's shrinkage draws; unit
-    ones, as in a chain's first column, when they are not given.  Returns
-    (omega11_inv, s12, c, tau12, beta, omega22)."""
+    ones, as in a chain's first column, when they are not given.  As in
+    sweep, slot i of tau12 is 1 and beta is row i of omega with slot i
+    zeroed.  Returns (omega11_inv, s12, c, tau12, beta, omega22)."""
     p = st.omega.shape[0]
     tau12 = np.ones(p) if tau is None else tau[i].copy()
+    tau12[i] = 1.0
     lambda22 = 1.0 if lam is None else float(lam[i])
     omega22 = st.omega.item(i, i)
     omega11_inv = spd_inverse(st.omega)
-    beta = make_partition(st, i, omega11_inv, tau12)
+    make_partition(omega11_inv, i)
+    beta = st.omega[i].copy()
+    beta[i] = 0.0
     c = st.scatter.item(i, i) + 2.0 * lambda22
     return omega11_inv, off_diagonal(st.scatter)[i], c, tau12, beta, omega22
 
@@ -122,8 +126,9 @@ def test_partition_schur_oracle_p2():
 
 
 def test_partition_blocks_follow_permutation():
-    # s12, s22, lambda22 and omega22 are read by sweep itself, not by
-    # make_partition; the block test checks what a sweep hands its columns.
+    # s12, s22, lambda22, omega22, tau12 and the old column beta are read
+    # by sweep itself, not by make_partition; the block test checks what a
+    # sweep hands its columns, slot i of tau12 and hrs's beta included.
     rng = np.random.default_rng(0)
     p = 5
     S = scatter_matrix(rng.standard_normal((20, p)))
@@ -131,19 +136,14 @@ def test_partition_blocks_follow_permutation():
     A = rng.standard_normal((p, p))
     st.omega = symmetrize(A @ A.T + p * np.eye(p))
     omega_before = st.omega.copy()
-    tau_row = np.abs(rng.standard_normal(p)) + 0.1
     i = 2
     sigma = spd_inverse(st.omega)
-    tau12 = tau_row.copy()
-    beta = make_partition(st, i, sigma, tau12)
-    # natural order with slot 2 decoupled: zero in beta and omega11_inv, one
-    # in tau12, and every other entry read in place
+    assert make_partition(sigma, i) is None
+    # natural order with slot 2 decoupled: zero in omega11_inv, and every
+    # other entry in place
     rest = [0, 1, 3, 4]
-    for vec, full, slot in ((tau12, tau_row, 1.0), (beta, st.omega[:, i], 0.0)):
-        assert np.array_equal(vec[rest], full[rest])
-        assert vec[i] == slot
-    # sigma is the only state array the partition writes: it is downdated in
-    # place to omega11_inv
+    # sigma is the only array the partition writes: it is downdated in place
+    # to omega11_inv
     assert np.array_equal(st.omega, omega_before) and np.array_equal(st.scatter, S)
     omega11_inv = represented(sigma)
     assert np.all(omega11_inv[i] == 0.0)
@@ -173,7 +173,7 @@ def test_partition_gamma_roundtrip():
 def test_partition_index_out_of_range():
     st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
-        make_partition(st, 3, np.eye(3), np.ones(3))
+        make_partition(np.eye(3), 3)
 
 
 def random_state(gen, p=7):
@@ -199,7 +199,7 @@ def test_partition_needs_a_c_ordered_sigma():
         assert invert_from_factor(factor).flags.c_contiguous
     sigma = np.asfortranarray(spd_inverse(st.omega))
     with pytest.raises(ValueError, match="C-ordered"):
-        make_partition(st, 2, sigma, np.ones(5))
+        make_partition(sigma, 2)
 
 
 def test_masked_partition_draws_match_the_compressed_blocks():
@@ -692,9 +692,9 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
     original_partition = sampler.make_partition
     original = sampler.update_gamma
 
-    def partitioned(state, i, *args):
-        old_diagonal.append(state.omega.item(i, i))
-        return original_partition(state, i, *args)
+    def partitioned(sigma, i):
+        old_diagonal.append(st.omega.item(i, i))
+        return original_partition(sigma, i)
 
     def audited(c, g):
         # omega now holds the new off-diagonal column; with the old diagonal
@@ -948,49 +948,51 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     # tau12 and lambda22 rows at once as column t begins, from rows t..e-1 of
     # omega as they stand then and from bank rows 3-5; at p = 20 the blocks
     # are 16 and 4 columns.  A pair of columns inside a block reads one
-    # draw, the one from its first column's row.  A chain's first sweep has
-    # blocks of one column, and the entries not yet drawn in Wang's order,
-    # tau12 beyond slot i and lambda22, read their initial 1; the entries
-    # before slot i are drawn from omega[i, :i], which columns 0..i-1 have
-    # already drawn, so none of them is the identity's zero.  lambda22 is
-    # seen through c = s22 + 2 lambda22, which the gamma draw reads, and s12
-    # must be row i of S with slot i zeroed.
+    # draw, the one from its first column's row.  Slot i of tau12 is 1 in
+    # every sweep.  A chain's first sweep has blocks of one column, and the
+    # entries not yet drawn in Wang's order, tau12 beyond slot i and
+    # lambda22, read their initial 1; the entries before slot i are drawn
+    # from omega[i, :i], which columns 0..i-1 have already drawn, so none of
+    # them is the identity's zero.  The C^{-1} factor receives tau12 and
+    # c = s22 + 2 lambda22, through which lambda22 is seen; s12 must be row
+    # i of S with slot i zeroed, and hrs's old column beta row i of omega
+    # with slot i zeroed.
     p, n = 20, 30
     st, _ = make_sim_state(kind="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
-    seen, cs, s12s = [], [], []
-    original = sampler.make_partition
-    original_gamma = sampler.update_gamma
+    seen, s12s, betas = [], [], []
+    original = sampler._factor_c_inverse
     beta_name = f"{kind}_update_beta"
     original_beta = getattr(sampler, beta_name)
 
-    def hooked(state, i, sigma, tau12):
-        omega = state.omega.copy()
-        beta = original(state, i, sigma, tau12)
-        seen.append((i, omega, tau12.copy()))
-        return beta
-
-    def gamma_hooked(c, g):
-        cs.append(c)
-        return original_gamma(c, g)
+    def hooked(omega11_inv, c, tau12, work, diag):
+        # Called once per column, in column order, before any of column i's
+        # writes to omega.
+        seen.append((len(seen), st.omega.copy(), tau12.copy(), c))
+        return original(omega11_inv, c, tau12, work, diag)
 
     def beta_hooked(*args):
-        # s12 follows L, and for hrs omega11_inv too
+        # s12 follows L, and for hrs omega11_inv too; hrs's beta follows
+        # s12, c and tau12
         s12s.append(args[1 if kind == "bgs" else 2].copy())
+        if kind == "hrs":
+            betas.append(args[5].copy())
         return original_beta(*args)
 
-    monkeypatch.setattr(sampler, "make_partition", hooked)
-    monkeypatch.setattr(sampler, "update_gamma", gamma_hooked)
+    monkeypatch.setattr(sampler, "_factor_c_inverse", hooked)
     monkeypatch.setattr(sampler, beta_name, beta_hooked)
     s12_expect = off_diagonal(st.scatter)
     for k in range(3):
-        del seen[:], cs[:], s12s[:]
+        del seen[:], s12s[:], betas[:]
         sweep(st, kind, ViolationAudit(), rng)
         _, _, G_lambda, NU, U = draw_bank(twin, p, n, st.r)
-        assert [i for i, *_ in seen] == list(range(p))
+        assert len(seen) == p
         np.testing.assert_array_equal(s12s, s12_expect)
+        if kind == "hrs":
+            np.testing.assert_array_equal(betas, [off_diagonal(omega)[i]
+                                                  for i, omega, *_ in seen])
         block = 1 if k == 0 else sampler.SHRINKAGE_BLOCK
-        for (i, _, tau12), c in zip(seen, cs, strict=True):
+        for i, _, tau12, c in seen:
             s22 = st.scatter.item(i, i)
             start = i - i % block
             end = min(start + block, p)
@@ -1061,7 +1063,7 @@ class HalvedDiagonalStream(RngStream):
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
-    # Entry (i, i) of bank 5 feeds tau_ii, which make_partition overwrites
+    # Entry (i, i) of bank 5 feeds tau_ii, which the block's draw overwrites
     # with 1, and hrs's step uniform; nothing else reads it.  So halving it
     # moves an hrs chain and leaves a bgs chain bit for bit as it was.
     plain, _ = make_sim_state(kind="circle", p=9, n=30, seed=80)
@@ -1176,7 +1178,9 @@ def test_chain_config_rejects_non_finite_hyperparameters(r, s):
 
 def test_chain_config_needs_integer_sweep_counts():
     # A float burn_in would otherwise pass and fail later inside range().
-    for burn_in, draws, bad in ((1.5, 2, "burn_in"), (1, 2.0, "draws")):
+    # bool subclasses int, so True and False would otherwise pass as 1 and 0.
+    for burn_in, draws, bad in ((1.5, 2, "burn_in"), (1, 2.0, "draws"), (True, 2, "burn_in"),
+                                (False, 2, "burn_in"), (1, True, "draws")):
         with pytest.raises(ValueError, match=f"{bad} must be an integer"):
             ChainConfig(burn_in=burn_in, draws=draws).validate()
     ChainConfig(burn_in=np.int64(1), draws=np.int32(2)).validate()
@@ -1186,6 +1190,9 @@ def test_initial_state_needs_an_integer_sample_size():
     # int(7.9) is 7, so a float n would silently sample the n = 7 posterior.
     with pytest.raises(ValueError, match="sample size must be a positive integer, got 7.9"):
         initial_state(np.eye(3), 7.9)
+    # bool subclasses int, so True would otherwise give n = 1.
+    with pytest.raises(ValueError, match="sample size must be a positive integer, got True"):
+        initial_state(np.eye(3), True)
     assert initial_state(np.eye(3), np.int64(7)).n == 7
 
 
