@@ -11,14 +11,17 @@ Two commands:
 Each command's settings are one dataclass, :class:`ScenarioConfig` or
 :class:`FitConfig`.  Both extend :class:`RunConfig`, which declares the
 settings they share (sampler, burn_in, draws, r, s, seed) with
-:class:`~bayesglasso.sampler.ChainConfig`'s defaults and validates them.
-Each flag's argparse ``dest`` is its field name, and the parser states no
-defaults: a flag left out is absent from the parsed namespace, so
-:func:`main` builds a config from the parsed flags as they are and the
-config's own defaults fill in the rest.  Each output directory's manifest
-is that config as a dict (fit adds the data's n and p), replications.csv
-has the columns of its rows and audit.json the fields of
-:class:`~bayesglasso.sampler.ViolationAudit`.
+:class:`~bayesglasso.sampler.ChainConfig`'s defaults and checks them by
+building its ChainConfig.  A config checks itself once, when it is made,
+and raises :class:`ConfigError` for an invalid setting, so a bad setting
+fails before any output is written.  Each flag's argparse ``dest`` is its
+field name, and the parser states no defaults: a flag left out is absent
+from the parsed namespace, so :func:`main` builds a config from the
+parsed flags as they are and the config's own defaults fill in the rest.
+Each output directory's manifest is that config as a dict (fit adds the
+data's n and p), with each numpy scalar written as the Python number it
+holds; replications.csv has the columns of its rows and audit.json the
+fields of :class:`~bayesglasso.sampler.ViolationAudit`.
 Wall-clock numbers go to a separate timing file so that everything else
 is byte-identical across reruns with the same seed.
 
@@ -33,6 +36,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -44,7 +48,7 @@ from .distributions import RngStream
 from .matrixcore import save_matrix_csv
 from .metrics import (StructureScores, adjacency_from_estimate, frobenius_loss,
                       scores_from_counts, stein_loss, structure_scores, unit_diag_scale)
-from .sampler import SAMPLER_KINDS, ChainConfig, ViolationAudit, run_chain
+from .sampler import SAMPLER_KINDS, ChainConfig, ViolationAudit, check_integer, run_chain
 
 REPLICATION_COLUMNS = [
     "design", "p", "n", "sampler", "replication", "stein", "frobenius",
@@ -61,6 +65,15 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def _config_errors():
+    """Raise a ValueError from a settings check as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(kw_only=True)
 class RunConfig:
     """The settings both commands share: the chain's settings and its seed."""
@@ -72,19 +85,16 @@ class RunConfig:
     s: float = ChainConfig.s
     seed: int = 0
 
+    def __post_init__(self):
+        with _config_errors():
+            self.chain_config()
+            # numpy's SeedSequence takes only non-negative integers, and
+            # RngStream would run a float seed as its integer part.
+            check_integer("seed", self.seed, 0)
+
     def chain_config(self):
         return ChainConfig(kind=self.sampler, burn_in=self.burn_in,
                            draws=self.draws, r=self.r, s=self.s)
-
-    def validate(self):
-        try:
-            self.chain_config().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        # numpy's SeedSequence takes only non-negative integers; checked here
-        # so that a bad seed fails before any output is written.
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(kw_only=True)
@@ -96,14 +106,13 @@ class ScenarioConfig(RunConfig):
     threshold: float = 1e-3
     jobs: int = 1
 
-    def validate(self):
-        try:
+    def __post_init__(self):
+        with _config_errors():
             GraphDesign(kind=self.design, p=self.p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        super().validate()
-        if self.n < 1 or self.replications < 1 or self.jobs < 1:
-            raise ConfigError("n, replications and jobs must be positive")
+        super().__post_init__()
+        with _config_errors():
+            for name in ("n", "replications", "jobs"):
+                check_integer(name, getattr(self, name), 1)
         # Written so that NaN, which fails every comparison, is rejected.
         if not 0.0 < self.threshold < math.inf:
             raise ConfigError("threshold must be finite and positive")
@@ -117,6 +126,7 @@ class FitConfig(RunConfig):
     def __post_init__(self):
         # The manifest records the path as given; JSON needs it as a str.
         self.data_path = str(self.data_path)
+        super().__post_init__()
 
 
 def ingest_csv(path, standardize=False):
@@ -231,16 +241,19 @@ def _bootstrap_se_of_median(values, seed):
 
 
 def _open_run(out_dir, command, config):
-    """Make the output directory and write its manifest; returns its Path."""
+    """Make the output directory and write its manifest; returns its Path.
+
+    The manifest's text is made first, so a config that JSON cannot hold
+    leaves no directory behind.
+    """
+    text = _json_text({"command": command, "version": __version__, "config": config})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json",
-                {"command": command, "version": __version__, "config": config})
+    (out / "manifest.json").write_text(text)
     return out
 
 
 def cmd_simulate(scenario, out_dir):
-    scenario.validate()
     out = _open_run(out_dir, "simulate", asdict(scenario))
 
     t0 = time.perf_counter()
@@ -325,7 +338,6 @@ def cmd_fit(config, out_dir):
     simulate's does; chain_seconds times the chain alone.
     """
     t0 = time.perf_counter()
-    config.validate()
     values = ingest_csv(config.data_path, standardize=config.standardize)
     n, p = values.shape
     if n < 2:
@@ -351,15 +363,23 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_sanitize(v) for v in obj]
+    # A config may hold numpy scalars: each is written as the Python number
+    # it holds.
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
 
+def _json_text(obj):
+    return json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # The text is made before the file is opened, so an object JSON cannot
+    # hold leaves no file behind.
+    Path(path).write_text(_json_text(obj))
 
 
 def build_parser():

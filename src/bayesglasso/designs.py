@@ -23,7 +23,8 @@ class GraphDesign:
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise ValueError(f"design must be one of {DESIGN_KINDS}, got {self.kind!r}")
-        if not isinstance(self.p, (int, np.integer)):
+        # bool subclasses int, but True is no number of variables.
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
             raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.kind in ("ar2", "circle") and self.p < 3:
             raise ValueError(f"{self.kind} needs p >= 3")

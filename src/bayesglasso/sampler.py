@@ -229,12 +229,23 @@ _dtrtrs = lapack.dtrtrs
 _dpotrf = lapack.dpotrf
 
 
-@dataclass
+def check_integer(name, value, least):
+    """Raise ValueError unless value is a Python or numpy integer >= least."""
+    # bool subclasses int, but True is no count.
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class ChainConfig:
     """Settings for one chain run; its defaults are the CLI's defaults too.
 
     kind defaults to ``"bgs"``, which targets the stated posterior; the
-    CLI has no default and requires ``--sampler``.
+    CLI has no default and requires ``--sampler``.  A config checks its
+    settings once, when it is made, and raises ValueError for an invalid
+    one; it is frozen, so :func:`run_chain` and :func:`sweep` read settings
+    that have been checked.  ``dataclasses.replace`` makes and checks a new
+    one.
     """
 
     kind: str = "bgs"
@@ -244,15 +255,11 @@ class ChainConfig:
     s: float = 1e-6
     store_draws: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
-        for name, least in (("burn_in", 0), ("draws", 1)):
-            value = getattr(self, name)
-            # bool subclasses int, but True is no count of sweeps.
-            if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
-                                               and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_integer("burn_in", self.burn_in, 0)
+        check_integer("draws", self.draws, 1)
         # Written so that NaN, which fails every comparison, is rejected.
         if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
             raise ValueError("hyperparameters r and s must be finite and positive")
@@ -264,13 +271,15 @@ class ChainConfig:
 class GibbsState:
     """Mutable state of one chain.
 
-    omega is the p x p symmetric precision matrix and scatter is S = Y'Y
-    for the observed data.  The shrinkage rates lambda and latent scales
-    tau are not stored: :func:`sweep` draws the rows of each block of
-    ``SHRINKAGE_BLOCK`` columns as the block begins, and every draw is read
-    within its block (see the module docstring).  Where a chain's first
-    sweep has not drawn them yet, and in each row's unused slot tau_ii, the
-    block's draw sets them to 1.
+    omega is the p x p symmetric precision matrix, and scatter is S = Y'Y
+    and n the sample size of the observed data.  The shrinkage rates lambda
+    and latent scales tau are not stored: :func:`sweep` draws the rows of
+    each block of ``SHRINKAGE_BLOCK`` columns as the block begins, and
+    every draw is read within its block (see the module docstring).  Where
+    a chain's first sweep has not drawn them yet, and in each row's unused
+    slot tau_ii, the block's draw sets them to 1.  Nor are the
+    hyperparameters r and s: :func:`sweep` reads them from the chain's
+    :class:`ChainConfig`.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.  Between sweeps it is the
@@ -284,8 +293,6 @@ class GibbsState:
     omega: np.ndarray
     scatter: np.ndarray
     n: int
-    r: float
-    s: float
     sigma: np.ndarray | None = None
 
 
@@ -326,15 +333,14 @@ class ChainOutput:
     draws: list | None = None
 
 
-def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
+def initial_state(scatter, n):
     """Identity precision; the first sweep reads unit latent scales and
     unit shrinkage rates where it has not drawn them yet.
 
-    r and s are taken as valid: :func:`run_chain` validates its ChainConfig
-    before calling this.  Every S_jj must be positive: with S_jj = 0, as an
-    all-zero data column gives, the marginal posterior of column j's Schur
-    complement gamma behaves like gamma**(n/2) (gamma + s)**-(r + 1), which
-    does not integrate.
+    Every S_jj must be positive: with S_jj = 0, as an all-zero data column
+    gives, the marginal posterior of column j's Schur complement gamma
+    behaves like gamma**(n/2) (gamma + s)**-(r + 1), which does not
+    integrate.
     """
     scatter = check_symmetric(scatter, "scatter")
     p = scatter.shape[0]
@@ -348,13 +354,7 @@ def initial_state(scatter, n, r=ChainConfig.r, s=ChainConfig.s):
     # bool subclasses int, but True is no sample size.
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return GibbsState(
-        omega=np.eye(p),
-        scatter=scatter,
-        n=int(n),
-        r=float(r),
-        s=float(s),
-    )
+    return GibbsState(omega=np.eye(p), scatter=scatter, n=int(n))
 
 
 def make_partition(sigma, i):
@@ -535,8 +535,11 @@ def update_tau_column(lam, abs_omega, half_nu2, odds):
     return np.where(odds <= r, r, 1.0 / r) * (a / lam)
 
 
-def sweep(state, kind, audit, rng):
+def sweep(state, config, audit, rng):
     """One full pass over all p columns, mutating state in place.
+
+    config is the chain's :class:`ChainConfig`, checked when it was made;
+    the sweep reads its kind, and its r and s as Python floats.
 
     The sweep starts with the one Cholesky factorisation of omega it
     needs.  A state that fails it is an error for both samplers: a chain
@@ -573,10 +576,6 @@ def sweep(state, kind, audit, rng):
     its block draw sets lambda_ii and the latent scales of row i beyond
     slot i, which have not been drawn yet, to 1 (see the module docstring).
     """
-    # run_chain has validated its config, but sweep is importable on its
-    # own, and a misspelt kind would otherwise run bgs without a word.
-    if kind not in SAMPLER_KINDS:
-        raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
     L = pd_check(state.omega)
     if L is None:
         raise ValueError("omega is not positive definite at the start of the sweep")
@@ -590,6 +589,7 @@ def sweep(state, kind, audit, rng):
     p = state.omega.shape[0]
     omega = state.omega
     schur_floor = PD_TOL * PD_TOL
+    r, s = float(config.r), float(config.s)
     scatter_off = state.scatter.copy()
     scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
@@ -614,7 +614,7 @@ def sweep(state, kind, audit, rng):
     z_bank = rng.standard_normal((p, p))
     z_bank.flat[:: p + 1] = 0.0
     gamma_bank = rng.standard_gamma(state.n / 2.0 + 1.0, p).tolist()
-    lambda_bank = rng.standard_gamma(state.r + 1.0, (p, p))
+    lambda_bank = rng.standard_gamma(r + 1.0, (p, p))
     half_nu2_bank = rng.standard_normal((p, p)) ** 2 / 2.0
     u_bank = rng.random((p, p))
     odds_bank = u_bank / (1.0 - u_bank)
@@ -625,7 +625,7 @@ def sweep(state, kind, audit, rng):
             if i == end:
                 start, end = i, min(i + block, p)
                 abs_omega = np.abs(omega[start:end])
-                lam = update_lambda_column(abs_omega, state.s, lambda_bank[start:end])
+                lam = update_lambda_column(abs_omega, s, lambda_bank[start:end])
 
                 stage = "tau"
                 tau = update_tau_column(lam, abs_omega, half_nu2_bank[start:end],
@@ -651,7 +651,7 @@ def sweep(state, kind, audit, rng):
 
             stage = "beta"
             L = _factor_c_inverse(sigma, c, tau12, work, diag)
-            if kind == "hrs":
+            if config.kind == "hrs":
                 beta = omega[i].copy()
                 beta[i] = 0.0
                 beta = hrs_update_beta(L, sigma, s12, c, tau12, beta, omega22,
@@ -698,8 +698,7 @@ def run_chain(data_scatter, n, config, rng):
     draw).  The audit covers every sweep the chain performs, burn-in
     included.
     """
-    config.validate()
-    state = initial_state(data_scatter, n, config.r, config.s)
+    state = initial_state(data_scatter, n)
     audit = ViolationAudit()
     p = state.omega.shape[0]
     mean_acc = np.zeros((p, p))
@@ -708,7 +707,7 @@ def run_chain(data_scatter, n, config, rng):
 
     t0 = time.perf_counter()
     for k in range(total):
-        sweep(state, config.kind, audit, rng)
+        sweep(state, config, audit, rng)
         if k >= config.burn_in:
             mean_acc += state.omega
             if draws is not None:

@@ -9,6 +9,7 @@ import pytest
 from bayesglasso import cli
 from bayesglasso.cli import (
     REPLICATION_COLUMNS,
+    ConfigError,
     FitConfig,
     ScenarioConfig,
     build_parser,
@@ -273,15 +274,71 @@ def test_simulate_records_a_failed_replication_and_scores_the_rest(tmp_path, mon
 
 
 def test_scenario_validation():
+    # A config checks itself as it is made.
     with pytest.raises(ValueError):
-        small_scenario(design="block", p=5).validate()  # odd block
+        small_scenario(design="block", p=5)  # odd block
     with pytest.raises(ValueError):
-        small_scenario(sampler="mh").validate()
+        small_scenario(sampler="mh")
     with pytest.raises(ValueError):
-        small_scenario(r=0.0).validate()
+        small_scenario(r=0.0)
     with pytest.raises(ValueError):
-        small_scenario(replications=0).validate()
-    small_scenario().validate()
+        small_scenario(replications=0)
+    small_scenario()
+
+
+@pytest.mark.parametrize("name,value", [("n", 2.5), ("replications", 2.0), ("jobs", 1.5),
+                                        ("seed", 1.5), ("n", True), ("replications", True),
+                                        ("jobs", True), ("seed", True)])
+def test_scenario_integer_fields_reject_floats_and_bools(name, value, tmp_path):
+    # These once passed: a float n or seed ran as its integer part, while the
+    # manifest recorded the float; bool subclasses int.
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= [01], got {value!r}"):
+        small_scenario(**{name: value})
+    if name == "seed":
+        data = tmp_path / "data.csv"
+        write_synthetic(data)
+        with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {value!r}"):
+            FitConfig(data_path=data, sampler="bgs", seed=value)
+
+
+def test_manifest_writes_numpy_scalars_as_python_numbers(tmp_path):
+    # Every setting given as a numpy scalar writes the manifest that the
+    # same setting in Python numbers writes, byte for byte.  A numpy integer
+    # once failed the JSON dump after the output directory was made.
+    ints = {"p": 6, "n": 10, "burn_in": 2, "draws": 3, "replications": 2, "jobs": 1,
+            "seed": 4}
+    floats = {"r": 0.5, "s": 0.25, "threshold": 0.05}
+    as_numpy = {**{k: np.int64(v) for k, v in ints.items()},
+                **{k: np.float64(v) for k, v in floats.items()}}
+    for tag, values in (("python", {**ints, **floats}), ("numpy", as_numpy)):
+        assert cmd_simulate(ScenarioConfig(design="circle", sampler="bgs", **values),
+                            tmp_path / f"simulate-{tag}") == 0
+    data = tmp_path / "data.csv"
+    write_synthetic(data, n=8, p=3)
+    chain = ("burn_in", "draws", "seed", "r", "s")
+    for tag, values, standardize in (("python", {**ints, **floats}, True),
+                                     ("numpy", as_numpy, np.True_)):
+        assert cmd_fit(FitConfig(data_path=data, sampler="hrs", standardize=standardize,
+                                 **{k: values[k] for k in chain}),
+                       tmp_path / f"fit-{tag}") == 0
+    for command in ("simulate", "fit"):
+        python, numpy = ((tmp_path / f"{command}-{tag}" / "manifest.json").read_bytes()
+                         for tag in ("python", "numpy"))
+        assert python == numpy, command
+    assert json.loads(python)["config"]["standardize"] is True
+
+
+def test_json_that_cannot_be_written_leaves_no_file(tmp_path):
+    # The text is made before the file is opened: a failing dump used to
+    # leave a truncated file behind.
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(path, {"bad": {1, 2}})
+    assert not path.exists()
+    out = tmp_path / "run"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._open_run(out, "fit", {"bad": {1, 2}})
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- fit

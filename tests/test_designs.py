@@ -114,6 +114,13 @@ def test_design_size_must_be_an_integer():
     assert true_model("circle", np.int64(6)).omega_true.shape == (6, 6)
 
 
+def test_design_size_rejects_a_bool():
+    # bool subclasses int; True was once rejected only as "need p >= 2".
+    for p in (True, False, np.True_):
+        with pytest.raises(ValueError, match=f"p must be an integer, got {p!r}"):
+            GraphDesign("ar1", p)
+
+
 def test_simulate_data_shape_and_determinism():
     model = true_model("ar1", 4)
     a = simulate_data(model, 11, RngStream(5))

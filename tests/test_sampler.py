@@ -3,7 +3,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +46,9 @@ def represented(M):
     return np.triu(M) + np.triu(M, 1).T
 
 
-def state_with_omega(omega, scatter=None, n=10, r=1e-2, s=1e-6):
+def state_with_omega(omega, scatter=None, n=10):
     p = omega.shape[0]
-    st = initial_state(scatter if scatter is not None else np.eye(p), n, r, s)
+    st = initial_state(scatter if scatter is not None else np.eye(p), n)
     st.omega = np.array(omega, dtype=float)
     return st
 
@@ -578,7 +578,7 @@ def test_sweep_keeps_exact_symmetry_and_audit_counts():
         st, rng = make_sim_state(p=p)
         audit = ViolationAudit()
         for k in range(5):
-            sweep(st, kind, audit, rng)
+            sweep(st, ChainConfig(kind), audit, rng)
             assert audit.updates_total == (k + 1) * p
             for name in ("omega", "sigma"):
                 M = getattr(st, name)
@@ -610,7 +610,7 @@ def test_hrs_sweep_never_violates():
     st, rng = make_sim_state(p=8, n=5)  # n < p on purpose
     audit = ViolationAudit()
     for _ in range(50):
-        sweep(st, "hrs", audit, rng)
+        sweep(st, ChainConfig("hrs"), audit, rng)
         assert pd_check(st.omega) is not None
     assert audit.violations == 0
     assert audit.updates_total == 50 * 8
@@ -620,7 +620,7 @@ def test_bgs_sweep_records_violations_and_continues():
     st, rng = make_sim_state(kind="circle", p=20, n=30)
     audit = ViolationAudit()
     for _ in range(60):
-        sweep(st, "bgs", audit, rng)
+        sweep(st, ChainConfig("bgs"), audit, rng)
     assert audit.violations > 0
     assert audit.violations <= audit.updates_total
     # the chain kept going and the state stayed finite
@@ -628,13 +628,14 @@ def test_bgs_sweep_records_violations_and_continues():
 
 
 def test_sweep_rejects_bad_kind_and_bad_state():
+    # The kind is checked once, as the config a sweep reads is made.
     st, rng = make_sim_state(p=4)
     with pytest.raises(ValueError, match="sampler kind"):
-        sweep(st, "mh", ViolationAudit(), rng)
+        sweep(st, ChainConfig("mh"), ViolationAudit(), rng)
     st.omega = np.array([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0],
                          [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
-        sweep(st, "hrs", ViolationAudit(), rng)
+        sweep(st, ChainConfig("hrs"), ViolationAudit(), rng)
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -656,7 +657,7 @@ def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
 
     monkeypatch.setattr(sampler, "update_tau_column", poisoned)
     with pytest.raises(RuntimeError, match=r"column 5 \(0-based\) failed at stage beta"):
-        sweep(st, kind, ViolationAudit(), rng)
+        sweep(st, ChainConfig(kind), ViolationAudit(), rng)
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -678,7 +679,7 @@ def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
 
     monkeypatch.setattr(sampler, "make_partition", checked)
     for _ in range(5):
-        sweep(st, kind, ViolationAudit(), rng)
+        sweep(st, ChainConfig(kind), ViolationAudit(), rng)
         check()  # after the sweep's last column
     assert len(errors) == 5 * (8 + 1)
     assert max(errors) < 1e-9
@@ -709,7 +710,7 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
     monkeypatch.setattr(sampler, "update_gamma", audited)
     audit = ViolationAudit()
     for _ in range(40):
-        sweep(st, "bgs", audit, rng)
+        sweep(st, ChainConfig("bgs"), audit, rng)
     assert len(full) == audit.updates_total == 40 * p
     assert audit.violations == sum(full)
     assert audit.violations > 100
@@ -747,7 +748,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     per_sweep = []
     for _ in range(3):
         before = dict(calls)
-        sweep(st, kind, ViolationAudit(), rng)
+        sweep(st, ChainConfig(kind), ViolationAudit(), rng)
         per_sweep.append({name: calls[name] - before[name] for name in calls})
     # Every sweep draws beta for all p columns; a chain's first sweep has
     # blocks of one column.
@@ -829,7 +830,7 @@ def shrinkage_block(G_lambda, NU, U, omega, s, start, end):
     return rates, tau
 
 
-def reference_sweep(st, kind, rng, first_sweep):
+def reference_sweep(st, config, rng, first_sweep):
     """The masked column kernel written plainly: the bank drawn up front,
     the shrinkage rows of each block of SHRINKAGE_BLOCK columns drawn from
     their rows of omega as the block begins, each pair inside a block
@@ -857,14 +858,14 @@ def reference_sweep(st, kind, rng, first_sweep):
     p = st.omega.shape[0]
     omega = st.omega
     sigma = invert_from_factor(pd_check(omega))
-    Z, G_gamma, G_lambda, NU, U = draw_bank(rng, p, st.n, st.r)
+    Z, G_gamma, G_lambda, NU, U = draw_bank(rng, p, st.n, config.r)
     np.fill_diagonal(Z, 0.0)
     violations = 0
     block = 1 if first_sweep else sampler.SHRINKAGE_BLOCK
     for i in range(p):
         if i % block == 0:
             start = i
-            rates, tau = shrinkage_block(G_lambda, NU, U, omega, st.s, i, min(i + block, p))
+            rates, tau = shrinkage_block(G_lambda, NU, U, omega, config.s, i, min(i + block, p))
         tau12 = tau[i - start].copy()
         lambda22 = rates[i - start, i]
         if first_sweep:
@@ -884,7 +885,7 @@ def reference_sweep(st, kind, rng, first_sweep):
         cinv.flat[:: p + 1] += 1.0 / tau12
         L, info = lapack.dpotrf(cinv, lower=1, clean=1)
         assert info == 0
-        if kind == "bgs":
+        if config.kind == "bgs":
             y = lapack.dtrtrs(L, s12, lower=1)[0]
             beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
         else:
@@ -924,13 +925,14 @@ def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
     st, _ = make_sim_state(kind=design, p=p, n=n, seed=40)
     ref = initial_state(st.scatter, n)
     rng, ref_rng = RngStream(41), RngStream(41)
+    config = ChainConfig(kind)
     audit = ViolationAudit()
     updates = violations = 0
     # p = 100, n < p at the size of a fit, runs OpenBLAS's blocked
     # factorisations; the plain reference is slow there, so a few sweeps.
     for k in range(40 if p < 100 else 4):
-        sweep(st, kind, audit, rng)
-        du, dv = reference_sweep(ref, kind, ref_rng, first_sweep=(k == 0))
+        sweep(st, config, audit, rng)
+        du, dv = reference_sweep(ref, config, ref_rng, first_sweep=(k == 0))
         updates += du
         violations += dv
     for name in ("omega", "sigma"):
@@ -984,8 +986,8 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     s12_expect = off_diagonal(st.scatter)
     for k in range(3):
         del seen[:], s12s[:], betas[:]
-        sweep(st, kind, ViolationAudit(), rng)
-        _, _, G_lambda, NU, U = draw_bank(twin, p, n, st.r)
+        sweep(st, ChainConfig(kind), ViolationAudit(), rng)
+        _, _, G_lambda, NU, U = draw_bank(twin, p, n, ChainConfig.r)
         assert len(seen) == p
         np.testing.assert_array_equal(s12s, s12_expect)
         if kind == "hrs":
@@ -997,7 +999,8 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
             start = i - i % block
             end = min(start + block, p)
             block_omega = seen[start][1]
-            rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(block_omega[i]), st.s)
+            rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(block_omega[i]),
+                                       ChainConfig.s)
             assert tau12[i] == 1.0
             if k == 0:
                 assert np.all(block_omega[i, :i] != 0.0), i
@@ -1020,7 +1023,7 @@ def test_sweeps_leave_scatter_unchanged():
         st, rng = make_sim_state(kind="ar2", p=12, n=8, seed=60)
         before = st.scatter.copy()
         for _ in range(5):
-            sweep(st, kind, ViolationAudit(), rng)
+            sweep(st, ChainConfig(kind), ViolationAudit(), rng)
         assert st.scatter.tobytes() == before.tobytes(), kind
 
 
@@ -1033,18 +1036,18 @@ def test_sweep_stream_is_fixed_shape(kind):
     st1, _ = make_sim_state(kind="circle", p=p, n=30, seed=50)
     st2, _ = make_sim_state(kind="star", p=p, n=30, seed=51)
     for _ in range(3):
-        sweep(st2, kind, ViolationAudit(), RngStream(52))
+        sweep(st2, ChainConfig(kind), ViolationAudit(), RngStream(52))
     fresh = RngStream(53)
-    draw_bank(fresh, p, 30, st1.r)
+    draw_bank(fresh, p, 30, ChainConfig.r)
     position = fresh.random()
     kind_positions = []
     for other in SAMPLER_KINDS:
         rng = RngStream(53)
-        sweep(replace(st2, omega=st2.omega.copy()), other, ViolationAudit(), rng)
+        sweep(replace(st2, omega=st2.omega.copy()), ChainConfig(other), ViolationAudit(), rng)
         kind_positions.append(rng.random())
     rng1, rng2 = RngStream(53), RngStream(53)
-    sweep(st1, kind, ViolationAudit(), rng1)
-    sweep(st2, kind, ViolationAudit(), rng2)
+    sweep(st1, ChainConfig(kind), ViolationAudit(), rng1)
+    sweep(st2, ChainConfig(kind), ViolationAudit(), rng2)
     assert not np.array_equal(st1.omega, st2.omega)
     assert rng1.random() == rng2.random() == position
     assert kind_positions == [position] * len(SAMPLER_KINDS)
@@ -1070,8 +1073,8 @@ def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
     halved = initial_state(plain.scatter, plain.n)
     rng, halved_rng = RngStream(81), HalvedDiagonalStream(81)
     for _ in range(5):
-        sweep(plain, kind, ViolationAudit(), rng)
-        sweep(halved, kind, ViolationAudit(), halved_rng)
+        sweep(plain, ChainConfig(kind), ViolationAudit(), rng)
+        sweep(halved, ChainConfig(kind), ViolationAudit(), halved_rng)
     same = [np.array_equal(getattr(plain, name), getattr(halved, name))
             for name in ("omega", "sigma")]
     assert same == [kind == "bgs"] * 2
@@ -1080,10 +1083,10 @@ def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
 def test_sigma_drift_is_recorded_and_small():
     st, rng = make_sim_state(kind="circle", p=20, n=30)
     audit = ViolationAudit()
-    sweep(st, "bgs", audit, rng)
+    sweep(st, ChainConfig("bgs"), audit, rng)
     assert audit.sigma_drift_max == 0.0  # nothing carried into the first sweep
     for _ in range(30):
-        sweep(st, "bgs", audit, rng)
+        sweep(st, ChainConfig("bgs"), audit, rng)
     assert 0.0 < audit.sigma_drift_max < 1e-9
 
 
@@ -1173,7 +1176,7 @@ def test_chain_config_rejects_non_finite_hyperparameters(r, s):
     # NaN passes a "<= 0" test, and an infinite r or s makes the rate
     # draws infinite or zero.
     with pytest.raises(ValueError, match="finite and positive"):
-        ChainConfig(r=r, s=s).validate()
+        ChainConfig(r=r, s=s)
 
 
 def test_chain_config_needs_integer_sweep_counts():
@@ -1182,8 +1185,8 @@ def test_chain_config_needs_integer_sweep_counts():
     for burn_in, draws, bad in ((1.5, 2, "burn_in"), (1, 2.0, "draws"), (True, 2, "burn_in"),
                                 (False, 2, "burn_in"), (1, True, "draws")):
         with pytest.raises(ValueError, match=f"{bad} must be an integer"):
-            ChainConfig(burn_in=burn_in, draws=draws).validate()
-    ChainConfig(burn_in=np.int64(1), draws=np.int32(2)).validate()
+            ChainConfig(burn_in=burn_in, draws=draws)
+    ChainConfig(burn_in=np.int64(1), draws=np.int32(2))
 
 
 def test_initial_state_needs_an_integer_sample_size():
@@ -1200,9 +1203,25 @@ def test_chain_config_rejects_an_s_below_the_floor():
     # Below about 1e-298 the smallest latent scale a rate allows,
     # EPS_OMEGA * s / g, is subnormal, and the beta draw's 1/tau could
     # overflow.
-    ChainConfig(s=S_FLOOR).validate()
+    ChainConfig(s=S_FLOOR)
     with pytest.raises(ValueError, match="at least"):
-        ChainConfig(s=1e-300).validate()
+        ChainConfig(s=1e-300)
+
+
+def test_chain_config_is_frozen_and_replace_checks_the_copy():
+    # The benchmark runs every chain it captures with
+    # replace(config, store_draws=True): that must give a checked config,
+    # and a field can change only through such a new, checked config.
+    config = ChainConfig(kind="hrs", burn_in=1, draws=2)
+    stored = replace(config, store_draws=True)
+    assert stored == ChainConfig(kind="hrs", burn_in=1, draws=2, store_draws=True)
+    assert not config.store_draws
+    out = run_chain(np.eye(3), 10, stored, RngStream(1))
+    assert len(out.draws) == 2
+    with pytest.raises(ValueError, match="sampler kind"):
+        replace(config, kind="nope")
+    with pytest.raises(FrozenInstanceError):
+        config.kind = "nope"
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
