@@ -13,8 +13,8 @@ Each command's settings are one dataclass, :class:`ScenarioConfig` or
 settings they share (sampler, burn_in, draws, r, s, seed) with
 :class:`~bayesglasso.sampler.ChainConfig`'s defaults and checks them by
 building its ChainConfig.  A config checks itself once, when it is made,
-and raises :class:`ConfigError` for an invalid setting, so a bad setting
-fails before any output is written.  Each flag's argparse ``dest`` is its
+and raises ValueError for an invalid setting, so a bad setting fails
+before any output is written.  Each flag's argparse ``dest`` is its
 field name, and the parser states no defaults: a flag left out is absent
 from the parsed namespace, so :func:`main` builds a config from the
 parsed flags as they are and the config's own defaults fill in the rest.
@@ -26,7 +26,8 @@ Wall-clock numbers go to a separate timing file so that everything else
 is byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 any replication/data failure, 2 configuration
-error.
+error: :func:`main` exits 2 for an error raised while it makes the config
+and 1 for one raised while the command runs.
 """
 
 import argparse
@@ -36,7 +37,6 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -45,10 +45,10 @@ import numpy as np
 from . import __version__
 from .designs import DESIGN_KINDS, GraphDesign, build_design, scatter_matrix, simulate_data
 from .distributions import RngStream
-from .matrixcore import save_matrix_csv
+from .matrixcore import check_integer, check_positive, save_matrix_csv
 from .metrics import (StructureScores, adjacency_from_estimate, frobenius_loss,
                       scores_from_counts, stein_loss, structure_scores, unit_diag_scale)
-from .sampler import SAMPLER_KINDS, ChainConfig, ViolationAudit, check_integer, run_chain
+from .sampler import SAMPLER_KINDS, ChainConfig, ViolationAudit, run_chain
 
 REPLICATION_COLUMNS = [
     "design", "p", "n", "sampler", "replication", "stein", "frobenius",
@@ -59,19 +59,6 @@ REPLICATION_COLUMNS = [
 # replication stream.
 _BOOTSTRAP_STREAM = 2 ** 32
 _BOOTSTRAP_RESAMPLES = 1000
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@contextmanager
-def _config_errors():
-    """Raise a ValueError from a settings check as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 @dataclass(kw_only=True)
@@ -86,11 +73,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        with _config_errors():
-            self.chain_config()
-            # numpy's SeedSequence takes only non-negative integers, and
-            # RngStream would run a float seed as its integer part.
-            check_integer("seed", self.seed, 0)
+        self.chain_config()
+        # RngStream checks the seed too, but only once a chain starts.
+        check_integer("seed", self.seed, 0)
 
     def chain_config(self):
         return ChainConfig(kind=self.sampler, burn_in=self.burn_in,
@@ -107,15 +92,11 @@ class ScenarioConfig(RunConfig):
     jobs: int = 1
 
     def __post_init__(self):
-        with _config_errors():
-            GraphDesign(kind=self.design, p=self.p)
+        GraphDesign(kind=self.design, p=self.p)
         super().__post_init__()
-        with _config_errors():
-            for name in ("n", "replications", "jobs"):
-                check_integer(name, getattr(self, name), 1)
-        # Written so that NaN, which fails every comparison, is rejected.
-        if not 0.0 < self.threshold < math.inf:
-            raise ConfigError("threshold must be finite and positive")
+        for name in ("n", "replications", "jobs"):
+            check_integer(name, getattr(self, name), 1)
+        check_positive("threshold", self.threshold)
 
 
 @dataclass(kw_only=True)
@@ -127,6 +108,9 @@ class FitConfig(RunConfig):
         # The manifest records the path as given; JSON needs it as a str.
         self.data_path = str(self.data_path)
         super().__post_init__()
+        # Any truthy value would standardize; the manifest records it as given.
+        if not isinstance(self.standardize, (bool, np.bool_)):
+            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
 
 
 def ingest_csv(path, standardize=False):
@@ -423,13 +407,14 @@ def build_parser():
 def main(argv=None):
     args = vars(build_parser().parse_args(argv))
     command, out_dir = args.pop("command"), args.pop("out")
+    make_config, run = (FitConfig, cmd_fit) if command == "fit" else (ScenarioConfig, cmd_simulate)
     try:
-        if command == "fit":
-            return cmd_fit(FitConfig(**args), out_dir)
-        return cmd_simulate(ScenarioConfig(**args), out_dir)
-    except ConfigError as exc:
+        config = make_config(**args)
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return run(config, out_dir)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

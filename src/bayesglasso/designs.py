@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import pd_check, spd_inverse
+from .matrixcore import check_integer, pd_check, spd_inverse
 
 DESIGN_KINDS = ("ar1", "ar2", "block", "star", "circle", "full")
 
@@ -23,15 +23,11 @@ class GraphDesign:
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
             raise ValueError(f"design must be one of {DESIGN_KINDS}, got {self.kind!r}")
-        # bool subclasses int, but True is no number of variables.
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
-            raise ValueError(f"p must be an integer, got {self.p!r}")
+        check_integer("p", self.p, 2)
         if self.kind in ("ar2", "circle") and self.p < 3:
             raise ValueError(f"{self.kind} needs p >= 3")
-        if self.kind == "block" and (self.p < 2 or self.p % 2 != 0):
-            raise ValueError("block needs an even p >= 2")
-        if self.p < 2:
-            raise ValueError("need p >= 2")
+        if self.kind == "block" and self.p % 2 != 0:
+            raise ValueError("block needs an even p")
 
 
 @dataclass
@@ -94,8 +90,7 @@ def build_design(design):
 
 def simulate_data(model, n, rng):
     """n i.i.d. rows from N(0, sigma_true)."""
-    if n < 1:
-        raise ValueError("sample size must be positive")
+    check_integer("n", n, 1)
     L = pd_check(model.sigma_true)
     if L is None:
         raise ValueError("true covariance not positive definite")

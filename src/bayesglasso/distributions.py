@@ -12,11 +12,16 @@ import math
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
+from .matrixcore import check_integer
+
 
 class RngStream(np.random.Generator):
     """One deterministic random stream, owned by a single worker at a time."""
 
     def __init__(self, seed, stream_id=0):
+        # int() would run a float or bool key as the integer it truncates to.
+        check_integer("seed", seed, 0)
+        check_integer("stream_id", stream_id, 0)
         key = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
         super().__init__(np.random.Philox(key))
 

@@ -1,4 +1,5 @@
-"""Dense symmetric-matrix primitives shared by the samplers.
+"""Dense symmetric-matrix primitives shared by the samplers, and the
+input checks every module shares.
 
 Everything operates on plain float64 numpy arrays.  Matrices handled here
 are symmetric by contract; every operation that returns a matrix builds it
@@ -7,9 +8,16 @@ exactly symmetric so asymmetry cannot accumulate over long Gibbs runs.
 :func:`pd_check` is the one Cholesky helper: it factors a copy and tests
 the factor's diagonal.  The sampler factors each column's C^{-1} with its
 own ``dpotrf`` binding, in place, beside the column update's BLAS routines.
+
+Each rule for a checked input is one helper, which raises ValueError
+naming the input and its value: :func:`check_integer` for counts, sizes
+and seeds, :func:`check_positive` for thresholds and hyperparameters, and
+:func:`check_symmetric` for a matrix.
 """
 
 import functools
+import math
+import numbers
 
 import numpy as np
 from scipy.linalg import lapack
@@ -26,6 +34,21 @@ PD_TOL = 1e-12
 _dpotrf = lapack.dpotrf
 # inv_a,info = dpotri(c,[lower,overwrite_c])
 _dpotri = lapack.dpotri
+
+
+def check_integer(name, value, least):
+    """Raise ValueError unless value is a Python or numpy integer >= least."""
+    # bool subclasses int, but True is no count.
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(name, value):
+    """Raise ValueError unless value is a finite real number > 0, not a bool."""
+    # Written so that NaN, which fails every comparison, is rejected.
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite and positive number, got {value!r}")
 
 
 def check_symmetric(M, name="matrix"):

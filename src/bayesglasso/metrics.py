@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import invert_from_factor, pd_check
+from .matrixcore import check_positive, invert_from_factor, pd_check
 
 
 @dataclass
@@ -53,8 +53,7 @@ def adjacency_from_estimate(omega_hat, threshold):
 
     threshold has no default here: the CLI's is ``ScenarioConfig.threshold``.
     """
-    if not 0.0 < threshold < math.inf:  # NaN fails this too
-        raise ValueError("threshold must be finite and positive")
+    check_positive("threshold", threshold)
     adj = np.abs(omega_hat) >= threshold
     np.fill_diagonal(adj, False)
     return adj

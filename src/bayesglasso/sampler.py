@@ -183,7 +183,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .distributions import sample_truncated_normal
-from .matrixcore import PD_TOL, check_symmetric, invert_from_factor, pd_check, strict_lower
+from .matrixcore import (PD_TOL, check_integer, check_positive, check_symmetric,
+                         invert_from_factor, pd_check, strict_lower)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -229,13 +230,6 @@ _dtrtrs = lapack.dtrtrs
 _dpotrf = lapack.dpotrf
 
 
-def check_integer(name, value, least):
-    """Raise ValueError unless value is a Python or numpy integer >= least."""
-    # bool subclasses int, but True is no count.
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Settings for one chain run; its defaults are the CLI's defaults too.
@@ -260,9 +254,8 @@ class ChainConfig:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
         check_integer("burn_in", self.burn_in, 0)
         check_integer("draws", self.draws, 1)
-        # Written so that NaN, which fails every comparison, is rejected.
-        if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
-            raise ValueError("hyperparameters r and s must be finite and positive")
+        check_positive("r", self.r)
+        check_positive("s", self.s)
         if self.s < S_FLOOR:
             raise ValueError(f"hyperparameter s must be at least {S_FLOOR:g}")
 
@@ -351,9 +344,7 @@ def initial_state(scatter, n):
         if not s_jj > 0.0:
             raise ValueError(f"variable {j} (0-based) has S_jj = {s_jj!r}, not > 0, so the "
                              "posterior is improper (is its data column all zeros?)")
-    # bool subclasses int, but True is no sample size.
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
+    check_integer("n", n, 1)
     return GibbsState(omega=np.eye(p), scatter=scatter, n=int(n))
 
 

@@ -9,7 +9,6 @@ import pytest
 from bayesglasso import cli
 from bayesglasso.cli import (
     REPLICATION_COLUMNS,
-    ConfigError,
     FitConfig,
     ScenarioConfig,
     build_parser,
@@ -283,6 +282,9 @@ def test_scenario_validation():
         small_scenario(r=0.0)
     with pytest.raises(ValueError):
         small_scenario(replications=0)
+    # 0 < True < inf, so a bool threshold once scored edges at 1.0.
+    with pytest.raises(ValueError, match="threshold must be a finite and positive number, got True"):
+        small_scenario(threshold=True)
     small_scenario()
 
 
@@ -292,13 +294,23 @@ def test_scenario_validation():
 def test_scenario_integer_fields_reject_floats_and_bools(name, value, tmp_path):
     # These once passed: a float n or seed ran as its integer part, while the
     # manifest recorded the float; bool subclasses int.
-    with pytest.raises(ConfigError, match=f"{name} must be an integer >= [01], got {value!r}"):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= [01], got {value!r}"):
         small_scenario(**{name: value})
     if name == "seed":
         data = tmp_path / "data.csv"
         write_synthetic(data)
-        with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {value!r}"):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {value!r}"):
             FitConfig(data_path=data, sampler="bgs", seed=value)
+
+
+def test_fit_config_standardize_must_be_a_bool(tmp_path):
+    # A truthy string once standardized the data and went into the manifest
+    # as given.
+    data = tmp_path / "data.csv"
+    write_synthetic(data)
+    for value in ("no", 1):
+        with pytest.raises(ValueError, match=f"standardize must be a bool, got {value!r}"):
+            FitConfig(data_path=data, sampler="bgs", standardize=value)
 
 
 def test_manifest_writes_numpy_scalars_as_python_numbers(tmp_path):

@@ -109,7 +109,7 @@ def test_design_validation():
 def test_design_size_must_be_an_integer():
     # np.arange(5.5) has six entries, so a float p would build a 6 x 6 model.
     for kind, p in (("ar1", 5.5), ("circle", 6.0)):
-        with pytest.raises(ValueError, match=f"p must be an integer, got {p}"):
+        with pytest.raises(ValueError, match=f"p must be an integer >= 2, got {p}"):
             GraphDesign(kind, p)
     assert true_model("circle", np.int64(6)).omega_true.shape == (6, 6)
 
@@ -117,7 +117,7 @@ def test_design_size_must_be_an_integer():
 def test_design_size_rejects_a_bool():
     # bool subclasses int; True was once rejected only as "need p >= 2".
     for p in (True, False, np.True_):
-        with pytest.raises(ValueError, match=f"p must be an integer, got {p!r}"):
+        with pytest.raises(ValueError, match=f"p must be an integer >= 2, got {p!r}"):
             GraphDesign("ar1", p)
 
 

@@ -34,7 +34,7 @@ def test_streams_deterministic():
     assert draws_a == draws_b
 
 
-@pytest.mark.parametrize("seed,stream_id", [(0, 0), (123, 5), (2**40, 3)])
+@pytest.mark.parametrize("seed,stream_id", [(0, 0), (123, 5), (2**40, 3), (np.int64(7), 2**32)])
 def test_stream_is_a_philox_generator_keyed_by_seed_and_stream(seed, stream_id):
     rng = RngStream(seed, stream_id)
     assert isinstance(rng, np.random.Generator)
@@ -42,6 +42,15 @@ def test_stream_is_a_philox_generator_keyed_by_seed_and_stream(seed, stream_id):
     plain = np.random.Generator(np.random.Philox(key))
     assert np.array_equal(rng.random(32), plain.random(32))
     assert np.array_equal(rng.standard_gamma(1.5, 16), plain.standard_gamma(1.5, 16))
+
+
+def test_stream_keys_must_be_non_negative_integers():
+    # int() once truncated a float or bool key, so RngStream(1.5) and
+    # RngStream(True) gave the draws of RngStream(1).
+    for seed, stream_id, bad in ((1.5, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"),
+                                 (1, 1.7, "stream_id"), (1, np.True_, "stream_id")):
+        with pytest.raises(ValueError, match=f"{bad} must be an integer >= 0"):
+            RngStream(seed, stream_id)
 
 
 def test_distinct_streams_differ():

@@ -106,7 +106,8 @@ def test_adjacency_monotone_in_threshold():
 
 
 def test_adjacency_rejects_bad_threshold():
-    for bad in (0.0, math.nan, math.inf):
+    # 0 < True < inf, so a bool threshold once scored edges at 1.0.
+    for bad in (0.0, math.nan, math.inf, True, np.True_):
         with pytest.raises(ValueError):
             adjacency_from_estimate(np.eye(2), threshold=bad)
 

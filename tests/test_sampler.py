@@ -1171,10 +1171,11 @@ def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind,
 
 
 @pytest.mark.parametrize("r,s", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
-                                 (1.0, math.nan), (-math.inf, 1.0), (0.0, 1.0)])
+                                 (1.0, math.nan), (-math.inf, 1.0), (0.0, 1.0),
+                                 (True, 1.0), (1.0, True), (np.True_, 1.0), (1.0, np.True_)])
 def test_chain_config_rejects_non_finite_hyperparameters(r, s):
     # NaN passes a "<= 0" test, and an infinite r or s makes the rate
-    # draws infinite or zero.
+    # draws infinite or zero.  0 < True < inf, so a bool once ran as 1.0.
     with pytest.raises(ValueError, match="finite and positive"):
         ChainConfig(r=r, s=s)
 
@@ -1191,10 +1192,10 @@ def test_chain_config_needs_integer_sweep_counts():
 
 def test_initial_state_needs_an_integer_sample_size():
     # int(7.9) is 7, so a float n would silently sample the n = 7 posterior.
-    with pytest.raises(ValueError, match="sample size must be a positive integer, got 7.9"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 7.9"):
         initial_state(np.eye(3), 7.9)
     # bool subclasses int, so True would otherwise give n = 1.
-    with pytest.raises(ValueError, match="sample size must be a positive integer, got True"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got True"):
         initial_state(np.eye(3), True)
     assert initial_state(np.eye(3), np.int64(7)).n == 7
 
