@@ -36,7 +36,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -245,6 +244,8 @@ def cmd_simulate(scenario, out_dir):
     # The pool starts every worker up front; extra ones would sit idle.
     workers = min(scenario.jobs, scenario.replications)
     if workers > 1:
+        # Imported here, so a command that runs no pool never loads it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_task, [scenario] * scenario.replications, reps))
     else:

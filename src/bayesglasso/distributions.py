@@ -5,12 +5,23 @@ the Philox counter-based bit generator keyed by ``(seed, stream_id)``.
 Equal keys give bitwise-identical draw sequences; distinct stream ids give
 statistically independent streams, which is how replications are seeded
 when they run in parallel.
+
+The truncated normal's ``log_ndtr`` and ``ndtri_exp`` come from
+``scipy.special``, which only hrs uses.  It takes 0.2-0.3 s to import
+once the package is loaded, since it too loads ``scipy._lib._array_api``
+and with it ``numpy.f2py`` (see the matrixcore module docstring), so
+:func:`normal_tail_ufuncs` imports it on first need.  Its compiled
+``_ufuncs`` cannot be loaded the way :mod:`bayesglasso.matrixcore` loads
+the BLAS modules: the module's init imports ``scipy.special`` itself.  On
+a 2-vCPU x86-64 guest, a function that returns the cached helper's result
+takes about 0.06 us, one that returns a module global 0.03 us and one that
+runs the import statement 0.41 us, so the draw calls the helper.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .matrixcore import check_integer
 
@@ -24,6 +35,14 @@ class RngStream(np.random.Generator):
         check_integer("stream_id", stream_id, 0)
         key = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
         super().__init__(np.random.Philox(key))
+
+
+@functools.cache
+def normal_tail_ufuncs():
+    """scipy.special's ``log_ndtr`` and ``ndtri_exp``, imported on the
+    first call and then returned from the cache."""
+    from scipy.special import log_ndtr, ndtri_exp
+    return log_ndtr, ndtri_exp
 
 
 def sample_truncated_normal(mu, lo, hi, u):
@@ -59,6 +78,7 @@ def sample_truncated_normal(mu, lo, hi, u):
     # 1.0, and the log-space inverse CDF resolves a quantile level only to a
     # few grid steps next to an endpoint such as those of (-1, 1).
     t = 2.0 ** -50 + u * (1.0 - 2.0 ** -49)
+    log_ndtr, ndtri_exp = normal_tail_ufuncs()
     la = float(log_ndtr(-a))
     lb = float(log_ndtr(-b))
     z = float(ndtri_exp(la + math.log1p(t * math.expm1(lb - la))))

@@ -13,23 +13,69 @@ Each rule for a checked input is one helper, which raises ValueError
 naming the input and its value: :func:`check_integer` for counts, sizes
 and seeds, :func:`check_positive` for thresholds and hyperparameters, and
 :func:`check_symmetric` for a matrix.
+
+The package's BLAS and LAPACK routines come from scipy's two compiled f2py
+modules, ``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, which
+:func:`scipy_extension` loads from scipy's install directory without
+running the ``__init__`` of ``scipy`` or ``scipy.linalg``.  Those
+``__init__``s were most of the cost of importing the package: in five runs
+of ``python -X importtime -c 'import bayesglasso.cli'`` with numpy 2.4 and
+scipy 1.17 on a 2-vCPU x86-64 guest, ``scipy.linalg`` read 207-289 of
+333-433 ms, 154-205 ms of it ``scipy._lib._array_api``, whose
+``array_api_compat.numpy`` runs ``from numpy import *`` and so loads
+``numpy.f2py`` and ``numpy.testing``.  The two compiled modules take a few
+ms each, and the whole import now reads 107-190 ms, 59-99 ms of it numpy.
+Each compiled module is registered under its real name, so
+``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export the very routines
+bound here, whichever of scipy and this package is imported first.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import lapack
 
 # Cholesky factor diagonal entries must exceed this for a matrix to count
 # as positive definite.
 PD_TOL = 1e-12
 
+
+def scipy_extension(package, name):
+    """The compiled module ``scipy.<package>.<name>``, loaded without
+    running any scipy package ``__init__``.
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise
+    the extension file is found in scipy's install directory, loaded,
+    and registered under its real name, so that a later ``import
+    scipy.<package>`` binds the same module object and every routine of
+    it is the one this package calls.
+    """
+    fullname = f"scipy.{package}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root, package),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(fullname)
+        if spec is None:
+            raise ImportError(f"no compiled module {fullname} in {root}", name=fullname)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 # LAPACK routines of pd_check and invert_from_factor, bound once and called
 # positionally, as the sampler's column routines are (see its module
 # docstring): f2py parses keyword arguments much more slowly.  Above each,
 # the f2py signature its calls follow.
+lapack = scipy_extension("linalg", "_flapack")
 # c,info = dpotrf(a,[lower,clean,overwrite_a])
 _dpotrf = lapack.dpotrf
 # inv_a,info = dpotri(c,[lower,overwrite_c])

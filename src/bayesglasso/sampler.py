@@ -107,7 +107,10 @@ than numpy's ``@`` at these sizes; the bitwise reference test, which uses
 
 Every BLAS and LAPACK routine of the column update (``dsyr``, ``dsymv``,
 ``ddot``, ``dscal``, ``dtrtrs`` and ``dpotrf``) is bound once, here at
-module level, and called with positional arguments only: f2py parses
+module level, from scipy's compiled ``_fblas`` and ``_flapack`` modules,
+which :func:`~bayesglasso.matrixcore.scipy_extension` loads without
+``scipy.linalg``'s 0.3 s package import (see the matrixcore module
+docstring).  Each is called with positional arguments only: f2py parses
 keyword arguments much more slowly.  :mod:`bayesglasso.matrixcore` binds
 the ``dpotrf`` of :func:`pd_check` and the ``dpotri`` of the sweep-start
 inverse the same way.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25
@@ -118,6 +121,12 @@ positional calls follow, and a test pins that line, so a scipy that
 reordered the optional arguments fails the suite instead of binding a flag
 to the wrong parameter.  The bitwise reference test keeps keyword calls,
 so it checks the positional ones too.
+
+hrs's truncated-normal step needs ``scipy.special``, which
+:mod:`bayesglasso.distributions` imports on first need.  :func:`run_chain`
+loads it for an hrs chain before it starts its timer, so the first hrs
+chain's ``elapsed_seconds`` does not hold the import; a bgs chain never
+loads it.
 
 Every vector scaled by a scalar is scaled with BLAS ``dscal``: -v / gamma
 in :func:`sweep`, and the direction and the step in
@@ -180,11 +189,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
-from .distributions import sample_truncated_normal
+from .distributions import normal_tail_ufuncs, sample_truncated_normal
 from .matrixcore import (PD_TOL, check_integer, check_positive, check_symmetric,
-                         invert_from_factor, pd_check, strict_lower)
+                         invert_from_factor, pd_check, scipy_extension, strict_lower)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -216,6 +224,8 @@ S_FLOOR = 1e-250
 # The BLAS and LAPACK routines of the column update, bound once and called
 # positionally (see the module docstring).  Above each, the f2py signature
 # its calls follow; tests/test_sampler.py pins these lines.
+blas = scipy_extension("linalg", "_fblas")
+lapack = scipy_extension("linalg", "_flapack")
 # a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])
 _dsyr = blas.dsyr
 # y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])
@@ -695,6 +705,9 @@ def run_chain(data_scatter, n, config, rng):
     mean_acc = np.zeros((p, p))
     draws = [] if config.store_draws else None
     total = config.burn_in + config.draws
+    if config.kind == "hrs":
+        # The step's tail ufuncs load here, outside the timed sweeps.
+        normal_tail_ufuncs()
 
     t0 = time.perf_counter()
     for k in range(total):

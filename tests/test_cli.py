@@ -234,7 +234,9 @@ def serial_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cmd_simulate imports the pool class from concurrent.futures as it
+    # opens a pool, so the stand-in replaces it there.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return sizes
 
 
