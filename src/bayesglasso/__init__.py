@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .designs import DESIGN_KINDS, GraphDesign, TrueModel, build_design, scatter_matrix, simulate_data, true_model
 from .distributions import RngStream
-from .matrixcore import load_matrix_csv, save_matrix_csv
+from .matrixcore import save_matrix_csv
 from .metrics import (
     StructureScores,
     adjacency_from_estimate,
@@ -35,7 +35,6 @@ __all__ = [
     "adjacency_from_estimate",
     "build_design",
     "frobenius_loss",
-    "load_matrix_csv",
     "run_chain",
     "save_matrix_csv",
     "scatter_matrix",

@@ -327,8 +327,6 @@ def cmd_fit(config, out_dir):
     n, p = values.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows of data, found {n}")
-    if p < 2:
-        raise ValueError(f"need at least 2 columns of data, found {p}")
 
     result = run_chain(scatter_matrix(values), n, config.chain_config(), RngStream(config.seed))
     out = _open_run(out_dir, "fit", {**asdict(config), "n": n, "p": p})

@@ -6,8 +6,7 @@ are symmetric by contract; every operation that returns a matrix builds it
 exactly symmetric so asymmetry cannot accumulate over long Gibbs runs.
 
 :func:`pd_check` is the one Cholesky helper: it factors a copy and tests
-the factor's diagonal.  The sampler factors each column's C^{-1} with its
-own ``dpotrf`` binding, in place, beside the column update's BLAS routines.
+the factor's diagonal.
 
 Each rule for a checked input is one helper, which raises ValueError
 naming the input and its value: :func:`check_integer` for counts, sizes
@@ -28,6 +27,12 @@ ms each, and the whole import now reads 107-190 ms, 59-99 ms of it numpy.
 Each compiled module is registered under its real name, so
 ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export the very routines
 bound here, whichever of scipy and this package is imported first.
+
+Every routine the package calls is bound here, once: ``dsyr``, ``dsymv``,
+``ddot``, ``dscal`` and ``dtrtrs`` of the column update, ``dpotrf`` of
+:func:`pd_check` and of the column update's factor, and ``dpotri`` of
+:func:`invert_from_factor`.  :mod:`bayesglasso.sampler` imports the six it
+calls as globals of its own.
 """
 
 import functools
@@ -67,15 +72,32 @@ def scipy_extension(package, name):
             raise ImportError(f"no compiled module {fullname} in {root}", name=fullname)
         module = importlib.util.module_from_spec(spec)
         sys.modules[fullname] = module
-        spec.loader.exec_module(module)
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            # A module whose init failed must not stay registered: a later
+            # import would find it and fail the same way.
+            sys.modules.pop(fullname, None)
+            raise
     return module
 
 
-# LAPACK routines of pd_check and invert_from_factor, bound once and called
-# positionally, as the sampler's column routines are (see its module
-# docstring): f2py parses keyword arguments much more slowly.  Above each,
-# the f2py signature its calls follow.
+# The BLAS and LAPACK routines of the package, bound once and called
+# positionally (see the sampler module docstring): f2py parses keyword
+# arguments much more slowly.  Above each, the f2py signature its calls
+# follow; tests/test_sampler.py pins these lines.
+blas = scipy_extension("linalg", "_fblas")
 lapack = scipy_extension("linalg", "_flapack")
+# a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])
+_dsyr = blas.dsyr
+# y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])
+_dsymv = blas.dsymv
+# xy = ddot(x,y,[n,offx,incx,offy,incy])
+_ddot = blas.ddot
+# x = dscal(a,x,[n,offx,incx])
+_dscal = blas.dscal
+# x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
+_dtrtrs = lapack.dtrtrs
 # c,info = dpotrf(a,[lower,clean,overwrite_a])
 _dpotrf = lapack.dpotrf
 # inv_a,info = dpotri(c,[lower,overwrite_c])
@@ -176,7 +198,3 @@ def spd_inverse(M):
 def save_matrix_csv(M, path):
     """Write a matrix as full (not triangular) CSV with round-trip precision."""
     np.savetxt(path, np.asarray(M, dtype=float), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)

@@ -106,14 +106,11 @@ than numpy's ``@`` at these sizes; the bitwise reference test, which uses
 ``@``, checks that the two agree on each OpenBLAS kernel it runs on.
 
 Every BLAS and LAPACK routine of the column update (``dsyr``, ``dsymv``,
-``ddot``, ``dscal``, ``dtrtrs`` and ``dpotrf``) is bound once, here at
-module level, from scipy's compiled ``_fblas`` and ``_flapack`` modules,
-which :func:`~bayesglasso.matrixcore.scipy_extension` loads without
-``scipy.linalg``'s 0.3 s package import (see the matrixcore module
-docstring).  Each is called with positional arguments only: f2py parses
-keyword arguments much more slowly.  :mod:`bayesglasso.matrixcore` binds
-the ``dpotrf`` of :func:`pd_check` and the ``dpotri`` of the sweep-start
-inverse the same way.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25
+``ddot``, ``dscal``, ``dtrtrs`` and ``dpotrf``) is bound once, in
+:mod:`bayesglasso.matrixcore` (see its module docstring), and this module
+imports each as a global of its own, so a call is one global lookup.  Each
+is called with positional arguments only: f2py parses keyword arguments
+much more slowly.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25
 timings per call went from 1.3 to 0.6 us for ``dsyr``, 1.3 to 0.7 for
 ``dsymv`` and 1.6 to 1.4 for ``dtrtrs``, and a column makes six such
 calls.  The comment above each binding quotes the f2py signature its
@@ -191,8 +188,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import normal_tail_ufuncs, sample_truncated_normal
-from .matrixcore import (PD_TOL, check_integer, check_positive, check_symmetric,
-                         invert_from_factor, pd_check, scipy_extension, strict_lower)
+from .matrixcore import (PD_TOL, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs, check_integer,
+                         check_positive, check_symmetric, invert_from_factor, pd_check,
+                         strict_lower)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -220,24 +218,6 @@ SHRINKAGE_BLOCK = 16
 # it is still a normal float: on star data at p = 60, n = 5 the smallest
 # scale drawn read 1.24e-261 for both samplers.
 S_FLOOR = 1e-250
-
-# The BLAS and LAPACK routines of the column update, bound once and called
-# positionally (see the module docstring).  Above each, the f2py signature
-# its calls follow; tests/test_sampler.py pins these lines.
-blas = scipy_extension("linalg", "_fblas")
-lapack = scipy_extension("linalg", "_flapack")
-# a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])
-_dsyr = blas.dsyr
-# y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])
-_dsymv = blas.dsymv
-# xy = ddot(x,y,[n,offx,incx,offy,incy])
-_ddot = blas.ddot
-# x = dscal(a,x,[n,offx,incx])
-_dscal = blas.dscal
-# x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
-_dtrtrs = lapack.dtrtrs
-# c,info = dpotrf(a,[lower,clean,overwrite_a])
-_dpotrf = lapack.dpotrf
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from bayesglasso.cli import (
     ingest_csv,
     main,
 )
-from bayesglasso.matrixcore import load_matrix_csv, pd_check
+from bayesglasso.matrixcore import pd_check
 from bayesglasso.metrics import scores_from_counts
 from bayesglasso.sampler import SAMPLER_KINDS, ViolationAudit
 
@@ -368,10 +372,10 @@ def test_fit_smoke_posterior_mean_pd(tmp_path):
     out = tmp_path / "fit"
     rc = cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=10, draws=30, seed=1), out)
     assert rc == 0
-    mean = load_matrix_csv(out / "posterior_mean.csv")
+    mean = np.loadtxt(out / "posterior_mean.csv", delimiter=",", ndmin=2)
     assert mean.shape == (3, 3)
     assert pd_check(mean) is not None
-    scaled = load_matrix_csv(out / "posterior_mean_unit_diag.csv")
+    scaled = np.loadtxt(out / "posterior_mean_unit_diag.csv", delimiter=",", ndmin=2)
     assert np.allclose(np.diagonal(scaled), 1.0)
     audit = json.loads((out / "audit.json").read_text())
     assert audit["violations"] == 0
@@ -385,7 +389,8 @@ def test_fit_n_less_than_p_completes_clean(tmp_path):
     assert rc == 0
     audit = json.loads((out / "audit.json").read_text())
     assert audit["violations"] == 0
-    mean = load_matrix_csv(out / "posterior_mean.csv")
+    assert 0.0 <= audit["sigma_drift_max"] < 1e-8
+    mean = np.loadtxt(out / "posterior_mean.csv", delimiter=",", ndmin=2)
     assert pd_check(mean) is not None
 
 
@@ -436,7 +441,21 @@ def test_main_fit_rejects_single_column(tmp_path, capsys):
     rc = main(["fit", str(data), "--sampler", "bgs", "--burnin", "1", "--draws", "2",
                "--out", str(out)])
     assert rc == 1
-    assert "at least 2 columns" in capsys.readouterr().err
+    assert "need at least two variables" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_route_exits_2_on_a_config_error(tmp_path):
+    # README's no-install route, `PYTHONPATH=src python -m bayesglasso.cli`,
+    # runs the module's __main__ block, which must pass main's status on.
+    src = Path(cli.__file__).resolve().parents[1]
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayesglasso.cli", "simulate", "--design", "circle", "--p", "6",
+         "--n", "20", "--sampler", "bgs", "--threshold", "nan", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error: threshold" in proc.stderr
     assert not out.exists()
 
 

@@ -55,18 +55,40 @@ for name in order:
 
 from scipy.linalg import blas, lapack
 import scipy.special
-from bayesglasso import matrixcore, sampler
+from bayesglasso import matrixcore
 from bayesglasso.distributions import normal_tail_ufuncs
 
-for module, names in [(sampler, ["dsyr", "dsymv", "ddot", "dscal", "dtrtrs", "dpotrf"]),
-                      (matrixcore, ["dpotrf", "dpotri"])]:
-    for name in names:
-        routine = getattr(module, "_" + name)
-        assert routine is getattr(blas, name, None) or routine is getattr(lapack, name), \\
-            (module.__name__, name)
-assert sampler.blas is sys.modules["scipy.linalg._fblas"]
-assert sampler.lapack is matrixcore.lapack is sys.modules["scipy.linalg._flapack"]
+for name in ["dsyr", "dsymv", "ddot", "dscal", "dtrtrs", "dpotrf", "dpotri"]:
+    routine = getattr(matrixcore, "_" + name)
+    assert routine is getattr(blas, name, None) or routine is getattr(lapack, name), name
+assert matrixcore.blas is sys.modules["scipy.linalg._fblas"]
+assert matrixcore.lapack is sys.modules["scipy.linalg._flapack"]
 assert normal_tail_ufuncs() == (scipy.special.log_ndtr, scipy.special.ndtri_exp)
+print("ok")
+"""
+
+# A compiled module whose init fails, as scipy.special._ufuncs's does when
+# its package is not yet imported, must not stay registered: a later
+# import of its package would find it and fail the same way.
+FAILED_LOADS = """
+import sys
+from bayesglasso.matrixcore import scipy_extension
+
+try:
+    scipy_extension("special", "_ufuncs")
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy.special._ufuncs loaded without its package")
+assert "scipy.special._ufuncs" not in sys.modules
+import scipy.special
+
+try:
+    scipy_extension("linalg", "_no_such_module")
+except ImportError as exc:
+    assert exc.name == "scipy.linalg._no_such_module", exc.name
+else:
+    raise AssertionError("a missing module loaded")
 print("ok")
 """
 
@@ -96,3 +118,7 @@ def test_each_step_loads_only_what_it_calls():
                          ids=["package-first", "scipy-first"])
 def test_bindings_are_scipys_routines_in_either_import_order(order):
     assert run_python(SAME_ROUTINES, order).strip() == "ok"
+
+
+def test_a_failed_load_leaves_no_module_behind():
+    assert run_python(FAILED_LOADS).strip() == "ok"

@@ -762,33 +762,28 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     assert per_sweep == expect
 
 
-# The f2py signature line of every routine the kernel calls positionally,
-# as the comment above its binding quotes it.  A scipy that reordered a
-# routine's optional arguments would bind a flag to the wrong parameter
-# without a word; this fails instead.
+# The f2py signature line of every routine the package calls positionally,
+# as the comment above its binding in matrixcore quotes it.  A scipy that
+# reordered a routine's optional arguments would bind a flag to the wrong
+# parameter without a word; this fails instead.
 POSITIONAL_SIGNATURES = {
-    (sampler, "dsyr"): "a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])",
-    (sampler, "dsymv"): "y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])",
-    (sampler, "ddot"): "xy = ddot(x,y,[n,offx,incx,offy,incy])",
-    (sampler, "dscal"): "x = dscal(a,x,[n,offx,incx])",
-    (sampler, "dtrtrs"): "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
-    (sampler, "dpotrf"): "c,info = dpotrf(a,[lower,clean,overwrite_a])",
-    (matrixcore, "dpotrf"): "c,info = dpotrf(a,[lower,clean,overwrite_a])",
-    (matrixcore, "dpotri"): "inv_a,info = dpotri(c,[lower,overwrite_c])",
+    "dsyr": "a = dsyr(alpha,x,[lower,incx,offx,n,a,overwrite_a])",
+    "dsymv": "y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])",
+    "ddot": "xy = ddot(x,y,[n,offx,incx,offy,incy])",
+    "dscal": "x = dscal(a,x,[n,offx,incx])",
+    "dtrtrs": "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
+    "dpotrf": "c,info = dpotrf(a,[lower,clean,overwrite_a])",
+    "dpotri": "inv_a,info = dpotri(c,[lower,overwrite_c])",
 }
 
 
-# Each case is named by its routine; dpotrf, bound in both modules, is
-# named by module for the sampler's binding, the column update's factor.
-@pytest.mark.parametrize("module,name", POSITIONAL_SIGNATURES,
-                         ids=["sampler-dpotrf" if key == (sampler, "dpotrf") else key[1]
-                              for key in POSITIONAL_SIGNATURES])
-def test_positional_call_signatures_are_pinned(module, name):
-    line = POSITIONAL_SIGNATURES[module, name]
-    routine = getattr(module, f"_{name}")
+@pytest.mark.parametrize("name", POSITIONAL_SIGNATURES)
+def test_positional_call_signatures_are_pinned(name):
+    line = POSITIONAL_SIGNATURES[name]
+    routine = getattr(matrixcore, f"_{name}")
     assert routine is getattr(blas, name, None) or routine is getattr(lapack, name)
     assert routine.__doc__.splitlines()[0] == line
-    assert f"# {line}\n_{name} = " in Path(module.__file__).read_text()
+    assert f"# {line}\n_{name} = " in Path(matrixcore.__file__).read_text()
 
 
 # ---------------------------------------------------------------- reference kernel
