@@ -118,10 +118,11 @@ def ingest_csv(path, standardize=False):
     A first row that is not all numeric is a header; it must have one label
     per column.  A first row with an empty cell has a missing label or a
     missing value, so it is read as data and rejected like any other row
-    with a blank.  All values must be finite; standardization centers each
-    column and scales it to unit sample standard deviation (n-1
-    denominator).  A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
-    exports write, is dropped before the first cell is read.
+    with a blank.  There must be at least 2 rows, and all values must be
+    finite; standardization centers each column and scales it to unit
+    sample standard deviation (n-1 denominator).  A UTF-8 byte-order mark,
+    as spreadsheet "CSV UTF-8" exports write, is dropped before the first
+    cell is read.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         raw = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
@@ -156,9 +157,9 @@ def ingest_csv(path, standardize=False):
                     f"{path}: row {lineno}, column {j + 1}: non-finite value {cell!r}")
             values[k, j] = v
 
+    if len(values) < 2:
+        raise ValueError(f"need at least 2 rows of data, found {len(values)}")
     if standardize:
-        if values.shape[0] < 2:
-            raise ValueError("standardization needs at least 2 rows")
         sd = values.std(axis=0, ddof=1)
         zero = np.nonzero(sd == 0.0)[0]
         if zero.size:
@@ -325,8 +326,6 @@ def cmd_fit(config, out_dir):
     t0 = time.perf_counter()
     values = ingest_csv(config.data_path, standardize=config.standardize)
     n, p = values.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 rows of data, found {n}")
 
     result = run_chain(scatter_matrix(values), n, config.chain_config(), RngStream(config.seed))
     out = _open_run(out_dir, "fit", {**asdict(config), "n": n, "p": p})

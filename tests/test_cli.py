@@ -434,6 +434,17 @@ def test_fit_rejects_single_row(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_fit_standardize_rejects_single_row(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("1,2,3\n")
+    out = tmp_path / "out"
+    rc = main(["fit", str(data), "--standardize", "--sampler", "bgs", "--burnin", "1",
+               "--draws", "2", "--out", str(out)])
+    assert rc == 1
+    assert "need at least 2 rows of data, found 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_fit_rejects_single_column(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1\n2\n3\n")

@@ -4,6 +4,7 @@ import pytest
 from bayesglasso.designs import (
     DESIGN_KINDS,
     GraphDesign,
+    TrueModel,
     build_design,
     scatter_matrix,
     simulate_data,
@@ -131,6 +132,14 @@ def test_simulate_data_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_simulate_data_rejects_a_covariance_not_positive_definite():
+    sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    model = TrueModel(omega_true=np.eye(2), sigma_true=sigma,
+                      adjacency_true=np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="true covariance not positive definite"):
+        simulate_data(model, 5, RngStream(1))
+
+
 def test_simulate_data_correlation():
     model = true_model("ar1", 2)
     Y = simulate_data(model, 100_000, RngStream(7))
@@ -145,6 +154,11 @@ def test_scatter_matrix_orthonormal_rows():
 def test_scatter_matrix_single_row_oracle():
     S = scatter_matrix(np.array([[1.0, 2.0]]))
     assert np.array_equal(S, [[1.0, 2.0], [2.0, 4.0]])
+
+
+def test_scatter_matrix_rejects_a_vector():
+    with pytest.raises(ValueError, match="need an n x p data matrix"):
+        scatter_matrix(np.ones(3))
 
 
 def test_scatter_matrix_exactly_symmetric():

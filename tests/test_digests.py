@@ -1,13 +1,20 @@
-"""Seeded CLI artifacts pinned by sha256, per numpy/OpenBLAS build and core.
+"""Per-core bit checks: the column kernel's bit-exact tests and the seeded
+CLI artifacts' sha256, each rerun with OpenBLAS's core forced to each of
+``CORES``, which any AVX2 x86-64 host can run.  Each OpenBLAS kernel rounds
+differently, and the one the host picks by itself is checked by the rest
+of the suite.
+
+``test_sampler.py``'s exact-symmetry test and its bitwise reference kernel
+test run in a pytest subprocess under each core.
 
 Every non-timing artifact of a desk-scale ``simulate`` (both samplers) and
 of a ``fit`` with n < p (both samplers) is hashed, and the digests are
 compared with ``tests/golden/digests.json``.  The bits depend on the BLAS
 kernel, so a digest is keyed by the numpy and scipy versions, the versions
 of the OpenBLAS each bundles, and ``OPENBLAS_CORETYPE``; the runs happen in
-a subprocess with the core forced to each of ``CORES`` in turn, which any
-AVX2 x86-64 host can run.  On a key the file does not hold the test skips,
-with the key as its reason.
+a subprocess under each core.  On a key the file does not hold the test
+skips, with the key as its reason.  Every test here skips off x86_64, or
+when OpenBLAS does not report the core it was asked for.
 
 A change that alters the random stream or the arithmetic on purpose
 regenerates the file with
@@ -22,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +43,14 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "digests.json"
 SRC = HERE.parent / "src"
 CORES = ("Haswell", "Sandybridge")
+# The bit-exact kernel tests of test_sampler.py, and the number of cases
+# they pass: the symmetry test and 8 reference kernel cases.
+KERNEL_TESTS = ("test_sweep_keeps_exact_symmetry_and_audit_counts",
+                "test_sweep_matches_reference_kernel_bitwise")
+KERNEL_CASES = 9
+
+pytestmark = pytest.mark.skipif(platform.machine() != "x86_64",
+                                reason="OpenBLAS core types are x86_64 names")
 
 _CHAIN = ["--burnin", "10", "--draws", "30", "--seed", "5"]
 RUNS = {
@@ -78,12 +94,22 @@ def artifact_digests():
     return digests
 
 
+def core_env(core):
+    """The environment forcing OpenBLAS's core; OPENBLAS_VERBOSE=2 has
+    OpenBLAS name the core it loads, as "Core: <name>" on stderr."""
+    return {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
+            "OPENBLAS_NUM_THREADS": "1"}
+
+
+def skip_unless_reported(core, stderr):
+    if f"Core: {core}" not in stderr:
+        pytest.skip(f"OpenBLAS did not report core {core}")
+
+
 def run_child(core):
     """(key, digests, OpenBLAS's stderr) of the runs under one forced core."""
-    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
-           "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=core_env(core), capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         raise RuntimeError(proc.stdout[-3000:] + proc.stderr[-3000:])
     out = json.loads(proc.stdout)
@@ -103,12 +129,25 @@ def write_golden():
 
 
 @pytest.mark.parametrize("core", CORES)
+def test_kernel_bits_under_openblas_core(core):
+    # A full-matrix A - u u' (dger) comes out asymmetric on the Haswell
+    # kernel, which AVX2 and AMD machines get by default; the one carried
+    # triangle must stay exactly symmetric, and the sweep must match the
+    # plain reference kernel bit for bit, on every kernel.
+    # -s leaves OpenBLAS's "Core: <name>" line on the subprocess's stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         *(f"test_sampler.py::{name}" for name in KERNEL_TESTS)],
+        cwd=HERE, env=core_env(core), capture_output=True, text=True, timeout=300)
+    skip_unless_reported(core, proc.stderr)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert re.search(rf"^{KERNEL_CASES} passed in ", proc.stdout, re.M), proc.stdout[-3000:]
+
+
+@pytest.mark.parametrize("core", CORES)
 def test_seeded_artifacts_match_golden_digests(core):
-    if platform.machine() != "x86_64":
-        pytest.skip("OpenBLAS core types are x86_64 names")
     key, digests, stderr = run_child(core)
-    if f"Core: {core}" not in stderr:
-        pytest.skip(f"OpenBLAS did not report core {core}")
+    skip_unless_reported(core, stderr)
     golden = json.loads(GOLDEN.read_text())
     if key not in golden:
         pytest.skip(f"no golden digests for {key}")

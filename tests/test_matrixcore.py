@@ -32,6 +32,11 @@ def test_pd_check_indefinite():
     assert pd_check(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
+def test_pd_check_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        pd_check(np.ones((2, 3)))
+
+
 def test_pd_check_circle_design_p3():
     # Characteristic-polynomial oracle for [[2,1,.9],[1,2,1],[.9,1,2]]:
     # lambda^3 - 6 lambda^2 + 9.19 lambda - 4.18, roots computed up front:
@@ -97,6 +102,11 @@ def test_invert_from_factor_reads_only_the_lower_triangle():
         L = pd_check(random_spd(p, rng))
         dirty = L + np.triu(rng.standard_normal((p, p)), 1)
         assert np.array_equal(invert_from_factor(dirty), invert_from_factor(L))
+
+
+def test_invert_from_factor_rejects_a_singular_factor():
+    with pytest.raises(np.linalg.LinAlgError, match="dpotri failed with info=2"):
+        invert_from_factor(np.diag([1.0, 0.0]))
 
 
 def test_spd_inverse_identity():
