@@ -304,7 +304,8 @@ def _aggregate(scenario, rows, failures):
 
 def _audit_summary(audit):
     """The audit.json form of a ViolationAudit: its fields and its ratio."""
-    return {**asdict(audit), "violation_ratio_percent": audit.ratio_percent}
+    ratio = 100.0 * audit.violations / audit.updates_total if audit.updates_total else 0.0
+    return {**asdict(audit), "violation_ratio_percent": ratio}
 
 
 def _pool_audits(audits):

@@ -1,9 +1,15 @@
 """True-model graph structures for the simulation study.
 
 Six designs: two specified through the covariance (ar1, block) and four
-through the precision matrix (ar2, star, circle, full).  Whichever side is
-specified, the other is obtained by inversion and both are returned along
-with the true adjacency used for structure scoring.
+through the precision matrix (ar2, star, circle, full).  Each design states
+one matrix; the other is its inverse, and both are returned along with the
+true adjacency used for structure scoring.  That graph is analytic for the
+covariance-specified designs and is the off-diagonal nonzero pattern of
+the precision matrix for the other four.
+
+GraphDesign rejects every size a design cannot build: ar2 and circle need
+p >= 3, block an even p, and star p <= 100, because star's precision
+matrix has eigenvalues 1 +- 0.1 sqrt(p - 1) and is singular from p = 101.
 """
 
 from dataclasses import dataclass
@@ -28,6 +34,8 @@ class GraphDesign:
             raise ValueError(f"{self.kind} needs p >= 3")
         if self.kind == "block" and self.p % 2 != 0:
             raise ValueError("block needs an even p")
+        if self.kind == "star" and self.p > 100:
+            raise ValueError(f"star needs p <= 100, got {self.p}")
 
 
 @dataclass
@@ -44,48 +52,33 @@ def build_design(design):
 
     if design.kind == "ar1":
         sigma = 0.7 ** dist
-        omega = spd_inverse(sigma)
         # The inverse of an AR(1) covariance is tridiagonal in exact
         # arithmetic, so the adjacency is analytic.
         adjacency = dist == 1
-    elif design.kind == "ar2":
-        omega = np.where(dist == 0, 1.0, 0.0) \
-            + np.where(dist == 1, 0.5, 0.0) + np.where(dist == 2, 0.25, 0.0)
-        sigma = spd_inverse(omega)
-        adjacency = (dist == 1) | (dist == 2)
     elif design.kind == "block":
         half = p // 2
         same_block = np.equal.outer(np.arange(p) < half, np.arange(p) < half)
-        off = same_block & (dist > 0)
-        sigma = np.eye(p) + 0.5 * off
-        omega = spd_inverse(sigma)
         # Block-diagonal covariance inverts block by block and the inverse
         # of each compound-symmetry block is dense, so adjacency is the
         # within-block pattern.
-        adjacency = off
+        adjacency = same_block & (dist > 0)
+        sigma = np.eye(p) + 0.5 * adjacency
+    elif design.kind == "ar2":
+        omega = np.where(dist == 0, 1.0, 0.0) \
+            + np.where(dist == 1, 0.5, 0.0) + np.where(dist == 2, 0.25, 0.0)
     elif design.kind == "star":
         omega = np.eye(p)
         omega[0, 1:] = 0.1
         omega[1:, 0] = 0.1
-        sigma = spd_inverse(omega)
-        adjacency = np.zeros((p, p), dtype=bool)
-        adjacency[0, 1:] = True
-        adjacency[1:, 0] = True
     elif design.kind == "circle":
         omega = 2.0 * np.eye(p) + np.where(dist == 1, 1.0, 0.0)
         omega[0, p - 1] = omega[p - 1, 0] = 0.9
-        sigma = spd_inverse(omega)
-        adjacency = (dist == 1) | (dist == p - 1)
     else:  # full
         omega = np.ones((p, p)) + np.eye(p)
-        sigma = spd_inverse(omega)
-        adjacency = dist > 0
 
-    # omega is positive definite: spd_inverse has just tested it (ar2, star,
-    # circle, full) or returned it as the inverse of a covariance it
-    # accepted (ar1, block).
-    np.fill_diagonal(adjacency, False)
-    return TrueModel(omega_true=omega, sigma_true=sigma, adjacency_true=adjacency)
+    if design.kind in ("ar1", "block"):
+        return TrueModel(spd_inverse(sigma), sigma, adjacency)
+    return TrueModel(omega, spd_inverse(omega), (omega != 0) & (dist > 0))
 
 
 def simulate_data(model, n, rng):

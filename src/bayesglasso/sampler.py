@@ -299,12 +299,6 @@ class ViolationAudit:
     violations: int = 0
     sigma_drift_max: float = 0.0
 
-    @property
-    def ratio_percent(self):
-        if self.updates_total == 0:
-            return 0.0
-        return 100.0 * self.violations / self.updates_total
-
 
 @dataclass
 class ChainOutput:

@@ -598,8 +598,12 @@ def test_main_config_error_exit_2(tmp_path):
     small = ["--design", "ar1", "--p", "4", "--n", "10", "--sampler", "bgs",
              "--burnin", "1", "--draws", "3", "--reps", "1"]
     # A NaN threshold passed a "<= 0" test and scored an empty graph, and an
-    # infinite one did the same; both must stop before any output.
+    # infinite one did the same; both must stop before any output.  Star at
+    # p = 101, where its precision matrix is singular, once failed every
+    # replication and exited 1 after writing all five files.
     for k, args in enumerate([["--design", "block", "--p", "5", "--n", "10", "--sampler", "hrs"],
+                              ["--design", "star", "--p", "101", "--n", "20", "--sampler", "bgs",
+                               "--reps", "2"],
                               small + ["--threshold", "nan"],
                               small + ["--threshold", "inf"]]):
         out = tmp_path / f"x{k}"

@@ -107,6 +107,17 @@ def test_design_validation():
         GraphDesign("ar1", 1)
 
 
+def test_star_size_rule():
+    # star's precision matrix has eigenvalues 1 +- 0.1 sqrt(p - 1), so it is
+    # singular from p = 101; the design rejects that size when it is made.
+    with pytest.raises(ValueError, match="star needs p <= 100, got 101"):
+        GraphDesign("star", 101)
+    model = true_model("star", 100)
+    assert pd_check(model.omega_true) is not None
+    assert pd_check(model.sigma_true) is not None
+    assert np.isclose(np.linalg.eigvalsh(model.omega_true)[0], 1 - 0.1 * np.sqrt(99))
+
+
 def test_design_size_must_be_an_integer():
     # np.arange(5.5) has six entries, so a float p would build a 6 x 6 model.
     for kind, p in (("ar1", 5.5), ("circle", 6.0)):
