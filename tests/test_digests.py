@@ -4,17 +4,20 @@ CLI artifacts' sha256, each rerun with OpenBLAS's core forced to each of
 differently, and the one the host picks by itself is checked by the rest
 of the suite.
 
-``test_sampler.py``'s exact-symmetry test and its bitwise reference kernel
-test run in a pytest subprocess under each core.
-
-Every non-timing artifact of a desk-scale ``simulate`` (both samplers) and
-of a ``fit`` with n < p (both samplers) is hashed, and the digests are
-compared with ``tests/golden/digests.json``.  The bits depend on the BLAS
+One child process per core, ``python -W error tests/test_digests.py
+--child``, first calls ``test_sampler.py``'s exact-symmetry test and its
+bitwise reference kernel test on every cell of
+``test_sampler.KERNEL_CELLS``; an assertion there ends the child before
+any artifact is made.  It then runs a desk-scale ``simulate`` (both
+samplers) and a ``fit`` with n < p (both samplers) and hashes every
+non-timing artifact.  Both per-core tests read that one child: the kernel
+test passes when the child exits 0, and the digest test compares its
+digests with ``tests/golden/digests.json``.  The bits depend on the BLAS
 kernel, so a digest is keyed by the numpy and scipy versions, the versions
-of the OpenBLAS each bundles, and ``OPENBLAS_CORETYPE``; the runs happen in
-a subprocess under each core.  On a key the file does not hold the test
-skips, with the key as its reason.  Every test here skips off x86_64, or
-when OpenBLAS does not report the core it was asked for.
+of the OpenBLAS each bundles, and ``OPENBLAS_CORETYPE``.  On a key the file
+does not hold the digest test skips, with the key as its reason.  Every
+test here skips off x86_64, or when OpenBLAS does not report the core it
+was asked for.
 
 A change that alters the random stream or the arithmetic on purpose
 regenerates the file with
@@ -22,14 +25,14 @@ regenerates the file with
     python tests/test_digests.py --write
 
 which replaces it with this host's digests, since digests of other builds
-are stale after such a change.
+are stale after such a change.  It exits non-zero, writing nothing, if a
+core's child fails its kernel checks.
 """
 
 import hashlib
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import tempfile
@@ -43,11 +46,6 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "digests.json"
 SRC = HERE.parent / "src"
 CORES = ("Haswell", "Sandybridge")
-# The bit-exact kernel tests of test_sampler.py, and the number of cases
-# they pass: the symmetry test and 8 reference kernel cases.
-KERNEL_TESTS = ("test_sweep_keeps_exact_symmetry_and_audit_counts",
-                "test_sweep_matches_reference_kernel_bitwise")
-KERNEL_CASES = 9
 
 pytestmark = pytest.mark.skipif(platform.machine() != "x86_64",
                                 reason="OpenBLAS core types are x86_64 names")
@@ -72,6 +70,20 @@ def build_key():
             f"core {os.environ.get('OPENBLAS_CORETYPE', '')}")
 
 
+def kernel_checks():
+    """The bit-exact kernel tests of test_sampler.py, on every cell; the
+    first failure raises."""
+    import test_sampler
+
+    # A full-matrix A - u u' (dger) comes out asymmetric on the Haswell
+    # kernel, which AVX2 and AMD machines get by default; the one carried
+    # triangle must stay exactly symmetric, and the sweep must match the
+    # plain reference kernel bit for bit, on every kernel.
+    test_sampler.test_sweep_keeps_exact_symmetry_and_audit_counts()
+    for cell in test_sampler.KERNEL_CELLS:
+        test_sampler.test_sweep_matches_reference_kernel_bitwise(*cell)
+
+
 def artifact_digests():
     """Run every command of RUNS in a scratch directory; sha256 of each
     artifact but timing.json, keyed "<run>/<file>"."""
@@ -94,60 +106,44 @@ def artifact_digests():
     return digests
 
 
-def core_env(core):
-    """The environment forcing OpenBLAS's core; OPENBLAS_VERBOSE=2 has
-    OpenBLAS name the core it loads, as "Core: <name>" on stderr."""
-    return {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
-            "OPENBLAS_NUM_THREADS": "1"}
-
-
-def skip_unless_reported(core, stderr):
-    if f"Core: {core}" not in stderr:
-        pytest.skip(f"OpenBLAS did not report core {core}")
-
-
 def run_child(core):
-    """(key, digests, OpenBLAS's stderr) of the runs under one forced core."""
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child"],
-                          env=core_env(core), capture_output=True, text=True, timeout=120)
-    if proc.returncode != 0:
-        raise RuntimeError(proc.stdout[-3000:] + proc.stderr[-3000:])
+    """The finished child process of one forced core.  OPENBLAS_VERBOSE=2
+    has OpenBLAS name the core it loads, as "Core: <name>" on stderr."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-W", "error", str(Path(__file__).resolve()), "--child"],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def child_output(core, proc):
+    """(key, digests) of a child that loaded the core and passed."""
+    if f"Core: {core}" not in proc.stderr:
+        pytest.skip(f"OpenBLAS did not report core {core}")
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     out = json.loads(proc.stdout)
-    return out["key"], out["digests"], proc.stderr
+    return out["key"], out["digests"]
 
 
 def write_golden():
-    golden = {}
-    for core in CORES:
-        key, digests, stderr = run_child(core)
-        if f"Core: {core}" not in stderr:
-            raise SystemExit(f"OpenBLAS did not report core {core}")
-        golden[key] = digests
+    golden = dict(child_output(core, run_child(core)) for core in CORES)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} keys to {GOLDEN}")
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_kernel_bits_under_openblas_core(core):
-    # A full-matrix A - u u' (dger) comes out asymmetric on the Haswell
-    # kernel, which AVX2 and AMD machines get by default; the one carried
-    # triangle must stay exactly symmetric, and the sweep must match the
-    # plain reference kernel bit for bit, on every kernel.
-    # -s leaves OpenBLAS's "Core: <name>" line on the subprocess's stderr.
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-         *(f"test_sampler.py::{name}" for name in KERNEL_TESTS)],
-        cwd=HERE, env=core_env(core), capture_output=True, text=True, timeout=300)
-    skip_unless_reported(core, proc.stderr)
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert re.search(rf"^{KERNEL_CASES} passed in ", proc.stdout, re.M), proc.stdout[-3000:]
+@pytest.fixture(scope="module", params=CORES)
+def child(request):
+    """(core, finished child process), one child per core for both tests."""
+    return request.param, run_child(request.param)
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_seeded_artifacts_match_golden_digests(core):
-    key, digests, stderr = run_child(core)
-    skip_unless_reported(core, stderr)
+def test_kernel_bits_under_openblas_core(child):
+    # The child exits 0 only after every kernel check has passed.
+    child_output(*child)
+
+
+def test_seeded_artifacts_match_golden_digests(child):
+    key, digests = child_output(*child)
     golden = json.loads(GOLDEN.read_text())
     if key not in golden:
         pytest.skip(f"no golden digests for {key}")
@@ -159,6 +155,7 @@ def test_seeded_artifacts_match_golden_digests(core):
 if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:
         sys.path.insert(0, str(SRC))
+        kernel_checks()
         print(json.dumps({"key": build_key(), "digests": artifact_digests()}))
     elif sys.argv[1:] == ["--write"]:
         write_golden()

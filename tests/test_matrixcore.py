@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -7,6 +9,7 @@ from bayesglasso.matrixcore import (
     invert_from_factor,
     pd_check,
     save_matrix_csv,
+    scipy_extension,
     spd_inverse,
     strict_lower,
 )
@@ -179,3 +182,10 @@ def test_matrix_csv_roundtrip_exact(tmp_path):
     # 17 significant digits round-trips float64 exactly
     assert np.array_equal(back, M)
     assert back.shape == (6, 6)
+
+
+def test_scipy_extension_raises_on_a_missing_module_and_registers_nothing():
+    with pytest.raises(ImportError) as excinfo:
+        scipy_extension("linalg", "_no_such_module")
+    assert excinfo.value.name == "scipy.linalg._no_such_module"
+    assert "scipy.linalg._no_such_module" not in sys.modules

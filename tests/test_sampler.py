@@ -560,8 +560,8 @@ def test_shrinkage_draws_leave_their_arguments_unchanged():
 
 # ---------------------------------------------------------------- sweeps
 
-def make_sim_state(kind="circle", p=10, n=30, seed=20):
-    model = true_model(kind, p)
+def make_sim_state(design="circle", p=10, n=30, seed=20):
+    model = true_model(design, p)
     rng = RngStream(seed)
     Y = simulate_data(model, n, rng)
     return initial_state(scatter_matrix(Y), n), rng
@@ -569,8 +569,8 @@ def make_sim_state(kind="circle", p=10, n=30, seed=20):
 
 def test_sweep_keeps_exact_symmetry_and_audit_counts():
     # Odd p run the BLAS tail code of the rank-1 updates and the in-place
-    # row and column writes.  test_digests.py reruns this test and
-    # test_sweep_matches_reference_kernel_bitwise on forced OpenBLAS cores.
+    # row and column writes.  test_digests.py calls this test and every cell
+    # of test_sweep_matches_reference_kernel_bitwise on forced OpenBLAS cores.
     for p, kind in ((p, kind) for p in (13, 31) for kind in SAMPLER_KINDS):
         st, rng = make_sim_state(p=p)
         audit = ViolationAudit()
@@ -593,7 +593,7 @@ def test_hrs_sweep_never_violates():
 
 
 def test_bgs_sweep_records_violations_and_continues():
-    st, rng = make_sim_state(kind="circle", p=20, n=30)
+    st, rng = make_sim_state(design="circle", p=20, n=30)
     audit = ViolationAudit()
     for _ in range(60):
         sweep(st, ChainConfig("bgs"), audit, rng)
@@ -663,7 +663,7 @@ def test_carried_sigma_tracks_inverse_after_every_column(kind, monkeypatch):
 
 def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
     p = 20
-    st, rng = make_sim_state(kind="circle", p=p, n=30)
+    st, rng = make_sim_state(design="circle", p=p, n=30)
     full = []
     old_diagonal = []
     original_partition = sampler.make_partition
@@ -889,11 +889,17 @@ def reference_sweep(st, config, rng, first_sweep):
     return p, violations
 
 
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-@pytest.mark.parametrize("design,p,n", [("circle", 30, 50), ("star", 8, 5), ("ar1", 2, 5),
-                                        ("ar2", 100, 50)])
-def test_sweep_matches_reference_kernel_bitwise(kind, design, p, n):
-    st, _ = make_sim_state(kind=design, p=p, n=n, seed=40)
+# The cells of the bitwise test, which test_digests.py also runs under each
+# forced OpenBLAS core.
+KERNEL_CELLS = [(design, p, n, kind)
+                for design, p, n in (("circle", 30, 50), ("star", 8, 5), ("ar1", 2, 5),
+                                     ("ar2", 100, 50))
+                for kind in SAMPLER_KINDS]
+
+
+@pytest.mark.parametrize("design,p,n,kind", KERNEL_CELLS)
+def test_sweep_matches_reference_kernel_bitwise(design, p, n, kind):
+    st, _ = make_sim_state(design=design, p=p, n=n, seed=40)
     ref = initial_state(st.scatter, n)
     rng, ref_rng = RngStream(41), RngStream(41)
     config = ChainConfig(kind)
@@ -931,7 +937,7 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     # i of S with slot i zeroed, and hrs's old column beta row i of omega
     # with slot i zeroed.
     p, n = 20, 30
-    st, _ = make_sim_state(kind="circle", p=p, n=n, seed=70)
+    st, _ = make_sim_state(design="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
     seen, s12s, betas = [], [], []
     original = sampler._factor_c_inverse
@@ -991,7 +997,7 @@ def test_sweeps_leave_scatter_unchanged():
     # A column's s12 is a row view of a zero-diagonal copy of S, not of
     # S itself; S must come out of every sweep bit for bit as it went in.
     for kind in SAMPLER_KINDS:
-        st, rng = make_sim_state(kind="ar2", p=12, n=8, seed=60)
+        st, rng = make_sim_state(design="ar2", p=12, n=8, seed=60)
         before = st.scatter.copy()
         for _ in range(5):
             sweep(st, ChainConfig(kind), ViolationAudit(), rng)
@@ -1004,8 +1010,8 @@ def test_sweep_stream_is_fixed_shape(kind):
     # equal streams: exactly the bank.  Every kind draws that one bank, so a
     # sweep of each kind leaves an equal stream at the same position too.
     p = 9
-    st1, _ = make_sim_state(kind="circle", p=p, n=30, seed=50)
-    st2, _ = make_sim_state(kind="star", p=p, n=30, seed=51)
+    st1, _ = make_sim_state(design="circle", p=p, n=30, seed=50)
+    st2, _ = make_sim_state(design="star", p=p, n=30, seed=51)
     for _ in range(3):
         sweep(st2, ChainConfig(kind), ViolationAudit(), RngStream(52))
     fresh = RngStream(53)
@@ -1040,7 +1046,7 @@ def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
     # Entry (i, i) of bank 5 feeds tau_ii, which the block's draw overwrites
     # with 1, and hrs's step uniform; nothing else reads it.  So halving it
     # moves an hrs chain and leaves a bgs chain bit for bit as it was.
-    plain, _ = make_sim_state(kind="circle", p=9, n=30, seed=80)
+    plain, _ = make_sim_state(design="circle", p=9, n=30, seed=80)
     halved = initial_state(plain.scatter, plain.n)
     rng, halved_rng = RngStream(81), HalvedDiagonalStream(81)
     for _ in range(5):
@@ -1052,7 +1058,7 @@ def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
 
 
 def test_sigma_drift_is_recorded_and_small():
-    st, rng = make_sim_state(kind="circle", p=20, n=30)
+    st, rng = make_sim_state(design="circle", p=20, n=30)
     audit = ViolationAudit()
     sweep(st, ChainConfig("bgs"), audit, rng)
     assert audit.sigma_drift_max == 0.0  # nothing carried into the first sweep
