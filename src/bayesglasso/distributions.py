@@ -59,14 +59,19 @@ def sample_truncated_normal(mu, lo, hi, u):
     where t is u mapped affinely onto [2**-50, 1 - 2**-50], so z = ppf(t,
     a, b) of the truncated standard normal.  An interval with a + b < 0 is
     mirrored first, so that log Q(a) never rounds to 0; there the draw is
-    ppf(1 - t, a, b).  ValueError is raised when the draw rounds onto or
+    ppf(1 - t, a, b).
+
+    When u is within about 2**-45 of 0 or 1 the draw lies at most about
+    2**-45 * mass / density from an endpoint, which can be less than the
+    few-ulp error of the log_ndtr / ndtri_exp round trip, so the computed
+    draw can land on or past that endpoint.  It is then taken once more to
+    first order from that endpoint: moved inward by its mass share from
+    the endpoint (t or 1 - t, swapped on a mirrored interval) times
+    Q(a) - Q(b) = -expm1(log Q(b) - log Q(a)) * Q(a), over the unit normal
+    density there.  ValueError is raised only when that draw too lies on or
     outside an endpoint, so on every interval with no float strictly
     inside it, an empty one included; the one caller, the hrs step, passes
-    an interval that brackets 0.  Besides intervals a few ulps wide, that
-    happens on ordinary ones when u is within about 2**-45 of 0 or 1: the
-    draw then lies at most about 2**-45 * mass / density from an endpoint,
-    which can be less than the few-ulp error of the log_ndtr / ndtri_exp
-    round trip.
+    an interval that brackets 0.
     """
     a = lo - mu
     b = hi - mu
@@ -83,6 +88,15 @@ def sample_truncated_normal(mu, lo, hi, u):
     lb = float(log_ndtr(-b))
     z = float(ndtri_exp(la + math.log1p(t * math.expm1(lb - la))))
     x = mu + z if mirrored else mu - z
+    if not lo < x < hi:
+        near_lo = x <= lo
+        end = lo if near_lo else hi
+        share = t if near_lo != mirrored else 1.0 - t
+        # Q(a) over the density at the endpoint, in log space, where
+        # neither underflows far in a tail.
+        step = (share * -math.expm1(lb - la)
+                * math.exp(la + 0.5 * (end - mu) ** 2 + 0.5 * math.log(2.0 * math.pi)))
+        x = end + step if near_lo else end - step
     if not lo < x < hi:
         raise ValueError(
             f"draw {x!r} of N({mu!r}, 1) rounded outside ({lo!r}, {hi!r})")

@@ -519,23 +519,6 @@ def test_audit_json_holds_every_violation_audit_field(tmp_path):
 
 # ---------------------------------------------------------------- manifests
 
-SCENARIO_KEYS = {"design", "p", "n", "sampler", "burn_in", "draws", "replications",
-                 "r", "s", "threshold", "seed", "jobs"}
-FIT_KEYS = {"data_path", "sampler", "burn_in", "draws", "seed", "r", "s",
-            "standardize", "n", "p"}
-
-
-def test_manifest_config_keys_are_pinned(tmp_path):
-    data = tmp_path / "data.csv"
-    write_synthetic(data, n=6, p=3)
-    cmd_simulate(small_scenario(replications=1), tmp_path / "simulate")
-    cmd_fit(FitConfig(data_path=data, sampler="bgs", burn_in=1, draws=2), tmp_path / "fit")
-    for command, keys in (("simulate", SCENARIO_KEYS), ("fit", FIT_KEYS)):
-        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
-        assert manifest["command"] == command
-        assert set(manifest["config"]) == keys, command
-
-
 def test_main_manifest_config_echoes_every_flag(tmp_path, serial_pool):
     # Every flag at a value other than its default, read back from the
     # manifest under its config name.  --jobs 2 maps on the serial stand-in
@@ -548,6 +531,7 @@ def test_main_manifest_config_echoes_every_flag(tmp_path, serial_pool):
                "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "simulate"
     assert manifest["config"] == {"design": "circle", "p": 5, "n": 9, "sampler": "hrs",
                                   **chain, "replications": 2, "threshold": 0.05, "jobs": 2}
     assert serial_pool == [2]
@@ -559,6 +543,7 @@ def test_main_manifest_config_echoes_every_flag(tmp_path, serial_pool):
                "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "fit"
     assert manifest["config"] == {"data_path": str(data), "sampler": "bgs", **chain,
                                   "standardize": True, "n": 6, "p": 4}
 
@@ -580,18 +565,6 @@ def test_parser_leaves_every_default_to_the_config():
     assert args == {"command": "fit", "out": "o", "data_path": "data.csv", "sampler": "hrs"}
     del args["command"], args["out"]
     assert FitConfig(**args) == FitConfig(data_path="data.csv", sampler="hrs")
-
-
-def test_main_simulate_roundtrip(tmp_path):
-    out = tmp_path / "run"
-    rc = main(["simulate", "--design", "ar1", "--p", "4", "--n", "10",
-               "--sampler", "hrs", "--burnin", "2", "--draws", "4",
-               "--reps", "1", "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    assert (out / "manifest.json").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "simulate"
-    assert manifest["config"]["seed"] == 3
 
 
 def test_main_config_error_exit_2(tmp_path):
@@ -633,33 +606,34 @@ def test_main_bad_chain_flag_is_config_error_before_output(command, flag, value,
     assert not out.exists()
 
 
-def test_main_data_error_exit_1(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3,oops\n")
-    rc = main(["fit", str(bad), "--sampler", "hrs", "--burnin", "1",
-               "--draws", "2", "--out", str(tmp_path / "out")])
+@pytest.mark.parametrize("text,flags,message", [
+    pytest.param("1,2\n3,oops\n", ["--sampler", "hrs", "--burnin", "1", "--draws", "2"],
+                 "row 2, column 2: not numeric", id="non-numeric"),
+    pytest.param(None, ["--sampler", "hrs"], "No such file or directory", id="missing-file"),
+])
+def test_main_fit_data_error_exit_1(text, flags, message, tmp_path, capsys):
+    # A data error ends fit with exit 1, naming it, and leaves no output
+    # directory behind.
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["fit", str(data), *flags, "--out", str(out)])
     assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_main_missing_file_exit_1(tmp_path):
-    rc = main(["fit", str(tmp_path / "nope.csv"), "--sampler", "hrs",
-               "--out", str(tmp_path / "out")])
-    assert rc == 1
-
-
-def test_main_bad_flag_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--design", "hexagon", "--p", "4", "--n", "10",
-              "--sampler", "hrs", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-
-
-def test_main_audit_is_not_a_command(tmp_path):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--design", "hexagon", "--p", "4", "--n", "10", "--sampler", "hrs"],
+                 id="bad-design"),
     # simulate --reps 1 --burnin 0 writes the counts audit used to.
-    out = tmp_path / "aud"
+    pytest.param(["audit", "--design", "circle", "--p", "6", "--n", "12", "--sampler", "hrs",
+                  "--draws", "20", "--seed", "4"], id="audit-is-not-a-command"),
+])
+def test_main_usage_error_exit_2(argv, tmp_path):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["audit", "--design", "circle", "--p", "6", "--n", "12",
-              "--sampler", "hrs", "--draws", "20", "--seed", "4",
-              "--out", str(out)])
+        main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()

@@ -8,13 +8,13 @@ One child process per core, ``python -W error tests/test_digests.py
 --child``, first calls ``test_sampler.py``'s exact-symmetry test and its
 bitwise reference kernel test on every cell of
 ``test_sampler.KERNEL_CELLS``; an assertion there ends the child before
-any artifact is made.  It then runs a desk-scale ``simulate`` (both
-samplers) and a ``fit`` with n < p (both samplers) and hashes every
-non-timing artifact.  Both per-core tests read that one child: the kernel
-test passes when the child exits 0, and the digest test compares its
-digests with ``tests/golden/digests.json``.  The bits depend on the BLAS
-kernel, so a digest is keyed by the numpy and scipy versions, the versions
-of the OpenBLAS each bundles, and ``OPENBLAS_CORETYPE``.  On a key the file
+any artifact is made.  It then runs a desk-scale ``simulate`` and a
+``fit`` with n < p, each with every kind of ``sampler.SAMPLER_KINDS``, and
+hashes every non-timing artifact.  Both per-core tests read that one
+child: the kernel test passes when the child exits 0, and the digest test
+compares its digests with ``tests/golden/digests.json``.  The bits depend
+on the BLAS kernel, so a digest is keyed by the numpy and scipy versions,
+the versions of the OpenBLAS each bundles, and ``OPENBLAS_CORETYPE``.  On a key the file
 does not hold the digest test skips, with the key as its reason.  Every
 test here skips off x86_64, or when OpenBLAS does not report the core it
 was asked for.
@@ -50,15 +50,6 @@ CORES = ("Haswell", "Sandybridge")
 pytestmark = pytest.mark.skipif(platform.machine() != "x86_64",
                                 reason="OpenBLAS core types are x86_64 names")
 
-_CHAIN = ["--burnin", "10", "--draws", "30", "--seed", "5"]
-RUNS = {
-    **{f"simulate-{kind}": ["simulate", "--design", "circle", "--p", "8", "--n", "20",
-                            "--sampler", kind, "--reps", "2", *_CHAIN]
-       for kind in ("bgs", "hrs")},
-    **{f"fit-{kind}": ["fit", "data.csv", "--sampler", kind, *_CHAIN]
-       for kind in ("bgs", "hrs")},
-}
-
 
 def build_key():
     """numpy, scipy and their OpenBLAS versions, and the forced core type."""
@@ -85,19 +76,29 @@ def kernel_checks():
 
 
 def artifact_digests():
-    """Run every command of RUNS in a scratch directory; sha256 of each
-    artifact but timing.json, keyed "<run>/<file>"."""
+    """Run a simulate and then a fit with each sampler kind in a scratch
+    directory; sha256 of each artifact but timing.json, keyed
+    "<command>-<kind>/<file>"."""
     from bayesglasso.cli import main
     from bayesglasso.designs import simulate_data, true_model
     from bayesglasso.distributions import RngStream
+    from bayesglasso.sampler import SAMPLER_KINDS
 
+    chain = ["--burnin", "10", "--draws", "30", "--seed", "5"]
+    runs = {
+        **{f"simulate-{kind}": ["simulate", "--design", "circle", "--p", "8", "--n", "20",
+                                "--sampler", kind, "--reps", "2", *chain]
+           for kind in SAMPLER_KINDS},
+        **{f"fit-{kind}": ["fit", "data.csv", "--sampler", kind, *chain]
+           for kind in SAMPLER_KINDS},
+    }
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # the manifest records the data path as given
         # n = 6 observations of p = 10 variables, so the fits run with n < p.
         Y = simulate_data(true_model("ar2", 10), n=6, rng=RngStream(7))
         np.savetxt("data.csv", Y, delimiter=",", fmt="%.17g")
-        for name, argv in RUNS.items():
+        for name, argv in runs.items():
             if main([*argv, "--out", name]) != 0:
                 raise RuntimeError(f"{name} failed")
             for path in sorted(Path(name).iterdir()):

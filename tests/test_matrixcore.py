@@ -19,7 +19,9 @@ def symmetrize(M):
     return (M + M.T) / 2.0
 
 
-def random_spd(p, rng, jitter=0.5):
+def random_spd(p, rng, jitter=1.0):
+    """A A' + jitter p I for one standard normal p x p draw A, made exactly
+    symmetric."""
     A = rng.standard_normal((p, p))
     return symmetrize(A @ A.T + jitter * p * np.eye(p))
 
@@ -70,7 +72,7 @@ def test_pd_check_nan_rejected():
     # instead returns a nonzero info.
     rng = np.random.default_rng(12)
     for i, j in ((13, 13), (29, 4)):
-        M = random_spd(30, rng)
+        M = random_spd(30, rng, jitter=0.5)
         M[i, j] = M[j, i] = np.nan
         assert pd_check(M) is None, (i, j)
         L, info = lapack.dpotrf(M.T, 1, 0, 1)
@@ -102,7 +104,7 @@ def test_invert_from_factor_reads_only_the_lower_triangle():
     # the inverse must not see them.
     rng = np.random.default_rng(6)
     for p in (1, 2, 7, 30):
-        L = pd_check(random_spd(p, rng))
+        L = pd_check(random_spd(p, rng, jitter=0.5))
         dirty = L + np.triu(rng.standard_normal((p, p)), 1)
         assert np.array_equal(invert_from_factor(dirty), invert_from_factor(L))
 
@@ -112,18 +114,14 @@ def test_invert_from_factor_rejects_a_singular_factor():
         invert_from_factor(np.diag([1.0, 0.0]))
 
 
-def test_spd_inverse_identity():
-    assert np.allclose(spd_inverse(np.eye(3)), np.eye(3))
-
-
-def test_spd_inverse_diagonal():
-    assert np.allclose(spd_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-
-def test_spd_inverse_2x2_adjugate_oracle():
+@pytest.mark.parametrize("M,expect", [
+    pytest.param(np.eye(3), np.eye(3), id="identity"),
+    pytest.param(np.diag([2.0, 4.0]), np.diag([0.5, 0.25]), id="diagonal"),
     # inverse of [[2,1],[1,2]] is adj/det = [[2,-1],[-1,2]]/3
-    M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    expect = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+    pytest.param(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0,
+                 id="2x2-adjugate"),
+])
+def test_spd_inverse_hand_oracle(M, expect):
     assert np.allclose(spd_inverse(M), expect, atol=1e-14)
 
 
@@ -135,21 +133,21 @@ def test_spd_inverse_rejects_non_pd():
 def test_spd_inverse_product_is_identity():
     rng = np.random.default_rng(3)
     for p in (2, 5, 12):
-        M = random_spd(p, rng)
+        M = random_spd(p, rng, jitter=0.5)
         err = np.max(np.abs(M @ spd_inverse(M) - np.eye(p)))
         assert err < 1e-8 * p
 
 
 def test_spd_inverse_involution():
     rng = np.random.default_rng(4)
-    M = random_spd(6, rng)
+    M = random_spd(6, rng, jitter=0.5)
     back = spd_inverse(spd_inverse(M))
     assert np.max(np.abs(back - M)) < 1e-6
 
 
 def test_spd_inverse_output_exactly_symmetric():
     rng = np.random.default_rng(5)
-    inv = spd_inverse(random_spd(7, rng))
+    inv = spd_inverse(random_spd(7, rng, jitter=0.5))
     assert np.max(np.abs(inv - inv.T)) == 0.0
 
 
@@ -175,7 +173,7 @@ def test_check_symmetric_rejects():
 
 def test_matrix_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(10)
-    M = random_spd(6, rng)
+    M = random_spd(6, rng, jitter=0.5)
     path = tmp_path / "m.csv"
     save_matrix_csv(M, path)
     back = np.loadtxt(path, delimiter=",", ndmin=2)

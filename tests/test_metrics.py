@@ -12,14 +12,7 @@ from bayesglasso.metrics import (
     unit_diag_scale,
 )
 
-
-def symmetrize(M):
-    return (M + M.T) / 2.0
-
-
-def random_spd(p, rng):
-    A = rng.standard_normal((p, p))
-    return symmetrize(A @ A.T + p * np.eye(p))
+from test_matrixcore import random_spd, symmetrize
 
 
 def test_stein_loss_zero_at_truth():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,7 @@ from bayesglasso.sampler import (
     update_tau_column,
 )
 
-
-def symmetrize(M):
-    return (M + M.T) / 2.0
+from test_matrixcore import random_spd, symmetrize
 
 
 def represented(M):
@@ -101,24 +100,20 @@ def compute_c_matrix(omega11_inv, c, tau12):
 
 # ---------------------------------------------------------------- partition
 
-def test_partition_identity_p2():
-    st = state_with_omega(np.eye(2))
-    omega11_inv, _, _, tau12, beta, omega22 = column(st, 0)
+@pytest.mark.parametrize("omega,i,beta,omega22,gamma,omega11_inv", [
     # slot 0 is decoupled: zero in beta and omega11_inv, one in tau12
-    assert np.array_equal(beta, [0.0, 0.0])
-    assert np.array_equal(tau12, [1.0, 1.0])
-    assert schur_gamma(omega11_inv, beta, omega22) == pytest.approx(1.0)
-    assert np.allclose(represented(omega11_inv), [[0.0, 0.0], [0.0, 1.0]])
-
-
-def test_partition_schur_oracle_p2():
+    pytest.param(np.eye(2), 0, [0.0, 0.0], 1.0, 1.0, [[0.0, 0.0], [0.0, 1.0]], id="identity"),
     # omega = [[2,1],[1,2]], last column: beta = 1, gamma = 2 - 1*(1/2)*1
-    st = state_with_omega(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    omega11_inv, _, _, _, beta, omega22 = column(st, 1)
-    assert np.array_equal(beta, [1.0, 0.0])
-    assert omega22 == 2.0
-    assert schur_gamma(omega11_inv, beta, omega22) == pytest.approx(1.5)
-    assert np.allclose(represented(omega11_inv), [[0.5, 0.0], [0.0, 0.0]])
+    pytest.param(np.array([[2.0, 1.0], [1.0, 2.0]]), 1, [1.0, 0.0], 2.0, 1.5,
+                 [[0.5, 0.0], [0.0, 0.0]], id="schur"),
+])
+def test_partition_hand_oracle_p2(omega, i, beta, omega22, gamma, omega11_inv):
+    got_inv, _, _, tau12, got_beta, got_omega22 = column(state_with_omega(omega), i)
+    assert np.array_equal(got_beta, beta)
+    assert np.array_equal(tau12, [1.0, 1.0])
+    assert got_omega22 == omega22
+    assert schur_gamma(got_inv, got_beta, got_omega22) == pytest.approx(gamma)
+    assert np.allclose(represented(got_inv), omega11_inv)
 
 
 def test_partition_blocks_follow_permutation():
@@ -129,8 +124,7 @@ def test_partition_blocks_follow_permutation():
     p = 5
     S = scatter_matrix(rng.standard_normal((20, p)))
     st = initial_state(S, 20)
-    A = rng.standard_normal((p, p))
-    st.omega = symmetrize(A @ A.T + p * np.eye(p))
+    st.omega = random_spd(p, rng)
     omega_before = st.omega.copy()
     i = 2
     sigma = spd_inverse(st.omega)
@@ -152,8 +146,7 @@ def test_partition_gamma_roundtrip():
     # rebuilding omega_ii from (gamma, beta) recovers it to 1e-10 relative
     rng = np.random.default_rng(1)
     p = 6
-    A = rng.standard_normal((p, p))
-    omega = symmetrize(A @ A.T + p * np.eye(p))
+    omega = random_spd(p, rng)
     st = state_with_omega(omega)
     for i in range(p):
         omega11_inv, _, _, _, beta, omega22 = column(st, i)
@@ -167,7 +160,6 @@ def test_partition_gamma_roundtrip():
 
 
 def test_partition_index_out_of_range():
-    st = state_with_omega(np.eye(3))
     with pytest.raises(IndexError):
         make_partition(np.eye(3), 3)
 
@@ -177,8 +169,7 @@ def random_state(gen, p=7):
     it with, for column-level checks."""
     S = scatter_matrix(gen.standard_normal((12, p)))
     st = initial_state(S, 12)
-    A = gen.standard_normal((p, p))
-    st.omega = symmetrize(A @ A.T + p * np.eye(p))
+    st.omega = random_spd(p, gen)
     tau = symmetrize(np.abs(gen.standard_normal((p, p))) + 0.1)
     lam = np.abs(gen.standard_normal(p)) + 0.1
     return st, tau, lam
@@ -240,9 +231,7 @@ def test_c_matrix_oracle():
 
 def test_c_matrix_large_tau_limit():
     # tau -> inf: C -> Omega11 / (s22 + 2 lam22)
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((3, 3))
-    omega11 = symmetrize(A @ A.T + 3 * np.eye(3))
+    omega11 = random_spd(3, np.random.default_rng(2))
     C = compute_c_matrix(spd_inverse(omega11), 1.0 + 2.0 * 0.5, np.full(3, 1e12))
     expect = omega11 / 2.0
     assert np.max(np.abs(C - expect)) < 1e-6 * np.max(np.abs(expect))
@@ -252,9 +241,7 @@ def test_c_matrix_always_pd():
     rng = np.random.default_rng(3)
     for _ in range(50):
         p1 = int(rng.integers(1, 6))
-        A = rng.standard_normal((p1, p1))
-        omega11 = symmetrize(A @ A.T + p1 * np.eye(p1))
-        inv = spd_inverse(omega11)
+        inv = spd_inverse(random_spd(p1, rng))
         rng.standard_normal(p1)  # s12, which C does not read
         s22 = float(np.abs(rng.standard_normal()) + 0.1)
         tau12 = np.abs(rng.standard_normal(p1)) + 0.05
@@ -272,42 +259,22 @@ def test_c_matrix_rejects_bad_tau():
 
 # ---------------------------------------------------------------- beta draws
 
-def test_bgs_beta_centered_case():
+@pytest.mark.parametrize("omega11_inv,s12,c,tau12,seed,n", [
     # s12 = 0 makes the conditional mean zero
-    c = 1.0 + 2.0 * 0.5
-    L = c_factor(np.eye(3), c, np.ones(3))
-    gen = RngStream(1)
-    draws = np.array([bgs_update_beta(L, np.zeros(3), gen.standard_normal(3))
-                      for _ in range(10_000)])
-    C = compute_c_matrix(np.eye(3), c, np.ones(3))
-    se = math.sqrt(C[0, 0] / 10_000)
-    assert np.max(np.abs(draws.mean(axis=0))) < 4 * se
-
-
-def test_bgs_beta_mean_matches_formula():
-    s12, c, tau12 = np.array([0.7, -0.3]), 2.0 + 2.0 * 0.25, [0.5, 2.0]
-    C = compute_c_matrix(np.eye(2), c, tau12)
-    expect = -C @ s12
-    L = c_factor(np.eye(2), c, tau12)
-    gen = RngStream(2)
-    draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(2)) for _ in range(100_000)])
-    se = np.sqrt(np.diag(C) / 100_000)
-    assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
-
-
-def test_bgs_single_factor_draw_moments():
+    pytest.param(np.eye(3), np.zeros(3), 1.0 + 2.0 * 0.5, np.ones(3), 1, 10_000, id="centered"),
+    pytest.param(np.eye(2), np.array([0.7, -0.3]), 2.0 + 2.0 * 0.25, [0.5, 2.0], 2, 100_000,
+                 id="diagonal"),
+    pytest.param(spd_inverse(random_spd(3, np.random.default_rng(40))),
+                 np.array([0.9, -0.4, 0.2]), 2.5 + 2.0 * 0.6, [0.3, 1.5, 0.8], 41, 40_000,
+                 id="random"),
+])
+def test_bgs_beta_draw_moments(omega11_inv, s12, c, tau12, seed, n):
     # The draw comes from one Cholesky factor of C^{-1}; its first two
     # moments must still be -C s12 and C, with C formed independently.
-    rng = np.random.default_rng(40)
-    A = rng.standard_normal((3, 3))
-    omega11 = symmetrize(A @ A.T + 3 * np.eye(3))
-    inv, s12 = spd_inverse(omega11), np.array([0.9, -0.4, 0.2])
-    c, tau12 = 2.5 + 2.0 * 0.6, [0.3, 1.5, 0.8]
-    C = compute_c_matrix(inv, c, tau12)
-    L = c_factor(inv, c, tau12)
-    n = 40_000
-    gen = RngStream(41)
-    draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(3)) for _ in range(n)])
+    C = compute_c_matrix(omega11_inv, c, tau12)
+    L = c_factor(omega11_inv, c, tau12)
+    gen = RngStream(seed)
+    draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(len(s12))) for _ in range(n)])
     se_mean = np.sqrt(np.diag(C) / n)
     assert np.all(np.abs(draws.mean(axis=0) + C @ s12) < 4 * se_mean)
     # Var of a sample covariance entry: (C_ii C_jj + C_ij^2) / n.
@@ -331,12 +298,9 @@ def test_hit_and_run_interval_quadratic_oracle():
 def test_hit_and_run_interval_brackets_zero():
     rng = np.random.default_rng(4)
     stream = RngStream(5)
-    from bayesglasso.matrixcore import spd_inverse
     for _ in range(1000):
         p1 = int(rng.integers(1, 5))
-        A = rng.standard_normal((p1, p1))
-        omega11 = symmetrize(A @ A.T + p1 * np.eye(p1))
-        inv = spd_inverse(omega11)
+        inv = spd_inverse(random_spd(p1, rng))
         beta = rng.standard_normal(p1)
         gamma = float(np.abs(rng.standard_normal()) + 1e-6)
         alpha = stream.standard_normal(p1)
@@ -386,9 +350,7 @@ def test_hrs_beta_always_feasible():
     stream = RngStream(7)
     for _ in range(300):
         p1 = int(rng.integers(1, 6))
-        A = rng.standard_normal((p1, p1))
-        omega11 = symmetrize(A @ A.T + p1 * np.eye(p1))
-        inv = spd_inverse(omega11)
+        inv = spd_inverse(random_spd(p1, rng))
         beta = rng.standard_normal(p1) * 0.3
         gamma = float(np.abs(rng.standard_normal()) + 0.01)
         omega22 = gamma + beta @ inv @ beta
@@ -529,13 +491,96 @@ def test_update_tau_ig_mean_oracle():
         assert abs(x.var(ddof=1) - var) < 4.0 * var * math.sqrt((kurt - 1.0) / n)
 
 
-def test_update_tau_zero_omega_floored():
-    tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14))
-    assert np.all(np.isfinite(tau))
-    assert np.all(tau > 0)
+def test_update_tau_ig_moments_at_mean_2_shape_1():
+    # IG(2, 1), lam = 1 and a = 1/2: mean 2, variance mean^3/shape = 8
+    n = 100_000
+    draws = 1.0 / tau_draws(np.ones(n), np.full(n, 0.5), RngStream(5))
+    se_mean = math.sqrt(8.0 / n)
+    assert abs(draws.mean() - 2.0) < 4 * se_mean  # 4 se_mean = 0.036
+    assert abs(draws.var(ddof=1) - 8.0) < 0.5
+
+
+@pytest.mark.parametrize("seed,points", [
+    # IG(0.3, 0.2), lam = sqrt(0.2), then one IG(1, 1) draw
+    pytest.param(6, [(math.sqrt(0.2), math.sqrt(0.2) / 0.3, 5000), (1.0, 1.0, 1)],
+                 id="small-shape"),
+    # Extreme rates a chain draws at the default r and s: a small rate with
+    # |omega| at or below its EPS_OMEGA floor, and a rate near the mean of
+    # Ga(1.01, 1e-6), 1e6, with a large or a zero |omega|.
+    pytest.param(7, [(1e-6, 0.0, 1000), (1e-6, EPS_OMEGA, 1000), (1e6, 1e3, 1000),
+                     (1e6, 0.0, 1000)], id="extreme-rates"),
+    pytest.param(14, [(1.0, 0.0, 1000)], id="zero-omega"),
+])
+def test_update_tau_draws_are_finite_and_positive(seed, points):
+    # (lam, |omega|, draws) points, drawn in turn from one stream.
+    gen = RngStream(seed)
+    for lam, abs_omega, n in points:
+        tau = tau_draws(np.full(n, lam), np.full(n, abs_omega), gen)
+        assert np.all(np.isfinite(tau)), (lam, abs_omega)
+        assert np.all(tau > 0), (lam, abs_omega)
+
+
+def test_update_tau_at_the_edges_of_its_domain():
     # |omega| = 0 draws exactly as |omega| = EPS_OMEGA, its floor.
+    tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14))
     floor = tau_draws(np.ones(1000), np.full(1000, EPS_OMEGA), RngStream(14))
     assert np.array_equal(tau, floor)
+    # The transform checks nothing; nu = 0 and the smallest and largest
+    # uniforms are still inside its domain and give positive draws.
+    for u in (0.0, 1.0 - 2.0 ** -53):
+        tau = update_tau_column(np.ones(1), np.ones(1), np.zeros(1), np.array([u / (1.0 - u)]))
+        assert tau[0] > 0
+
+
+def msh_tau(lam, a, nu, u):
+    """tau = 1/IG(lam/a, lam**2) by the Michael-Schucany-Haas (1976)
+    transform as published, evaluated in 60-digit decimal arithmetic so
+    that its cancellation cannot blur the comparison.  Returns the draw
+    and whether the smaller root was taken."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, a, nu, u = Decimal(lam), Decimal(a), Decimal(nu), Decimal(u)
+        mean, shape = lam / a, lam * lam
+        my = mean * nu * nu
+        x = mean + mean * (my - (my * (4 * shape + my)).sqrt()) / (2 * shape)
+        small = u * (mean + x) <= mean
+        return float(1 / x if small else x / (mean * mean)), small
+
+
+def test_update_tau_closed_form_matches_msh_oracle():
+    gen = RngStream(25)
+    grid = np.logspace(-3.0, 3.0, 13)
+    lam, a = (v.ravel().repeat(8) for v in np.meshgrid(grid, grid))
+    nu, u = gen.standard_normal(lam.shape), gen.random(lam.shape)
+    k = nu * nu * 0.5 / (a * lam)
+    keep = k <= 1e4
+    lam, a, nu, u, k = lam[keep], a[keep], nu[keep], u[keep], k[keep]
+    assert keep.sum() > 1000 and k.max() > 1e3
+    got = update_tau_column(lam, a, nu * nu * 0.5, u / (1.0 - u))
+    oracle = [msh_tau(*args) for args in zip(lam.tolist(), a.tolist(), nu.tolist(), u.tolist())]
+    want = [t for t, _ in oracle]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # The same branch: with r = 1 + k + sqrt(k (k + 2)) the smaller root
+    # gives tau = (a/lam) r >= a/lam, the other tau = (a/lam)/r <= a/lam.
+    small = np.array([b for _, b in oracle])
+    assert 0 < small.sum() < small.size
+    assert np.array_equal(got >= a / lam, small)
+
+
+def test_update_tau_huge_k_stays_finite():
+    # |omega| = 1e-10 and lam = 1e-6 put k = nu**2 / (2 a lam) beyond 1e12.
+    # There the published transform, in floating point, cancels its smaller
+    # root to zero or below on about 40% of these draws.
+    gen = RngStream(26)
+    nu, u = gen.standard_normal(10_000), gen.random(10_000)
+    nu[np.abs(nu) < 0.015] = 0.015
+    lam, a = np.full(10_000, 1e-6), np.full(10_000, 1e-10)
+    assert (nu * nu * 0.5 / (a * lam)).min() >= 1e12
+    tau = update_tau_column(lam, a, nu * nu * 0.5, u / (1.0 - u))
+    assert np.all(np.isfinite(tau))
+    # r > 2k >= 2e12 and the other root has probability 1/(r + 1), so every
+    # draw is the smaller root, tau = r a/lam > 2e8
+    assert np.all(tau > 2e8)
 
 
 def test_shrinkage_draws_leave_their_arguments_unchanged():
@@ -1069,19 +1114,6 @@ def test_sigma_drift_is_recorded_and_small():
 
 # ---------------------------------------------------------------- chains
 
-def test_run_chain_minimal():
-    model = true_model("ar1", 5)
-    rng = RngStream(30)
-    Y = simulate_data(model, 20, rng)
-    cfg = ChainConfig(kind="hrs", burn_in=0, draws=1, store_draws=True)
-    out = run_chain(scatter_matrix(Y), 20, cfg, rng)
-    assert len(out.draws) == 1
-    assert pd_check(out.draws[0]) is not None
-    assert np.array_equal(out.omega_mean, out.draws[0])
-    assert out.audit.violations == 0
-    assert out.sweeps_run == 1
-
-
 def test_run_chain_deterministic_bitwise():
     model = true_model("ar2", 6)
     data_rng = RngStream(31)
@@ -1095,18 +1127,19 @@ def test_run_chain_deterministic_bitwise():
     assert out1.audit.updates_total == out2.audit.updates_total
 
 
-def test_run_chain_stores_every_retained_draw():
-    model = true_model("star", 5)
-    rng = RngStream(32)
-    Y = simulate_data(model, 20, rng)
-    S = scatter_matrix(Y)
-    cfg = ChainConfig(kind="hrs", burn_in=2, draws=10, store_draws=True)
-    out = run_chain(S, 20, cfg, rng)
-    assert len(out.draws) == 10  # every retained sweep, none of the burn-in
-    assert out.sweeps_run == 12
-    assert not np.array_equal(out.draws[0], out.draws[1])
+@pytest.mark.parametrize("design,seed,burn_in,draws", [("ar1", 30, 0, 1), ("star", 32, 2, 10)])
+def test_run_chain_keeps_every_retained_draw(design, seed, burn_in, draws):
+    rng = RngStream(seed)
+    Y = simulate_data(true_model(design, 5), 20, rng)
+    cfg = ChainConfig(kind="hrs", burn_in=burn_in, draws=draws, store_draws=True)
+    out = run_chain(scatter_matrix(Y), 20, cfg, rng)
+    assert len(out.draws) == draws  # every retained sweep, none of the burn-in
+    assert out.sweeps_run == burn_in + draws
+    assert len({omega.tobytes() for omega in out.draws}) == draws
+    assert all(pd_check(omega) is not None for omega in out.draws)
+    assert out.audit.violations == 0
     # the mean is the sum of the stored draws over their count, bit for bit
-    assert np.array_equal(out.omega_mean, sum(out.draws) / 10)
+    assert np.array_equal(out.omega_mean, sum(out.draws) / draws)
 
 
 @pytest.mark.parametrize("kind,s", [(kind, ChainConfig.s) for kind in SAMPLER_KINDS]
@@ -1160,8 +1193,9 @@ def test_chain_config_rejects_non_finite_hyperparameters(r, s):
 def test_chain_config_needs_integer_sweep_counts():
     # A float burn_in would otherwise pass and fail later inside range().
     # bool subclasses int, so True and False would otherwise pass as 1 and 0.
+    # A chain retains at least one draw.
     for burn_in, draws, bad in ((1.5, 2, "burn_in"), (1, 2.0, "draws"), (True, 2, "burn_in"),
-                                (False, 2, "burn_in"), (1, True, "draws")):
+                                (False, 2, "burn_in"), (1, True, "draws"), (1, 0, "draws")):
         with pytest.raises(ValueError, match=f"{bad} must be an integer"):
             ChainConfig(burn_in=burn_in, draws=draws)
     ChainConfig(burn_in=np.int64(1), draws=np.int32(2))
@@ -1226,12 +1260,3 @@ def test_run_chain_names_a_non_finite_scatter_entry(kind, bad):
     S[1, 3] = S[3, 1] = bad
     with pytest.raises(ValueError, match=r"scatter has a non-finite entry at \(1, 3\)"):
         run_chain(S, 8, ChainConfig(kind=kind, burn_in=1, draws=2), RngStream(1))
-
-
-def test_run_chain_validates_config():
-    with pytest.raises(ValueError):
-        run_chain(np.eye(3), 10, ChainConfig(kind="nope"), RngStream(1))
-    with pytest.raises(ValueError):
-        run_chain(np.eye(3), 10, ChainConfig(draws=0), RngStream(1))
-    with pytest.raises(ValueError):
-        run_chain(np.eye(1), 10, ChainConfig(), RngStream(1))
