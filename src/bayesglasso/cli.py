@@ -36,6 +36,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -207,9 +208,9 @@ def run_replication(scenario, rep):
 def _replication_task(scenario, rep):
     try:
         row, audit, elapsed = run_replication(scenario, rep)
-        return rep, row, audit, elapsed, None
-    except Exception as exc:  # recorded, campaign continues
-        return rep, None, None, 0.0, f"{type(exc).__name__}: {exc}"
+        return rep, row, audit, elapsed, None, None
+    except Exception as exc:  # recorded with its traceback, campaign continues
+        return rep, None, None, 0.0, f"{type(exc).__name__}: {exc}", traceback.format_exc()
 
 
 def _bootstrap_se_of_median(values, seed):
@@ -247,13 +248,17 @@ def cmd_simulate(scenario, out_dir):
     if workers > 1:
         # Imported here, so a command that runs no pool never loads it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from multiprocessing import get_context
+
+        # This process runs OpenBLAS's threads, and forking a process that
+        # runs threads is unsafe; a spawned worker imports the package afresh.
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_replication_task, [scenario] * scenario.replications, reps))
     else:
         results = [_replication_task(scenario, rep) for rep in reps]
 
     rows, audits, failures, rep_seconds = [], [], [], {}
-    for rep, row, audit, elapsed, err in results:
+    for rep, row, audit, elapsed, err, trace in results:
         if err is None:
             rows.append(row)
             audits.append(audit)
@@ -261,7 +266,7 @@ def cmd_simulate(scenario, out_dir):
         else:
             failures.append({"replication": rep, "seed": scenario.seed,
                              "stream_id": rep, "error": err})
-            print(f"replication {rep} failed: {err}", file=sys.stderr)
+            print(f"{trace}replication {rep} failed: {err}", file=sys.stderr)
 
     _write_replication_csv(out / "replications.csv", rows)
     _write_json(out / "aggregate.json", _aggregate(scenario, rows, failures))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -55,49 +56,26 @@ def test_ingest_header_detected(tmp_path):
         ingest_csv(path)
 
 
-def test_ingest_ragged_row_reports_location(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,2\n3,4,5\n")
-    with pytest.raises(ValueError, match="row 2"):
-        ingest_csv(path)
-
-
-def test_ingest_non_numeric_reports_location(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,2\n3,oops\n")
-    with pytest.raises(ValueError, match="row 2, column 2"):
-        ingest_csv(path)
-
-
-def test_ingest_blank_first_row_is_data_not_header(tmp_path):
+@pytest.mark.parametrize("text,standardize,match", [
+    pytest.param("1,2\n3,4,5\n", False, "row 2", id="ragged-row"),
+    pytest.param("1,2\n3,oops\n", False, "row 2, column 2", id="non-numeric"),
     # A blank cell in row 1 raises exactly as it does in row 2; it used to
     # make row 1 a header and drop it without a word.
+    *(pytest.param(text, False, f"row {row}, column [12]: not numeric", id=f"blank-cell-{k}")
+      for k, (text, row) in enumerate((("1.0,,3.0\n4,5,6\n7,8,9\n", 1),
+                                       ("1,2,3\n4.0,,6.0\n7,8,9\n", 2),
+                                       ("a,,c\n1,2,3\n", 1), (" ,2,3\n4,5,6\n", 1)))),
+    pytest.param("1,2\nnan,4\n", False, "non-finite", id="nan"),
+    pytest.param("1,inf\n2,4\n", False, "non-finite", id="inf"),
+    pytest.param("", False, "empty", id="empty-file"),
+    pytest.param("a,b\n", False, "no data", id="header-only"),
+    pytest.param("1,2\n1,4\n", True, "zero variance", id="standardize-zero-variance"),
+])
+def test_ingest_rejects_bad_input(text, standardize, match, tmp_path):
     path = tmp_path / "d.csv"
-    for text, row in (("1.0,,3.0\n4,5,6\n7,8,9\n", 1), ("1,2,3\n4.0,,6.0\n7,8,9\n", 2),
-                      ("a,,c\n1,2,3\n", 1), (" ,2,3\n4,5,6\n", 1)):
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"row {row}, column [12]: not numeric"):
-            ingest_csv(path)
-
-
-def test_ingest_non_finite_rejected(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,2\nnan,4\n")
-    with pytest.raises(ValueError, match="non-finite"):
-        ingest_csv(path)
-    path.write_text("1,inf\n2,4\n")
-    with pytest.raises(ValueError, match="non-finite"):
-        ingest_csv(path)
-
-
-def test_ingest_empty_file(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        ingest_csv(path)
-    path.write_text("a,b\n")
-    with pytest.raises(ValueError, match="no data"):
-        ingest_csv(path)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        ingest_csv(path, standardize)
 
 
 def test_ingest_standardize_hand_oracle(tmp_path):
@@ -110,13 +88,6 @@ def test_ingest_standardize_hand_oracle(tmp_path):
     assert abs(values[1, 0] - expect) < 1e-12
     assert np.allclose(values.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(values.std(axis=0, ddof=1), 1.0, atol=1e-12)
-
-
-def test_ingest_standardize_zero_variance(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("1,2\n1,4\n")
-    with pytest.raises(ValueError, match="zero variance"):
-        ingest_csv(path, standardize=True)
 
 
 # ---------------------------------------------------------------- simulate
@@ -221,13 +192,14 @@ def test_simulate_parallel_jobs_match_serial(tmp_path, kind):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """A stand-in pool that records its size and maps serially, so no
-    worker process is started; returns the sizes it was opened with."""
-    sizes = []
+    """A stand-in pool that records its size and its workers' start method
+    and maps serially, so no worker process is started; returns the
+    (size, start method) pairs it was opened with."""
+    opened = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, mp_context):
+            opened.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -241,13 +213,13 @@ def serial_pool(monkeypatch):
     # cmd_simulate imports the pool class from concurrent.futures as it
     # opens a pool, so the stand-in replaces it there.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    return sizes
+    return opened
 
 
 def test_simulate_pool_has_no_idle_workers(tmp_path, serial_pool):
     out = tmp_path / "run"
     cmd_simulate(small_scenario(replications=2, jobs=64), out)
-    assert serial_pool == [2]
+    assert serial_pool == [(2, "spawn")]
     assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == 64
 
 
@@ -266,7 +238,10 @@ def test_simulate_records_a_failed_replication_and_scores_the_rest(tmp_path, mon
     out = tmp_path / "run"
     assert cmd_simulate(small_scenario(replications=3), out) == 1
     error = "RuntimeError: column 3 failed at stage beta"
-    assert f"replication 1 failed: {error}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"replication 1 failed: {error}" in err
+    # The traceback goes before it, down to the frame that raised.
+    assert err.startswith("Traceback") and "in fail_second_chain" in err
     agg = json.loads((out / "aggregate.json").read_text())
     assert agg["replications_completed"] == 2
     assert agg["failures"] == [{"replication": 1, "seed": 123, "stream_id": 1, "error": error}]
@@ -366,32 +341,23 @@ def write_synthetic(path, n=50, p=3, seed=5):
     np.savetxt(path, rng.standard_normal((n, p)), delimiter=",", fmt="%.17g")
 
 
-def test_fit_smoke_posterior_mean_pd(tmp_path):
+@pytest.mark.parametrize("n,p,burn_in,draws,seed", [(50, 3, 10, 30, 1), (5, 10, 5, 15, 2)],
+                         ids=["n50-p3", "n5-p10"])
+def test_fit_completes_clean(n, p, burn_in, draws, seed, tmp_path):
     data = tmp_path / "data.csv"
-    write_synthetic(data, n=50, p=3)
+    write_synthetic(data, n=n, p=p)
     out = tmp_path / "fit"
-    rc = cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=10, draws=30, seed=1), out)
+    rc = cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=burn_in, draws=draws,
+                           seed=seed), out)
     assert rc == 0
     mean = np.loadtxt(out / "posterior_mean.csv", delimiter=",", ndmin=2)
-    assert mean.shape == (3, 3)
+    assert mean.shape == (p, p)
     assert pd_check(mean) is not None
     scaled = np.loadtxt(out / "posterior_mean_unit_diag.csv", delimiter=",", ndmin=2)
     assert np.allclose(np.diagonal(scaled), 1.0)
     audit = json.loads((out / "audit.json").read_text())
     assert audit["violations"] == 0
-
-
-def test_fit_n_less_than_p_completes_clean(tmp_path):
-    data = tmp_path / "data.csv"
-    write_synthetic(data, n=5, p=10)
-    out = tmp_path / "fit"
-    rc = cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=5, draws=15, seed=2), out)
-    assert rc == 0
-    audit = json.loads((out / "audit.json").read_text())
-    assert audit["violations"] == 0
     assert 0.0 <= audit["sigma_drift_max"] < 1e-8
-    mean = np.loadtxt(out / "posterior_mean.csv", delimiter=",", ndmin=2)
-    assert pd_check(mean) is not None
 
 
 def test_fit_deterministic(tmp_path):
@@ -434,28 +400,6 @@ def test_fit_rejects_single_row(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_fit_standardize_rejects_single_row(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    data.write_text("1,2,3\n")
-    out = tmp_path / "out"
-    rc = main(["fit", str(data), "--standardize", "--sampler", "bgs", "--burnin", "1",
-               "--draws", "2", "--out", str(out)])
-    assert rc == 1
-    assert "need at least 2 rows of data, found 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_main_fit_rejects_single_column(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    data.write_text("1\n2\n3\n")
-    out = tmp_path / "out"
-    rc = main(["fit", str(data), "--sampler", "bgs", "--burnin", "1", "--draws", "2",
-               "--out", str(out)])
-    assert rc == 1
-    assert "need at least two variables" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_module_route_exits_2_on_a_config_error(tmp_path):
     # README's no-install route, `PYTHONPATH=src python -m bayesglasso.cli`,
     # runs the module's __main__ block, which must pass main's status on.
@@ -467,22 +411,6 @@ def test_module_route_exits_2_on_a_config_error(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "configuration error: threshold" in proc.stderr
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_main_fit_rejects_an_all_zero_column(kind, tmp_path, capsys):
-    # Its S_jj = 0 makes the posterior improper: the chain must refuse it
-    # before drawing, and fit must leave no output directory behind.
-    values = np.random.default_rng(1).standard_normal((8, 4))
-    values[:, 3] = 0.0
-    data = tmp_path / "data.csv"
-    np.savetxt(data, values, delimiter=",")
-    out = tmp_path / "out"
-    rc = main(["fit", str(data), "--sampler", kind, "--burnin", "10", "--draws", "50",
-               "--seed", "2", "--out", str(out)])
-    assert rc == 1
-    assert "variable 3 (0-based) has S_jj = 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -534,7 +462,7 @@ def test_main_manifest_config_echoes_every_flag(tmp_path, serial_pool):
     assert manifest["command"] == "simulate"
     assert manifest["config"] == {"design": "circle", "p": 5, "n": 9, "sampler": "hrs",
                                   **chain, "replications": 2, "threshold": 0.05, "jobs": 2}
-    assert serial_pool == [2]
+    assert serial_pool == [(2, "spawn")]
 
     data = tmp_path / "data.csv"
     write_synthetic(data, n=6, p=4)
@@ -606,10 +534,32 @@ def test_main_bad_chain_flag_is_config_error_before_output(command, flag, value,
     assert not out.exists()
 
 
+def all_zero_column_csv():
+    """8 x 4 standard normal data whose column 3 is all zero, as CSV text."""
+    values = np.random.default_rng(1).standard_normal((8, 4))
+    values[:, 3] = 0.0
+    text = io.StringIO()
+    np.savetxt(text, values, delimiter=",")
+    return text.getvalue()
+
+
+SHORT_CHAIN = ["--burnin", "1", "--draws", "2"]
+
+
 @pytest.mark.parametrize("text,flags,message", [
-    pytest.param("1,2\n3,oops\n", ["--sampler", "hrs", "--burnin", "1", "--draws", "2"],
+    pytest.param("1,2\n3,oops\n", ["--sampler", "hrs", *SHORT_CHAIN],
                  "row 2, column 2: not numeric", id="non-numeric"),
     pytest.param(None, ["--sampler", "hrs"], "No such file or directory", id="missing-file"),
+    pytest.param("1,2,3\n", ["--standardize", "--sampler", "bgs", *SHORT_CHAIN],
+                 "need at least 2 rows of data, found 1", id="standardize-single-row"),
+    pytest.param("1\n2\n3\n", ["--sampler", "bgs", *SHORT_CHAIN],
+                 "need at least two variables", id="single-column"),
+    # Its S_jj = 0 makes the posterior improper: the chain must refuse it
+    # before drawing.
+    *(pytest.param(all_zero_column_csv(),
+                   ["--sampler", kind, "--burnin", "10", "--draws", "50", "--seed", "2"],
+                   "variable 3 (0-based) has S_jj = 0.0", id=f"all-zero-column-{kind}")
+      for kind in SAMPLER_KINDS),
 ])
 def test_main_fit_data_error_exit_1(text, flags, message, tmp_path, capsys):
     # A data error ends fit with exit 1, naming it, and leaves no output

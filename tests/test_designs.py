@@ -28,15 +28,11 @@ def test_ar1_adjacency_tridiagonal():
     assert np.max(np.abs(off)) < 1e-12
 
 
-def test_ar2_p3_precision():
-    model = true_model("ar2", 3)
-    expect = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
-    assert np.array_equal(model.omega_true, expect)
-
-
-def test_circle_p3_matches_oracle():
-    model = true_model("circle", 3)
-    expect = np.array([[2.0, 1.0, 0.9], [1.0, 2.0, 1.0], [0.9, 1.0, 2.0]])
+@pytest.mark.parametrize("kind,expect", [
+    ("ar2", [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]]),
+    ("circle", [[2.0, 1.0, 0.9], [1.0, 2.0, 1.0], [0.9, 1.0, 2.0]])], ids=["ar2", "circle"])
+def test_p3_precision_matches_oracle(kind, expect):
+    model = true_model(kind, 3)
     assert np.array_equal(model.omega_true, expect)
     assert pd_check(model.omega_true) is not None
 
@@ -118,19 +114,14 @@ def test_star_size_rule():
     assert np.isclose(np.linalg.eigvalsh(model.omega_true)[0], 1 - 0.1 * np.sqrt(99))
 
 
-def test_design_size_must_be_an_integer():
-    # np.arange(5.5) has six entries, so a float p would build a 6 x 6 model.
-    for kind, p in (("ar1", 5.5), ("circle", 6.0)):
-        with pytest.raises(ValueError, match=f"p must be an integer >= 2, got {p}"):
-            GraphDesign(kind, p)
-    assert true_model("circle", np.int64(6)).omega_true.shape == (6, 6)
-
-
-def test_design_size_rejects_a_bool():
-    # bool subclasses int; True was once rejected only as "need p >= 2".
-    for p in (True, False, np.True_):
-        with pytest.raises(ValueError, match=f"p must be an integer >= 2, got {p!r}"):
-            GraphDesign("ar1", p)
+# np.arange(5.5) has six entries, so a float p would build a 6 x 6 model.
+# bool subclasses int; True was once rejected only as "need p >= 2".
+@pytest.mark.parametrize("kind,p", [("ar1", 5.5), ("circle", 6.0), ("ar1", True),
+                                    ("ar1", False), ("ar1", np.True_)],
+                         ids=["5.5", "6.0", "True", "False", "np.True_"])
+def test_design_size_must_be_an_integer(kind, p):
+    with pytest.raises(ValueError, match=f"p must be an integer >= 2, got {p!r}"):
+        GraphDesign(kind, p)
 
 
 def test_simulate_data_shape_and_determinism():
@@ -158,13 +149,11 @@ def test_simulate_data_correlation():
     assert abs(corr - 0.7) < 0.01
 
 
-def test_scatter_matrix_orthonormal_rows():
-    assert np.array_equal(scatter_matrix(np.eye(2)), np.eye(2))
-
-
-def test_scatter_matrix_single_row_oracle():
-    S = scatter_matrix(np.array([[1.0, 2.0]]))
-    assert np.array_equal(S, [[1.0, 2.0], [2.0, 4.0]])
+@pytest.mark.parametrize("Y,expect", [(np.eye(2), np.eye(2)),
+                                      ([[1.0, 2.0]], [[1.0, 2.0], [2.0, 4.0]])],
+                         ids=["orthonormal-rows", "single-row"])
+def test_scatter_matrix_hand_oracle(Y, expect):
+    assert np.array_equal(scatter_matrix(np.array(Y)), expect)
 
 
 def test_scatter_matrix_rejects_a_vector():
@@ -189,3 +178,4 @@ def test_scatter_converges_to_sigma():
 def test_build_design_from_dataclass():
     model = build_design(GraphDesign("circle", 5))
     assert model.omega_true.shape == (5, 5)
+    assert true_model("circle", np.int64(6)).omega_true.shape == (6, 6)

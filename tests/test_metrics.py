@@ -166,14 +166,11 @@ def test_structure_scores_dim_mismatch():
         structure_scores(np.zeros((3, 3), bool), np.zeros((4, 4), bool))
 
 
-def test_unit_diag_scale_identity():
-    assert np.array_equal(unit_diag_scale(np.eye(4)), np.eye(4))
-
-
-def test_unit_diag_scale_hand_oracle():
-    got = unit_diag_scale(np.array([[4.0, 2.0], [2.0, 1.0]]))
-    assert np.allclose(got, np.ones((2, 2)), atol=1e-14)
-    assert np.all(np.diagonal(got) == 1.0)
+@pytest.mark.parametrize("omega,expect", [(np.eye(4), np.eye(4)),
+                                          ([[4.0, 2.0], [2.0, 1.0]], np.ones((2, 2)))],
+                         ids=["identity", "rank-one"])
+def test_unit_diag_scale_hand_oracle(omega, expect):
+    assert np.array_equal(unit_diag_scale(np.array(omega)), expect)
 
 
 def test_unit_diag_scale_random_pd():

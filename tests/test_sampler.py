@@ -282,17 +282,12 @@ def test_bgs_beta_draw_moments(omega11_inv, s12, c, tau12, seed, n):
     assert np.all(np.abs(np.cov(draws, rowvar=False) - C) < 4 * se_cov)
 
 
-def test_hit_and_run_interval_unit_case():
-    lo, hi = hit_and_run_interval(1.0, 0.0, 1.0)
-    assert lo == pytest.approx(-1.0)
-    assert hi == pytest.approx(1.0)
-
-
-def test_hit_and_run_interval_quadratic_oracle():
-    # a=1, b=0.5, gamma=1 gives roots -0.5 +- sqrt(1.25)
-    lo, hi = hit_and_run_interval(1.0, 0.5, 1.0)
-    assert lo == pytest.approx(-0.5 - math.sqrt(1.25))
-    assert hi == pytest.approx(-0.5 + math.sqrt(1.25))
+# a = gamma = 1 gives roots -b +- sqrt(b^2 + 1).
+@pytest.mark.parametrize("b,roots", [(0.0, (-1.0, 1.0)),
+                                     (0.5, (-0.5 - math.sqrt(1.25), -0.5 + math.sqrt(1.25)))],
+                         ids=["unit", "quadratic"])
+def test_hit_and_run_interval_hand_oracle(b, roots):
+    assert hit_and_run_interval(1.0, b, 1.0) == pytest.approx(roots)
 
 
 def test_hit_and_run_interval_brackets_zero():
