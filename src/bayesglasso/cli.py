@@ -202,15 +202,16 @@ def run_replication(scenario, rep):
         "frobenius": frobenius_loss(est, model.omega_true),
         **asdict(sc),
     }
-    return row, {"replication": rep, **_audit_summary(out.audit)}, out.elapsed_seconds
+    return row, out.audit, out.elapsed_seconds
 
 
 def _replication_task(scenario, rep):
+    """(run_replication's result, None), or (None, (error, traceback)) for
+    a replication that raised."""
     try:
-        row, audit, elapsed = run_replication(scenario, rep)
-        return rep, row, audit, elapsed, None, None
+        return run_replication(scenario, rep), None
     except Exception as exc:  # recorded with its traceback, campaign continues
-        return rep, None, None, 0.0, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+        return None, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
 def _bootstrap_se_of_median(values, seed):
@@ -258,19 +259,22 @@ def cmd_simulate(scenario, out_dir):
         results = [_replication_task(scenario, rep) for rep in reps]
 
     rows, audits, failures, rep_seconds = [], [], [], {}
-    for rep, row, audit, elapsed, err, trace in results:
-        if err is None:
+    pooled = ViolationAudit()
+    for rep, (result, failure) in zip(reps, results):
+        if failure is None:
+            row, audit, rep_seconds[str(rep)] = result
             rows.append(row)
-            audits.append(audit)
-            rep_seconds[str(rep)] = elapsed
+            audits.append({"replication": rep, **_audit_summary(audit)})
+            pooled.merge(audit)
         else:
+            err, trace = failure
             failures.append({"replication": rep, "seed": scenario.seed,
                              "stream_id": rep, "error": err})
             print(f"{trace}replication {rep} failed: {err}", file=sys.stderr)
 
     _write_replication_csv(out / "replications.csv", rows)
     _write_json(out / "aggregate.json", _aggregate(scenario, rows, failures))
-    _write_json(out / "audit.json", _pool_audits(audits))
+    _write_json(out / "audit.json", {**_audit_summary(pooled), "per_replication": audits})
     _write_json(out / "timing.json", {
         "total_seconds": time.perf_counter() - t0,
         "replication_seconds": rep_seconds,
@@ -311,14 +315,6 @@ def _audit_summary(audit):
     """The audit.json form of a ViolationAudit: its fields and its ratio."""
     ratio = 100.0 * audit.violations / audit.updates_total if audit.updates_total else 0.0
     return {**asdict(audit), "violation_ratio_percent": ratio}
-
-
-def _pool_audits(audits):
-    pooled = ViolationAudit(
-        updates_total=sum(a["updates_total"] for a in audits),
-        violations=sum(a["violations"] for a in audits),
-        sigma_drift_max=max([0.0, *(a["sigma_drift_max"] for a in audits)]))
-    return {**_audit_summary(pooled), "per_replication": audits}
 
 
 def cmd_fit(config, out_dir):

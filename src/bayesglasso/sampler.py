@@ -293,11 +293,20 @@ class ViolationAudit:
     Sigma_fresh| / max|Sigma_fresh| seen at a sweep start, between the
     inverse carried through the previous sweep and the one recomputed from
     the new Cholesky factor; 0 until a second sweep starts.
+
+    :meth:`merge` is the one rule that combines two audits, a sweep's into
+    its chain's and a replication's into its campaign's.
     """
 
     updates_total: int = 0
     violations: int = 0
     sigma_drift_max: float = 0.0
+
+    def merge(self, other):
+        """Add other's counts to this audit's and keep the larger drift."""
+        self.updates_total += other.updates_total
+        self.violations += other.violations
+        self.sigma_drift_max = max(self.sigma_drift_max, other.sigma_drift_max)
 
 
 @dataclass
@@ -404,15 +413,17 @@ def hit_and_run_interval(a, b, gamma):
     gamma > 0 in a positive definite state, so the interval strictly
     brackets kappa = 0.  The root near 0 comes from the product of the
     roots, -gamma/a, so it does not cancel however large |b| is.  A
-    non-finite a, b or gamma raises ValueError: it would give a NaN root,
-    or an interval that no longer brackets 0 strictly.
+    non-finite a, b or gamma raises ValueError naming it: it would give a
+    NaN root, or an interval that no longer brackets 0 strictly.
+    Finiteness is tested before the signs, so a NaN that a C^{-1} factor
+    carries is reported as a NaN, not as a state that is not positive
+    definite.
     """
-    # Written so that NaN, which fails every comparison, is rejected.
-    if not (a > 0.0 and gamma > 0.0):
-        raise ValueError("state not positive definite")
-    if not (a < math.inf and gamma < math.inf and math.isfinite(b)):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(gamma)):
         raise ValueError(f"hit-and-run interval needs finite a, b and gamma, got "
                          f"{a!r}, {b!r}, {gamma!r}")
+    if not (a > 0.0 and gamma > 0.0):
+        raise ValueError("state not positive definite")
     disc = math.sqrt(b * b + a * gamma)
     if b >= 0.0:
         q = b + disc
@@ -521,17 +532,17 @@ def sweep(state, config, audit, rng):
     Omega^{-1}, which ``state.sigma`` carries through the columns with the
     O(p^2) updates of the module docstring, on its upper triangle only, and
     mirrors that triangle when the sweep ends; the gap between the Sigma
-    carried through the previous sweep and the fresh one goes into
-    ``audit.sigma_drift_max``.  Then the sweep draws its random bank, the
-    same five calls for either kind (see the module docstring); the beta
-    step is the only code that differs between them.
+    carried through the previous sweep and the fresh one is merged into
+    the audit's ``sigma_drift_max``.  Then the sweep draws its random
+    bank, the same five calls for either kind (see the module docstring);
+    the beta step is the only code that differs between them.
 
     A column update is a violation when the Schur test fails on the matrix
     holding the new off-diagonal column and the old diagonal entry; the
     hit-and-run path never fails it, the unconstrained path counts the
-    failure and keeps going.  After its last column the sweep adds its p
-    updates and its violations to the audit, so a sweep that raises adds
-    nothing.  A non-finite beta' Omega11^{-1} beta, which a NaN reaching
+    failure and keeps going.  After its last column the sweep merges its p
+    updates and its violations into the audit, so a sweep that raises adds
+    no counts.  A non-finite beta' Omega11^{-1} beta, which a NaN reaching
     C^{-1} gives, is an error rather than a count.  The gamma draw needs no
     check: gamma = g * 2/c with g > 0 from numpy's Ga(n/2 + 1) sampler and
     c = s22 + 2 lambda22 finite and positive, because S is validated
@@ -556,8 +567,8 @@ def sweep(state, config, audit, rng):
     sigma_t = sigma.T  # BLAS's view: its lower triangle is sigma's upper one
     first_sweep = state.sigma is None
     if not first_sweep:
-        drift = float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())
-        audit.sigma_drift_max = max(audit.sigma_drift_max, drift)
+        audit.merge(ViolationAudit(
+            sigma_drift_max=float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())))
     state.sigma = sigma
     p = state.omega.shape[0]
     omega = state.omega
@@ -655,8 +666,7 @@ def sweep(state, config, audit, rng):
             raise RuntimeError(
                 f"column {i} (0-based) failed at stage {stage}: {exc}") from exc
 
-    audit.updates_total += p
-    audit.violations += violations
+    audit.merge(ViolationAudit(p, violations))
 
     # Copy the carried upper triangle (numpy indexing) onto the lower one.
     np.copyto(sigma, sigma_t, where=lower)

@@ -149,15 +149,32 @@ def test_simulate_audit_content(tmp_path):
     assert len(audit["per_replication"]) == 2
 
 
-def test_simulate_audit_reports_sigma_drift(tmp_path):
+def test_simulate_audit_pools_the_replications(tmp_path, monkeypatch):
+    # bgs records violations in each of these replications, so the pooled
+    # counts are checked on nonzero values.
     out = tmp_path / "run"
-    cmd_simulate(small_scenario(sampler="bgs", design="circle", p=8,
-                                replications=3), out)
+    assert cmd_simulate(small_scenario(sampler="bgs", design="circle", p=8,
+                                       replications=3), out) == 0
     audit = json.loads((out / "audit.json").read_text())
-    per_rep = [a["sigma_drift_max"] for a in audit["per_replication"]]
-    assert len(per_rep) == 3
-    assert all(0.0 < d < 1e-9 for d in per_rep)
-    assert audit["sigma_drift_max"] == max(per_rep)
+    per_rep = audit.pop("per_replication")
+    assert [a["replication"] for a in per_rep] == [0, 1, 2]
+    assert all(a["violations"] > 0 for a in per_rep)
+    assert all(0.0 < a["sigma_drift_max"] < 1e-9 for a in per_rep)
+    updates = sum(a["updates_total"] for a in per_rep)
+    violations = sum(a["violations"] for a in per_rep)
+    assert audit == {"updates_total": updates, "violations": violations,
+                     "sigma_drift_max": max(a["sigma_drift_max"] for a in per_rep),
+                     "violation_ratio_percent": 100.0 * violations / updates}
+
+    # A campaign in which every replication fails pools no audit.
+    def fail(*args):
+        raise RuntimeError("column 3 failed at stage beta")
+
+    monkeypatch.setattr(cli, "run_chain", fail)
+    assert cmd_simulate(small_scenario(), tmp_path / "failed") == 1
+    assert json.loads((tmp_path / "failed" / "audit.json").read_text()) == {
+        "updates_total": 0, "violations": 0, "sigma_drift_max": 0.0,
+        "violation_ratio_percent": 0.0, "per_replication": []}
 
 
 def test_simulate_csv_schema(tmp_path):

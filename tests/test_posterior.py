@@ -18,6 +18,10 @@ holds omega22 fixed (ROADMAP item 1).  This file's first p=2 model is too
 well determined to show that bias.  The second, D2, runs at the default r
 and s, where the posterior has a spike at w12 = 0; a log grid in |w12|
 integrates it.
+
+Last, Geweke's (2004) joint-distribution test checks each kernel at p = 3
+with n = 2 < p and a new S at every step, against exact draws from the
+prior; hrs is expected to fail it for the same reason.
 """
 
 import numpy as np
@@ -26,7 +30,8 @@ import pytest
 from bayesglasso import sampler
 from bayesglasso.designs import scatter_matrix
 from bayesglasso.distributions import RngStream
-from bayesglasso.sampler import ChainConfig, run_chain
+from bayesglasso.matrixcore import spd_inverse
+from bayesglasso.sampler import ChainConfig, GibbsState, ViolationAudit, run_chain, sweep
 
 S = 20.0 * np.array([[1.0, 0.5], [0.5, 1.0]])
 N_OBS = 20
@@ -63,12 +68,16 @@ def batch_means(x, batches=30):
 
 
 def assert_chain_matches(scatter, n, cfg, statistics, oracle):
-    """Run cfg's chain at seed 2 and compare the batch means of each column
-    of statistics(draws) with the oracle's (means, standard errors), within
-    4.5 standard errors of the chain and the oracle combined.  A grid
-    oracle's standard error is 0."""
+    """Run cfg's chain at seed 2 and compare statistics(draws) with the
+    oracle by assert_statistics_match."""
     out = run_chain(scatter, n, cfg, RngStream(2))
-    stats = statistics(np.array(out.draws))
+    assert_statistics_match(statistics(np.array(out.draws)), oracle)
+
+
+def assert_statistics_match(stats, oracle):
+    """Compare the batch means of each column of a chain's stats with the
+    oracle's (means, standard errors), within 4.5 standard errors of the
+    chain and the oracle combined.  A grid oracle's standard error is 0."""
     exact, exact_se = (np.broadcast_to(v, stats.shape[1:]) for v in oracle)
     for k in range(stats.shape[1]):
         mean, se = batch_means(stats[:, k])
@@ -270,3 +279,85 @@ def test_p5n3_oracle_is_converged(p5n3_oracle):
 def test_chain_matches_importance_sampling_posterior_p5n3(kind, p5n3_oracle):
     assert_chain_matches(P5N3_S, P5N3_N, ChainConfig(kind=kind, **CHAIN_12K), corner_statistics,
                          p5n3_oracle[:2])
+
+
+# ---------------------------------------------------------------- Geweke
+
+# G3: Geweke's successive-conditional simulator at p = 3 with n = 2 < p.  It
+# alternates a data draw Y | Omega with one sweep, so a kernel that leaves
+# the posterior invariant leaves the joint law of (Omega, Y) invariant, and
+# the chain's Omega keeps the prior as its law.  At r = 3 and s = 1 the
+# prior is proper enough for rejection to draw it; at the default r and s it
+# is nearly improper.
+G3_P, G3_N = 3, 2
+G3_R, G3_S = 3.0, 1.0
+
+
+def prior_draws(count, gen):
+    """count exact draws of the G3 prior of omega, by rejection.
+
+    With the rates integrated out, the prior of omega is proportional to
+    prod_{i<=j} (s + |w_ij|)^{-(r+1)} on the positive definite cone.  Given
+    a rate lambda_ij ~ Ga(r, s), w_ij is Laplace with scale 1/lambda_ij off
+    the diagonal and exponential with rate lambda_ij on it, which
+    integrates to that product; the draws that are not positive definite
+    are rejected.
+    """
+    rows, cols = np.triu_indices(G3_P)
+    kept = []
+    while sum(map(len, kept)) < count:
+        scale = 1.0 / gen.gamma(G3_R, 1.0 / G3_S, (count, rows.size))
+        w = np.where(rows == cols, gen.exponential(scale), gen.laplace(0.0, scale))
+        omega = np.zeros((count, G3_P, G3_P))
+        omega[:, rows, cols] = omega[:, cols, rows] = w
+        kept.append(omega[np.linalg.eigvalsh(omega)[:, 0] > 0.0])
+    return np.concatenate(kept)[:count]
+
+
+def geweke_statistics(omega, medians):
+    """(rho12, rho12**2, 1{w11 > m11}, 1{log det > m_det}, 1{w13 > 0}) of a
+    stack of precision matrices, with (m11, m_det) = medians.  rho12 is the
+    partial correlation; each statistic is bounded, so its mean has a
+    finite variance under the heavy-tailed prior."""
+    rho = -omega[:, 0, 1] / np.sqrt(omega[:, 0, 0] * omega[:, 1, 1])
+    return np.stack([rho, rho * rho, omega[:, 0, 0] > medians[0],
+                     np.linalg.slogdet(omega)[1] > medians[1], omega[:, 0, 2] > 0.0],
+                    axis=-1).astype(float)
+
+
+@pytest.fixture(scope="module")
+def g3_prior():
+    """The medians of w11 and log det Omega over 100k prior draws, and the
+    means and standard errors of geweke_statistics there."""
+    draws = prior_draws(100_000, np.random.default_rng(11))
+    medians = (np.median(draws[:, 0, 0]), np.median(np.linalg.slogdet(draws)[1]))
+    stats = geweke_statistics(draws, medians)
+    return medians, (stats.mean(axis=0), stats.std(axis=0, ddof=1) / np.sqrt(len(stats)))
+
+
+@pytest.mark.parametrize("kind,block", [
+    pytest.param("bgs", None, id="bgs"),
+    # At p = 3 the default shrinkage block spans the sweep; blocks of 2 run
+    # a pair inside a block and two that cross a block boundary.
+    pytest.param("bgs", 2, id="bgs-block2"),
+    pytest.param("hrs", None, id="hrs", marks=HRS_XFAIL),
+    pytest.param("hrs", 2, id="hrs-block2", marks=HRS_XFAIL),
+])
+def test_kernel_leaves_the_joint_law_invariant_g3(kind, block, g3_prior, monkeypatch):
+    # Each step draws Y ~ N(0, Omega^{-1}) n times and then runs one sweep
+    # on its S.  The state is given its sigma, so the first-sweep rule, a
+    # rule for a chain's start and not part of the kernel, never runs.
+    if block is not None:
+        monkeypatch.setattr(sampler, "SHRINKAGE_BLOCK", block)
+    medians, oracle = g3_prior
+    config = ChainConfig(kind=kind, r=G3_R, s=G3_S)
+    rng = RngStream(12)
+    omega = prior_draws(1, rng)[0]
+    chain = np.empty((10_000, G3_P, G3_P))
+    for draw in chain:
+        sigma = spd_inverse(omega)
+        Y = rng.standard_normal((G3_N, G3_P)) @ np.linalg.cholesky(sigma).T
+        sweep(GibbsState(omega, scatter_matrix(Y), G3_N, sigma=sigma), config,
+              ViolationAudit(), rng)
+        draw[...] = omega
+    assert_statistics_match(geweke_statistics(chain, medians), oracle)

@@ -322,18 +322,20 @@ def test_hit_and_run_interval_roots_do_not_cancel(b):
 def test_hit_and_run_interval_rejects_non_pd_state():
     with pytest.raises(ValueError, match="state not positive definite"):
         hit_and_run_interval(1.0, 0.0, 0.0)
-    # NaN fails every comparison, so it must not slip through as (nan, nan);
     # a = 0 must not divide by zero, nor a < 0 reach a negative square root.
-    for a, gamma in ((1.0, math.nan), (math.nan, 1.0), (0.0, 1.0), (-1.0, 1.0)):
+    for a, gamma in ((0.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(ValueError, match="state not positive definite"):
             hit_and_run_interval(a, 0.5, gamma)
 
 
 @pytest.mark.parametrize("a,b,gamma", [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
                                          (1.0, -math.inf, 1.0), (math.inf, 0.5, 1.0),
-                                         (1.0, 0.5, math.inf)])
+                                         (1.0, 0.5, math.inf), (1.0, 0.5, math.nan),
+                                         (math.nan, 0.5, 1.0)])
 def test_hit_and_run_interval_rejects_non_finite_input(a, b, gamma):
-    # A NaN b would give (nan, nan); an infinite b an interval such as
+    # NaN fails every comparison, so a NaN must not slip through as
+    # (nan, nan), and it is named as a NaN, not as a state that is not
+    # positive definite.  An infinite b would give an interval such as
     # (-inf, 0.0) that no longer brackets 0 strictly; an infinite a or gamma
     # a NaN root.
     with pytest.raises(ValueError, match="needs finite a, b and gamma"):
@@ -643,6 +645,19 @@ def test_bgs_sweep_records_violations_and_continues():
     assert np.all(np.isfinite(st.omega))
 
 
+def test_audit_merge_adds_counts_and_keeps_the_larger_drift():
+    pooled = ViolationAudit()
+    pooled.merge(ViolationAudit())
+    assert pooled == ViolationAudit(0, 0, 0.0)  # an empty pool stays at zero
+    pooled.merge(ViolationAudit(40, 3, 2e-12))
+    pooled.merge(ViolationAudit(24, 0, 5e-13))
+    assert pooled == ViolationAudit(64, 3, 2e-12)
+    other = ViolationAudit(8, 1, 7e-12)
+    pooled.merge(other)
+    assert pooled == ViolationAudit(72, 4, 7e-12)
+    assert other == ViolationAudit(8, 1, 7e-12)  # only read
+
+
 def test_sweep_rejects_bad_kind_and_bad_state():
     # The kind is checked once, as the config a sweep reads is made.
     st, rng = make_sim_state(p=4)
@@ -658,8 +673,9 @@ def test_sweep_rejects_bad_kind_and_bad_state():
 def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
     # The per-column C^{-1} factor is not scanned for NaN; the sweep's
     # finiteness test on beta' Omega11^{-1} beta (bgs) or the hit-and-run
-    # interval (hrs) must stop the column a NaN latent scale reaches.  In a
-    # chain's first sweep, call k of update_tau_column draws row k alone.
+    # interval (hrs) must stop the column a NaN latent scale reaches, and
+    # name the NaN.  In a chain's first sweep, call k of update_tau_column
+    # draws row k alone.
     st, rng = make_sim_state(p=8, n=30)
     original = sampler.update_tau_column
     calls = []
@@ -672,7 +688,8 @@ def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
         return tau
 
     monkeypatch.setattr(sampler, "update_tau_column", poisoned)
-    with pytest.raises(RuntimeError, match=r"column 5 \(0-based\) failed at stage beta"):
+    with pytest.raises(RuntimeError,
+                       match=r"column 5 \(0-based\) failed at stage beta: .*\bnan\b"):
         sweep(st, ChainConfig(kind), ViolationAudit(), rng)
 
 
