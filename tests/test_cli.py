@@ -408,15 +408,6 @@ def test_fit_timing_covers_the_command_and_the_chain(tmp_path, monkeypatch):
     assert timing["total_seconds"] >= timing["chain_seconds"] + 0.05
 
 
-def test_fit_rejects_single_row(tmp_path):
-    data = tmp_path / "data.csv"
-    data.write_text("1,2,3\n")
-    with pytest.raises(ValueError, match="at least 2 rows"):
-        cmd_fit(FitConfig(data_path=data, sampler="hrs", burn_in=1, draws=2),
-                tmp_path / "out")
-    assert not (tmp_path / "out").exists()
-
-
 def test_module_route_exits_2_on_a_config_error(tmp_path):
     # README's no-install route, `PYTHONPATH=src python -m bayesglasso.cli`,
     # runs the module's __main__ block, which must pass main's status on.

@@ -5,10 +5,10 @@ differently, and the one the host picks by itself is checked by the rest
 of the suite.
 
 One child process per core, ``python -W error tests/test_digests.py
---child``, first calls ``test_sampler.py``'s exact-symmetry test and its
-bitwise reference kernel test on every cell of
-``test_sampler.KERNEL_CELLS``; an assertion there ends the child before
-any artifact is made.  It then runs a desk-scale ``simulate`` and a
+--child``, first calls ``test_sampler.py``'s bitwise reference kernel test
+on every cell of ``test_sampler.KERNEL_CELLS``, odd p included, which also
+checks that omega and sigma stay exactly symmetric; an assertion there
+ends the child before any artifact is made.  It then runs a desk-scale ``simulate`` and a
 ``fit`` with n < p, each with every kind of ``sampler.SAMPLER_KINDS``, and
 hashes every non-timing artifact.  Both per-core tests read that one
 child: the kernel test passes when the child exits 0, and the digest test
@@ -62,15 +62,10 @@ def build_key():
 
 
 def kernel_checks():
-    """The bit-exact kernel tests of test_sampler.py, on every cell; the
+    """test_sampler.py's bitwise reference kernel test, on every cell; the
     first failure raises."""
     import test_sampler
 
-    # A full-matrix A - u u' (dger) comes out asymmetric on the Haswell
-    # kernel, which AVX2 and AMD machines get by default; the one carried
-    # triangle must stay exactly symmetric, and the sweep must match the
-    # plain reference kernel bit for bit, on every kernel.
-    test_sampler.test_sweep_keeps_exact_symmetry_and_audit_counts()
     for cell in test_sampler.KERNEL_CELLS:
         test_sampler.test_sweep_matches_reference_kernel_bitwise(*cell)
 

@@ -13,11 +13,11 @@ the grid means in units of their batch-means standard error.  At p=4 the
 same posterior is integrated by importance sampling (see
 wishart_is_posterior), and chain means are compared in units of the
 chain's and the oracle's standard errors combined; so is it at p=5, n=3,
-where S is singular.  hrs is expected to fail at p=4 and at p=5: its step
-holds omega22 fixed (ROADMAP item 1).  This file's first p=2 model is too
-well determined to show that bias.  The second, D2, runs at the default r
-and s, where the posterior has a spike at w12 = 0; a log grid in |w12|
-integrates it.
+where S is singular.  hrs is expected to fail at p=4, at p=5 and at the
+strongly correlated p=2 model P2: its step holds omega22 fixed (ROADMAP
+item 1).  The first p=2 model, W2, is too well determined to show that
+bias.  The third, D2, runs at the default r and s, where the posterior has
+a spike at w12 = 0; a log grid in |w12| integrates it.
 
 Last, Geweke's (2004) joint-distribution test checks each kernel at p = 3
 with n = 2 < p and a new S at every step, against exact draws from the
@@ -33,18 +33,21 @@ from bayesglasso.distributions import RngStream
 from bayesglasso.matrixcore import spd_inverse
 from bayesglasso.sampler import ChainConfig, GibbsState, ViolationAudit, run_chain, sweep
 
-S = 20.0 * np.array([[1.0, 0.5], [0.5, 1.0]])
-N_OBS = 20
 R = S_HYPER = 1.0
 # The chain every oracle at r = s = 1 is compared with.
 CHAIN_12K = dict(burn_in=500, draws=12_000, r=R, s=S_HYPER, store_draws=True)
+
+HRS_XFAIL = pytest.mark.xfail(
+    raises=AssertionError,
+    reason="hrs holds omega22 fixed, so its beta step targets the "
+           "conditional given gamma, not given omega22 (ROADMAP item 1)")
 
 
 def grid_posterior_means(scatter, n, r, s, m=120, diag_max=5.0, off=(-2.5, 1.5)):
     """Posterior means of (w11, w22, w12) by the midpoint rule on an m**3 grid.
 
-    The box holds all but a negligible share of the mass for the model
-    below (its faces carry under 1e-6 of it).
+    The default box holds all but a negligible share of W2's mass (its
+    faces carry under 1e-6 of it); P2 gives its own.
     """
     d = (np.arange(m) + 0.5) * (diag_max / m)
     o = off[0] + (np.arange(m) + 0.5) * ((off[1] - off[0]) / m)
@@ -85,16 +88,35 @@ def assert_statistics_match(stats, oracle):
         assert abs(mean - exact[k]) < tol, (k, mean, exact[k], se, exact_se[k])
 
 
-def test_grid_oracle_is_converged():
-    coarse = grid_posterior_means(S, N_OBS, R, S_HYPER, m=80)
-    fine = grid_posterior_means(S, N_OBS, R, S_HYPER, m=120)
-    assert np.max(np.abs(coarse - fine)) < 1e-4
+# The p = 2 models at r = s = 1, each as (S, n, fine grid, coarse grid).
+# W2 is well determined.  P2 is strongly correlated, with a posterior wide
+# enough to need its own box, and shows hrs's bias.
+P2_MODELS = {
+    "W2": (20.0 * np.array([[1.0, 0.5], [0.5, 1.0]]), 20, dict(m=120), dict(m=80)),
+    "P2": (8.0 * np.array([[1.0, 0.8], [0.8, 1.0]]), 8,
+           dict(m=200, diag_max=12.0, off=(-11.0, 2.0)),
+           dict(m=160, diag_max=10.0, off=(-9.0, 1.5))),
+}
 
 
-def test_bgs_matches_exact_posterior_p2():
-    assert_chain_matches(S, N_OBS, ChainConfig(kind="bgs", **CHAIN_12K),
+@pytest.mark.parametrize("model", P2_MODELS)
+def test_grid_oracle_is_converged(model):
+    scatter, n, fine, coarse = P2_MODELS[model]
+    difference = (grid_posterior_means(scatter, n, R, S_HYPER, **coarse)
+                  - grid_posterior_means(scatter, n, R, S_HYPER, **fine))
+    assert np.max(np.abs(difference)) < 1e-4
+
+
+@pytest.mark.parametrize("model,kind", [
+    pytest.param("W2", "bgs", id="W2-bgs"),
+    pytest.param("P2", "bgs", id="P2-bgs"),
+    pytest.param("P2", "hrs", id="P2-hrs", marks=HRS_XFAIL),
+])
+def test_chain_matches_exact_posterior_p2(model, kind):
+    scatter, n, fine, _ = P2_MODELS[model]
+    assert_chain_matches(scatter, n, ChainConfig(kind=kind, **CHAIN_12K),
                          lambda draws: draws[:, [0, 1, 0], [0, 1, 1]],
-                         (grid_posterior_means(S, N_OBS, R, S_HYPER), 0.0))
+                         (grid_posterior_means(scatter, n, R, S_HYPER, **fine), 0.0))
 
 
 # ---------------------------------------------------------------- D2
@@ -214,12 +236,6 @@ def p4_oracle():
     """The importance-sampling oracle at P4, computed once for both samplers."""
     return wishart_is_posterior(P4_S, P4_N, R, S_HYPER, np.linalg.inv(P4_S), rounds=2,
                                 draws=100_000)
-
-
-HRS_XFAIL = pytest.mark.xfail(
-    raises=AssertionError,
-    reason="hrs holds omega22 fixed, so its beta step targets the "
-           "conditional given gamma, not given omega22 (ROADMAP item 1)")
 
 
 @pytest.mark.parametrize("kind,block", [

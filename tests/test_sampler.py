@@ -480,21 +480,12 @@ def test_update_tau_ig_mean_oracle():
     # excess kurtosis 15 mean/shape.
     n = 200_000
     gen = RngStream(13)
-    for lam, a in ((1.0, 1.0), (3.0, 0.5)):
+    for lam, a in ((1.0, 1.0), (3.0, 0.5), (1.0, 0.5)):
         x = 1.0 / tau_draws(np.full(n, lam), np.full(n, a), gen)
         mean, var = lam / a, lam / a ** 3
         kurt = 3.0 + 15.0 * mean / lam ** 2
         assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(x.var(ddof=1) - var) < 4.0 * var * math.sqrt((kurt - 1.0) / n)
-
-
-def test_update_tau_ig_moments_at_mean_2_shape_1():
-    # IG(2, 1), lam = 1 and a = 1/2: mean 2, variance mean^3/shape = 8
-    n = 100_000
-    draws = 1.0 / tau_draws(np.ones(n), np.full(n, 0.5), RngStream(5))
-    se_mean = math.sqrt(8.0 / n)
-    assert abs(draws.mean() - 2.0) < 4 * se_mean  # 4 se_mean = 0.036
-    assert abs(draws.var(ddof=1) - 8.0) < 0.5
 
 
 @pytest.mark.parametrize("seed,points", [
@@ -607,42 +598,6 @@ def make_sim_state(design="circle", p=10, n=30, seed=20):
     rng = RngStream(seed)
     Y = simulate_data(model, n, rng)
     return initial_state(scatter_matrix(Y), n), rng
-
-
-def test_sweep_keeps_exact_symmetry_and_audit_counts():
-    # Odd p run the BLAS tail code of the rank-1 updates and the in-place
-    # row and column writes.  test_digests.py calls this test and every cell
-    # of test_sweep_matches_reference_kernel_bitwise on forced OpenBLAS cores.
-    for p, kind in ((p, kind) for p in (13, 31) for kind in SAMPLER_KINDS):
-        st, rng = make_sim_state(p=p)
-        audit = ViolationAudit()
-        for k in range(5):
-            sweep(st, ChainConfig(kind), audit, rng)
-            assert audit.updates_total == (k + 1) * p
-            for name in ("omega", "sigma"):
-                M = getattr(st, name)
-                assert np.array_equal(M, M.T), (kind, p, name)
-
-
-def test_hrs_sweep_never_violates():
-    st, rng = make_sim_state(p=8, n=5)  # n < p on purpose
-    audit = ViolationAudit()
-    for _ in range(50):
-        sweep(st, ChainConfig("hrs"), audit, rng)
-        assert pd_check(st.omega) is not None
-    assert audit.violations == 0
-    assert audit.updates_total == 50 * 8
-
-
-def test_bgs_sweep_records_violations_and_continues():
-    st, rng = make_sim_state(design="circle", p=20, n=30)
-    audit = ViolationAudit()
-    for _ in range(60):
-        sweep(st, ChainConfig("bgs"), audit, rng)
-    assert audit.violations > 0
-    assert audit.violations <= audit.updates_total
-    # the chain kept going and the state stayed finite
-    assert np.all(np.isfinite(st.omega))
 
 
 def test_audit_merge_adds_counts_and_keeps_the_larger_drift():
@@ -947,15 +902,18 @@ def reference_sweep(st, config, rng, first_sweep):
 
 
 # The cells of the bitwise test, which test_digests.py also runs under each
-# forced OpenBLAS core.
+# forced OpenBLAS core.  Odd p run the BLAS tail code of the rank-1 updates
+# and the in-place row and column writes.
 KERNEL_CELLS = [(design, p, n, kind)
-                for design, p, n in (("circle", 30, 50), ("star", 8, 5), ("ar1", 2, 5),
-                                     ("ar2", 100, 50))
+                for design, p, n in (("circle", 30, 50), ("circle", 13, 30), ("circle", 31, 30),
+                                     ("star", 8, 5), ("ar1", 2, 5), ("ar2", 100, 50))
                 for kind in SAMPLER_KINDS]
 
 
 @pytest.mark.parametrize("design,p,n,kind", KERNEL_CELLS)
 def test_sweep_matches_reference_kernel_bitwise(design, p, n, kind):
+    # The one statement of what a sweep does: its draws, in bank order and
+    # of fixed shape, its floating-point operations and its audit counts.
     st, _ = make_sim_state(design=design, p=p, n=n, seed=40)
     ref = initial_state(st.scatter, n)
     rng, ref_rng = RngStream(41), RngStream(41)
@@ -970,10 +928,16 @@ def test_sweep_matches_reference_kernel_bitwise(design, p, n, kind):
         updates += du
         violations += dv
     for name in ("omega", "sigma"):
-        assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+        M = getattr(st, name)
+        assert np.array_equal(M, getattr(ref, name)), name
+        # A full-matrix A - u u' (dger) comes out asymmetric on the Haswell
+        # kernel; the one carried triangle must stay exactly symmetric.
+        assert np.array_equal(M, M.T), name
     assert (audit.updates_total, audit.violations) == (updates, violations)
     # both streams sit at the same position afterwards
     assert rng.random() == ref_rng.random()
+    if kind == "hrs":
+        assert violations == 0
     if kind == "bgs" and design == "circle":
         assert violations > 0  # the audit branch is exercised, not just zero
 
@@ -1061,59 +1025,6 @@ def test_sweeps_leave_scatter_unchanged():
         assert st.scatter.tobytes() == before.tobytes(), kind
 
 
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_sweep_stream_is_fixed_shape(kind):
-    # Two different states with equal n and r consume the same draws from
-    # equal streams: exactly the bank.  Every kind draws that one bank, so a
-    # sweep of each kind leaves an equal stream at the same position too.
-    p = 9
-    st1, _ = make_sim_state(design="circle", p=p, n=30, seed=50)
-    st2, _ = make_sim_state(design="star", p=p, n=30, seed=51)
-    for _ in range(3):
-        sweep(st2, ChainConfig(kind), ViolationAudit(), RngStream(52))
-    fresh = RngStream(53)
-    draw_bank(fresh, p, 30, ChainConfig.r)
-    position = fresh.random()
-    kind_positions = []
-    for other in SAMPLER_KINDS:
-        rng = RngStream(53)
-        sweep(replace(st2, omega=st2.omega.copy()), ChainConfig(other), ViolationAudit(), rng)
-        kind_positions.append(rng.random())
-    rng1, rng2 = RngStream(53), RngStream(53)
-    sweep(st1, ChainConfig(kind), ViolationAudit(), rng1)
-    sweep(st2, ChainConfig(kind), ViolationAudit(), rng2)
-    assert not np.array_equal(st1.omega, st2.omega)
-    assert rng1.random() == rng2.random() == position
-    assert kind_positions == [position] * len(SAMPLER_KINDS)
-
-
-class HalvedDiagonalStream(RngStream):
-    """An RngStream whose (p, p) uniform draws, bank 5 in a sweep, come
-    with their diagonal halved."""
-
-    def random(self, *args, **kwargs):
-        u = super().random(*args, **kwargs)
-        if np.ndim(u) == 2:
-            u.flat[:: u.shape[0] + 1] *= 0.5
-        return u
-
-
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_bank5_diagonal_feeds_only_the_hrs_step(kind):
-    # Entry (i, i) of bank 5 feeds tau_ii, which the block's draw overwrites
-    # with 1, and hrs's step uniform; nothing else reads it.  So halving it
-    # moves an hrs chain and leaves a bgs chain bit for bit as it was.
-    plain, _ = make_sim_state(design="circle", p=9, n=30, seed=80)
-    halved = initial_state(plain.scatter, plain.n)
-    rng, halved_rng = RngStream(81), HalvedDiagonalStream(81)
-    for _ in range(5):
-        sweep(plain, ChainConfig(kind), ViolationAudit(), rng)
-        sweep(halved, ChainConfig(kind), ViolationAudit(), halved_rng)
-    same = [np.array_equal(getattr(plain, name), getattr(halved, name))
-            for name in ("omega", "sigma")]
-    assert same == [kind == "bgs"] * 2
-
-
 def test_sigma_drift_is_recorded_and_small():
     st, rng = make_sim_state(design="circle", p=20, n=30)
     audit = ViolationAudit()
@@ -1125,19 +1036,6 @@ def test_sigma_drift_is_recorded_and_small():
 
 
 # ---------------------------------------------------------------- chains
-
-def test_run_chain_deterministic_bitwise():
-    model = true_model("ar2", 6)
-    data_rng = RngStream(31)
-    Y = simulate_data(model, 25, data_rng)
-    S = scatter_matrix(Y)
-    cfg = ChainConfig(kind="bgs", burn_in=5, draws=10)
-    out1 = run_chain(S, 25, cfg, RngStream(77, 3))
-    out2 = run_chain(S, 25, cfg, RngStream(77, 3))
-    assert np.array_equal(out1.omega_mean, out2.omega_mean)
-    assert out1.audit.violations == out2.audit.violations
-    assert out1.audit.updates_total == out2.audit.updates_total
-
 
 @pytest.mark.parametrize("design,seed,burn_in,draws", [("ar1", 30, 0, 1), ("star", 32, 2, 10)])
 def test_run_chain_keeps_every_retained_draw(design, seed, burn_in, draws):
