@@ -27,11 +27,11 @@ and that is the moment the audit checks.
 
 The blocks are masked, not permuted: column i is row i of the full p x p
 matrices, in natural order, with slot i decoupled.  Slot i is zero in
-Omega11^{-1}, s12 and beta and one in tau12, so the inverse conditional
-covariance ``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)``
-has a unit (i, i) entry and a zero row and column i, and the beta draw
-comes out exactly 0 in slot i.  Omega and Sigma are then updated in place
-with one row write and one column write each.
+Omega11^{-1}, s12, z and beta, so the inverse conditional covariance
+``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)`` has a zero
+row and column i but for its (i, i) entry 1/tau12[i], and the beta draw
+comes out exactly 0 in slot i whatever tau12[i] is.  Omega and Sigma are
+then updated in place with one row write and one column write each.
 
 The shrinkage variables are not chain state: a sweep draws them in blocks
 of ``SHRINKAGE_BLOCK`` consecutive columns, as each block begins.  Given
@@ -39,21 +39,30 @@ everything else, the rate lambda_ij and the latent scale tau_ij depend on
 omega_ij alone, so drawing them from omega_ij as it stands is an exact
 conditional update whenever it happens.  As block [t, e) begins, one call
 draws the rates ``Ga(r + 1, s + |omega_ij|)`` of rows t..e-1 of omega and
-one more the latent scales of those rows from them.  tau has no diagonal,
-so the block's draw then sets each row's slot i to 1, which decouples it.
-Column i reads entry i of its row of rates as lambda22 and its row of
-scales as tau12.  No earlier column of the block writes omega_ii or
-omega_ij for j outside the block, so those draws are read as if drawn as
-column i begins.  A pair j < k inside the block gets one draw, the one
-from row j, copied onto row k: column j reads it before it rewrites
-omega_jk, and column k reads it after.  Column k's beta draw is still
-exact, given the tau_jk that column j's was made with, so the scan is a
-valid deterministic-scan Gibbs sampler for the same posterior.  From a
-chain's second sweep on it is not the chain of a per-column draw, in which
-column k would draw tau_jk afresh from the new omega_jk.  A chain's first
-sweep has blocks of one column and follows Wang's order, which has not yet
-drawn row i's entries j > i or lambda_ii when column i reads them, so the
-block's draw sets them to their initial value 1.
+one more the latent scales of those rows from them.  Column i reads entry
+i of its row of rates as lambda22 and its row of scales as tau12.  No
+earlier column of the block writes omega_ii or omega_ij for j outside the
+block, so those draws are read as if drawn as column i begins.  A pair
+j < k inside the block gets one draw, the one from row j, copied onto row
+k: column j reads it before it rewrites omega_jk, and column k reads it
+after.  Column k's beta draw is still exact, given the tau_jk that column
+j's was made with, so the scan is a valid deterministic-scan Gibbs sampler
+for the same posterior.  From a chain's second sweep on it is not the
+chain of a per-column draw, in which column k would draw tau_jk afresh
+from the new omega_jk.  A chain's first sweep has blocks of one column and
+follows Wang's order, which has not yet drawn row i's entries j > i or
+lambda_ii when column i reads them, so the block's draw sets them, and
+slot i with them, to their initial value 1.
+
+tau has no diagonal, but from a chain's second sweep on slot i of tau12
+holds the tau_ii that the block's draw makes from |omega_ii| all the same.
+It is harmless: it sits only on C^{-1}'s decoupled (i, i) pivot, and
+beta_i and hrs's direction d_i come out 0 whatever it is, with no other
+entry of the factor, the solves or the step moved by one bit.  It need
+only be finite and positive, so that the pivot is, and it is drawn by the
+same formula as every tau_ij, so the bound that ``S_FLOOR`` gives every
+latent scale holds for it too: it is at least about EPS_OMEGA * s / g, a
+normal float, so 1/tau_ii is finite.
 
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
@@ -165,21 +174,22 @@ sampler:
    step in column i.
 
 Entry (i, i) of bank 5 is free for the step because tau has no diagonal:
-the block's draw makes a tau_ii from it all the same, but overwrites that
-with 1 before column i reads its row, and no other column reads row i's
-slot i.  So the step reads a fresh uniform that nothing else reads, and
-bgs draws it and leaves it unread.
+the block's draw makes a tau_ii from it all the same, but column i reads
+that only on C^{-1}'s decoupled pivot, where it moves no bit, and no other
+column reads row i's slot i.  So the step reads a fresh uniform on which
+nothing else that reaches an output depends, and bgs draws it and uses it
+for nothing that reaches one.
 
 Row i of every bank is in natural order.  Every column update is then a
 pure transform of row i of the bank and the state, and every block's
 shrinkage draw one of rows t..e-1 of banks 3-5 and the state, so a sweep
 consumes exactly the bank.  Banks 3-5 meet row i of omega as it stands
 when column i's block begins.  Some of their entries feed draws that are
-never read, and they are drawn all the same: slot i, the later row's
-entry of each pair inside a block, and in a chain's first sweep the
-entries that the first-sweep rule sets to 1.  A change made only for speed
-keeps the bank and the arithmetic fixed, so it leaves every seeded
-artifact byte-identical.
+never read or that move no bit, and they are drawn all the same: slot i,
+the later row's entry of each pair inside a block, and in a chain's first
+sweep the entries that the first-sweep rule sets to 1.  A change made only
+for speed keeps the bank and the arithmetic fixed, so it leaves every
+seeded artifact byte-identical.
 """
 
 import math
@@ -260,10 +270,9 @@ class GibbsState:
     and latent scales tau are not stored: :func:`sweep` draws the rows of
     each block of ``SHRINKAGE_BLOCK`` columns as the block begins, and
     every draw is read within its block (see the module docstring).  Where
-    a chain's first sweep has not drawn them yet, and in each row's unused
-    slot tau_ii, the block's draw sets them to 1.  Nor are the
-    hyperparameters r and s: :func:`sweep` reads them from the chain's
-    :class:`ChainConfig`.
+    a chain's first sweep has not drawn them yet, the block's draw sets
+    them to 1.  Nor are the hyperparameters r and s: :func:`sweep` reads
+    them from the chain's :class:`ChainConfig`.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.  Between sweeps it is the
@@ -392,12 +401,12 @@ def bgs_update_beta(L, s12, z):
 
     L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`.
     z is a vector of standard normals, zero in a decoupled slot, where
-    C^{-1} has a unit diagonal and zero off-diagonal entries; beta comes out
-    exactly zero there.  The one factor L L' = C^{-1} gives both moments:
-    ``L^{-T} (z - L^{-1} s12) = -C s12 + L^{-T} z`` has mean -C s12 and
-    covariance L^{-T} L^{-1} = C, at the cost of two triangular solves.
-    Nothing keeps this draw inside the positive definite cone; that is the
-    baseline behaviour the audit measures.
+    C^{-1} has zero off-diagonal entries and a finite positive diagonal
+    one; beta comes out exactly zero there.  The one factor L L' = C^{-1}
+    gives both moments: ``L^{-T} (z - L^{-1} s12) = -C s12 + L^{-T} z`` has
+    mean -C s12 and covariance L^{-T} L^{-1} = C, at the cost of two
+    triangular solves.  Nothing keeps this draw inside the positive
+    definite cone; that is the baseline behaviour the audit measures.
     """
     y = _dtrtrs(L, s12, 1)[0]
     np.subtract(z, y, out=y)
@@ -439,7 +448,7 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     and c = s22 + 2 lambda22.  z is a vector of standard normals, zero in a
     decoupled slot as for :func:`bgs_update_beta`, and u a uniform on
     [0, 1), which the exact inverse CDF turns into the step; :func:`sweep`
-    passes entry (i, i) of its bank 5, whose tau_ii draw nothing reads.
+    passes entry (i, i) of its bank 5, whose tau_ii draw moves no bit.
     The move happens in the whitened coordinates x = L' beta, where the
     column's conditional is N(-L^{-1} s12, I): x moves along e = z / |z|,
     uniform on the sphere.  In beta coordinates that is d = L^{-T} e, and
@@ -458,8 +467,10 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
 
     The step holds omega22 fixed but moves along N(-C s12, C), which is
     beta's law given gamma = omega22 - beta' Omega11^{-1} beta, not given
-    omega22.  So hrs does not target the stated posterior; that is why its
-    p = 4 case in ``tests/test_posterior.py`` is a strict expected failure.
+    omega22.  So hrs does not target the stated posterior: ``KIND_CLAIMS``
+    in ``tests/test_sampler.py`` states it inexact, which makes its P2, P4,
+    P5n3 and two G3 cases in ``tests/test_posterior.py`` the suite's five
+    strict expected failures.
     """
     d = _dscal(1.0 / math.sqrt(_ddot(z, z)), _dtrtrs(L, z, 1, 1)[0])
     # Omega11^{-1} products read its upper triangle, the lower one of its
@@ -551,9 +562,10 @@ def sweep(state, config, audit, rng):
 
     As each block of ``SHRINKAGE_BLOCK`` columns begins, the sweep draws
     the block's rows of shrinkage rates and latent scales from those rows
-    of omega as they stand then, in one call each, gives each pair inside
-    the block one draw and sets each row's slot i to 1; each column reads
-    its rows from there.
+    of omega as they stand then, in one call each, and gives each pair
+    inside the block one draw; each column reads its rows from there, slot
+    i of tau12 holding a tau_ii that moves no bit (see the module
+    docstring).
 
     Every column of every sweep draws beta.  A chain's first sweep, the one
     that finds ``state.sigma`` still None, has blocks of one column, and
@@ -615,11 +627,11 @@ def sweep(state, config, audit, rng):
                 tau = update_tau_column(lam, abs_omega, half_nu2_bank[start:end],
                                         odds_bank[start:end])
                 # One draw per pair inside the block: the one from the row
-                # of its first column, which both columns read.
+                # of its first column, which both columns read.  The strict
+                # lower mask leaves each row's slot i its own tau_ii draw,
+                # which only C^{-1}'s decoupled pivot reads.
                 pairs = tau[:, start:end]
                 np.copyto(pairs, pairs.T, where=lower[:end - start, :end - start])
-                # tau has no diagonal: each row's own slot is decoupled.
-                np.fill_diagonal(pairs, 1.0)
                 if first_sweep:
                     # Not drawn yet in Wang's order, so still at their
                     # initial 1.

@@ -13,15 +13,21 @@ the grid means in units of their batch-means standard error.  At p=4 the
 same posterior is integrated by importance sampling (see
 wishart_is_posterior), and chain means are compared in units of the
 chain's and the oracle's standard errors combined; so is it at p=5, n=3,
-where S is singular.  hrs is expected to fail at p=4, at p=5 and at the
-strongly correlated p=2 model P2: its step holds omega22 fixed (ROADMAP
-item 1).  The first p=2 model, W2, is too well determined to show that
-bias.  The third, D2, runs at the default r and s, where the posterior has
-a spike at w12 = 0; a log grid in |w12| integrates it.
+where S is singular.  The first p=2 model, W2, is too well determined to
+show a sampler's bias; the second, P2, is strongly correlated.  The third,
+D2, runs at the default r and s, where the posterior has a spike at
+w12 = 0; a log grid in |w12| integrates it.
 
 Last, Geweke's (2004) joint-distribution test checks each kernel at p = 3
 with n = 2 < p and a new S at every step, against exact draws from the
-prior; hrs is expected to fail it for the same reason.
+prior.
+
+Every case list comes from test_sampler.KIND_CLAIMS, by one rule.  A kind
+that claims to target the stated posterior runs every oracle: W2, P2, D2
+and P5n3, and P4 and G3 each with default blocks and with blocks of 2.
+Any other kind is a strict expected failure at P2, at P4 with default
+blocks, at P5n3 and at G3 with both block sizes, where hrs, whose step
+holds omega22 fixed, misses (ROADMAP item 1).
 """
 
 import numpy as np
@@ -31,7 +37,10 @@ from bayesglasso import sampler
 from bayesglasso.designs import scatter_matrix
 from bayesglasso.distributions import RngStream
 from bayesglasso.matrixcore import spd_inverse
-from bayesglasso.sampler import ChainConfig, GibbsState, ViolationAudit, run_chain, sweep
+from bayesglasso.sampler import (SAMPLER_KINDS, ChainConfig, GibbsState, ViolationAudit,
+                                 run_chain, sweep)
+
+from test_sampler import KIND_CLAIMS
 
 R = S_HYPER = 1.0
 # The chain every oracle at r = s = 1 is compared with.
@@ -41,6 +50,20 @@ HRS_XFAIL = pytest.mark.xfail(
     raises=AssertionError,
     reason="hrs holds omega22 fixed, so its beta step targets the "
            "conditional given gamma, not given omega22 (ROADMAP item 1)")
+
+
+def kind_cases(cases, xfails=()):
+    """The pytest.param list of one exactness test, from KIND_CLAIMS.
+
+    cases maps an ID template to the test's arguments before the kind,
+    which comes last; each ID is its template formatted with the kind.  An
+    exact kind runs every case, any other kind only the templates in
+    xfails, each as a strict HRS_XFAIL case.
+    """
+    return [pytest.param(*args, kind, id=template.format(kind),
+                         marks=() if KIND_CLAIMS[kind]["exact"] else HRS_XFAIL)
+            for kind in SAMPLER_KINDS for template, args in cases.items()
+            if KIND_CLAIMS[kind]["exact"] or template in xfails]
 
 
 def grid_posterior_means(scatter, n, r, s, m=120, diag_max=5.0, off=(-2.5, 1.5)):
@@ -107,11 +130,8 @@ def test_grid_oracle_is_converged(model):
     assert np.max(np.abs(difference)) < 1e-4
 
 
-@pytest.mark.parametrize("model,kind", [
-    pytest.param("W2", "bgs", id="W2-bgs"),
-    pytest.param("P2", "bgs", id="P2-bgs"),
-    pytest.param("P2", "hrs", id="P2-hrs", marks=HRS_XFAIL),
-])
+@pytest.mark.parametrize("model,kind", kind_cases({"W2-{}": ("W2",), "P2-{}": ("P2",)},
+                                                  xfails=("P2-{}",)))
 def test_chain_matches_exact_posterior_p2(model, kind):
     scatter, n, fine, _ = P2_MODELS[model]
     assert_chain_matches(scatter, n, ChainConfig(kind=kind, **CHAIN_12K),
@@ -165,8 +185,9 @@ def spike_statistics(draws):
     return np.stack([(w12 < 1e-6).astype(float), w12], axis=-1)
 
 
-def test_bgs_matches_exact_posterior_d2():
-    assert_chain_matches(D2_S, D2_N, ChainConfig(kind="bgs", burn_in=1000, draws=20_000,
+@pytest.mark.parametrize("kind", kind_cases({"{}": ()}))
+def test_chain_matches_exact_posterior_d2(kind):
+    assert_chain_matches(D2_S, D2_N, ChainConfig(kind=kind, burn_in=1000, draws=20_000,
                                                  store_draws=True),
                          spike_statistics,
                          (spike_grid_posterior(D2_S, D2_N, m=80, per_decade=20), 0.0))
@@ -238,13 +259,10 @@ def p4_oracle():
                                 draws=100_000)
 
 
-@pytest.mark.parametrize("kind,block", [
-    pytest.param("bgs", None, id="bgs"),
-    # At p = 4 the default shrinkage block spans the whole sweep; blocks of
-    # 2 also run pairs that cross a block boundary and pairs inside one.
-    pytest.param("bgs", 2, id="bgs-block2"),
-    pytest.param("hrs", None, id="hrs", marks=HRS_XFAIL),
-])
+# At p = 4 the default shrinkage block spans the whole sweep; blocks of 2
+# also run pairs that cross a block boundary and pairs inside one.
+@pytest.mark.parametrize("block,kind", kind_cases({"{}": (None,), "{}-block2": (2,)},
+                                                  xfails=("{}",)))
 def test_chain_matches_importance_sampling_posterior_p4(kind, block, p4_oracle, monkeypatch):
     if block is not None:
         monkeypatch.setattr(sampler, "SHRINKAGE_BLOCK", block)
@@ -288,10 +306,7 @@ def test_p5n3_oracle_is_converged(p5n3_oracle):
     assert np.all(np.abs(mean - other) < 3.0 * np.hypot(se, other_se)), (mean, other)
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param("bgs", id="bgs"),
-    pytest.param("hrs", id="hrs", marks=HRS_XFAIL),
-])
+@pytest.mark.parametrize("kind", kind_cases({"{}": ()}, xfails=("{}",)))
 def test_chain_matches_importance_sampling_posterior_p5n3(kind, p5n3_oracle):
     assert_chain_matches(P5N3_S, P5N3_N, ChainConfig(kind=kind, **CHAIN_12K), corner_statistics,
                          p5n3_oracle[:2])
@@ -351,14 +366,10 @@ def g3_prior():
     return medians, (stats.mean(axis=0), stats.std(axis=0, ddof=1) / np.sqrt(len(stats)))
 
 
-@pytest.mark.parametrize("kind,block", [
-    pytest.param("bgs", None, id="bgs"),
-    # At p = 3 the default shrinkage block spans the sweep; blocks of 2 run
-    # a pair inside a block and two that cross a block boundary.
-    pytest.param("bgs", 2, id="bgs-block2"),
-    pytest.param("hrs", None, id="hrs", marks=HRS_XFAIL),
-    pytest.param("hrs", 2, id="hrs-block2", marks=HRS_XFAIL),
-])
+# At p = 3 the default shrinkage block spans the sweep; blocks of 2 run a
+# pair inside a block and two that cross a block boundary.
+@pytest.mark.parametrize("block,kind", kind_cases({"{}": (None,), "{}-block2": (2,)},
+                                                  xfails=("{}", "{}-block2")))
 def test_kernel_leaves_the_joint_law_invariant_g3(kind, block, g3_prior, monkeypatch):
     # Each step draws Y ~ N(0, Omega^{-1}) n times and then runs one sweep
     # on its S.  The state is given its sigma, so the first-sweep rule, a

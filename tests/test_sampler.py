@@ -59,9 +59,11 @@ def off_diagonal(M):
 def column(st, i, tau=None, lam=None):
     """What sweep hands column i's steps, from make_partition on a fresh
     inverse, with row i of tau and lam as the column's shrinkage draws; unit
-    ones, as in a chain's first column, when they are not given.  As in
-    sweep, slot i of tau12 is 1 and beta is row i of omega with slot i
-    zeroed.  Returns (omega11_inv, s12, c, tau12, beta, omega22)."""
+    ones, as in a chain's first column, when they are not given.  Slot i of
+    tau12 is 1, as in a chain's first sweep (from its second on, sweep
+    leaves a drawn tau_ii there, which the bitwise test shows moves no
+    bit), and as in sweep beta is row i of omega with slot i zeroed.
+    Returns (omega11_inv, s12, c, tau12, beta, omega22)."""
     p = st.omega.shape[0]
     tau12 = np.ones(p) if tau is None else tau[i].copy()
     tau12[i] = 1.0
@@ -854,6 +856,8 @@ def reference_sweep(st, config, rng, first_sweep):
         if first_sweep:
             tau12[i + 1:] = 1.0
             lambda22 = 1.0
+        # sweep leaves its tau_ii draw in slot i; bit for bit equality with
+        # this unit slot checks that slot i is decoupled.
         tau12[i] = 1.0
 
         o11 = syr(-1.0 / sigma[i, i], sigma[:, i].copy(), sigma)
@@ -884,7 +888,7 @@ def reference_sweep(st, config, rng, first_sweep):
             disc = math.sqrt(b * b + a * gam_old)
             q = abs(b) + disc
             lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
-            # The step's uniform is U[i, i], whose tau_ii draw is never read.
+            # The step's uniform is U[i, i], whose tau_ii draw moves no bit.
             beta = beta + sample_truncated_normal(mu, lo, hi, U[i, i]) * d
         assert beta[i] == 0.0
         omega[i, :] = omega[:, i] = beta
@@ -899,6 +903,19 @@ def reference_sweep(st, config, rng, first_sweep):
         sigma[i, i] = 1.0 / gam
     st.sigma = sigma
     return p, violations
+
+
+# What each kind of SAMPLER_KINDS claims: exact, that it targets the stated
+# posterior, and pd_assured, that every audited column update stays positive
+# definite.  test_posterior.py builds every exactness case list from it, and
+# every zero-violation check here reads it, so a new kind meets every oracle
+# once it is stated here, and fails the suite until it is.
+KIND_CLAIMS = {"bgs": dict(exact=True, pd_assured=False),
+               "hrs": dict(exact=False, pd_assured=True)}
+
+
+def test_kind_claims_state_every_sampler_kind():
+    assert KIND_CLAIMS.keys() == set(SAMPLER_KINDS)
 
 
 # The cells of the bitwise test, which test_digests.py also runs under each
@@ -936,9 +953,9 @@ def test_sweep_matches_reference_kernel_bitwise(design, p, n, kind):
     assert (audit.updates_total, audit.violations) == (updates, violations)
     # both streams sit at the same position afterwards
     assert rng.random() == ref_rng.random()
-    if kind == "hrs":
+    if KIND_CLAIMS[kind]["pd_assured"]:
         assert violations == 0
-    if kind == "bgs" and design == "circle":
+    elif design == "circle":
         assert violations > 0  # the audit branch is exercised, not just zero
 
 
@@ -948,12 +965,12 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     # tau12 and lambda22 rows at once as column t begins, from rows t..e-1 of
     # omega as they stand then and from bank rows 3-5; at p = 20 the blocks
     # are 16 and 4 columns.  A pair of columns inside a block reads one
-    # draw, the one from its first column's row.  Slot i of tau12 is 1 in
-    # every sweep.  A chain's first sweep has blocks of one column, and the
-    # entries not yet drawn in Wang's order, tau12 beyond slot i and
-    # lambda22, read their initial 1; the entries before slot i are drawn
-    # from omega[i, :i], which columns 0..i-1 have already drawn, so none of
-    # them is the identity's zero.  The C^{-1} factor receives tau12 and
+    # draw, the one from its first column's row, and slot i of tau12 reads
+    # the row's own tau_ii draw.  A chain's first sweep has blocks of one
+    # column, and tau12 from slot i on and lambda22, not yet drawn in Wang's
+    # order, read their initial 1; the entries before slot i are drawn from
+    # omega[i, :i], which columns 0..i-1 have already drawn, so none of them
+    # is the identity's zero.  The C^{-1} factor receives tau12 and
     # c = s22 + 2 lambda22, through which lambda22 is seen; s12 must be row
     # i of S with slot i zeroed, and hrs's old column beta row i of omega
     # with slot i zeroed.
@@ -999,16 +1016,15 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
             block_omega = seen[start][1]
             rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(block_omega[i]),
                                        ChainConfig.s)
-            assert tau12[i] == 1.0
             if k == 0:
                 assert np.all(block_omega[i, :i] != 0.0), i
                 np.testing.assert_array_equal(tau12[:i], tau[:i])
-                assert np.all(tau12[i + 1:] == 1.0) and c == s22 + 2.0
+                assert np.all(tau12[i:] == 1.0) and c == s22 + 2.0
                 continue
             assert c == s22 + 2.0 * rates[i]
             np.testing.assert_array_equal(tau12[:start], tau[:start])
             np.testing.assert_array_equal(tau12[end:], tau[end:])
-            for j in range(i + 1, end):
+            for j in range(i, end):
                 assert tau12[j] == tau[j]
                 assert seen[j][2][i] == tau12[j], (i, j)
     assert rng.random() == twin.random()
@@ -1086,7 +1102,7 @@ def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind,
         assert np.all(np.isfinite(omega))
         assert pd_check(omega) is not None
     assert out.audit.sigma_drift_max < 1e-8
-    if kind == "hrs":
+    if KIND_CLAIMS[kind]["pd_assured"]:
         assert out.audit.violations == 0
 
 
