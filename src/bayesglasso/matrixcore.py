@@ -145,6 +145,16 @@ def strict_lower(p):
     return mask
 
 
+@functools.lru_cache
+def upper_index(p):
+    """Read-only flat indices of the upper triangle, diagonal included, of
+    a C-ordered p x p matrix, built once per p and shared by every
+    caller."""
+    index = np.flatnonzero(~strict_lower(p))
+    index.flags.writeable = False
+    return index
+
+
 def pd_check(M):
     """Cholesky-based positive definiteness test.
 

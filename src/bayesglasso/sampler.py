@@ -190,6 +190,27 @@ the later row's entry of each pair inside a block, and in a chain's first
 sweep the entries that the first-sweep rule sets to 1.  A change made only
 for speed keeps the bank and the arithmetic fixed, so it leaves every
 seeded artifact byte-identical.
+
+A bgs chain's burn-in begins with a scale warm-up.  Started at the
+identity, bgs overshoots in its first sweep along the one direction that
+no column update moves as a whole, omega's global scale, and falls back
+only slowly: on the benchmark's standardized 50 x 100 ar2 fit (seed 1,
+chain seed 100), log det omega read 88.8 after sweep 1, 74.0 after sweep
+10 and 52.0 after sweep 50, around a stationary level near 50.  So
+:func:`run_chain` calls :func:`settle_scale` after each of a bgs chain's
+first min(burn_in, ``SCALE_WARMUP``) sweeps.  It moves omega along its
+orbit {a omega : a > 0} to the orbit's posterior mode, in O(p^2), which
+takes log det to 46.1 after sweep 1 on that chain.  The step draws no
+random number and :func:`sweep` does not run it, so the bank and the
+kernel are unchanged, and hrs never takes it: hrs stays the paper's kernel
+bit for bit.  It runs only inside burn-in because it is a deterministic
+map, not a Markov kernel: every retained draw comes from the sweep's
+kernel alone.  It is capped because, run after every sweep, a move of
+the scale speeds up the drift of omega along null(S) where p > n: at
+circle p = 60, n = 10, log det omega after 4000 sweeps read 313.1 with
+every burn-in sweep settled against 103.0 for plain bgs, and the carried
+Sigma drift grew from 2.1e-9 to 4.8e-6.  With the cap it read 110.9,
+inside the 93.2-121.3 that plain bgs reads with chain seeds 1-5.
 """
 
 import math
@@ -201,7 +222,7 @@ import numpy as np
 from .distributions import normal_tail_ufuncs, sample_truncated_normal
 from .matrixcore import (PD_TOL, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs, check_integer,
                          check_positive, check_symmetric, invert_from_factor, pd_check,
-                         strict_lower)
+                         strict_lower, upper_index)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -216,10 +237,13 @@ EPS_OMEGA = 1e-10
 
 # Columns per shrinkage block: a sweep draws the lambda/tau rows of this
 # many consecutive columns with one call each.  At 16 the calls' fixed
-# overhead, about 20 numpy calls per block, is small per column.  A block
-# spanning the whole sweep mixes worse: on 24 chains of a 50 x 100 ar2 fit
-# (10 + 40 sweeps) ESS per sweep read 0.304 with one column per block, 0.303
-# with 16 and 0.239 with 100.
+# overhead, about 20 numpy calls per block, is small per column.  On 24 bgs
+# chains of a standardized 50 x 100 ar2 fit (data seeds 1-6, chain seeds
+# 100 * seed + 0..3, 10 + 40 sweeps, benchmarks/ess.py's diagonal ESS) ESS
+# per sweep read 0.377 with one column per block, 0.388 with 16 and 0.378
+# with 100.  Before bgs's burn-in settled the scale (see the module
+# docstring) the same chains read 0.294, 0.288 and 0.224: a block spanning
+# the whole sweep then mixed worse, and with the scale settled it does not.
 SHRINKAGE_BLOCK = 16
 
 # Smallest s a chain accepts.  A rate is at most g/s and the floored
@@ -229,6 +253,17 @@ SHRINKAGE_BLOCK = 16
 # it is still a normal float: on star data at p = 60, n = 5 the smallest
 # scale drawn read 1.24e-261 for both samplers.
 S_FLOOR = 1e-250
+
+# :func:`run_chain` settles omega's global scale after each of a bgs
+# chain's first min(burn_in, SCALE_WARMUP) sweeps (see the module docstring).
+SCALE_WARMUP = 50
+
+# Newton on the scale stops once its step in log a is at most
+# SCALE_NEWTON_TOL, and applies that step; near the root the error squares
+# with each step, so the last one leaves it at rounding level.  It raises
+# rather than take more than SCALE_NEWTON_CAP steps.
+SCALE_NEWTON_TOL = 1e-7
+SCALE_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -599,7 +634,10 @@ def sweep(state, config, audit, rng):
     # 0.267-0.311) to 0.265 (0.246-0.284); hrs read 0.549 against 0.543,
     # and on circle p = 30, n = 50 (50 + 200 sweeps) neither moved.  A ridge
     # start Omega0 = n (S + diag S)^{-1} with no first-sweep rule cut hrs by
-    # 32% (circle) and 37% (ar2).
+    # 32% (circle) and 37% (ar2).  The bgs numbers come from chains whose
+    # burn-in did not yet settle the scale (see the module docstring), which
+    # takes ar2 bgs chains from about 0.29 to 0.39; the rule was not
+    # re-measured with it.
     block = 1 if first_sweep else SHRINKAGE_BLOCK
     # The strict lower triangle: sliced, the mask of a block's pairs; whole,
     # the one of the mirror that ends the sweep.
@@ -685,6 +723,87 @@ def sweep(state, config, audit, rng):
     return state
 
 
+def settle_scale(state, r, s):
+    """Move omega along its orbit {a omega : a > 0} to the orbit's mode,
+    in place, and the carried sigma to sigma / a; return a.
+
+    With d = p(p + 1)/2 free entries and eta = log a, the posterior of
+    a omega times the orbit's invariant measure a^d da/a has log density
+
+        g(eta) = (np/2 + d) eta - e^eta T/2
+                 - (r + 1) sum_{i <= j} log(s + e^eta |omega_ij|),
+
+    T = tr(S omega), up to a constant.  g is strictly concave, and g'
+    falls from np/2 + d as eta -> -inf to -inf as eta -> inf, so its one
+    root is the mode.  With x = a |omega_ij| and q = x / (s + x), summed
+    over the upper triangle's d entries,
+
+        g'  = np/2 + d - a T/2 - (r + 1) sum q,
+        -g'' = a T/2 + (r + 1) sum q (1 - q),
+
+    each O(p^2).  Newton runs on g' as a function of a, a -> a (1 + g'/-g''),
+    not of eta: in a, g' is convex and decreasing, so from below the root
+    Newton climbs to it without overshooting, and it is close to linear
+    wherever the trace term dominates, which takes a chain's state to the
+    root in two or three steps.  From above the root a step that would
+    leave a <= 0 instead moves eta down by 1, then 2, 4 and so on.  The
+    last points with g' > 0 and g' <= 0 bracket the root, and a step that
+    rounding takes out of the bracket bisects it.  Newton stops once its
+    step in eta is at most ``SCALE_NEWTON_TOL``, and applies that step.
+    The step draws no random number, and a omega is positive definite
+    whenever omega is.
+
+    state.sigma must be carried, as after a sweep.  A non-finite T, which
+    any non-finite omega_ij gives, raises ValueError naming the value, and
+    so does a Newton that has not converged after ``SCALE_NEWTON_CAP``
+    steps.
+    """
+    omega = state.omega
+    p = omega.shape[0]
+    trace = float(np.vdot(state.scatter, omega))
+    if not math.isfinite(trace):
+        bad = np.argwhere(~np.isfinite(omega))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise ValueError(f"scale step needs a finite omega, got {omega.item(i, j)!r} "
+                             f"at ({i}, {j})")
+        raise ValueError(f"scale step needs a finite tr(S Omega), got {trace!r}")
+    w = np.abs(omega.take(upper_index(p)))
+    x = np.empty_like(w)
+    q = np.empty_like(w)
+    top = state.n * p / 2.0 + w.size
+    r1 = r + 1.0
+    eta, lo, hi, reach = 0.0, -math.inf, math.inf, 1.0
+    for _ in range(SCALE_NEWTON_CAP):
+        a = math.exp(eta)
+        np.multiply(w, a, out=x)
+        np.divide(x, np.add(x, s, out=q), out=q)
+        sum_q = q.sum().item()
+        half_t = a * trace / 2.0
+        grad = top - half_t - r1 * sum_q
+        step = grad / (half_t + r1 * (sum_q - _ddot(q, q)))
+        if step <= -1.0:
+            hi = eta
+            eta -= reach
+            reach *= 2.0
+            continue
+        step = math.log1p(step)
+        if abs(step) <= SCALE_NEWTON_TOL:
+            break
+        if grad > 0.0:
+            lo = eta
+        else:
+            hi = eta
+        eta = eta + step if lo < eta + step < hi else (lo + hi) / 2.0
+    else:
+        raise ValueError(f"scale step did not converge in {SCALE_NEWTON_CAP} Newton steps: "
+                         f"log a = {eta!r}, g' = {grad!r}")
+    a = math.exp(eta + step)
+    omega *= a
+    state.sigma *= 1.0 / a
+    return a
+
+
 def run_chain(data_scatter, n, config, rng):
     """Run one chain on scatter matrix S = Y'Y with sample size n.
 
@@ -692,6 +811,15 @@ def run_chain(data_scatter, n, config, rng):
     elementwise mean (and, with store_draws, a list of every retained
     draw).  The audit covers every sweep the chain performs, burn-in
     included.
+
+    A bgs chain calls :func:`settle_scale` after each of its first
+    min(burn_in, ``SCALE_WARMUP``) sweeps, and an hrs chain never does.
+    The step is a deterministic map, not a Markov kernel, so it runs only
+    inside burn-in, and every retained draw comes from the sweep's kernel
+    alone; it is capped, because run every sweep it would drive the chain
+    along the directions no likelihood term sees wherever p > n (see the
+    module docstring).  A step that fails raises RuntimeError naming the
+    sweep (0-based) and the stage, as :func:`sweep` names a column's.
     """
     state = initial_state(data_scatter, n)
     audit = ViolationAudit()
@@ -699,6 +827,8 @@ def run_chain(data_scatter, n, config, rng):
     mean_acc = np.zeros((p, p))
     draws = [] if config.store_draws else None
     total = config.burn_in + config.draws
+    warmup = min(config.burn_in, SCALE_WARMUP) if config.kind == "bgs" else 0
+    r, s = float(config.r), float(config.s)
     if config.kind == "hrs":
         # The step's tail ufuncs load here, outside the timed sweeps.
         normal_tail_ufuncs()
@@ -706,6 +836,11 @@ def run_chain(data_scatter, n, config, rng):
     t0 = time.perf_counter()
     for k in range(total):
         sweep(state, config, audit, rng)
+        if k < warmup:
+            try:
+                settle_scale(state, r, s)
+            except Exception as exc:
+                raise RuntimeError(f"sweep {k} (0-based) failed at stage scale: {exc}") from exc
         if k >= config.burn_in:
             mean_acc += state.omega
             if draws is not None:

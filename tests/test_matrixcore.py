@@ -12,6 +12,7 @@ from bayesglasso.matrixcore import (
     scipy_extension,
     spd_inverse,
     strict_lower,
+    upper_index,
 )
 
 
@@ -97,6 +98,15 @@ def test_strict_lower_is_built_once_per_p_and_read_only():
         assert mask is strict_lower(p)
         assert np.array_equal(mask, np.tri(p, k=-1, dtype=bool))
         assert not mask.flags.writeable
+
+
+def test_upper_index_is_built_once_per_p_and_read_only():
+    for p in (1, 2, 7):
+        index = upper_index(p)
+        assert index is upper_index(p)
+        M = np.arange(p * p, dtype=float).reshape(p, p)
+        assert np.array_equal(M.take(index), M[np.triu_indices(p)])
+        assert not index.flags.writeable
 
 
 def test_invert_from_factor_reads_only_the_lower_triangle():

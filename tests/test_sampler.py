@@ -1051,6 +1051,128 @@ def test_sigma_drift_is_recorded_and_small():
     assert 0.0 < audit.sigma_drift_max < 1e-9
 
 
+# ---------------------------------------------------------------- scale warm-up
+
+def fresh_state(omega, scatter, n):
+    """A state holding omega and its inverse as the carried sigma."""
+    st = state_with_omega(omega, scatter, n)
+    st.sigma = spd_inverse(st.omega)
+    return st
+
+
+def swept_state(sweeps=3):
+    """A bgs chain's state after a few sweeps of circle p = 10, n = 30 data,
+    with a freshly inverted sigma."""
+    st, rng = make_sim_state()
+    for _ in range(sweeps):
+        sweep(st, ChainConfig("bgs"), ViolationAudit(), rng)
+    return fresh_state(st.omega, st.scatter, st.n)
+
+
+@pytest.mark.parametrize("r,s,c", [(1e-2, 1e-6, 1.0), (1e-2, 1e-6, 40.0), (3.0, 1.0, 0.05),
+                                   (3.0, 1.0, 20.0), (1.0, 1e-3, 1.0)])
+def test_settle_scale_picks_the_mode_of_the_orbit_p3(r, s, c):
+    # Brute force: log pi(a omega) + d log a on a grid of log a.  At r = 3,
+    # c = 20 Newton starts far above the mode, where its a would go <= 0.
+    gen = np.random.default_rng(43)
+    p, n = 3, 4
+    S = scatter_matrix(gen.standard_normal((n, p)))
+    omega = c * random_spd(p, gen)
+    log_a = np.linspace(-9.0, 9.0, 90_001)
+    scaled = np.exp(log_a)[:, None, None] * omega
+    rows, cols = np.triu_indices(p)
+    upper = np.abs(scaled[:, rows, cols])
+    log_post = (n / 2.0 * np.linalg.slogdet(scaled)[1] - np.einsum("ij,kij->k", S, scaled) / 2.0
+                - (r + 1.0) * np.log(s + upper).sum(axis=1) + p * (p + 1) / 2.0 * log_a)
+    best = log_a[np.argmax(log_post)]
+    assert -8.0 < best < 8.0
+    st = fresh_state(omega, S, n)
+    a = sampler.settle_scale(st, r, s)
+    assert abs(math.log(a) - best) <= log_a[1] - log_a[0]
+    assert np.array_equal(st.omega, a * omega)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.5, 7.0])
+def test_settle_scale_depends_only_on_the_orbit(c):
+    st = swept_state()
+    scaled = fresh_state(c * st.omega, st.scatter, st.n)
+    a = sampler.settle_scale(st, 1e-2, 1e-6)
+    assert abs(math.log(a)) > 1e-3  # the swept state is not at its orbit's mode
+    sampler.settle_scale(scaled, 1e-2, 1e-6)
+    assert np.abs(scaled.omega - st.omega).max() <= 1e-12 * np.abs(st.omega).max()
+
+
+def test_settle_scale_keeps_omega_symmetric_pd_and_sigma_its_inverse():
+    st = swept_state()
+    a = sampler.settle_scale(st, 1e-2, 1e-6)
+    assert a != 1.0
+    assert np.array_equal(st.omega, st.omega.T)
+    assert np.array_equal(st.sigma, st.sigma.T)
+    assert pd_check(st.omega) is not None
+    assert np.abs(st.sigma @ st.omega - np.eye(10)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("entry,value,match", [
+    ((1, 2), math.nan, r"finite omega, got nan at \(1, 2\)"),
+    ((0, 3), -math.inf, r"finite omega, got -inf at \(0, 3\)"),
+    ((2, 2), 1e308, r"finite tr\(S Omega\), got inf"),
+])
+def test_settle_scale_names_a_non_finite_input(entry, value, match):
+    st = swept_state(sweeps=1)
+    st.omega[entry] = st.omega[entry[::-1]] = value
+    before = st.omega.copy()
+    with pytest.raises(ValueError, match=match):
+        sampler.settle_scale(st, 1e-2, 1e-6)
+    assert np.array_equal(st.omega, before, equal_nan=True)
+
+
+def test_settle_scale_raises_at_its_newton_cap(monkeypatch):
+    st = swept_state()
+    before = st.omega.copy()
+    monkeypatch.setattr(sampler, "SCALE_NEWTON_CAP", 1)
+    with pytest.raises(ValueError, match="did not converge in 1 Newton steps"):
+        sampler.settle_scale(st, 1e-2, 1e-6)
+    assert np.array_equal(st.omega, before)
+
+
+@pytest.mark.parametrize("kind,burn_in,calls", [("bgs", 0, 0), ("bgs", 3, 3),
+                                                ("bgs", 120, sampler.SCALE_WARMUP),
+                                                ("hrs", 3, 0), ("hrs", 120, 0)])
+def test_run_chain_settles_the_scale_in_bgs_warm_up_only(kind, burn_in, calls, monkeypatch):
+    swept = []
+    original = sampler.settle_scale
+
+    def counted(state, r, s):
+        swept.append(state.sigma is not None)  # after a sweep
+        return original(state, r, s)
+
+    monkeypatch.setattr(sampler, "settle_scale", counted)
+    st, _ = make_sim_state(p=5)
+    run_chain(st.scatter, st.n, ChainConfig(kind, burn_in=burn_in, draws=2), RngStream(3))
+    assert swept == [True] * calls
+
+
+def test_run_chain_without_burn_in_is_a_loop_of_sweeps():
+    st, _ = make_sim_state(p=6)
+    out = run_chain(st.scatter, st.n, ChainConfig("bgs", burn_in=0, draws=4, store_draws=True),
+                    RngStream(8))
+    rng, audit = RngStream(8), ViolationAudit()
+    for draw in out.draws:
+        sweep(st, ChainConfig("bgs"), audit, rng)
+        assert draw.tobytes() == st.omega.tobytes()
+    assert out.audit == audit
+
+
+def test_run_chain_names_the_sweep_of_a_failed_scale_step(monkeypatch):
+    def fail(state, r, s):
+        raise ValueError("no mode")
+
+    monkeypatch.setattr(sampler, "settle_scale", fail)
+    st, _ = make_sim_state(p=4)
+    with pytest.raises(RuntimeError, match=r"sweep 0 \(0-based\) failed at stage scale: no mode"):
+        run_chain(st.scatter, st.n, ChainConfig("bgs", burn_in=2, draws=1), RngStream(1))
+
+
 # ---------------------------------------------------------------- chains
 
 @pytest.mark.parametrize("design,seed,burn_in,draws", [("ar1", 30, 0, 1), ("star", 32, 2, 10)])
