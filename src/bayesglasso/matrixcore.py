@@ -155,6 +155,19 @@ def upper_index(p):
     return index
 
 
+@functools.lru_cache
+def pair_index(p):
+    """Read-only p x p array whose entries (j, k) and (k, j) both hold the
+    position of the pair {j, k} in :func:`upper_index` order, built once
+    per p and shared by every caller.  Taking it from a vector of one value
+    per pair expands the vector to a symmetric p x p matrix."""
+    rows, cols = np.triu_indices(p)
+    index = np.empty((p, p), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
+
+
 def pd_check(M):
     """Cholesky-based positive definiteness test.
 

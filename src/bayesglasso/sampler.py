@@ -33,34 +33,33 @@ row and column i but for its (i, i) entry 1/tau12[i], and the beta draw
 comes out exactly 0 in slot i whatever tau12[i] is.  Omega and Sigma are
 then updated in place with one row write and one column write each.
 
-The shrinkage variables are not chain state: a sweep draws them in blocks
-of ``SHRINKAGE_BLOCK`` consecutive columns, as each block begins.  Given
-everything else, the rate lambda_ij and the latent scale tau_ij depend on
-omega_ij alone, so drawing them from omega_ij as it stands is an exact
-conditional update whenever it happens.  As block [t, e) begins, one call
-draws the rates ``Ga(r + 1, s + |omega_ij|)`` of rows t..e-1 of omega and
-one more the latent scales of those rows from them.  Column i reads entry
-i of its row of rates as lambda22 and its row of scales as tau12.  No
-earlier column of the block writes omega_ii or omega_ij for j outside the
-block, so those draws are read as if drawn as column i begins.  A pair
-j < k inside the block gets one draw, the one from row j, copied onto row
-k: column j reads it before it rewrites omega_jk, and column k reads it
-after.  Column k's beta draw is still exact, given the tau_jk that column
-j's was made with, so the scan is a valid deterministic-scan Gibbs sampler
-for the same posterior.  From a chain's second sweep on it is not the
-chain of a per-column draw, in which column k would draw tau_jk afresh
-from the new omega_jk.  A chain's first sweep has blocks of one column and
-follows Wang's order, which has not yet drawn row i's entries j > i or
-lambda_ii when column i reads them, so the block's draw sets them, and
-slot i with them, to their initial value 1.
+The shrinkage variables are not chain state: a sweep draws them all once,
+as it begins.  Given everything else, the rates lambda_jk and the latent
+scales tau_jk are independent and depend on omega_jk alone, so drawing
+them from omega as it stands is an exact conditional update, and a sweep is
+a deterministic-scan Gibbs sampler for the posterior: one block of every
+lambda and tau, then p column blocks.  This is Wang's (2012) scan, which
+updates the latent scales once per pass, with the update moved from the
+end of a pass to the start of the next.  As the sweep begins, one call
+draws the rates ``Ga(r + 1, s + |omega_jk|)`` of the upper triangle of
+omega, diagonal included, in ``upper_index(p)`` order, and one more the
+latent scales from them; 1/tau is then expanded once to a symmetric p x p
+array, so column j reads the same 1/tau_jk in slot k as column k reads in
+slot j.  Column i reads its row of that array as 1/tau12, and c = s_ii +
+2 lambda_ii and its gamma draw from vectors computed once per sweep.
+A chain's first sweep follows Wang's order instead: column i draws the
+rates and scales of its pairs j < i, from omega[i, :i] as columns 0..i-1
+left it and from those pairs' bank entries, and reads unit tau beyond slot
+i and a unit lambda_ii, which that order has not drawn yet when column i
+reads them.
 
-tau has no diagonal, but from a chain's second sweep on slot i of tau12
-holds the tau_ii that the block's draw makes from |omega_ii| all the same.
-It is harmless: it sits only on C^{-1}'s decoupled (i, i) pivot, and
-beta_i and hrs's direction d_i come out 0 whatever it is, with no other
-entry of the factor, the solves or the step moved by one bit.  It need
-only be finite and positive, so that the pivot is, and it is drawn by the
-same formula as every tau_ij, so the bound that ``S_FLOOR`` gives every
+tau has no diagonal, but from a chain's second sweep on slot i of 1/tau12
+holds the 1/tau_ii that the sweep's draw makes from |omega_ii| all the
+same.  It is harmless: it sits only on C^{-1}'s decoupled (i, i) pivot,
+and beta_i and hrs's direction d_i come out 0 whatever it is, with no
+other entry of the factor, the solves or the step moved by one bit.  It
+need only be finite and positive, so that the pivot is, and it is drawn by
+the same formula as every tau_jk, so the bound that ``S_FLOOR`` gives every
 latent scale holds for it too: it is at least about EPS_OMEGA * s / g, a
 normal float, so 1/tau_ii is finite.
 
@@ -70,17 +69,17 @@ so each sweep makes one copy of it with a zero diagonal, and s12 is a row
 view of that copy.  Only hrs reads the old column: it copies row i of
 omega as beta, slot i set to zero, because omega keeps its diagonal; bgs
 copies no row of omega.  The sweep reads omega22 before the column's
-writes and computes ``c = s22 + 2 lambda22`` once, for the C^{-1} factor,
-the hrs step and the gamma rate.  Besides the bank and each block's
-shrinkage arrays, a sweep allocates one p x p workspace and its diagonal
-view, in which every column forms and factors C^{-1}, once for either
-sampler.
+writes, and ``c = s22 + 2 lambda22``, computed once per sweep for every
+column, serves the C^{-1} factor, the hrs step and the gamma rate.
+Besides the bank and the sweep's shrinkage arrays, a sweep allocates one
+p x p workspace and its diagonal view, in which every column forms and
+factors C^{-1}, once for either sampler.
 
 Code that runs once per column keeps its speed idioms: scalars read with
 ``.item()``, banks as lists, the workspace, and positional f2py calls and
-``dscal``, measured below.  Code that runs once per sweep or once per
-shrinkage block, the bank transforms and the lambda/tau draws, is written
-as its formula, and its helpers only read their arguments.
+``dscal``, measured below.  Code that runs once per sweep, the bank
+transforms and the lambda/tau draws, is written as its formula, and its
+helpers only read their arguments.
 
 The sweep carries ``Sigma = Omega^{-1}`` across columns (Wang's own
 bookkeeping).  One Cholesky factorisation of omega per sweep gives Sigma
@@ -164,53 +163,55 @@ sampler:
    normal vector of column i, or hrs's direction z;
 2. ``standard_gamma(n/2 + 1, p)``: entry i is the gamma draw of column i
    before its rate is applied;
-3. ``standard_gamma(r + 1, (p, p))``: row i holds the shrinkage-rate draws
-   of row i of omega as it stands when column i's block begins, entry i the
-   diagonal one;
-4. ``standard_normal((p, p))`` and
-5. ``random((p, p))``: entry (i, j), j != i, feeds the inverse-Gaussian
-   draw of tau_ij, held as nu**2 / 2 and u / (1 - u).  Entry (i, i) is the
-   uniform that the exact inverse CDF turns into hrs's truncated-normal
-   step in column i.
+3. ``standard_gamma(r + 1, d)``, d = p(p + 1)/2, one entry per unordered
+   pair {j, k} and one per diagonal entry, in ``upper_index(p)`` order
+   (``pair_index(p)[j, k]`` is the position of {j, k}): the shrinkage-rate
+   draw of omega_jk;
+4. ``standard_normal(d)`` and
+5. ``random(d)``: the entry of pair {j, k} feeds the inverse-Gaussian
+   draw of tau_jk, held as nu**2 / 2 and u / (1 - u).  Bank 5's entry at
+   the diagonal position of i is the uniform that the exact inverse CDF
+   turns into hrs's truncated-normal step in column i.
 
-Entry (i, i) of bank 5 is free for the step because tau has no diagonal:
-the block's draw makes a tau_ii from it all the same, but column i reads
-that only on C^{-1}'s decoupled pivot, where it moves no bit, and no other
-column reads row i's slot i.  So the step reads a fresh uniform on which
-nothing else that reaches an output depends, and bgs draws it and uses it
-for nothing that reaches one.
+That entry is free for the step because tau has no diagonal: the sweep's
+draw makes a tau_ii from it all the same, but column i reads that only on
+C^{-1}'s decoupled pivot, where it moves no bit, and no other column reads
+it.  So the step reads a fresh uniform on which nothing else that reaches
+an output depends, and bgs draws it and uses it for nothing that reaches
+one.
 
-Row i of every bank is in natural order.  Every column update is then a
-pure transform of row i of the bank and the state, and every block's
-shrinkage draw one of rows t..e-1 of banks 3-5 and the state, so a sweep
-consumes exactly the bank.  Banks 3-5 meet row i of omega as it stands
-when column i's block begins.  Some of their entries feed draws that are
-never read or that move no bit, and they are drawn all the same: slot i,
-the later row's entry of each pair inside a block, and in a chain's first
-sweep the entries that the first-sweep rule sets to 1.  A change made only
-for speed keeps the bank and the arithmetic fixed, so it leaves every
-seeded artifact byte-identical.
+Every column update is then a pure transform of row i of bank 1, entry i
+of bank 2, the sweep's shrinkage draw and the state, and the shrinkage
+draw one of banks 3-5 and omega as the sweep begins (in a chain's first
+sweep, column i's draw one of its pairs' entries and omega[i, :i] as
+column i begins), so a sweep consumes exactly the bank.  Some entries of
+banks 3-5 feed draws that are never read or that move no bit, and they are
+drawn all the same: the tau_ii draws, and in a chain's first sweep the
+diagonal entries of banks 3 and 4.  A change made only for speed keeps the
+bank and the arithmetic fixed, so it leaves every seeded artifact
+byte-identical.
 
 A bgs chain's burn-in begins with a scale warm-up.  Started at the
 identity, bgs overshoots in its first sweep along the one direction that
 no column update moves as a whole, omega's global scale, and falls back
 only slowly: on the benchmark's standardized 50 x 100 ar2 fit (seed 1,
-chain seed 100), log det omega read 88.8 after sweep 1, 74.0 after sweep
-10 and 52.0 after sweep 50, around a stationary level near 50.  So
+chain seed 100), log det omega read 88.6 after sweep 1, 83.6 after sweep
+10 and 54.3 after sweep 50, around a stationary level near 50.  So
 :func:`run_chain` calls :func:`settle_scale` after each of a bgs chain's
 first min(burn_in, ``SCALE_WARMUP``) sweeps.  It moves omega along its
 orbit {a omega : a > 0} to the orbit's posterior mode, in O(p^2), which
-takes log det to 46.1 after sweep 1 on that chain.  The step draws no
+takes log det to 46.6 after sweep 1 on that chain.  The step draws no
 random number and :func:`sweep` does not run it, so the bank and the
 kernel are unchanged, and hrs never takes it: hrs stays the paper's kernel
 bit for bit.  It runs only inside burn-in because it is a deterministic
 map, not a Markov kernel: every retained draw comes from the sweep's
 kernel alone.  It is capped because, run after every sweep, a move of
 the scale speeds up the drift of omega along null(S) where p > n: at
-circle p = 60, n = 10, log det omega after 4000 sweeps read 313.1 with
-every burn-in sweep settled against 103.0 for plain bgs, and the carried
-Sigma drift grew from 2.1e-9 to 4.8e-6.  With the cap it read 110.9,
-inside the 93.2-121.3 that plain bgs reads with chain seeds 1-5.
+circle p = 60, n = 10, log det omega after 4000 sweeps read 285.0 with
+every burn-in sweep settled against 122.8 for plain bgs, and the carried
+Sigma drift grew from 4.2e-9 to 5.3e-7.  With the cap it read 137.6,
+and over chain seeds 1-8 capped chains read 84.2-137.9, inside the
+88.7-153.0 that plain bgs reads.
 """
 
 import math
@@ -221,30 +222,21 @@ import numpy as np
 
 from .distributions import normal_tail_ufuncs, sample_truncated_normal
 from .matrixcore import (PD_TOL, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs, check_integer,
-                         check_positive, check_symmetric, invert_from_factor, pd_check,
-                         strict_lower, upper_index)
+                         check_positive, check_symmetric, invert_from_factor, pair_index,
+                         pd_check, strict_lower, upper_index)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
-# Floor on |omega_ij| in the latent-scale draw, the one bound on any draw.
-# Exact zeros are reachable: in a chain's first sweep row i is drawn while
-# its entries beyond slot i are still the identity's zeros, and those draws
-# are then discarded for 1 (see the module docstring).  With a = 0 the
-# closed form computes 0 * inf = NaN there.  At the default s = 1e-6 about
+# Floor on |omega_ij| in the latent-scale draw, the one bound on any draw:
+# with a = 0 the closed form computes 0 * inf = NaN.  A sweep draws from no
+# exact zero of the identity a chain starts at, since its first sweep reads
+# unit tau beyond slot i without a draw (see the module docstring), but
+# entries below the floor are reachable: at the default s = 1e-6 about 1e-5
+# of the posterior of a weakly correlated p = 2 model lies below it (the D2
+# model of tests/test_posterior.py puts 8.6e-6 there).  At the default s = 1e-6 about
 # 1e-5 of the posterior of a weakly correlated p = 2 model lies below the
 # floor (the D2 model of tests/test_posterior.py puts 8.6e-6 there).
 EPS_OMEGA = 1e-10
-
-# Columns per shrinkage block: a sweep draws the lambda/tau rows of this
-# many consecutive columns with one call each.  At 16 the calls' fixed
-# overhead, about 20 numpy calls per block, is small per column.  On 24 bgs
-# chains of a standardized 50 x 100 ar2 fit (data seeds 1-6, chain seeds
-# 100 * seed + 0..3, 10 + 40 sweeps, benchmarks/ess.py's diagonal ESS) ESS
-# per sweep read 0.377 with one column per block, 0.388 with 16 and 0.378
-# with 100.  Before bgs's burn-in settled the scale (see the module
-# docstring) the same chains read 0.294, 0.288 and 0.224: a block spanning
-# the whole sweep then mixed worse, and with the scale settled it does not.
-SHRINKAGE_BLOCK = 16
 
 # Smallest s a chain accepts.  A rate is at most g/s and the floored
 # |omega_ij| at least EPS_OMEGA, so whatever the state every latent scale
@@ -302,12 +294,13 @@ class GibbsState:
 
     omega is the p x p symmetric precision matrix, and scatter is S = Y'Y
     and n the sample size of the observed data.  The shrinkage rates lambda
-    and latent scales tau are not stored: :func:`sweep` draws the rows of
-    each block of ``SHRINKAGE_BLOCK`` columns as the block begins, and
-    every draw is read within its block (see the module docstring).  Where
-    a chain's first sweep has not drawn them yet, the block's draw sets
-    them to 1.  Nor are the hyperparameters r and s: :func:`sweep` reads
-    them from the chain's :class:`ChainConfig`.
+    and latent scales tau are not stored: :func:`sweep` draws them all as
+    it begins, one per pair and one per diagonal entry, and every draw is
+    read within that sweep (see the module docstring).  A chain's first
+    sweep draws each column's pairs j < i as the column begins and reads 1
+    where Wang's order has not drawn them yet.  Nor are the
+    hyperparameters r and s: :func:`sweep` reads them from the chain's
+    :class:`ChainConfig`.
     sigma is omega's inverse as :func:`sweep` carries it: recomputed from
     a Cholesky factor of omega when a sweep starts and kept current after
     every column; None before the first sweep.  Between sweeps it is the
@@ -414,9 +407,10 @@ def make_partition(sigma, i):
     sigma[:, i] = 0.0
 
 
-def _factor_c_inverse(omega11_inv, c, tau12, work, diag):
-    """Lower Cholesky factor of C^{-1} = c Omega11^{-1} + diag(1/tau12),
-    with c = s22 + 2 lambda22, formed and factored in place in work.
+def _factor_c_inverse(omega11_inv, c, inv_tau12, work, diag):
+    """Lower Cholesky factor of C^{-1} = c Omega11^{-1} + diag(inv_tau12),
+    with c = s22 + 2 lambda22 and inv_tau12 = 1/tau12, formed and factored
+    in place in work.
 
     C^{-1} is read from the upper triangle of omega11_inv (numpy indexing).
     diag is the diagonal view of work.  The factor is the lower triangle of
@@ -424,7 +418,7 @@ def _factor_c_inverse(omega11_inv, c, tau12, work, diag):
     triangular solves never read.
     """
     cinv = np.multiply(omega11_inv, c, out=work)
-    diag += np.reciprocal(tau12)
+    diag += inv_tau12
     L, info = _dpotrf(cinv.T, 1, 0, 1)
     if info != 0:
         raise ValueError("conditional covariance not positive definite")
@@ -476,21 +470,22 @@ def hit_and_run_interval(a, b, gamma):
     return -gamma / q, q / a
 
 
-def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
+def hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, beta, omega22, z, u):
     """Hit-and-run draw of the off-diagonal column inside the PD region.
 
     L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`
-    and c = s22 + 2 lambda22.  z is a vector of standard normals, zero in a
-    decoupled slot as for :func:`bgs_update_beta`, and u a uniform on
-    [0, 1), which the exact inverse CDF turns into the step; :func:`sweep`
-    passes entry (i, i) of its bank 5, whose tau_ii draw moves no bit.
+    c = s22 + 2 lambda22 and inv_tau12 = 1/tau12.  z is a vector of
+    standard normals, zero in a decoupled slot as for
+    :func:`bgs_update_beta`, and u a uniform on [0, 1), which the exact
+    inverse CDF turns into the step; :func:`sweep` passes bank 5's entry at
+    column i's diagonal position, whose tau_ii draw moves no bit.
     The move happens in the whitened coordinates x = L' beta, where the
     column's conditional is N(-L^{-1} s12, I): x moves along e = z / |z|,
     uniform on the sphere.  In beta coordinates that is d = L^{-T} e, and
     d' C^{-1} d = 1, so the step size kappa is a unit-variance normal with
     mean
 
-        mu = -(s12'd + c b + (beta/tau12)'d),
+        mu = -(s12'd + c b + (beta * inv_tau12)'d),
         b  = beta' Omega11^{-1} d,
 
     truncated to the feasibility interval, which needs b anyway.
@@ -504,8 +499,8 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     beta's law given gamma = omega22 - beta' Omega11^{-1} beta, not given
     omega22.  So hrs does not target the stated posterior: ``KIND_CLAIMS``
     in ``tests/test_sampler.py`` states it inexact, which makes its P2, P4,
-    P5n3 and two G3 cases in ``tests/test_posterior.py`` the suite's five
-    strict expected failures.
+    P5n3 and G3 cases in ``tests/test_posterior.py`` the suite's four strict
+    expected failures.
     """
     d = _dscal(1.0 / math.sqrt(_ddot(z, z)), _dtrtrs(L, z, 1, 1)[0])
     # Omega11^{-1} products read its upper triangle, the lower one of its
@@ -513,7 +508,7 @@ def hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u):
     o11_t = omega11_inv.T
     v = _dsymv(1.0, o11_t, d, 0.0, None, 0, 1, 0, 1, 1)
     b = _ddot(beta, v)
-    mu = -(_ddot(s12, d) + c * b + _ddot(beta / tau12, d))
+    mu = -(_ddot(s12, d) + c * b + _ddot(beta * inv_tau12, d))
     gamma = omega22 - _ddot(beta, _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1))
     lo, hi = hit_and_run_interval(_ddot(d, v), b, gamma)
     # beta + kappa d, with the step scaled into d's own memory.
@@ -532,12 +527,12 @@ def update_gamma(c, g):
 
 
 def update_lambda_column(abs_omega, s, g):
-    """Shrinkage rates for rows of omega: Ga(r + 1, s + |omega_ij|).
+    """Shrinkage rates of entries of omega: Ga(r + 1, s + |omega_ij|).
 
-    abs_omega is |omega| for the rows t..e-1 of a block, an (e - t) x p
-    array of whole rows (or one row), and g holds as many draws of
-    Ga(r + 1, 1).  Entry (i - t, i) of the result is column i's diagonal
-    rate, the others of row i - t its off-diagonal rates.
+    abs_omega holds |omega_ij| for the entries drawn, and g as many draws
+    of Ga(r + 1, 1).  :func:`sweep` passes the upper triangle, diagonal
+    included, in ``upper_index(p)`` order, or in a chain's first sweep
+    column i's pairs j < i.
     """
     return g / (abs_omega + s)
 
@@ -554,7 +549,7 @@ def update_tau_column(lam, abs_omega, half_nu2, odds):
         tau = (a/lambda) * (r if u (r + 1) <= r else 1/r).
 
     This form has no cancellation, so it needs no floor.  The arguments
-    are arrays of one shape, the block's rows in :func:`sweep`.  half_nu2
+    are arrays of one shape, as :func:`update_lambda_column`'s.  half_nu2
     holds nu**2 / 2 and odds holds u / (1 - u), one per entry: u (r + 1) <=
     r is odds <= r.  The draw is pure: it reads its arguments, abs_omega
     included, and returns a new array.
@@ -595,17 +590,19 @@ def sweep(state, config, audit, rng):
     finite with S_jj > 0 and lambda22 = g'/(|omega_ii| + s) is finite.  A
     gamma of 0 would still raise, in 1/gamma at stage gamma.
 
-    As each block of ``SHRINKAGE_BLOCK`` columns begins, the sweep draws
-    the block's rows of shrinkage rates and latent scales from those rows
-    of omega as they stand then, in one call each, and gives each pair
-    inside the block one draw; each column reads its rows from there, slot
-    i of tau12 holding a tau_ii that moves no bit (see the module
-    docstring).
+    As the sweep begins, after the bank, it draws every shrinkage rate and
+    latent scale from omega as it stands then, one call each on the upper
+    triangle, and expands 1/tau to a symmetric p x p array; column i reads
+    its row there, slot i holding a 1/tau_ii that moves no bit, and its c
+    and gamma draw from vectors made once (see the module docstring).  A
+    failure there raises RuntimeError naming the sweep start and the
+    stage, shrinkage, as a column's failure names the column and its stage.
 
     Every column of every sweep draws beta.  A chain's first sweep, the one
-    that finds ``state.sigma`` still None, has blocks of one column, and
-    its block draw sets lambda_ii and the latent scales of row i beyond
-    slot i, which have not been drawn yet, to 1 (see the module docstring).
+    that finds ``state.sigma`` still None, draws column i's pairs j < i as
+    the column begins and reads lambda_ii and the latent scales of row i
+    from slot i on, which have not been drawn yet, as 1 (see the module
+    docstring).
     """
     L = pd_check(state.omega)
     if L is None:
@@ -625,71 +622,62 @@ def sweep(state, config, audit, rng):
     scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
     diag = work.reshape(-1)[:: p + 1]
-    # The first-sweep rule (blocks of one column in Wang's order, unit
-    # lambda22 and unit tau beyond slot i) is kept for mixing, measured with
-    # OPENBLAS_NUM_THREADS=1 as benchmarks/ess.py's diagonal_ess per sweep
-    # run, over seeds 1-24 at the benchmark's shapes.  First-sweep blocks of
-    # 16 columns, with unit tau from the block start, took bgs on a
-    # standardized 50 x 100 ar2 fit (10 + 40 sweeps) from 0.294 (IQR
-    # 0.267-0.311) to 0.265 (0.246-0.284); hrs read 0.549 against 0.543,
-    # and on circle p = 30, n = 50 (50 + 200 sweeps) neither moved.  A ridge
-    # start Omega0 = n (S + diag S)^{-1} with no first-sweep rule cut hrs by
-    # 32% (circle) and 37% (ar2).  The bgs numbers come from chains whose
-    # burn-in did not yet settle the scale (see the module docstring), which
-    # takes ar2 bgs chains from about 0.29 to 0.39; the rule was not
-    # re-measured with it.
-    block = 1 if first_sweep else SHRINKAGE_BLOCK
-    # The strict lower triangle: sliced, the mask of a block's pairs; whole,
-    # the one of the mirror that ends the sweep.
-    lower = strict_lower(p)
-    end = 0
+    pairs = pair_index(p)
     violations = 0
 
     z_bank = rng.standard_normal((p, p))
     z_bank.flat[:: p + 1] = 0.0
-    gamma_bank = rng.standard_gamma(state.n / 2.0 + 1.0, p).tolist()
-    lambda_bank = rng.standard_gamma(r + 1.0, (p, p))
-    half_nu2_bank = rng.standard_normal((p, p)) ** 2 / 2.0
-    u_bank = rng.random((p, p))
+    gamma_bank = rng.standard_gamma(state.n / 2.0 + 1.0, p)
+    lambda_bank = rng.standard_gamma(r + 1.0, p * (p + 1) // 2)
+    half_nu2_bank = rng.standard_normal(lambda_bank.size) ** 2 / 2.0
+    u_bank = rng.random(lambda_bank.size)
     odds_bank = u_bank / (1.0 - u_bank)
 
-    for i in range(p):
-        stage = "lambda"
-        try:
-            if i == end:
-                start, end = i, min(i + block, p)
-                abs_omega = np.abs(omega[start:end])
-                lam = update_lambda_column(abs_omega, s, lambda_bank[start:end])
+    i, stage = None, "shrinkage"
+    try:
+        # The first-sweep rule (Wang's order, unit lambda_ii and unit tau
+        # beyond slot i) is kept for mixing, measured with
+        # OPENBLAS_NUM_THREADS=1 as benchmarks/ess.py's diagonal_ess, pooled
+        # over chains per sweep run.  Against unit tau for the whole first
+        # sweep, bgs read 0.378 against 0.335 and hrs 0.546 against 0.485 on
+        # standardized 50 x 100 ar2 fits (data seeds 1-6, chain seeds 100 *
+        # seed + 0..3, 10 + 40 sweeps), and bgs 0.0695 against 0.0731 and hrs
+        # 0.0234 against 0.0237 on circle p = 30, n = 50 replications (seeds
+        # 1-40, 50 + 200 sweeps).  A ridge start Omega0 = n (S + diag S)^{-1}
+        # with no first-sweep rule cut hrs by 32% (circle) and 37% (ar2).
+        if first_sweep:
+            inv_tau, lambda_diag = np.ones((p, p)), 1.0
+        else:
+            abs_omega = np.abs(omega.take(upper_index(p)))
+            lam = update_lambda_column(abs_omega, s, lambda_bank)
+            tau = update_tau_column(lam, abs_omega, half_nu2_bank, odds_bank)
+            inv_tau, lambda_diag = np.reciprocal(tau).take(pairs), lam.take(pairs.diagonal())
+        c_all = state.scatter.diagonal() + 2.0 * lambda_diag
+        gammas, c_all = update_gamma(c_all, gamma_bank).tolist(), c_all.tolist()
 
-                stage = "tau"
-                tau = update_tau_column(lam, abs_omega, half_nu2_bank[start:end],
-                                        odds_bank[start:end])
-                # One draw per pair inside the block: the one from the row
-                # of its first column, which both columns read.  The strict
-                # lower mask leaves each row's slot i its own tau_ii draw,
-                # which only C^{-1}'s decoupled pivot reads.
-                pairs = tau[:, start:end]
-                np.copyto(pairs, pairs.T, where=lower[:end - start, :end - start])
-                if first_sweep:
-                    # Not drawn yet in Wang's order, so still at their
-                    # initial 1.
-                    tau[0, i:] = 1.0
-                    lam[0, i] = 1.0
-            tau12 = tau[i - start]
+        for i in range(p):
+            stage = "shrinkage"
+            if first_sweep:
+                # Row i's pairs j < i, from omega[i, :i] as columns 0..i-1
+                # left it.
+                row, abs_row = pairs[i, :i], np.abs(omega[i, :i])
+                lam = update_lambda_column(abs_row, s, lambda_bank.take(row))
+                inv_tau[i, :i] = np.reciprocal(update_tau_column(
+                    lam, abs_row, half_nu2_bank.take(row), odds_bank.take(row)))
 
             stage = "partition"
             omega22 = omega.item(i, i)
             make_partition(sigma, i)
             s12 = scatter_off[i]
-            c = state.scatter.item(i, i) + 2.0 * lam.item(i - start, i)
+            c = c_all[i]
 
             stage = "beta"
-            L = _factor_c_inverse(sigma, c, tau12, work, diag)
+            L = _factor_c_inverse(sigma, c, inv_tau[i], work, diag)
             if config.kind == "hrs":
                 beta = omega[i].copy()
                 beta[i] = 0.0
-                beta = hrs_update_beta(L, sigma, s12, c, tau12, beta, omega22,
-                                       z_bank[i], u_bank.item(i, i))
+                beta = hrs_update_beta(L, sigma, s12, c, inv_tau[i], beta, omega22,
+                                       z_bank[i], u_bank.item(pairs.item(i, i)))
             else:
                 beta = bgs_update_beta(L, s12, z_bank[i])
             omega[i] = beta
@@ -704,7 +692,7 @@ def sweep(state, config, audit, rng):
             violations += not omega22 - q > schur_floor
 
             stage = "gamma"
-            gam = update_gamma(c, gamma_bank[i])
+            gam = gammas[i]
             omega[i, i] = gam + q
             # In place: make_partition has checked it on this same sigma.
             _dsyr(1.0 / gam, v, 1, 1, 0, p, sigma_t, 1)
@@ -712,14 +700,14 @@ def sweep(state, config, audit, rng):
             sigma[i] = v
             sigma[:, i] = v
             sigma[i, i] = 1.0 / gam
-        except Exception as exc:
-            raise RuntimeError(
-                f"column {i} (0-based) failed at stage {stage}: {exc}") from exc
+    except Exception as exc:
+        where = "the sweep start" if i is None else f"column {i} (0-based)"
+        raise RuntimeError(f"{where} failed at stage {stage}: {exc}") from exc
 
     audit.merge(ViolationAudit(p, violations))
 
     # Copy the carried upper triangle (numpy indexing) onto the lower one.
-    np.copyto(sigma, sigma_t, where=lower)
+    np.copyto(sigma, sigma_t, where=strict_lower(p))
     return state
 
 

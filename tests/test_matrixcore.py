@@ -7,6 +7,7 @@ from scipy.linalg import lapack
 from bayesglasso.matrixcore import (
     check_symmetric,
     invert_from_factor,
+    pair_index,
     pd_check,
     save_matrix_csv,
     scipy_extension,
@@ -106,6 +107,17 @@ def test_upper_index_is_built_once_per_p_and_read_only():
         assert index is upper_index(p)
         M = np.arange(p * p, dtype=float).reshape(p, p)
         assert np.array_equal(M.take(index), M[np.triu_indices(p)])
+        assert not index.flags.writeable
+
+
+def test_pair_index_is_built_once_per_p_and_read_only():
+    for p in (1, 2, 7):
+        index = pair_index(p)
+        assert index is pair_index(p)
+        # Taken from the upper triangle in upper_index order, it gives back
+        # the symmetric matrix the triangle came from.
+        M = symmetrize(np.arange(p * p, dtype=float).reshape(p, p))
+        assert np.array_equal(M.take(upper_index(p)).take(index), M)
         assert not index.flags.writeable
 
 

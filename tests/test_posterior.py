@@ -23,17 +23,15 @@ with n = 2 < p and a new S at every step, against exact draws from the
 prior.
 
 Every case list comes from test_sampler.KIND_CLAIMS, by one rule.  A kind
-that claims to target the stated posterior runs every oracle: W2, P2, D2
-and P5n3, and P4 and G3 each with default blocks and with blocks of 2.
-Any other kind is a strict expected failure at P2, at P4 with default
-blocks, at P5n3 and at G3 with both block sizes, where hrs, whose step
-holds omega22 fixed, misses (ROADMAP item 1).
+that claims to target the stated posterior runs every oracle: W2, P2, D2,
+P4, P5n3 and G3.  Any other kind is a strict expected failure at P2, P4,
+P5n3 and G3, the four cases where hrs, whose step holds omega22 fixed,
+misses (ROADMAP item 1).
 """
 
 import numpy as np
 import pytest
 
-from bayesglasso import sampler
 from bayesglasso.designs import scatter_matrix
 from bayesglasso.distributions import RngStream
 from bayesglasso.matrixcore import spd_inverse
@@ -259,13 +257,8 @@ def p4_oracle():
                                 draws=100_000)
 
 
-# At p = 4 the default shrinkage block spans the whole sweep; blocks of 2
-# also run pairs that cross a block boundary and pairs inside one.
-@pytest.mark.parametrize("block,kind", kind_cases({"{}": (None,), "{}-block2": (2,)},
-                                                  xfails=("{}",)))
-def test_chain_matches_importance_sampling_posterior_p4(kind, block, p4_oracle, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(sampler, "SHRINKAGE_BLOCK", block)
+@pytest.mark.parametrize("kind", kind_cases({"{}": ()}, xfails=("{}",)))
+def test_chain_matches_importance_sampling_posterior_p4(kind, p4_oracle):
     assert p4_oracle[2] > 20_000  # one adaptation round makes the weights usable
     assert_chain_matches(P4_S, P4_N, ChainConfig(kind=kind, **CHAIN_12K), corner_statistics,
                          p4_oracle[:2])
@@ -366,16 +359,11 @@ def g3_prior():
     return medians, (stats.mean(axis=0), stats.std(axis=0, ddof=1) / np.sqrt(len(stats)))
 
 
-# At p = 3 the default shrinkage block spans the sweep; blocks of 2 run a
-# pair inside a block and two that cross a block boundary.
-@pytest.mark.parametrize("block,kind", kind_cases({"{}": (None,), "{}-block2": (2,)},
-                                                  xfails=("{}", "{}-block2")))
-def test_kernel_leaves_the_joint_law_invariant_g3(kind, block, g3_prior, monkeypatch):
+@pytest.mark.parametrize("kind", kind_cases({"{}": ()}, xfails=("{}",)))
+def test_kernel_leaves_the_joint_law_invariant_g3(kind, g3_prior):
     # Each step draws Y ~ N(0, Omega^{-1}) n times and then runs one sweep
     # on its S.  The state is given its sigma, so the first-sweep rule, a
     # rule for a chain's start and not part of the kernel, never runs.
-    if block is not None:
-        monkeypatch.setattr(sampler, "SHRINKAGE_BLOCK", block)
     medians, oracle = g3_prior
     config = ChainConfig(kind=kind, r=G3_R, s=G3_S)
     rng = RngStream(12)

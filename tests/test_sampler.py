@@ -15,7 +15,6 @@ from bayesglasso.sampler import (
     EPS_OMEGA,
     S_FLOOR,
     SAMPLER_KINDS,
-    SHRINKAGE_BLOCK,
     ChainConfig,
     ViolationAudit,
     _factor_c_inverse,
@@ -58,15 +57,16 @@ def off_diagonal(M):
 
 def column(st, i, tau=None, lam=None):
     """What sweep hands column i's steps, from make_partition on a fresh
-    inverse, with row i of tau and lam as the column's shrinkage draws; unit
-    ones, as in a chain's first column, when they are not given.  Slot i of
-    tau12 is 1, as in a chain's first sweep (from its second on, sweep
-    leaves a drawn tau_ii there, which the bitwise test shows moves no
-    bit), and as in sweep beta is row i of omega with slot i zeroed.
-    Returns (omega11_inv, s12, c, tau12, beta, omega22)."""
+    inverse, with row i of tau and entry i of lam as the column's shrinkage
+    draws, tau as its reciprocal inv_tau12; unit ones, as in a chain's first
+    column, when they are not given.  Slot i of inv_tau12 is 1, as in a
+    chain's first sweep (from its second on, sweep leaves a drawn 1/tau_ii
+    there, which the bitwise test shows moves no bit), and as in sweep beta
+    is row i of omega with slot i zeroed.
+    Returns (omega11_inv, s12, c, inv_tau12, beta, omega22)."""
     p = st.omega.shape[0]
-    tau12 = np.ones(p) if tau is None else tau[i].copy()
-    tau12[i] = 1.0
+    inv_tau12 = np.ones(p) if tau is None else 1.0 / tau[i]
+    inv_tau12[i] = 1.0
     lambda22 = 1.0 if lam is None else float(lam[i])
     omega22 = st.omega.item(i, i)
     omega11_inv = spd_inverse(st.omega)
@@ -74,27 +74,27 @@ def column(st, i, tau=None, lam=None):
     beta = st.omega[i].copy()
     beta[i] = 0.0
     c = st.scatter.item(i, i) + 2.0 * lambda22
-    return omega11_inv, off_diagonal(st.scatter)[i], c, tau12, beta, omega22
+    return omega11_inv, off_diagonal(st.scatter)[i], c, inv_tau12, beta, omega22
 
 
-def c_factor(omega11_inv, c, tau12):
+def c_factor(omega11_inv, c, inv_tau12):
     """_factor_c_inverse in a fresh workspace, with its diagonal view made
     as sweep makes it."""
-    p = len(tau12)
+    p = len(inv_tau12)
     work = np.empty((p, p))
     return _factor_c_inverse(np.asarray(omega11_inv, dtype=float), c,
-                             np.asarray(tau12, dtype=float), work, work.reshape(-1)[:: p + 1])
+                             np.asarray(inv_tau12, dtype=float), work, work.reshape(-1)[:: p + 1])
 
 
 def schur_gamma(omega11_inv, beta, omega22):
     return float(omega22 - beta @ (represented(omega11_inv) @ beta))
 
 
-def compute_c_matrix(omega11_inv, c, tau12):
-    """C = (c Omega11^{-1} + diag(1/tau12))^{-1}, formed explicitly and
+def compute_c_matrix(omega11_inv, c, inv_tau12):
+    """C = (c Omega11^{-1} + diag(inv_tau12))^{-1}, formed explicitly and
     inverted from a clean Cholesky factor; the samplers only ever factor
     C^{-1} in place."""
-    cinv = c * represented(np.asarray(omega11_inv, dtype=float)) + np.diag(1.0 / np.asarray(tau12))
+    cinv = c * represented(np.asarray(omega11_inv, dtype=float)) + np.diag(inv_tau12)
     L = pd_check(cinv)
     assert L is not None
     return invert_from_factor(L)
@@ -103,25 +103,25 @@ def compute_c_matrix(omega11_inv, c, tau12):
 # ---------------------------------------------------------------- partition
 
 @pytest.mark.parametrize("omega,i,beta,omega22,gamma,omega11_inv", [
-    # slot 0 is decoupled: zero in beta and omega11_inv, one in tau12
+    # slot 0 is decoupled: zero in beta and omega11_inv, one in inv_tau12
     pytest.param(np.eye(2), 0, [0.0, 0.0], 1.0, 1.0, [[0.0, 0.0], [0.0, 1.0]], id="identity"),
     # omega = [[2,1],[1,2]], last column: beta = 1, gamma = 2 - 1*(1/2)*1
     pytest.param(np.array([[2.0, 1.0], [1.0, 2.0]]), 1, [1.0, 0.0], 2.0, 1.5,
                  [[0.5, 0.0], [0.0, 0.0]], id="schur"),
 ])
 def test_partition_hand_oracle_p2(omega, i, beta, omega22, gamma, omega11_inv):
-    got_inv, _, _, tau12, got_beta, got_omega22 = column(state_with_omega(omega), i)
+    got_inv, _, _, inv_tau12, got_beta, got_omega22 = column(state_with_omega(omega), i)
     assert np.array_equal(got_beta, beta)
-    assert np.array_equal(tau12, [1.0, 1.0])
+    assert np.array_equal(inv_tau12, [1.0, 1.0])
     assert got_omega22 == omega22
     assert schur_gamma(got_inv, got_beta, got_omega22) == pytest.approx(gamma)
     assert np.allclose(represented(got_inv), omega11_inv)
 
 
 def test_partition_blocks_follow_permutation():
-    # s12, s22, lambda22, omega22, tau12 and the old column beta are read
+    # s12, s22, lambda22, omega22, inv_tau12 and the old column beta are read
     # by sweep itself, not by make_partition; the block test checks what a
-    # sweep hands its columns, slot i of tau12 and hrs's beta included.
+    # sweep hands its columns, slot i of inv_tau12 and hrs's beta included.
     rng = np.random.default_rng(0)
     p = 5
     S = scatter_matrix(rng.standard_normal((20, p)))
@@ -200,23 +200,23 @@ def test_masked_partition_draws_match_the_compressed_blocks():
     p = 7
     st, tau, lam = random_state(gen, p)
     for i in range(p):
-        omega11_inv, s12, c, tau12, beta, omega22 = column(st, i, tau, lam)
+        omega11_inv, s12, c, inv_tau12, beta, omega22 = column(st, i, tau, lam)
         rest = np.arange(p) != i
         small_inv = represented(omega11_inv)[np.ix_(rest, rest)]
-        C = compute_c_matrix(omega11_inv, c, tau12)
+        C = compute_c_matrix(omega11_inv, c, inv_tau12)
         assert C[i, i] == 1.0
         assert np.all(C[i, rest] == 0.0) and np.all(C[rest, i] == 0.0)
         np.testing.assert_allclose(C[np.ix_(rest, rest)],
-                                   compute_c_matrix(small_inv, c, tau12[rest]),
+                                   compute_c_matrix(small_inv, c, inv_tau12[rest]),
                                    rtol=1e-12, atol=1e-15)
         z = gen.standard_normal(p)
         z[i] = 0.0
         u = float(gen.random())
-        L, small_L = c_factor(omega11_inv, c, tau12), c_factor(small_inv, c, tau12[rest])
+        L, small_L = c_factor(omega11_inv, c, inv_tau12), c_factor(small_inv, c, inv_tau12[rest])
         for got, small in (
                 (bgs_update_beta(L, s12, z), bgs_update_beta(small_L, s12[rest], z[rest])),
-                (hrs_update_beta(L, omega11_inv, s12, c, tau12, beta, omega22, z, u),
-                 hrs_update_beta(small_L, small_inv, s12[rest], c, tau12[rest], beta[rest],
+                (hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, beta, omega22, z, u),
+                 hrs_update_beta(small_L, small_inv, s12[rest], c, inv_tau12[rest], beta[rest],
                                  omega22, z[rest], u))):
             assert got[i] == 0.0
             np.testing.assert_allclose(got[rest], small, rtol=1e-10, atol=1e-13)
@@ -225,16 +225,16 @@ def test_masked_partition_draws_match_the_compressed_blocks():
 # ---------------------------------------------------------------- C matrix
 
 def test_c_matrix_oracle():
-    # Omega11 = I2, s22 = 1, lam22 = 0.5, tau12 = (1,1):
+    # Omega11 = I2, s22 = 1, lam22 = 0.5, inv_tau12 = (1,1):
     # C = inv(2 I + I) = I/3
     C = compute_c_matrix(np.eye(2), 1.0 + 2.0 * 0.5, [1.0, 1.0])
     assert np.allclose(C, np.eye(2) / 3.0, atol=1e-14)
 
 
 def test_c_matrix_large_tau_limit():
-    # tau -> inf: C -> Omega11 / (s22 + 2 lam22)
+    # tau -> inf, 1/tau -> 0: C -> Omega11 / (s22 + 2 lam22)
     omega11 = random_spd(3, np.random.default_rng(2))
-    C = compute_c_matrix(spd_inverse(omega11), 1.0 + 2.0 * 0.5, np.full(3, 1e12))
+    C = compute_c_matrix(spd_inverse(omega11), 1.0 + 2.0 * 0.5, np.full(3, 1e-12))
     expect = omega11 / 2.0
     assert np.max(np.abs(C - expect)) < 1e-6 * np.max(np.abs(expect))
 
@@ -246,35 +246,35 @@ def test_c_matrix_always_pd():
         inv = spd_inverse(random_spd(p1, rng))
         rng.standard_normal(p1)  # s12, which C does not read
         s22 = float(np.abs(rng.standard_normal()) + 0.1)
-        tau12 = np.abs(rng.standard_normal(p1)) + 0.05
+        inv_tau12 = 1.0 / (np.abs(rng.standard_normal(p1)) + 0.05)
         lambda22 = float(np.abs(rng.standard_normal()) + 0.05)
         rng.standard_normal(p1)  # beta, which C does not read
-        assert pd_check(compute_c_matrix(inv, s22 + 2.0 * lambda22, tau12)) is not None
+        assert pd_check(compute_c_matrix(inv, s22 + 2.0 * lambda22, inv_tau12)) is not None
 
 
 def test_c_matrix_rejects_bad_tau():
-    # A negative tau12 entry can make C^{-1} indefinite: diag(2 + 1/tau12)
+    # A negative tau entry can make C^{-1} indefinite: diag(2 + inv_tau12)
     # has -8 in slot 1.  The one factor both beta draws use must refuse it.
     with pytest.raises(ValueError, match="conditional covariance not positive definite"):
-        c_factor(np.eye(2), 1.0 + 2.0 * 0.5, [1.0, -0.1])
+        c_factor(np.eye(2), 1.0 + 2.0 * 0.5, [1.0, -10.0])
 
 
 # ---------------------------------------------------------------- beta draws
 
-@pytest.mark.parametrize("omega11_inv,s12,c,tau12,seed,n", [
+@pytest.mark.parametrize("omega11_inv,s12,c,inv_tau12,seed,n", [
     # s12 = 0 makes the conditional mean zero
     pytest.param(np.eye(3), np.zeros(3), 1.0 + 2.0 * 0.5, np.ones(3), 1, 10_000, id="centered"),
-    pytest.param(np.eye(2), np.array([0.7, -0.3]), 2.0 + 2.0 * 0.25, [0.5, 2.0], 2, 100_000,
+    pytest.param(np.eye(2), np.array([0.7, -0.3]), 2.0 + 2.0 * 0.25, [2.0, 0.5], 2, 100_000,
                  id="diagonal"),
     pytest.param(spd_inverse(random_spd(3, np.random.default_rng(40))),
-                 np.array([0.9, -0.4, 0.2]), 2.5 + 2.0 * 0.6, [0.3, 1.5, 0.8], 41, 40_000,
-                 id="random"),
+                 np.array([0.9, -0.4, 0.2]), 2.5 + 2.0 * 0.6, [1 / 0.3, 1 / 1.5, 1 / 0.8], 41,
+                 40_000, id="random"),
 ])
-def test_bgs_beta_draw_moments(omega11_inv, s12, c, tau12, seed, n):
+def test_bgs_beta_draw_moments(omega11_inv, s12, c, inv_tau12, seed, n):
     # The draw comes from one Cholesky factor of C^{-1}; its first two
     # moments must still be -C s12 and C, with C formed independently.
-    C = compute_c_matrix(omega11_inv, c, tau12)
-    L = c_factor(omega11_inv, c, tau12)
+    C = compute_c_matrix(omega11_inv, c, inv_tau12)
+    L = c_factor(omega11_inv, c, inv_tau12)
     gen = RngStream(seed)
     draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(len(s12))) for _ in range(n)])
     se_mean = np.sqrt(np.diag(C) / n)
@@ -355,20 +355,20 @@ def test_hrs_beta_always_feasible():
         omega22 = gamma + beta @ inv @ beta
         s12 = rng.standard_normal(p1)
         s22 = float(np.abs(rng.standard_normal()) + 0.1)
-        tau12 = np.abs(rng.standard_normal(p1)) + 0.05
+        inv_tau12 = 1.0 / (np.abs(rng.standard_normal(p1)) + 0.05)
         c = s22 + 2.0 * float(np.abs(rng.standard_normal()) + 0.05)
-        new_beta = hrs_update_beta(c_factor(inv, c, tau12), inv, s12, c, tau12, beta, omega22,
-                                   stream.standard_normal(p1), stream.random())
+        new_beta = hrs_update_beta(c_factor(inv, c, inv_tau12), inv, s12, c, inv_tau12, beta,
+                                   omega22, stream.standard_normal(p1), stream.random())
         assert new_beta @ inv @ new_beta < omega22
 
 
-def beta_coordinates_hrs_step(omega11_inv, s12, c, tau12, beta, omega22, z, u):
+def beta_coordinates_hrs_step(omega11_inv, s12, c, inv_tau12, beta, omega22, z, u):
     """The hrs step taken in beta coordinates: d = L^{-T} z scaled to unit
     Euclidean length, C^{-1} formed explicitly, a step of mean -(s12'd +
     beta' C^{-1} d) / (d' C^{-1} d) and variance 1 / (d' C^{-1} d), and the
     interval's roots (-b -+ disc) / a taken directly."""
     omega11_inv = represented(omega11_inv)
-    cinv = c * omega11_inv + np.diag(1.0 / tau12)
+    cinv = c * omega11_inv + np.diag(inv_tau12)
     L = np.linalg.cholesky(cinv)
     d = lapack.dtrtrs(L, z, lower=1, trans=1)[0]
     d /= np.linalg.norm(d)
@@ -396,8 +396,8 @@ def test_whitened_hrs_step_matches_the_beta_coordinates_step():
     st, tau, lam = random_state(gen, p)
     for i in range(p):
         blocks = column(st, i, tau, lam)
-        omega11_inv, _, c, tau12 = blocks[:4]
-        L = c_factor(omega11_inv, c, tau12)
+        omega11_inv, _, c, inv_tau12 = blocks[:4]
+        L = c_factor(omega11_inv, c, inv_tau12)
         for _ in range(6):
             z = gen.standard_normal(p)
             z[i] = 0.0
@@ -411,9 +411,9 @@ def test_whitened_hrs_step_matches_the_beta_coordinates_step():
 def test_hrs_zero_direction_raises():
     st, tau, lam = random_state(np.random.default_rng(10))
     blocks = column(st, 3, tau, lam)
-    omega11_inv, _, c, tau12 = blocks[:4]
+    omega11_inv, _, c, inv_tau12 = blocks[:4]
     with pytest.raises(ZeroDivisionError):
-        hrs_update_beta(c_factor(omega11_inv, c, tau12), *blocks, np.zeros(7), 0.5)
+        hrs_update_beta(c_factor(omega11_inv, c, inv_tau12), *blocks, np.zeros(7), 0.5)
 
 
 def test_hrs_unbounded_matches_bgs_distribution():
@@ -421,19 +421,19 @@ def test_hrs_unbounded_matches_bgs_distribution():
     # line and, in one dimension, a hit-and-run update is an exact draw
     # from the unconstrained conditional, so HRS and BGS must agree.
     inv = np.array([[0.5]])  # Omega11 = [[2]]
-    s12, c, tau12 = np.array([0.8]), 1.5 + 2.0 * 0.4, np.array([0.7])
+    s12, c, inv_tau12 = np.array([0.8]), 1.5 + 2.0 * 0.4, np.array([1 / 0.7])
     beta0 = np.array([0.3])
     omega22 = 1e12
-    L = c_factor(inv, c, tau12)
+    L = c_factor(inv, c, inv_tau12)
     n = 40_000
     h = RngStream(8)
     b = RngStream(9)
-    hrs_draws = np.array([hrs_update_beta(L, inv, s12, c, tau12, beta0, omega22,
+    hrs_draws = np.array([hrs_update_beta(L, inv, s12, c, inv_tau12, beta0, omega22,
                                           h.standard_normal(1), h.random())[0]
                           for _ in range(n)])
     bgs_draws = np.array([bgs_update_beta(L, s12, b.standard_normal(1))[0]
                           for _ in range(n)])
-    C = compute_c_matrix(inv, c, tau12)[0, 0]
+    C = compute_c_matrix(inv, c, inv_tau12)[0, 0]
     se_mean = math.sqrt(C / n)
     assert abs(hrs_draws.mean() - bgs_draws.mean()) < 4 * math.sqrt(2) * se_mean
     assert abs(hrs_draws.var(ddof=1) - bgs_draws.var(ddof=1)) < 4 * C * math.sqrt(2.0 / n) * math.sqrt(2)
@@ -632,7 +632,7 @@ def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
     # finiteness test on beta' Omega11^{-1} beta (bgs) or the hit-and-run
     # interval (hrs) must stop the column a NaN latent scale reaches, and
     # name the NaN.  In a chain's first sweep, call k of update_tau_column
-    # draws row k alone.
+    # draws column k's pairs j < k alone.
     st, rng = make_sim_state(p=8, n=30)
     original = sampler.update_tau_column
     calls = []
@@ -640,7 +640,7 @@ def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
     def poisoned(*args):
         tau = original(*args)
         if len(calls) == 5:
-            tau[0, 2] = math.nan
+            tau[2] = math.nan
         calls.append(None)
         return tau
 
@@ -648,6 +648,20 @@ def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
     with pytest.raises(RuntimeError,
                        match=r"column 5 \(0-based\) failed at stage beta: .*\bnan\b"):
         sweep(st, ChainConfig(kind), ViolationAudit(), rng)
+
+
+def test_a_failed_sweep_start_draw_names_its_stage(monkeypatch):
+    # From a chain's second sweep on the shrinkage draw belongs to no
+    # column, so its failure names the sweep start and the stage.
+    st, rng = make_sim_state(p=5)
+    sweep(st, ChainConfig(), ViolationAudit(), rng)
+
+    def fail(*args):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(sampler, "update_tau_column", fail)
+    with pytest.raises(RuntimeError, match="the sweep start failed at stage shrinkage: overflow"):
+        sweep(st, ChainConfig(), ViolationAudit(), rng)
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -679,25 +693,20 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
     p = 20
     st, rng = make_sim_state(design="circle", p=p, n=30)
     full = []
-    old_diagonal = []
-    original_partition = sampler.make_partition
-    original = sampler.update_gamma
+    original = sampler.bgs_update_beta
 
-    def partitioned(sigma, i):
-        old_diagonal.append(st.omega.item(i, i))
-        return original_partition(sigma, i)
-
-    def audited(c, g):
-        # omega now holds the new off-diagonal column; with the old diagonal
-        # entry put back it is the matrix the audit tests.
+    def audited(*args):
+        # omega with the new off-diagonal column written in and its old
+        # diagonal entry kept is the matrix the audit tests.
+        beta = original(*args)
         i = len(full) % p
         tested = st.omega.copy()
-        tested[i, i] = old_diagonal[-1]
+        tested[i] = tested[:, i] = beta
+        tested[i, i] = st.omega.item(i, i)
         full.append(pd_check(tested) is None)
-        return original(c, g)
+        return beta
 
-    monkeypatch.setattr(sampler, "make_partition", partitioned)
-    monkeypatch.setattr(sampler, "update_gamma", audited)
+    monkeypatch.setattr(sampler, "bgs_update_beta", audited)
     audit = ViolationAudit()
     for _ in range(40):
         sweep(st, ChainConfig("bgs"), audit, rng)
@@ -717,7 +726,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # Every helper the benchmark traces is counted through the module
     # attribute it replaces, so a sweep that bound one locally would show
     # zero calls here, as it would zero its traced time.
-    p = 20  # blocks of 16 and 4 columns after the first sweep
+    p = 20  # more than 16, so shrinkage drawn in 16-column blocks would show
     st, rng = make_sim_state(p=p, n=30)
     beta = f"{kind}_update_beta"
     names = ("pd_check", "_dpotrf", "invert_from_factor", "make_partition",
@@ -740,15 +749,15 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
         before = dict(calls)
         sweep(st, ChainConfig(kind), ViolationAudit(), rng)
         per_sweep.append({name: calls[name] - before[name] for name in calls})
-    # Every sweep draws beta for all p columns; a chain's first sweep has
-    # blocks of one column.
-    blocks = -(-p // SHRINKAGE_BLOCK)
+    # Every sweep draws beta for all p columns and scales its p gamma draws
+    # in one call.  The shrinkage budget: a chain's first sweep draws
+    # column i's pairs as the column begins, p calls each, and every later
+    # sweep draws them all as it begins, one call each.
     expect = [{"pd_check": 1, "_dpotrf": p, "invert_from_factor": 1,
-               "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": p,
-               "update_lambda_column": b, "update_tau_column": b,
+               "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": 1,
+               "update_lambda_column": draws, "update_tau_column": draws,
                "_dsyr": 2 * p, "_dscal": p if kind == "bgs" else 3 * p}
-              for b in (p, blocks, blocks)]
-    assert blocks == 2
+              for draws in (p, 1, 1)]
     assert per_sweep == expect
 
 
@@ -779,12 +788,21 @@ def test_positional_call_signatures_are_pinned(name):
 # ---------------------------------------------------------------- reference kernel
 
 def draw_bank(gen, p, n, r):
-    """The per-sweep random bank, in the documented order and shapes."""
+    """The per-sweep random bank, in the documented order and shapes:
+    banks 3-5 hold one entry per pair {j, k}, j <= k, at pair_position."""
+    d = p * (p + 1) // 2
     return (gen.standard_normal((p, p)),
             gen.standard_gamma(n / 2.0 + 1.0, p),
-            gen.standard_gamma(r + 1.0, (p, p)),
-            gen.standard_normal((p, p)),
-            gen.random((p, p)))
+            gen.standard_gamma(r + 1.0, d),
+            gen.standard_normal(d),
+            gen.random(d))
+
+
+def pair_position(p, j, k):
+    """Position of the pair {j, k} in the upper triangle of a p x p matrix,
+    diagonal included, read row by row."""
+    j, k = min(j, k), max(j, k)
+    return j * p - j * (j - 1) // 2 + k - j
 
 
 def shrinkage_row(g, nu, u, abs_omega, s):
@@ -800,32 +818,25 @@ def shrinkage_row(g, nu, u, abs_omega, s):
     return rates, tau
 
 
-def shrinkage_block(G_lambda, NU, U, omega, s, start, end):
-    """The shrinkage rows of columns start..end-1, each drawn by
-    shrinkage_row from its row of omega as it stands now, with each pair
-    inside the block given the draw of its first column: tau[a, start + b]
-    for b < a is the draw of row start + b."""
-    rows = [shrinkage_row(G_lambda[j], NU[j], U[j], np.abs(omega[j]), s)
-            for j in range(start, end)]
-    rates = np.array([r for r, _ in rows])
-    tau = np.array([t for _, t in rows])
-    for a in range(end - start):
-        for b in range(a):
-            tau[a, start + b] = tau[b, start + a]
-    return rates, tau
+def shrinkage_rows(G_lambda, NU, U, omega, s, i):
+    """Row i of the rates and of the latent scales, drawn by shrinkage_row
+    from row i of omega as it stands now and, in slot k, from the bank
+    entries of the pair {i, k}, so that the two rows of a pair read one
+    draw."""
+    m = [pair_position(len(omega), i, k) for k in range(len(omega))]
+    return shrinkage_row(G_lambda[m], NU[m], U[m], np.abs(omega[i]), s)
 
 
 def reference_sweep(st, config, rng, first_sweep):
     """The masked column kernel written plainly: the bank drawn up front,
-    the shrinkage rows of each block of SHRINKAGE_BLOCK columns drawn from
-    their rows of omega as the block begins, each pair inside a block
-    reading one draw (blocks of one column, unit entries beyond slot i and
-    a unit lambda22 in the first sweep), Sigma kept full and symmetric
-    after every column, BLAS dsyr and dsymv on its upper triangle (numpy
-    indexing) for the rank-1 updates and the products, row and column i
-    zeroed by hand, the whitened hrs step with bank 5's entry (i, i) as its
-    uniform, gamma draws scaled by 1/rate, and the closed-form
-    Michael-Schucany-Haas draw inline.
+    every shrinkage row drawn from omega as the sweep begins, a pair reading
+    one draw from either of its rows (in the first sweep column i's row
+    drawn as the column begins, unit entries from slot i on and a unit
+    lambda22), Sigma kept full and symmetric after every column, BLAS dsyr
+    and dsymv on its upper triangle (numpy indexing) for the rank-1 updates
+    and the products, row and column i zeroed by hand, the whitened hrs
+    step with bank 5's diagonal entry of i as its uniform, gamma draws
+    scaled by 1/rate, and the closed-form Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -846,19 +857,20 @@ def reference_sweep(st, config, rng, first_sweep):
     Z, G_gamma, G_lambda, NU, U = draw_bank(rng, p, st.n, config.r)
     np.fill_diagonal(Z, 0.0)
     violations = 0
-    block = 1 if first_sweep else sampler.SHRINKAGE_BLOCK
+    if not first_sweep:
+        drawn = [shrinkage_rows(G_lambda, NU, U, omega, config.s, i) for i in range(p)]
     for i in range(p):
-        if i % block == 0:
-            start = i
-            rates, tau = shrinkage_block(G_lambda, NU, U, omega, config.s, i, min(i + block, p))
-        tau12 = tau[i - start].copy()
-        lambda22 = rates[i - start, i]
         if first_sweep:
+            rates, tau12 = shrinkage_rows(G_lambda, NU, U, omega, config.s, i)
             tau12[i + 1:] = 1.0
             lambda22 = 1.0
+        else:
+            rates, tau12 = drawn[i]
+            lambda22 = rates[i]
         # sweep leaves its tau_ii draw in slot i; bit for bit equality with
         # this unit slot checks that slot i is decoupled.
         tau12[i] = 1.0
+        inv_tau12 = 1.0 / tau12
 
         o11 = syr(-1.0 / sigma[i, i], sigma[:, i].copy(), sigma)
         o11[i, :] = 0.0
@@ -869,7 +881,7 @@ def reference_sweep(st, config, rng, first_sweep):
         beta[i] = 0.0
         omega22_old = omega[i, i]
         cinv = (s22 + 2.0 * lambda22) * o11
-        cinv.flat[:: p + 1] += 1.0 / tau12
+        cinv.flat[:: p + 1] += inv_tau12
         L, info = lapack.dpotrf(cinv, lower=1, clean=1)
         assert info == 0
         if config.kind == "bgs":
@@ -884,12 +896,14 @@ def reference_sweep(st, config, rng, first_sweep):
             d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
             v = symv(o11, d)
             a, b = float(d @ v), float(beta @ v)
-            mu = -(float(s12 @ d) + (s22 + 2.0 * lambda22) * b + float((beta / tau12) @ d))
+            mu = -(float(s12 @ d) + (s22 + 2.0 * lambda22) * b + float((beta * inv_tau12) @ d))
             disc = math.sqrt(b * b + a * gam_old)
             q = abs(b) + disc
             lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
-            # The step's uniform is U[i, i], whose tau_ii draw moves no bit.
-            beta = beta + sample_truncated_normal(mu, lo, hi, U[i, i]) * d
+            # The step's uniform is bank 5's entry of the pair {i, i},
+            # whose tau_ii draw moves no bit.
+            u = U[pair_position(p, i, i)]
+            beta = beta + sample_truncated_normal(mu, lo, hi, u) * d
         assert beta[i] == 0.0
         omega[i, :] = omega[:, i] = beta
         v = symv(o11, beta)
@@ -960,20 +974,18 @@ def test_sweep_matches_reference_kernel_bitwise(design, p, n, kind):
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
-    # From a chain's second sweep on, the columns of block [t, e) draw their
-    # tau12 and lambda22 rows at once as column t begins, from rows t..e-1 of
-    # omega as they stand then and from bank rows 3-5; at p = 20 the blocks
-    # are 16 and 4 columns.  A pair of columns inside a block reads one
-    # draw, the one from its first column's row, and slot i of tau12 reads
-    # the row's own tau_ii draw.  A chain's first sweep has blocks of one
-    # column, and tau12 from slot i on and lambda22, not yet drawn in Wang's
-    # order, read their initial 1; the entries before slot i are drawn from
-    # omega[i, :i], which columns 0..i-1 have already drawn, so none of them
-    # is the identity's zero.  The C^{-1} factor receives tau12 and
-    # c = s22 + 2 lambda22, through which lambda22 is seen; s12 must be row
-    # i of S with slot i zeroed, and hrs's old column beta row i of omega
-    # with slot i zeroed.
+def test_partition_gets_shrinkage_drawn_as_the_sweep_begins(kind, monkeypatch):
+    # From a chain's second sweep on, every column reads the tau12 and
+    # lambda22 drawn once as the sweep begins, from omega as it stood then
+    # and from the bank entries of each pair.  The two columns of a pair
+    # read one draw, bit for bit, and slot i of tau12 reads the row's own
+    # tau_ii draw.  A chain's first sweep draws column i's pairs j < i as the
+    # column begins, from omega[i, :i], which columns 0..i-1 have already
+    # drawn, so none of them is the identity's zero; tau12 from slot i on
+    # and lambda22, not yet drawn in Wang's order, read their initial 1.  The
+    # C^{-1} factor receives 1/tau12 and c = s22 + 2 lambda22, through which
+    # lambda22 is seen; s12 must be row i of S with slot i zeroed, and hrs's
+    # old column beta row i of omega with slot i zeroed.
     p, n = 20, 30
     st, _ = make_sim_state(design="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
@@ -982,15 +994,15 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
     beta_name = f"{kind}_update_beta"
     original_beta = getattr(sampler, beta_name)
 
-    def hooked(omega11_inv, c, tau12, work, diag):
+    def hooked(omega11_inv, c, inv_tau12, work, diag):
         # Called once per column, in column order, before any of column i's
         # writes to omega.
-        seen.append((len(seen), st.omega.copy(), tau12.copy(), c))
-        return original(omega11_inv, c, tau12, work, diag)
+        seen.append((len(seen), st.omega.copy(), inv_tau12.copy(), c))
+        return original(omega11_inv, c, inv_tau12, work, diag)
 
     def beta_hooked(*args):
         # s12 follows L, and for hrs omega11_inv too; hrs's beta follows
-        # s12, c and tau12
+        # s12, c and inv_tau12
         s12s.append(args[1 if kind == "bgs" else 2].copy())
         if kind == "hrs":
             betas.append(args[5].copy())
@@ -1008,25 +1020,21 @@ def test_partition_gets_shrinkage_drawn_as_its_block_begins(kind, monkeypatch):
         if kind == "hrs":
             np.testing.assert_array_equal(betas, [off_diagonal(omega)[i]
                                                   for i, omega, *_ in seen])
-        block = 1 if k == 0 else sampler.SHRINKAGE_BLOCK
-        for i, _, tau12, c in seen:
+        for i, omega, inv_tau12, c in seen:
             s22 = st.scatter.item(i, i)
-            start = i - i % block
-            end = min(start + block, p)
-            block_omega = seen[start][1]
-            rates, tau = shrinkage_row(G_lambda[i], NU[i], U[i], np.abs(block_omega[i]),
-                                       ChainConfig.s)
+            # Column 0 begins with omega as the sweep began.
+            drawn_from = omega if k == 0 else seen[0][1]
+            rates, tau = shrinkage_rows(G_lambda, NU, U, drawn_from, ChainConfig.s, i)
             if k == 0:
-                assert np.all(block_omega[i, :i] != 0.0), i
-                np.testing.assert_array_equal(tau12[:i], tau[:i])
-                assert np.all(tau12[i:] == 1.0) and c == s22 + 2.0
+                assert np.all(drawn_from[i, :i] != 0.0), i
+                np.testing.assert_array_equal(inv_tau12[:i], 1.0 / tau[:i])
+                assert np.all(inv_tau12[i:] == 1.0) and c == s22 + 2.0
                 continue
             assert c == s22 + 2.0 * rates[i]
-            np.testing.assert_array_equal(tau12[:start], tau[:start])
-            np.testing.assert_array_equal(tau12[end:], tau[end:])
-            for j in range(i, end):
-                assert tau12[j] == tau[j]
-                assert seen[j][2][i] == tau12[j], (i, j)
+            np.testing.assert_array_equal(inv_tau12, 1.0 / tau)
+        if k > 0:
+            read = np.array([inv_tau12 for _, _, inv_tau12, _ in seen])
+            np.testing.assert_array_equal(read, read.T)
     assert rng.random() == twin.random()
 
 
@@ -1209,8 +1217,9 @@ def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind,
             return out
         monkeypatch.setattr(sampler, name, hooked)
 
-    hook("update_lambda_column", np.max)
-    hook("update_tau_column", np.min)
+    # A chain's first column draws no pair, an empty array.
+    hook("update_lambda_column", lambda out: np.max(out, initial=0.0))
+    hook("update_tau_column", lambda out: np.min(out, initial=np.inf))
     model = true_model("star", 60)
     rng = RngStream(50)
     Y = simulate_data(model, 5, rng)
