@@ -233,9 +233,7 @@ SAMPLER_KINDS = ("bgs", "hrs")
 # unit tau beyond slot i without a draw (see the module docstring), but
 # entries below the floor are reachable: at the default s = 1e-6 about 1e-5
 # of the posterior of a weakly correlated p = 2 model lies below it (the D2
-# model of tests/test_posterior.py puts 8.6e-6 there).  At the default s = 1e-6 about
-# 1e-5 of the posterior of a weakly correlated p = 2 model lies below the
-# floor (the D2 model of tests/test_posterior.py puts 8.6e-6 there).
+# model of tests/test_posterior.py puts 8.6e-6 there).
 EPS_OMEGA = 1e-10
 
 # Smallest s a chain accepts.  A rate is at most g/s and the floored
@@ -473,8 +471,8 @@ def hit_and_run_interval(a, b, gamma):
 def hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, beta, omega22, z, u):
     """Hit-and-run draw of the off-diagonal column inside the PD region.
 
-    L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`
-    c = s22 + 2 lambda22 and inv_tau12 = 1/tau12.  z is a vector of
+    L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`,
+    with c = s22 + 2 lambda22 and inv_tau12 = 1/tau12.  z is a vector of
     standard normals, zero in a decoupled slot as for
     :func:`bgs_update_beta`, and u a uniform on [0, 1), which the exact
     inverse CDF turns into the step; :func:`sweep` passes bank 5's entry at
@@ -733,11 +731,14 @@ def settle_scale(state, r, s):
     not of eta: in a, g' is convex and decreasing, so from below the root
     Newton climbs to it without overshooting, and it is close to linear
     wherever the trace term dominates, which takes a chain's state to the
-    root in two or three steps.  From above the root a step that would
-    leave a <= 0 instead moves eta down by 1, then 2, 4 and so on.  The
-    last points with g' > 0 and g' <= 0 bracket the root, and a step that
-    rounding takes out of the bracket bisects it.  Newton stops once its
-    step in eta is at most ``SCALE_NEWTON_TOL``, and applies that step.
+    root in two or three steps.  From above the root a step lands below
+    it, unless it would leave a <= 0, which needs (r + 1) sum q^2 >=
+    np/2 + d and so happens only where np < 2rd.  Newton then restarts
+    once, from a point below the root in closed form: every
+    q <= a |omega_ij| / s, so g' > 0 at
+    a = (np/2 + d) s / (s T/2 + (r + 1) sum |omega_ij|), a form that
+    cannot overflow at s = ``S_FLOOR``.  Newton stops once its step in eta
+    is at most ``SCALE_NEWTON_TOL``, and applies that step.
     The step draws no random number, and a omega is positive definite
     whenever omega is.
 
@@ -761,7 +762,7 @@ def settle_scale(state, r, s):
     q = np.empty_like(w)
     top = state.n * p / 2.0 + w.size
     r1 = r + 1.0
-    eta, lo, hi, reach = 0.0, -math.inf, math.inf, 1.0
+    eta = 0.0
     for _ in range(SCALE_NEWTON_CAP):
         a = math.exp(eta)
         np.multiply(w, a, out=x)
@@ -771,18 +772,12 @@ def settle_scale(state, r, s):
         grad = top - half_t - r1 * sum_q
         step = grad / (half_t + r1 * (sum_q - _ddot(q, q)))
         if step <= -1.0:
-            hi = eta
-            eta -= reach
-            reach *= 2.0
+            eta = math.log(top * s / (s * trace / 2.0 + r1 * w.sum().item()))
             continue
         step = math.log1p(step)
         if abs(step) <= SCALE_NEWTON_TOL:
             break
-        if grad > 0.0:
-            lo = eta
-        else:
-            hi = eta
-        eta = eta + step if lo < eta + step < hi else (lo + hi) / 2.0
+        eta += step
     else:
         raise ValueError(f"scale step did not converge in {SCALE_NEWTON_CAP} Newton steps: "
                          f"log a = {eta!r}, g' = {grad!r}")

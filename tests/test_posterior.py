@@ -368,7 +368,7 @@ def test_kernel_leaves_the_joint_law_invariant_g3(kind, g3_prior):
     config = ChainConfig(kind=kind, r=G3_R, s=G3_S)
     rng = RngStream(12)
     omega = prior_draws(1, rng)[0]
-    chain = np.empty((10_000, G3_P, G3_P))
+    chain = np.empty((30_000, G3_P, G3_P))
     for draw in chain:
         sigma = spd_inverse(omega)
         Y = rng.standard_normal((G3_N, G3_P)) @ np.linalg.cholesky(sigma).T

@@ -2,6 +2,7 @@ import math
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1081,7 +1082,8 @@ def swept_state(sweeps=3):
                                    (3.0, 1.0, 20.0), (1.0, 1e-3, 1.0)])
 def test_settle_scale_picks_the_mode_of_the_orbit_p3(r, s, c):
     # Brute force: log pi(a omega) + d log a on a grid of log a.  At r = 3,
-    # c = 20 Newton starts far above the mode, where its a would go <= 0.
+    # c = 20 Newton starts far above the mode, where its first step would
+    # leave a <= 0, so it restarts below the mode (pinned below).
     gen = np.random.default_rng(43)
     p, n = 3, 4
     S = scatter_matrix(gen.standard_normal((n, p)))
@@ -1098,6 +1100,76 @@ def test_settle_scale_picks_the_mode_of_the_orbit_p3(r, s, c):
     a = sampler.settle_scale(st, r, s)
     assert abs(math.log(a) - best) <= log_a[1] - log_a[0]
     assert np.array_equal(st.omega, a * omega)
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """The points settle_scale's Newton restarts from, in order: math.log
+    runs in it only there."""
+    seen = []
+
+    def log(x):
+        seen.append(x)
+        return math.log(x)
+
+    monkeypatch.setattr(sampler, "math", SimpleNamespace(**{**vars(math), "log": log}))
+    return seen
+
+
+def scale_gradient(a, omega, S, n, r, s):
+    """g' of settle_scale's docstring at a."""
+    p = omega.shape[0]
+    x = a * np.abs(omega[np.triu_indices(p)])
+    return n * p / 2.0 + x.size - a * np.vdot(S, omega) / 2.0 - (r + 1.0) * np.sum(x / (s + x))
+
+
+@pytest.mark.parametrize("n,r,s", [(1, 1.0, 1e-6), (2, 1.0, S_FLOOR), (5, 2.5, S_FLOOR),
+                                   (1, 10.0, 1.0), (2, 0.5, 1e-2)])
+def test_settle_scale_restarts_below_the_mode(n, r, s, restarts):
+    # With n p <= 2 r d, states far above their orbit's mode make Newton's
+    # first step leave a <= 0.  It restarts once, from a closed-form point
+    # where g' > 0, and still lands on the mode, brute-forced as in the p3 test.
+    p = 4
+    assert n * p <= 2.0 * r * p * (p + 1) / 2.0
+    gen = np.random.default_rng(17)
+    log_a = np.linspace(-700.0, 20.0, 72_001)
+    rows, cols = np.triu_indices(p)
+    for _ in range(4):
+        S = scatter_matrix(gen.standard_normal((n, p)))
+        omega = math.exp(gen.uniform(2.0, 6.0)) * random_spd(p, gen)
+        scaled = np.exp(log_a)[:, None, None] * omega
+        log_post = (n / 2.0 * np.linalg.slogdet(scaled)[1]
+                    - np.einsum("ij,kij->k", S, scaled) / 2.0
+                    - (r + 1.0) * np.log(s + np.abs(scaled[:, rows, cols])).sum(axis=1)
+                    + rows.size * log_a)
+        restarts.clear()
+        a = sampler.settle_scale(fresh_state(omega, S, n), r, s)
+        assert len(restarts) == 1
+        assert scale_gradient(restarts[0], omega, S, n, r, s) > 0.0
+        assert abs(math.log(a) - log_a[np.argmax(log_post)]) <= log_a[1] - log_a[0]
+
+
+def test_settle_scale_restarts_in_the_p3_case_far_above_the_mode(restarts):
+    # The r = 3, c = 20 case of test_settle_scale_picks_the_mode_of_the_orbit_p3.
+    gen = np.random.default_rng(43)
+    S = scatter_matrix(gen.standard_normal((4, 3)))
+    omega = 20.0 * random_spd(3, gen)
+    sampler.settle_scale(fresh_state(omega, S, 4), 3.0, 1.0)
+    assert len(restarts) == 1
+
+
+@pytest.mark.parametrize("s", [S_FLOOR, 1e-6, 1.0])
+def test_settle_scale_never_restarts_where_np_exceeds_2rd(s, restarts):
+    # A step leaves a <= 0 only if (r + 1) sum q^2 >= np/2 + d, and
+    # sum q^2 < d, so only where n p < 2 r d.
+    p = 4
+    gen = np.random.default_rng(19)
+    for n, r in [(5, 1e-2), (2, 0.3), (1, 0.15), (50, 9.0)]:
+        assert n * p > 2.0 * r * p * (p + 1) / 2.0
+        for c in (math.exp(-8.0), 1.0, math.exp(8.0)):
+            S = scatter_matrix(gen.standard_normal((n, p)))
+            sampler.settle_scale(fresh_state(c * random_spd(p, gen), S, n), r, s)
+    assert restarts == []
 
 
 @pytest.mark.parametrize("c", [1e-3, 0.5, 7.0])
