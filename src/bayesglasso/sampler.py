@@ -198,12 +198,13 @@ only slowly: on the benchmark's standardized 50 x 100 ar2 fit (seed 1,
 chain seed 100), log det omega read 88.6 after sweep 1, 83.6 after sweep
 10 and 54.3 after sweep 50, around a stationary level near 50.  So
 :func:`run_chain` calls :func:`settle_scale` after each of a bgs chain's
-first min(burn_in, ``SCALE_WARMUP``) sweeps.  It moves omega along its
-orbit {a omega : a > 0} to the orbit's posterior mode, in O(p^2), which
-takes log det to 46.6 after sweep 1 on that chain.  The step draws no
-random number and :func:`sweep` does not run it, so the bank and the
-kernel are unchanged, and hrs never takes it: hrs stays the paper's kernel
-bit for bit.  It runs only inside burn-in because it is a deterministic
+first min(burn_in, ``SCALE_WARMUP``) sweeps.  Where np > 2rd, with d =
+p(p + 1)/2, it moves omega along its orbit {a omega : a > 0} to the
+orbit's posterior mode, in O(p^2), which takes log det to 46.6 after
+sweep 1 on that chain; elsewhere it moves nothing (see
+:func:`settle_scale` for why).  The step draws no random number and
+:func:`sweep` does not run it, so the bank and the kernel are unchanged,
+and hrs never takes it: hrs stays the paper's kernel bit for bit.  It runs only inside burn-in because it is a deterministic
 map, not a Markov kernel: every retained draw comes from the sweep's
 kernel alone.  It is capped because, run after every sweep, a move of
 the scale speeds up the drift of omega along null(S) where p > n: at
@@ -727,18 +728,21 @@ def settle_scale(state, r, s):
         g'  = np/2 + d - a T/2 - (r + 1) sum q,
         -g'' = a T/2 + (r + 1) sum q (1 - q),
 
-    each O(p^2).  Newton runs on g' as a function of a, a -> a (1 + g'/-g''),
-    not of eta: in a, g' is convex and decreasing, so from below the root
-    Newton climbs to it without overshooting, and it is close to linear
-    wherever the trace term dominates, which takes a chain's state to the
-    root in two or three steps.  From above the root a step lands below
-    it, unless it would leave a <= 0, which needs (r + 1) sum q^2 >=
-    np/2 + d and so happens only where np < 2rd.  Newton then restarts
-    once, from a point below the root in closed form: every
-    q <= a |omega_ij| / s, so g' > 0 at
-    a = (np/2 + d) s / (s T/2 + (r + 1) sum |omega_ij|), a form that
-    cannot overflow at s = ``S_FLOOR``.  Newton stops once its step in eta
-    is at most ``SCALE_NEWTON_TOL``, and applies that step.
+    each O(p^2).  Where np <= 2rd the step moves nothing and returns 1.0.
+    Where a |omega_ij| >> s, g(eta) ~ (np/2 - rd) eta - e^eta T/2 + const,
+    so for np <= 2rd the orbit's mode sits at a |omega_ij| ~ s, a scale
+    that s sets and the data do not: a p >= n chain at r = 1 would collapse
+    onto the prior's spike at zero, and at a small s its next sweep would
+    find omega no longer positive definite to ``PD_TOL``.
+
+    Elsewhere Newton starts at a = 1 and runs on g' as a function of a,
+    a -> a (1 + g'/-g''), not of eta: in a, g' is convex and decreasing, so
+    from below the root Newton climbs to it without overshooting, and it is
+    close to linear wherever the trace term dominates, which takes a
+    chain's state to the root in two or three steps.  From above the root
+    a step lands below it and never leaves a <= 0: that needs (r + 1)
+    sum q^2 >= np/2 + d, and sum q^2 < d, so np < 2rd.  Newton stops once
+    its step in eta is at most ``SCALE_NEWTON_TOL``, and applies that step.
     The step draws no random number, and a omega is positive definite
     whenever omega is.
 
@@ -758,6 +762,8 @@ def settle_scale(state, r, s):
                              f"at ({i}, {j})")
         raise ValueError(f"scale step needs a finite tr(S Omega), got {trace!r}")
     w = np.abs(omega.take(upper_index(p)))
+    if state.n * p <= 2.0 * r * w.size:
+        return 1.0
     x = np.empty_like(w)
     q = np.empty_like(w)
     top = state.n * p / 2.0 + w.size
@@ -770,11 +776,7 @@ def settle_scale(state, r, s):
         sum_q = q.sum().item()
         half_t = a * trace / 2.0
         grad = top - half_t - r1 * sum_q
-        step = grad / (half_t + r1 * (sum_q - _ddot(q, q)))
-        if step <= -1.0:
-            eta = math.log(top * s / (s * trace / 2.0 + r1 * w.sum().item()))
-            continue
-        step = math.log1p(step)
+        step = math.log1p(grad / (half_t + r1 * (sum_q - _ddot(q, q))))
         if abs(step) <= SCALE_NEWTON_TOL:
             break
         eta += step
@@ -801,8 +803,9 @@ def run_chain(data_scatter, n, config, rng):
     inside burn-in, and every retained draw comes from the sweep's kernel
     alone; it is capped, because run every sweep it would drive the chain
     along the directions no likelihood term sees wherever p > n (see the
-    module docstring).  A step that fails raises RuntimeError naming the
-    sweep (0-based) and the stage, as :func:`sweep` names a column's.
+    module docstring).  A sweep or a step that fails raises RuntimeError
+    naming the sweep (0-based), and for a step its stage, scale, as
+    :func:`sweep` names a column's.
     """
     state = initial_state(data_scatter, n)
     audit = ViolationAudit()
@@ -818,12 +821,14 @@ def run_chain(data_scatter, n, config, rng):
 
     t0 = time.perf_counter()
     for k in range(total):
-        sweep(state, config, audit, rng)
-        if k < warmup:
-            try:
+        where = f"sweep {k} (0-based)"
+        try:
+            sweep(state, config, audit, rng)
+            if k < warmup:
+                where += " failed at stage scale"
                 settle_scale(state, r, s)
-            except Exception as exc:
-                raise RuntimeError(f"sweep {k} (0-based) failed at stage scale: {exc}") from exc
+        except Exception as exc:
+            raise RuntimeError(f"{where}: {exc}") from exc
         if k >= config.burn_in:
             mean_acc += state.omega
             if draws is not None:

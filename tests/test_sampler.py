@@ -2,7 +2,6 @@ import math
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, localcontext
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -727,7 +726,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # Every helper the benchmark traces is counted through the module
     # attribute it replaces, so a sweep that bound one locally would show
     # zero calls here, as it would zero its traced time.
-    p = 20  # more than 16, so shrinkage drawn in 16-column blocks would show
+    p = 20
     st, rng = make_sim_state(p=p, n=30)
     beta = f"{kind}_update_beta"
     names = ("pd_check", "_dpotrf", "invert_from_factor", "make_partition",
@@ -1078,98 +1077,58 @@ def swept_state(sweeps=3):
     return fresh_state(st.omega, st.scatter, st.n)
 
 
-@pytest.mark.parametrize("r,s,c", [(1e-2, 1e-6, 1.0), (1e-2, 1e-6, 40.0), (3.0, 1.0, 0.05),
-                                   (3.0, 1.0, 20.0), (1.0, 1e-3, 1.0)])
+def assert_settles_at_the_mode(omega, S, n, r, s):
+    """settle_scale lands within one grid step of the brute-force mode,
+    the argmax of log pi(a omega) + d log a on a grid of log a, and scales
+    omega by its a."""
+    p = omega.shape[0]
+    rows, cols = np.triu_indices(p)
+    log_a = np.linspace(-40.0, 40.0, 400_001)
+    a = np.exp(log_a)
+    log_post = (n / 2.0 * (p * log_a + np.linalg.slogdet(omega)[1]) - a * np.vdot(S, omega) / 2.0
+                - (r + 1.0) * np.log(s + a[:, None] * np.abs(omega[rows, cols])).sum(axis=1)
+                + rows.size * log_a)
+    best = log_a[np.argmax(log_post)]
+    assert -39.0 < best < 39.0
+    st = fresh_state(omega, S, n)
+    settled = sampler.settle_scale(st, r, s)
+    assert abs(math.log(settled) - best) <= log_a[1] - log_a[0]
+    assert np.array_equal(st.omega, settled * omega)
+
+
+@pytest.mark.parametrize("r,s,c", [(1e-2, 1e-6, 1.0), (1e-2, 1e-6, 40.0)])
 def test_settle_scale_picks_the_mode_of_the_orbit_p3(r, s, c):
-    # Brute force: log pi(a omega) + d log a on a grid of log a.  At r = 3,
-    # c = 20 Newton starts far above the mode, where its first step would
-    # leave a <= 0, so it restarts below the mode (pinned below).
     gen = np.random.default_rng(43)
     p, n = 3, 4
     S = scatter_matrix(gen.standard_normal((n, p)))
-    omega = c * random_spd(p, gen)
-    log_a = np.linspace(-9.0, 9.0, 90_001)
-    scaled = np.exp(log_a)[:, None, None] * omega
-    rows, cols = np.triu_indices(p)
-    upper = np.abs(scaled[:, rows, cols])
-    log_post = (n / 2.0 * np.linalg.slogdet(scaled)[1] - np.einsum("ij,kij->k", S, scaled) / 2.0
-                - (r + 1.0) * np.log(s + upper).sum(axis=1) + p * (p + 1) / 2.0 * log_a)
-    best = log_a[np.argmax(log_post)]
-    assert -8.0 < best < 8.0
-    st = fresh_state(omega, S, n)
-    a = sampler.settle_scale(st, r, s)
-    assert abs(math.log(a) - best) <= log_a[1] - log_a[0]
-    assert np.array_equal(st.omega, a * omega)
-
-
-@pytest.fixture
-def restarts(monkeypatch):
-    """The points settle_scale's Newton restarts from, in order: math.log
-    runs in it only there."""
-    seen = []
-
-    def log(x):
-        seen.append(x)
-        return math.log(x)
-
-    monkeypatch.setattr(sampler, "math", SimpleNamespace(**{**vars(math), "log": log}))
-    return seen
-
-
-def scale_gradient(a, omega, S, n, r, s):
-    """g' of settle_scale's docstring at a."""
-    p = omega.shape[0]
-    x = a * np.abs(omega[np.triu_indices(p)])
-    return n * p / 2.0 + x.size - a * np.vdot(S, omega) / 2.0 - (r + 1.0) * np.sum(x / (s + x))
-
-
-@pytest.mark.parametrize("n,r,s", [(1, 1.0, 1e-6), (2, 1.0, S_FLOOR), (5, 2.5, S_FLOOR),
-                                   (1, 10.0, 1.0), (2, 0.5, 1e-2)])
-def test_settle_scale_restarts_below_the_mode(n, r, s, restarts):
-    # With n p <= 2 r d, states far above their orbit's mode make Newton's
-    # first step leave a <= 0.  It restarts once, from a closed-form point
-    # where g' > 0, and still lands on the mode, brute-forced as in the p3 test.
-    p = 4
-    assert n * p <= 2.0 * r * p * (p + 1) / 2.0
-    gen = np.random.default_rng(17)
-    log_a = np.linspace(-700.0, 20.0, 72_001)
-    rows, cols = np.triu_indices(p)
-    for _ in range(4):
-        S = scatter_matrix(gen.standard_normal((n, p)))
-        omega = math.exp(gen.uniform(2.0, 6.0)) * random_spd(p, gen)
-        scaled = np.exp(log_a)[:, None, None] * omega
-        log_post = (n / 2.0 * np.linalg.slogdet(scaled)[1]
-                    - np.einsum("ij,kij->k", S, scaled) / 2.0
-                    - (r + 1.0) * np.log(s + np.abs(scaled[:, rows, cols])).sum(axis=1)
-                    + rows.size * log_a)
-        restarts.clear()
-        a = sampler.settle_scale(fresh_state(omega, S, n), r, s)
-        assert len(restarts) == 1
-        assert scale_gradient(restarts[0], omega, S, n, r, s) > 0.0
-        assert abs(math.log(a) - log_a[np.argmax(log_post)]) <= log_a[1] - log_a[0]
-
-
-def test_settle_scale_restarts_in_the_p3_case_far_above_the_mode(restarts):
-    # The r = 3, c = 20 case of test_settle_scale_picks_the_mode_of_the_orbit_p3.
-    gen = np.random.default_rng(43)
-    S = scatter_matrix(gen.standard_normal((4, 3)))
-    omega = 20.0 * random_spd(3, gen)
-    sampler.settle_scale(fresh_state(omega, S, 4), 3.0, 1.0)
-    assert len(restarts) == 1
+    assert_settles_at_the_mode(c * random_spd(p, gen), S, n, r, s)
 
 
 @pytest.mark.parametrize("s", [S_FLOOR, 1e-6, 1.0])
-def test_settle_scale_never_restarts_where_np_exceeds_2rd(s, restarts):
-    # A step leaves a <= 0 only if (r + 1) sum q^2 >= np/2 + d, and
-    # sum q^2 < d, so only where n p < 2 r d.
+def test_settle_scale_picks_the_mode_of_the_orbit_p4(s):
+    # Newton starts at a = 1, far below (c = e^-8) and far above (c = e^8)
+    # the mode, and never leaves a <= 0 where n p > 2 r d.
     p = 4
     gen = np.random.default_rng(19)
     for n, r in [(5, 1e-2), (2, 0.3), (1, 0.15), (50, 9.0)]:
         assert n * p > 2.0 * r * p * (p + 1) / 2.0
         for c in (math.exp(-8.0), 1.0, math.exp(8.0)):
             S = scatter_matrix(gen.standard_normal((n, p)))
-            sampler.settle_scale(fresh_state(c * random_spd(p, gen), S, n), r, s)
-    assert restarts == []
+            assert_settles_at_the_mode(c * random_spd(p, gen), S, n, r, s)
+
+
+@pytest.mark.parametrize("p,n,r,s,c", [(4, 1, 1.0, 1e-6, 50.0), (4, 2, 1.0, S_FLOOR, 50.0),
+                                       (4, 5, 2.5, S_FLOOR, 50.0), (4, 1, 10.0, 1.0, 50.0),
+                                       (4, 2, 0.5, 1e-2, 50.0), (3, 4, 3.0, 1.0, 0.05),
+                                       (3, 4, 3.0, 1.0, 20.0), (3, 4, 1.0, 1e-3, 1.0)])
+def test_settle_scale_moves_nothing_where_np_is_at_most_2rd(p, n, r, s, c):
+    # There the orbit's mode sits where s, not the data, puts it.
+    assert n * p <= 2.0 * r * p * (p + 1) / 2.0
+    gen = np.random.default_rng(43)
+    st = fresh_state(c * random_spd(p, gen), scatter_matrix(gen.standard_normal((n, p))), n)
+    omega, sigma = st.omega.tobytes(), st.sigma.tobytes()
+    assert sampler.settle_scale(st, r, s) == 1.0
+    assert st.omega.tobytes() == omega and st.sigma.tobytes() == sigma
 
 
 @pytest.mark.parametrize("c", [1e-3, 0.5, 7.0])
@@ -1251,6 +1210,33 @@ def test_run_chain_names_the_sweep_of_a_failed_scale_step(monkeypatch):
     st, _ = make_sim_state(p=4)
     with pytest.raises(RuntimeError, match=r"sweep 0 \(0-based\) failed at stage scale: no mode"):
         run_chain(st.scatter, st.n, ChainConfig("bgs", burn_in=2, draws=1), RngStream(1))
+
+
+def test_run_chain_names_the_sweep_of_a_failed_sweep(monkeypatch):
+    original, calls = sampler.sweep, []
+
+    def fail_at_sweep_2(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("column 1 (0-based) failed at stage beta: nan")
+        return original(*args)
+
+    monkeypatch.setattr(sampler, "sweep", fail_at_sweep_2)
+    st, _ = make_sim_state(p=4)
+    with pytest.raises(RuntimeError, match=r"^sweep 2 \(0-based\): column 1 \(0-based\) failed "
+                                           r"at stage beta: nan$"):
+        run_chain(st.scatter, st.n, ChainConfig("bgs", burn_in=2, draws=2), RngStream(1))
+
+
+@pytest.mark.parametrize("s", [1e-100, S_FLOOR])
+def test_a_p_above_n_bgs_chain_at_r_1_keeps_omega_positive_definite(s):
+    # circle p = 10, n = 5 at r = 1 has n p = 50 <= 2 r d = 110, so the
+    # warm-up leaves the scale alone; settled, omega would fall to the
+    # scale of s, and the next sweep would find it not positive definite.
+    Y = simulate_data(true_model("circle", 10), 5, RngStream(4))
+    cfg = ChainConfig("bgs", burn_in=2, draws=3, r=1.0, s=s, store_draws=True)
+    out = run_chain(scatter_matrix(Y), 5, cfg, RngStream(1))
+    assert all(pd_check(omega) is not None for omega in out.draws)
 
 
 # ---------------------------------------------------------------- chains
