@@ -29,10 +29,10 @@ Each compiled module is registered under its real name, so
 bound here, whichever of scipy and this package is imported first.
 
 Every routine the package calls is bound here, once: ``dsyr``, ``dsymv``,
-``ddot``, ``dscal`` and ``dtrtrs`` of the column update, ``dpotrf`` of
-:func:`pd_check` and of the column update's factor, and ``dpotri`` of
-:func:`invert_from_factor`.  :mod:`bayesglasso.sampler` imports the six it
-calls as globals of its own.
+``ddot``, ``dscal``, ``daxpy`` and ``dtrtrs`` of the column update,
+``dpotrf`` of :func:`pd_check` and of the column update's factor, and
+``dpotri`` of :func:`invert_from_factor`.  :mod:`bayesglasso.sampler`
+imports the seven it calls as globals of its own.
 """
 
 import functools
@@ -96,6 +96,8 @@ _dsymv = blas.dsymv
 _ddot = blas.ddot
 # x = dscal(a,x,[n,offx,incx])
 _dscal = blas.dscal
+# z = daxpy(x,y,[n,a,offx,incx,offy,incy])
+_daxpy = blas.daxpy
 # x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])
 _dtrtrs = lapack.dtrtrs
 # c,info = dpotrf(a,[lower,clean,overwrite_a])

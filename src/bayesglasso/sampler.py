@@ -30,8 +30,9 @@ matrices, in natural order, with slot i decoupled.  Slot i is zero in
 Omega11^{-1}, s12, z and beta, so the inverse conditional covariance
 ``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)`` has a zero
 row and column i but for its (i, i) entry 1/tau12[i], and the beta draw
-comes out exactly 0 in slot i whatever tau12[i] is.  Omega and Sigma are
-then updated in place with one row write and one column write each.
+comes out exactly 0 in slot i whatever tau12[i] is.  Omega is then
+updated in place with one row write and one column write, and Sigma with
+one rank-1 update (below).
 
 The shrinkage variables are not chain state: a sweep draws them all once,
 as it begins.  Given everything else, the rates lambda_jk and the latent
@@ -56,7 +57,7 @@ reads them.
 tau has no diagonal, but from a chain's second sweep on slot i of 1/tau12
 holds the 1/tau_ii that the sweep's draw makes from |omega_ii| all the
 same.  It is harmless: it sits only on C^{-1}'s decoupled (i, i) pivot,
-and beta_i and hrs's direction d_i come out 0 whatever it is, with no
+and bgs's beta_i and hrs's direction d_i come out 0 whatever it is, with no
 other entry of the factor, the solves or the step moved by one bit.  It
 need only be finite and positive, so that the pivot is, and it is drawn by
 the same formula as every tau_jk, so the bound that ``S_FLOOR`` gives every
@@ -66,11 +67,15 @@ normal float, so 1/tau_ii is finite.
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
 so each sweep makes one copy of it with a zero diagonal, and s12 is a row
-view of that copy.  Only hrs reads the old column: it copies row i of
-omega as beta, slot i set to zero, because omega keeps its diagonal; bgs
-copies no row of omega.  The sweep reads omega22 before the column's
-writes, and ``c = s22 + 2 lambda22``, computed once per sweep for every
-column, serves the C^{-1} factor, the hrs step and the gamma rate.
+view of that copy.  Only hrs reads the old column: it reads row i of omega
+in place as beta, omega_ii in slot i, and its step writes the new column
+there, as bgs's row write does.  Slot i moves no bit: every product that
+reads it multiplies omega_ii, or omega_ii / tau_ii, by a zero, a +0 of
+Omega11^{-1}'s row and column i or the zero slot i of hrs's direction, so
+it stays omega_ii until the diagonal write.  bgs copies no row of omega.
+The sweep reads omega22 before the column's writes, and ``c = s22 + 2
+lambda22``, computed once per sweep for every column, serves the C^{-1}
+factor, the hrs step and the gamma rate.
 Besides the bank and the sweep's shrinkage arrays, a sweep allocates one
 p x p workspace and its diagonal view, in which every column forms and
 factors C^{-1}, once for either sampler.
@@ -90,8 +95,10 @@ and asserts the column-boundary invariant; then, per column,
 * the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
   on the matrix holding the new beta and the old w22;
 * after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
-  ``Omega11^{-1} + v v' / gamma`` in place, with row and column i set to
-  ``-v / gamma`` and ``sigma_ii = 1 / gamma``.
+  ``Omega11^{-1} + (v - e_i)(v - e_i)' / gamma`` in place, one ``dsyr`` on
+  v with slot i set to -1.  Row and column i of Omega11^{-1} are +0, so
+  it writes them as ``-v / gamma`` and ``sigma_ii = 1 / gamma`` exactly,
+  and the other entries as ``Omega11^{-1} + v v' / gamma``.
 
 All three cost O(p^2), so the one O(p^3) step of a column is the Cholesky
 factorisation of C^{-1} that the beta draw needs.  C^{-1} is formed in one
@@ -115,18 +122,18 @@ than numpy's ``@`` at these sizes; the bitwise reference test, which uses
 kernel and on forced Haswell and Sandybridge kernels.
 
 Every BLAS and LAPACK routine of the column update (``dsyr``, ``dsymv``,
-``ddot``, ``dscal``, ``dtrtrs`` and ``dpotrf``) is bound once, in
-:mod:`bayesglasso.matrixcore` (see its module docstring), and this module
-imports each as a global of its own, so a call is one global lookup.  Each
-is called with positional arguments only: f2py parses keyword arguments
-much more slowly.  At p = 30 on a 2-vCPU x86-64 guest, the best of 25
-timings per call went from 1.3 to 0.6 us for ``dsyr``, 1.3 to 0.7 for
-``dsymv`` and 1.6 to 1.4 for ``dtrtrs``, and a column makes six such
-calls.  The comment above each binding quotes the f2py signature its
-positional calls follow, and a test pins that line, so a scipy that
-reordered the optional arguments fails the suite instead of binding a flag
-to the wrong parameter.  The bitwise reference test keeps keyword calls,
-so it checks the positional ones too.
+``ddot``, ``dscal``, ``daxpy``, ``dtrtrs`` and ``dpotrf``) is bound once,
+in :mod:`bayesglasso.matrixcore` (see its module docstring), and this
+module imports each as a global of its own, so a call is one global
+lookup.  Each is called with positional arguments only: f2py parses
+keyword arguments much more slowly.  At p = 30 on a 2-vCPU x86-64 guest,
+the best of 25 timings per call went from 1.3 to 0.6 us for ``dsyr``, 1.3
+to 0.7 for ``dsymv`` and 1.6 to 1.4 for ``dtrtrs``, and a column makes 7
+(bgs) or 16 (hrs) such calls.  The comment above each binding quotes the
+f2py signature its positional calls follow, and a test pins that line, so
+a scipy that reordered the optional arguments fails the suite instead of
+binding a flag to the wrong parameter.  The bitwise reference test keeps
+keyword calls, so it checks the positional ones too.
 
 hrs's truncated-normal step needs ``scipy.special``, which
 :mod:`bayesglasso.distributions` imports on first need.  :func:`run_chain`
@@ -134,13 +141,16 @@ loads it for an hrs chain before it starts its timer, so the first hrs
 chain's ``elapsed_seconds`` does not hold the import; a bgs chain never
 loads it.
 
-Every vector scaled by a scalar is scaled with BLAS ``dscal``: -v / gamma
-in :func:`sweep`, and the direction and the step in
-:func:`hrs_update_beta`.  On the same guest, numpy's array-times-float
-costs 0.7-1.4 us per call and f2py's ``dscal`` 0.14-0.25 us, and both make
-the same one IEEE multiply per entry, so the bits do not change.
-``dscal`` scales in place only a contiguous float64 array and returns a
-scaled copy of any other, so its return value is always the one used.
+hrs's direction is scaled to unit length with BLAS ``dscal``, and the two
+vectors its step moves, the column and Omega11^{-1} times it, with
+``daxpy``.  On the same guest, numpy's array-times-float costs 0.7-1.4 us
+per call and f2py's ``dscal`` 0.14-0.25 us, and both make the same one
+IEEE multiply per entry, so the bits do not change; ``daxpy`` rounds as
+the core's kernel does, fused on some cores, so the bitwise reference test
+calls it too.  Both update in place only a contiguous float64 array and
+return an updated copy of any other, so the value used is always the one
+returned, and the step raises unless the ``daxpy`` on omega's row returned
+that row.
 
 A NaN in C^{-1} is caught once per column, on the column's result, not in
 the factor.  ``dpotrf`` returns success on input holding a NaN, but it
@@ -204,15 +214,15 @@ orbit's posterior mode, in O(p^2), which takes log det to 46.6 after
 sweep 1 on that chain; elsewhere it moves nothing (see
 :func:`settle_scale` for why).  The step draws no random number and
 :func:`sweep` does not run it, so the bank and the kernel are unchanged,
-and hrs never takes it: hrs stays the paper's kernel bit for bit.  It runs only inside burn-in because it is a deterministic
-map, not a Markov kernel: every retained draw comes from the sweep's
-kernel alone.  It is capped because, run after every sweep, a move of
-the scale speeds up the drift of omega along null(S) where p > n: at
-circle p = 60, n = 10, log det omega after 4000 sweeps read 285.0 with
-every burn-in sweep settled against 122.8 for plain bgs, and the carried
-Sigma drift grew from 4.2e-9 to 5.3e-7.  With the cap it read 137.6,
-and over chain seeds 1-8 capped chains read 84.2-137.9, inside the
-88.7-153.0 that plain bgs reads.
+and hrs never takes it, so the warm-up leaves hrs untouched.  It runs
+only inside burn-in because it is a deterministic map, not a Markov
+kernel: every retained draw comes from the sweep's kernel alone.  It is
+capped because, run after every sweep, a move of the scale speeds up the
+drift of omega along null(S) where p > n: at circle p = 60, n = 10, log
+det omega after 4000 sweeps read 285.0 with every burn-in sweep settled
+against 122.8 for plain bgs, and the carried Sigma drift grew from 4.2e-9
+to 5.3e-7.  With the cap it read 137.6, and over chain seeds 1-8 capped
+chains read 84.2-137.9, inside the 88.7-153.0 that plain bgs reads.
 """
 
 import math
@@ -222,9 +232,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import normal_tail_ufuncs, sample_truncated_normal
-from .matrixcore import (PD_TOL, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs, check_integer,
-                         check_positive, check_symmetric, invert_from_factor, pair_index,
-                         pd_check, strict_lower, upper_index)
+from .matrixcore import (PD_TOL, _daxpy, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs,
+                         check_integer, check_positive, check_symmetric, invert_from_factor,
+                         pair_index, pd_check, strict_lower, upper_index)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -490,9 +500,18 @@ def hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, beta, omega22, z, u):
     truncated to the feasibility interval, which needs b anyway.
     Whitening matters: the latent scales tau span many orders of
     magnitude, and an isotropic direction in beta would make every step
-    as small as the most-shrunk coordinate allows.  The returned column
-    always satisfies the Schur condition.  beta is only read; the column
-    returned is a new array.
+    as small as the most-shrunk coordinate allows.
+
+    beta is the old column as :func:`sweep` hands it, row i of omega read
+    in place with omega_ii in slot i, which moves no bit (see the module
+    docstring).  The step writes the new column beta + kappa d into it,
+    which leaves slot i as it was, and returns (beta, v), v = Omega11^{-1}
+    times the new column; the column always satisfies the Schur condition.
+    Omega11^{-1} is applied twice, to beta and to d: w = Omega11^{-1} beta
+    gives both gamma = omega22 - beta'w and b = d'w, and v = w + kappa
+    Omega11^{-1} d.  The column and v are each one ``daxpy``, and beta must
+    be a contiguous float64 array, as a row of a C-ordered omega is, or
+    ValueError is raised.
 
     The step holds omega22 fixed but moves along N(-C s12, C), which is
     beta's law given gamma = omega22 - beta' Omega11^{-1} beta, not given
@@ -505,14 +524,15 @@ def hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, beta, omega22, z, u):
     # Omega11^{-1} products read its upper triangle, the lower one of its
     # transpose as BLAS sees it.
     o11_t = omega11_inv.T
+    w = _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1)
     v = _dsymv(1.0, o11_t, d, 0.0, None, 0, 1, 0, 1, 1)
-    b = _ddot(beta, v)
+    b = _ddot(d, w)
     mu = -(_ddot(s12, d) + c * b + _ddot(beta * inv_tau12, d))
-    gamma = omega22 - _ddot(beta, _dsymv(1.0, o11_t, beta, 0.0, None, 0, 1, 0, 1, 1))
-    lo, hi = hit_and_run_interval(_ddot(d, v), b, gamma)
-    # beta + kappa d, with the step scaled into d's own memory.
-    d = _dscal(sample_truncated_normal(mu, lo, hi, u), d)
-    return np.add(beta, d, out=d)
+    lo, hi = hit_and_run_interval(_ddot(d, v), b, omega22 - _ddot(beta, w))
+    kappa = sample_truncated_normal(mu, lo, hi, u)
+    if _daxpy(d, beta, d.size, kappa) is not beta:
+        raise ValueError("the hit-and-run step needs a C-ordered float64 row of omega")
+    return beta, _daxpy(v, w, d.size, kappa)
 
 
 def update_gamma(c, g):
@@ -575,7 +595,10 @@ def sweep(state, config, audit, rng):
     carried through the previous sweep and the fresh one is merged into
     the audit's ``sigma_drift_max``.  Then the sweep draws its random
     bank, the same five calls for either kind (see the module docstring);
-    the beta step is the only code that differs between them.
+    the beta step is the only code that differs between them: bgs's draws
+    a new column, which the sweep writes to omega's row and multiplies by
+    Omega11^{-1}, and hrs's writes the row itself and returns that
+    product.
 
     A column update is a violation when the Schur test fails on the matrix
     holding the new off-diagonal column and the old diagonal entry; the
@@ -631,6 +654,7 @@ def sweep(state, config, audit, rng):
     half_nu2_bank = rng.standard_normal(lambda_bank.size) ** 2 / 2.0
     u_bank = rng.random(lambda_bank.size)
     odds_bank = u_bank / (1.0 - u_bank)
+    u_step = u_bank.take(pairs.diagonal()).tolist()
 
     i, stage = None, "shrinkage"
     try:
@@ -641,7 +665,7 @@ def sweep(state, config, audit, rng):
         # sweep, bgs read 0.378 against 0.335 and hrs 0.546 against 0.485 on
         # standardized 50 x 100 ar2 fits (data seeds 1-6, chain seeds 100 *
         # seed + 0..3, 10 + 40 sweeps), and bgs 0.0695 against 0.0731 and hrs
-        # 0.0234 against 0.0237 on circle p = 30, n = 50 replications (seeds
+        # 0.0229 against 0.0238 on circle p = 30, n = 50 replications (seeds
         # 1-40, 50 + 200 sweeps).  A ridge start Omega0 = n (S + diag S)^{-1}
         # with no first-sweep rule cut hrs by 32% (circle) and 37% (ar2).
         if first_sweep:
@@ -673,15 +697,13 @@ def sweep(state, config, audit, rng):
             stage = "beta"
             L = _factor_c_inverse(sigma, c, inv_tau[i], work, diag)
             if config.kind == "hrs":
-                beta = omega[i].copy()
-                beta[i] = 0.0
-                beta = hrs_update_beta(L, sigma, s12, c, inv_tau[i], beta, omega22,
-                                       z_bank[i], u_bank.item(pairs.item(i, i)))
+                beta, v = hrs_update_beta(L, sigma, s12, c, inv_tau[i], omega[i], omega22,
+                                          z_bank[i], u_step[i])
             else:
                 beta = bgs_update_beta(L, s12, z_bank[i])
-            omega[i] = beta
+                omega[i] = beta
+                v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
             omega[:, i] = beta
-            v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
             q = _ddot(beta, v)
             # The one NaN guard of the column: a NaN that reaches C^{-1}
             # reaches beta through the factor and the solves, and q
@@ -693,12 +715,12 @@ def sweep(state, config, audit, rng):
             stage = "gamma"
             gam = gammas[i]
             omega[i, i] = gam + q
-            # In place: make_partition has checked it on this same sigma.
+            # Omega11^{-1} + (v - e_i)(v - e_i)' / gamma: row i of
+            # Omega11^{-1} is +0, so this one dsyr also writes sigma_ij =
+            # -v_j / gamma and sigma_ii = 1 / gamma exactly.  In place:
+            # make_partition has checked it on this same sigma.
+            v[i] = -1.0
             _dsyr(1.0 / gam, v, 1, 1, 0, p, sigma_t, 1)
-            v = _dscal(-1.0 / gam, v)
-            sigma[i] = v
-            sigma[:, i] = v
-            sigma[i, i] = 1.0 / gam
     except Exception as exc:
         where = "the sweep start" if i is None else f"column {i} (0-based)"
         raise RuntimeError(f"{where} failed at stage {stage}: {exc}") from exc

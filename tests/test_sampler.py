@@ -192,10 +192,11 @@ def test_partition_needs_a_c_ordered_sigma():
 
 
 def test_masked_partition_draws_match_the_compressed_blocks():
-    # Slot i of the masked partition is decoupled: both beta draws return
-    # exactly 0 there, C has a unit (i, i) entry and a zero row and column
-    # i, and the other entries are the draw from the (p-1)-dimensional
-    # blocks that leave slot i out.
+    # Slot i of the masked partition is decoupled: C has a unit (i, i)
+    # entry and a zero row and column i, bgs's draw is exactly 0 there, hrs
+    # leaves the omega_ii of the row it updates in place there and returns
+    # a v that is exactly 0 there, and the other entries are the draw from
+    # the (p-1)-dimensional blocks that leave slot i out.
     gen = np.random.default_rng(9)
     p = 7
     st, tau, lam = random_state(gen, p)
@@ -213,13 +214,17 @@ def test_masked_partition_draws_match_the_compressed_blocks():
         z[i] = 0.0
         u = float(gen.random())
         L, small_L = c_factor(omega11_inv, c, inv_tau12), c_factor(small_inv, c, inv_tau12[rest])
-        for got, small in (
-                (bgs_update_beta(L, s12, z), bgs_update_beta(small_L, s12[rest], z[rest])),
-                (hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, beta, omega22, z, u),
-                 hrs_update_beta(small_L, small_inv, s12[rest], c, inv_tau12[rest], beta[rest],
-                                 omega22, z[rest], u))):
-            assert got[i] == 0.0
-            np.testing.assert_allclose(got[rest], small, rtol=1e-10, atol=1e-13)
+        got = bgs_update_beta(L, s12, z)
+        assert got[i] == 0.0
+        np.testing.assert_allclose(got[rest], bgs_update_beta(small_L, s12[rest], z[rest]),
+                                   rtol=1e-10, atol=1e-13)
+        row = st.omega[i].copy()
+        got, got_v = hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, row, omega22, z, u)
+        small, small_v = hrs_update_beta(small_L, small_inv, s12[rest], c, inv_tau12[rest],
+                                         beta[rest], omega22, z[rest], u)
+        assert got is row and got[i] == omega22 and got_v[i] == 0.0
+        np.testing.assert_allclose(got[rest], small, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(got_v[rest], small_v, rtol=1e-10, atol=1e-13)
 
 
 # ---------------------------------------------------------------- C matrix
@@ -345,6 +350,9 @@ def test_hit_and_run_interval_rejects_non_finite_input(a, b, gamma):
 
 
 def test_hrs_beta_always_feasible():
+    # The step updates the column it is given in place and returns it with
+    # v = Omega11^{-1} times it, which it forms from the products of the old
+    # column and the direction, not afresh.
     rng = np.random.default_rng(6)
     stream = RngStream(7)
     for _ in range(300):
@@ -357,9 +365,11 @@ def test_hrs_beta_always_feasible():
         s22 = float(np.abs(rng.standard_normal()) + 0.1)
         inv_tau12 = 1.0 / (np.abs(rng.standard_normal(p1)) + 0.05)
         c = s22 + 2.0 * float(np.abs(rng.standard_normal()) + 0.05)
-        new_beta = hrs_update_beta(c_factor(inv, c, inv_tau12), inv, s12, c, inv_tau12, beta,
-                                   omega22, stream.standard_normal(p1), stream.random())
+        new_beta, v = hrs_update_beta(c_factor(inv, c, inv_tau12), inv, s12, c, inv_tau12,
+                                      beta, omega22, stream.standard_normal(p1), stream.random())
+        assert new_beta is beta
         assert new_beta @ inv @ new_beta < omega22
+        np.testing.assert_allclose(v, inv @ new_beta, rtol=1e-10, atol=1e-13)
 
 
 def beta_coordinates_hrs_step(omega11_inv, s12, c, inv_tau12, beta, omega22, z, u):
@@ -390,22 +400,26 @@ def beta_coordinates_hrs_step(omega11_inv, s12, c, inv_tau12, beta, omega22, z, 
 def test_whitened_hrs_step_matches_the_beta_coordinates_step():
     # Moving x = L' beta along e = z/|z| with a unit-variance step is the
     # same move as the beta-coordinates step along L^{-T} z: same line, same
-    # truncated normal, so the same column for the same (z, u).
+    # truncated normal, so the same column for the same (z, u).  The step
+    # reads row i of omega as the sweep hands it, omega_ii in slot i, which
+    # it leaves there.
     gen = np.random.default_rng(9)
     p = 7
     st, tau, lam = random_state(gen, p)
     for i in range(p):
         blocks = column(st, i, tau, lam)
-        omega11_inv, _, c, inv_tau12 = blocks[:4]
+        omega11_inv, s12, c, inv_tau12, _, omega22 = blocks
         L = c_factor(omega11_inv, c, inv_tau12)
         for _ in range(6):
             z = gen.standard_normal(p)
             z[i] = 0.0
             u = float(gen.random())
-            got = hrs_update_beta(L, *blocks, z, u)
-            assert got[i] == 0.0
-            np.testing.assert_allclose(got, beta_coordinates_hrs_step(*blocks, z, u),
-                                       rtol=1e-10, atol=0.0)
+            got, _ = hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, st.omega[i].copy(),
+                                     omega22, z, u)
+            expect = beta_coordinates_hrs_step(*blocks, z, u)
+            assert got[i] == omega22 and expect[i] == 0.0
+            expect[i] = omega22
+            np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0.0)
 
 
 def test_hrs_zero_direction_raises():
@@ -414,6 +428,21 @@ def test_hrs_zero_direction_raises():
     omega11_inv, _, c, inv_tau12 = blocks[:4]
     with pytest.raises(ZeroDivisionError):
         hrs_update_beta(c_factor(omega11_inv, c, inv_tau12), *blocks, np.zeros(7), 0.5)
+
+
+def test_hrs_step_needs_a_contiguous_row():
+    # The step writes the new column into omega's row with daxpy, which
+    # updates only a contiguous float64 array in place; on a row of an
+    # F-ordered omega f2py would update a copy and leave omega's row as it
+    # was.  The sweep's omega starts as np.eye, C-ordered, and stays so.
+    st, tau, lam = random_state(np.random.default_rng(14), p=5)
+    omega11_inv, s12, c, inv_tau12, _, omega22 = column(st, 2, tau, lam)
+    z = np.random.default_rng(15).standard_normal(5)
+    z[2] = 0.0
+    row = np.asfortranarray(st.omega)[2]
+    with pytest.raises(ValueError, match="C-ordered float64 row"):
+        hrs_update_beta(c_factor(omega11_inv, c, inv_tau12), omega11_inv, s12, c, inv_tau12,
+                        row, omega22, z, 0.5)
 
 
 def test_hrs_unbounded_matches_bgs_distribution():
@@ -428,9 +457,14 @@ def test_hrs_unbounded_matches_bgs_distribution():
     n = 40_000
     h = RngStream(8)
     b = RngStream(9)
-    hrs_draws = np.array([hrs_update_beta(L, inv, s12, c, inv_tau12, beta0, omega22,
-                                          h.standard_normal(1), h.random())[0]
-                          for _ in range(n)])
+
+    def hrs_draw():
+        # The step updates its column in place, so each draw gets a copy.
+        beta, _ = hrs_update_beta(L, inv, s12, c, inv_tau12, beta0.copy(), omega22,
+                                  h.standard_normal(1), h.random())
+        return beta.item()
+
+    hrs_draws = np.array([hrs_draw() for _ in range(n)])
     bgs_draws = np.array([bgs_update_beta(L, s12, b.standard_normal(1))[0]
                           for _ in range(n)])
     C = compute_c_matrix(inv, c, inv_tau12)[0, 0]
@@ -720,9 +754,11 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # One Cholesky of omega per sweep, one in-place factor of C^{-1} per
     # column, which both samplers' beta draws share, and the one inverse
     # that gives Sigma: no other O(p^3) step.  Each of a column's two rank-1
-    # updates is one dsyr with its formula's scalar as alpha, and no vector
-    # is scaled for it: dscal scales only -v / gamma, and for hrs the
-    # direction and the step.
+    # updates is one dsyr with its formula's scalar as alpha, and the second
+    # one, on v - e_i, also writes Sigma's row and column i, so no vector is
+    # scaled for it: dscal scales only hrs's direction.  bgs applies
+    # Omega11^{-1} once, to the new column; hrs twice, to the old column and
+    # the direction, and two daxpy make the new column and its product.
     # Every helper the benchmark traces is counted through the module
     # attribute it replaces, so a sweep that bound one locally would show
     # zero calls here, as it would zero its traced time.
@@ -731,7 +767,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     beta = f"{kind}_update_beta"
     names = ("pd_check", "_dpotrf", "invert_from_factor", "make_partition",
              "_factor_c_inverse", beta, "update_gamma", "update_lambda_column",
-             "update_tau_column", "_dsyr", "_dscal")
+             "update_tau_column", "_dsyr", "_dscal", "_dsymv", "_daxpy")
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
@@ -753,10 +789,12 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # in one call.  The shrinkage budget: a chain's first sweep draws
     # column i's pairs as the column begins, p calls each, and every later
     # sweep draws them all as it begins, one call each.
+    per_column = {"bgs": {"_dsymv": p, "_daxpy": 0, "_dscal": 0},
+                  "hrs": {"_dsymv": 2 * p, "_daxpy": 2 * p, "_dscal": p}}
     expect = [{"pd_check": 1, "_dpotrf": p, "invert_from_factor": 1,
                "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": 1,
                "update_lambda_column": draws, "update_tau_column": draws,
-               "_dsyr": 2 * p, "_dscal": p if kind == "bgs" else 3 * p}
+               "_dsyr": 2 * p, **per_column[kind]}
               for draws in (p, 1, 1)]
     assert per_sweep == expect
 
@@ -770,6 +808,7 @@ POSITIONAL_SIGNATURES = {
     "dsymv": "y = dsymv(alpha,a,x,[beta,y,offx,incx,offy,incy,lower,overwrite_y])",
     "ddot": "xy = ddot(x,y,[n,offx,incx,offy,incy])",
     "dscal": "x = dscal(a,x,[n,offx,incx])",
+    "daxpy": "z = daxpy(x,y,[n,a,offx,incx,offy,incy])",
     "dtrtrs": "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
     "dpotrf": "c,info = dpotrf(a,[lower,clean,overwrite_a])",
     "dpotri": "inv_a,info = dpotri(c,[lower,overwrite_c])",
@@ -834,9 +873,11 @@ def reference_sweep(st, config, rng, first_sweep):
     drawn as the column begins, unit entries from slot i on and a unit
     lambda22), Sigma kept full and symmetric after every column, BLAS dsyr
     and dsymv on its upper triangle (numpy indexing) for the rank-1 updates
-    and the products, row and column i zeroed by hand, the whitened hrs
-    step with bank 5's diagonal entry of i as its uniform, gamma draws
-    scaled by 1/rate, and the closed-form Michael-Schucany-Haas draw inline.
+    and the products, Omega11^{-1}'s row and column i zeroed and Sigma's
+    written by hand, the whitened hrs step on the old column with slot i
+    zeroed, with bank 5's diagonal entry of i as its uniform and BLAS daxpy
+    for its two updated vectors, gamma draws scaled by 1/rate, and the
+    closed-form Michael-Schucany-Haas draw inline.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -891,22 +932,28 @@ def reference_sweep(st, config, rng, first_sweep):
             # Whitened step: x = L' beta moves along e = Z[i] / |Z[i]|,
             # d = L^{-T} e has d' C^{-1} d = 1, so the step has unit
             # variance; the roots come from their product, -gamma / a.
-            gam_old = float(omega22_old - beta @ symv(o11, beta))
+            w = symv(o11, beta)
+            gam_old = float(omega22_old - beta @ w)
             d = lapack.dtrtrs(L, Z[i], lower=1, trans=1)[0]
             d = d * (1.0 / math.sqrt(float(Z[i] @ Z[i])))
             v = symv(o11, d)
-            a, b = float(d @ v), float(beta @ v)
+            a, b = float(d @ v), float(d @ w)
             mu = -(float(s12 @ d) + (s22 + 2.0 * lambda22) * b + float((beta * inv_tau12) @ d))
             disc = math.sqrt(b * b + a * gam_old)
             q = abs(b) + disc
             lo, hi = (-q / a, gam_old / q) if b >= 0.0 else (-gam_old / q, q / a)
             # The step's uniform is bank 5's entry of the pair {i, i},
             # whose tau_ii draw moves no bit.
-            u = U[pair_position(p, i, i)]
-            beta = beta + sample_truncated_normal(mu, lo, hi, u) * d
+            kappa = sample_truncated_normal(mu, lo, hi, U[pair_position(p, i, i)])
+            # The new column and Omega11^{-1} times it, each one daxpy: a
+            # core whose daxpy fuses a x + y rounds it once, as numpy's
+            # kappa * d + beta does not.
+            beta = blas.daxpy(d, beta, a=kappa)
+            v = blas.daxpy(v, w, a=kappa)
         assert beta[i] == 0.0
         omega[i, :] = omega[:, i] = beta
-        v = symv(o11, beta)
+        if config.kind == "bgs":
+            v = symv(o11, beta)
         q = float(beta @ v)
         violations += not omega22_old - q > PD_TOL * PD_TOL
 
@@ -985,7 +1032,8 @@ def test_partition_gets_shrinkage_drawn_as_the_sweep_begins(kind, monkeypatch):
     # and lambda22, not yet drawn in Wang's order, read their initial 1.  The
     # C^{-1} factor receives 1/tau12 and c = s22 + 2 lambda22, through which
     # lambda22 is seen; s12 must be row i of S with slot i zeroed, and hrs's
-    # old column beta row i of omega with slot i zeroed.
+    # old column beta row i of omega as the column began, omega_ii in slot
+    # i, which the step reads in place.
     p, n = 20, 30
     st, _ = make_sim_state(design="circle", p=p, n=n, seed=70)
     rng, twin = RngStream(71), RngStream(71)
@@ -1018,8 +1066,7 @@ def test_partition_gets_shrinkage_drawn_as_the_sweep_begins(kind, monkeypatch):
         assert len(seen) == p
         np.testing.assert_array_equal(s12s, s12_expect)
         if kind == "hrs":
-            np.testing.assert_array_equal(betas, [off_diagonal(omega)[i]
-                                                  for i, omega, *_ in seen])
+            np.testing.assert_array_equal(betas, [omega[i] for i, omega, *_ in seen])
         for i, omega, inv_tau12, c in seen:
             s22 = st.scatter.item(i, i)
             # Column 0 begins with omega as the sweep began.
