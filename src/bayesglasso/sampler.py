@@ -27,12 +27,12 @@ and that is the moment the audit checks.
 
 The blocks are masked, not permuted: column i is row i of the full p x p
 matrices, in natural order, with slot i decoupled.  Slot i is zero in
-Omega11^{-1}, s12, z and beta, so the inverse conditional covariance
+Omega11^{-1}, s12 and z, so the inverse conditional covariance
 ``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)`` has a zero
-row and column i but for its (i, i) entry 1/tau12[i], and the beta draw
-comes out exactly 0 in slot i whatever tau12[i] is.  Omega is then
-updated in place with one row write and one column write, and Sigma with
-one rank-1 update (below).
+row and column i but for its (i, i) entry 1/tau12[i], and bgs's beta draw
+and hrs's direction come out exactly 0 in slot i whatever tau12[i] is
+(slot i, below).  Omega is then updated in place with one row write and
+one column write, and Sigma with one rank-1 update (below).
 
 The shrinkage variables are not chain state: a sweep draws them all once,
 as it begins.  Given everything else, the rates lambda_jk and the latent
@@ -54,28 +54,31 @@ left it and from those pairs' bank entries, and reads unit tau beyond slot
 i and a unit lambda_ii, which that order has not drawn yet when column i
 reads them.
 
-tau has no diagonal, but from a chain's second sweep on slot i of 1/tau12
-holds the 1/tau_ii that the sweep's draw makes from |omega_ii| all the
-same.  It is harmless: it sits only on C^{-1}'s decoupled (i, i) pivot,
-and bgs's beta_i and hrs's direction d_i come out 0 whatever it is, with no
-other entry of the factor, the solves or the step moved by one bit.  It
-need only be finite and positive, so that the pivot is, and it is drawn by
-the same formula as every tau_jk, so the bound that ``S_FLOOR`` gives every
-latent scale holds for it too: it is at least about EPS_OMEGA * s / g, a
-normal float, so 1/tau_ii is finite.
+Slot i holds two values that reach no output.  tau has no diagonal, but
+from a chain's second sweep on slot i of 1/tau12 holds the 1/tau_ii that
+the sweep's draw makes from |omega_ii| all the same; and hrs reads the old
+column as row i of omega in place, omega_ii in slot i.  1/tau_ii sits only
+on C^{-1}'s decoupled (i, i) pivot, so no other entry of the factor, the
+solves or the step moves, and every product that reads omega_ii multiplies
+it, or omega_ii / tau_ii, by a zero, a +0 of Omega11^{-1}'s row and column
+i or hrs's d_i, so it stays omega_ii until the diagonal write.
+``test_slot_i_is_decoupled_whatever_tau_ii_is`` states the first as a
+behaviour: forcing every such tau_ii to 1e-300 or to 1e307 leaves omega,
+Sigma and the audit byte-identical.  The bitwise reference test, whose
+reference reads slot i as a unit tau and a zero beta, states both.
+1/tau_ii need only be finite and positive, so that the pivot is, and it is
+drawn by the same formula as every tau_jk, so the bound that ``S_FLOOR``
+gives every latent scale holds for it too: it is at least about EPS_OMEGA
+* s / g, a normal float, so 1/tau_ii is finite.
 
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
 so each sweep makes one copy of it with a zero diagonal, and s12 is a row
-view of that copy.  Only hrs reads the old column: it reads row i of omega
-in place as beta, omega_ii in slot i, and its step writes the new column
-there, as bgs's row write does.  Slot i moves no bit: every product that
-reads it multiplies omega_ii, or omega_ii / tau_ii, by a zero, a +0 of
-Omega11^{-1}'s row and column i or the zero slot i of hrs's direction, so
-it stays omega_ii until the diagonal write.  bgs copies no row of omega.
-The sweep reads omega22 before the column's writes, and ``c = s22 + 2
-lambda22``, computed once per sweep for every column, serves the C^{-1}
-factor, the hrs step and the gamma rate.
+view of that copy.  Only hrs reads the old column, in place, and its step
+writes the new column there, as bgs's row write does; bgs copies no row of
+omega.  The sweep reads omega22 before the column's writes, and ``c =
+s22 + 2 lambda22``, computed once per sweep for every column, serves the
+C^{-1} factor, the hrs step and the gamma rate.
 Besides the bank and the sweep's shrinkage arrays, a sweep allocates one
 p x p workspace and its diagonal view, in which every column forms and
 factors C^{-1}, once for either sampler.
@@ -183,12 +186,11 @@ sampler:
    the diagonal position of i is the uniform that the exact inverse CDF
    turns into hrs's truncated-normal step in column i.
 
-That entry is free for the step because tau has no diagonal: the sweep's
-draw makes a tau_ii from it all the same, but column i reads that only on
-C^{-1}'s decoupled pivot, where it moves no bit, and no other column reads
-it.  So the step reads a fresh uniform on which nothing else that reaches
-an output depends, and bgs draws it and uses it for nothing that reaches
-one.
+That entry is free for the step because tau has no diagonal: the tau_ii
+that the sweep's draw makes from it moves no bit (slot i, above), and no
+other column reads it.  So the step reads a fresh uniform on which
+nothing else that reaches an output depends, and bgs draws it and uses it
+for nothing that reaches one.
 
 Every column update is then a pure transform of row i of bank 1, entry i
 of bank 2, the sweep's shrinkage draw and the state, and the shrinkage
@@ -592,33 +594,35 @@ def sweep(state, config, audit, rng):
     Omega^{-1}, which ``state.sigma`` carries through the columns with the
     O(p^2) updates of the module docstring, on its upper triangle only, and
     mirrors that triangle when the sweep ends; the gap between the Sigma
-    carried through the previous sweep and the fresh one is merged into
-    the audit's ``sigma_drift_max``.  Then the sweep draws its random
-    bank, the same five calls for either kind (see the module docstring);
-    the beta step is the only code that differs between them: bgs's draws
-    a new column, which the sweep writes to omega's row and multiplies by
-    Omega11^{-1}, and hrs's writes the row itself and returns that
-    product.
+    carried through the previous sweep and the fresh one is the sweep's
+    Sigma drift, 0 in a chain's first sweep.  Then the sweep draws its
+    random bank, the same five calls for either kind (see the module
+    docstring); the beta step is the only code that differs between them:
+    bgs's draws a new column, which the sweep writes to omega's row and
+    multiplies by Omega11^{-1}, and hrs's writes the row itself and returns
+    that product.
 
     A column update is a violation when the Schur test fails on the matrix
     holding the new off-diagonal column and the old diagonal entry; the
     hit-and-run path never fails it, the unconstrained path counts the
     failure and keeps going.  After its last column the sweep merges its p
-    updates and its violations into the audit, so a sweep that raises adds
-    no counts.  A non-finite beta' Omega11^{-1} beta, which a NaN reaching
-    C^{-1} gives, is an error rather than a count.  The gamma draw needs no
-    check: gamma = g * 2/c with g > 0 from numpy's Ga(n/2 + 1) sampler and
-    c = s22 + 2 lambda22 finite and positive, because S is validated
-    finite with S_jj > 0 and lambda22 = g'/(|omega_ii| + s) is finite.  A
-    gamma of 0 would still raise, in 1/gamma at stage gamma.
+    updates, its violations and its Sigma drift into the audit in one
+    :meth:`ViolationAudit.merge`, so a sweep that raises adds nothing.  A
+    non-finite beta' Omega11^{-1} beta, which a NaN reaching C^{-1} gives,
+    is an error rather than a count.  The gamma draw needs no check: gamma
+    = g * 2/c with g > 0 from numpy's Ga(n/2 + 1) sampler and c = s22 + 2
+    lambda22 finite and positive, because S is validated finite with S_jj
+    > 0 and lambda22 = g'/(|omega_ii| + s) is finite.  A gamma of 0 would
+    still raise, in 1/gamma at stage gamma.
 
     As the sweep begins, after the bank, it draws every shrinkage rate and
     latent scale from omega as it stands then, one call each on the upper
     triangle, and expands 1/tau to a symmetric p x p array; column i reads
-    its row there, slot i holding a 1/tau_ii that moves no bit, and its c
-    and gamma draw from vectors made once (see the module docstring).  A
-    failure there raises RuntimeError naming the sweep start and the
-    stage, shrinkage, as a column's failure names the column and its stage.
+    its row there, slot i holding a 1/tau_ii that moves no bit (see slot
+    i in the module docstring), and its c and gamma draw from vectors made
+    once.  A failure there raises RuntimeError naming the sweep start and
+    the stage, shrinkage, as a column's failure names the column and its
+    stage.
 
     Every column of every sweep draws beta.  A chain's first sweep, the one
     that finds ``state.sigma`` still None, draws column i's pairs j < i as
@@ -632,9 +636,7 @@ def sweep(state, config, audit, rng):
     sigma = invert_from_factor(L)
     sigma_t = sigma.T  # BLAS's view: its lower triangle is sigma's upper one
     first_sweep = state.sigma is None
-    if not first_sweep:
-        audit.merge(ViolationAudit(
-            sigma_drift_max=float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())))
+    drift = 0.0 if first_sweep else float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())
     state.sigma = sigma
     p = state.omega.shape[0]
     omega = state.omega
@@ -725,7 +727,7 @@ def sweep(state, config, audit, rng):
         where = "the sweep start" if i is None else f"column {i} (0-based)"
         raise RuntimeError(f"{where} failed at stage {stage}: {exc}") from exc
 
-    audit.merge(ViolationAudit(p, violations))
+    audit.merge(ViolationAudit(p, violations, drift))
 
     # Copy the carried upper triangle (numpy indexing) onto the lower one.
     np.copyto(sigma, sigma_t, where=strict_lower(p))
@@ -768,21 +770,15 @@ def settle_scale(state, r, s):
     The step draws no random number, and a omega is positive definite
     whenever omega is.
 
-    state.sigma must be carried, as after a sweep.  A non-finite T, which
-    any non-finite omega_ij gives, raises ValueError naming the value, and
-    so does a Newton that has not converged after ``SCALE_NEWTON_CAP``
-    steps.
+    state must be as a completed sweep leaves it: sigma carried and every
+    omega_ij finite, which the sweep's NaN guard on q = beta' Omega11^{-1}
+    beta ensures (a finite q needs a finite beta, and omega_ii = gamma + q).
+    A Newton that has not converged after ``SCALE_NEWTON_CAP`` steps raises
+    ValueError naming log a; where np > 2rd, a NaN in omega would end so.
     """
     omega = state.omega
     p = omega.shape[0]
     trace = float(np.vdot(state.scatter, omega))
-    if not math.isfinite(trace):
-        bad = np.argwhere(~np.isfinite(omega))
-        if bad.size:
-            i, j = bad[0].tolist()
-            raise ValueError(f"scale step needs a finite omega, got {omega.item(i, j)!r} "
-                             f"at ({i}, {j})")
-        raise ValueError(f"scale step needs a finite tr(S Omega), got {trace!r}")
     w = np.abs(omega.take(upper_index(p)))
     if state.n * p <= 2.0 * r * w.size:
         return 1.0

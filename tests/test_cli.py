@@ -139,16 +139,6 @@ def test_simulate_aggregate_recomputable_from_csv(tmp_path):
         assert agg["structure"]["mcc"] == pooled.mcc
 
 
-def test_simulate_audit_content(tmp_path):
-    out = tmp_path / "run"
-    cmd_simulate(small_scenario(sampler="hrs"), out)
-    audit = json.loads((out / "audit.json").read_text())
-    assert audit["violations"] == 0
-    assert audit["updates_total"] == 2 * 4 * (3 + 6)  # reps * p * sweeps
-    assert "by_stage" not in audit
-    assert len(audit["per_replication"]) == 2
-
-
 def test_simulate_audit_pools_the_replications(tmp_path, monkeypatch):
     # bgs records violations in each of these replications, so the pooled
     # counts are checked on nonzero values.

@@ -10,7 +10,7 @@ from scipy.linalg import blas, lapack
 from bayesglasso import matrixcore, sampler
 from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_truncated_normal
-from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pd_check, spd_inverse
+from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pair_index, pd_check, spd_inverse
 from bayesglasso.sampler import (
     EPS_OMEGA,
     S_FLOOR,
@@ -59,10 +59,10 @@ def column(st, i, tau=None, lam=None):
     """What sweep hands column i's steps, from make_partition on a fresh
     inverse, with row i of tau and entry i of lam as the column's shrinkage
     draws, tau as its reciprocal inv_tau12; unit ones, as in a chain's first
-    column, when they are not given.  Slot i of inv_tau12 is 1, as in a
-    chain's first sweep (from its second on, sweep leaves a drawn 1/tau_ii
-    there, which the bitwise test shows moves no bit), and as in sweep beta
-    is row i of omega with slot i zeroed.
+    column, when they are not given.  Slot i of inv_tau12 is 1 and beta is
+    row i of omega with slot i zeroed, as the compressed blocks hold them;
+    sweep leaves a drawn 1/tau_ii and, for hrs, omega_ii there, which move
+    no bit (see the slot-i and bitwise sweep tests).
     Returns (omega11_inv, s12, c, inv_tau12, beta, omega22)."""
     p = st.omega.shape[0]
     inv_tau12 = np.ones(p) if tau is None else 1.0 / tau[i]
@@ -119,46 +119,25 @@ def test_partition_hand_oracle_p2(omega, i, beta, omega22, gamma, omega11_inv):
 
 
 def test_partition_blocks_follow_permutation():
-    # s12, s22, lambda22, omega22, inv_tau12 and the old column beta are read
-    # by sweep itself, not by make_partition; the block test checks what a
-    # sweep hands its columns, slot i of inv_tau12 and hrs's beta included.
+    # make_partition reads and writes sigma alone: it downdates it in place
+    # to Omega11^{-1} in natural order, with slot i decoupled, zero in row
+    # and column i, and every other entry in place.  What a sweep hands its
+    # column steps besides is stated by the bitwise and slot-i sweep tests.
     rng = np.random.default_rng(0)
     p = 5
     S = scatter_matrix(rng.standard_normal((20, p)))
     st = initial_state(S, 20)
     st.omega = random_spd(p, rng)
     omega_before = st.omega.copy()
-    i = 2
-    sigma = spd_inverse(st.omega)
-    assert make_partition(sigma, i) is None
-    # natural order with slot 2 decoupled: zero in omega11_inv, and every
-    # other entry in place
-    rest = [0, 1, 3, 4]
-    # sigma is the only array the partition writes: it is downdated in place
-    # to omega11_inv
-    assert np.array_equal(st.omega, omega_before) and np.array_equal(st.scatter, S)
-    omega11_inv = represented(sigma)
-    assert np.all(omega11_inv[i] == 0.0)
-    assert np.all(omega11_inv[:, i] == 0.0)
-    expect = np.linalg.inv(st.omega[np.ix_(rest, rest)])
-    assert np.allclose(omega11_inv[np.ix_(rest, rest)], expect, rtol=1e-12, atol=1e-14)
-
-
-def test_partition_gamma_roundtrip():
-    # rebuilding omega_ii from (gamma, beta) recovers it to 1e-10 relative
-    rng = np.random.default_rng(1)
-    p = 6
-    omega = random_spd(p, rng)
-    st = state_with_omega(omega)
     for i in range(p):
-        omega11_inv, _, _, _, beta, omega22 = column(st, i)
-        gamma = schur_gamma(omega11_inv, beta, omega22)
+        sigma = spd_inverse(st.omega)
+        assert make_partition(sigma, i) is None
+        assert np.array_equal(st.omega, omega_before) and np.array_equal(st.scatter, S)
+        omega11_inv = represented(sigma)
+        assert np.all(omega11_inv[i] == 0.0) and np.all(omega11_inv[:, i] == 0.0)
         rest = np.arange(p) != i
-        assert beta[i] == 0.0
-        beta = beta[rest]
-        rebuilt = gamma + beta @ np.linalg.solve(omega[np.ix_(rest, rest)], beta)
-        assert abs(rebuilt - omega[i, i]) < 1e-10 * abs(omega[i, i])
-        assert gamma > 0
+        expect = np.linalg.inv(st.omega[np.ix_(rest, rest)])
+        assert np.allclose(omega11_inv[np.ix_(rest, rest)], expect, rtol=1e-12, atol=1e-14)
 
 
 def test_partition_index_out_of_range():
@@ -249,11 +228,9 @@ def test_c_matrix_always_pd():
     for _ in range(50):
         p1 = int(rng.integers(1, 6))
         inv = spd_inverse(random_spd(p1, rng))
-        rng.standard_normal(p1)  # s12, which C does not read
         s22 = float(np.abs(rng.standard_normal()) + 0.1)
         inv_tau12 = 1.0 / (np.abs(rng.standard_normal(p1)) + 0.05)
         lambda22 = float(np.abs(rng.standard_normal()) + 0.05)
-        rng.standard_normal(p1)  # beta, which C does not read
         assert pd_check(compute_c_matrix(inv, s22 + 2.0 * lambda22, inv_tau12)) is not None
 
 
@@ -649,11 +626,8 @@ def test_audit_merge_adds_counts_and_keeps_the_larger_drift():
     assert other == ViolationAudit(8, 1, 7e-12)  # only read
 
 
-def test_sweep_rejects_bad_kind_and_bad_state():
-    # The kind is checked once, as the config a sweep reads is made.
+def test_sweep_rejects_a_state_not_positive_definite():
     st, rng = make_sim_state(p=4)
-    with pytest.raises(ValueError, match="sampler kind"):
-        sweep(st, ChainConfig("mh"), ViolationAudit(), rng)
     st.omega = np.array([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0],
                          [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
@@ -1021,68 +995,38 @@ def test_sweep_matches_reference_kernel_bitwise(design, p, n, kind):
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
-def test_partition_gets_shrinkage_drawn_as_the_sweep_begins(kind, monkeypatch):
-    # From a chain's second sweep on, every column reads the tau12 and
-    # lambda22 drawn once as the sweep begins, from omega as it stood then
-    # and from the bank entries of each pair.  The two columns of a pair
-    # read one draw, bit for bit, and slot i of tau12 reads the row's own
-    # tau_ii draw.  A chain's first sweep draws column i's pairs j < i as the
-    # column begins, from omega[i, :i], which columns 0..i-1 have already
-    # drawn, so none of them is the identity's zero; tau12 from slot i on
-    # and lambda22, not yet drawn in Wang's order, read their initial 1.  The
-    # C^{-1} factor receives 1/tau12 and c = s22 + 2 lambda22, through which
-    # lambda22 is seen; s12 must be row i of S with slot i zeroed, and hrs's
-    # old column beta row i of omega as the column began, omega_ii in slot
-    # i, which the step reads in place.
-    p, n = 20, 30
-    st, _ = make_sim_state(design="circle", p=p, n=n, seed=70)
-    rng, twin = RngStream(71), RngStream(71)
-    seen, s12s, betas = [], [], []
-    original = sampler._factor_c_inverse
-    beta_name = f"{kind}_update_beta"
-    original_beta = getattr(sampler, beta_name)
+def test_slot_i_is_decoupled_whatever_tau_ii_is(kind, monkeypatch):
+    # From a chain's second sweep on, slot i of column i's 1/tau12 holds the
+    # 1/tau_ii of the sweep-start draw, on C^{-1}'s decoupled pivot (see the
+    # sampler's module docstring).  Forced to either end of the floats, it
+    # moves no bit of omega, Sigma or the audit.  The test reads no argument
+    # of a column step, so every kind runs it as it is.
+    p = 13
+    all_pairs, diagonal = p * (p + 1) // 2, pair_index(p).diagonal()
+    original = sampler.update_tau_column
+    fired = []
 
-    def hooked(omega11_inv, c, inv_tau12, work, diag):
-        # Called once per column, in column order, before any of column i's
-        # writes to omega.
-        seen.append((len(seen), st.omega.copy(), inv_tau12.copy(), c))
-        return original(omega11_inv, c, inv_tau12, work, diag)
+    def run():
+        st, rng = make_sim_state(p=p, seed=40)
+        audit = ViolationAudit()
+        for _ in range(12):
+            sweep(st, ChainConfig(kind), audit, rng)
+        return st.omega.tobytes(), st.sigma.tobytes(), audit
 
-    def beta_hooked(*args):
-        # s12 follows L, and for hrs omega11_inv too; hrs's beta follows
-        # s12, c and inv_tau12
-        s12s.append(args[1 if kind == "bgs" else 2].copy())
-        if kind == "hrs":
-            betas.append(args[5].copy())
-        return original_beta(*args)
+    def forced_to(tau_ii):
+        def forced(*args):
+            tau = original(*args)
+            # Only the sweep-start draw holds every pair; a chain's first
+            # sweep draws column i's pairs j < i as the column begins.
+            if tau.size == all_pairs:
+                tau[diagonal] = tau_ii
+                fired.append(tau_ii)
+            return tau
+        monkeypatch.setattr(sampler, "update_tau_column", forced)
+        return run()
 
-    monkeypatch.setattr(sampler, "_factor_c_inverse", hooked)
-    monkeypatch.setattr(sampler, beta_name, beta_hooked)
-    s12_expect = off_diagonal(st.scatter)
-    for k in range(3):
-        del seen[:], s12s[:], betas[:]
-        sweep(st, ChainConfig(kind), ViolationAudit(), rng)
-        _, _, G_lambda, NU, U = draw_bank(twin, p, n, ChainConfig.r)
-        assert len(seen) == p
-        np.testing.assert_array_equal(s12s, s12_expect)
-        if kind == "hrs":
-            np.testing.assert_array_equal(betas, [omega[i] for i, omega, *_ in seen])
-        for i, omega, inv_tau12, c in seen:
-            s22 = st.scatter.item(i, i)
-            # Column 0 begins with omega as the sweep began.
-            drawn_from = omega if k == 0 else seen[0][1]
-            rates, tau = shrinkage_rows(G_lambda, NU, U, drawn_from, ChainConfig.s, i)
-            if k == 0:
-                assert np.all(drawn_from[i, :i] != 0.0), i
-                np.testing.assert_array_equal(inv_tau12[:i], 1.0 / tau[:i])
-                assert np.all(inv_tau12[i:] == 1.0) and c == s22 + 2.0
-                continue
-            assert c == s22 + 2.0 * rates[i]
-            np.testing.assert_array_equal(inv_tau12, 1.0 / tau)
-        if k > 0:
-            read = np.array([inv_tau12 for _, _, inv_tau12, _ in seen])
-            np.testing.assert_array_equal(read, read.T)
-    assert rng.random() == twin.random()
+    assert run() == forced_to(1e-300) == forced_to(1e307)
+    assert fired == [1e-300] * 11 + [1e307] * 11
 
 
 def test_sweeps_leave_scatter_unchanged():
@@ -1115,11 +1059,11 @@ def fresh_state(omega, scatter, n):
     return st
 
 
-def swept_state(sweeps=3):
-    """A bgs chain's state after a few sweeps of circle p = 10, n = 30 data,
+def swept_state():
+    """A bgs chain's state after three sweeps of circle p = 10, n = 30 data,
     with a freshly inverted sigma."""
     st, rng = make_sim_state()
-    for _ in range(sweeps):
+    for _ in range(3):
         sweep(st, ChainConfig("bgs"), ViolationAudit(), rng)
     return fresh_state(st.omega, st.scatter, st.n)
 
@@ -1196,20 +1140,6 @@ def test_settle_scale_keeps_omega_symmetric_pd_and_sigma_its_inverse():
     assert np.array_equal(st.sigma, st.sigma.T)
     assert pd_check(st.omega) is not None
     assert np.abs(st.sigma @ st.omega - np.eye(10)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("entry,value,match", [
-    ((1, 2), math.nan, r"finite omega, got nan at \(1, 2\)"),
-    ((0, 3), -math.inf, r"finite omega, got -inf at \(0, 3\)"),
-    ((2, 2), 1e308, r"finite tr\(S Omega\), got inf"),
-])
-def test_settle_scale_names_a_non_finite_input(entry, value, match):
-    st = swept_state(sweeps=1)
-    st.omega[entry] = st.omega[entry[::-1]] = value
-    before = st.omega.copy()
-    with pytest.raises(ValueError, match=match):
-        sampler.settle_scale(st, 1e-2, 1e-6)
-    assert np.array_equal(st.omega, before, equal_nan=True)
 
 
 def test_settle_scale_raises_at_its_newton_cap(monkeypatch):
