@@ -68,8 +68,8 @@ Sigma and the audit byte-identical.  The bitwise reference test, whose
 reference reads slot i as a unit tau and a zero beta, states both.
 1/tau_ii need only be finite and positive, so that the pivot is, and it is
 drawn by the same formula as every tau_jk, so the bound that ``S_FLOOR``
-gives every latent scale holds for it too: it is at least about EPS_OMEGA
-* s / g, a normal float, so 1/tau_ii is finite.
+gives every latent scale holds for it too: it is at least about
+EPS_OMEGA * s / g, a normal float, so 1/tau_ii is finite.
 
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
