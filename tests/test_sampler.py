@@ -140,6 +140,23 @@ def test_partition_blocks_follow_permutation():
         assert np.allclose(omega11_inv[np.ix_(rest, rest)], expect, rtol=1e-12, atol=1e-14)
 
 
+def test_partition_gamma_roundtrip():
+    # rebuilding omega_ii from (gamma, beta) recovers it to 1e-10 relative
+    rng = np.random.default_rng(1)
+    p = 6
+    omega = random_spd(p, rng)
+    st = state_with_omega(omega)
+    for i in range(p):
+        omega11_inv, _, _, _, beta, omega22 = column(st, i)
+        gamma = schur_gamma(omega11_inv, beta, omega22)
+        rest = np.arange(p) != i
+        assert beta[i] == 0.0
+        beta = beta[rest]
+        rebuilt = gamma + beta @ np.linalg.solve(omega[np.ix_(rest, rest)], beta)
+        assert abs(rebuilt - omega[i, i]) < 1e-10 * abs(omega[i, i])
+        assert gamma > 0
+
+
 def test_partition_index_out_of_range():
     with pytest.raises(IndexError):
         make_partition(np.eye(3), 3)
