@@ -211,20 +211,23 @@ chain seed 100), log det omega read 88.6 after sweep 1, 83.6 after sweep
 10 and 54.3 after sweep 50, around a stationary level near 50.  So
 :func:`run_chain` calls :func:`settle_scale` after each of a bgs chain's
 first min(burn_in, ``SCALE_WARMUP``) sweeps.  Where np > 2rd, with d =
-p(p + 1)/2, it moves omega along its orbit {a omega : a > 0} to the
-orbit's posterior mode, in O(p^2), which takes log det to 46.6 after
-sweep 1 on that chain; elsewhere it moves nothing (see
-:func:`settle_scale` for why).  The step draws no random number and
-:func:`sweep` does not run it, so the bank and the kernel are unchanged,
-and hrs never takes it, so the warm-up leaves hrs untouched.  It runs
-only inside burn-in because it is a deterministic map, not a Markov
-kernel: every retained draw comes from the sweep's kernel alone.  It is
-capped because, run after every sweep, a move of the scale speeds up the
-drift of omega along null(S) where p > n: at circle p = 60, n = 10, log
-det omega after 4000 sweeps read 285.0 with every burn-in sweep settled
-against 122.8 for plain bgs, and the carried Sigma drift grew from 4.2e-9
-to 5.3e-7.  With the cap it read 137.6, and over chain seeds 1-8 capped
-chains read 84.2-137.9, inside the 88.7-153.0 that plain bgs reads.
+p(p + 1)/2, it moves omega along its orbit {a omega : a > 0} to a =
+(np - 2rd) / tr(S omega), the orbit's mode once every a |omega_ij| >> s,
+in O(p^2), which takes log det to 46.5 after sweep 1 on that chain;
+elsewhere it moves nothing (see :func:`settle_scale` for why).  The step
+draws no random number and :func:`sweep` does not run it, so the bank and
+the kernel are unchanged, and hrs never takes it, so the warm-up leaves
+hrs untouched.  It runs only inside burn-in because it is a deterministic
+map, not a Markov kernel: every retained draw comes from the sweep's
+kernel alone.  It is capped because, run after every sweep, it holds the
+scale where the closed form puts it, below the chain's own level: on the
+ar2 chain log det read 37.8 after sweep 10 and 27.5 after sweep 50, and
+44.4 five sweeps after the warm-up ended; at circle p = 60, n = 10 log det
+omega after 4000 sweeps read -2.7 with every sweep settled against 122.8
+for plain bgs.  With the cap it read 122.4, and over chain seeds 1-8
+capped chains read 76.1-146.5 against plain bgs's 88.7-153.0, lower at
+7 of the 8 seeds, so the warm-up does not speed up the drift of omega
+along null(S) there.
 """
 
 import math
@@ -260,13 +263,6 @@ S_FLOOR = 1e-250
 # :func:`run_chain` settles omega's global scale after each of a bgs
 # chain's first min(burn_in, SCALE_WARMUP) sweeps (see the module docstring).
 SCALE_WARMUP = 50
-
-# Newton on the scale stops once its step in log a is at most
-# SCALE_NEWTON_TOL, and applies that step; near the root the error squares
-# with each step, so the last one leaves it at rounding level.  It raises
-# rather than take more than SCALE_NEWTON_CAP steps.
-SCALE_NEWTON_TOL = 1e-7
-SCALE_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -664,9 +660,9 @@ def sweep(state, config, audit, rng):
         # beyond slot i) is kept for mixing, measured with
         # OPENBLAS_NUM_THREADS=1 as benchmarks/ess.py's diagonal_ess, pooled
         # over chains per sweep run.  Against unit tau for the whole first
-        # sweep, bgs read 0.378 against 0.335 and hrs 0.546 against 0.485 on
+        # sweep, bgs read 0.388 against 0.348 and hrs 0.546 against 0.485 on
         # standardized 50 x 100 ar2 fits (data seeds 1-6, chain seeds 100 *
-        # seed + 0..3, 10 + 40 sweeps), and bgs 0.0695 against 0.0731 and hrs
+        # seed + 0..3, 10 + 40 sweeps), and bgs 0.0700 against 0.0730 and hrs
         # 0.0229 against 0.0238 on circle p = 30, n = 50 replications (seeds
         # 1-40, 50 + 200 sweeps).  A ridge start Omega0 = n (S + diag S)^{-1}
         # with no first-sweep rule cut hrs by 32% (circle) and 37% (ar2).
@@ -734,75 +730,26 @@ def sweep(state, config, audit, rng):
     return state
 
 
-def settle_scale(state, r, s):
-    """Move omega along its orbit {a omega : a > 0} to the orbit's mode,
-    in place, and the carried sigma to sigma / a; return a.
+def settle_scale(state, r):
+    """Scale omega in place to a omega, and the carried sigma to sigma / a,
+    with a = (np - 2rd) / tr(S omega), d = p(p + 1)/2; return a.
 
-    With d = p(p + 1)/2 free entries and eta = log a, the posterior of
-    a omega times the orbit's invariant measure a^d da/a has log density
+    With eta = log a, the orbit {a omega : a > 0} has posterior log density
 
-        g(eta) = (np/2 + d) eta - e^eta T/2
-                 - (r + 1) sum_{i <= j} log(s + e^eta |omega_ij|),
+        g(eta) = (np/2 + d) eta - e^eta tr(S omega)/2
+                 - (r + 1) sum_{i <= j} log(s + e^eta |omega_ij|) + const,
 
-    T = tr(S omega), up to a constant.  g is strictly concave, and g'
-    falls from np/2 + d as eta -> -inf to -inf as eta -> inf, so its one
-    root is the mode.  With x = a |omega_ij| and q = x / (s + x), summed
-    over the upper triangle's d entries,
-
-        g'  = np/2 + d - a T/2 - (r + 1) sum q,
-        -g'' = a T/2 + (r + 1) sum q (1 - q),
-
-    each O(p^2).  Where np <= 2rd the step moves nothing and returns 1.0.
-    Where a |omega_ij| >> s, g(eta) ~ (np/2 - rd) eta - e^eta T/2 + const,
-    so for np <= 2rd the orbit's mode sits at a |omega_ij| ~ s, a scale
-    that s sets and the data do not: a p >= n chain at r = 1 would collapse
-    onto the prior's spike at zero, and at a small s its next sweep would
-    find omega no longer positive definite to ``PD_TOL``.
-
-    Elsewhere Newton starts at a = 1 and runs on g' as a function of a,
-    a -> a (1 + g'/-g''), not of eta: in a, g' is convex and decreasing, so
-    from below the root Newton climbs to it without overshooting, and it is
-    close to linear wherever the trace term dominates, which takes a
-    chain's state to the root in two or three steps.  From above the root
-    a step lands below it and never leaves a <= 0: that needs (r + 1)
-    sum q^2 >= np/2 + d, and sum q^2 < d, so np < 2rd.  Newton stops once
-    its step in eta is at most ``SCALE_NEWTON_TOL``, and applies that step.
-    The step draws no random number, and a omega is positive definite
-    whenever omega is.
-
-    state must be as a completed sweep leaves it: sigma carried and every
-    omega_ij finite, which the sweep's NaN guard on q = beta' Omega11^{-1}
-    beta ensures (a finite q needs a finite beta, and omega_ii = gamma + q).
-    A Newton that has not converged after ``SCALE_NEWTON_CAP`` steps raises
-    ValueError naming log a; where np > 2rd, a NaN in omega would end so.
+    whose mode is a once every a |omega_ij| >> s.  Where np <= 2rd, a is not
+    positive: there s rather than the data sets the orbit's mode, at
+    a |omega_ij| ~ s, so the step moves nothing and returns 1.0.  It draws
+    no random number, and a omega is positive definite whenever omega is.
     """
-    omega = state.omega
-    p = omega.shape[0]
-    trace = float(np.vdot(state.scatter, omega))
-    w = np.abs(omega.take(upper_index(p)))
-    if state.n * p <= 2.0 * r * w.size:
+    p = state.omega.shape[0]
+    excess = state.n * p - 2.0 * r * (p * (p + 1) // 2)
+    if excess <= 0.0:
         return 1.0
-    x = np.empty_like(w)
-    q = np.empty_like(w)
-    top = state.n * p / 2.0 + w.size
-    r1 = r + 1.0
-    eta = 0.0
-    for _ in range(SCALE_NEWTON_CAP):
-        a = math.exp(eta)
-        np.multiply(w, a, out=x)
-        np.divide(x, np.add(x, s, out=q), out=q)
-        sum_q = q.sum().item()
-        half_t = a * trace / 2.0
-        grad = top - half_t - r1 * sum_q
-        step = math.log1p(grad / (half_t + r1 * (sum_q - _ddot(q, q))))
-        if abs(step) <= SCALE_NEWTON_TOL:
-            break
-        eta += step
-    else:
-        raise ValueError(f"scale step did not converge in {SCALE_NEWTON_CAP} Newton steps: "
-                         f"log a = {eta!r}, g' = {grad!r}")
-    a = math.exp(eta + step)
-    omega *= a
+    a = excess / float(np.vdot(state.scatter, state.omega))
+    state.omega *= a
     state.sigma *= 1.0 / a
     return a
 
@@ -819,11 +766,10 @@ def run_chain(data_scatter, n, config, rng):
     min(burn_in, ``SCALE_WARMUP``) sweeps, and an hrs chain never does.
     The step is a deterministic map, not a Markov kernel, so it runs only
     inside burn-in, and every retained draw comes from the sweep's kernel
-    alone; it is capped, because run every sweep it would drive the chain
-    along the directions no likelihood term sees wherever p > n (see the
-    module docstring).  A sweep or a step that fails raises RuntimeError
-    naming the sweep (0-based), and for a step its stage, scale, as
-    :func:`sweep` names a column's.
+    alone; it is capped, because run every sweep it would hold omega's
+    scale below the chain's own level (see the module docstring).  A sweep
+    that fails raises RuntimeError naming the sweep (0-based) before the
+    sweep's own message.
     """
     state = initial_state(data_scatter, n)
     audit = ViolationAudit()
@@ -832,21 +778,18 @@ def run_chain(data_scatter, n, config, rng):
     draws = [] if config.store_draws else None
     total = config.burn_in + config.draws
     warmup = min(config.burn_in, SCALE_WARMUP) if config.kind == "bgs" else 0
-    r, s = float(config.r), float(config.s)
     if config.kind == "hrs":
         # The step's tail ufuncs load here, outside the timed sweeps.
         normal_tail_ufuncs()
 
     t0 = time.perf_counter()
     for k in range(total):
-        where = f"sweep {k} (0-based)"
         try:
             sweep(state, config, audit, rng)
-            if k < warmup:
-                where += " failed at stage scale"
-                settle_scale(state, r, s)
         except Exception as exc:
-            raise RuntimeError(f"{where}: {exc}") from exc
+            raise RuntimeError(f"sweep {k} (0-based): {exc}") from exc
+        if k < warmup:
+            settle_scale(state, float(config.r))
         if k >= config.burn_in:
             mean_acc += state.omega
             if draws is not None:

@@ -25,8 +25,9 @@ regenerates the file with
     python tests/test_digests.py --write
 
 which replaces it with this host's digests, since digests of other builds
-are stale after such a change.  It exits non-zero, writing nothing, if a
-core's child fails its kernel checks.
+are stale after such a change, and prints, for each build key of either
+file, the artifacts whose digest moved, appeared or vanished.  It exits
+non-zero, writing nothing, if a core's child fails its kernel checks.
 """
 
 import hashlib
@@ -120,11 +121,24 @@ def child_output(core, proc):
     return out["key"], out["digests"]
 
 
+def digest_changes(old, new):
+    """The artifact names whose digest moved, appeared or vanished going
+    from old to new, two {artifact: digest} dicts."""
+    return {"moved": sorted(name for name in old.keys() & new.keys() if old[name] != new[name]),
+            "appeared": sorted(new.keys() - old.keys()),
+            "vanished": sorted(old.keys() - new.keys())}
+
+
 def write_golden():
     golden = dict(child_output(core, run_child(core)) for core in CORES)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} keys to {GOLDEN}")
+    for key in sorted(old.keys() | golden.keys()):
+        print(key)
+        for what, names in digest_changes(old.get(key, {}), golden.get(key, {})).items():
+            print(f"  {what}: {', '.join(names) or '-'}")
 
 
 @pytest.fixture(scope="module", params=CORES)
@@ -143,9 +157,16 @@ def test_seeded_artifacts_match_golden_digests(child):
     golden = json.loads(GOLDEN.read_text())
     if key not in golden:
         pytest.skip(f"no golden digests for {key}")
-    changed = sorted(name for name in golden[key].keys() | digests.keys()
-                     if golden[key].get(name) != digests.get(name))
-    assert not changed, f"artifacts differ from the golden digests: {changed}"
+    changes = digest_changes(golden[key], digests)
+    assert not any(changes.values()), f"artifacts differ from the golden digests: {changes}"
+
+
+def test_digest_changes_name_what_moved_appeared_and_vanished():
+    old = {"a/x.csv": "1", "a/y.json": "2", "b/z.csv": "3"}
+    new = {"a/x.csv": "1", "a/y.json": "9", "c/w.csv": "4"}
+    assert digest_changes(old, new) == {"moved": ["a/y.json"], "appeared": ["c/w.csv"],
+                                        "vanished": ["b/z.csv"]}
+    assert digest_changes(new, new) == {"moved": [], "appeared": [], "vanished": []}
 
 
 if __name__ == "__main__":
