@@ -67,9 +67,9 @@ behaviour: forcing every such tau_ii to 1e-300 or to 1e307 leaves omega,
 Sigma and the audit byte-identical.  The bitwise reference test, whose
 reference reads slot i as a unit tau and a zero beta, states both.
 1/tau_ii need only be finite and positive, so that the pivot is, and it is
-drawn by the same formula as every tau_jk, so the bound that ``S_FLOOR``
-gives every latent scale holds for it too: it is at least about
-EPS_OMEGA * s / g, a normal float, so 1/tau_ii is finite.
+drawn by the same formula as every tau_jk, so what ``S_FLOOR`` keeps for
+every latent scale holds for it too: tau_ii is a normal float, so 1/tau_ii
+is finite.
 
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
@@ -223,11 +223,11 @@ kernel alone.  It is capped because, run after every sweep, it holds the
 scale where the closed form puts it, below the chain's own level: on the
 ar2 chain log det read 37.8 after sweep 10 and 27.5 after sweep 50, and
 44.4 five sweeps after the warm-up ended; at circle p = 60, n = 10 log det
-omega after 4000 sweeps read -2.7 with every sweep settled against 122.8
-for plain bgs.  With the cap it read 122.4, and over chain seeds 1-8
-capped chains read 76.1-146.5 against plain bgs's 88.7-153.0, lower at
-7 of the 8 seeds, so the warm-up does not speed up the drift of omega
-along null(S) there.
+omega after 4000 sweeps read -6.5 with every sweep settled against 121.6
+for plain bgs.  With the cap it read 110.0, and over chain seeds 1-8
+capped chains read 88.5-142.2 against plain bgs's 101.0-135.7, higher at
+5 of the 8 seeds and lower at 3, so the warm-up does not consistently
+speed up the drift of omega along null(S) there.
 """
 
 import math
@@ -243,22 +243,18 @@ from .matrixcore import (PD_TOL, _daxpy, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, 
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
-# Floor on |omega_ij| in the latent-scale draw, the one bound on any draw:
-# with a = 0 the closed form computes 0 * inf = NaN.  A sweep draws from no
-# exact zero of the identity a chain starts at, since its first sweep reads
-# unit tau beyond slot i without a draw (see the module docstring), but
-# entries below the floor are reachable: at the default s = 1e-6 about 1e-5
-# of the posterior of a weakly correlated p = 2 model lies below it (the D2
-# model of tests/test_posterior.py puts 8.6e-6 there).
-EPS_OMEGA = 1e-10
-
-# Smallest s a chain accepts.  A rate is at most g/s and the floored
-# |omega_ij| at least EPS_OMEGA, so whatever the state every latent scale
-# is at least about EPS_OMEGA * s / g.  Below s = 1e-298 or so that bound
-# is subnormal, and the beta draw's 1/tau could overflow.  At s = 1e-250
-# it is still a normal float: on star data at p = 60, n = 5 the smallest
-# scale drawn read 1.24e-261 for both samplers.
-S_FLOOR = 1e-250
+# Smallest s a chain accepts.  A rate is g/(s + |omega_ij|), so whatever
+# the state the latent scale t / lambda that update_tau_column draws with
+# probability t / (t + |omega_ij|) is at least nu**2 (s + |omega_ij|)**2 /
+# g**2 >= nu**2 s**2 / g**2; the other, |omega_ij|**2 / (t lambda), is
+# drawn with a probability that vanishes with |omega_ij|.  Below s =
+# 1e-154 s**2 is subnormal, and the beta draw's 1/tau could overflow; at
+# s = 1e-145 it leaves nu**2 / g**2 18 decades.  At p >> n and small s
+# some |omega_ij| fall toward s: on star data at p = 60, n = 5 (data and
+# chain RngStream(50), 200 + 1800 sweeps at s = 1e-145) the smallest
+# |omega_ij| read 4.59e-122 (bgs) and 1.05e-60 (hrs), and the smallest
+# latent scale 6.69e-243 and 4.64e-121.
+S_FLOOR = 1e-145
 
 # :func:`run_chain` settles omega's global scale after each of a bgs
 # chain's first min(burn_in, SCALE_WARMUP) sweeps (see the module docstring).
@@ -555,26 +551,27 @@ def update_lambda_column(abs_omega, s, g):
 
 
 def update_tau_column(lam, abs_omega, half_nu2, odds):
-    """Latent scales for rows: 1/tau ~ IG(lambda/a, lambda**2).
+    """Latent scales for rows: 1/tau ~ IG(lambda/a, lambda**2), a = |omega|.
 
-    a = max(|omega|, EPS_OMEGA), so exact zeros cannot produce infinite
-    parameters.  The draw is the Michael-Schucany-Haas (1976) transform of
-    a standard normal nu and a uniform u on [0, 1), in closed form: with
-    k = nu**2 / (2 a lambda) and r = 1 + k + sqrt(k (k + 2)), the smaller
-    root of the transform's quadratic is (lambda/a) / r, and
+    The draw is the Michael-Schucany-Haas (1976) transform of a standard
+    normal nu and a uniform u on [0, 1), in closed form: with h = nu**2 /
+    (2 lambda) and t = a + h + sqrt(h (h + 2 a)), the smaller root of the
+    transform's quadratic is lambda / t, and
 
-        tau = (a/lambda) * (r if u (r + 1) <= r else 1/r).
+        tau = (t if u (t + a) <= t else a**2 / t) / lambda.
 
-    This form has no cancellation, so it needs no floor.  The arguments
-    are arrays of one shape, as :func:`update_lambda_column`'s.  half_nu2
-    holds nu**2 / 2 and odds holds u / (1 - u), one per entry: u (r + 1) <=
-    r is odds <= r.  The draw is pure: it reads its arguments, abs_omega
-    included, and returns a new array.
+    This form has no cancellation and holds at every a >= 0.  As a -> 0
+    the law of 1/tau tends to the Levy law of scale lambda**2, and at a = 0
+    the draw is exactly that law's: t = 2h and tau = nu**2 / lambda**2.
+    The arguments are arrays of one shape, as
+    :func:`update_lambda_column`'s.  half_nu2 holds nu**2 / 2 and odds
+    holds u / (1 - u), one per entry: u (t + a) <= t is odds a <= t.  The
+    draw is pure: it reads its arguments, abs_omega included, and returns a
+    new array.
     """
-    a = np.maximum(abs_omega, EPS_OMEGA)
-    k = half_nu2 / (a * lam)
-    r = 1.0 + k + np.sqrt(k * (k + 2.0))
-    return np.where(odds <= r, r, 1.0 / r) * (a / lam)
+    h = half_nu2 / lam
+    t = abs_omega + h + np.sqrt(h * (h + 2.0 * abs_omega))
+    return np.where(odds * abs_omega <= t, t, abs_omega * abs_omega / t) / lam
 
 
 def sweep(state, config, audit, rng):
@@ -662,10 +659,10 @@ def sweep(state, config, audit, rng):
         # over chains per sweep run.  Against unit tau for the whole first
         # sweep, bgs read 0.388 against 0.348 and hrs 0.546 against 0.485 on
         # standardized 50 x 100 ar2 fits (data seeds 1-6, chain seeds 100 *
-        # seed + 0..3, 10 + 40 sweeps), and bgs 0.0700 against 0.0730 and hrs
-        # 0.0229 against 0.0238 on circle p = 30, n = 50 replications (seeds
+        # seed + 0..3, 10 + 40 sweeps), and bgs 0.0707 against 0.0727 and hrs
+        # 0.0233 against 0.0233 on circle p = 30, n = 50 replications (seeds
         # 1-40, 50 + 200 sweeps).  A ridge start Omega0 = n (S + diag S)^{-1}
-        # with no first-sweep rule cut hrs by 32% (circle) and 37% (ar2).
+        # with no first-sweep rule cut hrs by 30% (circle) and 37% (ar2).
         if first_sweep:
             inv_tau, lambda_diag = np.ones((p, p)), 1.0
         else:

@@ -12,7 +12,6 @@ from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_truncated_normal
 from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pair_index, pd_check, spd_inverse
 from bayesglasso.sampler import (
-    EPS_OMEGA,
     S_FLOOR,
     SAMPLER_KINDS,
     ChainConfig,
@@ -523,9 +522,9 @@ def test_update_tau_ig_mean_oracle():
     pytest.param(6, [(math.sqrt(0.2), math.sqrt(0.2) / 0.3, 5000), (1.0, 1.0, 1)],
                  id="small-shape"),
     # Extreme rates a chain draws at the default r and s: a small rate with
-    # |omega| at or below its EPS_OMEGA floor, and a rate near the mean of
+    # a zero or a nearly zero |omega|, and a rate near the mean of
     # Ga(1.01, 1e-6), 1e6, with a large or a zero |omega|.
-    pytest.param(7, [(1e-6, 0.0, 1000), (1e-6, EPS_OMEGA, 1000), (1e6, 1e3, 1000),
+    pytest.param(7, [(1e-6, 0.0, 1000), (1e-6, 1e-300, 1000), (1e6, 1e3, 1000),
                      (1e6, 0.0, 1000)], id="extreme-rates"),
     pytest.param(14, [(1.0, 0.0, 1000)], id="zero-omega"),
 ])
@@ -539,10 +538,16 @@ def test_update_tau_draws_are_finite_and_positive(seed, points):
 
 
 def test_update_tau_at_the_edges_of_its_domain():
-    # |omega| = 0 draws exactly as |omega| = EPS_OMEGA, its floor.
-    tau = tau_draws(np.ones(1000), np.zeros(1000), RngStream(14))
-    floor = tau_draws(np.ones(1000), np.full(1000, EPS_OMEGA), RngStream(14))
-    assert np.array_equal(tau, floor)
+    # At |omega| = 0, 1/tau ~ IG(lam/|omega|, lam**2) is at its limit, the
+    # Levy law of scale lam**2: the draw is tau = nu**2 / lam**2, to
+    # rounding, with mean 1/lam**2 and variance 2/lam**4, however large lam.
+    n = 200_000
+    gen = RngStream(14)
+    for lam in (1.0, 1e12):
+        nu, u = gen.standard_normal(n), gen.random(n)
+        tau = update_tau_column(np.full(n, lam), np.zeros(n), nu * nu * 0.5, u / (1.0 - u))
+        np.testing.assert_allclose(tau, nu * nu / lam ** 2, rtol=1e-15, atol=0.0)
+        assert abs(tau.mean() * lam ** 2 - 1.0) < 4.0 * math.sqrt(2.0 / n), lam
     # The transform checks nothing; nu = 0 and the smallest and largest
     # uniforms are still inside its domain and give positive draws.
     for u in (0.0, 1.0 - 2.0 ** -53):
@@ -586,9 +591,9 @@ def test_update_tau_closed_form_matches_msh_oracle():
 
 
 def test_update_tau_huge_k_stays_finite():
-    # |omega| = 1e-10 and lam = 1e-6 put k = nu**2 / (2 a lam) beyond 1e12.
-    # There the published transform, in floating point, cancels its smaller
-    # root to zero or below on about 40% of these draws.
+    # |omega| = 1e-10 and lam = 1e-6 put nu**2 / (2 |omega| lam) beyond
+    # 1e12.  There the published transform, in floating point, cancels its
+    # smaller root to zero or below on about 40% of these draws.
     gen = RngStream(26)
     nu, u = gen.standard_normal(10_000), gen.random(10_000)
     nu[np.abs(nu) < 0.015] = 0.015
@@ -596,14 +601,14 @@ def test_update_tau_huge_k_stays_finite():
     assert (nu * nu * 0.5 / (a * lam)).min() >= 1e12
     tau = update_tau_column(lam, a, nu * nu * 0.5, u / (1.0 - u))
     assert np.all(np.isfinite(tau))
-    # r > 2k >= 2e12 and the other root has probability 1/(r + 1), so every
-    # draw is the smaller root, tau = r a/lam > 2e8
+    # The other root has probability below 1e-12, so every draw is the
+    # smaller one, tau >= nu**2 / lam**2 > 2e8.
     assert np.all(tau > 2e8)
 
 
 def test_shrinkage_draws_leave_their_arguments_unchanged():
-    # Both helpers only read: |omega| keeps its exact 0.0, below the floor
-    # EPS_OMEGA that the tau draw applies, and the bank rows stay as drawn.
+    # Both helpers only read: |omega| keeps its exact 0.0, and the bank
+    # rows stay as drawn.
     gen = RngStream(15)
     abs_omega = np.abs(gen.standard_normal((3, 6)))
     abs_omega[0, 2] = 0.0
@@ -838,13 +843,12 @@ def pair_position(p, j, k):
 def shrinkage_row(g, nu, u, abs_omega, s):
     """The rates Ga(r + 1, s + |omega_ij|), from bank 3's row g, and the
     latent scales 1/tau ~ IG(rates/a, rates**2) by the closed-form
-    Michael-Schucany-Haas draw, from bank rows nu and u, for one row of
-    |omega|.  u (r + 1) <= r is u / (1 - u) <= r."""
+    Michael-Schucany-Haas draw, from bank rows nu and u, for one row
+    a = |omega|.  u (t + a) <= t is u / (1 - u) a <= t."""
     rates = g / (abs_omega + s)
-    a = np.maximum(abs_omega, EPS_OMEGA)
-    k = nu * nu * 0.5 / (a * rates)
-    r = 1.0 + k + np.sqrt(k * (k + 2.0))
-    tau = np.where(u / (1.0 - u) <= r, r, 1.0 / r) * (a / rates)
+    h = nu * nu * 0.5 / rates
+    t = abs_omega + h + np.sqrt(h * (h + 2.0 * abs_omega))
+    tau = np.where(u / (1.0 - u) * abs_omega <= t, t, abs_omega * abs_omega / t) / rates
     return rates, tau
 
 
@@ -1337,8 +1341,8 @@ def test_initial_state_needs_an_integer_sample_size():
 
 
 def test_chain_config_rejects_an_s_below_the_floor():
-    # Below about 1e-298 the smallest latent scale a rate allows,
-    # EPS_OMEGA * s / g, is subnormal, and the beta draw's 1/tau could
+    # Below about 1e-154 the bound nu**2 s**2 / g**2 on the latent-scale
+    # draw's larger root is subnormal, and the beta draw's 1/tau could
     # overflow.
     ChainConfig(s=S_FLOOR)
     with pytest.raises(ValueError, match="at least"):
