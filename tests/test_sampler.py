@@ -1117,11 +1117,12 @@ def test_settle_scale_picks_the_mode_of_the_orbit_p3(r, s, c):
     assert_settles_at_the_mode(c * random_spd(p, gen), S, n, r, s)
 
 
-@pytest.mark.parametrize("s", [S_FLOOR])
+@pytest.mark.parametrize("s", [1e-250])
 def test_settle_scale_picks_the_mode_of_the_orbit_p4(s):
-    # At s = S_FLOOR every a |omega_ij| / (s + a |omega_ij|) rounds to 1,
+    # At s = 1e-250 every a |omega_ij| / (s + a |omega_ij|) rounds to 1,
     # so the closed form is the orbit's mode, far below (c = e^-8) and far
-    # above (c = e^8) it alike.
+    # above (c = e^8) it alike.  settle_scale reads no s, so the s of the
+    # brute-force mode need not be one that a chain accepts.
     p = 4
     gen = np.random.default_rng(19)
     for n, r in [(5, 1e-2), (2, 0.3), (1, 0.15), (50, 9.0)]:
@@ -1131,8 +1132,8 @@ def test_settle_scale_picks_the_mode_of_the_orbit_p4(s):
             assert_settles_at_the_mode(c * random_spd(p, gen), S, n, r, s)
 
 
-@pytest.mark.parametrize("p,n,r,s,c", [(4, 1, 1.0, 1e-6, 50.0), (4, 2, 1.0, S_FLOOR, 50.0),
-                                       (4, 5, 2.5, S_FLOOR, 50.0), (4, 1, 10.0, 1.0, 50.0),
+@pytest.mark.parametrize("p,n,r,s,c", [(4, 1, 1.0, 1e-6, 50.0), (4, 2, 1.0, 1e-250, 50.0),
+                                       (4, 5, 2.5, 1e-250, 50.0), (4, 1, 10.0, 1.0, 50.0),
                                        (4, 2, 0.5, 1e-2, 50.0), (3, 4, 3.0, 1.0, 0.05),
                                        (3, 4, 3.0, 1.0, 20.0), (3, 4, 1.0, 1e-3, 1.0),
                                        (4, 5, 1.0, 1e-6, 1.0)])
