@@ -84,9 +84,7 @@ def build_design(design):
 def simulate_data(model, n, rng):
     """n i.i.d. rows from N(0, sigma_true)."""
     check_integer("n", n, 1)
-    L = pd_check(model.sigma_true)
-    if L is None:
-        raise ValueError("true covariance not positive definite")
+    L = pd_check(model.sigma_true, "true covariance")
     p = model.sigma_true.shape[0]
     return rng.standard_normal((n, p)) @ L.T
 

@@ -5,8 +5,12 @@ Everything operates on plain float64 numpy arrays.  Matrices handled here
 are symmetric by contract; every operation that returns a matrix builds it
 exactly symmetric so asymmetry cannot accumulate over long Gibbs runs.
 
-:func:`pd_check` is the one Cholesky helper: it factors a copy and tests
-the factor's diagonal.
+:func:`pd_check` is the package's one positive-definiteness test: it
+factors a copy, returns the lower Cholesky factor, and raises ValueError
+naming the matrix unless every pivot is > 0.  It has no floor, so its
+verdict does not depend on the data's units: short of overflow and
+underflow, scaling a matrix by a power of four scales its factor by the
+power of two, bit for bit.
 
 Each rule for a checked input is one helper, which raises ValueError
 naming the input and its value: :func:`check_integer` for counts, sizes
@@ -44,10 +48,6 @@ import os
 import sys
 
 import numpy as np
-
-# Cholesky factor diagonal entries must exceed this for a matrix to count
-# as positive definite.
-PD_TOL = 1e-12
 
 
 def scipy_extension(package, name):
@@ -170,16 +170,16 @@ def pair_index(p):
     return index
 
 
-def pd_check(M):
+def pd_check(M, name="matrix"):
     """Cholesky-based positive definiteness test.
 
-    Returns the lower Cholesky factor, with a zero upper triangle, if every
-    factor diagonal entry exceeds PD_TOL, otherwise None.  Never mutates M;
-    a None result means "not positive definite", not an error.
+    Returns the lower Cholesky factor, with a zero upper triangle, and
+    raises ValueError(f"{name} not positive definite") unless ``dpotrf``
+    succeeds and every factor diagonal entry is > 0.  Never mutates M.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
     # Factored in a Fortran-ordered copy of M, never a view of it, with the
     # factor's upper triangle zeroed by dpotrf's clean.
     L, info = _dpotrf(np.array(M, order="F"), 1, 1, 1)
@@ -188,8 +188,8 @@ def pd_check(M):
     # whose NaN minimum fails the comparison.  The sampler's per-column
     # factor of C^{-1} has no such scan; a finiteness test on the column's
     # result guards it instead (see the sampler module docstring).
-    if info != 0 or not L.diagonal().min() > PD_TOL:
-        return None
+    if info != 0 or not L.diagonal().min() > 0.0:
+        raise ValueError(f"{name} not positive definite")
     return L
 
 
@@ -214,10 +214,7 @@ def invert_from_factor(L):
 
 def spd_inverse(M):
     """Inverse of a symmetric positive definite matrix via Cholesky."""
-    L = pd_check(M)
-    if L is None:
-        raise ValueError("matrix not positive definite")
-    return invert_from_factor(L)
+    return invert_from_factor(pd_check(M))
 
 
 def save_matrix_csv(M, path):

@@ -28,10 +28,8 @@ def stein_loss(omega_hat, omega_true):
     omega_true = np.asarray(omega_true, dtype=float)
     if omega_hat.shape != omega_true.shape:
         raise ValueError("dimension mismatch")
-    Lh = pd_check(omega_hat)
-    Lt = pd_check(omega_true)
-    if Lh is None or Lt is None:
-        raise ValueError("matrix not positive definite")
+    Lh = pd_check(omega_hat, "omega_hat")
+    Lt = pd_check(omega_true, "omega_true")
     sigma = invert_from_factor(Lt)
     trace = float(np.sum(omega_hat * sigma))
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(Lh)))

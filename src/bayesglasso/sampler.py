@@ -95,8 +95,8 @@ and asserts the column-boundary invariant; then, per column,
 
 * :func:`make_partition` downdates Sigma in place to ``Omega11^{-1} =
   Sigma - sigma_i sigma_i' / sigma_ii``, row and column i set to zero;
-* the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > PD_TOL**2``
-  on the matrix holding the new beta and the old w22;
+* the audit is the Schur test ``w22 - beta' Omega11^{-1} beta > 0`` on
+  the matrix holding the new beta and the old w22;
 * after the gamma draw, with ``v = Omega11^{-1} beta``, Sigma becomes
   ``Omega11^{-1} + (v - e_i)(v - e_i)' / gamma`` in place, one ``dsyr`` on
   v with slot i set to -1.  Row and column i of Omega11^{-1} are +0, so
@@ -161,11 +161,9 @@ carries the NaN to the pivot of that row, the triangular solves carry it
 into beta, and ``dsymv`` into q = beta' Omega11^{-1} beta; so the sweep
 tests q for finiteness (0.04 us), and hit-and-run's interval already
 rejects the NaN a = d' Omega11^{-1} d that such a factor gives.  Scanning
-each factor's diagonal cost 2.7 us per column at p = 30.  Its PD_TOL floor
-could only reject a C^{-1} that is positive definite: lambda_min(C^{-1})
->= min_j 1/tau_j > 0, and a pivot at or below PD_TOL needs lambda_min <=
-PD_TOL**2 = 1e-24.  An indefinite C^{-1} still fails ``dpotrf``.
-:func:`pd_check`, which factors omega at each sweep start, keeps the scan.
+each factor's diagonal cost 2.7 us per column at p = 30.  An indefinite
+C^{-1} still fails ``dpotrf``.  :func:`pd_check`, which factors omega at
+each sweep start, keeps the scan.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator, in
@@ -222,12 +220,9 @@ map, not a Markov kernel: every retained draw comes from the sweep's
 kernel alone.  It is capped because, run after every sweep, it holds the
 scale where the closed form puts it, below the chain's own level: on the
 ar2 chain log det read 37.8 after sweep 10 and 27.5 after sweep 50, and
-44.4 five sweeps after the warm-up ended; at circle p = 60, n = 10 log det
-omega after 4000 sweeps read -6.5 with every sweep settled against 121.6
-for plain bgs.  With the cap it read 110.0, and over chain seeds 1-8
-capped chains read 88.5-142.2 against plain bgs's 101.0-135.7, higher at
-5 of the 8 seeds and lower at 3, so the warm-up does not consistently
-speed up the drift of omega along null(S) there.
+44.4 five sweeps after the warm-up ended; at circle p = 60, n = 10 (data
+``RngStream(9)``, chain ``RngStream(1)``) log det omega after 4000 sweeps
+read -6.5 with every sweep settled against 121.6 for plain bgs.
 """
 
 import math
@@ -237,9 +232,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import normal_tail_ufuncs, sample_truncated_normal
-from .matrixcore import (PD_TOL, _daxpy, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs,
-                         check_integer, check_positive, check_symmetric, invert_from_factor,
-                         pair_index, pd_check, strict_lower, upper_index)
+from .matrixcore import (_daxpy, _ddot, _dpotrf, _dscal, _dsymv, _dsyr, _dtrtrs, check_integer,
+                         check_positive, check_symmetric, invert_from_factor, pair_index,
+                         pd_check, strict_lower, upper_index)
 
 SAMPLER_KINDS = ("bgs", "hrs")
 
@@ -458,13 +453,13 @@ def hit_and_run_interval(a, b, gamma):
     NaN root, or an interval that no longer brackets 0 strictly.
     Finiteness is tested before the signs, so a NaN that a C^{-1} factor
     carries is reported as a NaN, not as a state that is not positive
-    definite.
+    definite, whose error gives a and gamma.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(gamma)):
         raise ValueError(f"hit-and-run interval needs finite a, b and gamma, got "
                          f"{a!r}, {b!r}, {gamma!r}")
     if not (a > 0.0 and gamma > 0.0):
-        raise ValueError("state not positive definite")
+        raise ValueError(f"state not positive definite: a = {a!r}, gamma = {gamma!r}")
     disc = math.sqrt(b * b + a * gamma)
     if b >= 0.0:
         q = b + disc
@@ -623,17 +618,13 @@ def sweep(state, config, audit, rng):
     from slot i on, which have not been drawn yet, as 1 (see the module
     docstring).
     """
-    L = pd_check(state.omega)
-    if L is None:
-        raise ValueError("omega is not positive definite at the start of the sweep")
-    sigma = invert_from_factor(L)
+    sigma = invert_from_factor(pd_check(state.omega, "omega at the start of the sweep"))
     sigma_t = sigma.T  # BLAS's view: its lower triangle is sigma's upper one
     first_sweep = state.sigma is None
     drift = 0.0 if first_sweep else float(np.abs(state.sigma - sigma).max() / np.abs(sigma).max())
     state.sigma = sigma
     p = state.omega.shape[0]
     omega = state.omega
-    schur_floor = PD_TOL * PD_TOL
     r, s = float(config.r), float(config.s)
     scatter_off = state.scatter.copy()
     scatter_off.flat[:: p + 1] = 0.0
@@ -705,7 +696,7 @@ def sweep(state, config, audit, rng):
             # through dsymv (see the module docstring).
             if not math.isfinite(q):
                 raise ValueError(f"beta' Omega11^{{-1}} beta is {q!r}")
-            violations += not omega22 - q > schur_floor
+            violations += not omega22 - q > 0.0
 
             stage = "gamma"
             gam = gammas[i]

@@ -359,7 +359,7 @@ def test_fit_completes_clean(n, p, burn_in, draws, seed, tmp_path):
     assert rc == 0
     mean = np.loadtxt(out / "posterior_mean.csv", delimiter=",", ndmin=2)
     assert mean.shape == (p, p)
-    assert pd_check(mean) is not None
+    pd_check(mean)
     scaled = np.loadtxt(out / "posterior_mean_unit_diag.csv", delimiter=",", ndmin=2)
     assert np.allclose(np.diagonal(scaled), 1.0)
     audit = json.loads((out / "audit.json").read_text())

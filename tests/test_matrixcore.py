@@ -28,15 +28,23 @@ def random_spd(p, rng, jitter=1.0):
     return symmetrize(A @ A.T + jitter * p * np.eye(p))
 
 
+def is_pd(M):
+    """pd_check's verdict as a bool, for tests that compare verdicts."""
+    try:
+        pd_check(M)
+    except ValueError:
+        return False
+    return True
+
+
 def test_pd_check_identity():
-    L = pd_check(np.eye(2))
-    assert L is not None
-    assert np.array_equal(L, np.eye(2))
+    assert np.array_equal(pd_check(np.eye(2)), np.eye(2))
 
 
 def test_pd_check_indefinite():
     # eigenvalues 3 and -1
-    assert pd_check(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+    with pytest.raises(ValueError, match="^omega not positive definite$"):
+        pd_check(np.array([[1.0, 2.0], [2.0, 1.0]]), "omega")
 
 
 def test_pd_check_rejects_a_non_square_matrix():
@@ -52,7 +60,7 @@ def test_pd_check_circle_design_p3():
     roots = sorted(np.roots([1.0, -6.0, 9.19, -4.18]).real)
     assert roots[0] > 0
     assert np.allclose(roots, [0.9659177920344189, 1.1, 3.934082207965584], atol=1e-9)
-    assert pd_check(M) is not None
+    pd_check(M)
 
 
 def test_pd_check_does_not_mutate():
@@ -64,7 +72,8 @@ def test_pd_check_does_not_mutate():
 
 def test_pd_check_nan_rejected():
     M = np.array([[1.0, np.nan], [np.nan, 1.0]])
-    assert pd_check(M) is None
+    with pytest.raises(ValueError, match="not positive definite"):
+        pd_check(M)
     # OpenBLAS dpotrf returns info = 0 on these, so pd_check's diagonal scan
     # is what rejects them.  One NaN on the diagonal, one off it.
     # The sampler's per-column dpotrf of C^{-1}, called as below, does not
@@ -76,7 +85,8 @@ def test_pd_check_nan_rejected():
     for i, j in ((13, 13), (29, 4)):
         M = random_spd(30, rng, jitter=0.5)
         M[i, j] = M[j, i] = np.nan
-        assert pd_check(M) is None, (i, j)
+        with pytest.raises(ValueError, match="not positive definite"):
+            pd_check(M)
         L, info = lapack.dpotrf(M.T, 1, 0, 1)
         assert info != 0 or np.isnan(L[i, i]), (i, j)
 
@@ -89,8 +99,16 @@ def test_pd_check_factor_roundtrip():
         np.fill_diagonal(L, np.abs(rng.standard_normal(5)) + 0.1)
         M = L @ L.T
         got = pd_check(symmetrize(M))
-        assert got is not None
         assert np.max(np.abs(got @ got.T - M)) < 1e-10 * 5 * np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("k", [-300, 300])
+def test_pd_check_is_scale_free(k):
+    # Scaling by a power of four scales every pivot by the power of two
+    # exactly, so the verdict and the factor do not depend on the units:
+    # at k = -300 the pivots are near 1e-90.
+    M = random_spd(6, np.random.default_rng(14), jitter=0.5)
+    assert np.array_equal(pd_check(4.0**k * M), 2.0**k * pd_check(M))
 
 
 def test_strict_lower_is_built_once_per_p_and_read_only():
@@ -183,7 +201,7 @@ def test_permute_preserves_pd_verdict():
         i = int(rng.integers(5))
         order = np.arange(5)
         order[i], order[-1] = 4, i
-        assert (pd_check(M) is None) == (pd_check(M[np.ix_(order, order)]) is None)
+        assert is_pd(M) == is_pd(M[np.ix_(order, order)])
 
 
 def test_check_symmetric_rejects():

@@ -40,7 +40,7 @@ def test_readme_library_example_runs():
     out = namespace["out"]
     assert out.omega_mean.shape == (6, 6)
     assert out.sweeps_run == 15
-    assert pd_check(out.omega_mean) is not None
+    pd_check(out.omega_mean)
     assert out.audit.violations == 0  # the example runs hrs
 
 

@@ -10,7 +10,7 @@ from scipy.linalg import blas, lapack
 from bayesglasso import matrixcore, sampler
 from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_truncated_normal
-from bayesglasso.matrixcore import PD_TOL, invert_from_factor, pair_index, pd_check, spd_inverse
+from bayesglasso.matrixcore import invert_from_factor, pair_index, pd_check, spd_inverse
 from bayesglasso.sampler import (
     S_FLOOR,
     SAMPLER_KINDS,
@@ -29,7 +29,7 @@ from bayesglasso.sampler import (
     update_tau_column,
 )
 
-from test_matrixcore import random_spd, symmetrize
+from test_matrixcore import is_pd, random_spd, symmetrize
 
 
 def represented(M):
@@ -94,9 +94,7 @@ def compute_c_matrix(omega11_inv, c, inv_tau12):
     inverted from a clean Cholesky factor; the samplers only ever factor
     C^{-1} in place."""
     cinv = c * represented(np.asarray(omega11_inv, dtype=float)) + np.diag(inv_tau12)
-    L = pd_check(cinv)
-    assert L is not None
-    return invert_from_factor(L)
+    return invert_from_factor(pd_check(cinv))
 
 
 # ---------------------------------------------------------------- partition
@@ -247,7 +245,7 @@ def test_c_matrix_always_pd():
         s22 = float(np.abs(rng.standard_normal()) + 0.1)
         inv_tau12 = 1.0 / (np.abs(rng.standard_normal(p1)) + 0.05)
         lambda22 = float(np.abs(rng.standard_normal()) + 0.05)
-        assert pd_check(compute_c_matrix(inv, s22 + 2.0 * lambda22, inv_tau12)) is not None
+        pd_check(compute_c_matrix(inv, s22 + 2.0 * lambda22, inv_tau12))
 
 
 def test_c_matrix_rejects_bad_tau():
@@ -322,6 +320,8 @@ def test_hit_and_run_interval_roots_do_not_cancel(b):
 def test_hit_and_run_interval_rejects_non_pd_state():
     with pytest.raises(ValueError, match="state not positive definite"):
         hit_and_run_interval(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"a = 2\.5e-07, gamma = -8\.5e-08$"):
+        hit_and_run_interval(2.5e-7, 0.0, -8.5e-8)
     # a = 0 must not divide by zero, nor a < 0 reach a negative square root.
     for a, gamma in ((0.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(ValueError, match="state not positive definite"):
@@ -648,6 +648,20 @@ def test_audit_merge_adds_counts_and_keeps_the_larger_drift():
     assert other == ViolationAudit(8, 1, 7e-12)  # only read
 
 
+@pytest.mark.parametrize("factor", [2.0**36, 2.0**40])
+def test_hrs_from_a_diagonal_start_in_large_units_has_no_violations(factor):
+    # Scaling the data by a power of two scales a diag(n / S_jj) start
+    # exactly, and no PD test has a floor that such units could reach.
+    n = 50
+    Y = simulate_data(true_model("circle", 10), n, RngStream(3)) * factor
+    st = initial_state(scatter_matrix(Y), n)
+    st.omega = np.diag(n / np.diag(st.scatter))
+    audit, rng = ViolationAudit(), RngStream(1)
+    for _ in range(50):
+        sweep(st, ChainConfig("hrs"), audit, rng)
+    assert (audit.updates_total, audit.violations) == (500, 0)
+
+
 def test_sweep_rejects_a_state_not_positive_definite():
     st, rng = make_sim_state(p=4)
     st.omega = np.array([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0],
@@ -733,7 +747,7 @@ def test_schur_audit_counts_what_a_full_cholesky_finds(monkeypatch):
         tested = st.omega.copy()
         tested[i] = tested[:, i] = beta
         tested[i, i] = st.omega.item(i, i)
-        full.append(pd_check(tested) is None)
+        full.append(not is_pd(tested))
         return beta
 
     monkeypatch.setattr(sampler, "bgs_update_beta", audited)
@@ -950,7 +964,7 @@ def reference_sweep(st, config, rng, first_sweep):
         if config.kind == "bgs":
             v = symv(o11, beta)
         q = float(beta @ v)
-        violations += not omega22_old - q > PD_TOL * PD_TOL
+        violations += not omega22_old - q > 0.0
 
         gam = float(G_gamma[i] * (1.0 / (s22 / 2.0 + lambda22)))
         omega[i, i] = gam + q
@@ -1177,7 +1191,7 @@ def test_settle_scale_keeps_omega_symmetric_pd_and_sigma_its_inverse():
     assert a != 1.0
     assert np.array_equal(st.omega, st.omega.T)
     assert np.array_equal(st.sigma, st.sigma.T)
-    assert pd_check(st.omega) is not None
+    pd_check(st.omega)
     assert np.abs(st.sigma @ st.omega - np.eye(10)).max() <= 1e-12
 
 
@@ -1233,7 +1247,8 @@ def test_a_p_above_n_bgs_chain_at_r_1_keeps_omega_positive_definite(s):
     Y = simulate_data(true_model("circle", 10), 5, RngStream(4))
     cfg = ChainConfig("bgs", burn_in=2, draws=3, r=1.0, s=s, store_draws=True)
     out = run_chain(scatter_matrix(Y), 5, cfg, RngStream(1))
-    assert all(pd_check(omega) is not None for omega in out.draws)
+    for omega in out.draws:
+        pd_check(omega)
 
 
 @pytest.mark.parametrize("s", [1e-6, S_FLOOR])
@@ -1251,7 +1266,8 @@ def test_a_bgs_chain_just_above_np_2rd_keeps_omega_positive_definite(s, monkeypa
     cfg = ChainConfig("bgs", burn_in=sampler.SCALE_WARMUP, draws=3, r=1.0, s=s, store_draws=True)
     out = run_chain(scatter_matrix(Y), 12, cfg, RngStream(1))
     assert len(settled) == sampler.SCALE_WARMUP and all(0.0 < a < 1.0 for a in settled)
-    assert all(pd_check(omega) is not None for omega in out.draws)
+    for omega in out.draws:
+        pd_check(omega)
 
 
 # ---------------------------------------------------------------- chains
@@ -1265,7 +1281,8 @@ def test_run_chain_keeps_every_retained_draw(design, seed, burn_in, draws):
     assert len(out.draws) == draws  # every retained sweep, none of the burn-in
     assert out.sweeps_run == burn_in + draws
     assert len({omega.tobytes() for omega in out.draws}) == draws
-    assert all(pd_check(omega) is not None for omega in out.draws)
+    for omega in out.draws:
+        pd_check(omega)
     assert out.audit.violations == 0
     # the mean is the sum of the stored draws over their count, bit for bit
     assert np.array_equal(out.omega_mean, sum(out.draws) / draws)
@@ -1304,7 +1321,7 @@ def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind,
         assert min(extremes["update_tau_column"]) >= np.finfo(float).tiny
     for omega in out.draws:
         assert np.all(np.isfinite(omega))
-        assert pd_check(omega) is not None
+        pd_check(omega)
     assert out.audit.sigma_drift_max < 1e-8
     if KIND_CLAIMS[kind]["pd_assured"]:
         assert out.audit.violations == 0
