@@ -2,10 +2,11 @@
 
 Two samplers share every update except the off-diagonal step:
 
-* ``"bgs"`` draws each off-diagonal column from its unconstrained normal
-  full conditional.  That draw can push the partially updated precision
-  matrix out of the positive definite cone, which is exactly what the
-  violation audit counts.
+* ``"bgs"`` draws each off-diagonal column by an overrelaxed step from its
+  unconstrained normal full conditional, and ends each sweep with a
+  Metropolis move on omega's global scale (both below).  The column draw
+  can push the partially updated precision matrix out of the positive
+  definite cone, which is exactly what the violation audit counts.
 * ``"hrs"`` draws the same column by a hit-and-run move restricted to the
   set where the partially updated matrix stays positive definite, so a
   chain started at a positive definite matrix never leaves the cone.  It
@@ -29,9 +30,9 @@ The blocks are masked, not permuted: column i is row i of the full p x p
 matrices, in natural order, with slot i decoupled.  Slot i is zero in
 Omega11^{-1}, s12 and z, so the inverse conditional covariance
 ``C^{-1} = (s22 + 2 lambda22) Omega11^{-1} + diag(1/tau12)`` has a zero
-row and column i but for its (i, i) entry 1/tau12[i], and bgs's beta draw
-and hrs's direction come out exactly 0 in slot i whatever tau12[i] is
-(slot i, below).  Omega is then updated in place with one row write and
+row and column i but for its (i, i) entry 1/tau12[i], and bgs's two
+solves and hrs's direction come out exactly 0 in slot i whatever tau12[i]
+is (slot i, below).  Omega is then updated in place with one row write and
 one column write, and Sigma with one rank-1 update (below).
 
 The shrinkage variables are not chain state: a sweep draws them all once,
@@ -52,16 +53,20 @@ A chain's first sweep follows Wang's order instead: column i draws the
 rates and scales of its pairs j < i, from omega[i, :i] as columns 0..i-1
 left it and from those pairs' bank entries, and reads unit tau beyond slot
 i and a unit lambda_ii, which that order has not drawn yet when column i
-reads them.
+reads them; bgs draws beta there without overrelaxation (below).
 
 Slot i holds two values that reach no output.  tau has no diagonal, but
 from a chain's second sweep on slot i of 1/tau12 holds the 1/tau_ii that
-the sweep's draw makes from |omega_ii| all the same; and hrs reads the old
-column as row i of omega in place, omega_ii in slot i.  1/tau_ii sits only
-on C^{-1}'s decoupled (i, i) pivot, so no other entry of the factor, the
-solves or the step moves, and every product that reads omega_ii multiplies
-it, or omega_ii / tau_ii, by a zero, a +0 of Omega11^{-1}'s row and column
-i or hrs's d_i, so it stays omega_ii until the diagonal write.
+the sweep's draw makes from |omega_ii| all the same; and both steps read
+the old column as row i of omega in place, omega_ii in slot i.  1/tau_ii
+sits only on C^{-1}'s decoupled (i, i) pivot, so no other entry of the
+factor, the solves or the step moves, and every product that reads
+omega_ii multiplies it, or omega_ii / tau_ii, by a zero, a +0 of
+Omega11^{-1}'s row and column i or hrs's d_i, so hrs's column holds
+omega_ii until the diagonal write.  bgs's ``daxpy`` adds alpha omega_ii to
+the solves' exact 0 in slot i, and the row and column writes carry it to
+(i, i), where only Omega11^{-1}'s +0 row and column read it, and the
+diagonal write overwrites it.
 ``test_slot_i_is_decoupled_whatever_tau_ii_is`` states the first as a
 behaviour: forcing every such tau_ii to 1e-300 or to 1e307 leaves omega,
 Sigma and the audit byte-identical.  The bitwise reference test, whose
@@ -74,9 +79,9 @@ is finite.
 A column copies only what it must, and :func:`sweep` hands each column
 step exactly the arrays and scalars it reads.  S is fixed for the chain,
 so each sweep makes one copy of it with a zero diagonal, and s12 is a row
-view of that copy.  Only hrs reads the old column, in place, and its step
-writes the new column there, as bgs's row write does; bgs copies no row of
-omega.  The sweep reads omega22 before the column's writes, and ``c =
+view of that copy.  Both steps read the old column in place, and hrs's
+writes the new column there, as bgs's row write does; no step copies a
+row of omega.  The sweep reads omega22 before the column's writes, and ``c =
 s22 + 2 lambda22``, computed once per sweep for every column, serves the
 C^{-1} factor, the hrs step and the gamma rate.
 Besides the bank and the sweep's shrinkage arrays, a sweep allocates one
@@ -131,8 +136,8 @@ module imports each as a global of its own, so a call is one global
 lookup.  Each is called with positional arguments only: f2py parses
 keyword arguments much more slowly.  At p = 30 on a 2-vCPU x86-64 guest,
 the best of 25 timings per call went from 1.3 to 0.6 us for ``dsyr``, 1.3
-to 0.7 for ``dsymv`` and 1.6 to 1.4 for ``dtrtrs``, and a column makes 7
-(bgs) or 16 (hrs) such calls.  The comment above each binding quotes the
+to 0.7 for ``dsymv`` and 1.6 to 1.4 for ``dtrtrs``, and a column makes 10
+(bgs) or 18 (hrs) such calls.  The comment above each binding quotes the
 f2py signature its positional calls follow, and a test pins that line, so
 a scipy that reordered the optional arguments fails the suite instead of
 binding a flag to the wrong parameter.  The bitwise reference test keeps
@@ -155,15 +160,25 @@ return an updated copy of any other, so the value used is always the one
 returned, and the step raises unless the ``daxpy`` on omega's row returned
 that row.
 
-A NaN in C^{-1} is caught once per column, on the column's result, not in
-the factor.  ``dpotrf`` returns success on input holding a NaN, but it
-carries the NaN to the pivot of that row, the triangular solves carry it
-into beta, and ``dsymv`` into q = beta' Omega11^{-1} beta; so the sweep
-tests q for finiteness (0.04 us), and hit-and-run's interval already
-rejects the NaN a = d' Omega11^{-1} d that such a factor gives.  Scanning
-each factor's diagonal cost 2.7 us per column at p = 30.  An indefinite
-C^{-1} still fails ``dpotrf``.  :func:`pd_check`, which factors omega at
-each sweep start, keeps the scan.
+C^{-1}'s diagonal is tested as it is made.  On data in units of 1e100,
+c Omega11^{-1} overflows, since both factors grow with S; ``dpotrf``
+accepts the infinite pivots, which give bgs's solves 0 in their slots, a
+silent wrong answer, and hrs a = 0.  So :func:`_factor_c_inverse` takes
+the ``ddot`` of the diagonal with zeros, 0 unless an entry is an inf or a
+NaN, and raises naming the entry.  Omega11^{-1} is positive semidefinite,
+so |c o_jk| <= max(c o_jj, c o_kk) and an overflow off the diagonal comes
+with one on it.  It adds 1/tau12 to the diagonal with one strided
+``daxpy``, which rounds as numpy's in-place add does and costs less (0.28
+against 0.46 us per call at p = 30), and with the test a p = 30 sweep
+took 1-2% longer.  A NaN elsewhere in C^{-1} is caught on the column's
+result: ``dpotrf`` returns success on input holding a NaN, but it carries
+the NaN to the pivot of that row, the triangular solves carry it into
+beta, and ``dsymv`` into q = beta' Omega11^{-1} beta; so the sweep tests q
+for finiteness (0.04 us), and hit-and-run's interval already rejects the
+NaN a = d' Omega11^{-1} d that such a factor gives.  Scanning each
+factor's diagonal with numpy cost 2.7 us per column at p = 30.  An
+indefinite C^{-1} still fails ``dpotrf``.  :func:`pd_check`, which
+factors omega at each sweep start, keeps the scan.
 
 Randomness comes in one bank per sweep.  Right after the sweep-start
 factorisation, :func:`sweep` makes five bulk calls on the generator, in
@@ -171,7 +186,8 @@ this order and with these shapes whatever the state and whichever the
 sampler:
 
 1. ``standard_normal((p, p))``, diagonal set to zero: row i is the bgs
-   normal vector of column i, or hrs's direction z;
+   normal vector of column i, or hrs's direction z; the (0, 0) entry, read
+   before the zeroing, is the normal of bgs's scale move;
 2. ``standard_gamma(n/2 + 1, p)``: entry i is the gamma draw of column i
    before its rate is applied;
 3. ``standard_gamma(r + 1, d)``, d = p(p + 1)/2, one entry per unordered
@@ -182,31 +198,69 @@ sampler:
 5. ``random(d)``: the entry of pair {j, k} feeds the inverse-Gaussian
    draw of tau_jk, held as nu**2 / 2 and u / (1 - u).  Bank 5's entry at
    the diagonal position of i is the uniform that the exact inverse CDF
-   turns into hrs's truncated-normal step in column i.
+   turns into hrs's truncated-normal step in column i; bgs reads the
+   entry of the pair {0, 0} as its scale move's uniform.
 
-That entry is free for the step because tau has no diagonal: the tau_ii
-that the sweep's draw makes from it moves no bit (slot i, above), and no
-other column reads it.  So the step reads a fresh uniform on which
-nothing else that reaches an output depends, and bgs draws it and uses it
-for nothing that reaches one.
+Those entries are free because tau has no diagonal: the tau_ii that the
+sweep's draw makes from one moves no bit (slot i, above), and no other
+column reads it.  So each step reads a fresh uniform on which nothing else
+that reaches an output depends, and the uniforms of bgs's other diagonal
+entries reach no output.
 
 Every column update is then a pure transform of row i of bank 1, entry i
-of bank 2, the sweep's shrinkage draw and the state, and the shrinkage
-draw one of banks 3-5 and omega as the sweep begins (in a chain's first
-sweep, column i's draw one of its pairs' entries and omega[i, :i] as
-column i begins), so a sweep consumes exactly the bank.  Some entries of
+of bank 2, the sweep's shrinkage draw and the state, the shrinkage draw
+one of banks 3-5 and omega as the sweep begins (in a chain's first sweep,
+column i's draw one of its pairs' entries and omega[i, :i] as column i
+begins), and bgs's scale move of its two bank entries and the swept
+state, so a sweep consumes exactly the bank.  Some entries of
 banks 3-5 feed draws that are never read or that move no bit, and they are
 drawn all the same: the tau_ii draws, and in a chain's first sweep the
 diagonal entries of banks 3 and 4.  A change made only for speed keeps the
 bank and the arithmetic fixed, so it leaves every seeded artifact
 byte-identical.
 
+bgs takes two exact steps beyond Wang's kernel, which raise its effective
+samples per sweep for a few percent of a sweep's time; hrs takes neither.
+
+* Its beta draw is Adler's (1981) overrelaxation, beta' = mu + alpha
+  (beta - mu) + sqrt(1 - alpha**2) L^{-T} z, with mu = -C s12 and alpha =
+  ``OVERRELAX``.  It leaves beta's conditional N(mu, C) invariant and is
+  reversible with respect to it (Barone and Frigessi 1990; Neal 1998).
+  Given the rest, beta is independent of gamma, and (beta, omega22) ->
+  (beta, gamma) has unit Jacobian, so overrelaxing beta with gamma held and
+  then drawing gamma afresh leaves the posterior invariant.  It is formed
+  as L^{-T} (sqrt(1 - alpha**2) z - L^{-1} (1 - alpha) s12) + alpha beta:
+  the sweep scales bank 1 and its copy of S once each, and the one
+  per-column cost is a ``daxpy`` on the old column.  A chain's first sweep
+  draws beta plainly, alpha = 0: it starts from no draw of the chain's
+  law, so moving away from that start has no use, and on the ar2 ensemble
+  of ``sweep``'s first-sweep comment overrelaxing it too cut log det ESS
+  per sweep from 0.343 to 0.245.  alpha = -0.5 keeps
+  the most log det ESS: on the ar2 ensemble of ``sweep``'s first-sweep
+  comment, with the scale move, its pooled ESS per sweep read 0.343 at
+  -0.5, 0.291 at -0.7 and 0.197 at -0.9, against 0.223 with neither step.
+* Alone, that speeds the diagonal but slows omega's global scale, the one
+  direction no column update moves as a whole, so each sweep ends with
+  :func:`scale_move`: a random-walk Metropolis step on eta = log a that
+  maps omega to a omega and the carried Sigma to Sigma / a.  It is Liu and
+  Sabatti's (2000) group move on the multiplicative group {a > 0} acting
+  on omega's d free entries: a Metropolis step with a proposal symmetric
+  in eta that targets pi(a omega) a^d, the posterior density of a omega
+  times the map's Jacobian, leaves the posterior invariant.  Its normal and
+  its uniform are bank entries that nothing else reads (the bank, above).
+  The move is exact, so where p >> n, where bgs's omega grows along
+  null(S) without settling (ROADMAP item 16), it changes how fast a chain
+  gets there, not where the posterior is.  At circle p = 60, n = 10 (data
+  ``RngStream(9)``, identity start, :func:`sweep` alone) log det omega
+  after 4000 sweeps read 121.6 and 101.0 (chains ``RngStream(1)`` and
+  ``RngStream(2)``) without either step and 236.3 and 401.4 with both.
+
 A bgs chain's burn-in begins with a scale warm-up.  Started at the
 identity, bgs overshoots in its first sweep along the one direction that
 no column update moves as a whole, omega's global scale, and falls back
 only slowly: on the benchmark's standardized 50 x 100 ar2 fit (seed 1,
-chain seed 100), log det omega read 88.6 after sweep 1, 83.6 after sweep
-10 and 54.3 after sweep 50, around a stationary level near 50.  So
+chain seed 100), log det omega read 88.6 after sweep 1, 81.1 after sweep
+10 and 52.0 after sweep 50, around a stationary level near 51.  So
 :func:`run_chain` calls :func:`settle_scale` after each of a bgs chain's
 first min(burn_in, ``SCALE_WARMUP``) sweeps.  Where np > 2rd, with d =
 p(p + 1)/2, it moves omega along its orbit {a omega : a > 0} to a =
@@ -219,10 +273,11 @@ hrs untouched.  It runs only inside burn-in because it is a deterministic
 map, not a Markov kernel: every retained draw comes from the sweep's
 kernel alone.  It is capped because, run after every sweep, it holds the
 scale where the closed form puts it, below the chain's own level: on the
-ar2 chain log det read 37.8 after sweep 10 and 27.5 after sweep 50, and
-44.4 five sweeps after the warm-up ended; at circle p = 60, n = 10 (data
+ar2 chain log det read 42.0 after sweep 10 and 29.8 after sweep 50, and
+43.7 five sweeps after the warm-up ended; at circle p = 60, n = 10 (data
 ``RngStream(9)``, chain ``RngStream(1)``) log det omega after 4000 sweeps
-read -6.5 with every sweep settled against 121.6 for plain bgs.
+read 6.8 with every sweep settled against 236.3 for bgs without the
+warm-up.
 """
 
 import math
@@ -254,6 +309,10 @@ S_FLOOR = 1e-145
 # :func:`run_chain` settles omega's global scale after each of a bgs
 # chain's first min(burn_in, SCALE_WARMUP) sweeps (see the module docstring).
 SCALE_WARMUP = 50
+
+# alpha of bgs's overrelaxed beta draw, beta' = mu + alpha (beta - mu) +
+# sqrt(1 - alpha**2) L^{-T} z (see the module docstring).
+OVERRELAX = -0.5
 
 
 @dataclass(frozen=True)
@@ -405,39 +464,63 @@ def make_partition(sigma, i):
     sigma[:, i] = 0.0
 
 
-def _factor_c_inverse(omega11_inv, c, inv_tau12, work, diag):
+def _factor_c_inverse(omega11_inv, c, inv_tau12, work, flat, zeros):
     """Lower Cholesky factor of C^{-1} = c Omega11^{-1} + diag(inv_tau12),
     with c = s22 + 2 lambda22 and inv_tau12 = 1/tau12, formed and factored
     in place in work.
 
     C^{-1} is read from the upper triangle of omega11_inv (numpy indexing).
-    diag is the diagonal view of work.  The factor is the lower triangle of
-    work.T; above its diagonal work.T keeps stale C^{-1} entries, which the
+    work is a C-ordered p x p float64 array and flat its 1-D view, through
+    which one ``daxpy`` adds inv_tau12 to the diagonal in place, at stride
+    p + 1; zeros holds p zeros.  The factor is the lower triangle of work.T;
+    above its diagonal work.T keeps stale C^{-1} entries, which the
     triangular solves never read.
+
+    A C^{-1} whose diagonal is not finite raises ValueError giving the
+    entry: an inf, from c Omega11^{-1} overflowing (see the module
+    docstring), or a NaN.
     """
+    p = zeros.size
     cinv = np.multiply(omega11_inv, c, out=work)
-    diag += inv_tau12
+    _daxpy(inv_tau12, flat, p, 1.0, 0, 1, 0, p + 1)
+    # x * 0 is 0 for every finite x, and NaN for an inf or a NaN.
+    if _ddot(flat, zeros, p, 0, p + 1) != 0.0:
+        bad = float(np.max(cinv.diagonal()))
+        cause = "a NaN" if math.isnan(bad) else "an overflow of c Omega11^{-1}"
+        raise ValueError(f"C^{{-1}} diagonal holds {bad!r}, from {cause}")
     L, info = _dpotrf(cinv.T, 1, 0, 1)
     if info != 0:
         raise ValueError("conditional covariance not positive definite")
     return L
 
 
-def bgs_update_beta(L, s12, z):
-    """Unconstrained draw of the off-diagonal column: N(-C s12, C).
+def bgs_update_beta(L, s12, z, beta, alpha):
+    """Overrelaxed draw of the off-diagonal column from its unconstrained
+    normal full conditional N(mu, C), mu = -C s12:
 
-    L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`.
-    z is a vector of standard normals, zero in a decoupled slot, where
-    C^{-1} has zero off-diagonal entries and a finite positive diagonal
-    one; beta comes out exactly zero there.  The one factor L L' = C^{-1}
-    gives both moments: ``L^{-T} (z - L^{-1} s12) = -C s12 + L^{-T} z`` has
-    mean -C s12 and covariance L^{-T} L^{-1} = C, at the cost of two
-    triangular solves.  Nothing keeps this draw inside the positive
-    definite cone; that is the baseline behaviour the audit measures.
+        beta' = mu + alpha (beta - mu) + sqrt(1 - alpha**2) L^{-T} z,
+
+    which for -1 < alpha < 0 (Adler 1981) leaves N(mu, C) invariant and is
+    reversible with respect to it; :func:`sweep` passes ``OVERRELAX``, or
+    0 in a chain's first sweep, which makes it the plain draw.
+
+    L is the lower Cholesky factor of C^{-1} from :func:`_factor_c_inverse`,
+    and beta the old column.  The scalings come folded into the arguments:
+    s12 is (1 - alpha) times the column of S and z is sqrt(1 - alpha**2)
+    times a vector of standard normals, each zero in a decoupled slot,
+    where C^{-1} has zero off-diagonal entries and a finite positive
+    diagonal one.  The one factor L L' = C^{-1} gives both moments, as
+    ``L^{-T} (z - L^{-1} s12) + alpha beta``, at the cost of two triangular
+    solves and one ``daxpy``, which returns the solve's array.  Slot i of
+    the result is alpha times slot i of beta; :func:`sweep` passes row i of
+    omega in place, omega_ii in slot i, which moves no bit (see the module
+    docstring).  Nothing keeps this draw inside the positive definite cone;
+    that is the behaviour the audit measures.
     """
     y = _dtrtrs(L, s12, 1)[0]
     np.subtract(z, y, out=y)
-    return _dtrtrs(L, y, 1, 1, 0, None, 1)[0]
+    y = _dtrtrs(L, y, 1, 1, 0, None, 1)[0]
+    return _daxpy(beta, y, y.size, alpha)
 
 
 def hit_and_run_interval(a, b, gamma):
@@ -585,10 +668,12 @@ def sweep(state, config, audit, rng):
     carried through the previous sweep and the fresh one is the sweep's
     Sigma drift, 0 in a chain's first sweep.  Then the sweep draws its
     random bank, the same five calls for either kind (see the module
-    docstring); the beta step is the only code that differs between them:
-    bgs's draws a new column, which the sweep writes to omega's row and
-    multiplies by Omega11^{-1}, and hrs's writes the row itself and returns
-    that product.
+    docstring).  The kinds differ in the beta step and in what follows the
+    last column: bgs's step draws a new column, which the sweep writes to
+    omega's row and multiplies by Omega11^{-1}, from bank 1 and a copy of S
+    that the sweep scales once for the overrelaxed draw, and bgs's sweep
+    ends with :func:`scale_move`, after Sigma's triangle is mirrored; hrs's
+    step writes the row itself and returns that product.
 
     A column update is a violation when the Schur test fails on the matrix
     holding the new off-diagonal column and the old diagonal entry; the
@@ -610,13 +695,15 @@ def sweep(state, config, audit, rng):
     i in the module docstring), and its c and gamma draw from vectors made
     once.  A failure there raises RuntimeError naming the sweep start and
     the stage, shrinkage, as a column's failure names the column and its
-    stage.
+    stage.  A C^{-1} whose diagonal is not finite fails its column at
+    stage beta: c Omega11^{-1} overflows on data in units of 1e100 (see the
+    module docstring).
 
     Every column of every sweep draws beta.  A chain's first sweep, the one
     that finds ``state.sigma`` still None, draws column i's pairs j < i as
     the column begins and reads lambda_ii and the latent scales of row i
-    from slot i on, which have not been drawn yet, as 1 (see the module
-    docstring).
+    from slot i on, which have not been drawn yet, as 1, and bgs's beta
+    draw there is not overrelaxed (see the module docstring).
     """
     sigma = invert_from_factor(pd_check(state.omega, "omega at the start of the sweep"))
     sigma_t = sigma.T  # BLAS's view: its lower triangle is sigma's upper one
@@ -629,11 +716,12 @@ def sweep(state, config, audit, rng):
     scatter_off = state.scatter.copy()
     scatter_off.flat[:: p + 1] = 0.0
     work = np.empty((p, p))
-    diag = work.reshape(-1)[:: p + 1]
+    flat, zeros = work.reshape(-1), np.zeros(p)
     pairs = pair_index(p)
     violations = 0
 
     z_bank = rng.standard_normal((p, p))
+    z_move = z_bank.item(0, 0)
     z_bank.flat[:: p + 1] = 0.0
     gamma_bank = rng.standard_gamma(state.n / 2.0 + 1.0, p)
     lambda_bank = rng.standard_gamma(r + 1.0, p * (p + 1) // 2)
@@ -641,6 +729,14 @@ def sweep(state, config, audit, rng):
     u_bank = rng.random(lambda_bank.size)
     odds_bank = u_bank / (1.0 - u_bank)
     u_step = u_bank.take(pairs.diagonal()).tolist()
+    # A chain's first sweep draws beta without overrelaxation: its start is
+    # no draw of the chain's law, so moving away from it has no use.
+    alpha = 0.0 if first_sweep else OVERRELAX
+    if config.kind == "bgs":
+        # bgs_update_beta reads its normals and s12 with the overrelaxed
+        # draw's scalings folded in; at alpha = 0 both factors are 1.
+        z_bank *= math.sqrt(1.0 - alpha * alpha)
+        scatter_off *= 1.0 - alpha
 
     i, stage = None, "shrinkage"
     try:
@@ -648,9 +744,9 @@ def sweep(state, config, audit, rng):
         # beyond slot i) is kept for mixing, measured with
         # OPENBLAS_NUM_THREADS=1 as benchmarks/ess.py's diagonal_ess, pooled
         # over chains per sweep run.  Against unit tau for the whole first
-        # sweep, bgs read 0.388 against 0.348 and hrs 0.546 against 0.485 on
+        # sweep, bgs read 0.483 against 0.420 and hrs 0.546 against 0.485 on
         # standardized 50 x 100 ar2 fits (data seeds 1-6, chain seeds 100 *
-        # seed + 0..3, 10 + 40 sweeps), and bgs 0.0707 against 0.0727 and hrs
+        # seed + 0..3, 10 + 40 sweeps), and bgs 0.105 against 0.109 and hrs
         # 0.0233 against 0.0233 on circle p = 30, n = 50 replications (seeds
         # 1-40, 50 + 200 sweeps).  A ridge start Omega0 = n (S + diag S)^{-1}
         # with no first-sweep rule cut hrs by 30% (circle) and 37% (ar2).
@@ -681,19 +777,19 @@ def sweep(state, config, audit, rng):
             c = c_all[i]
 
             stage = "beta"
-            L = _factor_c_inverse(sigma, c, inv_tau[i], work, diag)
+            L = _factor_c_inverse(sigma, c, inv_tau[i], work, flat, zeros)
             if config.kind == "hrs":
                 beta, v = hrs_update_beta(L, sigma, s12, c, inv_tau[i], omega[i], omega22,
                                           z_bank[i], u_step[i])
             else:
-                beta = bgs_update_beta(L, s12, z_bank[i])
+                beta = bgs_update_beta(L, s12, z_bank[i], omega[i], alpha)
                 omega[i] = beta
                 v = _dsymv(1.0, sigma_t, beta, 0.0, None, 0, 1, 0, 1, 1)
             omega[:, i] = beta
             q = _ddot(beta, v)
-            # The one NaN guard of the column: a NaN that reaches C^{-1}
-            # reaches beta through the factor and the solves, and q
-            # through dsymv (see the module docstring).
+            # A NaN that reaches C^{-1} off its diagonal reaches beta
+            # through the factor and the solves, and q through dsymv (see
+            # the module docstring).
             if not math.isfinite(q):
                 raise ValueError(f"beta' Omega11^{{-1}} beta is {q!r}")
             violations += not omega22 - q > 0.0
@@ -715,7 +811,47 @@ def sweep(state, config, audit, rng):
 
     # Copy the carried upper triangle (numpy indexing) onto the lower one.
     np.copyto(sigma, sigma_t, where=strict_lower(p))
+    if config.kind == "bgs":
+        # Bank 1's (0, 0) entry, zeroed unread above, and bank 5's entry of
+        # the pair {0, 0}, first in upper_index order, whose tau_00 draw
+        # moves no bit.
+        scale_move(state, r, s, z_move, u_bank.item(0))
     return state
+
+
+def scale_move(state, r, s, z, u):
+    """Random-walk Metropolis step on omega's global scale; return whether
+    it accepted.
+
+    It proposes eta = w z, w = 2.4 / sqrt(max(np/2 - r d, 1)), d = p(p + 1)/2,
+    for a standard normal z, and accepts iff log(1 - u) < g(eta) - g(0) for
+    a uniform u on [0, 1), with
+
+        g(eta) = (np/2 + d) eta - e^eta tr(S omega)/2
+                 - (r + 1) sum_{i <= j} log(s + e^eta |omega_ij|),
+
+    the posterior log density of e^eta omega times e^(d eta), the Jacobian
+    of omega -> e^eta omega on the d free entries.  An accepted step scales
+    omega in place by a = e^eta and the carried sigma by 1/a.  The step is
+    Liu and Sabatti's (2000) group move on the multiplicative group a > 0,
+    so it leaves the posterior invariant (see the module docstring); it
+    costs O(d), draws no random number, and a omega is positive definite
+    whenever omega is.
+    """
+    omega = state.omega
+    p = omega.shape[0]
+    d = p * (p + 1) // 2
+    half_np = state.n * p / 2.0
+    eta = z * 2.4 / math.sqrt(max(half_np - r * d, 1.0))
+    a = math.exp(eta)
+    abs_omega = np.abs(omega.take(upper_index(p)))
+    log_ratio = ((half_np + d) * eta - math.expm1(eta) * float(np.vdot(state.scatter, omega)) / 2.0
+                 - (r + 1.0) * float(np.log((abs_omega * a + s) / (abs_omega + s)).sum()))
+    if not math.log1p(-u) < log_ratio:
+        return False
+    omega *= a
+    state.sigma *= 1.0 / a
+    return True
 
 
 def settle_scale(state, r):

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -12,6 +13,7 @@ from bayesglasso.designs import scatter_matrix, simulate_data, true_model
 from bayesglasso.distributions import RngStream, sample_truncated_normal
 from bayesglasso.matrixcore import invert_from_factor, pair_index, pd_check, spd_inverse
 from bayesglasso.sampler import (
+    OVERRELAX,
     S_FLOOR,
     SAMPLER_KINDS,
     ChainConfig,
@@ -23,6 +25,7 @@ from bayesglasso.sampler import (
     initial_state,
     make_partition,
     run_chain,
+    scale_move,
     sweep,
     update_gamma,
     update_lambda_column,
@@ -77,12 +80,13 @@ def column(st, i, tau=None, lam=None):
 
 
 def c_factor(omega11_inv, c, inv_tau12):
-    """_factor_c_inverse in a fresh workspace, with its diagonal view made
-    as sweep makes it."""
+    """_factor_c_inverse in a fresh workspace, with its 1-D view and zeros
+    made as sweep makes them."""
     p = len(inv_tau12)
     work = np.empty((p, p))
     return _factor_c_inverse(np.asarray(omega11_inv, dtype=float), c,
-                             np.asarray(inv_tau12, dtype=float), work, work.reshape(-1)[:: p + 1])
+                             np.asarray(inv_tau12, dtype=float), work, work.reshape(-1),
+                             np.zeros(p))
 
 
 def schur_gamma(omega11_inv, beta, omega22):
@@ -186,10 +190,11 @@ def test_partition_needs_a_c_ordered_sigma():
 
 def test_masked_partition_draws_match_the_compressed_blocks():
     # Slot i of the masked partition is decoupled: C has a unit (i, i)
-    # entry and a zero row and column i, bgs's draw is exactly 0 there, hrs
-    # leaves the omega_ii of the row it updates in place there and returns
-    # a v that is exactly 0 there, and the other entries are the draw from
-    # the (p-1)-dimensional blocks that leave slot i out.
+    # entry and a zero row and column i, bgs's draw from omega's row holds
+    # alpha omega_ii there, hrs leaves the omega_ii of the row it updates in
+    # place there and returns a v that is exactly 0 there, and the other
+    # entries are the draw from the (p-1)-dimensional blocks that leave
+    # slot i out.
     gen = np.random.default_rng(9)
     p = 7
     st, tau, lam = random_state(gen, p)
@@ -207,11 +212,13 @@ def test_masked_partition_draws_match_the_compressed_blocks():
         z[i] = 0.0
         u = float(gen.random())
         L, small_L = c_factor(omega11_inv, c, inv_tau12), c_factor(small_inv, c, inv_tau12[rest])
-        got = bgs_update_beta(L, s12, z)
-        assert got[i] == 0.0
-        np.testing.assert_allclose(got[rest], bgs_update_beta(small_L, s12[rest], z[rest]),
-                                   rtol=1e-10, atol=1e-13)
         row = st.omega[i].copy()
+        got = bgs_update_beta(L, s12, z, row, OVERRELAX)
+        assert got[i] == OVERRELAX * omega22
+        np.testing.assert_allclose(got[rest],
+                                   bgs_update_beta(small_L, s12[rest], z[rest], beta[rest],
+                                                   OVERRELAX),
+                                   rtol=1e-10, atol=1e-13)
         got, got_v = hrs_update_beta(L, omega11_inv, s12, c, inv_tau12, row, omega22, z, u)
         small, small_v = hrs_update_beta(small_L, small_inv, s12[rest], c, inv_tau12[rest],
                                          beta[rest], omega22, z[rest], u)
@@ -257,6 +264,14 @@ def test_c_matrix_rejects_bad_tau():
 
 # ---------------------------------------------------------------- beta draws
 
+def overrelaxed_draw(L, s12, z, beta):
+    """bgs_update_beta with the scalings that sweep folds into its normals
+    and its copy of S applied here, to a fresh array."""
+    return bgs_update_beta(L, (1.0 - OVERRELAX) * np.asarray(s12),
+                           math.sqrt(1.0 - OVERRELAX * OVERRELAX) * np.asarray(z),
+                           np.array(beta, dtype=float), OVERRELAX)
+
+
 @pytest.mark.parametrize("omega11_inv,s12,c,inv_tau12,seed,n", [
     # s12 = 0 makes the conditional mean zero
     pytest.param(np.eye(3), np.zeros(3), 1.0 + 2.0 * 0.5, np.ones(3), 1, 10_000, id="centered"),
@@ -267,17 +282,22 @@ def test_c_matrix_rejects_bad_tau():
                  40_000, id="random"),
 ])
 def test_bgs_beta_draw_moments(omega11_inv, s12, c, inv_tau12, seed, n):
-    # The draw comes from one Cholesky factor of C^{-1}; its first two
-    # moments must still be -C s12 and C, with C formed independently.
+    # The overrelaxed draw from a fixed old column beta comes from one
+    # Cholesky factor of C^{-1}; its first two moments must still be
+    # mu + alpha (beta - mu) and (1 - alpha**2) C, with mu = -C s12 and C
+    # formed independently.
     C = compute_c_matrix(omega11_inv, c, inv_tau12)
     L = c_factor(omega11_inv, c, inv_tau12)
     gen = RngStream(seed)
-    draws = np.array([bgs_update_beta(L, s12, gen.standard_normal(len(s12))) for _ in range(n)])
-    se_mean = np.sqrt(np.diag(C) / n)
-    assert np.all(np.abs(draws.mean(axis=0) + C @ s12) < 4 * se_mean)
+    mu, beta = -C @ s12, np.linspace(-1.0, 2.0, len(s12))
+    draws = np.array([overrelaxed_draw(L, s12, gen.standard_normal(len(s12)), beta)
+                      for _ in range(n)])
+    cov = (1.0 - OVERRELAX**2) * C
+    se_mean = np.sqrt(np.diag(cov) / n)
+    assert np.all(np.abs(draws.mean(axis=0) - (mu + OVERRELAX * (beta - mu))) < 4 * se_mean)
     # Var of a sample covariance entry: (C_ii C_jj + C_ij^2) / n.
-    se_cov = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C * C) / n)
-    assert np.all(np.abs(np.cov(draws, rowvar=False) - C) < 4 * se_cov)
+    se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov * cov) / n)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4 * se_cov)
 
 
 # a = gamma = 1 gives roots -b +- sqrt(b^2 + 1).
@@ -457,10 +477,16 @@ def test_hrs_unbounded_matches_bgs_distribution():
                                   h.standard_normal(1), h.random())
         return beta.item()
 
-    hrs_draws = np.array([hrs_draw() for _ in range(n)])
-    bgs_draws = np.array([bgs_update_beta(L, s12, b.standard_normal(1))[0]
-                          for _ in range(n)])
     C = compute_c_matrix(inv, c, inv_tau12)[0, 0]
+
+    def bgs_draw():
+        # An overrelaxed step from an exact draw of N(-C s12, C) is another
+        # one, independent of the last.
+        beta = -C * s12 + math.sqrt(C) * b.standard_normal(1)
+        return overrelaxed_draw(L, s12, b.standard_normal(1), beta).item()
+
+    hrs_draws = np.array([hrs_draw() for _ in range(n)])
+    bgs_draws = np.array([bgs_draw() for _ in range(n)])
     se_mean = math.sqrt(C / n)
     assert abs(hrs_draws.mean() - bgs_draws.mean()) < 4 * math.sqrt(2) * se_mean
     assert abs(hrs_draws.var(ddof=1) - bgs_draws.var(ddof=1)) < 4 * C * math.sqrt(2.0 / n) * math.sqrt(2)
@@ -662,6 +688,25 @@ def test_hrs_from_a_diagonal_start_in_large_units_has_no_violations(factor):
     assert (audit.updates_total, audit.violations) == (500, 0)
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_overflow_in_c_inverse_fails_that_column(kind):
+    # In units of 1e100, c Omega11^{-1} overflows as C^{-1} is formed: both
+    # grow with S.  Its infinite pivots would give bgs beta = 0 and hrs a
+    # = 0, so the column must name the overflow instead, whatever numpy's
+    # own overflow handling is set to.
+    n = 50
+    Y = simulate_data(true_model("circle", 10), n, RngStream(3)) * 1e100
+    st = initial_state(scatter_matrix(Y), n)
+    st.omega = np.diag(n / np.diag(st.scatter))
+    audit, rng = ViolationAudit(), RngStream(1)
+    with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match=r"column 0 \(0-based\) failed at stage beta: C\^\{-1\} "
+                                r"diagonal holds inf, from an overflow of c Omega11"):
+        for _ in range(50):
+            sweep(st, ChainConfig(kind), audit, rng)
+    assert audit == ViolationAudit()
+
+
 def test_sweep_rejects_a_state_not_positive_definite():
     st, rng = make_sim_state(p=4)
     st.omega = np.array([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0],
@@ -672,11 +717,9 @@ def test_sweep_rejects_a_state_not_positive_definite():
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_nan_reaching_c_inverse_fails_that_column(kind, monkeypatch):
-    # The per-column C^{-1} factor is not scanned for NaN; the sweep's
-    # finiteness test on beta' Omega11^{-1} beta (bgs) or the hit-and-run
-    # interval (hrs) must stop the column a NaN latent scale reaches, and
-    # name the NaN.  In a chain's first sweep, call k of update_tau_column
-    # draws column k's pairs j < k alone.
+    # A NaN latent scale reaches C^{-1}'s diagonal, whose test must stop
+    # that column and name the NaN.  In a chain's first sweep, call k of
+    # update_tau_column draws column k's pairs j < k alone.
     st, rng = make_sim_state(p=8, n=30)
     original = sampler.update_tau_column
     calls = []
@@ -766,9 +809,12 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # that gives Sigma: no other O(p^3) step.  Each of a column's two rank-1
     # updates is one dsyr with its formula's scalar as alpha, and the second
     # one, on v - e_i, also writes Sigma's row and column i, so no vector is
-    # scaled for it: dscal scales only hrs's direction.  bgs applies
-    # Omega11^{-1} once, to the new column; hrs twice, to the old column and
-    # the direction, and two daxpy make the new column and its product.
+    # scaled for it: dscal scales only hrs's direction.  One daxpy adds
+    # 1/tau12 to C^{-1}'s diagonal.  bgs applies Omega11^{-1} once, to the
+    # new column, and one more daxpy adds alpha times the old column to its
+    # overrelaxed draw; hrs applies it twice, to the old column and the
+    # direction, and two more daxpy make the new column and its product.
+    # Only bgs takes the scale move, once per sweep.
     # Every helper the benchmark traces is counted through the module
     # attribute it replaces, so a sweep that bound one locally would show
     # zero calls here, as it would zero its traced time.
@@ -777,7 +823,7 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     beta = f"{kind}_update_beta"
     names = ("pd_check", "_dpotrf", "invert_from_factor", "make_partition",
              "_factor_c_inverse", beta, "update_gamma", "update_lambda_column",
-             "update_tau_column", "_dsyr", "_dscal", "_dsymv", "_daxpy")
+             "update_tau_column", "_dsyr", "_dscal", "_dsymv", "_daxpy", "scale_move")
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
@@ -799,12 +845,12 @@ def test_sweep_factorisation_budget(kind, monkeypatch):
     # in one call.  The shrinkage budget: a chain's first sweep draws
     # column i's pairs as the column begins, p calls each, and every later
     # sweep draws them all as it begins, one call each.
-    per_column = {"bgs": {"_dsymv": p, "_daxpy": 0, "_dscal": 0},
-                  "hrs": {"_dsymv": 2 * p, "_daxpy": 2 * p, "_dscal": p}}
+    per_column = {"bgs": {"_dsymv": p, "_daxpy": 2 * p, "_dscal": 0},
+                  "hrs": {"_dsymv": 2 * p, "_daxpy": 3 * p, "_dscal": p}}
     expect = [{"pd_check": 1, "_dpotrf": p, "invert_from_factor": 1,
                "make_partition": p, "_factor_c_inverse": p, beta: p, "update_gamma": 1,
                "update_lambda_column": draws, "update_tau_column": draws,
-               "_dsyr": 2 * p, **per_column[kind]}
+               "_dsyr": 2 * p, **per_column[kind], "scale_move": int(kind == "bgs")}
               for draws in (p, 1, 1)]
     assert per_sweep == expect
 
@@ -883,10 +929,12 @@ def reference_sweep(st, config, rng, first_sweep):
     lambda22), Sigma kept full and symmetric after every column, BLAS dsyr
     and dsymv on its upper triangle (numpy indexing) for the rank-1 updates
     and the products, Omega11^{-1}'s row and column i zeroed and Sigma's
-    written by hand, the whitened hrs step on the old column with slot i
-    zeroed, with bank 5's diagonal entry of i as its uniform and BLAS daxpy
-    for its two updated vectors, gamma draws scaled by 1/rate, and the
-    closed-form Michael-Schucany-Haas draw inline.
+    written by hand, bgs's overrelaxed draw and the whitened hrs step on
+    the old column with slot i zeroed, the hrs step with bank 5's diagonal
+    entry of i as its uniform, BLAS daxpy for alpha times bgs's old column
+    and for hrs's two updated vectors, gamma draws scaled by 1/rate, the
+    closed-form Michael-Schucany-Haas draw inline, and, for bgs, the scale
+    move on the finished sweep with its log density written out.
 
     sweep() is tuned for speed but must reproduce this bit for bit: same
     random draws in the same order, same floating-point operations.
@@ -905,6 +953,7 @@ def reference_sweep(st, config, rng, first_sweep):
     omega = st.omega
     sigma = invert_from_factor(pd_check(omega))
     Z, G_gamma, G_lambda, NU, U = draw_bank(rng, p, st.n, config.r)
+    z_move = Z[0, 0]
     np.fill_diagonal(Z, 0.0)
     violations = 0
     if not first_sweep:
@@ -935,8 +984,13 @@ def reference_sweep(st, config, rng, first_sweep):
         L, info = lapack.dpotrf(cinv, lower=1, clean=1)
         assert info == 0
         if config.kind == "bgs":
-            y = lapack.dtrtrs(L, s12, lower=1)[0]
-            beta = lapack.dtrtrs(L, Z[i] - y, lower=1, trans=1)[0]
+            # mu + alpha (beta - mu) + sqrt(1 - alpha**2) L^{-T} z, mu =
+            # -C s12, as L^{-T} (sqrt(1 - alpha**2) z - L^{-1} (1 - alpha)
+            # s12) + alpha beta, with alpha = 0 in a chain's first sweep.
+            alpha = 0.0 if first_sweep else OVERRELAX
+            y = lapack.dtrtrs(L, (1.0 - alpha) * s12, lower=1)[0]
+            beta = blas.daxpy(beta, lapack.dtrtrs(
+                L, math.sqrt(1.0 - alpha * alpha) * Z[i] - y, lower=1, trans=1)[0], a=alpha)
         else:
             # Whitened step: x = L' beta moves along e = Z[i] / |Z[i]|,
             # d = L^{-T} e has d' C^{-1} d = 1, so the step has unit
@@ -971,6 +1025,21 @@ def reference_sweep(st, config, rng, first_sweep):
         sigma = syr(1.0 / gam, v, o11)
         sigma[i, :] = sigma[:, i] = v * (-1.0 / gam)
         sigma[i, i] = 1.0 / gam
+    if config.kind == "bgs":
+        # The scale move: propose eta from bank 1's (0, 0) entry and accept
+        # by bank 5's entry of the pair {0, 0}.
+        d = p * (p + 1) // 2
+        rows, cols = np.triu_indices(p)
+
+        def g(eta):
+            a = math.exp(eta)
+            return ((st.n * p / 2.0 + d) * eta - a * float(np.sum(st.scatter * omega)) / 2.0
+                    - (config.r + 1.0) * float(np.sum(np.log(config.s + a * np.abs(omega[rows, cols])))))
+
+        eta = z_move * 2.4 / math.sqrt(max(st.n * p / 2.0 - config.r * d, 1.0))
+        if math.log1p(-U[pair_position(p, 0, 0)]) < g(eta) - g(0.0):
+            omega *= math.exp(eta)
+            sigma = sigma * (1.0 / math.exp(eta))
     st.sigma = sigma
     return p, violations
 
@@ -1083,6 +1152,42 @@ def test_sigma_drift_is_recorded_and_small():
     for _ in range(30):
         sweep(st, ChainConfig("bgs"), audit, rng)
     assert 0.0 < audit.sigma_drift_max < 1e-9
+
+
+# ---------------------------------------------------------------- scale move
+
+def test_scale_move_is_a_metropolis_step_on_the_log_scale(monkeypatch):
+    # eta = w z, w = 2.4 / sqrt(max(np/2 - r d, 1)), is accepted iff
+    # log(1 - u) < g(eta) - g(0), with g the posterior log density of
+    # e^eta omega times the Jacobian e^(d eta), written out here.  An
+    # accepted step scales omega by e^eta and Sigma by e^-eta, a rejected
+    # one moves no bit, and no generator is called.
+    base = swept_state()
+    p, n, r, s = 10, base.n, 1e-2, 1e-6
+    d = p * (p + 1) // 2
+    rows, cols = np.triu_indices(p)
+
+    def g(eta):
+        a = math.exp(eta)
+        return ((n * p / 2.0 + d) * eta - a * np.sum(base.scatter * base.omega) / 2.0
+                - (r + 1.0) * np.sum(np.log(s + a * np.abs(base.omega[rows, cols]))))
+
+    monkeypatch.setattr(np, "random", None)
+    for name in ("random", "gauss", "normalvariate"):
+        monkeypatch.setattr(random, name, None)
+    outcomes = []
+    for z in (-3.0, -0.8, -0.1, 0.2, 1.1, 3.0):
+        for u in (0.05, 0.5, 0.95):
+            st = fresh_state(base.omega, base.scatter, n)
+            eta = z * 2.4 / math.sqrt(max(n * p / 2.0 - r * d, 1.0))
+            accepted = scale_move(st, r, s, z, u)
+            assert accepted == (math.log1p(-u) < g(eta) - g(0.0)), (z, u)
+            a = math.exp(eta) if accepted else 1.0
+            assert np.array_equal(st.omega, base.omega * a)
+            assert np.array_equal(st.sigma, base.sigma * (1.0 / a))
+            np.testing.assert_allclose(st.sigma @ st.omega, np.eye(p), atol=1e-12)
+            outcomes.append(accepted)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 # ---------------------------------------------------------------- scale warm-up
@@ -1254,7 +1359,8 @@ def test_a_p_above_n_bgs_chain_at_r_1_keeps_omega_positive_definite(s):
 @pytest.mark.parametrize("s", [1e-6, S_FLOOR])
 def test_a_bgs_chain_just_above_np_2rd_keeps_omega_positive_definite(s, monkeypatch):
     # circle p = 10, n = 12 at r = 1 has n p - 2 r d = 10, so every warm-up
-    # step acts, with a small a = 10 / tr(S omega).
+    # step acts, with a = 10 / tr(S omega), small while bgs overshoots;
+    # once the scale move has moved omega below that mode, a exceeds 1.
     settled = []
     original = sampler.settle_scale
 
@@ -1265,7 +1371,7 @@ def test_a_bgs_chain_just_above_np_2rd_keeps_omega_positive_definite(s, monkeypa
     Y = simulate_data(true_model("circle", 10), 12, RngStream(4))
     cfg = ChainConfig("bgs", burn_in=sampler.SCALE_WARMUP, draws=3, r=1.0, s=s, store_draws=True)
     out = run_chain(scatter_matrix(Y), 12, cfg, RngStream(1))
-    assert len(settled) == sampler.SCALE_WARMUP and all(0.0 < a < 1.0 for a in settled)
+    assert len(settled) == sampler.SCALE_WARMUP and 1.0 not in settled and min(settled) < 0.1
     for omega in out.draws:
         pd_check(omega)
 
@@ -1322,7 +1428,13 @@ def test_unbounded_shrinkage_draws_keep_a_p_much_larger_than_n_chain_clean(kind,
     for omega in out.draws:
         assert np.all(np.isfinite(omega))
         pd_check(omega)
-    assert out.audit.sigma_drift_max < 1e-8
+    # The carried Sigma drifts by rounding that omega's conditioning
+    # amplifies, as a chain of rank-1 downdates and updates does: the drift
+    # read 2e-4 to 1.5e-3 of eps cond(omega)**2 on all four cells.  Within
+    # these 100 sweeps bgs's scale move takes omega along the p >> n scale
+    # escape of ROADMAP item 16 to cond(omega) = 4.1e5 at the default s.
+    cond = max(np.linalg.cond(omega) for omega in out.draws)
+    assert out.audit.sigma_drift_max < 0.01 * np.finfo(float).eps * cond**2
     if KIND_CLAIMS[kind]["pd_assured"]:
         assert out.audit.violations == 0
 
