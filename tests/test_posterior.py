@@ -20,7 +20,8 @@ w12 = 0; a log grid in |w12| integrates it.
 
 Last, Geweke's (2004) joint-distribution test checks each kernel at p = 3
 with n = 2 < p and a new S at every step, against exact draws from the
-prior.
+prior.  G3n4 runs it at n = 4 for bgs alone, whose overrelaxed beta step
+and scale move run only where n > p, as in W2, P2, D2 and P4.
 
 Every case list comes from test_sampler.KIND_CLAIMS, by one rule.  A kind
 that claims to target the stated posterior runs every oracle: W2, P2, D2,
@@ -359,20 +360,33 @@ def g3_prior():
     return medians, (stats.mean(axis=0), stats.std(axis=0, ddof=1) / np.sqrt(len(stats)))
 
 
-@pytest.mark.parametrize("kind", kind_cases({"{}": ()}, xfails=("{}",)))
-def test_kernel_leaves_the_joint_law_invariant_g3(kind, g3_prior):
-    # Each step draws Y ~ N(0, Omega^{-1}) n times and then runs one sweep
-    # on its S.  The state is given its sigma, so the first-sweep rule, a
-    # rule for a chain's start and not part of the kernel, never runs.
-    medians, oracle = g3_prior
+def geweke_chain(kind, n):
+    """30k steps of the successive-conditional simulator with n data rows.
+
+    Each step draws Y ~ N(0, Omega^{-1}) n times and then runs one sweep on
+    its S.  The state is given its sigma, so the first-sweep rule, a rule
+    for a chain's start and not part of the kernel, never runs."""
     config = ChainConfig(kind=kind, r=G3_R, s=G3_S)
     rng = RngStream(12)
     omega = prior_draws(1, rng)[0]
     chain = np.empty((30_000, G3_P, G3_P))
     for draw in chain:
         sigma = spd_inverse(omega)
-        Y = rng.standard_normal((G3_N, G3_P)) @ np.linalg.cholesky(sigma).T
-        sweep(GibbsState(omega, scatter_matrix(Y), G3_N, sigma=sigma), config,
+        Y = rng.standard_normal((n, G3_P)) @ np.linalg.cholesky(sigma).T
+        sweep(GibbsState(omega, scatter_matrix(Y), n, sigma=sigma), config,
               ViolationAudit(), rng)
         draw[...] = omega
-    assert_statistics_match(geweke_statistics(chain, medians), oracle)
+    return chain
+
+
+@pytest.mark.parametrize("kind", kind_cases({"{}": ()}, xfails=("{}",)))
+def test_kernel_leaves_the_joint_law_invariant_g3(kind, g3_prior):
+    medians, oracle = g3_prior
+    assert_statistics_match(geweke_statistics(geweke_chain(kind, G3_N), medians), oracle)
+
+
+def test_bgs_steps_leave_the_joint_law_invariant_g3n4(g3_prior):
+    # bgs overrelaxes beta and moves omega's scale only where n > p, which
+    # G3's n = 2 is not; with n = 4 every step takes both.
+    medians, oracle = g3_prior
+    assert_statistics_match(geweke_statistics(geweke_chain("bgs", G3_P + 1), medians), oracle)
